@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,13 +24,14 @@ import numpy as np
 
 from .dynamics import (
     IntegratorSpec,
+    _fmt,
     frame_equivalence_check,
     integrate_lab,
     integrate_modes,
     write_trajectory_csv,
 )
 from .errors import ConfigError, DivergenceError, DnmError, PresetDomainError, ScheduleDomainError
-from .modes import classify_separability, decompose_at
+from .modes import classify_separability, decompose_at, ellipse_at
 from .presets import build_preset
 from .quadratic import PhasePoint
 
@@ -50,10 +52,6 @@ _TOP_KEYS = {
     "sweep",
 }
 _REQUIRED_KEYS = {"schema", "preset", "window"}
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def load_config(path: str) -> dict:
@@ -77,33 +75,39 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing fields {sorted(missing)} in {where}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))
+
+
 def validate_config(cfg: dict) -> None:
     _require_keys(cfg, _TOP_KEYS, _REQUIRED_KEYS, "config")
     if cfg["schema"] != 1:
         raise ConfigError(f"unsupported schema {cfg['schema']!r}; expected 1")
     window = cfg["window"]
-    if (
-        not isinstance(window, (list, tuple))
-        or len(window) != 2
-        or not window[0] < window[1]
-    ):
+    if not _is_pair(window) or not window[0] < window[1]:
         raise ConfigError("window must be [t0, t1] with t0 < t1")
     if "samples" in cfg and (not isinstance(cfg["samples"], int) or cfg["samples"] < 2):
         raise ConfigError("samples must be an integer >= 2")
     if "integrator" in cfg:
         _require_keys(cfg["integrator"], {"method", "dt"}, {"dt"}, "integrator")
+        if not _is_number(cfg["integrator"]["dt"]):
+            raise ConfigError("integrator dt must be a finite number")
     if "output" in cfg:
-        _require_keys(cfg["output"], {"path", "format"}, set(), "output")
-        if cfg["output"].get("format", "csv") not in ("csv", "json"):
-            raise ConfigError("output format must be 'csv' or 'json'")
+        _require_keys(cfg["output"], {"path"}, set(), "output")
     if "tolerances" in cfg:
-        _require_keys(cfg["tolerances"], {"tol_sep", "tol_cond"}, set(), "tolerances")
+        _require_keys(cfg["tolerances"], {"tol_sep"}, set(), "tolerances")
+        if not _is_number(cfg["tolerances"].get("tol_sep", 0.0)):
+            raise ConfigError("tolerances tol_sep must be a finite number")
     if "initial_state" in cfg:
         state = cfg["initial_state"]
         if state != "equilibrium":
             _require_keys(state, {"q", "p"}, {"q", "p"}, "initial_state")
-            if len(state["q"]) != 2 or len(state["p"]) != 2:
-                raise ConfigError("initial_state q and p must each have two entries")
+            if not (_is_pair(state["q"]) and _is_pair(state["p"])):
+                raise ConfigError("initial_state q and p must each be two numbers")
     if "sweep" in cfg:
         _require_keys(cfg["sweep"], {"axes"}, {"axes"}, "sweep")
         axes = cfg["sweep"]["axes"]
@@ -130,11 +134,10 @@ def _analysis_rows(cfg: dict, samples: int) -> list:
     for t in times:
         dec = decompose_at(sys_, float(t), branch_ref=branch)
         branch = dec.theta
-        q_eq = sys_.equilibrium(float(t))
-        r1 = 1.0 / dec.omega1_sq**0.5 if dec.omega1_sq > 0 else float("nan")
-        r2 = 1.0 / dec.omega2_sq**0.5 if dec.omega2_sq > 0 else float("nan")
+        ell = ellipse_at(dec, sys_, float(t))
+        radii = [float("nan") if r is None else r for r in ell.radii]
         rows.append(
-            (t, dec.theta, dec.theta_dot, dec.omega1_sq, dec.omega2_sq, r1, r2, *q_eq)
+            (t, dec.theta, dec.theta_dot, dec.omega1_sq, dec.omega2_sq, *radii, *ell.center)
         )
     return rows
 
@@ -258,7 +261,10 @@ def cmd_sweep(cfg: dict, out_base: str, samples) -> int:
         )
 
     env = os.environ.get("DNM_THREADS", "")
-    workers = max(1, int(env)) if env else min(8, os.cpu_count() or 1)
+    try:
+        workers = max(1, int(env)) if env else min(8, os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(f"DNM_THREADS must be an integer, got {env!r}") from None
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_point, grid))
     results.sort(key=lambda r: r[0])  # deterministic by grid index

@@ -19,15 +19,16 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .modes import (
     decompose_at,
+    drive_at,
+    drive_rate_at,
     effective_hamiltonian_value,
     eigenfrequencies,
-    modal_matrix,
+    larmor_rate_at,
     theta_at,
     theta_dot_at,
     to_mode_frame,
 )
 from .quadratic import PhasePoint, QuadraticSystem
-from .schedules import fd_step
 
 __all__ = [
     "IntegratorSpec",
@@ -137,18 +138,7 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
     m2 = sys.masses.m2
 
     def rhs(t, y):
-        q0 = sys.equilibrium(t)
-        tr = sys.stiffness(t)
-        d1 = y[0] - q0[0]
-        d2 = y[1] - q0[1]
-        return np.array(
-            [
-                y[2] / m1,
-                y[3] / m2,
-                -((tr.k + tr.k1) * d1 - tr.k * d2),
-                -(-tr.k * d1 + (tr.k + tr.k2) * d2),
-            ]
-        )
+        return np.array([y[2] / m1, y[3] / m2, *sys.force(t, y[0], y[1])])
 
     meta = {"integrator": spec.method, "preset": sys.label}
     try:
@@ -165,16 +155,6 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
 def _verlet_run(sys: QuadraticSystem, y0: np.ndarray, spec: IntegratorSpec):
     """Velocity Verlet (kick-drift-kick); lab frame only (separable H)."""
     m = np.array([sys.masses.m1, sys.masses.m2])
-
-    def force(t, q):
-        q0 = sys.equilibrium(t)
-        tr = sys.stiffness(t)
-        d1 = q[0] - q0[0]
-        d2 = q[1] - q0[1]
-        return np.array(
-            [-((tr.k + tr.k1) * d1 - tr.k * d2), -(-tr.k * d1 + (tr.k + tr.k2) * d2)]
-        )
-
     n = spec.n_steps
     dt = spec.dt
     times = spec.t0 + dt * np.arange(n + 1)
@@ -182,11 +162,11 @@ def _verlet_run(sys: QuadraticSystem, y0: np.ndarray, spec: IntegratorSpec):
     q = y0[:2].copy()
     p = y0[2:].copy()
     states[0] = y0
-    f = force(times[0], q)
+    f = np.array(sys.force(times[0], *q))
     for i in range(n):
         p_half = p + 0.5 * dt * f
         q = q + dt * p_half / m
-        f = force(times[i + 1], q)
+        f = np.array(sys.force(times[i + 1], *q))
         p = p_half + 0.5 * dt * f
         if not (np.all(np.abs(q) < DIVERGENCE_GUARD) and np.all(np.abs(p) < DIVERGENCE_GUARD)):
             raise DivergenceError(
@@ -198,26 +178,23 @@ def _verlet_run(sys: QuadraticSystem, y0: np.ndarray, spec: IntegratorSpec):
     return times, states
 
 
-class _ModeCoefficients:
-    """Per-stage coefficients of the mode-frame equations, with the theta
-    branch threaded sequentially along the time axis."""
+class _ThetaBranch:
+    """The mode-angle branch, threaded sequentially along the time axis:
+    ``sync`` advances it once per step and every RK stage snaps to it."""
 
-    def __init__(self, sys: QuadraticSystem, theta0: Optional[float]):
+    def __init__(self, sys: QuadraticSystem, theta0: Optional[float], t0: float):
         self.sys = sys
-        self.branch = theta0
+        self.theta = theta0
+        self.sync(t0)
 
     def sync(self, t: float) -> None:
-        self.branch = theta_at(self.sys.stiffness(t), self.sys.masses, self.branch)
+        self.theta = theta_at(self.sys.stiffness(t), self.sys.masses, self.theta)
 
-    def at(self, t: float) -> tuple:
-        sys = self.sys
-        triple = sys.stiffness(t)
-        theta = theta_at(triple, sys.masses, self.branch)
-        o1, o2 = eigenfrequencies(triple, sys.masses, theta)
-        A, _ = modal_matrix(theta, sys.masses)
-        qd = sys.equilibrium_velocity_at(t)
-        P0 = A @ np.array(qd)
-        return theta, theta_dot_at(sys, t), o1, o2, P0
+    def frequencies(self, t: float) -> tuple:
+        """(theta, Omega1^2, Omega2^2) at a stage time."""
+        triple = self.sys.stiffness(t)
+        theta = theta_at(triple, self.sys.masses, self.theta)
+        return (theta, *eigenfrequencies(triple, self.sys.masses, theta))
 
 
 def integrate_modes(
@@ -240,12 +217,12 @@ def integrate_modes(
         raise ConfigError("integrate_modes expects a mode-frame initial point")
     if spec.method != "rk4":
         raise ConfigError("mode-frame integration supports rk4 only")
-    coeffs = _ModeCoefficients(sys, theta0)
-    coeffs.sync(spec.t0)
-    larmor = sys.larmor_rate
+    branch = _ThetaBranch(sys, theta0, spec.t0)
 
     def rhs(t, y):
-        _, th_dot, o1, o2, P0 = coeffs.at(t)
+        theta, o1, o2 = branch.frequencies(t)
+        P0 = drive_at(sys, t, theta)
+        th_dot = theta_dot_at(sys, t)
         Q1, Q2, P1, P2 = y
         td = th_dot if lz_coupling else 0.0
         dQ1 = P1 - P0[0] + td * Q2
@@ -253,7 +230,7 @@ def integrate_modes(
         dP1 = -o1 * Q1 + td * P2
         dP2 = -o2 * Q2 - td * P1
         if apply_larmor:
-            wL = larmor(t) if larmor is not None else th_dot
+            wL = larmor_rate_at(sys, t, th_dot)
             dQ1 -= wL * Q2
             dQ2 += wL * Q1
             dP1 -= wL * wL * Q1 + wL * P2
@@ -263,7 +240,7 @@ def integrate_modes(
     meta = {"integrator": "rk4", "preset": sys.label, "larmor": apply_larmor}
     try:
         times, states = _rk4_run(
-            rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=coeffs.sync
+            rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=branch.sync
         )
     except DivergenceError as exc:
         exc.partial = Trajectory("mode", exc.partial[0], exc.partial[1], spec.dt, meta)
@@ -284,25 +261,18 @@ def integrate_modes_shifted(
     """
     if X0.frame != "mode":
         raise ConfigError("integrate_modes_shifted expects a mode-frame point")
-    coeffs = _ModeCoefficients(sys, theta0)
-    coeffs.sync(spec.t0)
-
-    def p0(t):
-        th = theta_at(sys.stiffness(t), sys.masses, coeffs.branch)
-        A, _ = modal_matrix(th, sys.masses)
-        return A @ np.array(sys.equilibrium_velocity_at(t))
+    branch = _ThetaBranch(sys, theta0, spec.t0)
 
     def rhs(t, y):
-        _, _, o1, o2, _ = coeffs.at(t)
-        h = fd_step(t)
-        P0_dot = (p0(t + h) - p0(t - h)) / (2.0 * h)
+        theta, o1, o2 = branch.frequencies(t)
+        P0_dot = drive_rate_at(sys, t, theta)
         return np.array(
             [y[2], y[3], -o1 * y[0] - P0_dot[0], -o2 * y[1] - P0_dot[1]]
         )
 
     meta = {"integrator": "rk4", "preset": sys.label, "shifted": True}
     times, states = _rk4_run(
-        rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=coeffs.sync
+        rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=branch.sync
     )
     return Trajectory("mode", times, states, spec.dt, meta)
 
@@ -381,7 +351,7 @@ def mode_energy_series(
         branch = theta_at(triple, sys.masses, branch)
         o1, o2 = eigenfrequencies(triple, sys.masses, branch)
         if compensated:
-            wL = sys.larmor_rate(t) if sys.larmor_rate is not None else theta_dot_at(sys, t)
+            wL = larmor_rate_at(sys, t)
             o1 += wL * wL
             o2 += wL * wL
         Q1, Q2, P1, P2 = traj.states[i]

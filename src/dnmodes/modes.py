@@ -39,6 +39,9 @@ __all__ = [
     "eigenfrequencies",
     "modal_matrix",
     "theta_dot_at",
+    "drive_at",
+    "drive_rate_at",
+    "larmor_rate_at",
     "decompose_at",
     "to_mode_frame",
     "from_mode_frame",
@@ -89,30 +92,17 @@ class MomentumShift:
     centers: Optional[tuple]
 
 
-def _triple_from_matrix(K) -> tuple:
-    """(k, k1, k2) from an assembled 2x2 symmetric stiffness matrix."""
-    K = np.asarray(K, dtype=float)
-    k = -0.5 * (K[0, 1] + K[1, 0])
-    return k, K[0, 0] - k, K[1, 1] - k
-
-
-def _as_triple(K) -> tuple:
-    if isinstance(K, StiffnessTriple):
-        return K.k, K.k1, K.k2
-    return _triple_from_matrix(K)
-
-
-def mass_weighted_stiffness(K, masses: MassPair) -> np.ndarray:
+def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
     """Ktil = M^(-1/2) K M^(-1/2)."""
-    k, k1, k2 = _as_triple(K)
+    k, k1, k2 = K.k, K.k1, K.k2
     off = -k / math.sqrt(masses.m1 * masses.m2)
     return np.array(
         [[(k + k1) / masses.m1, off], [off, (k + k2) / masses.m2]], dtype=float
     )
 
 
-def _theta_num_den(K, masses: MassPair) -> tuple:
-    k, k1, k2 = _as_triple(K)
+def _theta_num_den(K: StiffnessTriple, masses: MassPair) -> tuple:
+    k, k1, k2 = K.k, K.k1, K.k2
     num = 2.0 * k * math.sqrt(masses.m1 * masses.m2)
     den = masses.m1 * (k + k2) - masses.m2 * (k + k1)
     scale = (masses.m1 + masses.m2) * (abs(k) + abs(k1) + abs(k2))
@@ -133,7 +123,7 @@ def _snap_branch(theta: float, branch_ref: Optional[float]) -> float:
     return theta + half * round((branch_ref - theta) / half)
 
 
-def theta_at(K, masses: MassPair, branch_ref: Optional[float] = None) -> float:
+def theta_at(K: StiffnessTriple, masses: MassPair, branch_ref: Optional[float] = None) -> float:
     """Mode angle; branch-continuous against branch_ref when given."""
     num, den, scale = _theta_num_den(K, masses)
     if math.hypot(num, den) <= EPS_DEGENERATE * scale:
@@ -142,9 +132,9 @@ def theta_at(K, masses: MassPair, branch_ref: Optional[float] = None) -> float:
     return _snap_branch(0.5 * math.atan2(num, den), branch_ref)
 
 
-def eigenfrequencies(K, masses: MassPair, theta: float) -> tuple:
+def eigenfrequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
     """(Omega1^2, Omega2^2) for the mode labels fixed by theta."""
-    k, k1, k2 = _as_triple(K)
+    k, k1, k2 = K.k, K.k1, K.k2
     a = (k + k1) / masses.m1
     b = (k + k2) / masses.m2
     cross = k / math.sqrt(masses.m1 * masses.m2)
@@ -193,6 +183,28 @@ def theta_dot_at(sys: QuadraticSystem, t: float, method: str = "auto") -> float:
     thm = theta_at(sys.stiffness(t - h), sys.masses, branch_ref=th0)
     thp = theta_at(sys.stiffness(t + h), sys.masses, branch_ref=th0)
     return (thp - thm) / (2.0 * h)
+
+
+def drive_at(sys: QuadraticSystem, t: float, theta: float) -> np.ndarray:
+    """Mode-frame momentum drive P0 = A(theta) qdot0(t)."""
+    A, _ = modal_matrix(theta, sys.masses)
+    return A @ np.array(sys.equilibrium_velocity_at(t))
+
+
+def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> np.ndarray:
+    """Central-difference dP0/dt, following theta on the branch nearest branch_ref."""
+    h = fd_step(t)
+    ahead, behind = (drive_at(sys, s, theta_at(sys.stiffness(s), sys.masses, branch_ref))
+                     for s in (t + h, t - h))
+    return (ahead - behind) / (2.0 * h)
+
+
+def larmor_rate_at(sys: QuadraticSystem, t: float, theta_dot: Optional[float] = None) -> float:
+    """Larmor compensation rate omega_L: ``sys.larmor_rate`` when the preset
+    supplies one, else theta_dot (evaluated unless the caller has it)."""
+    if sys.larmor_rate is not None:
+        return sys.larmor_rate(t)
+    return theta_dot_at(sys, t) if theta_dot is None else theta_dot
 
 
 def decompose_at(
@@ -246,8 +258,7 @@ def effective_hamiltonian_value(
         raise ConfigError("effective_hamiltonian_value expects a mode-frame point")
     Q1, Q2 = x.q
     P1, P2 = x.p
-    qdot0 = sys.equilibrium_velocity_at(x.t)
-    drive = dec.A @ np.array(qdot0)
+    drive = drive_at(sys, x.t, dec.theta)
     return float(
         0.5 * (P1 * P1 + P2 * P2 + dec.omega1_sq * Q1 * Q1 + dec.omega2_sq * Q2 * Q2)
         - (P1 * drive[0] + P2 * drive[1])
@@ -268,15 +279,8 @@ def momentum_shift(
     """
     if x.frame != "mode":
         raise ConfigError("momentum_shift expects a mode-frame point")
-
-    def p0(t: float) -> np.ndarray:
-        th = theta_at(sys.stiffness(t), sys.masses, branch_ref=dec.theta)
-        A, _ = modal_matrix(th, sys.masses)
-        return A @ np.array(sys.equilibrium_velocity_at(t))
-
-    P0 = p0(x.t)
-    h = fd_step(x.t)
-    P0_dot = (p0(x.t + h) - p0(x.t - h)) / (2.0 * h)
+    P0 = drive_at(sys, x.t, dec.theta)
+    P0_dot = drive_rate_at(sys, x.t, dec.theta)
     shifted = PhasePoint(
         t=x.t, q=x.q, p=(x.p[0] - P0[0], x.p[1] - P0[1]), frame="mode"
     )

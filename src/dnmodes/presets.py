@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import (
@@ -742,14 +742,15 @@ def build_custom(cfg: CustomConfig) -> QuadraticSystem:
 # Tagged-union dispatch (CLI config payload).
 # ---------------------------------------------------------------------------
 
-_PRESET_FIELDS = {
-    "transport": {"k", "Q0", "Cc", "masses"},
-    "separation": {"alpha", "beta", "Cc", "masses"},
-    "phase-gate": {"k0", "F1", "F2", "Cc", "masses", "zeroth_order"},
-    "rotation": {"m", "omega1", "omega2", "phi", "larmor_compensation"},
-    "springs": {"k", "k1", "k2", "d", "masses"},
-    "custom": {"k", "k1", "k2", "masses", "q1_eq", "q2_eq"},
+_PRESETS = {
+    "transport": (TransportConfig, build_transport),
+    "separation": (SeparationConfig, build_separation),
+    "phase-gate": (PhaseGateConfig, build_phase_gate),
+    "rotation": (RotationConfig, build_rotation),
+    "springs": (SpringsConfig, build_springs),
+    "custom": (CustomConfig, build_custom),
 }
+_PRESET_FIELDS = {kind: {f.name for f in fields(cls)} for kind, (cls, _) in _PRESETS.items()}
 
 
 def preset_config_from_dict(obj: dict):
@@ -764,18 +765,8 @@ def preset_config_from_dict(obj: dict):
         raise ConfigError(f"unknown fields {sorted(extra)} for preset {kind!r}")
     kwargs = {key: obj[key] for key in obj if key != "type"}
     try:
-        if kind == "transport":
-            return TransportConfig(**kwargs)
-        if kind == "separation":
-            return SeparationConfig(**kwargs)
-        if kind == "phase-gate":
-            return PhaseGateConfig(**kwargs)
-        if kind == "rotation":
-            return RotationConfig(**kwargs)
-        if kind == "springs":
-            return SpringsConfig(**kwargs)
-        return CustomConfig(**kwargs)
-    except TypeError as exc:
+        return _PRESETS[kind][0](**kwargs)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad preset parameters for {kind!r}: {exc}") from exc
 
 
@@ -783,16 +774,7 @@ def build_preset(obj) -> QuadraticSystem:
     """Build a QuadraticSystem from a typed config or its dict form."""
     if isinstance(obj, dict):
         obj = preset_config_from_dict(obj)
-    if isinstance(obj, TransportConfig):
-        return build_transport(obj)
-    if isinstance(obj, SeparationConfig):
-        return build_separation(obj)
-    if isinstance(obj, PhaseGateConfig):
-        return build_phase_gate(obj)
-    if isinstance(obj, RotationConfig):
-        return build_rotation(obj)
-    if isinstance(obj, SpringsConfig):
-        return build_springs(obj)
-    if isinstance(obj, CustomConfig):
-        return build_custom(obj)
+    for cls, build in _PRESETS.values():
+        if isinstance(obj, cls):
+            return build(obj)
     raise ConfigError(f"cannot build a preset from {obj!r}")

@@ -150,11 +150,16 @@ class QuadraticSystem:
         kinetic = 0.5 * (x.p[0] ** 2 / self.masses.m1 + x.p[1] ** 2 / self.masses.m2)
         return float(kinetic + 0.5 * dq @ K @ dq)
 
+    def force(self, t: float, q1: float, q2: float) -> tuple:
+        """-K(t) (q - q0(t)) for the lab coordinates (q1, q2)."""
+        q0 = self.equilibrium(t)
+        tr = self.stiffness(t)
+        d1 = q1 - q0[0]
+        d2 = q2 - q0[1]
+        return (-((tr.k + tr.k1) * d1 - tr.k * d2), -(-tr.k * d1 + (tr.k + tr.k2) * d2))
+
     def force_at(self, x: PhasePoint) -> tuple:
         """-K(t) (q - q0(t))."""
         if x.frame != "lab":
             raise ConfigError("force_at expects a lab-frame point")
-        q0 = self.equilibrium(x.t)
-        dq = np.array([x.q[0] - q0[0], x.q[1] - q0[1]])
-        f = -self.stiffness_matrix_at(x.t) @ dq
-        return (float(f[0]), float(f[1]))
+        return self.force(x.t, *x.q)

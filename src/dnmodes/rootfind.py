@@ -1,4 +1,4 @@
-"""Bracketed scalar root finding: bisection with Newton refinement.
+"""Bracketed scalar root finding: Newton refinement with a bisection fallback.
 
 Used by the presets for the equilibrium-distance quintic and cubic.  The
 scan collects every sign change on a grid over (0, q_max]; the caller picks
@@ -12,29 +12,7 @@ import math
 
 from .errors import PresetDomainError
 
-__all__ = ["bisect_root", "newton_refine", "positive_roots", "solve_positive_root"]
-
-
-def bisect_root(f, a: float, b: float, tol: float = 1e-15, maxiter: int = 200) -> float:
-    """Plain bisection on [a, b]; requires a sign change."""
-    fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise PresetDomainError(f"no sign change on [{a}, {b}]")
-    for _ in range(maxiter):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) < tol * max(1.0, abs(m)):
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+__all__ = ["newton_refine", "positive_roots", "solve_positive_root"]
 
 
 def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50) -> float:
@@ -50,11 +28,7 @@ def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50) ->
         else:
             a, fa = x, fx
         d = fprime(x)
-        if d != 0.0:
-            step = fx / d
-            x_new = x - step
-        else:
-            x_new = math.nan
+        x_new = x - fx / d if d != 0.0 else math.nan
         if not (a < x_new < b):
             x_new = 0.5 * (a + b)
         if abs(x_new - x) <= 1e-16 * max(1.0, abs(x_new)):
@@ -73,8 +47,7 @@ def positive_roots(f, fprime, q_max: float, n_scan: int = 512) -> list:
         if fs[i] == 0.0:
             roots.append(xs[i])
         elif fs[i] * fs[i + 1] < 0.0:
-            x0 = bisect_root(f, xs[i], xs[i + 1], tol=1e-10)
-            roots.append(newton_refine(f, fprime, x0, xs[i], xs[i + 1]))
+            roots.append(newton_refine(f, fprime, 0.5 * (xs[i] + xs[i + 1]), xs[i], xs[i + 1]))
     if fs[-1] == 0.0:
         roots.append(xs[-1])
     return roots

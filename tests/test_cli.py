@@ -139,9 +139,44 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad["window"] = [2.0, 0.0]
     assert main(["analyze", "--config", write_cfg(tmp_path, bad, "d.json")]) == 2
 
+    bad = transport_cfg(str(tmp_path / "x"))
+    bad["output"]["format"] = "json"
+    assert main(["analyze", "--config", write_cfg(tmp_path, bad, "e.json")]) == 2
+
+    bad = transport_cfg(str(tmp_path / "x"))
+    bad["tolerances"] = {"tol_cond": "x"}
+    assert main(["analyze", "--config", write_cfg(tmp_path, bad, "f.json")]) == 2
+
     missing = str(tmp_path / "nope.json")
     assert main(["analyze", "--config", missing]) == 2
     capsys.readouterr()
+
+
+MALFORMED = {
+    "dt": ("simulate", lambda c: c["integrator"].update(dt="abc")),
+    "window": ("analyze", lambda c: c.update(window=["a", "b"])),
+    "masses": ("analyze", lambda c: c["preset"].update(masses=[1, "x"])),
+    "initial_state": (
+        "simulate",
+        lambda c: c.update(initial_state={"q": "ab", "p": [0.0, 0.0]}),
+    ),
+    "DNM_THREADS": (
+        "sweep",
+        lambda c: c.update(sweep={"axes": [{"path": "preset.k", "values": [1.0, 2.0]}]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    command, mutate = MALFORMED[case]
+    cfg = transport_cfg(str(tmp_path / "x"))
+    mutate(cfg)
+    if case == "DNM_THREADS":
+        monkeypatch.setenv("DNM_THREADS", "abc")
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 def test_preset_domain_exit_3(tmp_path, capsys):
