@@ -62,12 +62,17 @@ class IntegratorSpec:
             raise ConfigError("dt must be positive")
         if self.t1 <= self.t0:
             raise ConfigError("window must have t1 > t0")
-        if (self.t1 - self.t0) / self.dt > MAX_SAMPLES:
+        span = self.t1 - self.t0
+        if span / self.dt > MAX_SAMPLES:
             raise ConfigError("window/dt exceeds the sample-count cap")
+        if not abs(round(span / self.dt) * self.dt - span) <= 1e-9 * span:
+            raise ConfigError(
+                f"dt={self.dt} does not divide the window [{self.t0}, {self.t1}]"
+            )
 
     @property
     def n_steps(self) -> int:
-        return max(1, round((self.t1 - self.t0) / self.dt))
+        return round((self.t1 - self.t0) / self.dt)
 
 
 @dataclass

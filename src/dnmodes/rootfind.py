@@ -4,6 +4,11 @@ Used by the presets for the equilibrium-distance quintic and cubic.  The
 scan collects every sign change on a grid over (0, q_max]; the caller picks
 a branch by passing the previous root as ``guess`` (continuity), otherwise
 the largest positive root is returned.
+
+Newton refinement stops once a step moves x by at most 4 ulp
+(``|x_new - x| <= 4 * 2**-52 * |x|``).  That test comes before the bracket
+check, so a converged step that lands on a bracket end is accepted rather
+than replaced by the bracket midpoint.
 """
 
 from __future__ import annotations
@@ -14,11 +19,20 @@ from .errors import PresetDomainError
 
 __all__ = ["newton_refine", "positive_roots", "solve_positive_root"]
 
+_STEP_TOL = 4.0 * 2.0**-52
 
-def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50) -> float:
+
+def newton_refine(
+    f, fprime, x: float, a: float, b: float, maxiter: int = 50, fa: float | None = None
+) -> float:
     """Newton iterations from x, falling back to bisection on [a, b] when a
-    step leaves the bracket or the derivative vanishes."""
-    fa = f(a)
+    step leaves the bracket or the derivative vanishes.
+
+    Returns once a Newton step is at most 4 ulp of x, tested before the
+    bracket check.  ``fa`` is f(a) when the caller has already evaluated it.
+    """
+    if fa is None:
+        fa = f(a)
     for _ in range(maxiter):
         fx = f(x)
         if fx == 0.0:
@@ -29,10 +43,10 @@ def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50) ->
             a, fa = x, fx
         d = fprime(x)
         x_new = x - fx / d if d != 0.0 else math.nan
+        if abs(x_new - x) <= _STEP_TOL * abs(x):
+            return x_new
         if not (a < x_new < b):
             x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x_new)):
-            return x_new
         x = x_new
     return x
 
@@ -47,7 +61,8 @@ def positive_roots(f, fprime, q_max: float, n_scan: int = 512) -> list:
         if fs[i] == 0.0:
             roots.append(xs[i])
         elif fs[i] * fs[i + 1] < 0.0:
-            roots.append(newton_refine(f, fprime, 0.5 * (xs[i] + xs[i + 1]), xs[i], xs[i + 1]))
+            mid = 0.5 * (xs[i] + xs[i + 1])
+            roots.append(newton_refine(f, fprime, mid, xs[i], xs[i + 1], fa=fs[i]))
     if fs[-1] == 0.0:
         roots.append(xs[-1])
     return roots
@@ -62,8 +77,10 @@ def _refine_near_guess(f, fprime, guess: float, q_max: float) -> float | None:
         radius = half_width * max(guess, 1e-6)
         a = max(1e-12 * max(1.0, q_max), guess - radius)
         b = min(q_max, guess + radius)
-        if a < b and f(a) * f(b) < 0.0:
-            return newton_refine(f, fprime, guess, a, b)
+        if a < b:
+            fa = f(a)
+            if fa * f(b) < 0.0:
+                return newton_refine(f, fprime, guess, a, b, fa=fa)
     return None
 
 

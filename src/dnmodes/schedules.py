@@ -9,6 +9,7 @@ Units are caller-defined natural units.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,13 +135,44 @@ class Smoothstep(ControlSchedule):
         return (self.v1 - self.v0) * ds / (self.t1 - self.t0)
 
 
+def _table_segments(t: list, y: list, cubic: bool) -> list:
+    """Per-segment coefficients (y, b, c, d) of the interpolant through
+    (t, y): on [t[i], t[i+1]] it is y[i] + b s + c s^2 + d s^3 with
+    s = t - t[i].  For the natural cubic spline the knot second derivatives
+    m (m[0] = m[n] = 0) solve the tridiagonal continuity system in one
+    Thomas sweep; m = 0 everywhere gives the linear interpolant."""
+    n = len(t) - 1
+    h = [t[i + 1] - t[i] for i in range(n)]
+    slope = [(y[i + 1] - y[i]) / h[i] for i in range(n)]
+    m = [0.0] * (n + 1)
+    if cubic:
+        diag = [0.0] * (n + 1)
+        rhs = [0.0] * (n + 1)
+        for i in range(1, n):
+            diag[i] = 2.0 * (h[i - 1] + h[i])
+            rhs[i] = 6.0 * (slope[i] - slope[i - 1])
+            if i > 1:
+                w = h[i - 1] / diag[i - 1]
+                diag[i] -= w * h[i - 1]
+                rhs[i] -= w * rhs[i - 1]
+        for i in range(n - 1, 0, -1):
+            m[i] = (rhs[i] - h[i] * m[i + 1]) / diag[i]
+    return [
+        (y[i], slope[i] - h[i] * (2.0 * m[i] + m[i + 1]) / 6.0, 0.5 * m[i],
+         (m[i + 1] - m[i]) / (6.0 * h[i]))
+        for i in range(n)
+    ]
+
+
 class SampledTable(ControlSchedule):
     """Tabulated schedule over strictly increasing timestamps.
 
     ``interpolation="cubic"`` fits a natural cubic spline so the derivative
-    is analytic; ``"linear"`` interpolates linearly with a one-sided
-    difference at the knots.  Evaluation outside [times[0], times[-1]]
-    raises :class:`ScheduleDomainError`.
+    is analytic; ``"linear"`` interpolates linearly, with the slope of the
+    segment to the right at an interior knot.  Both kinds store each
+    segment's polynomial coefficients at construction, so an evaluation is
+    one bisection over the knots and one Horner step.  Evaluation outside
+    [times[0], times[-1]] raises :class:`ScheduleDomainError`.
     """
 
     def __init__(self, times, values, interpolation="cubic"):
@@ -157,34 +189,25 @@ class SampledTable(ControlSchedule):
         self.times = times
         self.values = values
         self.interpolation = interpolation
-        if interpolation == "cubic":
-            from scipy.interpolate import CubicSpline
+        self._knots = times.tolist()
+        self._segments = _table_segments(self._knots, values.tolist(), interpolation == "cubic")
 
-            self._spline = CubicSpline(times, values, bc_type="natural")
-            self._spline_d = self._spline.derivative()
-
-    def _check_domain(self, t: float) -> None:
-        if t < self.times[0] or t > self.times[-1]:
-            raise ScheduleDomainError(
-                f"t={t} outside table domain [{self.times[0]}, {self.times[-1]}]"
-            )
+    def _segment(self, t: float) -> tuple:
+        """The segment holding t (the right one at an interior knot) and t's
+        offset into it."""
+        knots = self._knots
+        if t < knots[0] or t > knots[-1]:
+            raise ScheduleDomainError(f"t={t} outside table domain [{knots[0]}, {knots[-1]}]")
+        i = min(bisect_right(knots, t), len(self._segments)) - 1
+        return self._segments[i], t - knots[i]
 
     def value(self, t: float) -> float:
-        self._check_domain(t)
-        if self.interpolation == "cubic":
-            return float(self._spline(t))
-        return float(np.interp(t, self.times, self.values))
+        (y, b, c, d), s = self._segment(t)
+        return y + s * (b + s * (c + s * d))
 
     def derivative(self, t: float) -> float:
-        self._check_domain(t)
-        if self.interpolation == "cubic":
-            return float(self._spline_d(t))
-        # Piecewise-linear: slope of the containing segment, one-sided at knots.
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(max(i, 0), len(self.times) - 2)
-        return float(
-            (self.values[i + 1] - self.values[i]) / (self.times[i + 1] - self.times[i])
-        )
+        (_, b, c, d), s = self._segment(t)
+        return b + s * (2.0 * c + s * 3.0 * d)
 
 
 def as_schedule(obj) -> ControlSchedule:

@@ -152,6 +152,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_a_dt_that_does_not_divide_the_window(tmp_path, capsys):
+    # [0, 2] in steps of 0.3 would end at t = 2.1 or 1.8, never at 2.
+    cfg = write_cfg(tmp_path, transport_cfg(str(tmp_path / "run")))
+    assert main(["simulate", "--config", cfg, "--dt", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run_*"))
+
+
 MALFORMED = {
     "dt": ("simulate", lambda c: c["integrator"].update(dt="abc")),
     "window": ("analyze", lambda c: c.update(window=["a", "b"])),

@@ -40,6 +40,17 @@ def test_integrator_spec_validation():
         IntegratorSpec(dt=0.1, t0=0.0, t1=1.0, method="euler")
 
 
+def test_integrator_spec_covers_exactly_the_window():
+    # A dt that does not divide the window would silently end short.
+    with pytest.raises(ConfigError, match="does not divide"):
+        IntegratorSpec(dt=0.3, t0=0.0, t1=10.0)
+    with pytest.raises(ConfigError, match="does not divide"):
+        IntegratorSpec(dt=3.0, t0=0.0, t1=1.0)
+    spec = IntegratorSpec(dt=0.1, t0=0.0, t1=1.0)  # 10 steps up to rounding
+    assert spec.n_steps == 10
+    assert spec.t0 + spec.n_steps * spec.dt == pytest.approx(spec.t1, rel=1e-12)
+
+
 def test_harmonic_oscillator_cosine():
     # uncoupled unit oscillators: q1(t) = cos t
     sys = static_sys()

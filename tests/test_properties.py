@@ -1,10 +1,17 @@
-"""Property tests over random ``custom`` systems.
+"""Property tests over random ``custom`` systems and equilibrium roots.
 
 Each system has polynomial stiffness and equilibrium schedules on [0, 1].
 The coupling k stays away from zero, so the mode angle is never degenerate
 and theta_dot stays bounded; k1 and k2 are free, so the angle still sweeps
 through the default branch edges at +-pi/4.
+
+The root properties draw separation quintics and phase-gate cubics; both
+have one simple positive root over the drawn ranges.
 """
+
+import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -18,11 +25,17 @@ from dnmodes.modes import (
     theta_dot_at,
     to_mode_frame,
 )
-from dnmodes.presets import CustomConfig, build_custom
+from dnmodes import presets
+from dnmodes.presets import (
+    CustomConfig,
+    build_custom,
+    solve_phase_gate_distance,
+    solve_separation_distance,
+)
 from dnmodes.quadratic import PhasePoint
 from dnmodes.schedules import Polynomial
 
-from oracles import grad4
+from oracles import bisect, grad4
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -107,3 +120,66 @@ def test_drive_rate_matches_a_finite_difference_of_the_drive(sys, t):
     oracle = (8.0 * (p0(t + h) - p0(t - h)) - (p0(t + 2 * h) - p0(t - 2 * h))) / (12.0 * h)
     scale = 1.0 + float(np.abs(p0(t)).max())
     assert np.allclose(drive_rate_at(sys, t, theta), oracle, rtol=0, atol=1e-7 * scale)
+
+
+@contextmanager
+def counted_derivative_calls():
+    """Count the root solver's derivative evaluations inside the block."""
+    calls = []
+    solve = presets.solve_positive_root
+
+    def counting_solve(f, fprime, q_max, guess=None):
+        def counted(x):
+            calls.append(x)
+            return fprime(x)
+
+        return solve(f, counted, q_max, guess=guess)
+
+    with mock.patch.object(presets, "solve_positive_root", counting_solve):
+        yield calls
+
+
+def signed(lo, hi):
+    return st.builds(lambda x, s: s * x, st.floats(lo, hi), st.sampled_from([-1.0, 1.0]))
+
+
+nudge = st.floats(-1e-2, 1e-2)
+separation_params = st.tuples(signed(0.05, 3.0), st.floats(0.1, 3.0), st.floats(0.5, 2.0))
+phase_gate_params = st.tuples(st.floats(0.5, 3.0), signed(0.0, 2.0), st.floats(0.5, 2.0))
+
+
+def check_warm_refine(solve, polynomial, params, nudged):
+    # A time step moves the parameters a little; the refine warm-started from
+    # the previous root must converge in a few Newton steps, not run to
+    # maxiter, and agree with a cold solve and with bisection to 4 ulp.
+    previous = solve(*params)
+    with counted_derivative_calls() as calls:
+        warm = solve(*nudged, guess=previous)
+    assert len(calls) <= 6
+    cold = solve(*nudged)
+    assert abs(warm - cold) <= 4 * math.ulp(cold)
+    oracle = bisect(lambda q: polynomial(q, *nudged), 0.5 * cold, 2.0 * cold)
+    assert abs(warm - oracle) <= 4 * math.ulp(oracle)
+
+
+@PROPERTY
+@given(separation_params, st.tuples(nudge, nudge, nudge))
+def test_warm_separation_refine_converges_in_a_few_steps(params, rel):
+    def quintic(q, alpha, beta, Cc):
+        return beta * q**5 + 2.0 * alpha * q**3 - 2.0 * Cc
+
+    nudged = tuple(p * (1.0 + r) for p, r in zip(params, rel))
+    check_warm_refine(solve_separation_distance, quintic, params, nudged)
+
+
+@PROPERTY
+@given(phase_gate_params, st.tuples(nudge, nudge, nudge))
+def test_warm_phase_gate_refine_converges_in_a_few_steps(params, rel):
+    def cubic(q, k0, d, Cc):
+        return k0 * q**3 + d * q**2 - 2.0 * Cc
+
+    def solve(k0, d, Cc, guess=None):
+        return solve_phase_gate_distance(d, 0.0, k0, Cc, guess=guess)
+
+    nudged = tuple(p * (1.0 + r) for p, r in zip(params, rel))
+    check_warm_refine(solve, cubic, params, nudged)

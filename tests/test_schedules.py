@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dnmodes
 from dnmodes.errors import ConfigError, ScheduleDomainError
 from dnmodes.schedules import (
     Constant,
@@ -81,6 +86,77 @@ def test_table_linear_and_domain_error():
         s.value(-0.1)
     with pytest.raises(ScheduleDomainError):
         s.derivative(3.1)
+
+
+def random_tables(rng, count=50):
+    """Seeded tables with uneven spacing, always including the 2-knot case."""
+    for i in range(count):
+        n = 2 if i < 5 else int(rng.integers(3, 40))
+        times = rng.uniform(-3.0, 3.0) + np.cumsum(rng.uniform(0.01, 2.0, size=n))
+        yield times, rng.uniform(-5.0, 5.0, size=n)
+
+
+def query_points(rng, times):
+    """Every knot (both ends included) and random interior points."""
+    return np.concatenate([times, rng.uniform(times[0], times[-1], size=40)])
+
+
+def test_table_cubic_matches_scipy_natural_spline():
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(11)
+    for times, values in random_tables(rng):
+        s = SampledTable(times, values, interpolation="cubic")
+        ref = CubicSpline(times, values, bc_type="natural")
+        ref_d = ref.derivative()
+        scale = max(1.0, float(np.abs(values).max()))
+        slope_scale = scale / float(np.diff(times).min())
+        for t in query_points(rng, times):
+            assert abs(s.value(t) - float(ref(t))) <= 1e-12 * scale
+            assert abs(s.derivative(t) - float(ref_d(t))) <= 1e-12 * slope_scale
+
+
+def test_table_linear_matches_interp_and_one_sided_slope():
+    rng = np.random.default_rng(12)
+    for times, values in random_tables(rng):
+        s = SampledTable(times, values, interpolation="linear")
+        scale = max(1.0, float(np.abs(values).max()))
+        for t in query_points(rng, times):
+            assert abs(s.value(t) - float(np.interp(t, times, values))) <= 1e-12 * scale
+            # Slope of the segment to the right of t; the last knot uses the
+            # last segment.
+            i = min(int(np.searchsorted(times, t, side="right")), len(times) - 1) - 1
+            slope = (values[i + 1] - values[i]) / (times[i + 1] - times[i])
+            assert abs(s.derivative(t) - slope) <= 1e-12 * abs(slope) + 1e-15
+
+
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+def test_table_rejects_times_outside_its_knots(interpolation):
+    s = SampledTable([0.5, 1.0, 2.5], [1.0, -1.0, 0.0], interpolation=interpolation)
+    for t in (0.5 - 1e-12, 2.5 + 1e-12, -10.0, 10.0):
+        with pytest.raises(ScheduleDomainError):
+            s.value(t)
+        with pytest.raises(ScheduleDomainError):
+            s.derivative(t)
+
+
+def test_table_schedule_does_not_import_scipy():
+    # Tables evaluate their own polynomials; scipy is only a test oracle.
+    code = (
+        "import sys\n"
+        "from dnmodes.presets import build_preset\n"
+        "phi = {'kind': 'table', 'times': [0, 1, 2, 3], 'values': [0, 0.2, 0.1, 0.5]}\n"
+        "sys_ = build_preset({'type': 'rotation', 'm': 1.0, 'omega1': 2.0, 'omega2': 1.0,"
+        " 'phi': phi})\n"
+        "sys_.stiffness(1.5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(dnmodes.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_table_requires_increasing_times():
