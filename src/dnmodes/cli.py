@@ -4,10 +4,11 @@
         [--larmor] [--dt x] [--samples n]
 
 Configs are JSON with a top-level ``"schema": 1``; unknown fields are
-rejected (fail-closed).  Exit codes: 0 success, 2 config error, 3 preset
-domain error, 4 divergence (partial output kept with a ``.partial``
-suffix).  ``DNM_THREADS`` caps sweep parallelism.  Output is byte-identical
-across repeated runs of the same config.
+rejected (fail-closed).  Exit codes: 0 success, 2 config error or an
+output that cannot be written, 3 preset domain error, 4 divergence
+(partial output kept with a ``.partial`` suffix).  ``DNM_THREADS`` caps
+sweep parallelism.  Output is byte-identical across repeated runs of the
+same config.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .dynamics import (
+    MAX_SAMPLES,
     IntegratorSpec,
     _fmt,
     frame_equivalence_check,
@@ -34,6 +35,7 @@ from .errors import ConfigError, DivergenceError, DnmError, PresetDomainError, S
 from .modes import classify_separability, decompose_at, ellipse_at
 from .presets import build_preset
 from .quadratic import PhasePoint
+from .schedules import is_finite_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,15 +43,8 @@ EXIT_PRESET = 3
 EXIT_DIVERGENCE = 4
 
 _TOP_KEYS = {
-    "schema",
-    "preset",
-    "window",
-    "samples",
-    "integrator",
-    "initial_state",
-    "output",
-    "tolerances",
-    "sweep",
+    "schema", "preset", "window", "samples", "integrator", "initial_state", "output",
+    "tolerances", "sweep",
 }
 _REQUIRED_KEYS = {"schema", "preset", "window"}
 
@@ -75,12 +70,8 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing fields {sorted(missing)} in {where}")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _is_pair(x) -> bool:
-    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(is_finite_number, x))
 
 
 def validate_config(cfg: dict) -> None:
@@ -90,17 +81,21 @@ def validate_config(cfg: dict) -> None:
     window = cfg["window"]
     if not _is_pair(window) or not window[0] < window[1]:
         raise ConfigError("window must be [t0, t1] with t0 < t1")
-    if "samples" in cfg and (not isinstance(cfg["samples"], int) or cfg["samples"] < 2):
-        raise ConfigError("samples must be an integer >= 2")
+    cfg["window"] = [float(window[0]), float(window[1])]  # numpy rejects big JSON ints
+    samples = cfg.get("samples", 2)
+    if type(samples) is not int or not 2 <= samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples must be an integer in [2, {MAX_SAMPLES}], got {samples!r}")
     if "integrator" in cfg:
         _require_keys(cfg["integrator"], {"method", "dt"}, {"dt"}, "integrator")
-        if not _is_number(cfg["integrator"]["dt"]):
+        if not is_finite_number(cfg["integrator"]["dt"]):
             raise ConfigError("integrator dt must be a finite number")
     if "output" in cfg:
         _require_keys(cfg["output"], {"path"}, set(), "output")
+        if not isinstance(cfg["output"].get("path", ""), str):
+            raise ConfigError("output path must be a string")
     if "tolerances" in cfg:
         _require_keys(cfg["tolerances"], {"tol_sep"}, set(), "tolerances")
-        if not _is_number(cfg["tolerances"].get("tol_sep", 0.0)):
+        if not is_finite_number(cfg["tolerances"].get("tol_sep", 0.0)):
             raise ConfigError("tolerances tol_sep must be a finite number")
     if "initial_state" in cfg:
         state = cfg["initial_state"]
@@ -115,14 +110,10 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("sweep.axes must list one or two axes")
         for ax in axes:
             _require_keys(ax, {"path", "values"}, {"path", "values"}, "sweep axis")
+            if not isinstance(ax["path"], str):
+                raise ConfigError("sweep axis path must be a dotted string")
             if not isinstance(ax["values"], list) or not ax["values"]:
                 raise ConfigError("sweep axis values must be a nonempty list")
-
-
-def _out_base(cfg: dict, out_arg) -> str:
-    if out_arg:
-        return out_arg
-    return cfg.get("output", {}).get("path", "dnm_out")
 
 
 def _analysis_rows(cfg: dict, samples: int) -> list:
@@ -142,9 +133,8 @@ def _analysis_rows(cfg: dict, samples: int) -> list:
     return rows
 
 
-def cmd_analyze(cfg: dict, out_base: str, samples) -> int:
-    n = samples or cfg.get("samples", 200)
-    rows = _analysis_rows(cfg, n)
+def cmd_analyze(cfg: dict, out_base: str) -> int:
+    rows = _analysis_rows(cfg, cfg.get("samples", 200))
     path = out_base + "_analyze.csv"
     with open(path, "w", newline="") as fh:
         fh.write("t,theta,theta_dot,omega1_sq,omega2_sq,ellipse_r1,ellipse_r2,q1_eq,q2_eq\n")
@@ -154,22 +144,19 @@ def cmd_analyze(cfg: dict, out_base: str, samples) -> int:
     return EXIT_OK
 
 
-def cmd_classify(cfg: dict, samples) -> int:
+def _classify(cfg: dict):
+    """The separability report of a checked config; a sweep point is one too."""
     sys_ = build_preset(cfg["preset"])
     tol_sep = cfg.get("tolerances", {}).get("tol_sep", 1e-9)
-    n = samples or cfg.get("samples", 200)
-    rep = classify_separability(sys_, tuple(cfg["window"]), n_samples=n, tol_sep=tol_sep)
-    print(
-        json.dumps(
-            {
-                "separable": rep.separable,
-                "max_abs_theta_dot": rep.max_abs_theta_dot,
-                "stability": rep.stability,
-                "analytic_case": rep.analytic_case,
-            },
-            sort_keys=True,
-        )
+    return classify_separability(
+        sys_, tuple(cfg["window"]), n_samples=cfg.get("samples", 200), tol_sep=tol_sep
     )
+
+
+def cmd_classify(cfg: dict) -> int:
+    rep = _classify(cfg)
+    keys = ("separable", "max_abs_theta_dot", "stability", "analytic_case")
+    print(json.dumps({key: getattr(rep, key) for key in keys}, sort_keys=True))
     return EXIT_OK
 
 
@@ -180,30 +167,23 @@ def _initial_point(cfg: dict, sys_, t0: float) -> PhasePoint:
     return PhasePoint(t=t0, q=tuple(state["q"]), p=tuple(state["p"]), frame="lab")
 
 
-def cmd_simulate(cfg: dict, out_base: str, dt, larmor: bool) -> int:
+def cmd_simulate(cfg: dict, out_base: str, larmor: bool) -> int:
     sys_ = build_preset(cfg["preset"])
     t0, t1 = cfg["window"]
-    step = dt or cfg.get("integrator", {}).get("dt", 1e-3)
+    step = cfg.get("integrator", {}).get("dt", 1e-3)
     method = cfg.get("integrator", {}).get("method", "rk4")
     spec = IntegratorSpec(dt=step, t0=t0, t1=t1, method=method)
     x0 = _initial_point(cfg, sys_, t0)
+    mode_spec = spec if method == "rk4" else IntegratorSpec(dt=step, t0=t0, t1=t1)
     try:
         lab = integrate_lab(sys_, x0, spec)
-    except DivergenceError as exc:
-        if exc.partial is not None:
-            write_trajectory_csv(exc.partial, out_base + "_lab.csv.partial")
-        raise
-    mode_spec = spec if method == "rk4" else IntegratorSpec(dt=step, t0=t0, t1=t1)
-    report = frame_equivalence_check(sys_, x0, mode_spec)
-    mapped0 = report.mapped.point(0)
-    try:
+        report = frame_equivalence_check(sys_, x0, mode_spec)
         mode = integrate_modes(
-            sys_, mapped0, mode_spec, apply_larmor=larmor,
+            sys_, report.mapped.point(0), mode_spec, apply_larmor=larmor,
             theta0=decompose_at(sys_, t0).theta,
         )
     except DivergenceError as exc:
-        if exc.partial is not None:
-            write_trajectory_csv(exc.partial, out_base + "_mode.csv.partial")
+        write_trajectory_csv(exc.partial, f"{out_base}_{exc.partial.frame}.csv.partial")
         raise
     write_trajectory_csv(lab, out_base + "_lab.csv")
     write_trajectory_csv(mode, out_base + "_mode.csv")
@@ -222,23 +202,24 @@ def cmd_simulate(cfg: dict, out_base: str, dt, larmor: bool) -> int:
 def _set_path(cfg: dict, dotted: str, value) -> None:
     node = cfg
     parts = dotted.split(".")
-    for key in parts[:-1]:
-        node = node[int(key)] if key.lstrip("-").isdigit() else node[key]
-    last = parts[-1]
-    if last.lstrip("-").isdigit() and isinstance(node, list):
-        node[int(last)] = value
-    else:
-        if not isinstance(node, dict) or last not in node:
-            raise ConfigError(f"sweep path {dotted!r} not found in config")
-        node[last] = value
+    try:
+        for key in parts[:-1]:
+            node = node[int(key)] if key.lstrip("-").isdigit() else node[key]
+        last = parts[-1]
+        if last.lstrip("-").isdigit() and isinstance(node, list):
+            node[int(last)] = value
+        elif isinstance(node, dict) and last in node:
+            node[last] = value
+        else:
+            raise KeyError(last)
+    except (KeyError, IndexError, TypeError):
+        raise ConfigError(f"sweep path {dotted!r} not found in config") from None
 
 
-def cmd_sweep(cfg: dict, out_base: str, samples) -> int:
+def cmd_sweep(cfg: dict, out_base: str) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
     axes = cfg["sweep"]["axes"]
-    n = samples or cfg.get("samples", 200)
-    tol_sep = cfg.get("tolerances", {}).get("tol_sep", 1e-9)
     grid = [(i,) for i in range(len(axes[0]["values"]))]
     if len(axes) == 2:
         grid = [(i, j) for (i,) in grid for j in range(len(axes[1]["values"]))]
@@ -247,10 +228,8 @@ def cmd_sweep(cfg: dict, out_base: str, samples) -> int:
         point_cfg = copy.deepcopy(cfg)
         for ax, i in zip(axes, idx):
             _set_path(point_cfg, ax["path"], ax["values"][i])
-        sys_ = build_preset(point_cfg["preset"])
-        rep = classify_separability(
-            sys_, tuple(point_cfg["window"]), n_samples=n, tol_sep=tol_sep
-        )
+        validate_config(point_cfg)
+        rep = _classify(point_cfg)
         return (
             idx,
             [ax["values"][i] for ax, i in zip(axes, idx)],
@@ -305,18 +284,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_base = _out_base(cfg, args.out)
+        # Flags override the file and get the same checks as its values.
+        if args.samples is not None:
+            cfg["samples"] = args.samples
+        if getattr(args, "dt", None) is not None:
+            cfg["integrator"] = {**cfg.get("integrator", {}), "dt": args.dt}
+        validate_config(cfg)
+        out_base = args.out or cfg.get("output", {}).get("path", "dnm_out")
         if args.command == "analyze":
-            return cmd_analyze(cfg, out_base, args.samples)
+            return cmd_analyze(cfg, out_base)
         if args.command == "classify":
-            return cmd_classify(cfg, args.samples)
+            return cmd_classify(cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_base, args.dt, args.larmor)
-        return cmd_sweep(cfg, out_base, args.samples)
-    except ConfigError as exc:
+            return cmd_simulate(cfg, out_base, args.larmor)
+        return cmd_sweep(cfg, out_base)
+    except (ConfigError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except (PresetDomainError, ScheduleDomainError) as exc:
+    except (PresetDomainError, ScheduleDomainError, ArithmeticError) as exc:
+        # ArithmeticError: parameters so large that a closed form overflows.
         print(f"preset domain error: {exc}", file=_sys.stderr)
         return EXIT_PRESET
     except DivergenceError as exc:

@@ -135,6 +135,17 @@ def _rk4_run(rhs, t0: float, y0: np.ndarray, dt: float, n_steps: int,
     return times, states
 
 
+def _trajectory(frame: str, spec: IntegratorSpec, meta: dict, run) -> Trajectory:
+    """The trajectory that ``run()`` (returning times and states) integrates;
+    a divergence carries its partial run as a Trajectory too."""
+    try:
+        times, states = run()
+    except DivergenceError as exc:
+        exc.partial = Trajectory(frame, *exc.partial, spec.dt, meta)
+        raise
+    return Trajectory(frame, times, states, spec.dt, meta)
+
+
 def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) -> Trajectory:
     """Integrate the lab-frame equations of motion from x0 over the window."""
     if x0.frame != "lab":
@@ -146,15 +157,11 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
         return np.array([y[2] / m1, y[3] / m2, *sys.force(t, y[0], y[1])])
 
     meta = {"integrator": spec.method, "preset": sys.label}
-    try:
-        if spec.method == "velocity-verlet":
-            times, states = _verlet_run(sys, x0.state(), spec)
-        else:
-            times, states = _rk4_run(rhs, spec.t0, x0.state(), spec.dt, spec.n_steps)
-    except DivergenceError as exc:
-        exc.partial = Trajectory("lab", exc.partial[0], exc.partial[1], spec.dt, meta)
-        raise
-    return Trajectory("lab", times, states, spec.dt, meta)
+    if spec.method == "velocity-verlet":
+        return _trajectory("lab", spec, meta, lambda: _verlet_run(sys, x0.state(), spec))
+    return _trajectory(
+        "lab", spec, meta, lambda: _rk4_run(rhs, spec.t0, x0.state(), spec.dt, spec.n_steps)
+    )
 
 
 def _verlet_run(sys: QuadraticSystem, y0: np.ndarray, spec: IntegratorSpec):
@@ -243,14 +250,9 @@ def integrate_modes(
         return np.array([dQ1, dQ2, dP1, dP2])
 
     meta = {"integrator": "rk4", "preset": sys.label, "larmor": apply_larmor}
-    try:
-        times, states = _rk4_run(
-            rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=branch.sync
-        )
-    except DivergenceError as exc:
-        exc.partial = Trajectory("mode", exc.partial[0], exc.partial[1], spec.dt, meta)
-        raise
-    return Trajectory("mode", times, states, spec.dt, meta)
+    return _trajectory("mode", spec, meta, lambda: _rk4_run(
+        rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=branch.sync
+    ))
 
 
 def integrate_modes_shifted(
@@ -276,10 +278,9 @@ def integrate_modes_shifted(
         )
 
     meta = {"integrator": "rk4", "preset": sys.label, "shifted": True}
-    times, states = _rk4_run(
+    return _trajectory("mode", spec, meta, lambda: _rk4_run(
         rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=branch.sync
-    )
-    return Trajectory("mode", times, states, spec.dt, meta)
+    ))
 
 
 def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:

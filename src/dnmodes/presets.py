@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .quadratic import MassPair, QuadraticSystem, StiffnessTriple
 from .rootfind import solve_positive_root
-from .schedules import ControlSchedule, as_schedule
+from .schedules import ControlSchedule, as_schedule, check_fields, config_from_dict
 
 __all__ = [
     "TransportConfig",
@@ -54,14 +54,6 @@ __all__ = [
 ]
 
 
-def _masses(obj) -> MassPair:
-    if isinstance(obj, MassPair):
-        return obj
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return MassPair(float(obj[0]), float(obj[1]))
-    raise ConfigError(f"masses must be a (m1, m2) pair, got {obj!r}")
-
-
 # ---------------------------------------------------------------------------
 # Transport / expansion: common trap spring k(t), moving trap center Q0(t),
 # two ions coupled by Coulomb repulsion.
@@ -76,11 +68,7 @@ class TransportConfig:
     masses: MassPair = field(default_factory=lambda: MassPair(1.0, 1.0))
 
     def __post_init__(self):
-        object.__setattr__(self, "k", as_schedule(self.k))
-        object.__setattr__(self, "Q0", as_schedule(self.Q0))
-        object.__setattr__(self, "masses", _masses(self.masses))
-        if not (self.Cc > 0):
-            raise ConfigError("Cc must be positive")
+        check_fields(self, positive=("Cc",))
 
 
 def build_transport(cfg: TransportConfig) -> QuadraticSystem:
@@ -149,11 +137,7 @@ class SeparationConfig:
     masses: MassPair = field(default_factory=lambda: MassPair(1.0, 1.0))
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_schedule(self.alpha))
-        object.__setattr__(self, "beta", as_schedule(self.beta))
-        object.__setattr__(self, "masses", _masses(self.masses))
-        if not (self.Cc > 0):
-            raise ConfigError("Cc must be positive")
+        check_fields(self, positive=("Cc",))
 
 
 def _quintic_bracket(alpha: float, beta: float, Cc: float) -> float:
@@ -317,13 +301,7 @@ class PhaseGateConfig:
     zeroth_order: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "F1", as_schedule(self.F1))
-        object.__setattr__(self, "F2", as_schedule(self.F2))
-        object.__setattr__(self, "masses", _masses(self.masses))
-        if not (self.k0 > 0):
-            raise ConfigError("k0 must be positive")
-        if not (self.Cc > 0):
-            raise ConfigError("Cc must be positive")
+        check_fields(self, positive=("k0", "Cc"))
 
 
 def solve_phase_gate_distance(
@@ -548,9 +526,7 @@ class RotationConfig:
     larmor_compensation: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", as_schedule(self.phi))
-        if not (self.m > 0):
-            raise ConfigError("m must be positive")
+        check_fields(self, positive=("m",))
 
 
 def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
@@ -628,12 +604,7 @@ class SpringsConfig:
     masses: MassPair = field(default_factory=lambda: MassPair(1.0, 1.0))
 
     def __post_init__(self):
-        object.__setattr__(self, "k", as_schedule(self.k))
-        object.__setattr__(self, "k1", as_schedule(self.k1))
-        object.__setattr__(self, "k2", as_schedule(self.k2))
-        object.__setattr__(self, "masses", _masses(self.masses))
-        if not (self.d > 0):
-            raise ConfigError("wall separation d must be positive")
+        check_fields(self, positive=("d",))
 
 
 def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
@@ -713,9 +684,7 @@ class CustomConfig:
     q2_eq: ControlSchedule = 0.0
 
     def __post_init__(self):
-        for name in ("k", "k1", "k2", "q1_eq", "q2_eq"):
-            object.__setattr__(self, name, as_schedule(getattr(self, name)))
-        object.__setattr__(self, "masses", _masses(self.masses))
+        check_fields(self)
 
 
 def build_custom(cfg: CustomConfig) -> QuadraticSystem:
@@ -750,24 +719,12 @@ _PRESETS = {
     "springs": (SpringsConfig, build_springs),
     "custom": (CustomConfig, build_custom),
 }
-_PRESET_FIELDS = {kind: {f.name for f in fields(cls)} for kind, (cls, _) in _PRESETS.items()}
 
 
 def preset_config_from_dict(obj: dict):
     """Typed config from the tagged JSON object; unknown fields are rejected."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError("preset must be an object with a 'type' tag")
-    kind = obj["type"]
-    if kind not in _PRESET_FIELDS:
-        raise ConfigError(f"unknown preset type {kind!r}")
-    extra = set(obj) - _PRESET_FIELDS[kind] - {"type"}
-    if extra:
-        raise ConfigError(f"unknown fields {sorted(extra)} for preset {kind!r}")
-    kwargs = {key: obj[key] for key in obj if key != "type"}
-    try:
-        return _PRESETS[kind][0](**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad preset parameters for {kind!r}: {exc}") from exc
+    configs = {kind: cls for kind, (cls, _) in _PRESETS.items()}
+    return config_from_dict(obj, "type", configs, "preset")
 
 
 def build_preset(obj) -> QuadraticSystem:

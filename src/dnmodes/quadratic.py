@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .schedules import fd_step
+from .schedules import check_fields, fd_step
 
 __all__ = ["MassPair", "StiffnessTriple", "PhasePoint", "QuadraticSystem"]
 
@@ -30,9 +30,9 @@ class MassPair:
     m2: float
 
     def __post_init__(self):
-        for name, m in (("m1", self.m1), ("m2", self.m2)):
-            if not (math.isfinite(m) and m > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {m}")
+        check_fields(self, positive=("m1", "m2"))
+        if not math.isfinite(self.m1 * self.m2):  # the mode frame takes sqrt(m1 m2)
+            raise ConfigError(f"m1 * m2 overflows, got {self.m1} and {self.m2}")
 
     def matrix(self) -> np.ndarray:
         return np.diag([self.m1, self.m2])

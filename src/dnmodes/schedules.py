@@ -8,9 +8,12 @@ Units are caller-defined natural units.
 
 from __future__ import annotations
 
-import math
+import functools
+import numbers
+import sys
+import typing
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -26,7 +29,12 @@ __all__ = [
     "as_schedule",
     "schedule_from_dict",
     "fd_step",
+    "is_finite_number",
+    "check_fields",
+    "config_from_dict",
 ]
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def fd_step(t: float) -> float:
@@ -46,13 +54,18 @@ class ControlSchedule:
         return (self.value(t + h) - self.value(t - h)) / (2.0 * h)
 
 
+def is_finite_number(x) -> bool:
+    """True for a finite real number; bools, strings and ints beyond the
+    float range are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
+
+
 @dataclass(frozen=True)
 class Constant(ControlSchedule):
-    c: float
+    c: float = field(metadata={"json": "value"})
 
     def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise ConfigError(f"constant schedule value must be finite, got {self.c}")
+        check_fields(self)
 
     def value(self, t: float) -> float:
         return self.c
@@ -71,6 +84,7 @@ class LinearRamp(ControlSchedule):
     v1: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.t1 == self.t0:
             raise ConfigError("linear-ramp requires t1 != t0")
 
@@ -92,7 +106,7 @@ class Polynomial(ControlSchedule):
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        check_fields(self)
         if not self.coeffs:
             raise ConfigError("polynomial schedule needs at least one coefficient")
 
@@ -119,6 +133,7 @@ class Smoothstep(ControlSchedule):
     t1: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.t1 <= self.t0:
             raise ConfigError("smoothstep requires t1 > t0")
 
@@ -135,7 +150,7 @@ class Smoothstep(ControlSchedule):
         return (self.v1 - self.v0) * ds / (self.t1 - self.t0)
 
 
-def _table_segments(t: list, y: list, cubic: bool) -> list:
+def _table_segments(t: tuple, y: tuple, cubic: bool) -> list:
     """Per-segment coefficients (y, b, c, d) of the interpolant through
     (t, y): on [t[i], t[i+1]] it is y[i] + b s + c s^2 + d s^3 with
     s = t - t[i].  For the natural cubic spline the knot second derivatives
@@ -164,6 +179,7 @@ def _table_segments(t: list, y: list, cubic: bool) -> list:
     ]
 
 
+@dataclass(frozen=True)
 class SampledTable(ControlSchedule):
     """Tabulated schedule over strictly increasing timestamps.
 
@@ -175,27 +191,25 @@ class SampledTable(ControlSchedule):
     [times[0], times[-1]] raises :class:`ScheduleDomainError`.
     """
 
-    def __init__(self, times, values, interpolation="cubic"):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or times.size < 2:
-            raise ConfigError("sampled-table needs matching 1-D times and values, length >= 2")
-        if not np.all(np.diff(times) > 0):
+    times: tuple
+    values: tuple
+    interpolation: str = "cubic"
+
+    def __post_init__(self):
+        check_fields(self)
+        if len(self.times) != len(self.values) or len(self.times) < 2:
+            raise ConfigError("sampled-table needs matching times and values, length >= 2")
+        if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("sampled-table timestamps must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ConfigError("sampled-table entries must be finite")
-        if interpolation not in ("cubic", "linear"):
-            raise ConfigError(f"unknown interpolation {interpolation!r}")
-        self.times = times
-        self.values = values
-        self.interpolation = interpolation
-        self._knots = times.tolist()
-        self._segments = _table_segments(self._knots, values.tolist(), interpolation == "cubic")
+        if self.interpolation not in ("cubic", "linear"):
+            raise ConfigError(f"unknown interpolation {self.interpolation!r}")
+        segments = _table_segments(self.times, self.values, self.interpolation == "cubic")
+        object.__setattr__(self, "_segments", segments)
 
     def _segment(self, t: float) -> tuple:
         """The segment holding t (the right one at an interior knot) and t's
         offset into it."""
-        knots = self._knots
+        knots = self.times
         if t < knots[0] or t > knots[-1]:
             raise ScheduleDomainError(f"t={t} outside table domain [{knots[0]}, {knots[-1]}]")
         i = min(bisect_right(knots, t), len(self._segments)) - 1
@@ -214,46 +228,82 @@ def as_schedule(obj) -> ControlSchedule:
     """Coerce a schedule spec (number, dict, or schedule) to a ControlSchedule."""
     if isinstance(obj, ControlSchedule):
         return obj
-    if isinstance(obj, (int, float)):
-        return Constant(float(obj))
+    if is_finite_number(obj):
+        return Constant(obj)
     if isinstance(obj, dict):
         return schedule_from_dict(obj)
     raise ConfigError(f"cannot interpret {obj!r} as a schedule")
 
 
-_KIND_FIELDS = {
-    "constant": {"value"},
-    "linear-ramp": {"t0", "v0", "t1", "v1"},
-    "polynomial": {"coeffs"},
-    "smoothstep": {"v0", "v1", "t0", "t1"},
-    "table": {"times", "values", "interpolation"},
+_EXPECTED = {float: "a finite number", tuple: "a list of finite numbers", bool: "true or false",
+             str: "a string"}
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _checked(tp: type, value, name: str):
+    """``value`` as taken by a field declared with type ``tp``."""
+    if tp is ControlSchedule:
+        return as_schedule(value)
+    if tp is float:
+        if is_finite_number(value):
+            return float(value)
+    elif tp is tuple:
+        if isinstance(value, (list, tuple, np.ndarray)) and all(map(is_finite_number, value)):
+            return tuple(map(float, value))
+    elif isinstance(value, tp):
+        return value
+    elif is_dataclass(tp) and isinstance(value, (list, tuple)) and len(value) == len(fields(tp)):
+        return tp(*value)
+    expected = _EXPECTED.get(tp) or f"a list of {len(fields(tp))} numbers"
+    raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def check_fields(obj, positive: tuple = ()) -> None:
+    """Check every field of the frozen config dataclass ``obj`` against its
+    declared type and store the checked value: ``float`` takes a finite real
+    number (not a bool or a string), ``tuple`` a list of them, ``bool`` and
+    ``str`` their own type, ``ControlSchedule`` whatever :func:`as_schedule`
+    takes, and a dataclass type (MassPair) its instance or a list of its
+    fields.  The fields named in ``positive`` must then be > 0."""
+    for name, tp in _field_types(type(obj)).items():
+        object.__setattr__(obj, name, _checked(tp, getattr(obj, name), name))
+    for name in positive:
+        if not getattr(obj, name) > 0:
+            raise ConfigError(f"{name} must be positive, got {getattr(obj, name)}")
+
+
+def config_from_dict(obj, tag: str, classes: dict, what: str):
+    """Build ``classes[obj[tag]]`` from a tagged JSON object whose other keys
+    are the class's dataclass fields (a field's ``metadata["json"]`` renames
+    it); unknown and missing fields are rejected."""
+    if not isinstance(obj, dict) or not isinstance(obj.get(tag), str):
+        raise ConfigError(f"{what} must be an object with a string {tag!r}, got {obj!r}")
+    kind = obj[tag]
+    if kind not in classes:
+        raise ConfigError(f"unknown {what} {tag} {kind!r}")
+    declared = {f.metadata.get("json", f.name): f for f in fields(classes[kind])}
+    extra = set(obj) - set(declared) - {tag}
+    if extra:
+        raise ConfigError(f"unknown fields {sorted(extra)} for {what} {kind!r}")
+    missing = [
+        key for key, f in declared.items()
+        if key not in obj and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{what} {kind!r} missing fields {missing}")
+    return classes[kind](**{f.name: obj[key] for key, f in declared.items() if key in obj})
+
+
+_KINDS = {
+    "constant": Constant,
+    "linear-ramp": LinearRamp,
+    "polynomial": Polynomial,
+    "smoothstep": Smoothstep,
+    "table": SampledTable,
+    "sampled-table": SampledTable,
 }
 
 
 def schedule_from_dict(obj: dict) -> ControlSchedule:
     """Build a schedule from its JSON object form, rejecting unknown fields."""
-    if "kind" not in obj:
-        raise ConfigError(f"schedule object missing 'kind': {obj!r}")
-    kind = obj["kind"]
-    if kind == "sampled-table":
-        kind = "table"
-    if kind not in _KIND_FIELDS:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
-    extra = set(obj) - _KIND_FIELDS[kind] - {"kind"}
-    if extra:
-        raise ConfigError(f"unknown fields {sorted(extra)} for schedule kind {kind!r}")
-    try:
-        if kind == "constant":
-            return Constant(float(obj["value"]))
-        if kind == "linear-ramp":
-            return LinearRamp(float(obj["t0"]), float(obj["v0"]),
-                              float(obj["t1"]), float(obj["v1"]))
-        if kind == "polynomial":
-            return Polynomial(tuple(obj["coeffs"]))
-        if kind == "smoothstep":
-            return Smoothstep(float(obj["v0"]), float(obj["v1"]),
-                              float(obj["t0"]), float(obj["t1"]))
-        return SampledTable(obj["times"], obj["values"],
-                            obj.get("interpolation", "cubic"))
-    except KeyError as exc:
-        raise ConfigError(f"schedule kind {kind!r} missing field {exc}") from exc
+    return config_from_dict(obj, "kind", _KINDS, "schedule")

@@ -161,31 +161,61 @@ def test_simulate_rejects_a_dt_that_does_not_divide_the_window(tmp_path, capsys)
     assert not list(tmp_path.glob("run_*"))
 
 
+def sweep_over(path, values):
+    return lambda c: c.update(sweep={"axes": [{"path": path, "values": values}]})
+
+
+# case: (command and flags, config mutation); "{tmp}" is the test's directory.
 MALFORMED = {
-    "dt": ("simulate", lambda c: c["integrator"].update(dt="abc")),
-    "window": ("analyze", lambda c: c.update(window=["a", "b"])),
-    "masses": ("analyze", lambda c: c["preset"].update(masses=[1, "x"])),
+    "dt": (["simulate"], lambda c: c["integrator"].update(dt="abc")),
+    "window": (["analyze"], lambda c: c.update(window=["a", "b"])),
+    "masses": (["analyze"], lambda c: c["preset"].update(masses=[1, "x"])),
     "initial_state": (
-        "simulate",
+        ["simulate"],
         lambda c: c.update(initial_state={"q": "ab", "p": [0.0, 0.0]}),
     ),
-    "DNM_THREADS": (
-        "sweep",
-        lambda c: c.update(sweep={"axes": [{"path": "preset.k", "values": [1.0, 2.0]}]}),
+    "DNM_THREADS": (["sweep"], sweep_over("preset.k", [1.0, 2.0])),
+    "omega1": (
+        ["analyze"],
+        lambda c: c.update(preset={**rotation_cfg("")["preset"], "omega1": "x"}),
     ),
+    "preset_type": (["analyze"], lambda c: c["preset"].update(type=["x"])),
+    "output_path": (["analyze"], lambda c: c["output"].update(path=5)),
+    "out_missing_dir_simulate": (["simulate", "--out", "{tmp}/nodir/run"], lambda c: None),
+    "out_missing_dir_analyze": (["analyze", "--out", "{tmp}/nodir/run"], lambda c: None),
+    "samples_flag_negative": (["analyze", "--samples", "-3"], lambda c: None),
+    "samples_flag_zero": (["classify", "--samples", "0"], lambda c: None),
+    "dt_flag_zero": (["simulate", "--dt", "0"], lambda c: None),
+    "sweep_path_number": (["sweep"], sweep_over(5, [1.0])),
+    "sweep_path_missing": (["sweep"], sweep_over("nokey.x", [1.0])),
+    "sweep_index_out_of_range": (["sweep"], sweep_over("window.5", [1.0])),
+    "sweep_window_string": (["sweep"], sweep_over("window.0", ["abc"])),
+    "sweep_samples_one": (["sweep"], sweep_over("samples", [1])),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, monkeypatch, case):
-    command, mutate = MALFORMED[case]
+    argv, mutate = MALFORMED[case]
     cfg = transport_cfg(str(tmp_path / "x"))
     mutate(cfg)
     if case == "DNM_THREADS":
         monkeypatch.setenv("DNM_THREADS", "abc")
-    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main([*argv, "--config", write_cfg(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_sweep_reads_each_points_tol_sep(tmp_path, capsys):
+    cfg = rotation_cfg(str(tmp_path / "sw"))
+    cfg["preset"]["phi"]["v1"] = 0.1  # max |theta_dot| = 0.1
+    cfg["tolerances"] = {"tol_sep": 1e-9}
+    sweep_over("tolerances.tol_sep", [1e-30, 1e3])(cfg)
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg)]) == 0
+    rows = (tmp_path / "sw_sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["false", "true"]
+    capsys.readouterr()
 
 
 def test_preset_domain_exit_3(tmp_path, capsys):

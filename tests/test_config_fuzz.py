@@ -1,0 +1,123 @@
+"""Config fuzzer: a config with one wrong-typed or out-of-range value keeps
+the exit-code contract (0, 2, 3 or 4, and at most one line on stderr).
+
+Each preset has a tiny valid config that fills every section.  A draw
+replaces one leaf of it, or the values of its sweep axis, with a string,
+list, object, bool, null, zero, negative or huge value, then runs one
+command in-process with its outputs under the test's directory.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dnmodes.cli import main
+
+FUZZ = settings(
+    max_examples=20,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+RAMP = {"kind": "linear-ramp", "t0": 0.0, "v0": 0.5, "t1": 1.0, "v1": 0.6}
+STEP = {"kind": "smoothstep", "v0": 0.0, "v1": 0.1, "t0": 0.0, "t1": 1.0}
+
+PRESETS = {
+    "transport": ({"type": "transport", "k": 2.0, "Q0": STEP, "Cc": 1.0,
+                   "masses": [1.0, 2.0]}, "preset.k"),
+    "separation": ({"type": "separation", "alpha": {**STEP, "v0": 1.0, "v1": 0.5},
+                    "beta": RAMP, "Cc": 1.0, "masses": [1.0, 2.0]}, "preset.Cc"),
+    "phase-gate": ({"type": "phase-gate", "k0": 1.0, "F1": STEP,
+                    "F2": {"kind": "polynomial", "coeffs": [0.0, -0.1]}, "Cc": 1.0,
+                    "masses": [1.0, 1.5], "zeroth_order": False}, "preset.k0"),
+    "rotation": ({"type": "rotation", "m": 1.0, "omega1": 2.0, "omega2": 1.0,
+                  "phi": {"kind": "table", "times": [0.0, 0.5, 1.0], "values": [0.0, 0.1, 0.3],
+                          "interpolation": "cubic"},
+                  "larmor_compensation": False}, "preset.omega1"),
+    "springs": ({"type": "springs", "k": 0.5, "k1": {"kind": "constant", "value": 1.0},
+                 "k2": 1.2, "d": 3.0, "masses": [1.0, 2.0]}, "preset.d"),
+    "custom": ({"type": "custom", "k": 0.3, "k1": 1.0, "k2": 1.5, "masses": [1.0, 1.0],
+                "q1_eq": 0.0, "q2_eq": RAMP}, "preset.k2"),
+}
+
+BAD_VALUES = ["x", "1", [], [1.0, 2.0, 3.0], {}, {"kind": "x"}, True, None, 0, -1, 1e300, 10**30]
+
+COMMANDS = ("analyze", "classify", "simulate", "sweep")
+
+
+def base_config(preset: str) -> dict:
+    obj, axis = PRESETS[preset]
+    state = "equilibrium" if preset in ("transport", "rotation") else {
+        "q": [0.1, -0.1], "p": [0.0, 0.05]}
+    return {
+        "schema": 1,
+        "preset": copy.deepcopy(obj),
+        "window": [0.0, 1.0],
+        "samples": 5,
+        "integrator": {"dt": 0.1, "method": "rk4"},
+        "initial_state": state,
+        "output": {"path": "unused"},
+        "tolerances": {"tol_sep": 1e-9},
+        "sweep": {"axes": [{"path": axis, "values": [1.0, 1.5]}]},
+    }
+
+
+def leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield prefix
+        return
+    for key, child in items:
+        yield from leaf_paths(child, (*prefix, key))
+
+
+def replace(cfg: dict, path: tuple, value) -> None:
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+# A sweep's points get the bad value through the axis instead of the file.
+SWEEP_VALUES = ("sweep", "axes", 0, "values")
+
+# classify's JSON report holds a numpy bool when the masses differ and the
+# preset solves for its equilibrium root, so json.dumps raises TypeError
+# (exit 1).  The benchmark pins this failure, so it is not mended here.
+NUMPY_BOOL_REPORT = pytest.mark.xfail(
+    strict=True, raises=TypeError,
+    reason="classify: numpy bool in the JSON report (unequal masses)",
+)
+CASES = [
+    pytest.param(
+        preset, command,
+        marks=NUMPY_BOOL_REPORT if command == "classify" and preset in ("separation", "phase-gate")
+        else (),
+    )
+    for preset in PRESETS
+    for command in COMMANDS
+]
+
+
+@pytest.mark.parametrize("preset, command", CASES)
+@FUZZ
+@given(data=st.data())
+def test_one_bad_value_keeps_the_exit_code_contract(tmp_path, capsys, preset, command, data):
+    cfg = base_config(preset)
+    path = data.draw(st.sampled_from([*leaf_paths(cfg), SWEEP_VALUES]), label="path")
+    value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+    replace(cfg, path, [value] if path == SWEEP_VALUES else value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert err.count("\n") <= 1

@@ -5,6 +5,7 @@ import pytest
 
 from dnmodes.dynamics import (
     IntegratorSpec,
+    Trajectory,
     energy_audit,
     frame_equivalence_check,
     integrate_lab,
@@ -161,16 +162,27 @@ def test_momentum_shift_consistent_with_direct_mode_integration():
 
 
 def test_divergence_guard_carries_partial():
-    # inverted potential blows up; the guard should trip with a partial result
+    # inverted potential blows up; every integrator's guard should trip with
+    # the partial result as a trajectory in its own frame
     sys = static_sys(k=0.0, k1=-40.0, k2=1.0)
-    with pytest.raises(DivergenceError) as exc:
-        integrate_lab(
-            sys, PhasePoint(0.0, (1.0, 0.0), (0.0, 0.0)), IntegratorSpec(dt=1e-2, t0=0.0, t1=20.0)
-        )
-    partial = exc.value.partial
-    assert partial is not None
-    assert len(partial) >= 2
-    assert np.isfinite(partial.states).all()
+    spec = IntegratorSpec(dt=1e-2, t0=0.0, t1=20.0)
+    verlet = IntegratorSpec(dt=1e-2, t0=0.0, t1=20.0, method="velocity-verlet")
+    x0 = PhasePoint(0.0, (1.0, 0.0), (0.0, 0.0))
+    X0 = PhasePoint(0.0, (1.0, 0.0), (0.0, 0.0), frame="mode")
+    runs = {
+        "lab": lambda: integrate_lab(sys, x0, spec),
+        "verlet": lambda: integrate_lab(sys, x0, verlet),
+        "modes": lambda: integrate_modes(sys, X0, spec),
+        "shifted": lambda: integrate_modes_shifted(sys, X0, spec),
+    }
+    for name, run in runs.items():
+        with pytest.raises(DivergenceError) as exc:
+            run()
+        partial = exc.value.partial
+        assert isinstance(partial, Trajectory), name
+        assert partial.frame == ("lab" if name in ("lab", "verlet") else "mode")
+        assert len(partial) >= 2
+        assert np.isfinite(partial.states).all()
 
 
 def test_rk4_order_under_dt_halving():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dnmodes.errors import (
+    ConfigError,
     FormulaDiscrepancyWarning,
     PresetDomainError,
     SingularConfigurationError,
@@ -24,6 +25,7 @@ from dnmodes.presets import (
     build_springs,
     build_transport,
     phase_gate_equilibria_closed_form,
+    preset_config_from_dict,
     separability_condition_separation,
     solve_phase_gate_distance,
     solve_separation_distance,
@@ -457,3 +459,48 @@ def test_stiffness_triples_match_full_potential_hessian():
         K = sys.stiffness_matrix_at(t)
         scale = max(1.0, np.abs(K).max())
         assert np.abs(H - K).max() <= 1e-7 * scale, sys.label
+
+
+# -- config fields are checked by their declared types -----------------------
+
+TRANSPORT = {"type": "transport", "k": 2.0, "Q0": 0.0}
+PHASE_GATE = {"type": "phase-gate", "k0": 1.0, "F1": 0.0, "F2": 0.0}
+ROTATION = {"type": "rotation", "m": 1.0, "omega1": 2.0, "omega2": 1.0, "phi": 0.0}
+RAMP = {"kind": "linear-ramp", "t0": 0.0, "v0": 0.0, "t1": 1.0, "v1": 1.0}
+
+# Each of these was accepted, or failed with a TypeError, before the check.
+BADLY_TYPED = {
+    "numeric_string_mass": {**TRANSPORT, "masses": ["1", 2.0]},
+    "bool_mass": {**TRANSPORT, "masses": [True, 2.0]},
+    "mass_triple": {**TRANSPORT, "masses": [1.0, 2.0, 3.0]},
+    "numeric_string_ramp": {**TRANSPORT, "k": {**RAMP, "v1": "1"}},
+    "numeric_string_coeff": {**TRANSPORT, "k": {"kind": "polynomial", "coeffs": [1.0, "2"]}},
+    "string_table_times": {
+        **ROTATION,
+        "phi": {"kind": "table", "times": ["0", "1"], "values": [0.0, 1.0]},
+    },
+    "bool_schedule": {**TRANSPORT, "k": True},
+    "string_Cc": {**TRANSPORT, "Cc": "1"},
+    "infinite_Cc": {**TRANSPORT, "Cc": float("inf")},
+    "string_k0": {**PHASE_GATE, "k0": "x"},
+    "int_zeroth_order": {**PHASE_GATE, "zeroth_order": 1},
+    "string_larmor_compensation": {**ROTATION, "larmor_compensation": "yes"},
+    "string_omega1": {**ROTATION, "omega1": "x"},
+    "list_type": {**TRANSPORT, "type": ["x"]},
+    "missing_field": {"type": "transport", "k": 2.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BADLY_TYPED))
+def test_badly_typed_preset_fields_are_config_errors(case):
+    with pytest.raises(ConfigError):
+        preset_config_from_dict(BADLY_TYPED[case])
+
+
+def test_declared_types_coerce_numbers_and_keep_defaults():
+    cfg = preset_config_from_dict({**TRANSPORT, "Cc": 2, "masses": [1, np.float64(3.0)]})
+    assert type(cfg.Cc) is float and cfg.Cc == 2.0
+    assert (cfg.masses.m1, cfg.masses.m2) == (1.0, 3.0)
+    assert cfg.k.value(0.0) == 2.0
+    gate = preset_config_from_dict(PHASE_GATE)
+    assert gate.zeroth_order is False and gate.Cc == 1.0
