@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import os
 import sys as _sys
@@ -47,6 +48,9 @@ _TOP_KEYS = {
     "tolerances", "sweep",
 }
 _REQUIRED_KEYS = {"schema", "preset", "window"}
+# numpy overflow, division by zero and NaN raise FloatingPointError (an
+# ArithmeticError, exit 3) instead of warning and computing on.
+_NUMPY_ERRORS = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def load_config(path: str) -> dict:
@@ -216,6 +220,16 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
         raise ConfigError(f"sweep path {dotted!r} not found in config") from None
 
 
+def _sweep_cell(value) -> str:
+    """A sweep value as written: a number as in every output, a string as it
+    is, anything else (a schedule object, a list) as compact JSON."""
+    if is_finite_number(value):
+        return _fmt(value)
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def cmd_sweep(cfg: dict, out_base: str) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
@@ -229,7 +243,8 @@ def cmd_sweep(cfg: dict, out_base: str) -> int:
         for ax, i in zip(axes, idx):
             _set_path(point_cfg, ax["path"], ax["values"][i])
         validate_config(point_cfg)
-        rep = _classify(point_cfg)
+        with np.errstate(**_NUMPY_ERRORS):  # numpy's error state is per thread
+            rep = _classify(point_cfg)
         return (
             idx,
             [ax["values"][i] for ax, i in zip(axes, idx)],
@@ -252,14 +267,10 @@ def cmd_sweep(cfg: dict, out_base: str) -> int:
     axis_names = ",".join(ax["path"].replace(",", "_") for ax in axes)
     with open(path, "w", newline="") as fh:
         fh.write(f"{axis_names},theta_t0,max_abs_theta_dot,separable,stability\n")
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a cell holding a comma
         for _, values, theta0, rate, sep, stab in results:
-            cols = [_fmt(v) for v in values] + [
-                _fmt(theta0),
-                _fmt(rate),
-                "true" if sep else "false",
-                stab,
-            ]
-            fh.write(",".join(cols) + "\n")
+            separable = "true" if sep else "false"
+            writer.writerow([*map(_sweep_cell, values), _fmt(theta0), _fmt(rate), separable, stab])
     print(path)
     return EXIT_OK
 
@@ -291,18 +302,19 @@ def main(argv=None) -> int:
             cfg["integrator"] = {**cfg.get("integrator", {}), "dt": args.dt}
         validate_config(cfg)
         out_base = args.out or cfg.get("output", {}).get("path", "dnm_out")
-        if args.command == "analyze":
-            return cmd_analyze(cfg, out_base)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_base, args.larmor)
-        return cmd_sweep(cfg, out_base)
+        with np.errstate(**_NUMPY_ERRORS):
+            if args.command == "analyze":
+                return cmd_analyze(cfg, out_base)
+            if args.command == "classify":
+                return cmd_classify(cfg)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, out_base, args.larmor)
+            return cmd_sweep(cfg, out_base)
     except (ConfigError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except (PresetDomainError, ScheduleDomainError, ArithmeticError) as exc:
-        # ArithmeticError: parameters so large that a closed form overflows.
+        # ArithmeticError: parameters so large that a closed form or numpy overflows.
         print(f"preset domain error: {exc}", file=_sys.stderr)
         return EXIT_PRESET
     except DivergenceError as exc:

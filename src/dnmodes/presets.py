@@ -55,8 +55,65 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Transport / expansion: common trap spring k(t), moving trap center Q0(t),
-# two ions coupled by Coulomb repulsion.
+# Transport, separation and phase gate: one ion pair.
+# ---------------------------------------------------------------------------
+
+
+def _ion_pair(
+    cfg, label, distance, distance_rate, curvature, curvature_rate, trap_potential,
+    center=lambda t: 0.0, center_rate=lambda t: 0.0, theta_dot_override=None,
+) -> QuadraticSystem:
+    """Two ions at c(t) +- q0(t)/2 in a trap of curvature kappa(t).
+
+    The Coulomb term Cc/(q1 - q2) couples them by the spring 2 Cc/q0^3.  The
+    builder supplies ``distance(t, guess)``, whose guess is the previous q0
+    (None at first), so a time series must be evaluated in order; the rates
+    ``distance_rate(t, q0)`` and ``curvature_rate(t, q0, q0dot)``;
+    ``curvature(t, q0)``; the centre c(t) and its rate; and the trap
+    potential without the Coulomb term.
+    """
+    Cc = cfg.Cc
+    previous = [None]
+
+    def q0_at(t: float) -> float:
+        previous[0] = distance(t, previous[0])
+        return previous[0]
+
+    def equilibrium(t: float) -> tuple:
+        c = center(t)
+        half = 0.5 * q0_at(t)
+        return (c + half, c - half)
+
+    def equilibrium_velocity(t: float) -> tuple:
+        cdot = center_rate(t)
+        half = 0.5 * distance_rate(t, q0_at(t))
+        return (cdot + half, cdot - half)
+
+    def stiffness(t: float) -> StiffnessTriple:
+        q0 = q0_at(t)
+        kappa = curvature(t, q0)
+        return StiffnessTriple(2.0 * Cc / q0**3, kappa, kappa)
+
+    def stiffness_rate(t: float) -> tuple:
+        q0 = q0_at(t)
+        q0dot = distance_rate(t, q0)
+        kappa_dot = curvature_rate(t, q0, q0dot)
+        return (-6.0 * Cc * q0dot / q0**4, kappa_dot, kappa_dot)
+
+    return QuadraticSystem(
+        masses=cfg.masses,
+        stiffness=stiffness,
+        stiffness_rate=stiffness_rate,
+        equilibrium=equilibrium,
+        equilibrium_velocity=equilibrium_velocity,
+        full_potential=lambda q1, q2, t: trap_potential(q1, q2, t) + Cc / (q1 - q2),
+        theta_dot_override=theta_dot_override,
+        label=label,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Transport / expansion: common trap spring k(t), moving trap center Q0(t).
 # ---------------------------------------------------------------------------
 
 
@@ -77,7 +134,6 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
     Equilibrium distance q0 = (2 Cc / k)^(1/3); the stiffness triple is
     (k, k, k), so theta is constant for any masses and any k(t).
     """
-    Cc = cfg.Cc
 
     def k_at(t: float) -> float:
         k = cfg.k.value(t)
@@ -85,42 +141,21 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
             raise PresetDomainError(f"transport requires k(t) > 0, got k({t}) = {k}")
         return k
 
-    def q0_at(t: float) -> float:
-        return (2.0 * Cc / k_at(t)) ** (1.0 / 3.0)
-
-    def equilibrium(t: float) -> tuple:
+    def trap_potential(q1: float, q2: float, t: float) -> float:
         Q0 = cfg.Q0.value(t)
-        half = 0.5 * q0_at(t)
-        return (Q0 + half, Q0 - half)
+        return 0.5 * k_at(t) * ((q1 - Q0) ** 2 + (q2 - Q0) ** 2)
 
-    def equilibrium_velocity(t: float) -> tuple:
-        k = k_at(t)
-        v = cfg.Q0.derivative(t)
-        q0dot = -(1.0 / 3.0) * (2.0 * Cc) ** (1.0 / 3.0) * k ** (-4.0 / 3.0) * cfg.k.derivative(t)
-        return (v + 0.5 * q0dot, v - 0.5 * q0dot)
-
-    def stiffness(t: float) -> StiffnessTriple:
-        k = k_at(t)
-        return StiffnessTriple(k, k, k)
-
-    def stiffness_rate(t: float) -> tuple:
-        kd = cfg.k.derivative(t)
-        return (kd, kd, kd)
-
-    def full_potential(q1: float, q2: float, t: float) -> float:
-        k = k_at(t)
-        Q0 = cfg.Q0.value(t)
-        return 0.5 * k * ((q1 - Q0) ** 2 + (q2 - Q0) ** 2) + Cc / (q1 - q2)
-
-    return QuadraticSystem(
-        masses=cfg.masses,
-        stiffness=stiffness,
-        stiffness_rate=stiffness_rate,
-        equilibrium=equilibrium,
-        equilibrium_velocity=equilibrium_velocity,
+    return _ion_pair(
+        cfg,
+        "transport",
+        distance=lambda t, guess: (2.0 * cfg.Cc / k_at(t)) ** (1.0 / 3.0),
+        distance_rate=lambda t, q0: -q0 * cfg.k.derivative(t) / (3.0 * k_at(t)),
+        curvature=lambda t, q0: k_at(t),
+        curvature_rate=lambda t, q0, q0dot: cfg.k.derivative(t),
+        trap_potential=trap_potential,
+        center=cfg.Q0.value,
+        center_rate=cfg.Q0.derivative,
         theta_dot_override=lambda t: 0.0,
-        full_potential=full_potential,
-        label="transport",
     )
 
 
@@ -172,65 +207,34 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
     """U = alpha (q1^2 + q2^2) + beta (q1^4 + q2^4) + Cc/(q1 - q2).
 
     Equilibria are +-q0/2 with q0 the positive quintic root; q0dot comes
-    from implicit differentiation.  Root continuity is tracked against the
-    previous evaluation, so a time series must be evaluated sequentially.
+    from implicit differentiation, and the trap curvature at +-q0/2 is
+    2 alpha + 3 beta q0^2.
     """
-    Cc = cfg.Cc
-    cache = {"q0": None}
+    alpha, beta = cfg.alpha, cfg.beta
 
-    def q0_at(t: float) -> float:
-        q0 = solve_separation_distance(
-            cfg.alpha.value(t), cfg.beta.value(t), Cc, guess=cache["q0"]
-        )
-        cache["q0"] = q0
-        return q0
+    def distance(t: float, guess) -> float:
+        return solve_separation_distance(alpha.value(t), beta.value(t), cfg.Cc, guess=guess)
 
-    def q0_dot_at(t: float, q0: float) -> float:
-        denom = 5.0 * cfg.beta.value(t) * q0**4 + 6.0 * cfg.alpha.value(t) * q0**2
+    def distance_rate(t: float, q0: float) -> float:
+        denom = 5.0 * beta.value(t) * q0**4 + 6.0 * alpha.value(t) * q0**2
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: implicit-derivative denominator vanishes at t={t}"
             )
-        return -(q0**5 * cfg.beta.derivative(t) + 2.0 * q0**3 * cfg.alpha.derivative(t)) / denom
+        return -(q0**5 * beta.derivative(t) + 2.0 * q0**3 * alpha.derivative(t)) / denom
 
-    def equilibrium(t: float) -> tuple:
-        half = 0.5 * q0_at(t)
-        return (half, -half)
+    def trap_potential(q1: float, q2: float, t: float) -> float:
+        return alpha.value(t) * (q1**2 + q2**2) + beta.value(t) * (q1**4 + q2**4)
 
-    def equilibrium_velocity(t: float) -> tuple:
-        q0 = q0_at(t)
-        half = 0.5 * q0_dot_at(t, q0)
-        return (half, -half)
-
-    def stiffness(t: float) -> StiffnessTriple:
-        q0 = q0_at(t)
-        k1 = 2.0 * cfg.alpha.value(t) + 3.0 * cfg.beta.value(t) * q0**2
-        return StiffnessTriple(2.0 * Cc / q0**3, k1, k1)
-
-    def stiffness_rate(t: float) -> tuple:
-        q0 = q0_at(t)
-        q0dot = q0_dot_at(t, q0)
-        kd = -6.0 * Cc * q0dot / q0**4
-        k1d = (
-            2.0 * cfg.alpha.derivative(t)
-            + 3.0 * cfg.beta.derivative(t) * q0**2
-            + 6.0 * cfg.beta.value(t) * q0 * q0dot
-        )
-        return (kd, k1d, k1d)
-
-    def full_potential(q1: float, q2: float, t: float) -> float:
-        a = cfg.alpha.value(t)
-        b = cfg.beta.value(t)
-        return a * (q1**2 + q2**2) + b * (q1**4 + q2**4) + Cc / (q1 - q2)
-
-    return QuadraticSystem(
-        masses=cfg.masses,
-        stiffness=stiffness,
-        stiffness_rate=stiffness_rate,
-        equilibrium=equilibrium,
-        equilibrium_velocity=equilibrium_velocity,
-        full_potential=full_potential,
-        label="separation",
+    return _ion_pair(
+        cfg,
+        "separation",
+        distance=distance,
+        distance_rate=distance_rate,
+        curvature=lambda t, q0: 2.0 * alpha.value(t) + 3.0 * beta.value(t) * q0**2,
+        curvature_rate=lambda t, q0, q0dot: 2.0 * alpha.derivative(t)
+        + 3.0 * beta.derivative(t) * q0**2 + 6.0 * beta.value(t) * q0 * q0dot,
+        trap_potential=trap_potential,
     )
 
 
@@ -393,21 +397,18 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
 
     The equilibrium root solve is authoritative; the published closed forms
     are evaluated alongside and a :class:`FormulaDiscrepancyWarning` fires
-    if the per-ion forms drift beyond 1e-8 relative.
+    if the per-ion forms drift beyond 1e-8 relative.  The pair's centre is
+    -(F1 + F2) / (2 k0).
     """
     if cfg.zeroth_order:
         return build_phase_gate_zeroth_order(cfg)
-    k0 = cfg.k0
-    Cc = cfg.Cc
-    cache = {"q0": None}
+    k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1, cfg.F2
 
-    def q0_at(t: float) -> float:
-        F1 = cfg.F1.value(t)
-        F2 = cfg.F2.value(t)
-        q0 = solve_phase_gate_distance(F1, F2, k0, Cc, guess=cache["q0"])
-        cache["q0"] = q0
+    def distance(t: float, guess) -> float:
+        f1, f2 = F1.value(t), F2.value(t)
+        q0 = solve_phase_gate_distance(f1, f2, k0, Cc, guess=guess)
         try:
-            q1c, q2c = phase_gate_equilibria_closed_form(F1, F2, k0, Cc)
+            q1c, q2c = phase_gate_equilibria_closed_form(f1, f2, k0, Cc)
             if abs((q1c - q2c) - q0) > 1e-8 * abs(q0):
                 warnings.warn(
                     f"per-ion closed-form equilibria disagree with root solve at t={t}: "
@@ -415,58 +416,32 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
                     FormulaDiscrepancyWarning,
                     stacklevel=2,
                 )
-        except PresetDomainError:
-            pass  # closed form undefined here; root solve stands alone
+        except (PresetDomainError, ArithmeticError):
+            pass  # closed form undefined or overflowing here; root solve stands alone
         return q0
 
-    def q0_dot_at(t: float, q0: float) -> float:
-        d = cfg.F1.value(t) - cfg.F2.value(t)
-        dd = cfg.F1.derivative(t) - cfg.F2.derivative(t)
+    def distance_rate(t: float, q0: float) -> float:
+        d = F1.value(t) - F2.value(t)
         denom = 3.0 * k0 * q0**2 + 2.0 * d * q0
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: cubic derivative vanishes at t={t}"
             )
-        return -(q0**2) * dd / denom
+        return -(q0**2) * (F1.derivative(t) - F2.derivative(t)) / denom
 
-    def center_at(t: float) -> float:
-        return -0.5 * (cfg.F1.value(t) + cfg.F2.value(t)) / k0
+    def trap_potential(q1: float, q2: float, t: float) -> float:
+        return 0.5 * k0 * (q1**2 + q2**2) + F1.value(t) * q1 + F2.value(t) * q2
 
-    def equilibrium(t: float) -> tuple:
-        c = center_at(t)
-        half = 0.5 * q0_at(t)
-        return (c + half, c - half)
-
-    def equilibrium_velocity(t: float) -> tuple:
-        q0 = q0_at(t)
-        cdot = -0.5 * (cfg.F1.derivative(t) + cfg.F2.derivative(t)) / k0
-        half = 0.5 * q0_dot_at(t, q0)
-        return (cdot + half, cdot - half)
-
-    def stiffness(t: float) -> StiffnessTriple:
-        return StiffnessTriple(2.0 * Cc / q0_at(t) ** 3, k0, k0)
-
-    def stiffness_rate(t: float) -> tuple:
-        q0 = q0_at(t)
-        kd = -6.0 * Cc * q0_dot_at(t, q0) / q0**4
-        return (kd, 0.0, 0.0)
-
-    def full_potential(q1: float, q2: float, t: float) -> float:
-        return (
-            0.5 * k0 * (q1**2 + q2**2)
-            + Cc / (q1 - q2)
-            + cfg.F1.value(t) * q1
-            + cfg.F2.value(t) * q2
-        )
-
-    return QuadraticSystem(
-        masses=cfg.masses,
-        stiffness=stiffness,
-        stiffness_rate=stiffness_rate,
-        equilibrium=equilibrium,
-        equilibrium_velocity=equilibrium_velocity,
-        full_potential=full_potential,
-        label="phase-gate",
+    return _ion_pair(
+        cfg,
+        "phase-gate",
+        distance=distance,
+        distance_rate=distance_rate,
+        curvature=lambda t, q0: k0,
+        curvature_rate=lambda t, q0, q0dot: 0.0,
+        trap_potential=trap_potential,
+        center=lambda t: -0.5 * (F1.value(t) + F2.value(t)) / k0,
+        center_rate=lambda t: -0.5 * (F1.derivative(t) + F2.derivative(t)) / k0,
     )
 
 

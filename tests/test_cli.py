@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+import dnmodes
 from dnmodes.cli import main
 
 
@@ -242,13 +244,50 @@ def test_divergence_exit_4_with_partial(tmp_path, capsys):
     capsys.readouterr()
 
 
+def run_cli(*argv):
+    """`python -m dnmodes.cli argv` in a fresh interpreter that imports this
+    checkout's package, as an installed `dnm` would run."""
+    src = os.path.dirname(os.path.dirname(dnmodes.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "dnmodes.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, transport_cfg(str(tmp_path / "ep")))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dnmodes.cli", "classify", "--config", cfg],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONHASHSEED": "0"},
-    )
+    proc = run_cli("classify", "--config", cfg)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["separable"] is True
+
+
+def test_numpy_overflow_exits_3_with_one_line(tmp_path):
+    # m1 * m2 is finite, but the mode-angle rate overflows in numpy scalars;
+    # numpy's warnings go to stderr, so this needs a separate interpreter.
+    ramp = {"kind": "linear-ramp", "t0": 0.0, "v0": 0.5, "t1": 1.0, "v1": 0.6}
+    step = {"kind": "smoothstep", "v0": 1.0, "v1": 0.5, "t0": 0.0, "t1": 1.0}
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "separation", "alpha": step, "beta": ramp, "Cc": 1.0,
+                   "masses": [1e300, 2.0]},
+        "window": [0.0, 1.0],
+        "samples": 5,
+    }
+    proc = run_cli("classify", "--config", write_cfg(tmp_path, cfg))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("preset domain error: ")
+
+
+def test_sweep_writes_non_number_values_as_json(tmp_path, capsys):
+    cfg = transport_cfg(str(tmp_path / "sw"))
+    sweep_over("preset.k", [{"kind": "constant", "value": 2.0}, 3.0])(cfg)
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg)]) == 0
+    with open(tmp_path / "sw_sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[0] for row in rows] == ['{"kind":"constant","value":2.0}', "3"]
+    assert all(len(row) == 5 for row in rows)
+    capsys.readouterr()

@@ -1,9 +1,14 @@
-"""Property tests over random ``custom`` systems and equilibrium roots.
+"""Property tests over random ``custom`` systems, every preset's analytic
+rates and equilibrium roots.
 
 Each system has polynomial stiffness and equilibrium schedules on [0, 1].
 The coupling k stays away from zero, so the mode angle is never degenerate
 and theta_dot stays bounded; k1 and k2 are free, so the angle still sweeps
 through the default branch edges at +-pi/4.
+
+The preset systems draw quadratic schedules inside each preset's valid
+domain: a positive trap spring, one positive equilibrium root, and springs
+whose determinant stays positive.
 
 The root properties draw separation quintics and phase-gate cubics; both
 have one simple positive root over the drawn ranges.
@@ -11,9 +16,11 @@ have one simple positive root over the drawn ranges.
 
 import math
 from contextlib import contextmanager
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnmodes.modes import (
@@ -28,7 +35,13 @@ from dnmodes.modes import (
 from dnmodes import presets
 from dnmodes.presets import (
     CustomConfig,
+    PhaseGateConfig,
+    RotationConfig,
+    SeparationConfig,
+    SpringsConfig,
+    TransportConfig,
     build_custom,
+    build_preset,
     solve_phase_gate_distance,
     solve_separation_distance,
 )
@@ -108,6 +121,19 @@ def test_force_is_minus_the_potential_gradient(sys, t, q):
     assert np.allclose(f, -grad4(potential, q, h=1e-3), rtol=1e-9, atol=1e-9)
 
 
+def check_rate(rate, f, t):
+    """``rate(t)`` against a 4th-order central difference of ``f``, with a
+    step independent of the library's."""
+    h = 1e-3
+
+    def at(s):
+        return np.array(f(s), dtype=float)
+
+    oracle = (8.0 * (at(t + h) - at(t - h)) - (at(t + 2 * h) - at(t - 2 * h))) / (12.0 * h)
+    scale = 1.0 + float(np.abs(at(t)).max())
+    assert np.allclose(rate(t), oracle, rtol=0, atol=1e-7 * scale)
+
+
 @PROPERTY
 @given(systems(), st.floats(0.1, 0.9))
 def test_drive_rate_matches_a_finite_difference_of_the_drive(sys, t):
@@ -116,10 +142,57 @@ def test_drive_rate_matches_a_finite_difference_of_the_drive(sys, t):
     def p0(s):
         return drive_at(sys, s, theta_at(sys.stiffness(s), sys.masses, branch_ref=theta))
 
-    h = 1e-3  # 4th-order stencil, independent of the library's step
-    oracle = (8.0 * (p0(t + h) - p0(t - h)) - (p0(t + 2 * h) - p0(t - 2 * h))) / (12.0 * h)
-    scale = 1.0 + float(np.abs(p0(t)).max())
-    assert np.allclose(drive_rate_at(sys, t, theta), oracle, rtol=0, atol=1e-7 * scale)
+    check_rate(lambda s: drive_rate_at(sys, s, theta), p0, t)
+
+
+PRESET_KINDS = [*sorted(presets._PRESETS), "phase-gate-zeroth-order"]
+
+
+@st.composite
+def preset_systems(draw, kind):
+    def quadratic(lo, hi, slope=0.2):
+        slopes = st.floats(-slope, slope)  # moves by at most 2 * slope on [0, 1]
+        return Polynomial((draw(st.floats(lo, hi)), draw(slopes), draw(slopes)))
+
+    masses = (draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0)))
+    Cc = draw(st.floats(0.5, 2.0))
+    if kind == "transport":
+        cfg = TransportConfig(k=quadratic(1.0, 3.0), Q0=quadratic(-1.0, 1.0), Cc=Cc, masses=masses)
+    elif kind == "separation":
+        # Any alpha with beta > 0 has one simple positive root, double well or not.
+        alpha = quadratic(0.5, 2.0) if draw(st.booleans()) else quadratic(-2.0, -0.5)
+        cfg = SeparationConfig(alpha=alpha, beta=quadratic(0.5, 2.0), Cc=Cc, masses=masses)
+    elif kind.startswith("phase-gate"):
+        cfg = PhaseGateConfig(
+            k0=draw(st.floats(0.5, 3.0)), F1=quadratic(-0.5, 0.5), F2=quadratic(-0.5, 0.5),
+            Cc=Cc, masses=masses, zeroth_order=kind.endswith("zeroth-order"),
+        )
+    elif kind == "rotation":
+        cfg = RotationConfig(
+            m=masses[0], omega1=draw(st.floats(0.5, 3.0)), omega2=draw(st.floats(0.5, 3.0)),
+            phi=quadratic(-3.0, 3.0, slope=1.0),
+        )
+    elif kind == "springs":
+        cfg = SpringsConfig(
+            k=quadratic(0.5, 2.0), k1=quadratic(0.5, 2.0), k2=quadratic(0.5, 2.0),
+            d=draw(st.floats(0.5, 3.0)), masses=masses,
+        )
+    else:
+        cfg = CustomConfig(
+            k=quadratic(-1.0, 1.0), k1=quadratic(-1.0, 1.0), k2=quadratic(-1.0, 1.0),
+            masses=masses, q1_eq=quadratic(-1.0, 1.0), q2_eq=quadratic(-1.0, 1.0),
+        )
+    return build_preset(cfg)
+
+
+@pytest.mark.parametrize("kind", PRESET_KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_preset_rates_match_finite_differences(kind, data):
+    sys = data.draw(preset_systems(kind), label="system")
+    t = data.draw(st.floats(0.1, 0.9), label="t")
+    check_rate(sys.stiffness_rate, lambda s: astuple(sys.stiffness(s)), t)
+    check_rate(sys.equilibrium_velocity, sys.equilibrium, t)
 
 
 @contextmanager
