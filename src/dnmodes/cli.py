@@ -5,10 +5,10 @@
 
 Configs are JSON with a top-level ``"schema": 1``; unknown fields are
 rejected (fail-closed).  Exit codes: 0 success, 2 config error or an
-output that cannot be written, 3 preset domain error, 4 divergence
-(partial output kept with a ``.partial`` suffix).  ``DNM_THREADS`` caps
-sweep parallelism.  Output is byte-identical across repeated runs of the
-same config.
+output that cannot be written, 3 preset domain error or arithmetic
+overflow, 4 divergence (partial output kept with a ``.partial`` suffix).
+``DNM_THREADS`` caps sweep parallelism.  Output is byte-identical across
+repeated runs of the same config.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .dynamics import (
 )
 from .errors import ConfigError, DivergenceError, DnmError, PresetDomainError, ScheduleDomainError
 from .modes import classify_separability, decompose_at, ellipse_at
-from .presets import build_preset
+from .presets import PRESET_CONFIGS, build_preset
 from .quadratic import PhasePoint
-from .schedules import is_finite_number
+from .schedules import SCHEDULE_KINDS, is_finite_number, json_fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,7 +203,19 @@ def cmd_simulate(cfg: dict, out_base: str, larmor: bool) -> int:
     return EXIT_OK
 
 
+def _declared_fields(node: dict) -> dict:
+    """The JSON fields of the preset that a config node's ``type`` names, or
+    of the schedule its ``kind`` names; none for any other node."""
+    for tag, classes in (("type", PRESET_CONFIGS), ("kind", SCHEDULE_KINDS)):
+        name = node.get(tag)
+        if isinstance(name, str) and name in classes:
+            return json_fields(classes[name])
+    return {}
+
+
 def _set_path(cfg: dict, dotted: str, value) -> None:
+    """Set the config value at a dotted sweep path: an existing key or list
+    index, or a declared field that the preset or schedule left at its default."""
     node = cfg
     parts = dotted.split(".")
     try:
@@ -212,7 +224,7 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
         last = parts[-1]
         if last.lstrip("-").isdigit() and isinstance(node, list):
             node[int(last)] = value
-        elif isinstance(node, dict) and last in node:
+        elif isinstance(node, dict) and (last in node or last in _declared_fields(node)):
             node[last] = value
         else:
             raise KeyError(last)

@@ -7,10 +7,20 @@ optional Larmor compensation terms).  RK4 is the default everywhere;
 velocity Verlet is offered for the lab frame only.  All coefficients are
 evaluated fresh at every RK stage time so 4th-order accuracy survives
 time-dependent schedules.
+
+The steppers work on plain Python floats: a stage state is a 4-tuple of
+floats, and stage times are Python floats taken from the step grid with
+``tolist()``, so schedules, root solves and the mode angle never see numpy
+scalars.  Each step's state is stored as one row of the trajectory's
+states array.  A state that turns non-finite inside a step raises
+``FloatingPointError``, as numpy's overflow does under the command line's
+error state; a finite state beyond ``DIVERGENCE_GUARD`` raises
+``DivergenceError`` with the partial run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -109,29 +119,44 @@ class EnergyAudit:
     max_drift: float  # max |H(t) - H(t0)| / max(1, |H(t0)|)
 
 
-def _rk4_run(rhs, t0: float, y0: np.ndarray, dt: float, n_steps: int,
+def _unbounded(y: tuple, t: float, partial: tuple) -> Exception:
+    """The error that stops a run whose state y at time t left the guard: a
+    non-finite component is an overflow inside the step, a finite one a
+    divergence carrying the run so far."""
+    if not all(map(math.isfinite, y)):
+        return FloatingPointError(f"state overflowed at t={t}")
+    return DivergenceError(f"state exceeded {DIVERGENCE_GUARD:g} at t={t}", partial=partial)
+
+
+def _axpy(y: tuple, h: float, k) -> tuple:
+    """y + h k for float 4-vectors."""
+    return (y[0] + h * k[0], y[1] + h * k[1], y[2] + h * k[2], y[3] + h * k[3])
+
+
+def _rk4_run(rhs, t0: float, y0: tuple, dt: float, n_steps: int,
              on_step: Optional[Callable[[float], None]] = None):
-    """Generic fixed-step RK4 with a divergence guard; returns (times, states)."""
-    y = np.asarray(y0, dtype=float).copy()
+    """Generic fixed-step RK4 with a divergence guard; ``rhs(t, y)`` takes a
+    float time and state 4-tuple and returns the derivative 4-tuple.
+    Returns (times, states)."""
     times = t0 + dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, y.size))
+    grid = times.tolist()
+    states = np.empty((n_steps + 1, 4))
+    y = y0
     states[0] = y
     half = 0.5 * dt
+    sixth = dt / 6.0
     for i in range(n_steps):
-        t = times[i]
+        t = grid[i]
         k1 = rhs(t, y)
-        k2 = rhs(t + half, y + half * k1)
-        k3 = rhs(t + half, y + half * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.abs(y) < DIVERGENCE_GUARD):
-            raise DivergenceError(
-                f"state exceeded {DIVERGENCE_GUARD:g} at t={times[i + 1]}",
-                partial=(times[: i + 1], states[: i + 1]),
-            )
+        k2 = rhs(t + half, _axpy(y, half, k1))
+        k3 = rhs(t + half, _axpy(y, half, k2))
+        k4 = rhs(t + dt, _axpy(y, dt, k3))
+        y = _axpy(y, sixth, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)])
+        if not all(abs(v) < DIVERGENCE_GUARD for v in y):
+            raise _unbounded(y, grid[i + 1], (times[: i + 1], states[: i + 1]))
         states[i + 1] = y
         if on_step is not None:
-            on_step(float(times[i + 1]))
+            on_step(grid[i + 1])
     return times, states
 
 
@@ -154,39 +179,41 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
     m2 = sys.masses.m2
 
     def rhs(t, y):
-        return np.array([y[2] / m1, y[3] / m2, *sys.force(t, y[0], y[1])])
+        return (y[2] / m1, y[3] / m2, *sys.force(t, y[0], y[1]))
 
     meta = {"integrator": spec.method, "preset": sys.label}
     if spec.method == "velocity-verlet":
-        return _trajectory("lab", spec, meta, lambda: _verlet_run(sys, x0.state(), spec))
+        return _trajectory("lab", spec, meta, lambda: _verlet_run(sys, x0, spec))
     return _trajectory(
-        "lab", spec, meta, lambda: _rk4_run(rhs, spec.t0, x0.state(), spec.dt, spec.n_steps)
+        "lab", spec, meta, lambda: _rk4_run(rhs, spec.t0, (*x0.q, *x0.p), spec.dt, spec.n_steps)
     )
 
 
-def _verlet_run(sys: QuadraticSystem, y0: np.ndarray, spec: IntegratorSpec):
+def _verlet_run(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec):
     """Velocity Verlet (kick-drift-kick); lab frame only (separable H)."""
-    m = np.array([sys.masses.m1, sys.masses.m2])
+    m1 = sys.masses.m1
+    m2 = sys.masses.m2
     n = spec.n_steps
     dt = spec.dt
+    half = 0.5 * dt
     times = spec.t0 + dt * np.arange(n + 1)
+    grid = times.tolist()
     states = np.empty((n + 1, 4))
-    q = y0[:2].copy()
-    p = y0[2:].copy()
-    states[0] = y0
-    f = np.array(sys.force(times[0], *q))
+    (q1, q2), (p1, p2) = x0.q, x0.p
+    states[0] = (q1, q2, p1, p2)
+    f1, f2 = sys.force(grid[0], q1, q2)
     for i in range(n):
-        p_half = p + 0.5 * dt * f
-        q = q + dt * p_half / m
-        f = np.array(sys.force(times[i + 1], *q))
-        p = p_half + 0.5 * dt * f
-        if not (np.all(np.abs(q) < DIVERGENCE_GUARD) and np.all(np.abs(p) < DIVERGENCE_GUARD)):
-            raise DivergenceError(
-                f"state exceeded {DIVERGENCE_GUARD:g} at t={times[i + 1]}",
-                partial=(times[: i + 1], states[: i + 1]),
-            )
-        states[i + 1, :2] = q
-        states[i + 1, 2:] = p
+        h1 = p1 + half * f1
+        h2 = p2 + half * f2
+        q1 = q1 + dt * h1 / m1
+        q2 = q2 + dt * h2 / m2
+        f1, f2 = sys.force(grid[i + 1], q1, q2)
+        p1 = h1 + half * f1
+        p2 = h2 + half * f2
+        y = (q1, q2, p1, p2)
+        if not all(abs(v) < DIVERGENCE_GUARD for v in y):
+            raise _unbounded(y, grid[i + 1], (times[: i + 1], states[: i + 1]))
+        states[i + 1] = y
     return times, states
 
 
@@ -247,11 +274,11 @@ def integrate_modes(
             dQ2 += wL * Q1
             dP1 -= wL * wL * Q1 + wL * P2
             dP2 -= wL * wL * Q2 - wL * P1
-        return np.array([dQ1, dQ2, dP1, dP2])
+        return (dQ1, dQ2, dP1, dP2)
 
     meta = {"integrator": "rk4", "preset": sys.label, "larmor": apply_larmor}
     return _trajectory("mode", spec, meta, lambda: _rk4_run(
-        rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=branch.sync
+        rhs, spec.t0, (*X0.q, *X0.p), spec.dt, spec.n_steps, on_step=branch.sync
     ))
 
 
@@ -273,13 +300,11 @@ def integrate_modes_shifted(
     def rhs(t, y):
         theta, o1, o2 = branch.frequencies(t)
         P0_dot = drive_rate_at(sys, t, theta)
-        return np.array(
-            [y[2], y[3], -o1 * y[0] - P0_dot[0], -o2 * y[1] - P0_dot[1]]
-        )
+        return (y[2], y[3], -o1 * y[0] - P0_dot[0], -o2 * y[1] - P0_dot[1])
 
     meta = {"integrator": "rk4", "preset": sys.label, "shifted": True}
     return _trajectory("mode", spec, meta, lambda: _rk4_run(
-        rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=branch.sync
+        rhs, spec.t0, (*X0.q, *X0.p), spec.dt, spec.n_steps, on_step=branch.sync
     ))
 
 
@@ -378,6 +403,5 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         header = "t,Q1,Q2,P1,P2,frame"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for i in range(len(traj)):
-            row = [_fmt(traj.times[i])] + [_fmt(v) for v in traj.states[i]]
-            fh.write(",".join(row) + f",{traj.frame}\n")
+        for t, state in zip(traj.times.tolist(), traj.states.tolist()):
+            fh.write(",".join(map(_fmt, (t, *state))) + f",{traj.frame}\n")

@@ -185,18 +185,23 @@ def theta_dot_at(sys: QuadraticSystem, t: float, method: str = "auto") -> float:
     return (thp - thm) / (2.0 * h)
 
 
-def drive_at(sys: QuadraticSystem, t: float, theta: float) -> np.ndarray:
-    """Mode-frame momentum drive P0 = A(theta) qdot0(t)."""
-    A, _ = modal_matrix(theta, sys.masses)
-    return A @ np.array(sys.equilibrium_velocity_at(t))
+def drive_at(sys: QuadraticSystem, t: float, theta: float) -> tuple:
+    """Mode-frame momentum drive P0 = A(theta) qdot0(t), with A as in
+    :func:`modal_matrix`."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    r1 = sys.masses.sqrt1
+    r2 = sys.masses.sqrt2
+    v1, v2 = sys.equilibrium_velocity_at(t)
+    return (r1 * c * v1 + r2 * s * v2, -r1 * s * v1 + r2 * c * v2)
 
 
-def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> np.ndarray:
+def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> tuple:
     """Central-difference dP0/dt, following theta on the branch nearest branch_ref."""
     h = fd_step(t)
-    ahead, behind = (drive_at(sys, s, theta_at(sys.stiffness(s), sys.masses, branch_ref))
-                     for s in (t + h, t - h))
-    return (ahead - behind) / (2.0 * h)
+    (a1, a2), (b1, b2) = (drive_at(sys, s, theta_at(sys.stiffness(s), sys.masses, branch_ref))
+                          for s in (t + h, t - h))
+    return ((a1 - b1) / (2.0 * h), (a2 - b2) / (2.0 * h))
 
 
 def larmor_rate_at(sys: QuadraticSystem, t: float, theta_dot: Optional[float] = None) -> float:
@@ -292,7 +297,7 @@ def momentum_shift(
             )
         centers = (-P0_dot[0] / dec.omega1_sq, -P0_dot[1] / dec.omega2_sq)
     return MomentumShift(
-        point=shifted, P0=tuple(P0), P0_dot=tuple(P0_dot), centers=centers
+        point=shifted, P0=P0, P0_dot=P0_dot, centers=centers
     )
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "build_custom",
     "build_preset",
     "preset_config_from_dict",
+    "PRESET_CONFIGS",
     "separability_condition_separation",
     "solve_separation_distance",
     "solve_phase_gate_distance",
@@ -696,10 +697,12 @@ _PRESETS = {
 }
 
 
+PRESET_CONFIGS = {kind: cls for kind, (cls, _) in _PRESETS.items()}
+
+
 def preset_config_from_dict(obj: dict):
     """Typed config from the tagged JSON object; unknown fields are rejected."""
-    configs = {kind: cls for kind, (cls, _) in _PRESETS.items()}
-    return config_from_dict(obj, "type", configs, "preset")
+    return config_from_dict(obj, "type", PRESET_CONFIGS, "preset")
 
 
 def build_preset(obj) -> QuadraticSystem:

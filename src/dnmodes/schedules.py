@@ -31,7 +31,9 @@ __all__ = [
     "fd_step",
     "is_finite_number",
     "check_fields",
+    "json_fields",
     "config_from_dict",
+    "SCHEDULE_KINDS",
 ]
 
 _FLOAT_MAX = sys.float_info.max
@@ -272,6 +274,12 @@ def check_fields(obj, positive: tuple = ()) -> None:
             raise ConfigError(f"{name} must be positive, got {getattr(obj, name)}")
 
 
+def json_fields(cls) -> dict:
+    """JSON key -> field of the config dataclass ``cls``; a field's
+    ``metadata["json"]`` renames it."""
+    return {f.metadata.get("json", f.name): f for f in fields(cls)}
+
+
 def config_from_dict(obj, tag: str, classes: dict, what: str):
     """Build ``classes[obj[tag]]`` from a tagged JSON object whose other keys
     are the class's dataclass fields (a field's ``metadata["json"]`` renames
@@ -281,7 +289,7 @@ def config_from_dict(obj, tag: str, classes: dict, what: str):
     kind = obj[tag]
     if kind not in classes:
         raise ConfigError(f"unknown {what} {tag} {kind!r}")
-    declared = {f.metadata.get("json", f.name): f for f in fields(classes[kind])}
+    declared = json_fields(classes[kind])
     extra = set(obj) - set(declared) - {tag}
     if extra:
         raise ConfigError(f"unknown fields {sorted(extra)} for {what} {kind!r}")
@@ -294,7 +302,7 @@ def config_from_dict(obj, tag: str, classes: dict, what: str):
     return classes[kind](**{f.name: obj[key] for key, f in declared.items() if key in obj})
 
 
-_KINDS = {
+SCHEDULE_KINDS = {
     "constant": Constant,
     "linear-ramp": LinearRamp,
     "polynomial": Polynomial,
@@ -306,4 +314,4 @@ _KINDS = {
 
 def schedule_from_dict(obj: dict) -> ControlSchedule:
     """Build a schedule from its JSON object form, rejecting unknown fields."""
-    return config_from_dict(obj, "kind", _KINDS, "schedule")
+    return config_from_dict(obj, "kind", SCHEDULE_KINDS, "schedule")

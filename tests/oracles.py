@@ -2,8 +2,8 @@
 
 Kept deliberately separate from the library paths they check: plain
 bisection (no Newton), high-order finite differences for gradients and
-Hessians, and a brute-force 2x2 eigendecomposition via the characteristic
-polynomial.
+Hessians, a brute-force 2x2 eigendecomposition via the characteristic
+polynomial, and fixed-step RK4 on numpy arrays.
 """
 
 import math
@@ -83,3 +83,26 @@ def eig2_characteristic(K):
     det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
     disc = math.sqrt(max(0.0, tr * tr - 4 * det))
     return (0.5 * (tr - disc), 0.5 * (tr + disc))
+
+
+def rk4_states(rhs, t0, y0, dt, n_steps, on_step=None):
+    """Fixed-step RK4 on numpy arrays: ``rhs(t, y)`` gets a grid time as a
+    numpy scalar and returns an array; ``on_step`` gets each new grid time.
+    Returns (times, states).  The library's float kernel performs the same
+    operations in the same order."""
+    y = np.asarray(y0, dtype=float).copy()
+    times = t0 + dt * np.arange(n_steps + 1)
+    states = np.empty((n_steps + 1, y.size))
+    states[0] = y
+    half = 0.5 * dt
+    for i in range(n_steps):
+        t = times[i]
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, y + half * k1)
+        k3 = rhs(t + half, y + half * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i + 1] = y
+        if on_step is not None:
+            on_step(times[i + 1])
+    return times, states

@@ -190,6 +190,7 @@ MALFORMED = {
     "dt_flag_zero": (["simulate", "--dt", "0"], lambda c: None),
     "sweep_path_number": (["sweep"], sweep_over(5, [1.0])),
     "sweep_path_missing": (["sweep"], sweep_over("nokey.x", [1.0])),
+    "sweep_path_undeclared": (["sweep"], sweep_over("preset.nokey", [1.0])),
     "sweep_index_out_of_range": (["sweep"], sweep_over("window.5", [1.0])),
     "sweep_window_string": (["sweep"], sweep_over("window.0", ["abc"])),
     "sweep_samples_one": (["sweep"], sweep_over("samples", [1])),
@@ -280,6 +281,34 @@ def test_numpy_overflow_exits_3_with_one_line(tmp_path):
     assert proc.stdout == ""
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("preset domain error: ")
+
+
+@pytest.mark.parametrize("method", ["rk4", "velocity-verlet"])
+def test_overflow_inside_a_step_exits_3_with_one_line(tmp_path, method):
+    # k1 (q1 - q1_eq) overflows to inf in the first stage; a state beyond the
+    # divergence guard that is still finite exits 4 instead.
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "custom", "k": 0.0, "k1": 1e300, "k2": 1.0},
+        "window": [0.0, 1.0],
+        "integrator": {"dt": 0.0625, "method": method},
+        "initial_state": {"q": [1e10, 0.0], "p": [0.0, 0.0]},
+        "output": {"path": str(tmp_path / "ovf")},
+    }
+    proc = run_cli("simulate", "--config", write_cfg(tmp_path, cfg))
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("preset domain error: ")
+
+
+def test_sweep_sets_a_field_left_at_its_default(tmp_path, capsys):
+    cfg = transport_cfg(str(tmp_path / "sw"))
+    del cfg["preset"]["Cc"]
+    sweep_over("preset.Cc", [0.5, 1.0])(cfg)
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg)]) == 0
+    rows = (tmp_path / "sw_sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.5", "1"]
+    capsys.readouterr()
 
 
 def test_sweep_writes_non_number_values_as_json(tmp_path, capsys):

@@ -185,6 +185,23 @@ def test_divergence_guard_carries_partial():
         assert np.isfinite(partial.states).all()
 
 
+def test_non_finite_state_raises_floating_point_error():
+    # k1 * q1 overflows to inf in the first stage of every integrator
+    sys = static_sys(k=0.0, k1=100.0, k2=1.0)
+    spec = IntegratorSpec(dt=0.0625, t0=0.0, t1=1.0)
+    verlet = IntegratorSpec(dt=0.0625, t0=0.0, t1=1.0, method="velocity-verlet")
+    x0 = PhasePoint(0.0, (1e307, 0.0), (0.0, 0.0))
+    X0 = PhasePoint(0.0, (1e307, 0.0), (0.0, 0.0), frame="mode")
+    for run in (
+        lambda: integrate_lab(sys, x0, spec),
+        lambda: integrate_lab(sys, x0, verlet),
+        lambda: integrate_modes(sys, X0, spec),
+        lambda: integrate_modes_shifted(sys, X0, spec),
+    ):
+        with pytest.raises(FloatingPointError, match="t=0.0625"):
+            run()
+
+
 def test_rk4_order_under_dt_halving():
     # fourth-order: halving dt should cut the error by ~16x (within 30%)
     sys = static_sys()

@@ -12,6 +12,11 @@ whose determinant stays positive.
 
 The root properties draw separation quintics and phase-gate cubics; both
 have one simple positive root over the drawn ranges.
+
+The integrator properties run on random ``custom`` systems too: the
+steppers see only Python floats, agree with the numpy-array RK4 oracle,
+and integrate the lab and mode frames equivalently through a frequency
+crossing.
 """
 
 import math
@@ -23,11 +28,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dnmodes.dynamics import (
+    IntegratorSpec,
+    frame_equivalence_check,
+    integrate_lab,
+    integrate_modes,
+    integrate_modes_shifted,
+    map_to_mode_frame,
+)
 from dnmodes.modes import (
     decompose_at,
     drive_at,
     drive_rate_at,
+    eigenfrequencies,
     from_mode_frame,
+    modal_matrix,
     theta_at,
     theta_dot_at,
     to_mode_frame,
@@ -48,7 +63,7 @@ from dnmodes.presets import (
 from dnmodes.quadratic import PhasePoint
 from dnmodes.schedules import Polynomial
 
-from oracles import bisect, grad4
+from oracles import bisect, grad4, rk4_states
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -143,6 +158,99 @@ def test_drive_rate_matches_a_finite_difference_of_the_drive(sys, t):
         return drive_at(sys, s, theta_at(sys.stiffness(s), sys.masses, branch_ref=theta))
 
     check_rate(lambda s: drive_rate_at(sys, s, theta), p0, t)
+
+
+@PROPERTY
+@given(systems(), phase, st.floats(-1.0, 1.0))
+def test_integrators_see_only_python_floats(sys, s, t0):
+    seen = set()
+    for name in ("stiffness", "stiffness_rate", "equilibrium", "equilibrium_velocity"):
+        def recording(t, _fn=getattr(sys, name)):
+            seen.add(type(t))
+            return _fn(t)
+
+        setattr(sys, name, recording)
+    spec = IntegratorSpec(dt=0.0625, t0=t0, t1=t0 + 0.5)
+    x0 = PhasePoint(t0, s[:2], s[2:])
+    lab = integrate_lab(sys, x0, spec)
+    integrate_lab(sys, x0, IntegratorSpec(spec.dt, spec.t0, spec.t1, "velocity-verlet"))
+    X0 = map_to_mode_frame(sys, lab).point(0)
+    integrate_modes(sys, X0, spec)
+    integrate_modes_shifted(sys, X0, spec)
+    assert seen == {float}
+
+
+@PROPERTY
+@given(systems(), phase)
+def test_rk4_matches_the_array_oracle(sys, s):
+    spec = IntegratorSpec(dt=1.0 / 64.0, t0=0.0, t1=1.0)
+    m1, m2 = sys.masses.m1, sys.masses.m2
+    x0 = PhasePoint(0.0, s[:2], s[2:])
+
+    def lab_rhs(t, y):
+        return np.array([y[2] / m1, y[3] / m2, *sys.force(t, y[0], y[1])])
+
+    # Same operations in the same order: the lab run is bit-identical.
+    times, states = rk4_states(lab_rhs, spec.t0, x0.state(), spec.dt, spec.n_steps)
+    lab = integrate_lab(sys, x0, spec)
+    assert np.array_equal(lab.times, times)
+    assert np.array_equal(lab.states, states)
+
+    # The array form computes the drive as a matrix product, so the mode run
+    # agrees to rounding.
+    branch = [theta_at(sys.stiffness(spec.t0), sys.masses)]
+
+    def sync(t):
+        branch[0] = theta_at(sys.stiffness(t), sys.masses, branch[0])
+
+    def mode_rhs(t, y):
+        triple = sys.stiffness(t)
+        theta = theta_at(triple, sys.masses, branch[0])
+        o1, o2 = eigenfrequencies(triple, sys.masses, theta)
+        P0 = modal_matrix(theta, sys.masses)[0] @ np.array(sys.equilibrium_velocity(t))
+        td = theta_dot_at(sys, t)
+        Q1, Q2, P1, P2 = y
+        return np.array(
+            [P1 - P0[0] + td * Q2, P2 - P0[1] - td * Q1, -o1 * Q1 + td * P2, -o2 * Q2 - td * P1]
+        )
+
+    X0 = PhasePoint(0.0, s[:2], s[2:], frame="mode")
+    _, oracle = rk4_states(mode_rhs, spec.t0, X0.state(), spec.dt, spec.n_steps, on_step=sync)
+    modes = integrate_modes(sys, X0, spec)
+    assert np.abs(modes.states - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@st.composite
+def crossing_systems(draw):
+    """(system, tc): unequal masses, and uncoupled frequencies (k + k1)/m1
+    and (k + k2)/m2 that cross at a drawn time tc in the window; their
+    difference is slope * (t - tc), so the mode angle turns through pi/4
+    there."""
+    m1 = draw(st.floats(0.5, 2.0))
+    m2 = m1 * draw(st.floats(1.5, 3.0)) ** draw(st.sampled_from([-1.0, 1.0]))
+    k = draw(signed(0.5, 2.0))
+    c2, d2 = draw(unit), draw(unit)
+    slope, tc = draw(signed(0.5, 2.0)), draw(st.floats(0.25, 0.75))
+    ratio = m1 / m2
+    k1 = Polynomial((ratio * (k + c2) - k - m1 * slope * tc, ratio * d2 + m1 * slope))
+    quadratic = st.tuples(unit, unit, unit).map(Polynomial)
+    cfg = CustomConfig(
+        k=Polynomial((k,)), k1=k1, k2=Polynomial((c2, d2)), masses=(m1, m2),
+        q1_eq=draw(quadratic), q2_eq=draw(quadratic),
+    )
+    return build_custom(cfg), tc
+
+
+@PROPERTY
+@given(crossing_systems(), phase)
+def test_frames_agree_through_a_frequency_crossing(system, s):
+    # Criterion 07's bound on random systems.
+    sys, tc = system
+    before, after = (theta_at(sys.stiffness(t), sys.masses) for t in (tc - 1e-3, tc + 1e-3))
+    assert abs(after - before) > 1.0  # the default branch jumps by pi/2 at the crossing
+    spec = IntegratorSpec(dt=1.0 / 256.0, t0=0.0, t1=1.0)
+    rep = frame_equivalence_check(sys, PhasePoint(0.0, s[:2], s[2:]), spec)
+    assert rep.max_deviation <= 1e-6
 
 
 PRESET_KINDS = [*sorted(presets._PRESETS), "phase-gate-zeroth-order"]
