@@ -8,14 +8,15 @@ velocity Verlet is offered for the lab frame only.  All coefficients are
 evaluated fresh at every RK stage time so 4th-order accuracy survives
 time-dependent schedules.
 
-The steppers work on plain Python floats: a stage state is a 4-tuple of
-floats, and stage times are Python floats taken from the step grid with
-``tolist()``, so schedules, root solves and the mode angle never see numpy
-scalars.  Each step's state is stored as one row of the trajectory's
-states array.  A state that turns non-finite inside a step raises
-``FloatingPointError``, as numpy's overflow does under the command line's
-error state; a finite state beyond ``DIVERGENCE_GUARD`` raises
-``DivergenceError`` with the partial run.
+The steppers and the lab-to-mode map work on plain Python floats: a stage
+state is a 4-tuple of floats, and stage times are Python floats taken from
+the step grid with ``tolist()``, so schedules, root solves and the mode
+angle never see numpy scalars.  Per sample the map evaluates only the
+stiffness, the threaded mode angle and the equilibrium, no theta_dot.  Each
+step's state is stored as one row of the trajectory's states array.  A
+state that turns non-finite inside a step raises ``FloatingPointError``, as
+numpy's overflow does under the command line's error state; a finite state
+beyond ``DIVERGENCE_GUARD`` raises ``DivergenceError`` with the partial run.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .modes import (
     effective_hamiltonian_value,
     eigenfrequencies,
     larmor_rate_at,
+    mode_state,
     theta_at,
     theta_dot_at,
-    to_mode_frame,
 )
 from .quadratic import PhasePoint, QuadraticSystem
 
@@ -312,14 +313,12 @@ def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:
     """Express a lab trajectory in mode coordinates, threading the theta branch."""
     if traj.frame != "lab":
         raise ConfigError("map_to_mode_frame expects a lab trajectory")
-    states = np.empty_like(traj.states)
-    branch = None
-    for i, t in enumerate(traj.times):
-        dec = decompose_at(sys, float(t), branch_ref=branch)
-        branch = dec.theta
-        x = to_mode_frame(dec, traj.point(i), sys)
-        states[i] = x.state()
-    return Trajectory("mode", traj.times.copy(), states, traj.step, dict(traj.metadata))
+    rows = []
+    theta = None
+    for t, y in zip(traj.times.tolist(), traj.states.tolist()):
+        theta = theta_at(sys.stiffness(t), sys.masses, theta)
+        rows.append(mode_state(sys, t, theta, *y))
+    return Trajectory("mode", traj.times.copy(), np.array(rows), traj.step, dict(traj.metadata))
 
 
 def frame_equivalence_check(

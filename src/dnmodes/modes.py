@@ -44,6 +44,7 @@ __all__ = [
     "larmor_rate_at",
     "decompose_at",
     "to_mode_frame",
+    "mode_state",
     "from_mode_frame",
     "effective_hamiltonian_value",
     "momentum_shift",
@@ -157,6 +158,12 @@ def modal_matrix(theta: float, masses: MassPair) -> tuple:
     return A, A_inv
 
 
+def _modal_product(c: float, s: float, w1: float, w2: float, x1: float, x2: float) -> tuple:
+    """O(theta)^T diag(w) x with (c, s) = (cos, sin)(theta): A x for w = (sqrt m1,
+    sqrt m2), A^(-T) x for w = (1/sqrt m1, 1/sqrt m2); A as in :func:`modal_matrix`."""
+    return (w1 * c * x1 + w2 * s * x2, -w1 * s * x1 + w2 * c * x2)
+
+
 def theta_dot_at(sys: QuadraticSystem, t: float, method: str = "auto") -> float:
     """Rate of the mode angle.
 
@@ -164,18 +171,17 @@ def theta_dot_at(sys: QuadraticSystem, t: float, method: str = "auto") -> float:
     the atan2 expression (needs stiffness rates), then a central finite
     difference of the unwrapped angle.
     """
+    if method == "auto" and sys.theta_dot_override is not None:
+        return sys.theta_dot_override(t)
     if method not in ("auto", "analytic", "fd"):
         raise ConfigError(f"unknown theta_dot method {method!r}")
-    if method in ("auto",) and sys.theta_dot_override is not None:
-        return sys.theta_dot_override(t)
     if method in ("auto", "analytic"):
         num, den, scale = _theta_num_den(sys.stiffness(t), sys.masses)
         dk, dk1, dk2 = sys.stiffness_rate_at(t)
         num_dot = 2.0 * dk * math.sqrt(sys.masses.m1 * sys.masses.m2)
         den_dot = sys.masses.m1 * (dk + dk2) - sys.masses.m2 * (dk + dk1)
-        denom = num * num + den * den
-        if denom > (EPS_DEGENERATE * scale) ** 2:
-            return 0.5 * (num_dot * den - num * den_dot) / denom
+        if math.hypot(num, den) > EPS_DEGENERATE * scale:  # theta_at's test; it cannot overflow
+            return 0.5 * (num_dot * den - num * den_dot) / (num * num + den * den)
         if method == "analytic":
             return 0.0
     h = fd_step(t)
@@ -188,12 +194,9 @@ def theta_dot_at(sys: QuadraticSystem, t: float, method: str = "auto") -> float:
 def drive_at(sys: QuadraticSystem, t: float, theta: float) -> tuple:
     """Mode-frame momentum drive P0 = A(theta) qdot0(t), with A as in
     :func:`modal_matrix`."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    r1 = sys.masses.sqrt1
-    r2 = sys.masses.sqrt2
-    v1, v2 = sys.equilibrium_velocity_at(t)
-    return (r1 * c * v1 + r2 * s * v2, -r1 * s * v1 + r2 * c * v2)
+    m = sys.masses
+    return _modal_product(math.cos(theta), math.sin(theta), m.sqrt1, m.sqrt2,
+                          *sys.equilibrium_velocity_at(t))
 
 
 def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> tuple:
@@ -234,11 +237,17 @@ def to_mode_frame(dec: ModeDecomposition, x: PhasePoint, sys: QuadraticSystem) -
     """Q = A (q - q0); P = A^(-T) p."""
     if x.frame != "lab":
         raise ConfigError("to_mode_frame expects a lab-frame point")
-    q0 = sys.equilibrium(x.t)
-    dq = np.array([x.q[0] - q0[0], x.q[1] - q0[1]])
-    Q = dec.A @ dq
-    P = dec.A_inv.T @ np.array(x.p)
-    return PhasePoint(t=x.t, q=tuple(Q), p=tuple(P), frame="mode")
+    Q1, Q2, P1, P2 = mode_state(sys, x.t, dec.theta, *x.q, *x.p)
+    return PhasePoint(t=x.t, q=(Q1, Q2), p=(P1, P2), frame="mode")
+
+
+def mode_state(sys: QuadraticSystem, t: float, theta: float, q1, q2, p1, p2) -> tuple:
+    """(Q1, Q2, P1, P2) of the lab state (q, p) at t in floats: Q = A (q - q0), P = A^(-T) p."""
+    e1, e2 = sys.equilibrium(t)
+    c, s = math.cos(theta), math.sin(theta)
+    r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
+    return (*_modal_product(c, s, r1, r2, q1 - e1, q2 - e2),
+            *_modal_product(c, s, 1.0 / r1, 1.0 / r2, p1, p2))
 
 
 def from_mode_frame(dec: ModeDecomposition, x: PhasePoint, sys: QuadraticSystem) -> PhasePoint:

@@ -177,12 +177,12 @@ class SeparationConfig:
 
 
 def _quintic_bracket(alpha: float, beta: float, Cc: float) -> float:
-    estimates = [1.0]
+    estimate = 1.0
     if alpha > 0.0:
-        estimates.append((Cc / alpha) ** (1.0 / 3.0))
+        estimate = max(estimate, (Cc / alpha) ** (1.0 / 3.0))
     if beta > 0.0:
-        estimates.append((2.0 * Cc / beta) ** (1.0 / 5.0))
-    q_max = 10.0 * max(estimates)
+        estimate = max(estimate, (2.0 * Cc / beta) ** (1.0 / 5.0))
+    q_max = 10.0 * estimate
     if alpha < 0.0 and beta > 0.0:
         # Double-well regime: the outer root sits near sqrt(2|alpha|/beta),
         # which can exceed the Coulomb-balance estimates above.

@@ -33,20 +33,14 @@ class MassPair:
         check_fields(self, positive=("m1", "m2"))
         if not math.isfinite(self.m1 * self.m2):  # the mode frame takes sqrt(m1 m2)
             raise ConfigError(f"m1 * m2 overflows, got {self.m1} and {self.m2}")
+        object.__setattr__(self, "sqrt1", math.sqrt(self.m1))
+        object.__setattr__(self, "sqrt2", math.sqrt(self.m2))
 
     def matrix(self) -> np.ndarray:
         return np.diag([self.m1, self.m2])
 
     def inverse_matrix(self) -> np.ndarray:
         return np.diag([1.0 / self.m1, 1.0 / self.m2])
-
-    @property
-    def sqrt1(self) -> float:
-        return math.sqrt(self.m1)
-
-    @property
-    def sqrt2(self) -> float:
-        return math.sqrt(self.m2)
 
 
 @dataclass(frozen=True)
@@ -58,9 +52,9 @@ class StiffnessTriple:
     k2: float
 
     def __post_init__(self):
-        for name, v in (("k", self.k), ("k1", self.k1), ("k2", self.k2)):
-            if not math.isfinite(v):
-                raise ConfigError(f"stiffness {name} must be finite, got {v}")
+        if not (math.isfinite(self.k) and math.isfinite(self.k1) and math.isfinite(self.k2)):
+            name = next(n for n in ("k", "k1", "k2") if not math.isfinite(getattr(self, n)))
+            raise ConfigError(f"stiffness {name} must be finite, got {getattr(self, name)}")
 
     def matrix(self) -> np.ndarray:
         return np.array(

@@ -9,6 +9,11 @@ Newton refinement stops once a step moves x by at most 4 ulp
 (``|x_new - x| <= 4 * 2**-52 * |x|``).  That test comes before the bracket
 check, so a converged step that lands on a bracket end is accepted rather
 than replaced by the bracket midpoint.
+
+Warm exit: a guess in (0, q_max] first takes that step alone, returning the
+guess if f(guess) == 0 and the step if it converged, as the refine in a
+local bracket would first; the result is bit-identical whenever such a
+bracket holds a sign change.  Else the refine reuses f and f' at the guess.
 """
 
 from __future__ import annotations
@@ -22,32 +27,38 @@ __all__ = ["newton_refine", "positive_roots", "solve_positive_root"]
 _STEP_TOL = 4.0 * 2.0**-52
 
 
-def newton_refine(
-    f, fprime, x: float, a: float, b: float, maxiter: int = 50, fa: float | None = None
-) -> float:
+def _newton_step(x: float, fx: float, d: float) -> tuple:
+    """Newton's step from x (NaN where f' vanishes); whether it is <= 4 ulp."""
+    x_new = x - fx / d if d != 0.0 else math.nan
+    return x_new, abs(x_new - x) <= _STEP_TOL * abs(x)
+
+
+def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50,
+                  fa=None, fx=None, dx=None) -> float:
     """Newton iterations from x, falling back to bisection on [a, b] when a
     step leaves the bracket or the derivative vanishes.
 
     Returns once a Newton step is at most 4 ulp of x, tested before the
-    bracket check.  ``fa`` is f(a) when the caller has already evaluated it.
+    bracket check.  ``fa``, ``fx`` and ``dx`` are f(a), f(x) and f'(x) when
+    the caller has already evaluated them.
     """
     if fa is None:
         fa = f(a)
     for _ in range(maxiter):
-        fx = f(x)
+        if fx is None:
+            fx = f(x)
         if fx == 0.0:
             return x
         if fa * fx < 0.0:
             b = x
         else:
             a, fa = x, fx
-        d = fprime(x)
-        x_new = x - fx / d if d != 0.0 else math.nan
-        if abs(x_new - x) <= _STEP_TOL * abs(x):
+        x_new, converged = _newton_step(x, fx, fprime(x) if dx is None else dx)
+        if converged:
             return x_new
         if not (a < x_new < b):
             x_new = 0.5 * (a + b)
-        x = x_new
+        x, fx, dx = x_new, None, None
     return x
 
 
@@ -68,28 +79,27 @@ def positive_roots(f, fprime, q_max: float, n_scan: int = 512) -> list:
     return roots
 
 
-def _refine_near_guess(f, fprime, guess: float, q_max: float) -> float | None:
-    """Cheap continuation: bracket locally around the previous root and refine,
-    skipping the full scan.  Returns None when no nearby sign change exists."""
-    if not 0.0 < guess <= q_max:
-        return None
-    for half_width in (0.05, 0.2):
-        radius = half_width * max(guess, 1e-6)
-        a = max(1e-12 * max(1.0, q_max), guess - radius)
-        b = min(q_max, guess + radius)
-        if a < b:
-            fa = f(a)
-            if fa * f(b) < 0.0:
-                return newton_refine(f, fprime, guess, a, b, fa=fa)
-    return None
-
-
 def solve_positive_root(f, fprime, q_max: float, guess: float | None = None) -> float:
-    """The physical positive root: nearest to ``guess`` when given, else largest."""
-    if guess is not None:
-        root = _refine_near_guess(f, fprime, guess, q_max)
-        if root is not None:
-            return root
+    """The physical positive root: nearest to ``guess`` when given, else largest.
+
+    A guess in (0, q_max] gets the warm exit, then a local bracket around it
+    and the refine, before any full scan."""
+    if guess is not None and 0.0 < guess <= q_max:
+        fx = f(guess)
+        if fx == 0.0:
+            return guess
+        d = fprime(guess)
+        x_new, converged = _newton_step(guess, fx, d)
+        if converged:
+            return x_new
+        for half_width in (0.05, 0.2):
+            radius = half_width * max(guess, 1e-6)
+            a = max(1e-12 * max(1.0, q_max), guess - radius)
+            b = min(q_max, guess + radius)
+            if a < b:
+                fa = f(a)
+                if fa * f(b) < 0.0:
+                    return newton_refine(f, fprime, guess, a, b, fa=fa, fx=fx, dx=d)
     roots = positive_roots(f, fprime, q_max)
     if not roots:
         raise PresetDomainError("no positive root in the scanned bracket")

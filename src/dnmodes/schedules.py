@@ -89,10 +89,7 @@ class LinearRamp(ControlSchedule):
         check_fields(self)
         if self.t1 == self.t0:
             raise ConfigError("linear-ramp requires t1 != t0")
-
-    @property
-    def slope(self) -> float:
-        return (self.v1 - self.v0) / (self.t1 - self.t0)
+        object.__setattr__(self, "slope", (self.v1 - self.v0) / (self.t1 - self.t0))
 
     def value(self, t: float) -> float:
         return self.v0 + self.slope * (t - self.t0)
@@ -141,7 +138,8 @@ class Smoothstep(ControlSchedule):
 
     def value(self, t: float) -> float:
         s = (t - self.t0) / (self.t1 - self.t0)
-        s = min(1.0, max(0.0, s))
+        if not 0.0 < s < 1.0:  # as min(1.0, max(0.0, s)), NaN and -0.0 included
+            s = 1.0 if s >= 1.0 else 0.0
         return self.v0 + (self.v1 - self.v0) * s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
 
     def derivative(self, t: float) -> float:

@@ -1,12 +1,15 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 import dnmodes
+from dnmodes import cli, dynamics, presets
 from dnmodes.cli import main
 
 
@@ -320,3 +323,58 @@ def test_sweep_writes_non_number_values_as_json(tmp_path, capsys):
     assert [row[0] for row in rows] == ['{"kind":"constant","value":2.0}', "3"]
     assert all(len(row) == 5 for row in rows)
     capsys.readouterr()
+
+
+def test_stiffness_near_the_float_limit_analyzes_and_classifies(tmp_path, capsys):
+    # The theta_dot degeneracy test squares nothing, so k1 = 1e300 does not
+    # overflow it.
+    ramp = {"kind": "linear-ramp", "t0": 0.0, "v0": 0.5, "t1": 1.0, "v1": 1.5}
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "custom", "k": ramp, "k1": 1e300, "k2": 1.0},
+        "window": [0.0, 1.0],
+        "samples": 5,
+        "output": {"path": str(tmp_path / "big")},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert main(["analyze", "--config", path]) == 0
+    with open(tmp_path / "big_analyze.csv", newline="") as fh:
+        rates = [float(row["theta_dot"]) for row in csv.DictReader(fh)]
+    assert len(rates) == 5 and all(map(math.isfinite, rates))
+    capsys.readouterr()
+    assert main(["classify", "--config", path]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["max_abs_theta_dot"])
+
+
+def test_separation_simulate_work_counts(tmp_path, capsys):
+    # Ceilings on the root solves per step and the decompositions of a
+    # separation simulate: a regression fails, an improvement passes.  The
+    # lab-to-mode map needs no decomposition per sample.
+    alpha = {"kind": "smoothstep", "v0": 0.7, "v1": -1.2, "t0": 0.1, "t1": 0.9}
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "separation", "alpha": alpha, "beta": 0.6, "Cc": 1.15,
+                   "masses": [1.0, 2.0]},
+        "window": [0.0, 1.0],
+        "integrator": {"dt": 1.0 / 64.0},
+        "initial_state": {"q": [0.6, -0.5], "p": [0.1, -0.1]},
+        "output": {"path": str(tmp_path / "sep")},
+    }
+    solves, decompositions = [], []
+    solve, decompose = presets.solve_positive_root, dynamics.decompose_at
+
+    def counting_solve(f, fprime, q_max, guess=None):
+        solves.append(guess)
+        return solve(f, fprime, q_max, guess=guess)
+
+    def counting_decompose(*args, **kwargs):
+        decompositions.append(args)
+        return decompose(*args, **kwargs)
+
+    with mock.patch.object(presets, "solve_positive_root", counting_solve), \
+            mock.patch.object(cli, "decompose_at", counting_decompose), \
+            mock.patch.object(dynamics, "decompose_at", counting_decompose):
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    assert len(solves) <= 53 * 64
+    assert len(decompositions) <= 2

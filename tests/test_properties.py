@@ -11,12 +11,15 @@ domain: a positive trap spring, one positive equilibrium root, and springs
 whose determinant stays positive.
 
 The root properties draw separation quintics and phase-gate cubics; both
-have one simple positive root over the drawn ranges.
+have one simple positive root over the drawn ranges.  A solve warm-started
+from its own root exits after one Newton step, and any other guess takes
+the bracketed refine.
 
 The integrator properties run on random ``custom`` systems too: the
 steppers see only Python floats, agree with the numpy-array RK4 oracle,
 and integrate the lab and mode frames equivalently through a frequency
-crossing.
+crossing.  The float lab-to-mode map agrees with the decomposition's numpy
+matrices on custom, rotation and separation systems.
 """
 
 import math
@@ -30,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from dnmodes.dynamics import (
     IntegratorSpec,
+    Trajectory,
     frame_equivalence_check,
     integrate_lab,
     integrate_modes,
@@ -48,6 +52,7 @@ from dnmodes.modes import (
     to_mode_frame,
 )
 from dnmodes import presets
+from dnmodes.errors import PresetDomainError
 from dnmodes.presets import (
     CustomConfig,
     PhaseGateConfig,
@@ -61,6 +66,7 @@ from dnmodes.presets import (
     solve_separation_distance,
 )
 from dnmodes.quadratic import PhasePoint
+from dnmodes.rootfind import newton_refine, solve_positive_root
 from dnmodes.schedules import Polynomial
 
 from oracles import bisect, grad4, rk4_states
@@ -329,14 +335,47 @@ separation_params = st.tuples(signed(0.05, 3.0), st.floats(0.1, 3.0), st.floats(
 phase_gate_params = st.tuples(st.floats(0.5, 3.0), signed(0.0, 2.0), st.floats(0.5, 2.0))
 
 
+@contextmanager
+def recorded_solves():
+    """The (f, fprime, q_max) of every root solve inside the block."""
+    solves = []
+    solve = presets.solve_positive_root
+
+    def recording_solve(f, fprime, q_max, guess=None):
+        solves.append((f, fprime, q_max))
+        return solve(f, fprime, q_max, guess=guess)
+
+    with mock.patch.object(presets, "solve_positive_root", recording_solve):
+        yield solves
+
+
+def bracketed_refine(f, fprime, guess, q_max):
+    """The refine from ``guess`` in the first local bracket (5 %, then 20 %
+    half-width) that holds a sign change; None when neither does."""
+    for half_width in (0.05, 0.2):
+        a = max(1e-12 * max(1.0, q_max), guess - half_width * guess)
+        b = min(q_max, guess + half_width * guess)
+        if f(a) * f(b) < 0.0:
+            return newton_refine(f, fprime, guess, a, b)
+    return None
+
+
 def check_warm_refine(solve, polynomial, params, nudged):
     # A time step moves the parameters a little; the refine warm-started from
     # the previous root must converge in a few Newton steps, not run to
-    # maxiter, and agree with a cold solve and with bisection to 4 ulp.
+    # maxiter, and agree with a cold solve and with bisection to 4 ulp.  A
+    # guess that is not the root takes the bracketed refine, bit for bit and
+    # with as many derivative evaluations.
     previous = solve(*params)
     with counted_derivative_calls() as calls:
         warm = solve(*nudged, guess=previous)
     assert len(calls) <= 6
+    with recorded_solves() as solves:
+        solve(*nudged)
+    (f, fprime, q_max), = solves
+    refine_calls = []
+    expected = bracketed_refine(f, lambda q: refine_calls.append(q) or fprime(q), previous, q_max)
+    assert (warm, len(calls)) == (expected, len(refine_calls))
     cold = solve(*nudged)
     assert abs(warm - cold) <= 4 * math.ulp(cold)
     oracle = bisect(lambda q: polynomial(q, *nudged), 0.5 * cold, 2.0 * cold)
@@ -364,3 +403,68 @@ def test_warm_phase_gate_refine_converges_in_a_few_steps(params, rel):
 
     nudged = tuple(p * (1.0 + r) for p, r in zip(params, rel))
     check_warm_refine(solve, cubic, params, nudged)
+
+
+def check_warm_exit(solve, params):
+    # Solving again from the returned root evaluates f once, and f' once
+    # unless f(root) == 0, and returns what the bracketed refine returns.  A
+    # guess above q_max takes the full scan, which finds no root below the
+    # root itself.
+    with recorded_solves() as solves:
+        root = solve(*params)
+    (f, fprime, q_max), = solves
+    f_calls, d_calls = [], []
+    again = solve_positive_root(
+        lambda q: f_calls.append(q) or f(q), lambda q: d_calls.append(q) or fprime(q),
+        q_max, guess=root,
+    )
+    assert (len(f_calls), len(d_calls)) == (1, int(f(root) != 0.0))
+    assert again == bracketed_refine(f, fprime, root, q_max)
+    with pytest.raises(PresetDomainError):
+        solve_positive_root(f, fprime, root * (1.0 - 1e-9), guess=root)
+
+
+@PROPERTY
+@given(separation_params)
+def test_separation_root_exits_warm_after_one_step(params):
+    check_warm_exit(solve_separation_distance, params)
+
+
+@PROPERTY
+@given(phase_gate_params)
+def test_phase_gate_root_exits_warm_after_one_step(params):
+    check_warm_exit(lambda k0, d, Cc: solve_phase_gate_distance(d, 0.0, k0, Cc), params)
+
+
+def test_a_guess_at_or_below_zero_takes_the_full_scan():
+    # -2 is a root of q^2 - 4, but not a positive one.
+    assert solve_positive_root(lambda q: q * q - 4.0, lambda q: 2.0 * q, 3.0, guess=-2.0) == 2.0
+
+
+@pytest.mark.parametrize("kind", ["custom", "crossing", "rotation", "separation"])
+@PROPERTY
+@given(data=st.data())
+def test_float_map_matches_the_decomposition(kind, data):
+    # The map threads the mode angle as decompose_at does and forms the modal
+    # products in floats: it equals to_mode_frame of the decomposition, and
+    # the decomposition's numpy matrices, to rounding of the state scale.
+    if kind == "crossing":
+        sys = data.draw(crossing_systems(), label="system")[0]
+    elif kind == "custom":
+        sys = data.draw(systems(), label="system")
+    else:
+        sys = data.draw(preset_systems(kind), label="system")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    times = np.linspace(0.0, 1.0, 65)
+    states = rng.uniform(-2.0, 2.0, (len(times), 4))
+    mapped = map_to_mode_frame(sys, Trajectory("lab", times, states, times[1])).states
+    tol = 1e-14 * np.abs(mapped).max()
+    branch = None
+    for i, t in enumerate(times.tolist()):
+        dec = decompose_at(sys, t, branch_ref=branch)
+        branch = dec.theta
+        q, p = states[i, :2], states[i, 2:]
+        ref = to_mode_frame(dec, PhasePoint(t, q, p), sys).state()
+        oracle = np.concatenate([dec.A @ (q - sys.equilibrium(t)), dec.A_inv.T @ p])
+        assert np.abs(mapped[i] - ref).max() <= tol
+        assert np.abs(mapped[i] - oracle).max() <= tol

@@ -21,6 +21,14 @@ def test_mass_pair_validation():
         MassPair(1.0, float("nan"))
 
 
+@pytest.mark.parametrize("name", ["k", "k1", "k2"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_stiffness_triple_names_the_non_finite_entry(name, bad):
+    entries = {"k": 1.0, "k1": 2.0, "k2": 3.0, name: bad}
+    with pytest.raises(ConfigError, match=f"^stiffness {name} must be finite, got {bad}$"):
+        StiffnessTriple(**entries)
+
+
 def test_stiffness_matrix_assembly():
     assert np.array_equal(
         StiffnessTriple(1.0, 1.0, 1.0).matrix(), np.array([[2.0, -1.0], [-1.0, 2.0]])
