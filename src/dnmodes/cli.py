@@ -26,6 +26,7 @@ import numpy as np
 from .dynamics import (
     MAX_SAMPLES,
     IntegratorSpec,
+    _csv_rows,
     _fmt,
     frame_equivalence_check,
     integrate_lab,
@@ -33,7 +34,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .errors import ConfigError, DivergenceError, DnmError, PresetDomainError, ScheduleDomainError
-from .modes import classify_separability, decompose_at, ellipse_at
+from .modes import classify_separability, decompose_at, ellipse_at, theta_at
 from .presets import PRESET_CONFIGS, build_preset
 from .quadratic import PhasePoint
 from .schedules import SCHEDULE_KINDS, is_finite_number, json_fields
@@ -140,10 +141,9 @@ def _analysis_rows(cfg: dict, samples: int) -> list:
 def cmd_analyze(cfg: dict, out_base: str) -> int:
     rows = _analysis_rows(cfg, cfg.get("samples", 200))
     path = out_base + "_analyze.csv"
+    header = "t,theta,theta_dot,omega1_sq,omega2_sq,ellipse_r1,ellipse_r2,q1_eq,q2_eq\n"
     with open(path, "w", newline="") as fh:
-        fh.write("t,theta,theta_dot,omega1_sq,omega2_sq,ellipse_r1,ellipse_r2,q1_eq,q2_eq\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(header + _csv_rows(rows, 9))
     print(path)
     return EXIT_OK
 
@@ -184,7 +184,7 @@ def cmd_simulate(cfg: dict, out_base: str, larmor: bool) -> int:
         report = frame_equivalence_check(sys_, x0, mode_spec)
         mode = integrate_modes(
             sys_, report.mapped.point(0), mode_spec, apply_larmor=larmor,
-            theta0=decompose_at(sys_, t0).theta,
+            theta0=theta_at(sys_.stiffness(t0), sys_.masses),
         )
     except DivergenceError as exc:
         write_trajectory_csv(exc.partial, f"{out_base}_{exc.partial.frame}.csv.partial")

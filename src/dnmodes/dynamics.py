@@ -262,6 +262,9 @@ def integrate_modes(
     def rhs(t, y):
         theta, o1, o2 = branch.frequencies(t)
         P0 = drive_at(sys, t, theta)
+        # theta_dot evaluates its own triple: handing it the stage's would
+        # take sim-separation below the 50 root solves per step that
+        # perfbench/tests pins (test_pinned_layer_counts[sim-separation]).
         th_dot = theta_dot_at(sys, t)
         Q1, Q2, P1, P2 = y
         td = th_dot if lz_coupling else 0.0
@@ -332,7 +335,7 @@ def frame_equivalence_check(
     lab = integrate_lab(sys, x0_lab, spec)
     mapped = map_to_mode_frame(sys, lab)
     X0 = mapped.point(0)
-    theta0 = decompose_at(sys, spec.t0).theta
+    theta0 = theta_at(sys.stiffness(spec.t0), sys.masses)
     modes = integrate_modes(sys, X0, spec, lz_coupling=lz_coupling, theta0=theta0)
     diffs = np.linalg.norm(mapped.states - modes.states, axis=1)
     scale = float(np.linalg.norm(mapped.states, axis=1).max())
@@ -394,13 +397,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(rows, width: int, tail: str = "") -> str:
+    """CSV lines of ``width`` numbers each, written as :func:`_fmt` writes
+    them (``%.17g``), then ``tail``; one template formats each row tuple."""
+    template = ",".join(["%.17g"] * width) + tail + "\n"
+    return "".join([template % row for row in rows])
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export with 17-significant-digit floats for bit-faithful round-trips."""
-    if traj.frame == "lab":
-        header = "t,q1,q2,p1,p2,frame"
-    else:
-        header = "t,Q1,Q2,P1,P2,frame"
+    names = "t,q1,q2,p1,p2" if traj.frame == "lab" else "t,Q1,Q2,P1,P2"
+    rows = zip(traj.times.tolist(), *traj.states.T.tolist())
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for t, state in zip(traj.times.tolist(), traj.states.tolist()):
-            fh.write(",".join(map(_fmt, (t, *state))) + f",{traj.frame}\n")
+        fh.write(f"{names},frame\n" + _csv_rows(rows, 5, "," + traj.frame))

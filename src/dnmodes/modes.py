@@ -164,19 +164,26 @@ def _modal_product(c: float, s: float, w1: float, w2: float, x1: float, x2: floa
     return (w1 * c * x1 + w2 * s * x2, -w1 * s * x1 + w2 * c * x2)
 
 
-def theta_dot_at(sys: QuadraticSystem, t: float, method: str = "auto") -> float:
+def theta_dot_at(
+    sys: QuadraticSystem, t: float, method: str = "auto",
+    triple: Optional[StiffnessTriple] = None,
+) -> float:
     """Rate of the mode angle.
 
     ``auto`` prefers a preset-supplied closed form, then the chain rule on
     the atan2 expression (needs stiffness rates), then a central finite
-    difference of the unwrapped angle.
+    difference of the unwrapped angle.  A caller that already holds the
+    stiffness triple at t passes it as ``triple``, so the chain rule does
+    not evaluate the stiffness again (on the ion pair, a root solve).
     """
     if method == "auto" and sys.theta_dot_override is not None:
         return sys.theta_dot_override(t)
     if method not in ("auto", "analytic", "fd"):
         raise ConfigError(f"unknown theta_dot method {method!r}")
     if method in ("auto", "analytic"):
-        num, den, scale = _theta_num_den(sys.stiffness(t), sys.masses)
+        if triple is None:
+            triple = sys.stiffness(t)
+        num, den, scale = _theta_num_den(triple, sys.masses)
         dk, dk1, dk2 = sys.stiffness_rate_at(t)
         num_dot = 2.0 * dk * math.sqrt(sys.masses.m1 * sys.masses.m2)
         den_dot = sys.masses.m1 * (dk + dk2) - sys.masses.m2 * (dk + dk1)
@@ -218,6 +225,8 @@ def larmor_rate_at(sys: QuadraticSystem, t: float, theta_dot: Optional[float] = 
 def decompose_at(
     sys: QuadraticSystem, t: float, branch_ref: Optional[float] = None
 ) -> ModeDecomposition:
+    """theta, theta_dot, the squared mode frequencies and A at t, from one
+    stiffness evaluation: theta_dot reuses the triple."""
     triple = sys.stiffness(t)
     theta = theta_at(triple, sys.masses, branch_ref)
     o1, o2 = eigenfrequencies(triple, sys.masses, theta)
@@ -225,7 +234,7 @@ def decompose_at(
     return ModeDecomposition(
         t=t,
         theta=theta,
-        theta_dot=theta_dot_at(sys, t),
+        theta_dot=theta_dot_at(sys, t, triple=triple),
         omega1_sq=o1,
         omega2_sq=o2,
         A=A,
@@ -310,9 +319,9 @@ def momentum_shift(
     )
 
 
-def _detect_analytic_case(sys: QuadraticSystem, times) -> Optional[str]:
-    """Name the sufficient decoupling condition if one visibly applies."""
-    triples = [sys.stiffness(t) for t in times]
+def _detect_analytic_case(masses: MassPair, triples) -> Optional[str]:
+    """Name the sufficient decoupling condition if one visibly applies to
+    the stiffness triples sampled over the window."""
     scale = max(
         max(abs(tr.k), abs(tr.k1), abs(tr.k2)) for tr in triples
     )
@@ -321,7 +330,7 @@ def _detect_analytic_case(sys: QuadraticSystem, times) -> Optional[str]:
     tol = 1e-9 * scale
     if all(abs(tr.k) <= tol for tr in triples):
         return "k=0"
-    if sys.masses.m1 == sys.masses.m2 and all(
+    if masses.m1 == masses.m2 and all(
         abs(tr.k1 - tr.k2) <= tol for tr in triples
     ):
         return "k1=k2, m1=m2"
@@ -348,13 +357,21 @@ def classify_separability(
     if n_samples < 2:
         raise ConfigError("classify_separability needs n_samples >= 2")
     t0, t1 = window
+    # The loop keeps numpy times and evaluates theta_dot without its triple.
+    # On numpy times the ion pair caches an np.float64 root, and `separable`
+    # becomes the numpy bool behind the phase-gate `classify` failure that
+    # perfbench/tests pins (test_pinned_layer_counts[survey-phase-gate]).
+    # The loop's numpy triple in theta_dot would make custom k1 = 1e300
+    # overflow (test_stiffness_near_the_float_limit_analyzes_and_classifies).
     times = np.linspace(t0, t1, n_samples)
     theta_samples = []
+    triples = []
     branch = None
     max_rate = 0.0
     stable = True
     for t in times:
         triple = sys.stiffness(t)
+        triples.append(triple)
         branch = theta_at(triple, sys.masses, branch_ref=branch)
         theta_samples.append((float(t), branch))
         o1, o2 = eigenfrequencies(triple, sys.masses, branch)
@@ -367,7 +384,7 @@ def classify_separability(
         separable=max_rate <= tol_sep,
         theta_samples=tuple(theta_samples),
         stability="both-stable" if stable else "transiently-unstable",
-        analytic_case=_detect_analytic_case(sys, times),
+        analytic_case=_detect_analytic_case(sys.masses, triples),
     )
 
 

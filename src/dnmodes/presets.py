@@ -398,27 +398,32 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
 
     The equilibrium root solve is authoritative; the published closed forms
     are evaluated alongside and a :class:`FormulaDiscrepancyWarning` fires
-    if the per-ion forms drift beyond 1e-8 relative.  The pair's centre is
+    if the per-ion forms drift beyond 1e-8 relative.  That audit runs once
+    per time: the views at one sample time each solve for q0, and calls
+    repeating the time just audited skip it.  The pair's centre is
     -(F1 + F2) / (2 k0).
     """
     if cfg.zeroth_order:
         return build_phase_gate_zeroth_order(cfg)
     k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1, cfg.F2
+    audited = [None]  # the time of the last audit
 
     def distance(t: float, guess) -> float:
         f1, f2 = F1.value(t), F2.value(t)
         q0 = solve_phase_gate_distance(f1, f2, k0, Cc, guess=guess)
-        try:
-            q1c, q2c = phase_gate_equilibria_closed_form(f1, f2, k0, Cc)
-            if abs((q1c - q2c) - q0) > 1e-8 * abs(q0):
-                warnings.warn(
-                    f"per-ion closed-form equilibria disagree with root solve at t={t}: "
-                    f"closed form q0={q1c - q2c}, root q0={q0}",
-                    FormulaDiscrepancyWarning,
-                    stacklevel=2,
-                )
-        except (PresetDomainError, ArithmeticError):
-            pass  # closed form undefined or overflowing here; root solve stands alone
+        if t != audited[0]:
+            try:
+                q1c, q2c = phase_gate_equilibria_closed_form(f1, f2, k0, Cc)
+                if abs((q1c - q2c) - q0) > 1e-8 * abs(q0):
+                    warnings.warn(
+                        f"per-ion closed-form equilibria disagree with root solve at t={t}: "
+                        f"closed form q0={q1c - q2c}, root q0={q0}",
+                        FormulaDiscrepancyWarning,
+                        stacklevel=2,
+                    )
+            except (PresetDomainError, ArithmeticError):
+                pass  # closed form undefined or overflowing here; root solve stands alone
+            audited[0] = t
         return q0
 
     def distance_rate(t: float, q0: float) -> float:

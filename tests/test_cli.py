@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import dnmodes
-from dnmodes import cli, dynamics, presets
+from dnmodes import cli, dynamics, modes, presets
 from dnmodes.cli import main
 
 
@@ -349,7 +349,8 @@ def test_stiffness_near_the_float_limit_analyzes_and_classifies(tmp_path, capsys
 def test_separation_simulate_work_counts(tmp_path, capsys):
     # Ceilings on the root solves per step and the decompositions of a
     # separation simulate: a regression fails, an improvement passes.  The
-    # lab-to-mode map needs no decomposition per sample.
+    # lab-to-mode map needs no decomposition per sample, and the starting
+    # mode angle needs only the stiffness at t0.
     alpha = {"kind": "smoothstep", "v0": 0.7, "v1": -1.2, "t0": 0.1, "t1": 0.9}
     cfg = {
         "schema": 1,
@@ -377,4 +378,48 @@ def test_separation_simulate_work_counts(tmp_path, capsys):
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
     capsys.readouterr()
     assert len(solves) <= 53 * 64
-    assert len(decompositions) <= 2
+    assert len(decompositions) == 0
+
+
+def test_phase_gate_survey_work_counts(tmp_path, capsys):
+    # Ceilings on the survey path.  analyze solves for q0 once per view at a
+    # sample (stiffness, its rate and the equilibrium), because theta_dot
+    # reuses decompose_at's triple; classify_separability reuses its loop's
+    # triples for the analytic case; and the phase gate audits its closed
+    # form once per sample time, not once per root solve.  The command-line
+    # classify is not used, because it still fails on the phase gate.
+    n = 40
+    cfg = {
+        "schema": 1,
+        "preset": {
+            "type": "phase-gate", "k0": 1.2, "Cc": 1.0, "masses": [1.0, 1.7],
+            "F1": {"kind": "smoothstep", "v0": 0.0, "v1": 0.3, "t0": 1.0, "t1": 5.0},
+            "F2": {"kind": "smoothstep", "v0": 0.0, "v1": -0.3, "t0": 2.0, "t1": 6.0},
+        },
+        "window": [0.0, 8.0],
+        "samples": n,
+        "output": {"path": str(tmp_path / "pg")},
+    }
+    solves, audits = [], []
+    solve, closed_form = presets.solve_positive_root, presets.phase_gate_equilibria_closed_form
+
+    def counting_solve(f, fprime, q_max, guess=None):
+        solves.append(guess)
+        return solve(f, fprime, q_max, guess=guess)
+
+    def counting_closed_form(*args):
+        audits.append(args)
+        return closed_form(*args)
+
+    with mock.patch.object(presets, "solve_positive_root", counting_solve), \
+            mock.patch.object(presets, "phase_gate_equilibria_closed_form", counting_closed_form):
+        assert main(["analyze", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert len(solves) <= 3 * n
+        assert len(audits) == n  # every sample time, once
+        del solves[:], audits[:]
+        sys_ = presets.build_preset(cfg["preset"])
+        rep = modes.classify_separability(sys_, (0.0, 8.0), n_samples=n)
+        assert len(solves) <= 3 * n + 1
+        assert len(audits) == n
+    capsys.readouterr()
+    assert rep.analytic_case is None and len(rep.theta_samples) == n

@@ -6,6 +6,8 @@ import pytest
 from dnmodes.dynamics import (
     IntegratorSpec,
     Trajectory,
+    _csv_rows,
+    _fmt,
     energy_audit,
     frame_equivalence_check,
     integrate_lab,
@@ -281,3 +283,14 @@ def test_csv_round_trip(tmp_path):
     got = np.array([[float(x) for x in ln.split(",")[:5]] for ln in lines[1:]])
     assert np.array_equal(got[:, 0], traj.times)
     assert np.array_equal(got[:, 1:], traj.states)
+
+
+def test_csv_rows_write_numbers_as_fmt_does():
+    # One %.17g template per row writes the bytes that _fmt writes per value,
+    # NaN radii, infinities, signed zeros, subnormals and numpy scalars included.
+    rng = np.random.default_rng(3)
+    values = [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, 5e-324, 2.0**53 + 2.0,
+              np.float64(0.1), *(rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40))]
+    rows = [tuple(values[i:i + 3]) for i in range(0, len(values) - 2, 3)]
+    expected = "".join(",".join(map(_fmt, row)) + ",x\n" for row in rows)
+    assert _csv_rows(rows, 3, ",x") == expected
