@@ -165,36 +165,33 @@ def _modal_product(c: float, s: float, w1: float, w2: float, x1: float, x2: floa
 
 
 def theta_dot_at(
-    sys: QuadraticSystem, t: float, method: str = "auto",
-    triple: Optional[StiffnessTriple] = None,
+    sys: QuadraticSystem, t: float, triple: Optional[StiffnessTriple] = None
 ) -> float:
     """Rate of the mode angle.
 
-    ``auto`` prefers a preset-supplied closed form, then the chain rule on
-    the atan2 expression (needs stiffness rates), then a central finite
-    difference of the unwrapped angle.  A caller that already holds the
-    stiffness triple at t passes it as ``triple``, so the chain rule does
-    not evaluate the stiffness again (on the ion pair, a root solve).
+    The preset's closed form when it supplies one, else the chain rule on
+    the atan2 expression from the stiffness and its rate.  At a degenerate
+    instant, where any angle diagonalizes, a central difference of the
+    unwrapped angle, on the branch of theta(t - h).  A caller that already
+    holds the stiffness triple at t passes it as ``triple``, so the chain
+    rule does not evaluate the stiffness again (on the ion pair, a root
+    solve).
     """
-    if method == "auto" and sys.theta_dot_override is not None:
+    if sys.theta_dot_override is not None:
         return sys.theta_dot_override(t)
-    if method not in ("auto", "analytic", "fd"):
-        raise ConfigError(f"unknown theta_dot method {method!r}")
-    if method in ("auto", "analytic"):
-        if triple is None:
-            triple = sys.stiffness(t)
-        num, den, scale = _theta_num_den(triple, sys.masses)
+    if triple is None:
+        triple = sys.stiffness(t)
+    num, den, scale = _theta_num_den(triple, sys.masses)
+    if math.hypot(num, den) > EPS_DEGENERATE * scale:  # theta_at's test; it cannot overflow
         dk, dk1, dk2 = sys.stiffness_rate_at(t)
         num_dot = 2.0 * dk * math.sqrt(sys.masses.m1 * sys.masses.m2)
         den_dot = sys.masses.m1 * (dk + dk2) - sys.masses.m2 * (dk + dk1)
-        if math.hypot(num, den) > EPS_DEGENERATE * scale:  # theta_at's test; it cannot overflow
-            return 0.5 * (num_dot * den - num * den_dot) / (num * num + den * den)
-        if method == "analytic":
-            return 0.0
+        return 0.5 * (num_dot * den - num * den_dot) / (num * num + den * den)
+    # Anchored at t - h: theta(t) is the degenerate value 0, from which the
+    # two neighbours may sit on a rounding tie at +-pi/4.
     h = fd_step(t)
-    th0 = theta_at(sys.stiffness(t), sys.masses)
-    thm = theta_at(sys.stiffness(t - h), sys.masses, branch_ref=th0)
-    thp = theta_at(sys.stiffness(t + h), sys.masses, branch_ref=th0)
+    thm = theta_at(sys.stiffness(t - h), sys.masses)
+    thp = theta_at(sys.stiffness(t + h), sys.masses, branch_ref=thm)
     return (thp - thm) / (2.0 * h)
 
 

@@ -259,6 +259,8 @@ def separability_condition_separation(
     Also cross-checks that beta*q0^5 and alpha*q0^3 stay constant, which is
     the equivalent statement through the equilibrium distance.
     """
+    if n_samples < 2:
+        raise ConfigError("separability_condition_separation needs n_samples >= 2")
     alpha = as_schedule(alpha)
     beta = as_schedule(beta)
     t0, t1 = window

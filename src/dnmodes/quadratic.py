@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .schedules import check_fields, fd_step
+from .schedules import check_fields
 
 __all__ = ["MassPair", "StiffnessTriple", "PhasePoint", "QuadraticSystem"]
 
@@ -87,19 +87,20 @@ class PhasePoint:
 class QuadraticSystem:
     """Masses plus callables giving stiffness and equilibrium along time.
 
-    ``stiffness_rate``, ``equilibrium_velocity``, and ``theta_dot_override``
-    are optional analytic fast paths; missing ones fall back to central
-    finite differences.  ``full_potential(q1, q2, t)`` is the untruncated
-    potential when the builder knows it (used by verification oracles).
-    Instances are treated as immutable after construction; all evaluation
-    methods are pure.
+    ``stiffness_rate`` and ``equilibrium_velocity`` are the closed-form
+    rates of ``stiffness`` and ``equilibrium``; every builder supplies both.
+    ``theta_dot_override`` is an optional closed form of the mode-angle
+    rate.  ``full_potential(q1, q2, t)`` is the untruncated potential when
+    the builder knows it (used by verification oracles).  Instances are
+    treated as immutable after construction; all evaluation methods are
+    pure.
     """
 
     masses: MassPair
     stiffness: Callable[[float], StiffnessTriple]
     equilibrium: Callable[[float], tuple]
-    equilibrium_velocity: Optional[Callable[[float], tuple]] = None
-    stiffness_rate: Optional[Callable[[float], tuple]] = None
+    equilibrium_velocity: Callable[[float], tuple]
+    stiffness_rate: Callable[[float], tuple]
     theta_dot_override: Optional[Callable[[float], float]] = None
     larmor_rate: Optional[Callable[[float], float]] = None
     full_potential: Optional[Callable[[float, float, float], float]] = None
@@ -111,26 +112,15 @@ class QuadraticSystem:
     def stiffness_matrix_at(self, t: float) -> np.ndarray:
         return self.stiffness(t).matrix()
 
+    # The two *_at methods only call their fields; perfbench/tracer.py
+    # patches them by name.
+
     def stiffness_rate_at(self, t: float) -> tuple:
-        """(dk/dt, dk1/dt, dk2/dt), analytic if supplied else O(h^2) FD."""
-        if self.stiffness_rate is not None:
-            return self.stiffness_rate(t)
-        h = fd_step(t)
-        a = self.stiffness(t + h)
-        b = self.stiffness(t - h)
-        return (
-            (a.k - b.k) / (2.0 * h),
-            (a.k1 - b.k1) / (2.0 * h),
-            (a.k2 - b.k2) / (2.0 * h),
-        )
+        """(dk/dt, dk1/dt, dk2/dt)."""
+        return self.stiffness_rate(t)
 
     def equilibrium_velocity_at(self, t: float) -> tuple:
-        if self.equilibrium_velocity is not None:
-            return self.equilibrium_velocity(t)
-        h = fd_step(t)
-        a = self.equilibrium(t + h)
-        b = self.equilibrium(t - h)
-        return ((a[0] - b[0]) / (2.0 * h), (a[1] - b[1]) / (2.0 * h))
+        return self.equilibrium_velocity(t)
 
     # -- lab-frame evaluation -----------------------------------------------
 

@@ -51,9 +51,7 @@ class ControlSchedule:
         raise NotImplementedError
 
     def derivative(self, t: float) -> float:
-        # O(h^2) central-difference fallback for kinds without an analytic form.
-        h = fd_step(t)
-        return (self.value(t + h) - self.value(t - h)) / (2.0 * h)
+        raise NotImplementedError
 
 
 def is_finite_number(x) -> bool:

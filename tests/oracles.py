@@ -2,13 +2,17 @@
 
 Kept deliberately separate from the library paths they check: plain
 bisection (no Newton), high-order finite differences for gradients and
-Hessians, a brute-force 2x2 eigendecomposition via the characteristic
-polynomial, and fixed-step RK4 on numpy arrays.
+Hessians, a central difference of the mode angle, a brute-force 2x2
+eigendecomposition via the characteristic polynomial, and fixed-step RK4
+on numpy arrays.
 """
 
 import math
 
 import numpy as np
+
+from dnmodes.modes import theta_at
+from dnmodes.schedules import fd_step
 
 
 def bisect(f, a, b, iters=200):
@@ -74,6 +78,16 @@ def hessian4(f, x, h=1e-3):
             fine = _mixed2(f, x, 0.5 * ei, 0.5 * ej, 0.5 * h)
             H[i, j] = H[j, i] = (4 * fine - coarse) / 3
     return H
+
+
+def theta_dot_fd(sys, t):
+    """Central difference of the unwrapped mode angle around theta(t);
+    ignores the system's theta_dot_override and stiffness rates."""
+    h = fd_step(t)
+    th0 = theta_at(sys.stiffness(t), sys.masses)
+    thm = theta_at(sys.stiffness(t - h), sys.masses, branch_ref=th0)
+    thp = theta_at(sys.stiffness(t + h), sys.masses, branch_ref=th0)
+    return (thp - thm) / (2.0 * h)
 
 
 def eig2_characteristic(K):

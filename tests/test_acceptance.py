@@ -48,7 +48,7 @@ from dnmodes.presets import (
 from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
 from dnmodes.schedules import ControlSchedule, LinearRamp, Smoothstep
 
-from oracles import bisect, eig2_characteristic, grad4, hessian4
+from oracles import bisect, eig2_characteristic, grad4, hessian4, theta_dot_fd
 
 
 _CAPSYS = None
@@ -157,7 +157,7 @@ def test_criterion_02_constant_theta_cases():
     worst = {}
     for name, sys in cases.items():
         rates = [
-            abs(theta_dot_at(sys, float(t), method="fd"))
+            abs(theta_dot_fd(sys, float(t)))
             for t in np.linspace(0.0, 10.0, 200)
         ]
         worst[name] = max(rates)

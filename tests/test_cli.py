@@ -346,6 +346,28 @@ def test_stiffness_near_the_float_limit_analyzes_and_classifies(tmp_path, capsys
     assert math.isfinite(json.loads(capsys.readouterr().out)["max_abs_theta_dot"])
 
 
+def test_classify_through_an_isotropic_instant(tmp_path, capsys):
+    # k ramps through 0 with k1 = k2 and equal masses; 201 samples land on
+    # t = 5, where the stiffness is isotropic.  The mode angle never turns.
+    ramp = {"kind": "linear-ramp", "t0": 0.0, "v0": -5.0, "t1": 10.0, "v1": 5.0}
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "custom", "k": ramp, "k1": 1.0, "k2": 1.0, "masses": [1.0, 1.0]},
+        "window": [0.0, 10.0],
+        "output": {"path": str(tmp_path / "iso")},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert main(["classify", "--config", path, "--samples", "201"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_abs_theta_dot"] == 0.0 and report["separable"] is True
+    assert report["analytic_case"] == "k1=k2, m1=m2"
+    assert main(["analyze", "--config", path, "--samples", "201"]) == 0
+    with open(tmp_path / "iso_analyze.csv", newline="") as fh:
+        rates = [float(row["theta_dot"]) for row in csv.DictReader(fh)]
+    assert len(rates) == 201 and not any(rates)
+    capsys.readouterr()
+
+
 def test_separation_simulate_work_counts(tmp_path, capsys):
     # Ceilings on the root solves per step and the decompositions of a
     # separation simulate: a regression fails, an improvement passes.  The

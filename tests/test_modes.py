@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from dnmodes.presets import (
 from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
 from dnmodes.schedules import ControlSchedule, LinearRamp, Smoothstep
 
-from oracles import eig2_characteristic
+from oracles import eig2_characteristic, theta_dot_fd
 
 
 def test_mass_weighted_stiffness():
@@ -154,19 +155,19 @@ def test_theta_dot_transport_constant():
     sys = build_transport(
         TransportConfig(k=Smoothstep(1.0, 3.0, 0.0, 5.0), Q0=0.0, masses=(2.0, 1.0))
     )
+    chain_rule = dataclasses.replace(sys, theta_dot_override=None)
     for t in np.linspace(0.2, 4.8, 7):
         assert theta_dot_at(sys, t) == 0.0
-        assert abs(theta_dot_at(sys, t, method="analytic")) < 1e-12
+        assert abs(theta_dot_at(chain_rule, t)) < 1e-12
 
 
 def test_theta_dot_rotation_matches_phi_rate():
     phi = Smoothstep(0.0, math.pi / 2, 0.0, 4.0)
     sys = build_rotation(RotationConfig(m=1.0, omega1=2.0, omega2=1.0, phi=phi))
+    chain_rule = dataclasses.replace(sys, theta_dot_override=None)
     for t in np.linspace(0.3, 3.7, 9):
         assert theta_dot_at(sys, t) == pytest.approx(phi.derivative(t), abs=1e-14)
-        assert theta_dot_at(sys, t, method="analytic") == pytest.approx(
-            phi.derivative(t), rel=1e-9
-        )
+        assert theta_dot_at(chain_rule, t) == pytest.approx(phi.derivative(t), rel=1e-9)
 
 
 def test_theta_dot_constrained_separation_ramp():
@@ -190,10 +191,9 @@ def test_theta_dot_constrained_separation_ramp():
 def test_theta_dot_analytic_vs_fd():
     phi = Smoothstep(0.0, 1.0, 0.0, 4.0)
     sys = build_rotation(RotationConfig(m=1.5, omega1=2.0, omega2=1.0, phi=phi))
+    chain_rule = dataclasses.replace(sys, theta_dot_override=None)
     for t in np.linspace(0.5, 3.5, 7):
-        assert theta_dot_at(sys, t, method="analytic") == pytest.approx(
-            theta_dot_at(sys, t, method="fd"), abs=1e-6
-        )
+        assert theta_dot_at(chain_rule, t) == pytest.approx(theta_dot_fd(sys, t), abs=1e-6)
 
 
 def test_a_dot_a_inv_structure():
@@ -336,6 +336,19 @@ def test_classify_springs_uncoupled():
     rep = classify_separability(sys, (0.0, 5.0), n_samples=100)
     assert rep.separable
     assert rep.analytic_case == "k=0"
+
+
+def test_classify_through_an_isotropic_instant():
+    # With k1 = k2 and equal masses the mode angle stays at +-pi/4; k ramps
+    # through 0, where the stiffness is isotropic and any angle diagonalizes.
+    # 201 samples land on that instant, where theta_dot takes a central
+    # difference of the angle; it must not see a quarter turn there.
+    sys = build_custom(CustomConfig(k=LinearRamp(0.0, -5.0, 10.0, 5.0), k1=1.0, k2=1.0))
+    assert theta_dot_at(sys, 5.0) == 0.0
+    for n in (200, 201):
+        rep = classify_separability(sys, (0.0, 10.0), n_samples=n)
+        assert rep.max_abs_theta_dot == 0.0 and rep.separable
+        assert rep.analytic_case == "k1=k2, m1=m2"
 
 
 def test_theta_branch_continuity_over_rotation_ramp():

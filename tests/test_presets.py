@@ -140,6 +140,12 @@ def test_separability_condition_checker():
     assert bad.max_rel_deviation > 1e-3
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_separability_condition_needs_two_samples(n):
+    with pytest.raises(ConfigError, match="n_samples >= 2"):
+        separability_condition_separation(1.0, 0.5, (0.0, 1.0), n_samples=n)
+
+
 def test_equal_mass_separation_theta_quarter_turn():
     sys = build_separation(
         SeparationConfig(alpha=Smoothstep(1.0, 0.3, 0.0, 4.0), beta=0.5, masses=(2.0, 2.0))

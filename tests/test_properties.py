@@ -9,9 +9,11 @@ through the default branch edges at +-pi/4.
 The preset systems draw quadratic schedules inside each preset's valid
 domain: a positive trap spring, one positive equilibrium root, and springs
 whose determinant stays positive.  On them, the decomposition's theta_dot
-(from the triple it already holds) is theta_dot_at's, and classify names
-the analytic case of a fresh evaluation.  A separation system evaluated in
-shuffled time order should return the same bits (a known defect today).
+(from the triple it already holds) is theta_dot_at's, the chain rule
+through the stiffness rates agrees with each closed-form theta_dot, and
+classify names the analytic case of a fresh evaluation.  A separation
+system evaluated in shuffled time order should return the same bits (a
+known defect today).
 
 The root properties draw separation quintics and phase-gate cubics; both
 have one simple positive root over the drawn ranges.  A solve warm-started
@@ -330,6 +332,31 @@ def test_decomposition_theta_dot_is_theta_dot_at(kind, data):
     t = data.draw(st.floats(0.0, 1.0), label="t")
     rate = decompose_at(sys, t).theta_dot
     assert rate == pytest.approx(theta_dot_at(sys, t), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["transport", "rotation", "phase-gate-zeroth-order"])
+@PROPERTY
+@given(data=st.data())
+def test_theta_dot_chain_rule_matches_the_closed_form(kind, data):
+    # On a copy without the preset's closed form, theta_dot_at takes the
+    # chain rule through the stiffness rates.  Rotation frequencies stay
+    # apart, where the stiffness is far from isotropic.
+    configs = preset_configs(kind)
+    if kind == "rotation":
+        configs = configs.filter(lambda cfg: abs(cfg.omega1 - cfg.omega2) >= 0.1)
+    cfg = data.draw(configs, label="config")
+    sys = build_preset(cfg)
+    t = data.draw(st.floats(0.0, 1.0), label="t")
+    closed_form = sys.theta_dot_override(t)
+    chain_rule = theta_dot_at(replace(sys, theta_dot_override=None), t)
+    if kind == "rotation":
+        assert chain_rule == pytest.approx(closed_form, rel=1e-9, abs=0.0)
+    elif kind == "transport":
+        # The closed form is 0; the chain rule cancels k-dot k - k k-dot.
+        assert closed_form == 0.0
+        assert abs(chain_rule) <= 1e-12 * abs(cfg.k.derivative(t) / cfg.k.value(t))
+    else:
+        assert chain_rule == closed_form == 0.0
 
 
 @pytest.mark.parametrize("kind, cases", [
