@@ -4,9 +4,9 @@
         [--larmor] [--dt x] [--samples n]
 
 Configs are JSON with a top-level ``"schema": 1``; unknown fields are
-rejected (fail-closed).  Exit codes: 0 success, 2 config error or an
-output that cannot be written, 3 preset domain error or arithmetic
-overflow, 4 divergence (partial output kept with a ``.partial`` suffix).
+rejected (fail-closed).  Exit codes: 0 success, 2 config error, bad flag or
+unwritable output, 3 preset domain error or arithmetic overflow, 4
+divergence (partial output kept with a ``.partial`` suffix).
 ``DNM_THREADS`` caps sweep parallelism.  Output is byte-identical across
 repeated runs of the same config.
 """
@@ -287,10 +287,15 @@ def cmd_sweep(cfg: dict, out_base: str) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags and commands are config errors; subparsers inherit this."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dnm", description="Dynamical normal-mode analysis and simulation"
-    )
+    parser = _Parser(prog="dnm", description="Dynamical normal-mode analysis and simulation")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("analyze", "classify", "simulate", "sweep"):
         p = sub.add_parser(name)
@@ -304,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         # Flags override the file and get the same checks as its values.
         if args.samples is not None:

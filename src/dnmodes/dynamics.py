@@ -8,15 +8,16 @@ velocity Verlet is offered for the lab frame only.  All coefficients are
 evaluated fresh at every RK stage time so 4th-order accuracy survives
 time-dependent schedules.
 
-The steppers and the lab-to-mode map work on plain Python floats: a stage
-state is a 4-tuple of floats, and stage times are Python floats taken from
-the step grid with ``tolist()``, so schedules, root solves and the mode
-angle never see numpy scalars.  Per sample the map evaluates only the
-stiffness, the threaded mode angle and the equilibrium, no theta_dot.  Each
-step's state is stored as one row of the trajectory's states array.  A
-state that turns non-finite inside a step raises ``FloatingPointError``, as
-numpy's overflow does under the command line's error state; a finite state
-beyond ``DIVERGENCE_GUARD`` raises ``DivergenceError`` with the partial run.
+The steppers and the lab-to-mode map work on Python floats, so schedules and
+root solves never see numpy scalars: the RK4 step is unrolled on float locals,
+and stage times come with ``tolist()`` from the spec's grid t0 + i dt, whose
+last entry is exactly t1.  A mode-frame stage evaluates the stiffness once and
+takes one cos/sin pair of the mode angle for its squared frequencies and its
+drive.  Per sample the map evaluates only the stiffness, the threaded mode
+angle and the equilibrium, no theta_dot.  A state that turns non-finite inside
+a step raises ``FloatingPointError``, as numpy's overflow does under the
+command line's error state; a finite state beyond ``DIVERGENCE_GUARD`` raises
+``DivergenceError`` with the partial run.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .modes import (
+    _modal_product,
     decompose_at,
-    drive_at,
     drive_rate_at,
     effective_hamiltonian_value,
     eigenfrequencies,
     larmor_rate_at,
     mode_state,
+    rotated_frequencies,
     theta_at,
     theta_dot_at,
 )
@@ -85,6 +87,12 @@ class IntegratorSpec:
     def n_steps(self) -> int:
         return round((self.t1 - self.t0) / self.dt)
 
+    def grid(self) -> np.ndarray:
+        """The step times t0 + i dt, the last of them exactly t1."""
+        times = self.t0 + self.dt * np.arange(self.n_steps + 1)
+        times[-1] = self.t1
+        return times
+
 
 @dataclass
 class Trajectory:
@@ -129,33 +137,33 @@ def _unbounded(y: tuple, t: float, partial: tuple) -> Exception:
     return DivergenceError(f"state exceeded {DIVERGENCE_GUARD:g} at t={t}", partial=partial)
 
 
-def _axpy(y: tuple, h: float, k) -> tuple:
-    """y + h k for float 4-vectors."""
-    return (y[0] + h * k[0], y[1] + h * k[1], y[2] + h * k[2], y[3] + h * k[3])
-
-
-def _rk4_run(rhs, t0: float, y0: tuple, dt: float, n_steps: int,
+def _rk4_run(rhs, y0: tuple, spec: IntegratorSpec,
              on_step: Optional[Callable[[float], None]] = None):
-    """Generic fixed-step RK4 with a divergence guard; ``rhs(t, y)`` takes a
-    float time and state 4-tuple and returns the derivative 4-tuple.
-    Returns (times, states)."""
-    times = t0 + dt * np.arange(n_steps + 1)
+    """Fixed-step RK4 over the spec's grid with a divergence guard;
+    ``rhs(t, q1, q2, p1, p2)`` takes a float time and state and returns the
+    derivative 4-tuple.  Returns (times, states)."""
+    times = spec.grid()
     grid = times.tolist()
-    states = np.empty((n_steps + 1, 4))
-    y = y0
-    states[0] = y
-    half = 0.5 * dt
+    states = np.empty((len(grid), 4))
+    states[0] = y0
+    q1, q2, p1, p2 = y0
+    dt = spec.dt
+    h = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(n_steps):
+    for i in range(len(grid) - 1):
         t = grid[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, _axpy(y, half, k1))
-        k3 = rhs(t + half, _axpy(y, half, k2))
-        k4 = rhs(t + dt, _axpy(y, dt, k3))
-        y = _axpy(y, sixth, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)])
-        if not all(abs(v) < DIVERGENCE_GUARD for v in y):
-            raise _unbounded(y, grid[i + 1], (times[: i + 1], states[: i + 1]))
-        states[i + 1] = y
+        a1, a2, a3, a4 = rhs(t, q1, q2, p1, p2)
+        b1, b2, b3, b4 = rhs(t + h, q1 + h * a1, q2 + h * a2, p1 + h * a3, p2 + h * a4)
+        c1, c2, c3, c4 = rhs(t + h, q1 + h * b1, q2 + h * b2, p1 + h * b3, p2 + h * b4)
+        d1, d2, d3, d4 = rhs(t + dt, q1 + dt * c1, q2 + dt * c2, p1 + dt * c3, p2 + dt * c4)
+        q1 = q1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        q2 = q2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        p1 = p1 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        p2 = p2 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+        if not (abs(q1) < DIVERGENCE_GUARD and abs(q2) < DIVERGENCE_GUARD
+                and abs(p1) < DIVERGENCE_GUARD and abs(p2) < DIVERGENCE_GUARD):
+            raise _unbounded((q1, q2, p1, p2), grid[i + 1], (times[: i + 1], states[: i + 1]))
+        states[i + 1] = (q1, q2, p1, p2)
         if on_step is not None:
             on_step(grid[i + 1])
     return times, states
@@ -179,31 +187,28 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
     m1 = sys.masses.m1
     m2 = sys.masses.m2
 
-    def rhs(t, y):
-        return (y[2] / m1, y[3] / m2, *sys.force(t, y[0], y[1]))
+    def rhs(t, q1, q2, p1, p2):
+        return (p1 / m1, p2 / m2, *sys.force(t, q1, q2))
 
     meta = {"integrator": spec.method, "preset": sys.label}
     if spec.method == "velocity-verlet":
         return _trajectory("lab", spec, meta, lambda: _verlet_run(sys, x0, spec))
-    return _trajectory(
-        "lab", spec, meta, lambda: _rk4_run(rhs, spec.t0, (*x0.q, *x0.p), spec.dt, spec.n_steps)
-    )
+    return _trajectory("lab", spec, meta, lambda: _rk4_run(rhs, (*x0.q, *x0.p), spec))
 
 
 def _verlet_run(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec):
     """Velocity Verlet (kick-drift-kick); lab frame only (separable H)."""
     m1 = sys.masses.m1
     m2 = sys.masses.m2
-    n = spec.n_steps
     dt = spec.dt
     half = 0.5 * dt
-    times = spec.t0 + dt * np.arange(n + 1)
+    times = spec.grid()
     grid = times.tolist()
-    states = np.empty((n + 1, 4))
+    states = np.empty((len(grid), 4))
     (q1, q2), (p1, p2) = x0.q, x0.p
     states[0] = (q1, q2, p1, p2)
     f1, f2 = sys.force(grid[0], q1, q2)
-    for i in range(n):
+    for i in range(len(grid) - 1):
         h1 = p1 + half * f1
         h2 = p2 + half * f2
         q1 = q1 + dt * h1 / m1
@@ -230,11 +235,11 @@ class _ThetaBranch:
     def sync(self, t: float) -> None:
         self.theta = theta_at(self.sys.stiffness(t), self.sys.masses, self.theta)
 
-    def frequencies(self, t: float) -> tuple:
-        """(theta, Omega1^2, Omega2^2) at a stage time."""
+    def frame(self, t: float) -> tuple:
+        """(theta, cos theta, sin theta, Omega1^2, Omega2^2) at a stage time."""
         triple = self.sys.stiffness(t)
         theta = theta_at(triple, self.sys.masses, self.theta)
-        return (theta, *eigenfrequencies(triple, self.sys.masses, theta))
+        return (theta, *rotated_frequencies(triple, self.sys.masses, theta))
 
 
 def integrate_modes(
@@ -258,18 +263,19 @@ def integrate_modes(
     if spec.method != "rk4":
         raise ConfigError("mode-frame integration supports rk4 only")
     branch = _ThetaBranch(sys, theta0, spec.t0)
+    r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
 
-    def rhs(t, y):
-        theta, o1, o2 = branch.frequencies(t)
-        P0 = drive_at(sys, t, theta)
+    def rhs(t, Q1, Q2, P1, P2):
+        _, c, s, o1, o2 = branch.frame(t)
+        # The drive P0 = A qdot0 of drive_at, on the stage's cos/sin pair.
+        D1, D2 = _modal_product(c, s, r1, r2, *sys.equilibrium_velocity_at(t))
         # theta_dot evaluates its own triple: handing it the stage's would
         # take sim-separation below the 50 root solves per step that
         # perfbench/tests pins (test_pinned_layer_counts[sim-separation]).
         th_dot = theta_dot_at(sys, t)
-        Q1, Q2, P1, P2 = y
         td = th_dot if lz_coupling else 0.0
-        dQ1 = P1 - P0[0] + td * Q2
-        dQ2 = P2 - P0[1] - td * Q1
+        dQ1 = P1 - D1 + td * Q2
+        dQ2 = P2 - D2 - td * Q1
         dP1 = -o1 * Q1 + td * P2
         dP2 = -o2 * Q2 - td * P1
         if apply_larmor:
@@ -282,7 +288,7 @@ def integrate_modes(
 
     meta = {"integrator": "rk4", "preset": sys.label, "larmor": apply_larmor}
     return _trajectory("mode", spec, meta, lambda: _rk4_run(
-        rhs, spec.t0, (*X0.q, *X0.p), spec.dt, spec.n_steps, on_step=branch.sync
+        rhs, (*X0.q, *X0.p), spec, on_step=branch.sync
     ))
 
 
@@ -301,14 +307,14 @@ def integrate_modes_shifted(
         raise ConfigError("integrate_modes_shifted expects a mode-frame point")
     branch = _ThetaBranch(sys, theta0, spec.t0)
 
-    def rhs(t, y):
-        theta, o1, o2 = branch.frequencies(t)
+    def rhs(t, Q1, Q2, P1, P2):
+        theta, _, _, o1, o2 = branch.frame(t)
         P0_dot = drive_rate_at(sys, t, theta)
-        return (y[2], y[3], -o1 * y[0] - P0_dot[0], -o2 * y[1] - P0_dot[1])
+        return (P1, P2, -o1 * Q1 - P0_dot[0], -o2 * Q2 - P0_dot[1])
 
     meta = {"integrator": "rk4", "preset": sys.label, "shifted": True}
     return _trajectory("mode", spec, meta, lambda: _rk4_run(
-        rhs, spec.t0, (*X0.q, *X0.p), spec.dt, spec.n_steps, on_step=branch.sync
+        rhs, (*X0.q, *X0.p), spec, on_step=branch.sync
     ))
 
 

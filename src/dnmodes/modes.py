@@ -37,6 +37,7 @@ __all__ = [
     "mass_weighted_stiffness",
     "theta_at",
     "eigenfrequencies",
+    "rotated_frequencies",
     "modal_matrix",
     "theta_dot_at",
     "drive_at",
@@ -133,8 +134,9 @@ def theta_at(K: StiffnessTriple, masses: MassPair, branch_ref: Optional[float] =
     return _snap_branch(0.5 * math.atan2(num, den), branch_ref)
 
 
-def eigenfrequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
-    """(Omega1^2, Omega2^2) for the mode labels fixed by theta."""
+def rotated_frequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
+    """(cos theta, sin theta, Omega1^2, Omega2^2) for the mode labels fixed by
+    theta: a mode-frame RK stage's frequencies and, via the pair, its drive."""
     k, k1, k2 = K.k, K.k1, K.k2
     a = (k + k1) / masses.m1
     b = (k + k2) / masses.m2
@@ -142,9 +144,12 @@ def eigenfrequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tupl
     c = math.cos(theta)
     s = math.sin(theta)
     s2 = math.sin(2.0 * theta)
-    omega1_sq = a * c * c + b * s * s - cross * s2
-    omega2_sq = a * s * s + b * c * c + cross * s2
-    return omega1_sq, omega2_sq
+    return c, s, a * c * c + b * s * s - cross * s2, a * s * s + b * c * c + cross * s2
+
+
+def eigenfrequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
+    """(Omega1^2, Omega2^2) for the mode labels fixed by theta."""
+    return rotated_frequencies(K, masses, theta)[2:]
 
 
 def modal_matrix(theta: float, masses: MassPair) -> tuple:

@@ -43,18 +43,23 @@ class MassPair:
         return np.diag([1.0 / self.m1, 1.0 / self.m2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StiffnessTriple:
-    """Time-slice values (k, k1, k2); any entry may be negative."""
+    """Time-slice values (k, k1, k2); any entry may be negative.  Built at
+    every RK stage, so ``__init__`` stores them in the instance dict and checks them."""
 
     k: float
     k1: float
     k2: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and math.isfinite(self.k1) and math.isfinite(self.k2)):
-            name = next(n for n in ("k", "k1", "k2") if not math.isfinite(getattr(self, n)))
-            raise ConfigError(f"stiffness {name} must be finite, got {getattr(self, name)}")
+    def __init__(self, k: float, k1: float, k2: float):
+        d = self.__dict__
+        d["k"] = k
+        d["k1"] = k1
+        d["k2"] = k2
+        if not (math.isfinite(k) and math.isfinite(k1) and math.isfinite(k2)):
+            name = next(n for n in ("k", "k1", "k2") if not math.isfinite(d[n]))
+            raise ConfigError(f"stiffness {name} must be finite, got {d[name]}")
 
     def matrix(self) -> np.ndarray:
         return np.array(

@@ -185,7 +185,7 @@ class SampledTable(ControlSchedule):
     is analytic; ``"linear"`` interpolates linearly, with the slope of the
     segment to the right at an interior knot.  Both kinds store each
     segment's polynomial coefficients at construction, so an evaluation is
-    one bisection over the knots and one Horner step.  Evaluation outside
+    one inline bisection over the knots and one Horner step.  Evaluation outside
     [times[0], times[-1]] raises :class:`ScheduleDomainError`.
     """
 
@@ -203,22 +203,24 @@ class SampledTable(ControlSchedule):
             raise ConfigError(f"unknown interpolation {self.interpolation!r}")
         segments = _table_segments(self.times, self.values, self.interpolation == "cubic")
         object.__setattr__(self, "_segments", segments)
+        object.__setattr__(self, "_n_segments", len(segments))
 
-    def _segment(self, t: float) -> tuple:
-        """The segment holding t (the right one at an interior knot) and t's
-        offset into it."""
+    def value(self, t: float) -> float:
         knots = self.times
         if t < knots[0] or t > knots[-1]:
             raise ScheduleDomainError(f"t={t} outside table domain [{knots[0]}, {knots[-1]}]")
-        i = min(bisect_right(knots, t), len(self._segments)) - 1
-        return self._segments[i], t - knots[i]
-
-    def value(self, t: float) -> float:
-        (y, b, c, d), s = self._segment(t)
+        i = bisect_right(knots, t, 1, self._n_segments) - 1
+        y, b, c, d = self._segments[i]
+        s = t - knots[i]
         return y + s * (b + s * (c + s * d))
 
     def derivative(self, t: float) -> float:
-        (_, b, c, d), s = self._segment(t)
+        knots = self.times
+        if t < knots[0] or t > knots[-1]:
+            raise ScheduleDomainError(f"t={t} outside table domain [{knots[0]}, {knots[-1]}]")
+        i = bisect_right(knots, t, 1, self._n_segments) - 1
+        _, b, c, d = self._segments[i]
+        s = t - knots[i]
         return b + s * (2.0 * c + s * 3.0 * d)
 
 

@@ -166,6 +166,18 @@ def test_simulate_rejects_a_dt_that_does_not_divide_the_window(tmp_path, capsys)
     assert not list(tmp_path.glob("run_*"))
 
 
+@pytest.mark.parametrize("window, dt", [([0.0, 0.9], 0.3), ([0.1, 0.7], 0.2)])
+def test_simulate_rows_end_exactly_on_t1(tmp_path, capsys, window, dt):
+    cfg = transport_cfg(str(tmp_path / "run"))
+    cfg.update(window=window, integrator={"dt": dt})
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
+    for frame in ("lab", "mode"):
+        rows = (tmp_path / f"run_{frame}.csv").read_text().splitlines()
+        assert len(rows) == 5  # header + 4 samples
+        assert float(rows[-1].split(",")[0]) == window[1]
+    capsys.readouterr()
+
+
 def sweep_over(path, values):
     return lambda c: c.update(sweep={"axes": [{"path": path, "values": values}]})
 
@@ -191,6 +203,10 @@ MALFORMED = {
     "samples_flag_negative": (["analyze", "--samples", "-3"], lambda c: None),
     "samples_flag_zero": (["classify", "--samples", "0"], lambda c: None),
     "dt_flag_zero": (["simulate", "--dt", "0"], lambda c: None),
+    "samples_flag_text": (["analyze", "--samples", "abc"], lambda c: None),
+    "dt_flag_text": (["simulate", "--dt", "x"], lambda c: None),
+    "unknown_flag": (["analyze", "--bogus"], lambda c: None),
+    "unknown_command": (["bogus"], lambda c: None),
     "sweep_path_number": (["sweep"], sweep_over(5, [1.0])),
     "sweep_path_missing": (["sweep"], sweep_over("nokey.x", [1.0])),
     "sweep_path_undeclared": (["sweep"], sweep_over("preset.nokey", [1.0])),
@@ -211,6 +227,13 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, monkeypatch, ca
     assert main([*argv, "--config", write_cfg(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dnm simulate")
 
 
 def test_sweep_reads_each_points_tol_sep(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Config fuzzer: a config with one wrong-typed or out-of-range value keeps
-the exit-code contract (0, 2, 3 or 4, and at most one line on stderr).
+"""Config fuzzer: a config with one wrong-typed or out-of-range value, or
+one bad ``--dt`` or ``--samples`` flag value, keeps the exit-code contract
+(0, 2, 3 or 4, and at most one line on stderr).
 
 Each preset has a tiny valid config that fills every section.  A draw
 replaces one leaf of it, or the values of its sweep axis, with a string,
-list, object, bool, null, zero, negative or huge value, then runs one
-command in-process with its outputs under the test's directory.
+list, object, bool, null, zero, negative or huge value, or passes a flag
+value from a fixed list, then runs one command in-process with its outputs
+under the test's directory.
 """
 
 import copy
@@ -118,6 +120,28 @@ def test_one_bad_value_keeps_the_exit_code_contract(tmp_path, capsys, preset, co
     cfg_path.write_text(json.dumps(cfg))
     capsys.readouterr()
     rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert err.count("\n") <= 1
+
+
+BAD_FLAG_VALUES = ["abc", "", "1.5", "nan", "inf", "-1", "0", "1e300", "1e-300"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("preset", PRESETS)
+@FUZZ
+@given(data=st.data())
+def test_one_bad_flag_keeps_the_exit_code_contract(tmp_path, capsys, preset, command, data):
+    # Every listed value is rejected before any work starts, so no draw
+    # reaches the classify report behind NUMPY_BOOL_REPORT.
+    flags = ["--dt", "--samples"] if command == "simulate" else ["--samples"]
+    flag = data.draw(st.sampled_from(flags), label="flag")
+    value = data.draw(st.sampled_from(BAD_FLAG_VALUES), label="value")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(preset)))
+    capsys.readouterr()
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run"), flag, value])
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
     assert err.count("\n") <= 1

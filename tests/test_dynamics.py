@@ -54,6 +54,15 @@ def test_integrator_spec_covers_exactly_the_window():
     assert spec.t0 + spec.n_steps * spec.dt == pytest.approx(spec.t1, rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["rk4", "velocity-verlet"])
+@pytest.mark.parametrize("t0, t1, dt", [(0.0, 0.9, 0.3), (0.1, 0.7, 0.2)])
+def test_a_run_ends_exactly_on_t1(method, t0, t1, dt):
+    # t0 + 3 dt rounds to 0.89999999999999991 and 0.70000000000000007 here.
+    spec = IntegratorSpec(dt=dt, t0=t0, t1=t1, method=method)
+    traj = integrate_lab(static_sys(k=0.5), PhasePoint(t0, (1.0, 0.0), (0.0, 0.0)), spec)
+    assert len(traj) == 4 and traj.times[0] == t0 and traj.times[-1] == spec.t1
+
+
 def test_harmonic_oscillator_cosine():
     # uncoupled unit oscillators: q1(t) = cos t
     sys = static_sys()

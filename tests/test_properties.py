@@ -24,7 +24,9 @@ The integrator properties run on random ``custom`` systems too: the
 steppers see only Python floats, agree with the numpy-array RK4 oracle,
 and integrate the lab and mode frames equivalently through a frequency
 crossing.  The float lab-to-mode map agrees with the decomposition's numpy
-matrices on custom, rotation and separation systems.
+matrices on custom, rotation and separation systems, and a mode-frame RK
+stage's frequencies and drive are bit-identical to eigenfrequencies and
+drive_at on crossing and rotation systems.
 """
 
 import math
@@ -48,6 +50,7 @@ from dnmodes.dynamics import (
 )
 from dnmodes.modes import (
     _detect_analytic_case,
+    _modal_product,
     classify_separability,
     decompose_at,
     drive_at,
@@ -55,6 +58,7 @@ from dnmodes.modes import (
     eigenfrequencies,
     from_mode_frame,
     modal_matrix,
+    rotated_frequencies,
     theta_at,
     theta_dot_at,
     to_mode_frame,
@@ -268,6 +272,27 @@ def test_frames_agree_through_a_frequency_crossing(system, s):
 
 
 PRESET_KINDS = [*sorted(presets._PRESETS), "phase-gate-zeroth-order"]
+
+
+@pytest.mark.parametrize("kind", ["crossing", "rotation"])
+@PROPERTY
+@given(data=st.data())
+def test_stage_frame_gives_the_bits_of_eigenfrequencies_and_drive_at(kind, data):
+    # A mode-frame RK stage takes Omega^2 and the drive P0 = A qdot0 from the
+    # one cos/sin pair of rotated_frequencies: both equal their own homes.
+    if kind == "crossing":
+        sys = data.draw(crossing_systems(), label="system")[0]
+    else:
+        sys = data.draw(preset_systems(kind), label="system")
+    t = data.draw(times, label="t")
+    triple = sys.stiffness(t)
+    branch = data.draw(st.none() | st.floats(-7.0, 7.0), label="branch")
+    theta = theta_at(triple, sys.masses, branch)
+    c, s, o1, o2 = rotated_frequencies(triple, sys.masses, theta)
+    assert (o1, o2) == eigenfrequencies(triple, sys.masses, theta)
+    drive = _modal_product(c, s, sys.masses.sqrt1, sys.masses.sqrt2,
+                           *sys.equilibrium_velocity(t))
+    assert drive == drive_at(sys, t, theta)
 
 
 @st.composite
