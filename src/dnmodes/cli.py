@@ -34,7 +34,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .errors import ConfigError, DivergenceError, DnmError, PresetDomainError, ScheduleDomainError
-from .modes import classify_separability, decompose_at, ellipse_at, theta_at
+from .modes import classify_separability, decompose_at, ellipse_at
 from .presets import PRESET_CONFIGS, build_preset
 from .quadratic import PhasePoint
 from .schedules import SCHEDULE_KINDS, is_finite_number, json_fields
@@ -178,14 +178,11 @@ def cmd_simulate(cfg: dict, out_base: str, larmor: bool) -> int:
     method = cfg.get("integrator", {}).get("method", "rk4")
     spec = IntegratorSpec(dt=step, t0=t0, t1=t1, method=method)
     x0 = _initial_point(cfg, sys_, t0)
-    mode_spec = spec if method == "rk4" else IntegratorSpec(dt=step, t0=t0, t1=t1)
+    mode_spec = IntegratorSpec(dt=step, t0=t0, t1=t1)
     try:
         lab = integrate_lab(sys_, x0, spec)
         report = frame_equivalence_check(sys_, x0, mode_spec)
-        mode = integrate_modes(
-            sys_, report.mapped.point(0), mode_spec, apply_larmor=larmor,
-            theta0=theta_at(sys_.stiffness(t0), sys_.masses),
-        )
+        mode = integrate_modes(sys_, report.mapped.point(0), mode_spec, apply_larmor=larmor)
     except DivergenceError as exc:
         write_trajectory_csv(exc.partial, f"{out_base}_{exc.partial.frame}.csv.partial")
         raise
@@ -258,7 +255,6 @@ def cmd_sweep(cfg: dict, out_base: str) -> int:
         with np.errstate(**_NUMPY_ERRORS):  # numpy's error state is per thread
             rep = _classify(point_cfg)
         return (
-            idx,
             [ax["values"][i] for ax, i in zip(axes, idx)],
             rep.theta_samples[0][1],
             rep.max_abs_theta_dot,
@@ -272,17 +268,16 @@ def cmd_sweep(cfg: dict, out_base: str) -> int:
     except ValueError:
         raise ConfigError(f"DNM_THREADS must be an integer, got {env!r}") from None
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_point, grid))
-    results.sort(key=lambda r: r[0])  # deterministic by grid index
+        results = list(pool.map(run_point, grid))  # in grid order
 
     path = out_base + "_sweep.csv"
     axis_names = ",".join(ax["path"].replace(",", "_") for ax in axes)
     with open(path, "w", newline="") as fh:
         fh.write(f"{axis_names},theta_t0,max_abs_theta_dot,separable,stability\n")
         writer = csv.writer(fh, lineterminator="\n")  # quotes a cell holding a comma
-        for _, values, theta0, rate, sep, stab in results:
+        for values, theta, rate, sep, stab in results:
             separable = "true" if sep else "false"
-            writer.writerow([*map(_sweep_cell, values), _fmt(theta0), _fmt(rate), separable, stab])
+            writer.writerow([*map(_sweep_cell, values), _fmt(theta), _fmt(rate), separable, stab])
     print(path)
     return EXIT_OK
 

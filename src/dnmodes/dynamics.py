@@ -11,34 +11,34 @@ time-dependent schedules.
 The steppers and the lab-to-mode map work on Python floats, so schedules and
 root solves never see numpy scalars: the RK4 step is unrolled on float locals,
 and stage times come with ``tolist()`` from the spec's grid t0 + i dt, whose
-last entry is exactly t1.  A mode-frame stage evaluates the stiffness once and
-takes one cos/sin pair of the mode angle for its squared frequencies and its
-drive.  Per sample the map evaluates only the stiffness, the threaded mode
-angle and the equilibrium, no theta_dot.  A state that turns non-finite inside
-a step raises ``FloatingPointError``, as numpy's overflow does under the
-command line's error state; a finite state beyond ``DIVERGENCE_GUARD`` raises
-``DivergenceError`` with the partial run.
+last entry is exactly t1; a step's last stage lies on the next grid time, so
+no stage leaves the window.  The mode angle is threaded call by call: the
+first stage at t0 takes the default branch, each later stage (or map sample)
+the branch of the one before.  A mode-frame stage evaluates the stiffness
+once and takes one cos/sin pair of the mode angle for its squared frequencies
+and its drive.  Per sample the map evaluates only the stiffness, the threaded
+mode angle and the equilibrium, no theta_dot.  A state that turns non-finite
+inside a step raises ``FloatingPointError``, as numpy's overflow does under
+the command line's error state; a finite state beyond ``DIVERGENCE_GUARD``
+raises ``DivergenceError`` with the partial run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .modes import (
     _modal_product,
+    _mode_frames,
     decompose_at,
     drive_rate_at,
     effective_hamiltonian_value,
-    eigenfrequencies,
     larmor_rate_at,
     mode_state,
-    rotated_frequencies,
-    theta_at,
     theta_dot_at,
 )
 from .quadratic import PhasePoint, QuadraticSystem
@@ -100,7 +100,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (N, 4): (q1, q2, p1, p2) or (Q1, Q2, P1, P2)
     step: float
-    metadata: dict = field(default_factory=dict)
 
     def point(self, i: int) -> PhasePoint:
         t = float(self.times[i])
@@ -137,11 +136,11 @@ def _unbounded(y: tuple, t: float, partial: tuple) -> Exception:
     return DivergenceError(f"state exceeded {DIVERGENCE_GUARD:g} at t={t}", partial=partial)
 
 
-def _rk4_run(rhs, y0: tuple, spec: IntegratorSpec,
-             on_step: Optional[Callable[[float], None]] = None):
+def _rk4_run(rhs, y0: tuple, spec: IntegratorSpec):
     """Fixed-step RK4 over the spec's grid with a divergence guard;
     ``rhs(t, q1, q2, p1, p2)`` takes a float time and state and returns the
-    derivative 4-tuple.  Returns (times, states)."""
+    derivative 4-tuple.  It is called in time order, the last stage of each
+    step at the next grid time.  Returns (times, states)."""
     times = spec.grid()
     grid = times.tolist()
     states = np.empty((len(grid), 4))
@@ -155,7 +154,7 @@ def _rk4_run(rhs, y0: tuple, spec: IntegratorSpec,
         a1, a2, a3, a4 = rhs(t, q1, q2, p1, p2)
         b1, b2, b3, b4 = rhs(t + h, q1 + h * a1, q2 + h * a2, p1 + h * a3, p2 + h * a4)
         c1, c2, c3, c4 = rhs(t + h, q1 + h * b1, q2 + h * b2, p1 + h * b3, p2 + h * b4)
-        d1, d2, d3, d4 = rhs(t + dt, q1 + dt * c1, q2 + dt * c2, p1 + dt * c3, p2 + dt * c4)
+        d1, d2, d3, d4 = rhs(grid[i + 1], q1 + dt * c1, q2 + dt * c2, p1 + dt * c3, p2 + dt * c4)
         q1 = q1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         q2 = q2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
         p1 = p1 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
@@ -164,20 +163,18 @@ def _rk4_run(rhs, y0: tuple, spec: IntegratorSpec,
                 and abs(p1) < DIVERGENCE_GUARD and abs(p2) < DIVERGENCE_GUARD):
             raise _unbounded((q1, q2, p1, p2), grid[i + 1], (times[: i + 1], states[: i + 1]))
         states[i + 1] = (q1, q2, p1, p2)
-        if on_step is not None:
-            on_step(grid[i + 1])
     return times, states
 
 
-def _trajectory(frame: str, spec: IntegratorSpec, meta: dict, run) -> Trajectory:
+def _trajectory(frame: str, spec: IntegratorSpec, run) -> Trajectory:
     """The trajectory that ``run()`` (returning times and states) integrates;
     a divergence carries its partial run as a Trajectory too."""
     try:
         times, states = run()
     except DivergenceError as exc:
-        exc.partial = Trajectory(frame, *exc.partial, spec.dt, meta)
+        exc.partial = Trajectory(frame, *exc.partial, spec.dt)
         raise
-    return Trajectory(frame, times, states, spec.dt, meta)
+    return Trajectory(frame, times, states, spec.dt)
 
 
 def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) -> Trajectory:
@@ -190,10 +187,9 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
     def rhs(t, q1, q2, p1, p2):
         return (p1 / m1, p2 / m2, *sys.force(t, q1, q2))
 
-    meta = {"integrator": spec.method, "preset": sys.label}
     if spec.method == "velocity-verlet":
-        return _trajectory("lab", spec, meta, lambda: _verlet_run(sys, x0, spec))
-    return _trajectory("lab", spec, meta, lambda: _rk4_run(rhs, (*x0.q, *x0.p), spec))
+        return _trajectory("lab", spec, lambda: _verlet_run(sys, x0, spec))
+    return _trajectory("lab", spec, lambda: _rk4_run(rhs, (*x0.q, *x0.p), spec))
 
 
 def _verlet_run(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec):
@@ -223,32 +219,12 @@ def _verlet_run(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec):
     return times, states
 
 
-class _ThetaBranch:
-    """The mode-angle branch, threaded sequentially along the time axis:
-    ``sync`` advances it once per step and every RK stage snaps to it."""
-
-    def __init__(self, sys: QuadraticSystem, theta0: Optional[float], t0: float):
-        self.sys = sys
-        self.theta = theta0
-        self.sync(t0)
-
-    def sync(self, t: float) -> None:
-        self.theta = theta_at(self.sys.stiffness(t), self.sys.masses, self.theta)
-
-    def frame(self, t: float) -> tuple:
-        """(theta, cos theta, sin theta, Omega1^2, Omega2^2) at a stage time."""
-        triple = self.sys.stiffness(t)
-        theta = theta_at(triple, self.sys.masses, self.theta)
-        return (theta, *rotated_frequencies(triple, self.sys.masses, theta))
-
-
 def integrate_modes(
     sys: QuadraticSystem,
     X0: PhasePoint,
     spec: IntegratorSpec,
     apply_larmor: bool = False,
     lz_coupling: bool = True,
-    theta0: Optional[float] = None,
 ) -> Trajectory:
     """Integrate the effective mode-frame Hamiltonian from X0.
 
@@ -256,17 +232,19 @@ def integrate_modes(
     omega_L L_z with omega_L from ``sys.larmor_rate`` (theta_dot when the
     preset supplies none).  ``lz_coupling=False`` drops the -theta_dot L_z
     term; that deliberately breaks frame equivalence for rotating systems
-    and exists for verification.
+    and exists for verification.  The mode angle is threaded call by call
+    from the default branch at t0, and the last stage of each step lies on
+    the grid.
     """
     if X0.frame != "mode":
         raise ConfigError("integrate_modes expects a mode-frame initial point")
     if spec.method != "rk4":
         raise ConfigError("mode-frame integration supports rk4 only")
-    branch = _ThetaBranch(sys, theta0, spec.t0)
+    frame = _mode_frames(sys)
     r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
 
     def rhs(t, Q1, Q2, P1, P2):
-        _, c, s, o1, o2 = branch.frame(t)
+        _, c, s, o1, o2 = frame(t)
         # The drive P0 = A qdot0 of drive_at, on the stage's cos/sin pair.
         D1, D2 = _modal_product(c, s, r1, r2, *sys.equilibrium_velocity_at(t))
         # theta_dot evaluates its own triple: handing it the stage's would
@@ -286,17 +264,11 @@ def integrate_modes(
             dP2 -= wL * wL * Q2 - wL * P1
         return (dQ1, dQ2, dP1, dP2)
 
-    meta = {"integrator": "rk4", "preset": sys.label, "larmor": apply_larmor}
-    return _trajectory("mode", spec, meta, lambda: _rk4_run(
-        rhs, (*X0.q, *X0.p), spec, on_step=branch.sync
-    ))
+    return _trajectory("mode", spec, lambda: _rk4_run(rhs, (*X0.q, *X0.p), spec))
 
 
 def integrate_modes_shifted(
-    sys: QuadraticSystem,
-    X0: PhasePoint,
-    spec: IntegratorSpec,
-    theta0: Optional[float] = None,
+    sys: QuadraticSystem, X0: PhasePoint, spec: IntegratorSpec
 ) -> Trajectory:
     """Integrate the momentum-shifted Hamiltonian (separable systems).
 
@@ -305,29 +277,24 @@ def integrate_modes_shifted(
     """
     if X0.frame != "mode":
         raise ConfigError("integrate_modes_shifted expects a mode-frame point")
-    branch = _ThetaBranch(sys, theta0, spec.t0)
+    frame = _mode_frames(sys)
 
     def rhs(t, Q1, Q2, P1, P2):
-        theta, _, _, o1, o2 = branch.frame(t)
+        theta, _, _, o1, o2 = frame(t)
         P0_dot = drive_rate_at(sys, t, theta)
         return (P1, P2, -o1 * Q1 - P0_dot[0], -o2 * Q2 - P0_dot[1])
 
-    meta = {"integrator": "rk4", "preset": sys.label, "shifted": True}
-    return _trajectory("mode", spec, meta, lambda: _rk4_run(
-        rhs, (*X0.q, *X0.p), spec, on_step=branch.sync
-    ))
+    return _trajectory("mode", spec, lambda: _rk4_run(rhs, (*X0.q, *X0.p), spec))
 
 
 def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:
     """Express a lab trajectory in mode coordinates, threading the theta branch."""
     if traj.frame != "lab":
         raise ConfigError("map_to_mode_frame expects a lab trajectory")
-    rows = []
-    theta = None
-    for t, y in zip(traj.times.tolist(), traj.states.tolist()):
-        theta = theta_at(sys.stiffness(t), sys.masses, theta)
-        rows.append(mode_state(sys, t, theta, *y))
-    return Trajectory("mode", traj.times.copy(), np.array(rows), traj.step, dict(traj.metadata))
+    frame = _mode_frames(sys)
+    rows = [mode_state(sys, t, frame(t)[0], *y)
+            for t, y in zip(traj.times.tolist(), traj.states.tolist())]
+    return Trajectory("mode", traj.times.copy(), np.array(rows), traj.step)
 
 
 def frame_equivalence_check(
@@ -340,9 +307,7 @@ def frame_equivalence_check(
     direct mode-frame integration from the mapped initial condition."""
     lab = integrate_lab(sys, x0_lab, spec)
     mapped = map_to_mode_frame(sys, lab)
-    X0 = mapped.point(0)
-    theta0 = theta_at(sys.stiffness(spec.t0), sys.masses)
-    modes = integrate_modes(sys, X0, spec, lz_coupling=lz_coupling, theta0=theta0)
+    modes = integrate_modes(sys, mapped.point(0), spec, lz_coupling=lz_coupling)
     diffs = np.linalg.norm(mapped.states - modes.states, axis=1)
     scale = float(np.linalg.norm(mapped.states, axis=1).max())
     max_dev = float(diffs.max() / max(scale, 1e-300))
@@ -383,12 +348,9 @@ def mode_energy_series(
     if traj.frame != "mode":
         raise ConfigError("mode_energy_series expects a mode trajectory")
     out = np.empty((len(traj), 2))
-    branch = None
-    for i, t in enumerate(traj.times):
-        t = float(t)
-        triple = sys.stiffness(t)
-        branch = theta_at(triple, sys.masses, branch)
-        o1, o2 = eigenfrequencies(triple, sys.masses, branch)
+    frame = _mode_frames(sys)
+    for i, t in enumerate(traj.times.tolist()):
+        _, _, _, o1, o2 = frame(t)
         if compensated:
             wL = larmor_rate_at(sys, t)
             o1 += wL * wL

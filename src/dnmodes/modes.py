@@ -152,6 +152,21 @@ def eigenfrequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tupl
     return rotated_frequencies(K, masses, theta)[2:]
 
 
+def _mode_frames(sys: QuadraticSystem):
+    """``frame(t) -> (theta, cos theta, sin theta, Omega1^2, Omega2^2)`` along
+    one walk forward in time: the first call's theta is on the default
+    branch, each later one on the branch of the call before."""
+    theta = None
+
+    def frame(t: float) -> tuple:
+        nonlocal theta
+        triple = sys.stiffness(t)
+        theta = theta_at(triple, sys.masses, theta)
+        return (theta, *rotated_frequencies(triple, sys.masses, theta))
+
+    return frame
+
+
 def modal_matrix(theta: float, masses: MassPair) -> tuple:
     """(A, A_inv) with A = O^T M^(1/2); det A = sqrt(m1 m2) always."""
     c = math.cos(theta)

@@ -100,10 +100,11 @@ def eig2_characteristic(K):
 
 
 def rk4_states(rhs, t0, y0, dt, n_steps, on_step=None):
-    """Fixed-step RK4 on numpy arrays: ``rhs(t, y)`` gets a grid time as a
-    numpy scalar and returns an array; ``on_step`` gets each new grid time.
-    Returns (times, states).  The library's float kernel performs the same
-    operations in the same order."""
+    """Fixed-step RK4 on numpy arrays: ``rhs(t, y)`` gets a stage time as a
+    numpy scalar, the last stage of a step at the next grid time, and returns
+    an array; ``on_step`` gets each new grid time.  Returns (times, states).
+    The library's float kernel performs the same operations in the same
+    order."""
     y = np.asarray(y0, dtype=float).copy()
     times = t0 + dt * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, y.size))
@@ -114,7 +115,7 @@ def rk4_states(rhs, t0, y0, dt, n_steps, on_step=None):
         k1 = rhs(t, y)
         k2 = rhs(t + half, y + half * k1)
         k3 = rhs(t + half, y + half * k2)
-        k4 = rhs(t + dt, y + dt * k3)
+        k4 = rhs(times[i + 1], y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[i + 1] = y
         if on_step is not None:

@@ -215,7 +215,9 @@ def test_rk4_matches_the_array_oracle(sys, s):
     assert np.array_equal(lab.states, states)
 
     # The array form computes the drive as a matrix product, so the mode run
-    # agrees to rounding.
+    # agrees to rounding.  The oracle snaps each stage to the branch of the
+    # last grid time, the library to that of the stage before; the two pick
+    # the same branch unless theta turns by pi/4 or more within one step.
     branch = [theta_at(sys.stiffness(spec.t0), sys.masses)]
 
     def sync(t):
