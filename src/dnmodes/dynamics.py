@@ -16,11 +16,12 @@ no stage leaves the window.  The mode angle is threaded call by call: the
 first stage at t0 takes the default branch, each later stage (or map sample)
 the branch of the one before.  A mode-frame stage evaluates the stiffness
 once and takes one cos/sin pair of the mode angle for its squared frequencies
-and its drive.  Per sample the map evaluates only the stiffness, the threaded
-mode angle and the equilibrium, no theta_dot.  A state that turns non-finite
-inside a step raises ``FloatingPointError``, as numpy's overflow does under
-the command line's error state; a finite state beyond ``DIVERGENCE_GUARD``
-raises ``DivergenceError`` with the partial run.
+and its drive; a map sample reuses that pair and evaluates only the stiffness
+and the equilibrium, no theta_dot.  Callables are bound per run, not at import
+(a tracer may replace them), and RK4 builds its states array once from rows.
+A state that turns non-finite inside a step raises ``FloatingPointError``, as
+numpy's overflow does under the command line's error state; a finite state
+beyond ``DIVERGENCE_GUARD`` raises ``DivergenceError`` with the partial run.
 """
 
 from __future__ import annotations
@@ -143,8 +144,7 @@ def _rk4_run(rhs, y0: tuple, spec: IntegratorSpec):
     step at the next grid time.  Returns (times, states)."""
     times = spec.grid()
     grid = times.tolist()
-    states = np.empty((len(grid), 4))
-    states[0] = y0
+    rows = [y0]
     q1, q2, p1, p2 = y0
     dt = spec.dt
     h = 0.5 * dt
@@ -161,9 +161,9 @@ def _rk4_run(rhs, y0: tuple, spec: IntegratorSpec):
         p2 = p2 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
         if not (abs(q1) < DIVERGENCE_GUARD and abs(q2) < DIVERGENCE_GUARD
                 and abs(p1) < DIVERGENCE_GUARD and abs(p2) < DIVERGENCE_GUARD):
-            raise _unbounded((q1, q2, p1, p2), grid[i + 1], (times[: i + 1], states[: i + 1]))
-        states[i + 1] = (q1, q2, p1, p2)
-    return times, states
+            raise _unbounded((q1, q2, p1, p2), grid[i + 1], (times[: i + 1], np.array(rows)))
+        rows.append((q1, q2, p1, p2))
+    return times, np.array(rows)
 
 
 def _trajectory(frame: str, spec: IntegratorSpec, run) -> Trajectory:
@@ -183,9 +183,10 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
         raise ConfigError("integrate_lab expects a lab-frame initial point")
     m1 = sys.masses.m1
     m2 = sys.masses.m2
+    force = sys.force
 
     def rhs(t, q1, q2, p1, p2):
-        return (p1 / m1, p2 / m2, *sys.force(t, q1, q2))
+        return (p1 / m1, p2 / m2, *force(t, q1, q2))
 
     if spec.method == "velocity-verlet":
         return _trajectory("lab", spec, lambda: _verlet_run(sys, x0, spec))
@@ -242,11 +243,12 @@ def integrate_modes(
         raise ConfigError("mode-frame integration supports rk4 only")
     frame = _mode_frames(sys)
     r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
+    equilibrium_velocity = sys.equilibrium_velocity
 
     def rhs(t, Q1, Q2, P1, P2):
         _, c, s, o1, o2 = frame(t)
         # The drive P0 = A qdot0 of drive_at, on the stage's cos/sin pair.
-        D1, D2 = _modal_product(c, s, r1, r2, *sys.equilibrium_velocity_at(t))
+        D1, D2 = _modal_product(c, s, r1, r2, *equilibrium_velocity(t))
         # theta_dot evaluates its own triple: handing it the stage's would
         # take sim-separation below the 50 root solves per step that
         # perfbench/tests pins (test_pinned_layer_counts[sim-separation]).
@@ -292,7 +294,7 @@ def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:
     if traj.frame != "lab":
         raise ConfigError("map_to_mode_frame expects a lab trajectory")
     frame = _mode_frames(sys)
-    rows = [mode_state(sys, t, frame(t)[0], *y)
+    rows = [mode_state(sys, t, *frame(t)[1:3], *y)
             for t, y in zip(traj.times.tolist(), traj.states.tolist())]
     return Trajectory("mode", traj.times.copy(), np.array(rows), traj.step)
 

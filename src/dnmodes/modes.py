@@ -97,7 +97,7 @@ class MomentumShift:
 def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
     """Ktil = M^(-1/2) K M^(-1/2)."""
     k, k1, k2 = K.k, K.k1, K.k2
-    off = -k / math.sqrt(masses.m1 * masses.m2)
+    off = -k / masses.sqrt12
     return np.array(
         [[(k + k1) / masses.m1, off], [off, (k + k2) / masses.m2]], dtype=float
     )
@@ -105,33 +105,29 @@ def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
 
 def _theta_num_den(K: StiffnessTriple, masses: MassPair) -> tuple:
     k, k1, k2 = K.k, K.k1, K.k2
-    num = 2.0 * k * math.sqrt(masses.m1 * masses.m2)
+    num = 2.0 * k * masses.sqrt12
     den = masses.m1 * (k + k2) - masses.m2 * (k + k1)
     scale = (masses.m1 + masses.m2) * (abs(k) + abs(k1) + abs(k2))
     return num, den, scale
 
 
-def _snap_branch(theta: float, branch_ref: Optional[float]) -> float:
-    """Shift theta by a multiple of pi/2 to the requested branch."""
-    half = 0.5 * math.pi
-    if branch_ref is None:
-        # Default branch (-pi/4, pi/4]; the degenerate-denominator value
-        # -pi/4 (from atan2 sign conventions) is kept as is.
-        if theta > 0.25 * math.pi:
-            theta -= half
-        elif theta < -0.25 * math.pi:
-            theta += half
-        return theta
-    return theta + half * round((branch_ref - theta) / half)
-
-
 def theta_at(K: StiffnessTriple, masses: MassPair, branch_ref: Optional[float] = None) -> float:
-    """Mode angle; branch-continuous against branch_ref when given."""
+    """Mode angle, on the branch (multiple of pi/2) nearest branch_ref when given."""
     num, den, scale = _theta_num_den(K, masses)
     if math.hypot(num, den) <= EPS_DEGENERATE * scale:
         # Degenerate mass-weighted stiffness: any angle diagonalizes.
         return 0.0 if branch_ref is None else branch_ref
-    return _snap_branch(0.5 * math.atan2(num, den), branch_ref)
+    theta = 0.5 * math.atan2(num, den)
+    half = 0.5 * math.pi
+    if branch_ref is not None:
+        return theta + half * round((branch_ref - theta) / half)
+    # Default branch (-pi/4, pi/4]; the degenerate-denominator value -pi/4
+    # (from atan2 sign conventions) is kept as is.
+    if theta > 0.25 * math.pi:
+        theta -= half
+    elif theta < -0.25 * math.pi:
+        theta += half
+    return theta
 
 
 def rotated_frequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
@@ -140,7 +136,7 @@ def rotated_frequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> t
     k, k1, k2 = K.k, K.k1, K.k2
     a = (k + k1) / masses.m1
     b = (k + k2) / masses.m2
-    cross = k / math.sqrt(masses.m1 * masses.m2)
+    cross = k / masses.sqrt12
     c = math.cos(theta)
     s = math.sin(theta)
     s2 = math.sin(2.0 * theta)
@@ -156,13 +152,14 @@ def _mode_frames(sys: QuadraticSystem):
     """``frame(t) -> (theta, cos theta, sin theta, Omega1^2, Omega2^2)`` along
     one walk forward in time: the first call's theta is on the default
     branch, each later one on the branch of the call before."""
+    stiffness, masses = sys.stiffness, sys.masses
     theta = None
 
     def frame(t: float) -> tuple:
         nonlocal theta
-        triple = sys.stiffness(t)
-        theta = theta_at(triple, sys.masses, theta)
-        return (theta, *rotated_frequencies(triple, sys.masses, theta))
+        triple = stiffness(t)
+        theta = theta_at(triple, masses, theta)
+        return (theta, *rotated_frequencies(triple, masses, theta))
 
     return frame
 
@@ -201,11 +198,12 @@ def theta_dot_at(
         return sys.theta_dot_override(t)
     if triple is None:
         triple = sys.stiffness(t)
-    num, den, scale = _theta_num_den(triple, sys.masses)
+    m = sys.masses
+    num, den, scale = _theta_num_den(triple, m)
     if math.hypot(num, den) > EPS_DEGENERATE * scale:  # theta_at's test; it cannot overflow
         dk, dk1, dk2 = sys.stiffness_rate_at(t)
-        num_dot = 2.0 * dk * math.sqrt(sys.masses.m1 * sys.masses.m2)
-        den_dot = sys.masses.m1 * (dk + dk2) - sys.masses.m2 * (dk + dk1)
+        num_dot = 2.0 * dk * m.sqrt12
+        den_dot = m.m1 * (dk + dk2) - m.m2 * (dk + dk1)
         return 0.5 * (num_dot * den - num * den_dot) / (num * num + den * den)
     # Anchored at t - h: theta(t) is the degenerate value 0, from which the
     # two neighbours may sit on a rounding tie at +-pi/4.
@@ -263,14 +261,14 @@ def to_mode_frame(dec: ModeDecomposition, x: PhasePoint, sys: QuadraticSystem) -
     """Q = A (q - q0); P = A^(-T) p."""
     if x.frame != "lab":
         raise ConfigError("to_mode_frame expects a lab-frame point")
-    Q1, Q2, P1, P2 = mode_state(sys, x.t, dec.theta, *x.q, *x.p)
+    Q1, Q2, P1, P2 = mode_state(sys, x.t, math.cos(dec.theta), math.sin(dec.theta), *x.q, *x.p)
     return PhasePoint(t=x.t, q=(Q1, Q2), p=(P1, P2), frame="mode")
 
 
-def mode_state(sys: QuadraticSystem, t: float, theta: float, q1, q2, p1, p2) -> tuple:
-    """(Q1, Q2, P1, P2) of the lab state (q, p) at t in floats: Q = A (q - q0), P = A^(-T) p."""
+def mode_state(sys: QuadraticSystem, t: float, c: float, s: float, q1, q2, p1, p2) -> tuple:
+    """(Q1, Q2, P1, P2) of the lab state (q, p) at t, (c, s) = (cos, sin)(theta), in
+    floats: Q = A (q - q0), P = A^(-T) p."""
     e1, e2 = sys.equilibrium(t)
-    c, s = math.cos(theta), math.sin(theta)
     r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
     return (*_modal_product(c, s, r1, r2, q1 - e1, q2 - e2),
             *_modal_product(c, s, 1.0 / r1, 1.0 / r2, p1, p2))

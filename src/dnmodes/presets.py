@@ -177,16 +177,20 @@ class SeparationConfig:
 
 
 def _quintic_bracket(alpha: float, beta: float, Cc: float) -> float:
+    # Each `e if e > x else x` is max(x, e), NaN included, with no call per root solve.
     estimate = 1.0
     if alpha > 0.0:
-        estimate = max(estimate, (Cc / alpha) ** (1.0 / 3.0))
+        e = (Cc / alpha) ** (1.0 / 3.0)
+        estimate = e if e > estimate else estimate
     if beta > 0.0:
-        estimate = max(estimate, (2.0 * Cc / beta) ** (1.0 / 5.0))
+        e = (2.0 * Cc / beta) ** (1.0 / 5.0)
+        estimate = e if e > estimate else estimate
     q_max = 10.0 * estimate
     if alpha < 0.0 and beta > 0.0:
         # Double-well regime: the outer root sits near sqrt(2|alpha|/beta),
         # which can exceed the Coulomb-balance estimates above.
-        q_max = max(q_max, 10.0 * math.sqrt(2.0 * abs(alpha) / beta))
+        e = 10.0 * math.sqrt(2.0 * abs(alpha) / beta)
+        q_max = e if e > q_max else q_max
     return q_max
 
 
@@ -211,30 +215,31 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
     from implicit differentiation, and the trap curvature at +-q0/2 is
     2 alpha + 3 beta q0^2.
     """
-    alpha, beta = cfg.alpha, cfg.beta
+    alpha, beta, Cc = cfg.alpha.value, cfg.beta.value, cfg.Cc
+    alpha_dot, beta_dot = cfg.alpha.derivative, cfg.beta.derivative
 
     def distance(t: float, guess) -> float:
-        return solve_separation_distance(alpha.value(t), beta.value(t), cfg.Cc, guess=guess)
+        return solve_separation_distance(alpha(t), beta(t), Cc, guess=guess)
 
     def distance_rate(t: float, q0: float) -> float:
-        denom = 5.0 * beta.value(t) * q0**4 + 6.0 * alpha.value(t) * q0**2
+        denom = 5.0 * beta(t) * q0**4 + 6.0 * alpha(t) * q0**2
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: implicit-derivative denominator vanishes at t={t}"
             )
-        return -(q0**5 * beta.derivative(t) + 2.0 * q0**3 * alpha.derivative(t)) / denom
+        return -(q0**5 * beta_dot(t) + 2.0 * q0**3 * alpha_dot(t)) / denom
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
-        return alpha.value(t) * (q1**2 + q2**2) + beta.value(t) * (q1**4 + q2**4)
+        return alpha(t) * (q1**2 + q2**2) + beta(t) * (q1**4 + q2**4)
 
     return _ion_pair(
         cfg,
         "separation",
         distance=distance,
         distance_rate=distance_rate,
-        curvature=lambda t, q0: 2.0 * alpha.value(t) + 3.0 * beta.value(t) * q0**2,
-        curvature_rate=lambda t, q0, q0dot: 2.0 * alpha.derivative(t)
-        + 3.0 * beta.derivative(t) * q0**2 + 6.0 * beta.value(t) * q0 * q0dot,
+        curvature=lambda t, q0: 2.0 * alpha(t) + 3.0 * beta(t) * q0**2,
+        curvature_rate=lambda t, q0, q0dot: 2.0 * alpha_dot(t)
+        + 3.0 * beta_dot(t) * q0**2 + 6.0 * beta(t) * q0 * q0dot,
         trap_potential=trap_potential,
     )
 
@@ -407,11 +412,12 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
     """
     if cfg.zeroth_order:
         return build_phase_gate_zeroth_order(cfg)
-    k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1, cfg.F2
+    k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1.value, cfg.F2.value
+    F1_dot, F2_dot = cfg.F1.derivative, cfg.F2.derivative
     audited = [None]  # the time of the last audit
 
     def distance(t: float, guess) -> float:
-        f1, f2 = F1.value(t), F2.value(t)
+        f1, f2 = F1(t), F2(t)
         q0 = solve_phase_gate_distance(f1, f2, k0, Cc, guess=guess)
         if t != audited[0]:
             try:
@@ -429,16 +435,16 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         return q0
 
     def distance_rate(t: float, q0: float) -> float:
-        d = F1.value(t) - F2.value(t)
+        d = F1(t) - F2(t)
         denom = 3.0 * k0 * q0**2 + 2.0 * d * q0
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: cubic derivative vanishes at t={t}"
             )
-        return -(q0**2) * (F1.derivative(t) - F2.derivative(t)) / denom
+        return -(q0**2) * (F1_dot(t) - F2_dot(t)) / denom
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
-        return 0.5 * k0 * (q1**2 + q2**2) + F1.value(t) * q1 + F2.value(t) * q2
+        return 0.5 * k0 * (q1**2 + q2**2) + F1(t) * q1 + F2(t) * q2
 
     return _ion_pair(
         cfg,
@@ -448,8 +454,8 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         curvature=lambda t, q0: k0,
         curvature_rate=lambda t, q0, q0dot: 0.0,
         trap_potential=trap_potential,
-        center=lambda t: -0.5 * (F1.value(t) + F2.value(t)) / k0,
-        center_rate=lambda t: -0.5 * (F1.derivative(t) + F2.derivative(t)) / k0,
+        center=lambda t: -0.5 * (F1(t) + F2(t)) / k0,
+        center_rate=lambda t: -0.5 * (F1_dot(t) + F2_dot(t)) / k0,
     )
 
 
@@ -523,27 +529,31 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
     m = cfg.m
     w1sq = cfg.omega1**2
     w2sq = cfg.omega2**2
+    phi_at, phi_dot = cfg.phi.value, cfg.phi.derivative
+    # The leading factors of the products below, hoisted in left-to-right order.
+    k_amp = -0.5 * m * (w1sq - w2sq)
+    dk_amp, dk1_amp, dk2_amp = -m * (w1sq - w2sq), m * (w2sq - w1sq), m * (w1sq - w2sq)
 
     def triple_at(t: float) -> StiffnessTriple:
-        phi = cfg.phi.value(t)
+        phi = phi_at(t)
         c = math.cos(phi)
         s = math.sin(phi)
-        k = -0.5 * m * (w1sq - w2sq) * math.sin(2.0 * phi)
+        k = k_amp * math.sin(2.0 * phi)
         k1 = m * (w1sq * c * c + w2sq * s * s) - k
         k2 = m * (w1sq * s * s + w2sq * c * c) - k
         return StiffnessTriple(k, k1, k2)
 
     def stiffness_rate(t: float) -> tuple:
-        phi = cfg.phi.value(t)
-        phidot = cfg.phi.derivative(t)
-        dk = -m * (w1sq - w2sq) * math.cos(2.0 * phi) * phidot
+        phi = phi_at(t)
+        phidot = phi_dot(t)
+        dk = dk_amp * math.cos(2.0 * phi) * phidot
         # d/dphi [w1^2 cos^2 + w2^2 sin^2] = (w2^2 - w1^2) sin(2 phi)
-        dk1 = m * (w2sq - w1sq) * math.sin(2.0 * phi) * phidot - dk
-        dk2 = m * (w1sq - w2sq) * math.sin(2.0 * phi) * phidot - dk
+        dk1 = dk1_amp * math.sin(2.0 * phi) * phidot - dk
+        dk2 = dk2_amp * math.sin(2.0 * phi) * phidot - dk
         return (dk, dk1, dk2)
 
     def full_potential(q1: float, q2: float, t: float) -> float:
-        phi = cfg.phi.value(t)
+        phi = phi_at(t)
         c = math.cos(phi)
         s = math.sin(phi)
         u1 = q1 * c + q2 * s
@@ -555,8 +565,8 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
         extras["trivially_decoupled"] = True
     if cfg.larmor_compensation:
         extras["compensated_frequencies"] = lambda t: (
-            math.sqrt(w1sq + cfg.phi.derivative(t) ** 2),
-            math.sqrt(w2sq + cfg.phi.derivative(t) ** 2),
+            math.sqrt(w1sq + phi_dot(t) ** 2),
+            math.sqrt(w2sq + phi_dot(t) ** 2),
         )
 
     return QuadraticSystem(
@@ -565,8 +575,8 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
         stiffness_rate=stiffness_rate,
         equilibrium=lambda t: (0.0, 0.0),
         equilibrium_velocity=lambda t: (0.0, 0.0),
-        theta_dot_override=cfg.phi.derivative,
-        larmor_rate=cfg.phi.derivative,
+        theta_dot_override=phi_dot,
+        larmor_rate=phi_dot,
         full_potential=full_potential,
         label="rotation",
         extras=extras,

@@ -35,6 +35,7 @@ class MassPair:
             raise ConfigError(f"m1 * m2 overflows, got {self.m1} and {self.m2}")
         object.__setattr__(self, "sqrt1", math.sqrt(self.m1))
         object.__setattr__(self, "sqrt2", math.sqrt(self.m2))
+        object.__setattr__(self, "sqrt12", math.sqrt(self.m1 * self.m2))
 
     def matrix(self) -> np.ndarray:
         return np.diag([self.m1, self.m2])

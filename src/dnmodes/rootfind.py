@@ -14,6 +14,7 @@ Warm exit: a guess in (0, q_max] first takes that step alone, returning the
 guess if f(guess) == 0 and the step if it converged, as the refine in a
 local bracket would first; the result is bit-identical whenever such a
 bracket holds a sign change.  Else the refine reuses f and f' at the guess.
+Both take the step inline: the presets solve at every RK stage.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ from .errors import PresetDomainError
 __all__ = ["newton_refine", "positive_roots", "solve_positive_root"]
 
 _STEP_TOL = 4.0 * 2.0**-52
-
-
-def _newton_step(x: float, fx: float, d: float) -> tuple:
-    """Newton's step from x (NaN where f' vanishes); whether it is <= 4 ulp."""
-    x_new = x - fx / d if d != 0.0 else math.nan
-    return x_new, abs(x_new - x) <= _STEP_TOL * abs(x)
 
 
 def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50,
@@ -53,8 +48,9 @@ def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50,
             b = x
         else:
             a, fa = x, fx
-        x_new, converged = _newton_step(x, fx, fprime(x) if dx is None else dx)
-        if converged:
+        d = fprime(x) if dx is None else dx
+        x_new = x - fx / d if d != 0.0 else math.nan  # NaN where f' vanishes
+        if abs(x_new - x) <= _STEP_TOL * abs(x):
             return x_new
         if not (a < x_new < b):
             x_new = 0.5 * (a + b)
@@ -89,8 +85,8 @@ def solve_positive_root(f, fprime, q_max: float, guess: float | None = None) -> 
         if fx == 0.0:
             return guess
         d = fprime(guess)
-        x_new, converged = _newton_step(guess, fx, d)
-        if converged:
+        x_new = guess - fx / d if d != 0.0 else math.nan
+        if abs(x_new - guess) <= _STEP_TOL * guess:
             return x_new
         for half_width in (0.05, 0.2):
             radius = half_width * max(guess, 1e-6)

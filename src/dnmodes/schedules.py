@@ -133,19 +133,21 @@ class Smoothstep(ControlSchedule):
         check_fields(self)
         if self.t1 <= self.t0:
             raise ConfigError("smoothstep requires t1 > t0")
+        object.__setattr__(self, "span", self.t1 - self.t0)
+        object.__setattr__(self, "rise", self.v1 - self.v0)
 
     def value(self, t: float) -> float:
-        s = (t - self.t0) / (self.t1 - self.t0)
+        s = (t - self.t0) / self.span
         if not 0.0 < s < 1.0:  # as min(1.0, max(0.0, s)), NaN and -0.0 included
             s = 1.0 if s >= 1.0 else 0.0
-        return self.v0 + (self.v1 - self.v0) * s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+        return self.v0 + self.rise * s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
 
     def derivative(self, t: float) -> float:
-        s = (t - self.t0) / (self.t1 - self.t0)
+        s = (t - self.t0) / self.span
         if s <= 0.0 or s >= 1.0:
             return 0.0
         ds = s * s * (30.0 + s * (-60.0 + 30.0 * s))
-        return (self.v1 - self.v0) * ds / (self.t1 - self.t0)
+        return self.rise * ds / self.span
 
 
 def _table_segments(t: tuple, y: tuple, cubic: bool) -> list:

@@ -1,10 +1,10 @@
 """Independent numerical oracles used by the tests.
 
 Kept deliberately separate from the library paths they check: plain
-bisection (no Newton), high-order finite differences for gradients and
-Hessians, a central difference of the mode angle, a brute-force 2x2
-eigendecomposition via the characteristic polynomial, and fixed-step RK4
-on numpy arrays.
+bisection (no Newton), the quintic's bracket end with max() calls,
+high-order finite differences for gradients and Hessians, a central
+difference of the mode angle, a brute-force 2x2 eigendecomposition via the
+characteristic polynomial, and fixed-step RK4 on numpy arrays.
 """
 
 import math
@@ -32,6 +32,19 @@ def bisect(f, a, b, iters=200):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def quintic_bracket_max(alpha, beta, Cc):
+    """The separation quintic's bracket end q_max, picked with max() calls."""
+    estimate = 1.0
+    if alpha > 0.0:
+        estimate = max(estimate, (Cc / alpha) ** (1.0 / 3.0))
+    if beta > 0.0:
+        estimate = max(estimate, (2.0 * Cc / beta) ** (1.0 / 5.0))
+    q_max = 10.0 * estimate
+    if alpha < 0.0 and beta > 0.0:
+        q_max = max(q_max, 10.0 * math.sqrt(2.0 * abs(alpha) / beta))
+    return q_max
 
 
 def grad4(f, x, h=1e-4):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 
 import dnmodes
-from dnmodes import cli, dynamics, modes, presets
+from dnmodes import cli, dynamics, modes, presets, schedules
 from dnmodes.cli import main
 
 
@@ -442,6 +443,69 @@ def test_separation_simulate_work_counts(tmp_path, capsys):
     capsys.readouterr()
     assert len(solves) <= 51 * 64
     assert len(decompositions) == 0
+
+
+# Ceilings for a 64-step rotation simulate --larmor with a table phi, at the
+# counts measured when the test was written.  Per step: 17.02 stiffness calls
+# (four stages in each of the four runs, plus the map), 9.02 equilibrium
+# calls (the two lab runs and the map), 8 equilibrium-velocity and theta_dot
+# calls (the two mode runs), 4 Larmor-rate calls (the Larmor run), 17.02 table
+# values and 12 table derivatives.
+ROTATION_CEILINGS = {
+    "solve_positive_root": 0, "integrations": 4,
+    "stiffness": 1089, "equilibrium": 577, "equilibrium_velocity": 512, "stiffness_rate": 0,
+    "theta_dot_override": 512, "larmor_rate": 256, "table.value": 1089, "table.derivative": 768,
+}
+
+
+def test_rotation_simulate_work_counts(tmp_path, capsys):
+    # The rotation twin of test_separation_simulate_work_counts: a regression
+    # fails, an improvement passes.
+    times = [i / 8.0 for i in range(9)]
+    phi = {"kind": "table", "times": times, "values": [0.3 * t * t for t in times]}
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "rotation", "m": 1.3, "omega1": 2.0, "omega2": 1.1, "phi": phi},
+        "window": [0.0, 1.0],
+        "integrator": {"dt": 1.0 / 64.0},
+        "initial_state": {"q": [0.3, -0.2], "p": [0.1, 0.05]},
+        "output": {"path": str(tmp_path / "rot")},
+    }
+    calls = dict.fromkeys(ROTATION_CEILINGS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = cli.build_preset
+
+    def counting_build(obj):
+        sys_ = build(obj)
+        for name in ("stiffness", "equilibrium", "equilibrium_velocity", "stiffness_rate",
+                     "theta_dot_override", "larmor_rate"):
+            setattr(sys_, name, counted(name, getattr(sys_, name)))
+        return sys_
+
+    table = schedules.SampledTable
+    patches = [
+        mock.patch.object(cli, "build_preset", counting_build),
+        mock.patch.object(presets, "solve_positive_root",
+                          counted("solve_positive_root", presets.solve_positive_root)),
+        mock.patch.object(table, "value", counted("table.value", table.value)),
+        mock.patch.object(table, "derivative", counted("table.derivative", table.derivative)),
+    ] + [
+        mock.patch.object(module, name, counted("integrations", getattr(module, name)))
+        for module in (cli, dynamics) for name in ("integrate_lab", "integrate_modes")
+    ]
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--larmor"]) == 0
+    capsys.readouterr()
+    for name, ceiling in ROTATION_CEILINGS.items():
+        assert calls[name] <= ceiling, (name, calls[name])
 
 
 def test_phase_gate_survey_work_counts(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Config fuzzer: a config with one wrong-typed or out-of-range value, or
 one bad ``--dt`` or ``--samples`` flag value, keeps the exit-code contract
-(0, 2, 3 or 4, and at most one line on stderr).
+(0, 2, 3 or 4, and at most one line on stderr).  In a separate ``dnm``
+process, where warnings reach stderr, an extreme value keeps it too.
 
 Each preset has a tiny valid config that fills every section.  A draw
 replaces one leaf of it, or the values of its sweep axis, with a string,
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dnmodes.cli import main
+from test_cli import run_cli
 
 FUZZ = settings(
     max_examples=20,
@@ -145,3 +147,23 @@ def test_one_bad_flag_keeps_the_exit_code_contract(tmp_path, capsys, preset, com
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
     assert err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_an_extreme_value_prints_one_stderr_line_in_a_process(tmp_path, preset, command):
+    # pytest captures warnings, so only a real process shows whether numpy's
+    # overflow warnings add lines to the message.  1e300 goes on the preset's
+    # sweep-axis leaf, or for sweep into the axis values.  Separation and
+    # phase-gate classify exit 3 on it before their report, so no cell
+    # reaches the failure behind NUMPY_BOOL_REPORT.
+    cfg = base_config(preset)
+    if command == "sweep":
+        replace(cfg, SWEEP_VALUES, [1e300])
+    else:
+        replace(cfg, tuple(PRESETS[preset][1].split(".")), 1e300)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "run"))
+    assert proc.returncode in (0, 2, 3, 4)
+    assert proc.stderr.count("\n") <= 1

@@ -18,7 +18,8 @@ known defect today).
 The root properties draw separation quintics and phase-gate cubics; both
 have one simple positive root over the drawn ranges.  A solve warm-started
 from its own root exits after one Newton step, and any other guess takes
-the bracketed refine.
+the bracketed refine.  The quintic's bracket end is the bits of its max()
+form for coefficients of any sign, zero and extreme.
 
 The integrator properties run on random ``custom`` systems too: the
 steppers see only Python floats, agree with the numpy-array RK4 oracle,
@@ -81,7 +82,7 @@ from dnmodes.quadratic import PhasePoint
 from dnmodes.rootfind import newton_refine, solve_positive_root
 from dnmodes.schedules import LinearRamp, Polynomial, Smoothstep
 
-from oracles import bisect, grad4, rk4_states
+from oracles import bisect, grad4, quintic_bracket_max, rk4_states
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -556,6 +557,18 @@ def test_separation_root_exits_warm_after_one_step(params):
 @given(phase_gate_params)
 def test_phase_gate_root_exits_warm_after_one_step(params):
     check_warm_exit(lambda k0, d, Cc: solve_phase_gate_distance(d, 0.0, k0, Cc), params)
+
+
+any_float = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(any_float, any_float, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_quintic_bracket_picks_the_bits_of_max(alpha, beta, Cc):
+    # The bracket picks its bound with comparisons; they must return what the
+    # max() calls return, for coefficients of either sign, zero and extreme.
+    got = presets._quintic_bracket(alpha, beta, Cc)
+    assert got.hex() == quintic_bracket_max(alpha, beta, Cc).hex()
 
 
 def test_a_guess_at_or_below_zero_takes_the_full_scan():
