@@ -15,8 +15,8 @@ last entry is exactly t1; a step's last stage lies on the next grid time, so
 no stage leaves the window.  The mode angle is threaded call by call: the
 first stage at t0 takes the default branch, each later stage (or map sample)
 the branch of the one before.  A mode-frame stage evaluates the stiffness
-once and takes one cos/sin pair of the mode angle for its squared frequencies
-and its drive; a map sample reuses that pair and evaluates only the stiffness
+once; one frame call gives theta, both squared frequencies and the cos/sin
+pair that turns the drive, which a map sample reuses with only the stiffness
 and the equilibrium, no theta_dot.  Callables are bound per run, not at import
 (a tracer may replace them), and RK4 builds its states array once from rows.
 A state that turns non-finite inside a step raises ``FloatingPointError``, as

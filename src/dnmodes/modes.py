@@ -12,9 +12,9 @@ theta is constant in time; a nonzero theta_dot couples them through an
 angular-momentum-like term -theta_dot * (Q1 P2 - Q2 P1).
 
 Mode labels follow branch continuity in theta (nearest multiple of pi/2 to
-the caller-supplied reference), never frequency sorting, so that frequency
-crossings do not masquerade as frame rotations.  The default branch is
-theta in (-pi/4, pi/4].
+the reference), never frequency sorting, so that frequency crossings do not
+masquerade as frame rotations; the default branch is (-pi/4, pi/4].  One
+call gives a sample's frame: theta, cos theta, sin theta, Omega1^2, Omega2^2.
 """
 
 from __future__ import annotations
@@ -103,63 +103,60 @@ def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
     )
 
 
-def _theta_num_den(K: StiffnessTriple, masses: MassPair) -> tuple:
+def _frame(K: StiffnessTriple, masses: MassPair, branch_ref=None, theta=None) -> tuple:
+    """(theta, cos theta, sin theta, Omega1^2, Omega2^2) of the stiffness K: theta
+    on the branch (multiple of pi/2) nearest branch_ref when given, else on the
+    default branch (-pi/4, pi/4]; a caller that fixes theta passes it instead."""
     k, k1, k2 = K.k, K.k1, K.k2
-    num = 2.0 * k * masses.sqrt12
-    den = masses.m1 * (k + k2) - masses.m2 * (k + k1)
-    scale = (masses.m1 + masses.m2) * (abs(k) + abs(k1) + abs(k2))
-    return num, den, scale
+    m1, m2, r12 = masses.m1, masses.m2, masses.sqrt12
+    if theta is None:
+        num = 2.0 * k * r12
+        den = m1 * (k + k2) - m2 * (k + k1)
+        if math.hypot(num, den) <= EPS_DEGENERATE * ((m1 + m2) * (abs(k) + abs(k1) + abs(k2))):
+            # Degenerate mass-weighted stiffness: any angle diagonalizes.
+            theta = 0.0 if branch_ref is None else branch_ref
+        else:
+            theta = 0.5 * math.atan2(num, den)
+            half = 0.5 * math.pi
+            if branch_ref is not None:
+                theta += half * round((branch_ref - theta) / half)
+            # The degenerate-denominator value -pi/4 (atan2 sign conventions) stays.
+            elif theta > 0.25 * math.pi:
+                theta -= half
+            elif theta < -0.25 * math.pi:
+                theta += half
+    a, b, cross = (k + k1) / m1, (k + k2) / m2, k / r12
+    c, s, s2 = math.cos(theta), math.sin(theta), math.sin(2.0 * theta)
+    return theta, c, s, a * c * c + b * s * s - cross * s2, a * s * s + b * c * c + cross * s2
 
 
 def theta_at(K: StiffnessTriple, masses: MassPair, branch_ref: Optional[float] = None) -> float:
     """Mode angle, on the branch (multiple of pi/2) nearest branch_ref when given."""
-    num, den, scale = _theta_num_den(K, masses)
-    if math.hypot(num, den) <= EPS_DEGENERATE * scale:
-        # Degenerate mass-weighted stiffness: any angle diagonalizes.
-        return 0.0 if branch_ref is None else branch_ref
-    theta = 0.5 * math.atan2(num, den)
-    half = 0.5 * math.pi
-    if branch_ref is not None:
-        return theta + half * round((branch_ref - theta) / half)
-    # Default branch (-pi/4, pi/4]; the degenerate-denominator value -pi/4
-    # (from atan2 sign conventions) is kept as is.
-    if theta > 0.25 * math.pi:
-        theta -= half
-    elif theta < -0.25 * math.pi:
-        theta += half
-    return theta
+    return _frame(K, masses, branch_ref)[0]
 
 
 def rotated_frequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
-    """(cos theta, sin theta, Omega1^2, Omega2^2) for the mode labels fixed by
-    theta: a mode-frame RK stage's frequencies and, via the pair, its drive."""
-    k, k1, k2 = K.k, K.k1, K.k2
-    a = (k + k1) / masses.m1
-    b = (k + k2) / masses.m2
-    cross = k / masses.sqrt12
-    c = math.cos(theta)
-    s = math.sin(theta)
-    s2 = math.sin(2.0 * theta)
-    return c, s, a * c * c + b * s * s - cross * s2, a * s * s + b * c * c + cross * s2
+    """(cos theta, sin theta, Omega1^2, Omega2^2) for the mode labels fixed by theta."""
+    return _frame(K, masses, theta=theta)[1:]
 
 
 def eigenfrequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
     """(Omega1^2, Omega2^2) for the mode labels fixed by theta."""
-    return rotated_frequencies(K, masses, theta)[2:]
+    return _frame(K, masses, theta=theta)[3:]
 
 
 def _mode_frames(sys: QuadraticSystem):
     """``frame(t) -> (theta, cos theta, sin theta, Omega1^2, Omega2^2)`` along
-    one walk forward in time: the first call's theta is on the default
-    branch, each later one on the branch of the call before."""
+    one walk forward in time, one :func:`_frame` per call: the first call's theta
+    is on the default branch, each later one on the branch of the call before."""
     stiffness, masses = sys.stiffness, sys.masses
     theta = None
 
     def frame(t: float) -> tuple:
         nonlocal theta
-        triple = stiffness(t)
-        theta = theta_at(triple, masses, theta)
-        return (theta, *rotated_frequencies(triple, masses, theta))
+        values = _frame(stiffness(t), masses, theta)
+        theta = values[0]
+        return values
 
     return frame
 
@@ -188,20 +185,21 @@ def theta_dot_at(
 
     The preset's closed form when it supplies one, else the chain rule on
     the atan2 expression from the stiffness and its rate.  At a degenerate
-    instant, where any angle diagonalizes, a central difference of the
-    unwrapped angle, on the branch of theta(t - h).  A caller that already
-    holds the stiffness triple at t passes it as ``triple``, so the chain
-    rule does not evaluate the stiffness again (on the ion pair, a root
-    solve).
+    instant (:func:`_frame`'s test, whose hypot cannot overflow), a central
+    difference of the unwrapped angle, on the branch of theta(t - h).  A
+    caller that already holds the stiffness triple at t passes it as
+    ``triple``, so the chain rule does not evaluate the stiffness again (on
+    the ion pair, a root solve).
     """
     if sys.theta_dot_override is not None:
         return sys.theta_dot_override(t)
     if triple is None:
         triple = sys.stiffness(t)
     m = sys.masses
-    num, den, scale = _theta_num_den(triple, m)
-    if math.hypot(num, den) > EPS_DEGENERATE * scale:  # theta_at's test; it cannot overflow
-        dk, dk1, dk2 = sys.stiffness_rate_at(t)
+    k, k1, k2 = triple.k, triple.k1, triple.k2
+    num, den = 2.0 * k * m.sqrt12, m.m1 * (k + k2) - m.m2 * (k + k1)
+    if math.hypot(num, den) > EPS_DEGENERATE * ((m.m1 + m.m2) * (abs(k) + abs(k1) + abs(k2))):
+        dk, dk1, dk2 = sys.stiffness_rate(t)
         num_dot = 2.0 * dk * m.sqrt12
         den_dot = m.m1 * (dk + dk2) - m.m2 * (dk + dk1)
         return 0.5 * (num_dot * den - num * den_dot) / (num * num + den * den)
@@ -243,8 +241,7 @@ def decompose_at(
     """theta, theta_dot, the squared mode frequencies and A at t, from one
     stiffness evaluation: theta_dot reuses the triple."""
     triple = sys.stiffness(t)
-    theta = theta_at(triple, sys.masses, branch_ref)
-    o1, o2 = eigenfrequencies(triple, sys.masses, theta)
+    theta, _, _, o1, o2 = _frame(triple, sys.masses, branch_ref)
     A, A_inv = modal_matrix(theta, sys.masses)
     return ModeDecomposition(
         t=t,
@@ -387,9 +384,8 @@ def classify_separability(
     for t in times:
         triple = sys.stiffness(t)
         triples.append(triple)
-        branch = theta_at(triple, sys.masses, branch_ref=branch)
+        branch, _, _, o1, o2 = _frame(triple, sys.masses, branch)
         theta_samples.append((float(t), branch))
-        o1, o2 = eigenfrequencies(triple, sys.masses, branch)
         if o1 <= 0.0 or o2 <= 0.0:
             stable = False
         max_rate = max(max_rate, abs(theta_dot_at(sys, float(t))))

@@ -6,8 +6,8 @@ the gradient of the full (untruncated) potential and whose stiffness triple
 equals its Hessian there.  The Coulomb constant Cc is a dimensionless
 caller-supplied number (natural units), default 1.
 
-Throughout the ion scenarios the ordering q1 > q2 is enforced (strong
-Coulomb repulsion keeps the ions from swapping).
+Transport, separation and the phase gate are one ion pair, q1 > q2 (Coulomb
+repulsion keeps the ions apart), whose views read each control once.
 """
 
 from __future__ import annotations
@@ -61,45 +61,52 @@ __all__ = [
 
 
 def _ion_pair(
-    cfg, label, distance, distance_rate, curvature, curvature_rate, trap_potential,
-    center=lambda t: 0.0, center_rate=lambda t: 0.0, theta_dot_override=None,
+    cfg, label, controls, distance, distance_rate, curvature, curvature_rate, trap_potential,
+    center=None, theta_dot_override=None,
 ) -> QuadraticSystem:
-    """Two ions at c(t) +- q0(t)/2 in a trap of curvature kappa(t).
-
-    The Coulomb term Cc/(q1 - q2) couples them by the spring 2 Cc/q0^3.  The
-    builder supplies ``distance(t, guess)``, whose guess is the previous q0
-    (None at first), so a time series must be evaluated in order; the rates
-    ``distance_rate(t, q0)`` and ``curvature_rate(t, q0, q0dot)``;
-    ``curvature(t, q0)``; the centre c(t) and its rate; and the trap
-    potential without the Coulomb term.
-    """
+    """Two ions at c +- q0/2 in a trap of curvature kappa, coupled by the spring
+    2 Cc/q0^3 of the Coulomb term, all pure functions of u = (s1(t), s2(t)), the
+    ``controls`` (s1, s2), and their rates du, read once per view.  The builder
+    supplies ``distance(t, u, guess)`` (guess: the last q0, None at first, so a
+    series goes in time order), ``distance_rate(t, u, du, q0)``, ``curvature(u,
+    q0)``, ``curvature_rate(u, du, q0, q0dot)``, the centre c(u) (None: 0),
+    linear, so c(du) is its rate, and the trap potential without Coulomb."""
     Cc = cfg.Cc
+    (v1, d1), (v2, d2) = ((s.value, s.derivative) for s in controls)
     previous = [None]
 
-    def q0_at(t: float) -> float:
-        previous[0] = distance(t, previous[0])
+    def q0_at(t: float, u: tuple) -> float:
+        try:
+            previous[0] = distance(t, u, previous[0])
+        except (OverflowError, FloatingPointError):  # float ** or numpy under errstate
+            raise PresetDomainError(f"{label}: q0 overflows at t={t}") from None
         return previous[0]
 
     def equilibrium(t: float) -> tuple:
-        c = center(t)
-        half = 0.5 * q0_at(t)
+        u = (v1(t), v2(t))
+        c = center(u) if center else 0.0
+        half = 0.5 * q0_at(t, u)
         return (c + half, c - half)
 
     def equilibrium_velocity(t: float) -> tuple:
-        cdot = center_rate(t)
-        half = 0.5 * distance_rate(t, q0_at(t))
+        u, du = (v1(t), v2(t)), (d1(t), d2(t))
+        cdot = center(du) if center else 0.0
+        half = 0.5 * distance_rate(t, u, du, q0_at(t, u))
         return (cdot + half, cdot - half)
 
     def stiffness(t: float) -> StiffnessTriple:
-        q0 = q0_at(t)
-        kappa = curvature(t, q0)
+        u = (v1(t), v2(t))
+        q0 = q0_at(t, u)
+        kappa = curvature(u, q0)
         return StiffnessTriple(2.0 * Cc / q0**3, kappa, kappa)
 
     def stiffness_rate(t: float) -> tuple:
-        q0 = q0_at(t)
-        q0dot = distance_rate(t, q0)
-        kappa_dot = curvature_rate(t, q0, q0dot)
-        return (-6.0 * Cc * q0dot / q0**4, kappa_dot, kappa_dot)
+        u, du = (v1(t), v2(t)), (d1(t), d2(t))
+        q0 = q0_at(t, u)
+        q0dot = distance_rate(t, u, du, q0)
+        kappa_dot = curvature_rate(u, du, q0, q0dot)
+        k_dot = -6.0 * Cc * q0dot / q4 if (q4 := q0**4) else -6.0 * Cc / q0**3 * (q0dot / q0)
+        return (k_dot, kappa_dot, kappa_dot)
 
     return QuadraticSystem(
         masses=cfg.masses,
@@ -136,26 +143,25 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
     (k, k, k), so theta is constant for any masses and any k(t).
     """
 
-    def k_at(t: float) -> float:
-        k = cfg.k.value(t)
-        if k <= 0.0:
-            raise PresetDomainError(f"transport requires k(t) > 0, got k({t}) = {k}")
-        return k
+    def distance(t: float, u: tuple, guess) -> float:
+        if u[0] <= 0.0:  # every view solves for q0, so every view checks k
+            raise PresetDomainError(f"transport requires k(t) > 0, got k({t}) = {u[0]}")
+        return (2.0 * cfg.Cc / u[0]) ** (1.0 / 3.0)
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         Q0 = cfg.Q0.value(t)
-        return 0.5 * k_at(t) * ((q1 - Q0) ** 2 + (q2 - Q0) ** 2)
+        return 0.5 * cfg.k.value(t) * ((q1 - Q0) ** 2 + (q2 - Q0) ** 2)
 
     return _ion_pair(
         cfg,
         "transport",
-        distance=lambda t, guess: (2.0 * cfg.Cc / k_at(t)) ** (1.0 / 3.0),
-        distance_rate=lambda t, q0: -q0 * cfg.k.derivative(t) / (3.0 * k_at(t)),
-        curvature=lambda t, q0: k_at(t),
-        curvature_rate=lambda t, q0, q0dot: cfg.k.derivative(t),
+        controls=(cfg.k, cfg.Q0),
+        distance=distance,
+        distance_rate=lambda t, u, du, q0: -q0 * du[0] / (3.0 * u[0]),
+        curvature=lambda u, q0: u[0],
+        curvature_rate=lambda u, du, q0, q0dot: du[0],
         trap_potential=trap_potential,
-        center=cfg.Q0.value,
-        center_rate=cfg.Q0.derivative,
+        center=lambda u: u[1],
         theta_dot_override=lambda t: 0.0,
     )
 
@@ -194,18 +200,27 @@ def _quintic_bracket(alpha: float, beta: float, Cc: float) -> float:
     return q_max
 
 
-def solve_separation_distance(
-    alpha: float, beta: float, Cc: float, guess: Optional[float] = None
-) -> float:
+def _separation_distance(Cc: float):
+    """The separation pair's ``distance(t, u, guess)``: the quintic's root at u."""
+
+    def distance(t, u: tuple, guess: Optional[float] = None) -> float:
+        alpha, beta = u
+
+        def f(q: float) -> float:
+            return beta * q**5 + 2.0 * alpha * q**3 - 2.0 * Cc
+
+        def fp(q: float) -> float:
+            return 5.0 * beta * q**4 + 6.0 * alpha * q**2
+
+        return solve_positive_root(f, fp, _quintic_bracket(alpha, beta, Cc), guess)
+
+    return distance
+
+
+def solve_separation_distance(alpha: float, beta: float, Cc: float,
+                              guess: Optional[float] = None) -> float:
     """Positive root of the equilibrium quintic beta q^5 + 2 alpha q^3 - 2 Cc."""
-
-    def f(q: float) -> float:
-        return beta * q**5 + 2.0 * alpha * q**3 - 2.0 * Cc
-
-    def fp(q: float) -> float:
-        return 5.0 * beta * q**4 + 6.0 * alpha * q**2
-
-    return solve_positive_root(f, fp, _quintic_bracket(alpha, beta, Cc), guess=guess)
+    return _separation_distance(Cc)(None, (alpha, beta), guess)
 
 
 def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
@@ -215,31 +230,26 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
     from implicit differentiation, and the trap curvature at +-q0/2 is
     2 alpha + 3 beta q0^2.
     """
-    alpha, beta, Cc = cfg.alpha.value, cfg.beta.value, cfg.Cc
-    alpha_dot, beta_dot = cfg.alpha.derivative, cfg.beta.derivative
-
-    def distance(t: float, guess) -> float:
-        return solve_separation_distance(alpha(t), beta(t), Cc, guess=guess)
-
-    def distance_rate(t: float, q0: float) -> float:
-        denom = 5.0 * beta(t) * q0**4 + 6.0 * alpha(t) * q0**2
+    def distance_rate(t: float, u: tuple, du: tuple, q0: float) -> float:
+        denom = 5.0 * u[1] * q0**4 + 6.0 * u[0] * q0**2
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: implicit-derivative denominator vanishes at t={t}"
             )
-        return -(q0**5 * beta_dot(t) + 2.0 * q0**3 * alpha_dot(t)) / denom
+        return -(q0**5 * du[1] + 2.0 * q0**3 * du[0]) / denom
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
-        return alpha(t) * (q1**2 + q2**2) + beta(t) * (q1**4 + q2**4)
+        return cfg.alpha.value(t) * (q1**2 + q2**2) + cfg.beta.value(t) * (q1**4 + q2**4)
 
     return _ion_pair(
         cfg,
         "separation",
-        distance=distance,
+        controls=(cfg.alpha, cfg.beta),
+        distance=_separation_distance(cfg.Cc),
         distance_rate=distance_rate,
-        curvature=lambda t, q0: 2.0 * alpha(t) + 3.0 * beta(t) * q0**2,
-        curvature_rate=lambda t, q0, q0dot: 2.0 * alpha_dot(t)
-        + 3.0 * beta_dot(t) * q0**2 + 6.0 * beta(t) * q0 * q0dot,
+        curvature=lambda u, q0: 2.0 * u[0] + 3.0 * u[1] * q0**2,
+        curvature_rate=lambda u, du, q0, q0dot: 2.0 * du[0]
+        + 3.0 * du[1] * q0**2 + 6.0 * u[1] * q0 * q0dot,
         trap_potential=trap_potential,
     )
 
@@ -413,15 +423,13 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
     if cfg.zeroth_order:
         return build_phase_gate_zeroth_order(cfg)
     k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1.value, cfg.F2.value
-    F1_dot, F2_dot = cfg.F1.derivative, cfg.F2.derivative
     audited = [None]  # the time of the last audit
 
-    def distance(t: float, guess) -> float:
-        f1, f2 = F1(t), F2(t)
-        q0 = solve_phase_gate_distance(f1, f2, k0, Cc, guess=guess)
+    def distance(t: float, u: tuple, guess) -> float:
+        q0 = solve_phase_gate_distance(u[0], u[1], k0, Cc, guess)
         if t != audited[0]:
             try:
-                q1c, q2c = phase_gate_equilibria_closed_form(f1, f2, k0, Cc)
+                q1c, q2c = phase_gate_equilibria_closed_form(u[0], u[1], k0, Cc)
                 if abs((q1c - q2c) - q0) > 1e-8 * abs(q0):
                     warnings.warn(
                         f"per-ion closed-form equilibria disagree with root solve at t={t}: "
@@ -434,14 +442,14 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
             audited[0] = t
         return q0
 
-    def distance_rate(t: float, q0: float) -> float:
-        d = F1(t) - F2(t)
+    def distance_rate(t: float, u: tuple, du: tuple, q0: float) -> float:
+        d = u[0] - u[1]
         denom = 3.0 * k0 * q0**2 + 2.0 * d * q0
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: cubic derivative vanishes at t={t}"
             )
-        return -(q0**2) * (F1_dot(t) - F2_dot(t)) / denom
+        return -(q0**2) * (du[0] - du[1]) / denom
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         return 0.5 * k0 * (q1**2 + q2**2) + F1(t) * q1 + F2(t) * q2
@@ -449,13 +457,13 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
     return _ion_pair(
         cfg,
         "phase-gate",
+        controls=(cfg.F1, cfg.F2),
         distance=distance,
         distance_rate=distance_rate,
-        curvature=lambda t, q0: k0,
-        curvature_rate=lambda t, q0, q0dot: 0.0,
+        curvature=lambda u, q0: k0,
+        curvature_rate=lambda u, du, q0, q0dot: 0.0,
         trap_potential=trap_potential,
-        center=lambda t: -0.5 * (F1(t) + F2(t)) / k0,
-        center_rate=lambda t: -0.5 * (F1_dot(t) + F2_dot(t)) / k0,
+        center=lambda u: -0.5 * (u[0] + u[1]) / k0,
     )
 
 
@@ -527,8 +535,10 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
     integrator only on request.
     """
     m = cfg.m
-    w1sq = cfg.omega1**2
-    w2sq = cfg.omega2**2
+    try:
+        w1sq, w2sq = cfg.omega1**2, cfg.omega2**2
+    except OverflowError:
+        raise PresetDomainError("rotation: omega1**2 or omega2**2 overflows") from None
     phi_at, phi_dot = cfg.phi.value, cfg.phi.derivative
     # The leading factors of the products below, hoisted in left-to-right order.
     k_amp = -0.5 * m * (w1sq - w2sq)

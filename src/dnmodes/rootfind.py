@@ -64,6 +64,12 @@ def positive_roots(f, fprime, q_max: float, n_scan: int = 512) -> list:
     roots = []
     xs = [eps + (q_max - eps) * i / n_scan for i in range(n_scan + 1)]
     fs = [f(x) for x in xs]
+    a, b = 2.0**-1022, xs[0]  # a sign change below the grid: halve its exponent range
+    if f(a) * fs[0] < 0.0:
+        while b > 2.0 * a:
+            m = math.sqrt(a) * math.sqrt(b)
+            a, b = (a, m) if (f(m) < 0.0) == (fs[0] < 0.0) else (m, b)
+        roots.append(newton_refine(f, fprime, 0.5 * (a + b), a, b))
     for i in range(n_scan):
         if fs[i] == 0.0:
             roots.append(xs[i])

@@ -5,13 +5,18 @@ bisection (no Newton), the quintic's bracket end with max() calls,
 high-order finite differences for gradients and Hessians, a central
 difference of the mode angle, a brute-force 2x2 eigendecomposition via the
 characteristic polynomial, and fixed-step RK4 on numpy arrays.
+
+Two more write library code a second way, and the library must give their
+bits: the ion pair's views piece by piece, each schedule read where a piece
+needs it, and the mode frame as a chain: the tan(2 theta) numerator and
+denominator, then theta, then cos, sin and the rotated frequencies.
 """
 
 import math
 
 import numpy as np
 
-from dnmodes.modes import theta_at
+from dnmodes.modes import EPS_DEGENERATE, theta_at
 from dnmodes.schedules import fd_step
 
 
@@ -134,3 +139,84 @@ def rk4_states(rhs, t0, y0, dt, n_steps, on_step=None):
         if on_step is not None:
             on_step(times[i + 1])
     return times, states
+
+
+def _theta_num_den(K, masses):
+    k, k1, k2 = K.k, K.k1, K.k2
+    num = 2.0 * k * masses.sqrt12
+    den = masses.m1 * (k + k2) - masses.m2 * (k + k1)
+    scale = (masses.m1 + masses.m2) * (abs(k) + abs(k1) + abs(k2))
+    return num, den, scale
+
+
+def chain_theta(K, masses, branch_ref=None):
+    """The mode angle from the numerator and denominator of tan(2 theta), on
+    the branch nearest branch_ref, else on (-pi/4, pi/4]."""
+    num, den, scale = _theta_num_den(K, masses)
+    if math.hypot(num, den) <= EPS_DEGENERATE * scale:
+        return 0.0 if branch_ref is None else branch_ref
+    theta = 0.5 * math.atan2(num, den)
+    half = 0.5 * math.pi
+    if branch_ref is not None:
+        return theta + half * round((branch_ref - theta) / half)
+    if theta > 0.25 * math.pi:
+        theta -= half
+    elif theta < -0.25 * math.pi:
+        theta += half
+    return theta
+
+
+def chain_rotated_frequencies(K, masses, theta):
+    """(cos theta, sin theta, Omega1^2, Omega2^2) for the given theta."""
+    k, k1, k2 = K.k, K.k1, K.k2
+    a = (k + k1) / masses.m1
+    b = (k + k2) / masses.m2
+    cross = k / masses.sqrt12
+    c = math.cos(theta)
+    s = math.sin(theta)
+    s2 = math.sin(2.0 * theta)
+    return c, s, a * c * c + b * s * s - cross * s2, a * s * s + b * c * c + cross * s2
+
+
+def chain_frame(K, masses, branch_ref=None):
+    """(theta, cos theta, sin theta, Omega1^2, Omega2^2), the angle first."""
+    theta = chain_theta(K, masses, branch_ref)
+    return (theta, *chain_rotated_frequencies(K, masses, theta))
+
+
+def ion_pair_views(cfg, t, q0):
+    """(stiffness triple, stiffness rate, equilibrium, equilibrium velocity)
+    of a transport, separation or (full) phase-gate config at t, from the
+    per-piece formulas with each schedule read where a piece uses it.  The
+    root-solving presets take their root q0 from the caller; transport's is
+    its closed form."""
+    Cc = cfg.Cc
+    if hasattr(cfg, "Q0"):  # transport
+        k = cfg.k.value(t)
+        q0 = (2.0 * cfg.Cc / k) ** (1.0 / 3.0)
+        q0dot = -q0 * cfg.k.derivative(t) / (3.0 * k)
+        kappa, kappa_dot = cfg.k.value(t), cfg.k.derivative(t)
+        c, cdot = cfg.Q0.value(t), cfg.Q0.derivative(t)
+    elif hasattr(cfg, "alpha"):  # separation
+        alpha, beta = cfg.alpha.value, cfg.beta.value
+        alpha_dot, beta_dot = cfg.alpha.derivative, cfg.beta.derivative
+        denom = 5.0 * beta(t) * q0**4 + 6.0 * alpha(t) * q0**2
+        q0dot = -(q0**5 * beta_dot(t) + 2.0 * q0**3 * alpha_dot(t)) / denom
+        kappa = 2.0 * alpha(t) + 3.0 * beta(t) * q0**2
+        kappa_dot = 2.0 * alpha_dot(t) + 3.0 * beta_dot(t) * q0**2 + 6.0 * beta(t) * q0 * q0dot
+        c = cdot = 0.0
+    else:  # phase gate
+        F1, F2, k0 = cfg.F1, cfg.F2, cfg.k0
+        d = F1.value(t) - F2.value(t)
+        denom = 3.0 * k0 * q0**2 + 2.0 * d * q0
+        q0dot = -(q0**2) * (F1.derivative(t) - F2.derivative(t)) / denom
+        kappa, kappa_dot = k0, 0.0
+        c = -0.5 * (F1.value(t) + F2.value(t)) / k0
+        cdot = -0.5 * (F1.derivative(t) + F2.derivative(t)) / k0
+    half, half_dot = 0.5 * q0, 0.5 * q0dot
+    return (
+        (2.0 * Cc / q0**3, kappa, kappa),
+        (-6.0 * Cc * q0dot / q0**4, kappa_dot, kappa_dot),
+        (c + half, c - half),
+        (cdot + half_dot, cdot - half_dot),
+    )

@@ -366,6 +366,52 @@ def test_sweep_writes_non_number_values_as_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+# A Python float ** that overflows raises OverflowError; the message names
+# what overflowed, and for the equilibrium distance q0 the time.
+OVERFLOWING_PRESETS = {
+    "separation": ({"type": "separation", "alpha": {"kind": "smoothstep", "v0": 1.0, "v1": 0.5,
+                                                     "t0": 0.0, "t1": 1.0},
+                    "beta": 0.6, "Cc": 1e300, "masses": [1.0, 2.0]},
+                   "separation: q0 overflows at t=0.0"),
+    "rotation": ({"type": "rotation", "m": 1.0, "omega1": 1e300, "omega2": 1.0, "phi": 0.3},
+                 "rotation: omega1**2 or omega2**2 overflows"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "simulate"])
+@pytest.mark.parametrize("preset", sorted(OVERFLOWING_PRESETS))
+def test_a_float_overflow_names_the_quantity(tmp_path, capsys, preset, command):
+    obj, message = OVERFLOWING_PRESETS[preset]
+    cfg = {
+        "schema": 1, "preset": obj, "window": [0.0, 1.0], "samples": 5,
+        "integrator": {"dt": 0.25}, "initial_state": {"q": [0.1, -0.1], "p": [0.0, 0.0]},
+        "output": {"path": str(tmp_path / "ovf")},
+    }
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"preset domain error: {message}"]
+
+
+def test_analyze_finds_a_root_below_the_scan_grid(tmp_path, capsys):
+    # With k0 = 1e300 the cubic's root is about 1.3e-100, below the first
+    # point of the root scan's grid (1e-11).
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "phase-gate", "k0": 1e300, "Cc": 1.0, "masses": [1.0, 1.5],
+                   "F1": {"kind": "smoothstep", "v0": 0.0, "v1": 0.1, "t0": 0.0, "t1": 1.0},
+                   "F2": {"kind": "polynomial", "coeffs": [0.0, -0.1]}},
+        "window": [0.0, 1.0],
+        "samples": 5,
+        "output": {"path": str(tmp_path / "tiny")},
+    }
+    assert main(["analyze", "--config", write_cfg(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "tiny_analyze.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    distances = [float(r["q1_eq"]) - float(r["q2_eq"]) for r in rows]
+    assert len(rows) == 5 and all(0.0 < d < 1e-99 for d in distances)
+
+
 def test_stiffness_near_the_float_limit_analyzes_and_classifies(tmp_path, capsys):
     # The theta_dot degeneracy test squares nothing, so k1 = 1e300 does not
     # overflow it.
@@ -409,12 +455,36 @@ def test_classify_through_an_isotropic_instant(tmp_path, capsys):
     capsys.readouterr()
 
 
+@contextlib.contextmanager
+def counted_schedule_reads():
+    """{"value": n, "derivative": n}: the schedule evaluations inside the block."""
+    counts = {"value": 0, "derivative": 0}
+
+    def counted(meth, fn):
+        def wrapper(self, t):
+            counts[meth] += 1
+            return fn(self, t)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for cls in vars(schedules).values():
+            if isinstance(cls, type) and issubclass(cls, schedules.ControlSchedule):
+                for meth in ("value", "derivative"):
+                    if meth in cls.__dict__:
+                        stack.enter_context(
+                            mock.patch.object(cls, meth, counted(meth, cls.__dict__[meth])))
+        yield counts
+
+
 def test_separation_simulate_work_counts(tmp_path, capsys):
-    # Ceilings on the root solves per step and the decompositions of a
-    # separation simulate: a regression fails, an improvement passes.  The
-    # lab-to-mode map needs no decomposition per sample, and the mode runs
-    # thread the mode angle through their stages with no solve of their own
-    # per step (3202 solves over the 64 steps).
+    # Ceilings on the root solves per step, the decompositions and the
+    # schedule evaluations of a separation simulate: a regression fails, an
+    # improvement passes.  The lab-to-mode map needs no decomposition per
+    # sample, and the mode runs thread the mode angle through their stages
+    # with no solve of their own per step (3202 solves over the 64 steps).
+    # Each view reads alpha and beta once (6404 values for its 3202 solves),
+    # and the 1024 rate views their derivatives once (the parent read 12166
+    # values and 3072 derivatives).
     alpha = {"kind": "smoothstep", "v0": 0.7, "v1": -1.2, "t0": 0.1, "t1": 0.9}
     cfg = {
         "schema": 1,
@@ -438,11 +508,13 @@ def test_separation_simulate_work_counts(tmp_path, capsys):
 
     with mock.patch.object(presets, "solve_positive_root", counting_solve), \
             mock.patch.object(cli, "decompose_at", counting_decompose), \
-            mock.patch.object(dynamics, "decompose_at", counting_decompose):
+            mock.patch.object(dynamics, "decompose_at", counting_decompose), \
+            counted_schedule_reads() as reads:
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
     capsys.readouterr()
     assert len(solves) <= 51 * 64
     assert len(decompositions) == 0
+    assert reads["value"] <= 6404 and reads["derivative"] <= 2048
 
 
 # Ceilings for a 64-step rotation simulate --larmor with a table phi, at the
@@ -513,8 +585,10 @@ def test_phase_gate_survey_work_counts(tmp_path, capsys):
     # sample (stiffness, its rate and the equilibrium), because theta_dot
     # reuses decompose_at's triple; classify_separability reuses its loop's
     # triples for the analytic case; and the phase gate audits its closed
-    # form once per sample time, not once per root solve.  The command-line
-    # classify is not used, because it still fails on the phase gate.
+    # form once per sample time, not once per root solve.  Each view reads F1
+    # and F2 once, so a sample reads 6 values and 2 derivatives (the parent
+    # read 10 and 8 values).  The command-line classify is not used, because
+    # it still fails on the phase gate.
     n = 40
     cfg = {
         "schema": 1,
@@ -540,13 +614,17 @@ def test_phase_gate_survey_work_counts(tmp_path, capsys):
 
     with mock.patch.object(presets, "solve_positive_root", counting_solve), \
             mock.patch.object(presets, "phase_gate_equilibria_closed_form", counting_closed_form):
-        assert main(["analyze", "--config", write_cfg(tmp_path, cfg)]) == 0
+        with counted_schedule_reads() as reads:
+            assert main(["analyze", "--config", write_cfg(tmp_path, cfg)]) == 0
         assert len(solves) <= 3 * n
         assert len(audits) == n  # every sample time, once
+        assert reads["value"] <= 6 * n and reads["derivative"] <= 2 * n
         del solves[:], audits[:]
-        sys_ = presets.build_preset(cfg["preset"])
-        rep = modes.classify_separability(sys_, (0.0, 8.0), n_samples=n)
+        with counted_schedule_reads() as reads:
+            sys_ = presets.build_preset(cfg["preset"])
+            rep = modes.classify_separability(sys_, (0.0, 8.0), n_samples=n)
         assert len(solves) <= 3 * n + 1
         assert len(audits) == n
+        assert reads["value"] <= 6 * n and reads["derivative"] <= 2 * n
     capsys.readouterr()
     assert rep.analytic_case is None and len(rep.theta_samples) == n

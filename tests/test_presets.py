@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -210,6 +211,20 @@ def test_phase_gate_cubic_vs_bisection():
 
     oracle = bisect(f, 1e-9, 5.0)
     assert solve_phase_gate_distance(F1, F2, k0, Cc) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_a_root_below_the_scan_grid_converges():
+    # k0 = 1e300 puts the cubic's root near 1.26e-100, far below the first
+    # point of the scan grid (1e-11): the sign change between the smallest
+    # normal float and that point is narrowed, then refined to 4 ulp of the
+    # cube root taken in decimal (the float ** (1.0 / 3.0) is 63 ulp off,
+    # because its exponent is rounded).
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = (decimal.Decimal(2) / decimal.Decimal(1e300)) ** (decimal.Decimal(1) / 3)
+    expected = float(exact)
+    q0 = solve_phase_gate_distance(0.0, 0.0, 1e300, 1.0)
+    assert abs(q0 - expected) <= 4 * math.ulp(expected)
 
 
 def test_phase_gate_individual_closed_forms_agree():

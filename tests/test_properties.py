@@ -28,6 +28,13 @@ crossing.  The float lab-to-mode map agrees with the decomposition's numpy
 matrices on custom, rotation and separation systems, and a mode-frame RK
 stage's frequencies and drive are bit-identical to eigenfrequencies and
 drive_at on crossing and rotation systems.
+
+Two properties check bits (``float.hex``) against references in ``oracles``:
+the ion pair's views, which read each control once, against per-piece
+formulas that read a schedule wherever a piece uses it, on the root each
+view solved for; and the one-call mode frame against the chain theta ->
+rotated frequencies, for random and isotropic stiffness, ion-pair stiffness
+and random branch references, and along a threaded walk.
 """
 
 import math
@@ -51,7 +58,9 @@ from dnmodes.dynamics import (
 )
 from dnmodes.modes import (
     _detect_analytic_case,
+    _frame,
     _modal_product,
+    _mode_frames,
     classify_separability,
     decompose_at,
     drive_at,
@@ -78,11 +87,13 @@ from dnmodes.presets import (
     solve_phase_gate_distance,
     solve_separation_distance,
 )
-from dnmodes.quadratic import PhasePoint
+from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
 from dnmodes.rootfind import newton_refine, solve_positive_root
 from dnmodes.schedules import LinearRamp, Polynomial, Smoothstep
 
-from oracles import bisect, grad4, quintic_bracket_max, rk4_states
+from oracles import (
+    bisect, chain_frame, grad4, ion_pair_views, quintic_bracket_max, rk4_states,
+)
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -603,3 +614,98 @@ def test_float_map_matches_the_decomposition(kind, data):
         oracle = np.concatenate([dec.A @ (q - sys.equilibrium(t)), dec.A_inv.T @ p])
         assert np.abs(mapped[i] - ref).max() <= tol
         assert np.abs(mapped[i] - oracle).max() <= tol
+
+
+def hexes(values) -> list:
+    return [float(x).hex() for x in values]
+
+
+@contextmanager
+def recorded_roots():
+    """The root every root solve inside the block returns."""
+    roots = []
+    solve = presets.solve_positive_root
+
+    def recording_solve(f, fprime, q_max, guess=None):
+        roots.append(solve(f, fprime, q_max, guess=guess))
+        return roots[-1]
+
+    with mock.patch.object(presets, "solve_positive_root", recording_solve):
+        yield roots
+
+
+ION_PAIR_VIEWS = ("stiffness", "stiffness_rate", "equilibrium", "equilibrium_velocity")
+
+
+@pytest.mark.parametrize("kind", ["transport", "separation", "phase-gate"])
+@PROPERTY
+@given(data=st.data())
+def test_ion_pair_views_give_the_bits_of_the_per_piece_formulas(kind, data):
+    # Unequal masses, alpha of either sign.  The views are called in a drawn
+    # order at drawn times, so their roots come from cold and warm solves;
+    # on the root it solved for, each view returns the per-piece bits.
+    cfg = data.draw(preset_configs(kind), label="config")
+    sys = build_preset(cfg)
+    calls = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0))
+    for view, t in data.draw(st.lists(calls, min_size=1, max_size=8), label="calls"):
+        with recorded_roots() as roots:
+            got = getattr(sys, ION_PAIR_VIEWS[view])(t)
+        assert len(roots) == (kind != "transport")  # one root solve per view
+        expected = ion_pair_views(cfg, t, roots[0] if roots else None)[view]
+        assert hexes(astuple(got) if view == 0 else got) == hexes(expected)
+
+
+@st.composite
+def stiffness_cases(draw, isotropic):
+    """(K, masses) with unequal masses; an isotropic K (k = 0, k1/m1 = k2/m2)
+    is diagonal in any frame, so theta falls back to its branch reference."""
+    m1 = draw(st.floats(0.2, 5.0))
+    masses = MassPair(m1, m1 * draw(st.floats(1.1, 3.0)) ** draw(st.sampled_from([-1.0, 1.0])))
+    entries = st.floats(-3.0, 3.0)
+    if isotropic:
+        k1 = draw(entries)
+        return StiffnessTriple(0.0, k1, k1 * masses.m2 / masses.m1), masses
+    return StiffnessTriple(draw(entries), draw(entries), draw(entries)), masses
+
+
+@pytest.mark.parametrize(
+    "source", ["random", "isotropic", "transport", "separation", "phase-gate"])
+@PROPERTY
+@given(data=st.data())
+def test_mode_frame_gives_the_bits_of_theta_at_then_rotated_frequencies(source, data):
+    if source in ("random", "isotropic"):
+        K, masses = data.draw(stiffness_cases(source == "isotropic"), label="case")
+    else:
+        sys = data.draw(preset_systems(source), label="system")
+        K, masses = sys.stiffness(data.draw(times, label="t")), sys.masses
+    branch = data.draw(st.none() | st.floats(-7.0, 7.0), label="branch")
+    expected = chain_frame(K, masses, branch)
+    assert hexes(_frame(K, masses, branch)) == hexes(expected)
+    assert hexes([theta_at(K, masses, branch)]) == hexes(expected[:1])
+    assert hexes(rotated_frequencies(K, masses, expected[0])) == hexes(expected[1:])
+    assert hexes(eigenfrequencies(K, masses, expected[0])) == hexes(expected[3:])
+
+
+@pytest.mark.parametrize("kind", ["crossing", "separation", "phase-gate"])
+@PROPERTY
+@given(data=st.data())
+def test_mode_frame_walk_threads_the_chain(kind, data):
+    # _mode_frames makes one frame call per sample; each sample's frame is
+    # the chain's on the branch of the sample before.
+    if kind == "crossing":
+        sys = data.draw(crossing_systems(), label="system")[0]
+    else:
+        sys = data.draw(preset_systems(kind), label="system")
+    seen = []
+
+    def stiffness(t):
+        seen.append(sys.stiffness(t))
+        return seen[-1]
+
+    frame = _mode_frames(replace(sys, stiffness=stiffness))
+    branch = None
+    for t in np.linspace(0.0, 1.0, 33).tolist():
+        got = frame(t)
+        expected = chain_frame(seen[-1], sys.masses, branch)
+        branch = expected[0]
+        assert hexes(got) == hexes(expected)
