@@ -19,6 +19,9 @@ once; one frame call gives theta, both squared frequencies and the cos/sin
 pair that turns the drive, which a map sample reuses with only the stiffness
 and the equilibrium, no theta_dot.  Callables are bound per run, not at import
 (a tracer may replace them), and RK4 builds its states array once from rows.
+A stage or map sample calls them directly and forms the force, the drive and
+the modal products inline, with the bits of ``QuadraticSystem.force``,
+``modes._modal_product`` and ``modes.mode_state``.
 A state that turns non-finite inside a step raises ``FloatingPointError``, as
 numpy's overflow does under the command line's error state; a finite state
 beyond ``DIVERGENCE_GUARD`` raises ``DivergenceError`` with the partial run.
@@ -33,13 +36,11 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .modes import (
-    _modal_product,
     _mode_frames,
     decompose_at,
     drive_rate_at,
     effective_hamiltonian_value,
     larmor_rate_at,
-    mode_state,
     theta_dot_at,
 )
 from .quadratic import PhasePoint, QuadraticSystem
@@ -183,10 +184,14 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
         raise ConfigError("integrate_lab expects a lab-frame initial point")
     m1 = sys.masses.m1
     m2 = sys.masses.m2
-    force = sys.force
+    equilibrium, stiffness = sys.equilibrium, sys.stiffness
 
     def rhs(t, q1, q2, p1, p2):
-        return (p1 / m1, p2 / m2, *force(t, q1, q2))
+        # QuadraticSystem.force inline: q0, then K, then -K (q - q0).
+        e1, e2 = equilibrium(t)
+        tr = stiffness(t)
+        k, d1, d2 = tr.k, q1 - e1, q2 - e2
+        return (p1 / m1, p2 / m2, -((k + tr.k1) * d1 - k * d2), -(-k * d1 + (k + tr.k2) * d2))
 
     if spec.method == "velocity-verlet":
         return _trajectory("lab", spec, lambda: _verlet_run(sys, x0, spec))
@@ -230,12 +235,13 @@ def integrate_modes(
     """Integrate the effective mode-frame Hamiltonian from X0.
 
     ``apply_larmor`` adds the compensation terms omega_L^2 (Q1^2+Q2^2)/2 +
-    omega_L L_z with omega_L from ``sys.larmor_rate`` (theta_dot when the
-    preset supplies none).  ``lz_coupling=False`` drops the -theta_dot L_z
-    term; that deliberately breaks frame equivalence for rotating systems
-    and exists for verification.  The mode angle is threaded call by call
-    from the default branch at t0, and the last stage of each step lies on
-    the grid.
+    omega_L L_z with omega_L the stage's theta_dot, as
+    :func:`~dnmodes.modes.larmor_rate_at` gives it (``sys.larmor_rate``
+    when a system sets one; no preset does).  ``lz_coupling=False`` drops
+    the -theta_dot L_z term; that deliberately breaks frame equivalence for
+    rotating systems and exists for verification.  The mode angle is
+    threaded call by call from the default branch at t0, and the last stage
+    of each step lies on the grid.
     """
     if X0.frame != "mode":
         raise ConfigError("integrate_modes expects a mode-frame initial point")
@@ -243,12 +249,15 @@ def integrate_modes(
         raise ConfigError("mode-frame integration supports rk4 only")
     frame = _mode_frames(sys)
     r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
-    equilibrium_velocity = sys.equilibrium_velocity
+    equilibrium_velocity, larmor_rate = sys.equilibrium_velocity, sys.larmor_rate
 
     def rhs(t, Q1, Q2, P1, P2):
         _, c, s, o1, o2 = frame(t)
-        # The drive P0 = A qdot0 of drive_at, on the stage's cos/sin pair.
-        D1, D2 = _modal_product(c, s, r1, r2, *equilibrium_velocity(t))
+        # The drive P0 = A qdot0 of drive_at, as _modal_product forms it on
+        # the stage's cos/sin pair.
+        v1, v2 = equilibrium_velocity(t)
+        D1 = r1 * c * v1 + r2 * s * v2
+        D2 = -r1 * s * v1 + r2 * c * v2
         # theta_dot evaluates its own triple: handing it the stage's would
         # take sim-separation below the 50 root solves per step that
         # perfbench/tests pins (test_pinned_layer_counts[sim-separation]).
@@ -259,7 +268,7 @@ def integrate_modes(
         dP1 = -o1 * Q1 + td * P2
         dP2 = -o2 * Q2 - td * P1
         if apply_larmor:
-            wL = larmor_rate_at(sys, t, th_dot)
+            wL = th_dot if larmor_rate is None else larmor_rate(t)  # as larmor_rate_at
             dQ1 -= wL * Q2
             dQ2 += wL * Q1
             dP1 -= wL * wL * Q1 + wL * P2
@@ -294,8 +303,17 @@ def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:
     if traj.frame != "lab":
         raise ConfigError("map_to_mode_frame expects a lab trajectory")
     frame = _mode_frames(sys)
-    rows = [mode_state(sys, t, *frame(t)[1:3], *y)
-            for t, y in zip(traj.times.tolist(), traj.states.tolist())]
+    equilibrium = sys.equilibrium
+    # mode_state inline, with A's and A^(-T)'s weights bound once.
+    r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
+    i1, i2 = 1.0 / r1, 1.0 / r2
+    rows = []
+    for t, (q1, q2, p1, p2) in zip(traj.times.tolist(), traj.states.tolist()):
+        _, c, s, _, _ = frame(t)
+        e1, e2 = equilibrium(t)
+        d1, d2 = q1 - e1, q2 - e2
+        rows.append((r1 * c * d1 + r2 * s * d2, -r1 * s * d1 + r2 * c * d2,
+                     i1 * c * p1 + i2 * s * p2, -i1 * s * p1 + i2 * c * p2))
     return Trajectory("mode", traj.times.copy(), np.array(rows), traj.step)
 
 

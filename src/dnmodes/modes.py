@@ -228,8 +228,9 @@ def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> tuple:
 
 
 def larmor_rate_at(sys: QuadraticSystem, t: float, theta_dot: Optional[float] = None) -> float:
-    """Larmor compensation rate omega_L: ``sys.larmor_rate`` when the preset
-    supplies one, else theta_dot (evaluated unless the caller has it)."""
+    """Larmor compensation rate omega_L: ``sys.larmor_rate`` when the system
+    sets one (no preset does), else theta_dot (evaluated unless the caller
+    has it)."""
     if sys.larmor_rate is not None:
         return sys.larmor_rate(t)
     return theta_dot_at(sys, t) if theta_dot is None else theta_dot

@@ -82,6 +82,9 @@ def _ion_pair(
             raise PresetDomainError(f"{label}: q0 overflows at t={t}") from None
         return previous[0]
 
+    def spring_overflow(t: float) -> PresetDomainError:  # q0**3 underflowed to 0
+        return PresetDomainError(f"{label}: Coulomb spring 2 Cc/q0**3 overflows at t={t}")
+
     def equilibrium(t: float) -> tuple:
         u = (v1(t), v2(t))
         c = center(u) if center else 0.0
@@ -98,14 +101,20 @@ def _ion_pair(
         u = (v1(t), v2(t))
         q0 = q0_at(t, u)
         kappa = curvature(u, q0)
-        return StiffnessTriple(2.0 * Cc / q0**3, kappa, kappa)
+        try:
+            return StiffnessTriple(2.0 * Cc / q0**3, kappa, kappa)
+        except (ZeroDivisionError, FloatingPointError):  # numpy under errstate
+            raise spring_overflow(t) from None
 
     def stiffness_rate(t: float) -> tuple:
         u, du = (v1(t), v2(t)), (d1(t), d2(t))
         q0 = q0_at(t, u)
         q0dot = distance_rate(t, u, du, q0)
         kappa_dot = curvature_rate(u, du, q0, q0dot)
-        k_dot = -6.0 * Cc * q0dot / q4 if (q4 := q0**4) else -6.0 * Cc / q0**3 * (q0dot / q0)
+        try:
+            k_dot = -6.0 * Cc * q0dot / q4 if (q4 := q0**4) else -6.0 * Cc / q0**3 * (q0dot / q0)
+        except (ZeroDivisionError, FloatingPointError):
+            raise spring_overflow(t) from None
         return (k_dot, kappa_dot, kappa_dot)
 
     return QuadraticSystem(
@@ -530,9 +539,9 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
     """Anisotropic oscillator with principal axes rotated by phi(t).
 
     Already quadratic: equilibria sit at the origin and theta = phi (up to
-    mode-label branch).  ``larmor_rate`` carries the compensation schedule
-    omega_L(t) = phidot(t); it is exposed as data, applied by the mode
-    integrator only on request.
+    mode-label branch).  The Larmor compensation rate omega_L(t) = phidot(t)
+    is theta_dot, so the system sets no ``larmor_rate``: the mode integrator
+    takes omega_L from its stage's theta_dot, and only on request.
     """
     m = cfg.m
     try:
@@ -586,7 +595,6 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
         equilibrium=lambda t: (0.0, 0.0),
         equilibrium_velocity=lambda t: (0.0, 0.0),
         theta_dot_override=phi_dot,
-        larmor_rate=phi_dot,
         full_potential=full_potential,
         label="rotation",
         extras=extras,

@@ -96,10 +96,12 @@ class QuadraticSystem:
     ``stiffness_rate`` and ``equilibrium_velocity`` are the closed-form
     rates of ``stiffness`` and ``equilibrium``; every builder supplies both.
     ``theta_dot_override`` is an optional closed form of the mode-angle
-    rate.  ``full_potential(q1, q2, t)`` is the untruncated potential when
-    the builder knows it (used by verification oracles).  Instances are
-    treated as immutable after construction; all evaluation methods are
-    pure.
+    rate.  ``larmor_rate`` is an optional Larmor compensation rate other
+    than theta_dot; no preset sets it, and it stays because the benchmark's
+    tracer wraps the field by name.  ``full_potential(q1, q2, t)`` is the
+    untruncated potential when the builder knows it (used by verification
+    oracles).  Instances are treated as immutable after construction; all
+    evaluation methods are pure.
     """
 
     masses: MassPair

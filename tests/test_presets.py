@@ -11,7 +11,7 @@ from dnmodes.errors import (
     PresetDomainError,
     SingularConfigurationError,
 )
-from dnmodes.modes import theta_at, theta_dot_at
+from dnmodes.modes import larmor_rate_at, theta_at, theta_dot_at
 from dnmodes.presets import (
     PhaseGateConfig,
     RotationConfig,
@@ -346,7 +346,8 @@ def test_rotation_compensated_frequencies():
     )
     f1, f2 = sys.extras["compensated_frequencies"](1.0)
     assert f1 == pytest.approx(math.sqrt(4.0 + 0.16))
-    assert sys.larmor_rate(0.5) == pytest.approx(0.4)
+    assert sys.larmor_rate is None  # omega_L is theta_dot = phidot
+    assert larmor_rate_at(sys, 0.5) == pytest.approx(0.4)
 
 
 # -- springs -------------------------------------------------------------------

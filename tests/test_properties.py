@@ -24,10 +24,13 @@ form for coefficients of any sign, zero and extreme.
 The integrator properties run on random ``custom`` systems too: the
 steppers see only Python floats, agree with the numpy-array RK4 oracle,
 and integrate the lab and mode frames equivalently through a frequency
-crossing.  The float lab-to-mode map agrees with the decomposition's numpy
-matrices on custom, rotation and separation systems, and a mode-frame RK
-stage's frequencies and drive are bit-identical to eigenfrequencies and
-drive_at on crossing and rotation systems.
+crossing.  The float lab-to-mode map has the bits of mode_state and agrees
+with the decomposition's numpy matrices on custom, rotation and separation
+systems, and a mode-frame RK stage's frequencies and drive are bit-identical
+to eigenfrequencies and drive_at on crossing and rotation systems.  A mode
+run, with or without Larmor compensation, has the bits of the array RK4
+oracle over a right-hand side built from the helpers its stages inline, on
+custom systems and on rotation with a table phi.
 
 Two properties check bits (``float.hex``) against references in ``oracles``:
 the ion pair's views, which read each control once, against per-piece
@@ -67,7 +70,9 @@ from dnmodes.modes import (
     drive_rate_at,
     eigenfrequencies,
     from_mode_frame,
+    larmor_rate_at,
     modal_matrix,
+    mode_state,
     rotated_frequencies,
     theta_at,
     theta_dot_at,
@@ -89,7 +94,7 @@ from dnmodes.presets import (
 )
 from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
 from dnmodes.rootfind import newton_refine, solve_positive_root
-from dnmodes.schedules import LinearRamp, Polynomial, Smoothstep
+from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
     bisect, chain_frame, grad4, ion_pair_views, quintic_bracket_max, rk4_states,
@@ -587,26 +592,39 @@ def test_a_guess_at_or_below_zero_takes_the_full_scan():
     assert solve_positive_root(lambda q: q * q - 4.0, lambda q: 2.0 * q, 3.0, guess=-2.0) == 2.0
 
 
-@pytest.mark.parametrize("kind", ["custom", "crossing", "rotation", "separation"])
-@PROPERTY
-@given(data=st.data())
-def test_float_map_matches_the_decomposition(kind, data):
-    # The map threads the mode angle as decompose_at does and forms the modal
-    # products in floats: it equals to_mode_frame of the decomposition, and
-    # the decomposition's numpy matrices, to rounding of the state scale.
+def twin_systems(kind, data):
+    """Two systems with the same values: a preset's root solves start warm
+    from the system's last root, so a reference walk gets its own build."""
     if kind == "crossing":
         sys = data.draw(crossing_systems(), label="system")[0]
     elif kind == "custom":
         sys = data.draw(systems(), label="system")
     else:
-        sys = data.draw(preset_systems(kind), label="system")
+        cfg = data.draw(preset_configs(kind), label="config")
+        return build_preset(cfg), build_preset(cfg)
+    return sys, sys
+
+
+@pytest.mark.parametrize("kind", ["custom", "crossing", "rotation", "separation"])
+@PROPERTY
+@given(data=st.data())
+def test_float_map_matches_the_decomposition(kind, data):
+    # The map forms mode_state inline: each row has the bits of mode_state on
+    # the cos and sin of the walk's theta at that sample.  It threads the mode
+    # angle as decompose_at does and forms the modal products in floats: it
+    # equals to_mode_frame of the decomposition, and the decomposition's numpy
+    # matrices, to rounding of the state scale.
+    sys, twin = twin_systems(kind, data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     times = np.linspace(0.0, 1.0, 65)
     states = rng.uniform(-2.0, 2.0, (len(times), 4))
     mapped = map_to_mode_frame(sys, Trajectory("lab", times, states, times[1])).states
     tol = 1e-14 * np.abs(mapped).max()
+    frame = _mode_frames(twin)
     branch = None
     for i, t in enumerate(times.tolist()):
+        _, c, s, _, _ = frame(t)
+        assert hexes(mapped[i]) == hexes(mode_state(twin, t, c, s, *states[i].tolist()))
         dec = decompose_at(sys, t, branch_ref=branch)
         branch = dec.theta
         q, p = states[i, :2], states[i, 2:]
@@ -618,6 +636,65 @@ def test_float_map_matches_the_decomposition(kind, data):
 
 def hexes(values) -> list:
     return [float(x).hex() for x in values]
+
+
+@st.composite
+def table_rotations(draw):
+    """Rotation with a cubic-table phi on nine knots over [0, 1]."""
+    knots = tuple(i / 8.0 for i in range(9))
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))
+    cfg = RotationConfig(
+        m=draw(st.floats(0.2, 5.0)), omega1=draw(st.floats(0.5, 3.0)),
+        omega2=draw(st.floats(0.5, 3.0)), phi=SampledTable(knots, tuple(values)),
+    )
+    return build_preset(cfg)
+
+
+def mode_rhs_from_helpers(sys, apply_larmor):
+    """The mode-frame right-hand side from the helpers the integrator's stage
+    forms inline: the drive from _modal_product, omega_L from larmor_rate_at."""
+    frame = _mode_frames(sys)
+    r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
+
+    def rhs(t, y):
+        t = float(t)
+        Q1, Q2, P1, P2 = y.tolist()
+        _, c, s, o1, o2 = frame(t)
+        D1, D2 = _modal_product(c, s, r1, r2, *sys.equilibrium_velocity(t))
+        td = theta_dot_at(sys, t)
+        dQ1, dQ2 = P1 - D1 + td * Q2, P2 - D2 - td * Q1
+        dP1, dP2 = -o1 * Q1 + td * P2, -o2 * Q2 - td * P1
+        if apply_larmor:
+            wL = larmor_rate_at(sys, t, td)
+            dQ1 -= wL * Q2
+            dQ2 += wL * Q1
+            dP1 -= wL * wL * Q1 + wL * P2
+            dP2 -= wL * wL * Q2 - wL * P1
+        return np.array([dQ1, dQ2, dP1, dP2])
+
+    return rhs
+
+
+@pytest.mark.parametrize("kind", ["custom", "rotation"])
+@pytest.mark.parametrize("larmor", ["off", "theta_dot", "own rate"])
+@PROPERTY
+@given(data=st.data(), s=phase)
+def test_mode_run_gives_the_bits_of_the_helper_oracle(kind, larmor, data, s):
+    # "own rate": a system that supplies omega_L itself, different from theta_dot.
+    if kind == "custom":
+        sys = data.draw(systems(), label="system")
+    else:
+        sys = data.draw(table_rotations(), label="system")
+    if larmor == "own rate":
+        sys = replace(sys, larmor_rate=lambda t: 0.5 - 0.25 * t)
+    spec = IntegratorSpec(dt=1.0 / 64.0, t0=0.0, t1=1.0)
+    X0 = PhasePoint(0.0, s[:2], s[2:], frame="mode")
+    apply_larmor = larmor != "off"
+    modes = integrate_modes(sys, X0, spec, apply_larmor=apply_larmor)
+    times, oracle = rk4_states(mode_rhs_from_helpers(sys, apply_larmor), spec.t0, X0.state(),
+                               spec.dt, spec.n_steps)
+    assert np.array_equal(modes.times, times)
+    assert hexes(modes.states.ravel()) == hexes(oracle.ravel())
 
 
 @contextmanager
