@@ -6,10 +6,12 @@ high-order finite differences for gradients and Hessians, a central
 difference of the mode angle, a brute-force 2x2 eigendecomposition via the
 characteristic polynomial, and fixed-step RK4 on numpy arrays.
 
-Two more write library code a second way, and the library must give their
+Three more write library code a second way, and the library must give their
 bits: the ion pair's views piece by piece, each schedule read where a piece
-needs it, and the mode frame as a chain: the tan(2 theta) numerator and
-denominator, then theta, then cos, sin and the rotated frequencies.
+needs it; the same views in their per-view form, each call reading the
+controls afresh and solving its root from the root before; and the mode frame
+as a chain: the tan(2 theta) numerator and denominator, then theta, then cos,
+sin and the rotated frequencies.
 """
 
 import math
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from dnmodes.modes import EPS_DEGENERATE, theta_at
+from dnmodes.rootfind import solve_positive_root
 from dnmodes.schedules import fd_step
 
 
@@ -220,3 +223,39 @@ def ion_pair_views(cfg, t, q0):
         (c + half, c - half),
         (cdot + half_dot, cdot - half_dot),
     )
+
+
+ION_PAIR_VIEWS = ("stiffness", "stiffness_rate", "equilibrium", "equilibrium_velocity")
+
+
+def per_view_ion_pair(cfg):
+    """``view(name, t)`` of a transport, separation or (full) phase-gate config
+    in the per-view form: every call reads the controls afresh at its own t,
+    builds the root polynomial, its derivative and the bracket for that call,
+    and solves from the root of the call before (None at first), then gives
+    :func:`ion_pair_views` on that root.  ``view.roots`` lists the roots."""
+    Cc = cfg.Cc
+    roots = []
+
+    def root(t):
+        guess = roots[-1] if roots else None
+        if hasattr(cfg, "alpha"):  # separation
+            alpha, beta = cfg.alpha.value(t), cfg.beta.value(t)
+            q_max = quintic_bracket_max(alpha, beta, Cc)
+            roots.append(solve_positive_root(
+                lambda q: beta * q**5 + 2.0 * alpha * q**3 - 2.0 * Cc,
+                lambda q: 5.0 * beta * q**4 + 6.0 * alpha * q**2, q_max, guess))
+        else:  # phase gate
+            k0, d = cfg.k0, cfg.F1.value(t) - cfg.F2.value(t)
+            q_max = 10.0 * (1.0 + (2.0 * Cc / k0) ** (1.0 / 3.0) + abs(d) / k0)
+            roots.append(solve_positive_root(
+                lambda q: k0 * q**3 + d * q**2 - 2.0 * Cc,
+                lambda q: 3.0 * k0 * q**2 + 2.0 * d * q, q_max, guess))
+        return roots[-1]
+
+    def view(name, t):
+        q0 = None if hasattr(cfg, "Q0") else root(t)  # transport's root is closed form
+        return ion_pair_views(cfg, t, q0)[ION_PAIR_VIEWS.index(name)]
+
+    view.roots = roots
+    return view

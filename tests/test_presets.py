@@ -70,6 +70,46 @@ def test_transport_requires_positive_k():
         sys.equilibrium(1.0)
 
 
+class Counted(ControlSchedule):
+    """The schedule of the given value and rate functions, counting its reads."""
+
+    def __init__(self, value, rate):
+        self.fns, self.reads = {"value": value, "derivative": rate}, {"value": 0, "derivative": 0}
+
+    def value(self, t):
+        self.reads["value"] += 1
+        return self.fns["value"](t)
+
+    def derivative(self, t):
+        self.reads["derivative"] += 1
+        return self.fns["derivative"](t)
+
+
+def test_transport_views_read_the_controls_once_per_time():
+    # k = 2 Cc puts the ions at Q0 -+ 1/2 exactly, so at dyadic times the
+    # equilibrium's centre is Q0(t) = t^2 exactly and its rate is 2t: a view
+    # that took the controls of the other time fails.  The views share one
+    # record of the last time read, so a rate view after a value view at the
+    # same t reads each derivative once and no value again.
+    k, Q0 = Counted(lambda t: 2.0, lambda t: 0.0), Counted(lambda t: t * t, lambda t: 2.0 * t)
+    sys = build_transport(TransportConfig(k=k, Q0=Q0, Cc=1.0))
+    for t, other in ((0.25, 0.75), (0.75, 0.25), (0.25, 0.5), (0.5, 0.5)):
+        sys.stiffness(other)
+        e1, e2 = sys.equilibrium(t)
+        assert (0.5 * (e1 + e2), e1 - e2) == (t * t, 1.0)
+        sys.stiffness_rate(other)
+        v1, v2 = sys.equilibrium_velocity(t)
+        assert (0.5 * (v1 + v2), v1 - v2) == (2.0 * t, 0.0)
+    for schedule in (k, Q0):
+        schedule.reads = {"value": 0, "derivative": 0}
+    sys.stiffness(0.125)
+    assert k.reads == Q0.reads == {"value": 1, "derivative": 0}
+    sys.stiffness_rate(0.125)
+    sys.equilibrium(0.125)
+    sys.equilibrium_velocity(0.125)
+    assert k.reads == Q0.reads == {"value": 1, "derivative": 1}
+
+
 # -- separation --------------------------------------------------------------
 
 

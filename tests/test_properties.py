@@ -32,12 +32,15 @@ run, with or without Larmor compensation, has the bits of the array RK4
 oracle over a right-hand side built from the helpers its stages inline, on
 custom systems and on rotation with a table phi.
 
-Two properties check bits (``float.hex``) against references in ``oracles``:
-the ion pair's views, which read each control once, against per-piece
-formulas that read a schedule wherever a piece uses it, on the root each
-view solved for; and the one-call mode frame against the chain theta ->
-rotated frequencies, for random and isotropic stiffness, ion-pair stiffness
-and random branch references, and along a threaded walk.
+Three properties check bits (``float.hex``) against references in
+``oracles``: the ion pair's views against per-piece formulas that read a
+schedule wherever a piece uses it, on the root each view solved for; the
+views, which share one record of the controls at the last time read, against
+the per-view form that reads them afresh on each call, over call sequences
+whose times repeat, interleave and come as numpy then float; and the
+one-call mode frame against the chain theta -> rotated frequencies, for
+random and isotropic stiffness, ion-pair stiffness and random branch
+references, and along a threaded walk.
 """
 
 import math
@@ -97,7 +100,8 @@ from dnmodes.rootfind import newton_refine, solve_positive_root
 from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
-    bisect, chain_frame, grad4, ion_pair_views, quintic_bracket_max, rk4_states,
+    ION_PAIR_VIEWS, bisect, chain_frame, grad4, ion_pair_views, per_view_ion_pair,
+    quintic_bracket_max, rk4_states,
 )
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -711,9 +715,6 @@ def recorded_roots():
         yield roots
 
 
-ION_PAIR_VIEWS = ("stiffness", "stiffness_rate", "equilibrium", "equilibrium_velocity")
-
-
 @pytest.mark.parametrize("kind", ["transport", "separation", "phase-gate"])
 @PROPERTY
 @given(data=st.data())
@@ -730,6 +731,29 @@ def test_ion_pair_views_give_the_bits_of_the_per_piece_formulas(kind, data):
         assert len(roots) == (kind != "transport")  # one root solve per view
         expected = ion_pair_views(cfg, t, roots[0] if roots else None)[view]
         assert hexes(astuple(got) if view == 0 else got) == hexes(expected)
+
+
+@pytest.mark.parametrize("kind", ["transport", "separation", "phase-gate"])
+@PROPERTY
+@given(data=st.data())
+def test_ion_pair_record_gives_the_bits_of_the_per_view_form(kind, data):
+    # The views share one record of the controls at the last time read.  Calls
+    # at up to three drawn times repeat and interleave, and a call may come as
+    # a numpy time followed by the same float time, the order classify uses.
+    # Every view must give the bits, and every solve the root, of the per-view
+    # form, which reads the controls afresh on each call.
+    cfg = data.draw(preset_configs(kind), label="config")
+    sys, oracle = build_preset(cfg), per_view_ion_pair(cfg)
+    pool = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), label="times")
+    call = st.tuples(st.sampled_from(ION_PAIR_VIEWS), st.sampled_from(pool), st.booleans())
+    with recorded_roots() as roots:
+        for view, t, numpy_first in data.draw(st.lists(call, min_size=1, max_size=12),
+                                              label="calls"):
+            for s in (np.float64(t), t) if numpy_first else (t,):
+                got = getattr(sys, view)(s)
+                assert hexes(astuple(got) if view == "stiffness" else got) == \
+                    hexes(oracle(view, s))
+    assert hexes(roots) == hexes(oracle.roots)
 
 
 @st.composite
