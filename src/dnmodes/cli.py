@@ -7,8 +7,8 @@ Configs are JSON with a top-level ``"schema": 1``; unknown fields are
 rejected (fail-closed).  Exit codes: 0 success, 2 config error, bad flag or
 unwritable output, 3 preset domain error or arithmetic overflow, 4
 divergence (partial output kept with a ``.partial`` suffix).
-``DNM_THREADS`` caps sweep parallelism.  Output is byte-identical across
-repeated runs of the same config.
+A sweep classifies its grid points on min(8, CPU count) threads.  Output is
+byte-identical across repeated runs of the same config.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError("sweep axis values must be a nonempty list")
 
 
-def _analysis_rows(cfg: dict, samples: int) -> list:
+def cmd_analyze(cfg: dict, out_base: str) -> int:
     sys_ = build_preset(cfg["preset"])
     t0, t1 = cfg["window"]
-    times = np.linspace(t0, t1, samples)
+    times = np.linspace(t0, t1, cfg.get("samples", 200))
     rows = []
     branch = None
     for t in times:
@@ -135,11 +135,6 @@ def _analysis_rows(cfg: dict, samples: int) -> list:
         rows.append(
             (t, dec.theta, dec.theta_dot, dec.omega1_sq, dec.omega2_sq, *radii, *ell.center)
         )
-    return rows
-
-
-def cmd_analyze(cfg: dict, out_base: str) -> int:
-    rows = _analysis_rows(cfg, cfg.get("samples", 200))
     path = out_base + "_analyze.csv"
     header = "t,theta,theta_dot,omega1_sq,omega2_sq,ellipse_r1,ellipse_r2,q1_eq,q2_eq\n"
     with open(path, "w", newline="") as fh:
@@ -262,12 +257,7 @@ def cmd_sweep(cfg: dict, out_base: str) -> int:
             rep.stability,
         )
 
-    env = os.environ.get("DNM_THREADS", "")
-    try:
-        workers = max(1, int(env)) if env else min(8, os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"DNM_THREADS must be an integer, got {env!r}") from None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
         results = list(pool.map(run_point, grid))  # in grid order
 
     path = out_base + "_sweep.csv"

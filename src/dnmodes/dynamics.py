@@ -40,7 +40,6 @@ from .modes import (
     decompose_at,
     drive_rate_at,
     effective_hamiltonian_value,
-    larmor_rate_at,
     theta_dot_at,
 )
 from .quadratic import PhasePoint, QuadraticSystem
@@ -235,11 +234,9 @@ def integrate_modes(
     """Integrate the effective mode-frame Hamiltonian from X0.
 
     ``apply_larmor`` adds the compensation terms omega_L^2 (Q1^2+Q2^2)/2 +
-    omega_L L_z with omega_L the stage's theta_dot, as
-    :func:`~dnmodes.modes.larmor_rate_at` gives it (``sys.larmor_rate``
-    when a system sets one; no preset does).  ``lz_coupling=False`` drops
-    the -theta_dot L_z term; that deliberately breaks frame equivalence for
-    rotating systems and exists for verification.  The mode angle is
+    omega_L L_z with omega_L the stage's theta_dot.  ``lz_coupling=False``
+    drops the -theta_dot L_z term; that deliberately breaks frame equivalence
+    for rotating systems and exists for verification.  The mode angle is
     threaded call by call from the default branch at t0, and the last stage
     of each step lies on the grid.
     """
@@ -249,7 +246,7 @@ def integrate_modes(
         raise ConfigError("mode-frame integration supports rk4 only")
     frame = _mode_frames(sys)
     r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
-    equilibrium_velocity, larmor_rate = sys.equilibrium_velocity, sys.larmor_rate
+    equilibrium_velocity = sys.equilibrium_velocity
 
     def rhs(t, Q1, Q2, P1, P2):
         _, c, s, o1, o2 = frame(t)
@@ -267,12 +264,11 @@ def integrate_modes(
         dQ2 = P2 - D2 - td * Q1
         dP1 = -o1 * Q1 + td * P2
         dP2 = -o2 * Q2 - td * P1
-        if apply_larmor:
-            wL = th_dot if larmor_rate is None else larmor_rate(t)  # as larmor_rate_at
-            dQ1 -= wL * Q2
-            dQ2 += wL * Q1
-            dP1 -= wL * wL * Q1 + wL * P2
-            dP2 -= wL * wL * Q2 - wL * P1
+        if apply_larmor:  # omega_L = th_dot
+            dQ1 -= th_dot * Q2
+            dQ2 += th_dot * Q1
+            dP1 -= th_dot * th_dot * Q1 + th_dot * P2
+            dP2 -= th_dot * th_dot * Q2 - th_dot * P1
         return (dQ1, dQ2, dP1, dP2)
 
     return _trajectory("mode", spec, lambda: _rk4_run(rhs, (*X0.q, *X0.p), spec))
@@ -363,7 +359,7 @@ def mode_energy_series(
     """Per-mode energies (P_i^2 + W_i Q_i^2)/2 along a mode trajectory.
 
     With ``compensated`` the squared frequencies include the Larmor term,
-    W_i = Omega_i^2 + omega_L^2.
+    W_i = Omega_i^2 + omega_L^2 with omega_L = theta_dot.
     """
     if traj.frame != "mode":
         raise ConfigError("mode_energy_series expects a mode trajectory")
@@ -372,7 +368,7 @@ def mode_energy_series(
     for i, t in enumerate(traj.times.tolist()):
         _, _, _, o1, o2 = frame(t)
         if compensated:
-            wL = larmor_rate_at(sys, t)
+            wL = theta_dot_at(sys, t)
             o1 += wL * wL
             o2 += wL * wL
         Q1, Q2, P1, P2 = traj.states[i]

@@ -42,7 +42,6 @@ __all__ = [
     "theta_dot_at",
     "drive_at",
     "drive_rate_at",
-    "larmor_rate_at",
     "decompose_at",
     "to_mode_frame",
     "mode_state",
@@ -103,20 +102,30 @@ def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
     )
 
 
+def _angle_terms(K: StiffnessTriple, masses: MassPair) -> Optional[tuple]:
+    """(num, den, r) of tan(2 theta) = num / den with r = hypot(num, den), or None
+    where the mass-weighted stiffness is degenerate (any angle diagonalizes it):
+    r <= EPS_DEGENERATE (m1 + m2)(|k| + |k1| + |k2|), a test that squares nothing."""
+    k, k1, k2 = K.k, K.k1, K.k2
+    m1, m2 = masses.m1, masses.m2
+    num, den = 2.0 * k * masses.sqrt12, m1 * (k + k2) - m2 * (k + k1)
+    r = math.hypot(num, den)
+    if r <= EPS_DEGENERATE * ((m1 + m2) * (abs(k) + abs(k1) + abs(k2))):
+        return None
+    return num, den, r
+
+
 def _frame(K: StiffnessTriple, masses: MassPair, branch_ref=None, theta=None) -> tuple:
     """(theta, cos theta, sin theta, Omega1^2, Omega2^2) of the stiffness K: theta
     on the branch (multiple of pi/2) nearest branch_ref when given, else on the
-    default branch (-pi/4, pi/4]; a caller that fixes theta passes it instead."""
-    k, k1, k2 = K.k, K.k1, K.k2
-    m1, m2, r12 = masses.m1, masses.m2, masses.sqrt12
+    default branch (-pi/4, pi/4], and held there where K is degenerate; a caller
+    that fixes theta passes it instead."""
     if theta is None:
-        num = 2.0 * k * r12
-        den = m1 * (k + k2) - m2 * (k + k1)
-        if math.hypot(num, den) <= EPS_DEGENERATE * ((m1 + m2) * (abs(k) + abs(k1) + abs(k2))):
-            # Degenerate mass-weighted stiffness: any angle diagonalizes.
+        terms = _angle_terms(K, masses)
+        if terms is None:
             theta = 0.0 if branch_ref is None else branch_ref
         else:
-            theta = 0.5 * math.atan2(num, den)
+            theta = 0.5 * math.atan2(terms[0], terms[1])
             half = 0.5 * math.pi
             if branch_ref is not None:
                 theta += half * round((branch_ref - theta) / half)
@@ -125,7 +134,8 @@ def _frame(K: StiffnessTriple, masses: MassPair, branch_ref=None, theta=None) ->
                 theta -= half
             elif theta < -0.25 * math.pi:
                 theta += half
-    a, b, cross = (k + k1) / m1, (k + k2) / m2, k / r12
+    k = K.k
+    a, b, cross = (k + K.k1) / masses.m1, (k + K.k2) / masses.m2, k / masses.sqrt12
     c, s, s2 = math.cos(theta), math.sin(theta), math.sin(2.0 * theta)
     return theta, c, s, a * c * c + b * s * s - cross * s2, a * s * s + b * c * c + cross * s2
 
@@ -184,25 +194,25 @@ def theta_dot_at(
     """Rate of the mode angle.
 
     The preset's closed form when it supplies one, else the chain rule on
-    the atan2 expression from the stiffness and its rate.  At a degenerate
-    instant (:func:`_frame`'s test, whose hypot cannot overflow), a central
-    difference of the unwrapped angle, on the branch of theta(t - h).  A
-    caller that already holds the stiffness triple at t passes it as
-    ``triple``, so the chain rule does not evaluate the stiffness again (on
-    the ion pair, a root solve).
+    the atan2 expression from the stiffness and its rate, divided by r =
+    hypot(num, den) twice instead of by r^2, which can overflow.  At a
+    degenerate instant (:func:`_angle_terms`), a central difference of the
+    unwrapped angle, on the branch of theta(t - h).  A caller that already
+    holds the stiffness triple at t passes it as ``triple``, so the chain
+    rule does not evaluate the stiffness again (on the ion pair, a root solve).
     """
     if sys.theta_dot_override is not None:
         return sys.theta_dot_override(t)
     if triple is None:
         triple = sys.stiffness(t)
     m = sys.masses
-    k, k1, k2 = triple.k, triple.k1, triple.k2
-    num, den = 2.0 * k * m.sqrt12, m.m1 * (k + k2) - m.m2 * (k + k1)
-    if math.hypot(num, den) > EPS_DEGENERATE * ((m.m1 + m.m2) * (abs(k) + abs(k1) + abs(k2))):
+    terms = _angle_terms(triple, m)
+    if terms is not None:
+        num, den, r = terms
         dk, dk1, dk2 = sys.stiffness_rate(t)
         num_dot = 2.0 * dk * m.sqrt12
         den_dot = m.m1 * (dk + dk2) - m.m2 * (dk + dk1)
-        return 0.5 * (num_dot * den - num * den_dot) / (num * num + den * den)
+        return 0.5 * (num_dot * (den / r) - den_dot * (num / r)) / r
     # Anchored at t - h: theta(t) is the degenerate value 0, from which the
     # two neighbours may sit on a rounding tie at +-pi/4.
     h = fd_step(t)
@@ -225,15 +235,6 @@ def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> tuple:
     (a1, a2), (b1, b2) = (drive_at(sys, s, theta_at(sys.stiffness(s), sys.masses, branch_ref))
                           for s in (t + h, t - h))
     return ((a1 - b1) / (2.0 * h), (a2 - b2) / (2.0 * h))
-
-
-def larmor_rate_at(sys: QuadraticSystem, t: float, theta_dot: Optional[float] = None) -> float:
-    """Larmor compensation rate omega_L: ``sys.larmor_rate`` when the system
-    sets one (no preset does), else theta_dot (evaluated unless the caller
-    has it)."""
-    if sys.larmor_rate is not None:
-        return sys.larmor_rate(t)
-    return theta_dot_at(sys, t) if theta_dot is None else theta_dot
 
 
 def decompose_at(

@@ -23,6 +23,7 @@ from .errors import (
     PresetDomainError,
     SingularConfigurationError,
 )
+from .modes import _angle_terms, modal_matrix, theta_at
 from .quadratic import MassPair, QuadraticSystem, StiffnessTriple
 from .rootfind import solve_positive_root
 from .schedules import ControlSchedule, as_schedule, check_fields, config_from_dict
@@ -504,8 +505,6 @@ def build_phase_gate_zeroth_order(cfg: PhaseGateConfig) -> QuadraticSystem:
     time-dependent forces re-enter only as a linear term, exposed in mode
     coordinates through ``extras["mode_force"]``.
     """
-    from .modes import modal_matrix, theta_at  # local import to avoid a cycle
-
     k0 = cfg.k0
     Cc = cfg.Cc
     half = (Cc / (4.0 * k0)) ** (1.0 / 3.0)
@@ -549,7 +548,6 @@ class RotationConfig:
     omega1: float
     omega2: float
     phi: ControlSchedule
-    larmor_compensation: bool = False
 
     def __post_init__(self):
         check_fields(self, positive=("m",))
@@ -559,15 +557,18 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
     """Anisotropic oscillator with principal axes rotated by phi(t).
 
     Already quadratic: equilibria sit at the origin and theta = phi (up to
-    mode-label branch).  The Larmor compensation rate omega_L(t) = phidot(t)
-    is theta_dot, so the system sets no ``larmor_rate``: the mode integrator
-    takes omega_L from its stage's theta_dot, and only on request.
+    mode-label branch), so theta_dot = phidot, which is also the Larmor
+    compensation rate omega_L.  Where the trap is isotropic by the mode
+    frame's degeneracy test, the frame holds theta, so theta_dot = 0.
     """
     m = cfg.m
     try:
         w1sq, w2sq = cfg.omega1**2, cfg.omega2**2
     except OverflowError:
         raise PresetDomainError("rotation: omega1**2 or omega2**2 overflows") from None
+    masses = MassPair(m, m)
+    # The test on the triple at phi = 0; it sees m^2 |w1^2 - w2^2| at every phi.
+    isotropic = _angle_terms(StiffnessTriple(0.0, m * w1sq, m * w2sq), masses) is None
     phi_at, phi_dot = cfg.phi.value, cfg.phi.derivative
     # The leading factors of the products below, hoisted in left-to-right order.
     k_amp = -0.5 * m * (w1sq - w2sq)
@@ -599,25 +600,16 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
         u2 = -q1 * s + q2 * c
         return 0.5 * m * (w1sq * u1 * u1 + w2sq * u2 * u2)
 
-    extras = {}
-    if cfg.omega1 == cfg.omega2:
-        extras["trivially_decoupled"] = True
-    if cfg.larmor_compensation:
-        extras["compensated_frequencies"] = lambda t: (
-            math.sqrt(w1sq + phi_dot(t) ** 2),
-            math.sqrt(w2sq + phi_dot(t) ** 2),
-        )
-
     return QuadraticSystem(
-        masses=MassPair(m, m),
+        masses=masses,
         stiffness=triple_at,
         stiffness_rate=stiffness_rate,
         equilibrium=lambda t: (0.0, 0.0),
         equilibrium_velocity=lambda t: (0.0, 0.0),
-        theta_dot_override=phi_dot,
+        theta_dot_override=(lambda t: 0.0) if isotropic else phi_dot,
         full_potential=full_potential,
         label="rotation",
-        extras=extras,
+        extras={"trivially_decoupled": True} if isotropic else {},
     )
 
 

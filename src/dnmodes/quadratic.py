@@ -96,12 +96,10 @@ class QuadraticSystem:
     ``stiffness_rate`` and ``equilibrium_velocity`` are the closed-form
     rates of ``stiffness`` and ``equilibrium``; every builder supplies both.
     ``theta_dot_override`` is an optional closed form of the mode-angle
-    rate.  ``larmor_rate`` is an optional Larmor compensation rate other
-    than theta_dot; no preset sets it, and it stays because the benchmark's
-    tracer wraps the field by name.  ``full_potential(q1, q2, t)`` is the
-    untruncated potential when the builder knows it (used by verification
-    oracles).  Instances are treated as immutable after construction; all
-    evaluation methods are pure.
+    rate, which is also the Larmor compensation rate.  ``full_potential(q1,
+    q2, t)`` is the untruncated potential when the builder knows it (used by
+    verification oracles).  Instances are treated as immutable after
+    construction; all evaluation methods are pure.
     """
 
     masses: MassPair
@@ -110,10 +108,11 @@ class QuadraticSystem:
     equilibrium_velocity: Callable[[float], tuple]
     stiffness_rate: Callable[[float], tuple]
     theta_dot_override: Optional[Callable[[float], float]] = None
-    larmor_rate: Optional[Callable[[float], float]] = None
     full_potential: Optional[Callable[[float, float, float], float]] = None
     label: str = "custom"
     extras: dict = field(default_factory=dict)
+    # Not a field and never set: perfbench/tracer.py reads it on every system.
+    larmor_rate = None
 
     # -- time-sliced data ---------------------------------------------------
 

@@ -26,10 +26,11 @@ from .errors import PresetDomainError
 __all__ = ["newton_refine", "positive_roots", "solve_positive_root"]
 
 _STEP_TOL = 4.0 * 2.0**-52
+MAX_NEWTON = 50  # Newton steps before newton_refine returns its last iterate
+N_SCAN = 512  # intervals of positive_roots' sign-change grid
 
 
-def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50,
-                  fa=None, fx=None, dx=None) -> float:
+def newton_refine(f, fprime, x: float, a: float, b: float, fa=None, fx=None, dx=None) -> float:
     """Newton iterations from x, falling back to bisection on [a, b] when a
     step leaves the bracket or the derivative vanishes.
 
@@ -39,7 +40,7 @@ def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50,
     """
     if fa is None:
         fa = f(a)
-    for _ in range(maxiter):
+    for _ in range(MAX_NEWTON):
         if fx is None:
             fx = f(x)
         if fx == 0.0:
@@ -58,11 +59,11 @@ def newton_refine(f, fprime, x: float, a: float, b: float, maxiter: int = 50,
     return x
 
 
-def positive_roots(f, fprime, q_max: float, n_scan: int = 512) -> list:
+def positive_roots(f, fprime, q_max: float) -> list:
     """All roots of f on (0, q_max], found by grid sign-change scanning."""
     eps = 1e-12 * max(1.0, q_max)
     roots = []
-    xs = [eps + (q_max - eps) * i / n_scan for i in range(n_scan + 1)]
+    xs = [eps + (q_max - eps) * i / N_SCAN for i in range(N_SCAN + 1)]
     fs = [f(x) for x in xs]
     a, b = 2.0**-1022, xs[0]  # a sign change below the grid: halve its exponent range
     if f(a) * fs[0] < 0.0:
@@ -70,7 +71,7 @@ def positive_roots(f, fprime, q_max: float, n_scan: int = 512) -> list:
             m = math.sqrt(a) * math.sqrt(b)
             a, b = (a, m) if (f(m) < 0.0) == (fs[0] < 0.0) else (m, b)
         roots.append(newton_refine(f, fprime, 0.5 * (a + b), a, b))
-    for i in range(n_scan):
+    for i in range(N_SCAN):
         if fs[i] == 0.0:
             roots.append(xs[i])
         elif fs[i] * fs[i + 1] < 0.0:

@@ -86,6 +86,35 @@ def test_classify_rotation_not_separable(tmp_path, capsys):
     assert report["max_abs_theta_dot"] == pytest.approx(0.3)
 
 
+# omega2 for omega1 = 2: equal, 5e-13 and 1.5e-12 apart relatively (all three
+# degenerate for the mode frame, which then holds theta), and 5e-9 apart.
+ISOTROPY = {"equal": 2.0, "gap-5e-13": 2.0 * (1 + 5e-13), "gap-1.5e-12": 2.0 * (1 + 1.5e-12),
+            "anisotropic": 2.00000001}
+
+
+@pytest.mark.parametrize("case", sorted(ISOTROPY))
+def test_rotation_theta_dot_is_zero_where_the_frame_holds_theta(tmp_path, capsys, case):
+    cfg = rotation_cfg(str(tmp_path / "iso"))
+    cfg["preset"].update(omega2=ISOTROPY[case], phi={**cfg["preset"]["phi"], "v1": 0.4})
+    cfg.update(window=[0.0, 1.0], samples=9, integrator={"dt": 1.0 / 64.0},
+               initial_state={"q": [0.3, -0.2], "p": [0.1, 0.05]})
+    path = write_cfg(tmp_path, cfg)
+    assert main(["analyze", "--config", path]) == 0
+    with open(tmp_path / "iso_analyze.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert main(["classify", "--config", path]) == 0
+    assert main(["simulate", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[1])
+    sim = json.loads((tmp_path / "iso_report.json").read_text())
+    assert sim["frame_equivalence_max_deviation"] <= 1e-6
+    if case == "anisotropic":
+        assert {float(row["theta_dot"]) for row in rows} == {0.4}
+        assert report["separable"] is False
+    else:
+        assert {(float(row["theta"]), float(row["theta_dot"])) for row in rows} == {(0.0, 0.0)}
+        assert report["separable"] is True and report["analytic_case"] == "k=0"
+
+
 def test_simulate_deterministic_and_report(tmp_path, capsys):
     out = str(tmp_path / "sim")
     cfg = write_cfg(tmp_path, transport_cfg(out))
@@ -100,24 +129,40 @@ def test_simulate_deterministic_and_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_deterministic(tmp_path, capsys, monkeypatch):
-    out = str(tmp_path / "sw")
-    cfg_obj = transport_cfg(out)
-    cfg_obj["sweep"] = {
-        "axes": [
-            {"path": "preset.k", "values": [1.0, 2.0, 3.0]},
-            {"path": "preset.Cc", "values": [0.5, 1.0]},
-        ]
+def test_sweep_deterministic(tmp_path, capsys):
+    # Each row is its grid point classified on its own, whichever pool thread
+    # ran it, and a repeated sweep writes the same bytes.
+    axes = [{"path": "preset.k0", "values": [0.8, 1.2, 1.6]},
+            {"path": "preset.F1.v1", "values": [0.1, 0.4]}]
+    cfg_obj = {
+        "schema": 1,
+        "preset": {
+            "type": "phase-gate", "k0": 1.2, "Cc": 1.0, "masses": [1.0, 1.7],
+            "F1": {"kind": "smoothstep", "v0": 0.0, "v1": 0.3, "t0": 1.0, "t1": 5.0},
+            "F2": {"kind": "smoothstep", "v0": 0.0, "v1": -0.3, "t0": 2.0, "t1": 6.0},
+        },
+        "window": [0.0, 8.0],
+        "samples": 20,
+        "output": {"path": str(tmp_path / "sw")},
+        "sweep": {"axes": axes},
     }
     cfg = write_cfg(tmp_path, cfg_obj)
-    monkeypatch.setenv("DNM_THREADS", "2")
     assert main(["sweep", "--config", cfg]) == 0
     first = (tmp_path / "sw_sweep.csv").read_bytes()
-    assert len(first.decode().splitlines()) == 7  # header + 3*2 grid points
-    monkeypatch.setenv("DNM_THREADS", "1")
     assert main(["sweep", "--config", cfg]) == 0
     assert (tmp_path / "sw_sweep.csv").read_bytes() == first
     capsys.readouterr()
+    expected = []
+    for k0 in axes[0]["values"]:
+        for v1 in axes[1]["values"]:
+            point = json.loads(json.dumps(cfg_obj))
+            point["preset"]["k0"] = k0
+            point["preset"]["F1"]["v1"] = v1
+            rep = cli._classify(point)
+            cells = [k0, v1, rep.theta_samples[0][1], rep.max_abs_theta_dot]
+            separable = "true" if rep.separable else "false"
+            expected.append(",".join([*map(cli._fmt, cells), separable, rep.stability]))
+    assert first.decode().splitlines()[1:] == expected
 
 
 def test_out_flag_overrides_config(tmp_path, capsys):
@@ -210,7 +255,6 @@ MALFORMED = {
         ["simulate"],
         lambda c: c.update(initial_state={"q": "ab", "p": [0.0, 0.0]}),
     ),
-    "DNM_THREADS": (["sweep"], sweep_over("preset.k", [1.0, 2.0])),
     "omega1": (
         ["analyze"],
         lambda c: c.update(preset={**rotation_cfg("")["preset"], "omega1": "x"}),
@@ -236,12 +280,10 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, case):
     argv, mutate = MALFORMED[case]
     cfg = transport_cfg(str(tmp_path / "x"))
     mutate(cfg)
-    if case == "DNM_THREADS":
-        monkeypatch.setenv("DNM_THREADS", "abc")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main([*argv, "--config", write_cfg(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -310,8 +352,36 @@ def test_console_entry_point(tmp_path):
 
 
 def test_numpy_overflow_exits_3_with_one_line(tmp_path):
-    # m1 * m2 is finite, but the mode-angle rate overflows in numpy scalars;
-    # numpy's warnings go to stderr, so this needs a separate interpreter.
+    # The tan(2 theta) numerator 2 k sqrt(m1 m2) overflows in numpy scalars on
+    # classify's sample times; numpy's warnings go to stderr, so this needs a
+    # separate interpreter.
+    ramp = {"kind": "linear-ramp", "t0": 0.0, "v0": 1e308, "t1": 1.0, "v1": 1.5e308}
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "custom", "k": ramp, "k1": 1e308, "k2": 1.0},
+        "window": [0.0, 1.0],
+        "samples": 5,
+    }
+    proc = run_cli("classify", "--config", write_cfg(tmp_path, cfg))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("preset domain error: ")
+
+
+# classify's JSON report holds a numpy bool when the masses differ and the
+# preset solves for its equilibrium root, so json.dumps raises TypeError
+# (exit 1).  The benchmark pins this failure, so it is not mended here.
+NUMPY_BOOL_REPORT = pytest.mark.xfail(
+    strict=True, raises=TypeError,
+    reason="classify: numpy bool in the JSON report (unequal masses)",
+)
+
+
+@NUMPY_BOOL_REPORT
+def test_huge_mass_separation_classify_exits_0(tmp_path, capsys):
+    # theta_dot no longer overflows on masses [1e300, 2], so classify reaches
+    # its report.
     ramp = {"kind": "linear-ramp", "t0": 0.0, "v0": 0.5, "t1": 1.0, "v1": 0.6}
     step = {"kind": "smoothstep", "v0": 1.0, "v1": 0.5, "t0": 0.0, "t1": 1.0}
     cfg = {
@@ -321,11 +391,7 @@ def test_numpy_overflow_exits_3_with_one_line(tmp_path):
         "window": [0.0, 1.0],
         "samples": 5,
     }
-    proc = run_cli("classify", "--config", write_cfg(tmp_path, cfg))
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("preset domain error: ")
+    assert main(["classify", "--config", write_cfg(tmp_path, cfg)]) == 0
 
 
 @pytest.mark.parametrize("method", ["rk4", "velocity-verlet"])
@@ -562,12 +628,12 @@ def test_separation_simulate_work_counts(tmp_path, capsys):
 # (four stages in each of the four runs, plus the map), 9.02 equilibrium
 # calls (the two lab runs and the map), 8 equilibrium-velocity and theta_dot
 # calls (the two mode runs), 17.02 table values and 8 table derivatives (the
-# theta_dot calls).  Rotation sets no Larmor rate: the Larmor run takes
-# omega_L from its stage's theta_dot, so it reads phidot once per stage.
+# theta_dot calls).  The Larmor run takes omega_L from its stage's
+# theta_dot, so it reads phidot once per stage.
 ROTATION_CEILINGS = {
     "solve_positive_root": 0, "integrations": 4,
     "stiffness": 1089, "equilibrium": 577, "equilibrium_velocity": 512, "stiffness_rate": 0,
-    "theta_dot_override": 512, "larmor_rate": 0, "table.value": 1089, "table.derivative": 512,
+    "theta_dot_override": 512, "table.value": 1089, "table.derivative": 512,
 }
 
 
@@ -597,7 +663,7 @@ def test_rotation_simulate_work_counts(tmp_path, capsys):
     def counting_build(obj):
         sys_ = build(obj)
         for name in ("stiffness", "equilibrium", "equilibrium_velocity", "stiffness_rate",
-                     "theta_dot_override", "larmor_rate"):
+                     "theta_dot_override"):
             if getattr(sys_, name) is not None:  # as perfbench/tracer.py wraps them
                 setattr(sys_, name, counted(name, getattr(sys_, name)))
         return sys_

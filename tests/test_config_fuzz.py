@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dnmodes.cli import main
-from test_cli import run_cli
+from test_cli import NUMPY_BOOL_REPORT, run_cli
 
 FUZZ = settings(
     max_examples=20,
@@ -40,8 +40,7 @@ PRESETS = {
                     "masses": [1.0, 1.5], "zeroth_order": False}, "preset.k0"),
     "rotation": ({"type": "rotation", "m": 1.0, "omega1": 2.0, "omega2": 1.0,
                   "phi": {"kind": "table", "times": [0.0, 0.5, 1.0], "values": [0.0, 0.1, 0.3],
-                          "interpolation": "cubic"},
-                  "larmor_compensation": False}, "preset.omega1"),
+                          "interpolation": "cubic"}}, "preset.omega1"),
     "springs": ({"type": "springs", "k": 0.5, "k1": {"kind": "constant", "value": 1.0},
                  "k2": 1.2, "d": 3.0, "masses": [1.0, 2.0]}, "preset.d"),
     "custom": ({"type": "custom", "k": 0.3, "k1": 1.0, "k2": 1.5, "masses": [1.0, 1.0],
@@ -92,13 +91,6 @@ def replace(cfg: dict, path: tuple, value) -> None:
 # A sweep's points get the bad value through the axis instead of the file.
 SWEEP_VALUES = ("sweep", "axes", 0, "values")
 
-# classify's JSON report holds a numpy bool when the masses differ and the
-# preset solves for its equilibrium root, so json.dumps raises TypeError
-# (exit 1).  The benchmark pins this failure, so it is not mended here.
-NUMPY_BOOL_REPORT = pytest.mark.xfail(
-    strict=True, raises=TypeError,
-    reason="classify: numpy bool in the JSON report (unequal masses)",
-)
 CASES = [
     pytest.param(
         preset, command,

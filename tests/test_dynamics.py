@@ -118,6 +118,20 @@ def test_energy_conservation_static():
     assert audit.max_drift <= 1e-8
 
 
+def test_mode_frame_energy_audit_matches_the_lab_audit_static():
+    # On a static system Htil is H in mode coordinates, so the audit of the
+    # mapped lab run repeats the lab audit sample by sample (1e-17 apart on
+    # energies of 0.024 when written; the drift was 6.8e-13).
+    sys = static_sys(k=0.3, k1=1.0, k2=1.5, masses=(1.0, 2.0))
+    spec = IntegratorSpec(dt=1.0 / 64.0, t0=0.0, t1=1.0)
+    lab = integrate_lab(sys, PhasePoint(0.0, (0.1, -0.1), (0.1, 0.05)), spec)
+    lab_audit = energy_audit(lab, sys)
+    mode_audit = energy_audit(map_to_mode_frame(sys, lab), sys)
+    assert np.array_equal(mode_audit.times, lab_audit.times)
+    assert np.abs(mode_audit.energies - lab_audit.energies).max() <= 1e-15
+    assert mode_audit.max_drift <= 1e-11
+
+
 def test_angular_momentum_conserved_isotropic_rotation():
     # equal frequencies: rotating the trap does nothing, L_z is conserved
     w = 1.3

@@ -1,0 +1,53 @@
+"""Every module under ``src/dnmodes/`` uses each name it imports.
+
+The check parses each module with the standard library's ``ast`` (no linter
+is needed): a name bound by an ``import`` counts as used when the module
+reads it anywhere, or lists it in its ``__all__``.  The package
+``__init__`` imports only to re-export, so its names all count as used.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import dnmodes
+
+MODULES = sorted(pathlib.Path(dnmodes.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names that the module's imports bind and the module never uses."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted(imported - used)
+
+
+def test_the_check_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from .errors import ConfigError as Bad, DnmError\n"
+        "__all__ = ['DnmError']\n"
+        "def f(x: float) -> float:\n"
+        "    import json\n"
+        "    return math.sqrt(x)\n"
+    )
+    assert unused_imports(source) == ["Bad", "json", "os"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []

@@ -196,6 +196,18 @@ def test_theta_dot_analytic_vs_fd():
         assert theta_dot_at(chain_rule, t) == pytest.approx(theta_dot_fd(sys, t), abs=1e-6)
 
 
+def test_theta_dot_does_not_overflow_on_huge_masses():
+    # num^2 + den^2 overflows for masses [1e300, 2]; the chain rule divides
+    # by hypot(num, den) twice instead, and theta_dot is about -1e-152.
+    cfg = SeparationConfig(alpha=Smoothstep(1.0, 0.5, 0.0, 1.0),
+                           beta=LinearRamp(0.0, 0.5, 1.0, 0.6), masses=MassPair(1e300, 2.0))
+    sys = build_separation(cfg)
+    for t in np.linspace(0.0, 1.0, 5).tolist():
+        rate = theta_dot_at(sys, t)
+        assert rate != 0.0 and math.isfinite(rate)
+        assert rate == pytest.approx(theta_dot_fd(sys, t), rel=1e-6)
+
+
 def test_a_dot_a_inv_structure():
     # finite-differencing the modal matrix reproduces theta_dot * [[0,1],[-1,0]]
     M = MassPair(2.0, 3.0)

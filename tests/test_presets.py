@@ -11,7 +11,7 @@ from dnmodes.errors import (
     PresetDomainError,
     SingularConfigurationError,
 )
-from dnmodes.modes import larmor_rate_at, theta_at, theta_dot_at
+from dnmodes.modes import theta_at, theta_dot_at
 from dnmodes.presets import (
     PhaseGateConfig,
     RotationConfig,
@@ -379,17 +379,6 @@ def test_rotation_isotropic_flag():
     assert sys.extras.get("trivially_decoupled") is True
 
 
-def test_rotation_compensated_frequencies():
-    phi = LinearRamp(0.0, 0.0, 1.0, 0.4)
-    sys = build_rotation(
-        RotationConfig(m=1.0, omega1=2.0, omega2=1.0, phi=phi, larmor_compensation=True)
-    )
-    f1, f2 = sys.extras["compensated_frequencies"](1.0)
-    assert f1 == pytest.approx(math.sqrt(4.0 + 0.16))
-    assert sys.larmor_rate is None  # omega_L is theta_dot = phidot
-    assert larmor_rate_at(sys, 0.5) == pytest.approx(0.4)
-
-
 # -- springs -------------------------------------------------------------------
 
 
@@ -546,7 +535,8 @@ BADLY_TYPED = {
     "infinite_Cc": {**TRANSPORT, "Cc": float("inf")},
     "string_k0": {**PHASE_GATE, "k0": "x"},
     "int_zeroth_order": {**PHASE_GATE, "zeroth_order": 1},
-    "string_larmor_compensation": {**ROTATION, "larmor_compensation": "yes"},
+    # A removed field is unknown, whatever its value.
+    "unknown_larmor_compensation": {**ROTATION, "larmor_compensation": False},
     "string_omega1": {**ROTATION, "omega1": "x"},
     "list_type": {**TRANSPORT, "type": ["x"]},
     "missing_field": {"type": "transport", "k": 2.0},
