@@ -2,11 +2,11 @@
 
 The lab frame integrates qdot = M^-1 p, pdot = -K(t)(q - q0(t)); the mode
 frame integrates the effective Hamiltonian including the momentum drive
--(P1,P2) A qdot0 and the rotation coupling -theta_dot * L_z (plus the
-optional Larmor compensation terms).  RK4 is the default everywhere;
-velocity Verlet is offered for the lab frame only.  All coefficients are
-evaluated fresh at every RK stage time so 4th-order accuracy survives
-time-dependent schedules.
+-(P1,P2) A qdot0 and the rotation coupling -theta_dot * L_z, which Larmor
+compensation at omega_L = theta_dot cancels: each mode is then an oscillator
+at Omega_i^2 + theta_dot^2.  RK4 is the default; velocity Verlet is offered
+for the lab frame only.  All coefficients are evaluated fresh at every RK
+stage time so 4th-order accuracy survives time-dependent schedules.
 
 The steppers and the lab-to-mode map work on Python floats, so schedules and
 root solves never see numpy scalars: the RK4 step is unrolled on float locals,
@@ -19,9 +19,9 @@ once; one frame call gives theta, both squared frequencies and the cos/sin
 pair that turns the drive, which a map sample reuses with only the stiffness
 and the equilibrium, no theta_dot.  Callables are bound per run, not at import
 (a tracer may replace them), and RK4 builds its states array once from rows.
-A stage or map sample calls them directly and forms the force, the drive and
-the modal products inline, with the bits of ``QuadraticSystem.force``,
-``modes._modal_product`` and ``modes.mode_state``.
+A stage calls them directly and forms the force, the drive and the modal
+products inline, with the bits of ``QuadraticSystem.force`` and
+``modes._modal_product``; a map sample is ``modes.mode_state``.
 A state that turns non-finite inside a step raises ``FloatingPointError``, as
 numpy's overflow does under the command line's error state; a finite state
 beyond ``DIVERGENCE_GUARD`` raises ``DivergenceError`` with the partial run.
@@ -40,6 +40,7 @@ from .modes import (
     decompose_at,
     drive_rate_at,
     effective_hamiltonian_value,
+    mode_state,
     theta_dot_at,
 )
 from .quadratic import PhasePoint, QuadraticSystem
@@ -229,16 +230,15 @@ def integrate_modes(
     X0: PhasePoint,
     spec: IntegratorSpec,
     apply_larmor: bool = False,
-    lz_coupling: bool = True,
 ) -> Trajectory:
     """Integrate the effective mode-frame Hamiltonian from X0.
 
-    ``apply_larmor`` adds the compensation terms omega_L^2 (Q1^2+Q2^2)/2 +
-    omega_L L_z with omega_L the stage's theta_dot.  ``lz_coupling=False``
-    drops the -theta_dot L_z term; that deliberately breaks frame equivalence
-    for rotating systems and exists for verification.  The mode angle is
-    threaded call by call from the default branch at t0, and the last stage
-    of each step lies on the grid.
+    Without ``apply_larmor`` the modes are coupled by -theta_dot L_z.  With
+    it, the compensation omega_L^2 (Q1^2+Q2^2)/2 + omega_L L_z at omega_L =
+    theta_dot cancels that coupling, so each mode is an independent
+    oscillator at Omega_i^2 + theta_dot^2 driven by its P0_i.  The mode angle
+    is threaded call by call from the default branch at t0, and the last
+    stage of each step lies on the grid.
     """
     if X0.frame != "mode":
         raise ConfigError("integrate_modes expects a mode-frame initial point")
@@ -258,18 +258,10 @@ def integrate_modes(
         # theta_dot evaluates its own triple: handing it the stage's would
         # take sim-separation below the 50 root solves per step that
         # perfbench/tests pins (test_pinned_layer_counts[sim-separation]).
-        th_dot = theta_dot_at(sys, t)
-        td = th_dot if lz_coupling else 0.0
-        dQ1 = P1 - D1 + td * Q2
-        dQ2 = P2 - D2 - td * Q1
-        dP1 = -o1 * Q1 + td * P2
-        dP2 = -o2 * Q2 - td * P1
-        if apply_larmor:  # omega_L = th_dot
-            dQ1 -= th_dot * Q2
-            dQ2 += th_dot * Q1
-            dP1 -= th_dot * th_dot * Q1 + th_dot * P2
-            dP2 -= th_dot * th_dot * Q2 - th_dot * P1
-        return (dQ1, dQ2, dP1, dP2)
+        td = theta_dot_at(sys, t)
+        if apply_larmor:
+            return (P1 - D1, P2 - D2, -o1 * Q1 - td * td * Q1, -o2 * Q2 - td * td * Q2)
+        return (P1 - D1 + td * Q2, P2 - D2 - td * Q1, -o1 * Q1 + td * P2, -o2 * Q2 - td * P1)
 
     return _trajectory("mode", spec, lambda: _rk4_run(rhs, (*X0.q, *X0.p), spec))
 
@@ -299,17 +291,10 @@ def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:
     if traj.frame != "lab":
         raise ConfigError("map_to_mode_frame expects a lab trajectory")
     frame = _mode_frames(sys)
-    equilibrium = sys.equilibrium
-    # mode_state inline, with A's and A^(-T)'s weights bound once.
-    r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
-    i1, i2 = 1.0 / r1, 1.0 / r2
     rows = []
     for t, (q1, q2, p1, p2) in zip(traj.times.tolist(), traj.states.tolist()):
         _, c, s, _, _ = frame(t)
-        e1, e2 = equilibrium(t)
-        d1, d2 = q1 - e1, q2 - e2
-        rows.append((r1 * c * d1 + r2 * s * d2, -r1 * s * d1 + r2 * c * d2,
-                     i1 * c * p1 + i2 * s * p2, -i1 * s * p1 + i2 * c * p2))
+        rows.append(mode_state(sys, t, c, s, q1, q2, p1, p2))
     return Trajectory("mode", traj.times.copy(), np.array(rows), traj.step)
 
 
@@ -317,13 +302,12 @@ def frame_equivalence_check(
     sys: QuadraticSystem,
     x0_lab: PhasePoint,
     spec: IntegratorSpec,
-    lz_coupling: bool = True,
 ) -> FrameEquivalenceReport:
     """Integrate in the lab, map to mode coordinates, and compare against a
     direct mode-frame integration from the mapped initial condition."""
     lab = integrate_lab(sys, x0_lab, spec)
     mapped = map_to_mode_frame(sys, lab)
-    modes = integrate_modes(sys, mapped.point(0), spec, lz_coupling=lz_coupling)
+    modes = integrate_modes(sys, mapped.point(0), spec)
     diffs = np.linalg.norm(mapped.states - modes.states, axis=1)
     scale = float(np.linalg.norm(mapped.states, axis=1).max())
     max_dev = float(diffs.max() / max(scale, 1e-300))

@@ -37,7 +37,6 @@ __all__ = [
     "mass_weighted_stiffness",
     "theta_at",
     "eigenfrequencies",
-    "rotated_frequencies",
     "modal_matrix",
     "theta_dot_at",
     "drive_at",
@@ -105,14 +104,20 @@ def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
 def _angle_terms(K: StiffnessTriple, masses: MassPair) -> Optional[tuple]:
     """(num, den, r) of tan(2 theta) = num / den with r = hypot(num, den), or None
     where the mass-weighted stiffness is degenerate (any angle diagonalizes it):
-    r <= EPS_DEGENERATE (m1 + m2)(|k| + |k1| + |k2|), a test that squares nothing."""
+    r <= EPS_DEGENERATE (m1 + m2)(|k| + |k1| + |k2|), a test that squares nothing.
+    Raises ``FloatingPointError`` where num or den overflows (r is inf or NaN)."""
     k, k1, k2 = K.k, K.k1, K.k2
     m1, m2 = masses.m1, masses.m2
     num, den = 2.0 * k * masses.sqrt12, m1 * (k + k2) - m2 * (k + k1)
     r = math.hypot(num, den)
-    if r <= EPS_DEGENERATE * ((m1 + m2) * (abs(k) + abs(k1) + abs(k2))):
-        return None
-    return num, den, r
+    if r > EPS_DEGENERATE * ((m1 + m2) * (abs(k) + abs(k1) + abs(k2))):
+        return num, den, r
+    # r <= (m1 + m2)(|k| + |k1| + |k2|), so an infinite r meets an infinite
+    # threshold, and a NaN r fails every test: both land here, off the common path.
+    if not r < math.inf:
+        raise FloatingPointError(f"mode angle overflows: 2k sqrt(m1 m2) = {num}, "
+                                 f"m1(k + k2) - m2(k + k1) = {den}")
+    return None
 
 
 def _frame(K: StiffnessTriple, masses: MassPair, branch_ref=None, theta=None) -> tuple:
@@ -143,11 +148,6 @@ def _frame(K: StiffnessTriple, masses: MassPair, branch_ref=None, theta=None) ->
 def theta_at(K: StiffnessTriple, masses: MassPair, branch_ref: Optional[float] = None) -> float:
     """Mode angle, on the branch (multiple of pi/2) nearest branch_ref when given."""
     return _frame(K, masses, branch_ref)[0]
-
-
-def rotated_frequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
-    """(cos theta, sin theta, Omega1^2, Omega2^2) for the mode labels fixed by theta."""
-    return _frame(K, masses, theta=theta)[1:]
 
 
 def eigenfrequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tuple:
@@ -339,8 +339,6 @@ def _detect_analytic_case(masses: MassPair, triples) -> Optional[str]:
     scale = max(
         max(abs(tr.k), abs(tr.k1), abs(tr.k2)) for tr in triples
     )
-    if scale == 0.0:
-        return "k=0"
     tol = 1e-9 * scale
     if all(abs(tr.k) <= tol for tr in triples):
         return "k=0"

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PresetDomainError
 from .schedules import check_fields
 
 __all__ = ["MassPair", "StiffnessTriple", "PhasePoint", "QuadraticSystem"]
@@ -47,7 +47,8 @@ class MassPair:
 @dataclass(frozen=True, init=False)
 class StiffnessTriple:
     """Time-slice values (k, k1, k2); any entry may be negative.  Built at
-    every RK stage, so ``__init__`` stores them in the instance dict and checks them."""
+    every RK stage, so ``__init__`` stores them in the instance dict and checks them;
+    configs are checked finite, so a non-finite entry is an overflow (``PresetDomainError``)."""
 
     k: float
     k1: float
@@ -60,7 +61,7 @@ class StiffnessTriple:
         d["k2"] = k2
         if not (math.isfinite(k) and math.isfinite(k1) and math.isfinite(k2)):
             name = next(n for n in ("k", "k1", "k2") if not math.isfinite(d[n]))
-            raise ConfigError(f"stiffness {name} must be finite, got {d[name]}")
+            raise PresetDomainError(f"stiffness {name} must be finite, got {d[name]}")
 
     def matrix(self) -> np.ndarray:
         return np.array(

@@ -4,6 +4,7 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line;
 all numeric tolerances are pinned here and must not be loosened.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -407,9 +408,11 @@ def test_criterion_07_frame_equivalence():
     ratio = coarse.max_deviation / fine.max_deviation
     order_ok = 16.0 * 0.7 <= ratio <= 16.0 * 1.3
 
-    # mutation test: dropping the angular-momentum coupling must break rotation
+    # mutation test: dropping the angular-momentum coupling (theta_dot = 0 in
+    # the mode frame only; the lab run never reads it) must break rotation
     broken = frame_equivalence_check(
-        rot, x0_rot, IntegratorSpec(dt=1e-3, t0=0.0, t1=10.0), lz_coupling=False
+        dataclasses.replace(rot, theta_dot_override=lambda t: 0.0),
+        x0_rot, IntegratorSpec(dt=1e-3, t0=0.0, t1=10.0),
     )
     mutation_ok = broken.max_deviation > 1e-6
 

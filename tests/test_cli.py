@@ -276,6 +276,14 @@ MALFORMED = {
     "sweep_index_out_of_range": (["sweep"], sweep_over("window.5", [1.0])),
     "sweep_window_string": (["sweep"], sweep_over("window.0", ["abc"])),
     "sweep_samples_one": (["sweep"], sweep_over("samples", [1])),
+    "sweep_axis_no_values": (["sweep"], sweep_over("samples", [])),
+    "sweep_no_axes": (["sweep"], lambda c: c.update(sweep={"axes": []})),
+    "sweep_three_axes": (
+        ["sweep"],
+        lambda c: c.update(sweep={"axes": [{"path": "samples", "values": [5]}] * 3}),
+    ),
+    "sweep_without_a_sweep_section": (["sweep"], lambda c: None),
+    "integrator_without_dt": (["simulate"], lambda c: c.update(integrator={"method": "rk4"})),
 }
 
 
@@ -352,9 +360,9 @@ def test_console_entry_point(tmp_path):
 
 
 def test_numpy_overflow_exits_3_with_one_line(tmp_path):
-    # The tan(2 theta) numerator 2 k sqrt(m1 m2) overflows in numpy scalars on
-    # classify's sample times; numpy's warnings go to stderr, so this needs a
-    # separate interpreter.
+    # The tan(2 theta) numerator 2 k sqrt(m1 m2) overflows, here in numpy
+    # scalars on classify's sample times; numpy's warnings go to stderr, so
+    # this needs a separate interpreter.
     ramp = {"kind": "linear-ramp", "t0": 0.0, "v0": 1e308, "t1": 1.0, "v1": 1.5e308}
     cfg = {
         "schema": 1,
@@ -457,6 +465,58 @@ def test_a_float_overflow_names_the_quantity(tmp_path, capsys, preset, command):
     assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"preset domain error: {message}"]
+
+
+# A config's values are checked finite, so a stiffness entry or a tan(2 theta)
+# term that overflows is computed: exit 3.  The message is analyze's, which
+# runs on floats; classify samples on numpy times, whose overflow numpy names.
+OVERFLOWING_STIFFNESS = {
+    # k1 = m omega1^2 = 1e309 when the system is built.
+    "rotation_k1": ({"type": "rotation", "m": 10.0, "omega1": 1e154, "omega2": 1.0,
+                     "phi": {"kind": "linear-ramp", "t0": 0.0, "v0": 0.0, "t1": 1.0, "v1": 0.4}},
+                    [0.0, 1.0], "stiffness k1 must be finite, got inf"),
+    # k = 1 + 1e308 t: 2 k sqrt(m1 m2) overflows first, then k itself.
+    "polynomial_k": ({"type": "custom", "k": {"kind": "polynomial", "coeffs": [1.0, 1e308]},
+                      "k1": 1.0, "k2": 1.0},
+                     [0.0, 2.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
+                                 "m1(k + k2) - m2(k + k1) = 0.0"),
+    # The isotropy test on the phi = 0 triple: m1 (k + k2) = 1e400.  Taken as
+    # isotropic, it would hold theta = theta_dot = 0 while phi turns.
+    "rotation_isotropy_test": ({"type": "rotation", "m": 1e100, "omega1": 1e100, "omega2": 1.0,
+                                "phi": {"kind": "linear-ramp", "t0": 0.0, "v0": 0.0, "t1": 1.0,
+                                        "v1": 0.4}},
+                               [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = 0.0, "
+                                           "m1(k + k2) - m2(k + k1) = -inf"),
+    # 2 k sqrt(m1 m2) overflows, k stays finite.
+    "num_ramp": ({"type": "custom", "k": {"kind": "linear-ramp", "t0": 0.0, "v0": 1e308,
+                                          "t1": 1.0, "v1": 1.5e308}, "k1": 1e308, "k2": 1.0},
+                 [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
+                             "m1(k + k2) - m2(k + k1) = -inf"),
+    "num_huge_masses": ({"type": "custom", "k": 1e160, "k1": 0.0, "k2": 0.0,
+                         "masses": [1e150, 1e150]},
+                        [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
+                                    "m1(k + k2) - m2(k + k1) = nan"),
+    # m1 (k + k2) - m2 (k + k1) is inf - inf.
+    "den_nan": ({"type": "custom", "k": 1.0, "k1": 1e300, "k2": 1e300,
+                 "masses": [1e200, 1e100]},
+                [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = 2e+150, "
+                            "m1(k + k2) - m2(k + k1) = nan"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "simulate"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_STIFFNESS))
+def test_an_overflowing_stiffness_or_mode_angle_exits_3(tmp_path, capsys, case, command):
+    obj, window, message = OVERFLOWING_STIFFNESS[case]
+    cfg = {
+        "schema": 1, "preset": obj, "window": window, "samples": 5,
+        "integrator": {"dt": 0.25}, "output": {"path": str(tmp_path / "ovf")},
+    }
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("preset domain error: ")
+    if command == "analyze":
+        assert err == [f"preset domain error: {message}"]
 
 
 def test_analyze_finds_a_root_below_the_scan_grid(tmp_path, capsys):

@@ -1,0 +1,118 @@
+"""Input guards of the library: each rejects its bad input with a named error.
+
+One case per guard that the other tests never run, calling the library
+directly: the frame checks of the integrators, the map and the mode-frame
+helpers, and the value checks of the small types.
+"""
+
+import numpy as np
+import pytest
+
+from dnmodes.dynamics import (
+    IntegratorSpec,
+    Trajectory,
+    integrate_lab,
+    integrate_modes,
+    integrate_modes_shifted,
+    map_to_mode_frame,
+    mode_energy_series,
+)
+from dnmodes.errors import ConfigError, PresetDomainError
+from dnmodes.modes import (
+    classify_separability,
+    decompose_at,
+    effective_hamiltonian_value,
+    from_mode_frame,
+    momentum_shift,
+    to_mode_frame,
+)
+from dnmodes.presets import (
+    CustomConfig,
+    build_custom,
+    build_preset,
+    separability_condition_separation,
+)
+from dnmodes.quadratic import MassPair, PhasePoint
+from dnmodes.schedules import Polynomial, SampledTable
+
+SYS = build_custom(CustomConfig(k=0.5, k1=1.0, k2=2.0, masses=(1.0, 2.0)))
+SPEC = IntegratorSpec(dt=0.25, t0=0.0, t1=1.0)
+LAB = PhasePoint(0.0, (0.1, -0.1), (0.0, 0.0))
+MODE = PhasePoint(0.0, (0.1, -0.1), (0.0, 0.0), frame="mode")
+DEC = decompose_at(SYS, 0.0)
+NOT_A_CONFIG = object()
+
+
+def trajectory(frame):
+    times = np.linspace(0.0, 1.0, 3)
+    return Trajectory(frame, times, np.zeros((3, 4)), 0.5)
+
+
+# case: (call, error type, the error's whole message).
+GUARDS = {
+    "integrate_lab_mode_point": (
+        lambda: integrate_lab(SYS, MODE, SPEC),
+        ConfigError, "integrate_lab expects a lab-frame initial point"),
+    "integrate_modes_lab_point": (
+        lambda: integrate_modes(SYS, LAB, SPEC),
+        ConfigError, "integrate_modes expects a mode-frame initial point"),
+    "integrate_modes_verlet": (
+        lambda: integrate_modes(SYS, MODE, IntegratorSpec(0.25, 0.0, 1.0, "velocity-verlet")),
+        ConfigError, "mode-frame integration supports rk4 only"),
+    "integrate_modes_shifted_lab_point": (
+        lambda: integrate_modes_shifted(SYS, LAB, SPEC),
+        ConfigError, "integrate_modes_shifted expects a mode-frame point"),
+    "map_to_mode_frame_mode_trajectory": (
+        lambda: map_to_mode_frame(SYS, trajectory("mode")),
+        ConfigError, "map_to_mode_frame expects a lab trajectory"),
+    "mode_energy_series_lab_trajectory": (
+        lambda: mode_energy_series(trajectory("lab"), SYS),
+        ConfigError, "mode_energy_series expects a mode trajectory"),
+    "to_mode_frame_mode_point": (
+        lambda: to_mode_frame(DEC, MODE, SYS),
+        ConfigError, "to_mode_frame expects a lab-frame point"),
+    "from_mode_frame_lab_point": (
+        lambda: from_mode_frame(DEC, LAB, SYS),
+        ConfigError, "from_mode_frame expects a mode-frame point"),
+    "effective_hamiltonian_value_lab_point": (
+        lambda: effective_hamiltonian_value(DEC, SYS, LAB),
+        ConfigError, "effective_hamiltonian_value expects a mode-frame point"),
+    "momentum_shift_lab_point": (
+        lambda: momentum_shift(DEC, SYS, LAB),
+        ConfigError, "momentum_shift expects a mode-frame point"),
+    "classify_one_sample": (
+        lambda: classify_separability(SYS, (0.0, 1.0), n_samples=1),
+        ConfigError, "classify_separability needs n_samples >= 2"),
+    "phase_point_frame": (
+        lambda: PhasePoint(0.0, (0.0, 0.0), (0.0, 0.0), frame="x"),
+        ConfigError, "frame must be 'lab' or 'mode', got 'x'"),
+    "phase_point_nan": (
+        lambda: PhasePoint(0.0, (float("nan"), 0.0), (0.0, 0.0)),
+        ConfigError, "phase-point components must be finite"),
+    "mass_product_overflow": (
+        lambda: MassPair(1e200, 1e200),
+        ConfigError, "m1 * m2 overflows, got 1e+200 and 1e+200"),
+    "separation_condition_alpha_zero": (
+        lambda: separability_condition_separation(0.0, 1.0, (0.0, 1.0)),
+        PresetDomainError, "separability condition needs alpha != 0 on the window"),
+    "build_preset_object": (
+        lambda: build_preset(NOT_A_CONFIG),
+        ConfigError, f"cannot build a preset from {NOT_A_CONFIG!r}"),
+    "polynomial_no_coefficients": (
+        lambda: Polynomial(()),
+        ConfigError, "polynomial schedule needs at least one coefficient"),
+    "table_lengths": (
+        lambda: SampledTable((0.0, 1.0, 2.0), (0.0, 1.0)),
+        ConfigError, "sampled-table needs matching times and values, length >= 2"),
+    "table_interpolation": (
+        lambda: SampledTable((0.0, 1.0), (0.0, 1.0), interpolation="quadratic"),
+        ConfigError, "unknown interpolation 'quadratic'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_a_guard_raises_its_named_error(case):
+    call, error, message = GUARDS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message

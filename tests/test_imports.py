@@ -1,13 +1,18 @@
-"""Every module under ``src/dnmodes/`` uses each name it imports.
+"""Every module under ``src/dnmodes/`` uses each name it imports, and
+defines each name its ``__all__`` lists.
 
-The check parses each module with the standard library's ``ast`` (no linter
-is needed): a name bound by an ``import`` counts as used when the module
-reads it anywhere, or lists it in its ``__all__``.  The package
+The import check parses each module with the standard library's ``ast`` (no
+linter is needed): a name bound by an ``import`` counts as used when the
+module reads it anywhere, or lists it in its ``__all__``.  The package
 ``__init__`` imports only to re-export, so its names all count as used.
+The ``__all__`` check imports each module, so that a stale entry fails here
+and not at the first ``from dnmodes.<module> import *``.
 """
 
 import ast
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -51,3 +56,20 @@ def test_the_check_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def missing_exports(module) -> list:
+    """Names that the module's ``__all__`` lists and the module does not define."""
+    return sorted(name for name in getattr(module, "__all__", ()) if not hasattr(module, name))
+
+
+def test_the_check_finds_a_stale_all_entry():
+    module = types.ModuleType("stale")
+    exec("__all__ = ['kept', 'gone', 'also_gone']\nkept = 1\n", module.__dict__)
+    assert missing_exports(module) == ["also_gone", "gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_name_in_all_exists(path):
+    name = "dnmodes" if path.stem == "__init__" else f"dnmodes.{path.stem}"
+    assert missing_exports(importlib.import_module(name)) == []

@@ -76,7 +76,6 @@ from dnmodes.modes import (
     from_mode_frame,
     modal_matrix,
     mode_state,
-    rotated_frequencies,
     theta_at,
     theta_dot_at,
     to_mode_frame,
@@ -339,7 +338,7 @@ PRESET_KINDS = [*sorted(presets._PRESETS), "phase-gate-zeroth-order"]
 @given(data=st.data())
 def test_stage_frame_gives_the_bits_of_eigenfrequencies_and_drive_at(kind, data):
     # A mode-frame RK stage takes Omega^2 and the drive P0 = A qdot0 from the
-    # one cos/sin pair of rotated_frequencies: both equal their own homes.
+    # one cos/sin pair of _frame: both equal their own homes.
     if kind == "crossing":
         sys = data.draw(crossing_systems(), label="system")[0]
     else:
@@ -348,7 +347,7 @@ def test_stage_frame_gives_the_bits_of_eigenfrequencies_and_drive_at(kind, data)
     triple = sys.stiffness(t)
     branch = data.draw(st.none() | st.floats(-7.0, 7.0), label="branch")
     theta = theta_at(triple, sys.masses, branch)
-    c, s, o1, o2 = rotated_frequencies(triple, sys.masses, theta)
+    c, s, o1, o2 = _frame(triple, sys.masses, theta=theta)[1:]
     assert (o1, o2) == eigenfrequencies(triple, sys.masses, theta)
     drive = _modal_product(c, s, sys.masses.sqrt1, sys.masses.sqrt2,
                            *sys.equilibrium_velocity(t))
@@ -650,10 +649,10 @@ def twin_systems(kind, data):
 @PROPERTY
 @given(data=st.data())
 def test_float_map_matches_the_decomposition(kind, data):
-    # The map forms mode_state inline: each row has the bits of mode_state on
-    # the cos and sin of the walk's theta at that sample.  It threads the mode
-    # angle as decompose_at does and forms the modal products in floats: it
-    # equals to_mode_frame of the decomposition, and the decomposition's numpy
+    # The map calls mode_state: each row has its bits on the cos and sin of
+    # the walk's theta at that sample.  It threads the mode angle as
+    # decompose_at does and forms the modal products in floats: it equals
+    # to_mode_frame of the decomposition, and the decomposition's numpy
     # matrices, to rounding of the state scale.
     sys, twin = twin_systems(kind, data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -693,7 +692,9 @@ def table_rotations(draw):
 
 def mode_rhs_from_helpers(sys, apply_larmor):
     """The mode-frame right-hand side from the helpers the integrator's stage
-    forms inline: the drive from _modal_product, omega_L = theta_dot_at."""
+    forms inline: the drive from _modal_product, theta_dot_at; with Larmor
+    compensation at omega_L = theta_dot, uncoupled oscillators at
+    Omega^2 + theta_dot^2."""
     frame = _mode_frames(sys)
     r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
 
@@ -703,14 +704,11 @@ def mode_rhs_from_helpers(sys, apply_larmor):
         _, c, s, o1, o2 = frame(t)
         D1, D2 = _modal_product(c, s, r1, r2, *sys.equilibrium_velocity(t))
         td = theta_dot_at(sys, t)
-        dQ1, dQ2 = P1 - D1 + td * Q2, P2 - D2 - td * Q1
-        dP1, dP2 = -o1 * Q1 + td * P2, -o2 * Q2 - td * P1
         if apply_larmor:
             wL = td
-            dQ1 -= wL * Q2
-            dQ2 += wL * Q1
-            dP1 -= wL * wL * Q1 + wL * P2
-            dP2 -= wL * wL * Q2 - wL * P1
+            return np.array([P1 - D1, P2 - D2, -o1 * Q1 - wL * wL * Q1, -o2 * Q2 - wL * wL * Q2])
+        dQ1, dQ2 = P1 - D1 + td * Q2, P2 - D2 - td * Q1
+        dP1, dP2 = -o1 * Q1 + td * P2, -o2 * Q2 - td * P1
         return np.array([dQ1, dQ2, dP1, dP2])
 
     return rhs
@@ -817,7 +815,7 @@ def test_mode_frame_gives_the_bits_of_theta_at_then_rotated_frequencies(source, 
     expected = chain_frame(K, masses, branch)
     assert hexes(_frame(K, masses, branch)) == hexes(expected)
     assert hexes([theta_at(K, masses, branch)]) == hexes(expected[:1])
-    assert hexes(rotated_frequencies(K, masses, expected[0])) == hexes(expected[1:])
+    assert hexes(_frame(K, masses, theta=expected[0])[1:]) == hexes(expected[1:])
     assert hexes(eigenfrequencies(K, masses, expected[0])) == hexes(expected[3:])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from dnmodes.presets import CustomConfig, build_custom
 from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
-from dnmodes.errors import ConfigError
+from dnmodes.errors import ConfigError, PresetDomainError
 
 from oracles import grad4
 
@@ -27,7 +27,8 @@ def test_mass_pair_validation():
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_stiffness_triple_names_the_non_finite_entry(name, bad):
     entries = {"k": 1.0, "k1": 2.0, "k2": 3.0, name: bad}
-    with pytest.raises(ConfigError, match=f"^stiffness {name} must be finite, got {bad}$"):
+    # Configs are checked finite first, so this is an overflow in a preset.
+    with pytest.raises(PresetDomainError, match=f"^stiffness {name} must be finite, got {bad}$"):
         StiffnessTriple(**entries)
 
 
@@ -41,7 +42,7 @@ def test_stiffness_triple_stays_a_frozen_value_dataclass():
     assert tr == StiffnessTriple(k=1.0, k1=2.0, k2=3.0) != StiffnessTriple(1.0, 2.0, 4.0)
     assert hash(tr) == hash(StiffnessTriple(1.0, 2.0, 3.0))
     assert dataclasses.replace(tr, k1=-2.0) == StiffnessTriple(1.0, -2.0, 3.0)
-    with pytest.raises(ConfigError, match="^stiffness k2 must be finite, got nan$"):
+    with pytest.raises(PresetDomainError, match="^stiffness k2 must be finite, got nan$"):
         dataclasses.replace(tr, k2=float("nan"))
 
 
