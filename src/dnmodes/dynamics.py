@@ -8,23 +8,24 @@ at Omega_i^2 + theta_dot^2.  RK4 is the default; velocity Verlet is offered
 for the lab frame only.  All coefficients are evaluated fresh at every RK
 stage time so 4th-order accuracy survives time-dependent schedules.
 
-The steppers and the lab-to-mode map work on Python floats, so schedules and
-root solves never see numpy scalars: the RK4 step is unrolled on float locals,
-and stage times come with ``tolist()`` from the spec's grid t0 + i dt, whose
-last entry is exactly t1; a step's last stage lies on the next grid time, so
-no stage leaves the window.  The mode angle is threaded call by call: the
-first stage at t0 takes the default branch, each later stage (or map sample)
-the branch of the one before.  A mode-frame stage evaluates the stiffness
-once; one frame call gives theta, both squared frequencies and the cos/sin
-pair that turns the drive, which a map sample reuses with only the stiffness
-and the equilibrium, no theta_dot.  Callables are bound per run, not at import
-(a tracer may replace them), and RK4 builds its states array once from rows.
-A stage calls them directly and forms the force, the drive and the modal
-products inline, with the bits of ``QuadraticSystem.force`` and
-``modes._modal_product``; a map sample is ``modes.mode_state``.
-A state that turns non-finite inside a step raises ``FloatingPointError``, as
-numpy's overflow does under the command line's error state; a finite state
-beyond ``DIVERGENCE_GUARD`` raises ``DivergenceError`` with the partial run.
+RK4 and velocity Verlet are step maps y_{n+1} = step(t_n, t_{n+1}, y_n); one
+run loop owns the grid, the guard and the partial run.  The steps and the
+lab-to-mode map work on Python floats, so schedules and root solves never see
+numpy scalars: step times come with ``tolist()`` from the spec's grid t0 + i
+dt, whose last entry is exactly t1; RK4's last stage lies on the next grid
+time, so no stage leaves the window.  The mode angle is threaded call by call:
+the first stage at t0 takes the default branch, each later stage (or map
+sample) the branch of the one before.  A mode-frame stage evaluates the
+stiffness once; one frame call gives theta, both squared frequencies and the
+cos/sin pair that turns the drive, which a map sample reuses with only the
+stiffness and the equilibrium, no theta_dot.  Callables are bound per run, not
+at import (a tracer may replace them).  A stage calls them directly and forms
+the force, the drive and the modal products inline, with the bits of
+``QuadraticSystem.force`` and ``modes._modal_product``; a map sample is
+``modes.mode_state``.  A state that turns non-finite inside a step raises
+``FloatingPointError``, as numpy's overflow does under the command line's error
+state; a finite state beyond ``DIVERGENCE_GUARD`` raises ``DivergenceError``
+with the partial run.
 """
 
 from __future__ import annotations
@@ -129,53 +130,68 @@ class EnergyAudit:
     max_drift: float  # max |H(t) - H(t0)| / max(1, |H(t0)|)
 
 
-def _unbounded(y: tuple, t: float, partial: tuple) -> Exception:
-    """The error that stops a run whose state y at time t left the guard: a
-    non-finite component is an overflow inside the step, a finite one a
-    divergence carrying the run so far."""
-    if not all(map(math.isfinite, y)):
-        return FloatingPointError(f"state overflowed at t={t}")
-    return DivergenceError(f"state exceeded {DIVERGENCE_GUARD:g} at t={t}", partial=partial)
-
-
-def _rk4_run(rhs, y0: tuple, spec: IntegratorSpec):
-    """Fixed-step RK4 over the spec's grid with a divergence guard;
-    ``rhs(t, q1, q2, p1, p2)`` takes a float time and state and returns the
-    derivative 4-tuple.  It is called in time order, the last stage of each
-    step at the next grid time.  Returns (times, states)."""
+def _run(frame: str, step, y0: tuple, spec: IntegratorSpec) -> Trajectory:
+    """The rows of ``step(t, t_next, y) -> y`` on the spec's grid from the float
+    state y0.  A state outside the guard stops the run: a non-finite one is an
+    overflow inside the step, a finite one a divergence with the run so far."""
     times = spec.grid()
     grid = times.tolist()
     rows = [y0]
-    q1, q2, p1, p2 = y0
-    dt = spec.dt
+    for i in range(len(grid) - 1):
+        q1, q2, p1, p2 = y = step(grid[i], grid[i + 1], rows[-1])
+        if not (abs(q1) < DIVERGENCE_GUARD and abs(q2) < DIVERGENCE_GUARD
+                and abs(p1) < DIVERGENCE_GUARD and abs(p2) < DIVERGENCE_GUARD):
+            if not all(map(math.isfinite, y)):
+                raise FloatingPointError(f"state overflowed at t={grid[i + 1]}")
+            partial = Trajectory(frame, times[: i + 1], np.array(rows), spec.dt)
+            raise DivergenceError(f"state exceeded {DIVERGENCE_GUARD:g} at t={grid[i + 1]}",
+                                  partial=partial)
+        rows.append(y)
+    return Trajectory(frame, times, np.array(rows), spec.dt)
+
+
+def _rk4(rhs, dt: float):
+    """The classical RK4 step of ``rhs(t, q1, q2, p1, p2)``, which takes a
+    float time and state and returns the derivative 4-tuple; it is called in
+    time order, the last stage at the next grid time."""
     h = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(len(grid) - 1):
-        t = grid[i]
+
+    def step(t, t_next, y):
+        q1, q2, p1, p2 = y
         a1, a2, a3, a4 = rhs(t, q1, q2, p1, p2)
         b1, b2, b3, b4 = rhs(t + h, q1 + h * a1, q2 + h * a2, p1 + h * a3, p2 + h * a4)
         c1, c2, c3, c4 = rhs(t + h, q1 + h * b1, q2 + h * b2, p1 + h * b3, p2 + h * b4)
-        d1, d2, d3, d4 = rhs(grid[i + 1], q1 + dt * c1, q2 + dt * c2, p1 + dt * c3, p2 + dt * c4)
-        q1 = q1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        q2 = q2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        p1 = p1 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-        p2 = p2 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-        if not (abs(q1) < DIVERGENCE_GUARD and abs(q2) < DIVERGENCE_GUARD
-                and abs(p1) < DIVERGENCE_GUARD and abs(p2) < DIVERGENCE_GUARD):
-            raise _unbounded((q1, q2, p1, p2), grid[i + 1], (times[: i + 1], np.array(rows)))
-        rows.append((q1, q2, p1, p2))
-    return times, np.array(rows)
+        d1, d2, d3, d4 = rhs(t_next, q1 + dt * c1, q2 + dt * c2, p1 + dt * c3, p2 + dt * c4)
+        return (q1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                q2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                p1 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                p2 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+
+    return step
 
 
-def _trajectory(frame: str, spec: IntegratorSpec, run) -> Trajectory:
-    """The trajectory that ``run()`` (returning times and states) integrates;
-    a divergence carries its partial run as a Trajectory too."""
-    try:
-        times, states = run()
-    except DivergenceError as exc:
-        exc.partial = Trajectory(frame, *exc.partial, spec.dt)
-        raise
-    return Trajectory(frame, times, states, spec.dt)
+def _verlet(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec):
+    """The velocity Verlet (kick-drift-kick) step; lab frame only (separable H).
+    Each step starts from the force the step before computed (the first from
+    t0), as a second root solve at a repeated time could move q0 by an ulp."""
+    m1 = sys.masses.m1
+    m2 = sys.masses.m2
+    dt = spec.dt
+    half = 0.5 * dt
+    force = sys.force(spec.t0, *x0.q)
+
+    def step(t, t_next, y):
+        nonlocal force
+        q1, q2, p1, p2 = y
+        h1 = p1 + half * force[0]
+        h2 = p2 + half * force[1]
+        q1 = q1 + dt * h1 / m1
+        q2 = q2 + dt * h2 / m2
+        force = sys.force(t_next, q1, q2)
+        return (q1, q2, h1 + half * force[0], h2 + half * force[1])
+
+    return step
 
 
 def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) -> Trajectory:
@@ -193,36 +209,8 @@ def integrate_lab(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec) ->
         k, d1, d2 = tr.k, q1 - e1, q2 - e2
         return (p1 / m1, p2 / m2, -((k + tr.k1) * d1 - k * d2), -(-k * d1 + (k + tr.k2) * d2))
 
-    if spec.method == "velocity-verlet":
-        return _trajectory("lab", spec, lambda: _verlet_run(sys, x0, spec))
-    return _trajectory("lab", spec, lambda: _rk4_run(rhs, (*x0.q, *x0.p), spec))
-
-
-def _verlet_run(sys: QuadraticSystem, x0: PhasePoint, spec: IntegratorSpec):
-    """Velocity Verlet (kick-drift-kick); lab frame only (separable H)."""
-    m1 = sys.masses.m1
-    m2 = sys.masses.m2
-    dt = spec.dt
-    half = 0.5 * dt
-    times = spec.grid()
-    grid = times.tolist()
-    states = np.empty((len(grid), 4))
-    (q1, q2), (p1, p2) = x0.q, x0.p
-    states[0] = (q1, q2, p1, p2)
-    f1, f2 = sys.force(grid[0], q1, q2)
-    for i in range(len(grid) - 1):
-        h1 = p1 + half * f1
-        h2 = p2 + half * f2
-        q1 = q1 + dt * h1 / m1
-        q2 = q2 + dt * h2 / m2
-        f1, f2 = sys.force(grid[i + 1], q1, q2)
-        p1 = h1 + half * f1
-        p2 = h2 + half * f2
-        y = (q1, q2, p1, p2)
-        if not all(abs(v) < DIVERGENCE_GUARD for v in y):
-            raise _unbounded(y, grid[i + 1], (times[: i + 1], states[: i + 1]))
-        states[i + 1] = y
-    return times, states
+    step = _verlet(sys, x0, spec) if spec.method == "velocity-verlet" else _rk4(rhs, spec.dt)
+    return _run("lab", step, (*x0.q, *x0.p), spec)
 
 
 def integrate_modes(
@@ -263,7 +251,7 @@ def integrate_modes(
             return (P1 - D1, P2 - D2, -o1 * Q1 - td * td * Q1, -o2 * Q2 - td * td * Q2)
         return (P1 - D1 + td * Q2, P2 - D2 - td * Q1, -o1 * Q1 + td * P2, -o2 * Q2 - td * P1)
 
-    return _trajectory("mode", spec, lambda: _rk4_run(rhs, (*X0.q, *X0.p), spec))
+    return _run("mode", _rk4(rhs, spec.dt), (*X0.q, *X0.p), spec)
 
 
 def integrate_modes_shifted(
@@ -283,7 +271,7 @@ def integrate_modes_shifted(
         P0_dot = drive_rate_at(sys, t, theta)
         return (P1, P2, -o1 * Q1 - P0_dot[0], -o2 * Q2 - P0_dot[1])
 
-    return _trajectory("mode", spec, lambda: _rk4_run(rhs, (*X0.q, *X0.p), spec))
+    return _run("mode", _rk4(rhs, spec.dt), (*X0.q, *X0.p), spec)
 
 
 def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:

@@ -101,11 +101,12 @@ def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
     )
 
 
-def _angle_terms(K: StiffnessTriple, masses: MassPair) -> Optional[tuple]:
+def _angle_terms(K: StiffnessTriple, masses: MassPair, t=None) -> Optional[tuple]:
     """(num, den, r) of tan(2 theta) = num / den with r = hypot(num, den), or None
     where the mass-weighted stiffness is degenerate (any angle diagonalizes it):
     r <= EPS_DEGENERATE (m1 + m2)(|k| + |k1| + |k2|), a test that squares nothing.
-    Raises ``FloatingPointError`` where num or den overflows (r is inf or NaN)."""
+    Raises ``FloatingPointError`` where num or den overflows (r is inf or NaN),
+    naming the time t of the triple K when the caller gives it."""
     k, k1, k2 = K.k, K.k1, K.k2
     m1, m2 = masses.m1, masses.m2
     num, den = 2.0 * k * masses.sqrt12, m1 * (k + k2) - m2 * (k + k1)
@@ -115,18 +116,19 @@ def _angle_terms(K: StiffnessTriple, masses: MassPair) -> Optional[tuple]:
     # r <= (m1 + m2)(|k| + |k1| + |k2|), so an infinite r meets an infinite
     # threshold, and a NaN r fails every test: both land here, off the common path.
     if not r < math.inf:
+        at = "" if t is None else f" at t={t}"
         raise FloatingPointError(f"mode angle overflows: 2k sqrt(m1 m2) = {num}, "
-                                 f"m1(k + k2) - m2(k + k1) = {den}")
+                                 f"m1(k + k2) - m2(k + k1) = {den}{at}")
     return None
 
 
-def _frame(K: StiffnessTriple, masses: MassPair, branch_ref=None, theta=None) -> tuple:
+def _frame(K: StiffnessTriple, masses: MassPair, branch_ref=None, t=None, theta=None) -> tuple:
     """(theta, cos theta, sin theta, Omega1^2, Omega2^2) of the stiffness K: theta
     on the branch (multiple of pi/2) nearest branch_ref when given, else on the
     default branch (-pi/4, pi/4], and held there where K is degenerate; a caller
-    that fixes theta passes it instead."""
+    that fixes theta passes it instead.  t, the time of K, names an overflow."""
     if theta is None:
-        terms = _angle_terms(K, masses)
+        terms = _angle_terms(K, masses, t)
         if terms is None:
             theta = 0.0 if branch_ref is None else branch_ref
         else:
@@ -164,7 +166,7 @@ def _mode_frames(sys: QuadraticSystem):
 
     def frame(t: float) -> tuple:
         nonlocal theta
-        values = _frame(stiffness(t), masses, theta)
+        values = _frame(stiffness(t), masses, theta, t)
         theta = values[0]
         return values
 
@@ -206,7 +208,7 @@ def theta_dot_at(
     if triple is None:
         triple = sys.stiffness(t)
     m = sys.masses
-    terms = _angle_terms(triple, m)
+    terms = _angle_terms(triple, m, t)
     if terms is not None:
         num, den, r = terms
         dk, dk1, dk2 = sys.stiffness_rate(t)
@@ -243,7 +245,7 @@ def decompose_at(
     """theta, theta_dot, the squared mode frequencies and A at t, from one
     stiffness evaluation: theta_dot reuses the triple."""
     triple = sys.stiffness(t)
-    theta, _, _, o1, o2 = _frame(triple, sys.masses, branch_ref)
+    theta, _, _, o1, o2 = _frame(triple, sys.masses, branch_ref, t)
     A, A_inv = modal_matrix(theta, sys.masses)
     return ModeDecomposition(
         t=t,
@@ -384,7 +386,7 @@ def classify_separability(
     for t in times:
         triple = sys.stiffness(t)
         triples.append(triple)
-        branch, _, _, o1, o2 = _frame(triple, sys.masses, branch)
+        branch, _, _, o1, o2 = _frame(triple, sys.masses, branch, t)
         theta_samples.append((float(t), branch))
         if o1 <= 0.0 or o2 <= 0.0:
             stable = False

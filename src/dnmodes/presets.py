@@ -55,6 +55,9 @@ __all__ = [
     "PhaseGateAudit",
 ]
 
+SEPARATION_CONDITION_TOL = 1e-9  # relative spread of beta^3/alpha^5 that counts as constant
+FORMULA_AUDIT_REL_TOL = 1e-8  # phase-gate closed forms against the root solve, relative to q0
+
 
 # ---------------------------------------------------------------------------
 # Transport, separation and phase gate: one ion pair.
@@ -292,7 +295,6 @@ def separability_condition_separation(
     beta,
     window: tuple,
     n_samples: int = 200,
-    tol_cond: float = 1e-9,
     Cc: float = 1.0,
 ) -> SeparationRampCheck:
     """Check the decoupling constraint beta^3/alpha^5 = const over the window.
@@ -330,7 +332,7 @@ def separability_condition_separation(
         rel_span([p[1] for p in products]),
     )
     return SeparationRampCheck(
-        holds=dev <= tol_cond, max_rel_deviation=dev, ratio_samples=tuple(ratios)
+        holds=dev <= SEPARATION_CONDITION_TOL, max_rel_deviation=dev, ratio_samples=tuple(ratios)
     )
 
 
@@ -410,9 +412,7 @@ class PhaseGateAudit:
     published_consistent: bool
 
 
-def audit_phase_gate_formulas(
-    F1: float, F2: float, k0: float, Cc: float, rel_tol: float = 1e-8
-) -> PhaseGateAudit:
+def audit_phase_gate_formulas(F1: float, F2: float, k0: float, Cc: float) -> PhaseGateAudit:
     """Compare the root-solved q0 against both published closed forms.
 
     Emits :class:`FormulaDiscrepancyWarning` when the combined published q0
@@ -421,8 +421,8 @@ def audit_phase_gate_formulas(
     q0 = solve_phase_gate_distance(F1, F2, k0, Cc)
     q1c, q2c = phase_gate_equilibria_closed_form(F1, F2, k0, Cc)
     q0_pub = phase_gate_q0_published(F1, F2, k0, Cc)
-    ind_ok = abs((q1c - q2c) - q0) <= rel_tol * abs(q0)
-    pub_ok = abs(q0_pub - q0) <= rel_tol * abs(q0)
+    ind_ok = abs((q1c - q2c) - q0) <= FORMULA_AUDIT_REL_TOL * abs(q0)
+    pub_ok = abs(q0_pub - q0) <= FORMULA_AUDIT_REL_TOL * abs(q0)
     if not pub_ok:
         warnings.warn(
             f"combined q0 closed form ({q0_pub}) disagrees with root solve ({q0}) "
@@ -444,9 +444,9 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
 
     The equilibrium root solve is authoritative; the published closed forms
     are evaluated alongside and a :class:`FormulaDiscrepancyWarning` fires
-    if the per-ion forms drift beyond 1e-8 relative.  That audit runs once
-    per time: the views at one sample time each solve for q0, and calls
-    repeating the time just audited skip it.  The pair's centre is
+    if the per-ion forms drift beyond ``FORMULA_AUDIT_REL_TOL``.  That audit
+    runs once per time: the views at one sample time each solve for q0, and
+    calls repeating the time just audited skip it.  The pair's centre is
     -(F1 + F2) / (2 k0).
     """
     if cfg.zeroth_order:
@@ -460,7 +460,7 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         if t != audited[0]:
             try:
                 q1c, q2c = phase_gate_equilibria_closed_form(u[0], u[1], k0, Cc)
-                if abs((q1c - q2c) - q0) > 1e-8 * abs(q0):
+                if abs((q1c - q2c) - q0) > FORMULA_AUDIT_REL_TOL * abs(q0):
                     warnings.warn(
                         f"per-ion closed-form equilibria disagree with root solve at t={t}: "
                         f"closed form q0={q1c - q2c}, root q0={q0}",

@@ -6,12 +6,13 @@ high-order finite differences for gradients and Hessians, a central
 difference of the mode angle, a brute-force 2x2 eigendecomposition via the
 characteristic polynomial, and fixed-step RK4 on numpy arrays.
 
-Three more write library code a second way, and the library must give their
-bits: the ion pair's views piece by piece, each schedule read where a piece
-needs it; the same views in their per-view form, each call reading the
-controls afresh and solving its root from the root before; and the mode frame
-as a chain: the tan(2 theta) numerator and denominator, then theta, then cos,
-sin and the rotated frequencies.
+Four more write library code a second way, and the library must give their
+bits: velocity Verlet as a plain loop over the system's force; the ion pair's
+views piece by piece, each schedule read where a piece needs it; the same
+views in their per-view form, each call reading the controls afresh and
+solving its root from the root before; and the mode frame as a chain: the
+tan(2 theta) numerator and denominator, then theta, then cos, sin and the
+rotated frequencies.
 """
 
 import math
@@ -142,6 +143,27 @@ def rk4_states(rhs, t0, y0, dt, n_steps, on_step=None):
         if on_step is not None:
             on_step(times[i + 1])
     return times, states
+
+
+def verlet_states(sys, times, dt, y0):
+    """Velocity Verlet on the float grid ``times`` as one plain loop over
+    ``sys.force``: kick, drift with dt * h / m, the force at the new time,
+    kick.  Returns the states, one row per grid time."""
+    m1, m2 = sys.masses.m1, sys.masses.m2
+    half = 0.5 * dt
+    q1, q2, p1, p2 = y0
+    f1, f2 = sys.force(times[0], q1, q2)
+    rows = [(q1, q2, p1, p2)]
+    for i in range(len(times) - 1):
+        h1 = p1 + half * f1
+        h2 = p2 + half * f2
+        q1 = q1 + dt * h1 / m1
+        q2 = q2 + dt * h2 / m2
+        f1, f2 = sys.force(times[i + 1], q1, q2)
+        p1 = h1 + half * f1
+        p2 = h2 + half * f2
+        rows.append((q1, q2, p1, p2))
+    return np.array(rows)
 
 
 def _theta_num_den(K, masses):

@@ -470,6 +470,8 @@ def test_a_float_overflow_names_the_quantity(tmp_path, capsys, preset, command):
 # A config's values are checked finite, so a stiffness entry or a tan(2 theta)
 # term that overflows is computed: exit 3.  The message is analyze's, which
 # runs on floats; classify samples on numpy times, whose overflow numpy names.
+# A mode-angle overflow names the sample time, except in the rotation
+# builder's isotropy test, which runs before any time.
 OVERFLOWING_STIFFNESS = {
     # k1 = m omega1^2 = 1e309 when the system is built.
     "rotation_k1": ({"type": "rotation", "m": 10.0, "omega1": 1e154, "omega2": 1.0,
@@ -479,7 +481,7 @@ OVERFLOWING_STIFFNESS = {
     "polynomial_k": ({"type": "custom", "k": {"kind": "polynomial", "coeffs": [1.0, 1e308]},
                       "k1": 1.0, "k2": 1.0},
                      [0.0, 2.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                                 "m1(k + k2) - m2(k + k1) = 0.0"),
+                                 "m1(k + k2) - m2(k + k1) = 0.0 at t=1.0"),
     # The isotropy test on the phi = 0 triple: m1 (k + k2) = 1e400.  Taken as
     # isotropic, it would hold theta = theta_dot = 0 while phi turns.
     "rotation_isotropy_test": ({"type": "rotation", "m": 1e100, "omega1": 1e100, "omega2": 1.0,
@@ -491,16 +493,16 @@ OVERFLOWING_STIFFNESS = {
     "num_ramp": ({"type": "custom", "k": {"kind": "linear-ramp", "t0": 0.0, "v0": 1e308,
                                           "t1": 1.0, "v1": 1.5e308}, "k1": 1e308, "k2": 1.0},
                  [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                             "m1(k + k2) - m2(k + k1) = -inf"),
+                             "m1(k + k2) - m2(k + k1) = -inf at t=0.0"),
     "num_huge_masses": ({"type": "custom", "k": 1e160, "k1": 0.0, "k2": 0.0,
                          "masses": [1e150, 1e150]},
                         [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                                    "m1(k + k2) - m2(k + k1) = nan"),
+                                    "m1(k + k2) - m2(k + k1) = nan at t=0.0"),
     # m1 (k + k2) - m2 (k + k1) is inf - inf.
     "den_nan": ({"type": "custom", "k": 1.0, "k1": 1e300, "k2": 1e300,
                  "masses": [1e200, 1e100]},
                 [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = 2e+150, "
-                            "m1(k + k2) - m2(k + k1) = nan"),
+                            "m1(k + k2) - m2(k + k1) = nan at t=0.0"),
 }
 
 

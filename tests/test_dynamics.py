@@ -189,7 +189,8 @@ def test_momentum_shift_consistent_with_direct_mode_integration():
 
 def test_divergence_guard_carries_partial():
     # inverted potential blows up; every integrator's guard should trip with
-    # the partial result as a trajectory in its own frame
+    # the partial result as a trajectory in its own frame: the grid up to the
+    # last state inside the guard, and a message naming the next grid time
     sys = static_sys(k=0.0, k1=-40.0, k2=1.0)
     spec = IntegratorSpec(dt=1e-2, t0=0.0, t1=20.0)
     verlet = IntegratorSpec(dt=1e-2, t0=0.0, t1=20.0, method="velocity-verlet")
@@ -205,10 +206,15 @@ def test_divergence_guard_carries_partial():
         with pytest.raises(DivergenceError) as exc:
             run()
         partial = exc.value.partial
+        n = len(partial)
         assert isinstance(partial, Trajectory), name
         assert partial.frame == ("lab" if name in ("lab", "verlet") else "mode")
-        assert len(partial) >= 2
+        assert n >= 2
+        assert np.array_equal(partial.times, spec.grid()[:n]), name
+        assert len(partial.states) == n, name
+        assert partial.states[0].tolist() == [1.0, 0.0, 0.0, 0.0], name
         assert np.isfinite(partial.states).all()
+        assert str(exc.value).endswith(f" at t={spec.grid().tolist()[n]}"), name
 
 
 def test_non_finite_state_raises_floating_point_error():

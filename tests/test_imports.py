@@ -1,12 +1,15 @@
-"""Every module under ``src/dnmodes/`` uses each name it imports, and
-defines each name its ``__all__`` lists.
+"""Every module under ``src/dnmodes/`` uses each name it imports, defines
+each name its ``__all__`` lists, and leaves no private helper unused.
 
 The import check parses each module with the standard library's ``ast`` (no
 linter is needed): a name bound by an ``import`` counts as used when the
 module reads it anywhere, or lists it in its ``__all__``.  The package
 ``__init__`` imports only to re-export, so its names all count as used.
 The ``__all__`` check imports each module, so that a stale entry fails here
-and not at the first ``from dnmodes.<module> import *``.
+and not at the first ``from dnmodes.<module> import *``.  The private-name
+check parses the whole package: a module-level ``def``, ``class`` or
+assignment whose name starts with ``_`` must be read in its own module
+outside its own definition, or imported from it by another module.
 """
 
 import ast
@@ -73,3 +76,59 @@ def test_the_check_finds_a_stale_all_entry():
 def test_every_name_in_all_exists(path):
     name = "dnmodes" if path.stem == "__init__" else f"dnmodes.{path.stem}"
     assert missing_exports(importlib.import_module(name)) == []
+
+
+def _bound_names(node) -> list:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def unused_private_names(sources: dict) -> list:
+    """``module.name`` for each module-level private name (dunders aside) of
+    ``sources``, a map of module name to source, that its module never reads
+    outside the name's own definition and no module imports from it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for module, tree in trees.items():
+        for statement in tree.body:
+            own = {id(node) for node in ast.walk(statement)}
+            for name in _bound_names(statement):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                read = any(isinstance(node, ast.Name) and node.id == name
+                           and isinstance(node.ctx, ast.Load) and id(node) not in own
+                           for node in ast.walk(tree))
+                if not read and (module, name) not in imported:
+                    unused.append(f"{module}.{name}")
+    return sorted(unused)
+
+
+def test_the_check_finds_an_unused_private_name():
+    sources = {
+        "a": (
+            "_LIMIT = 2\n"
+            "_spare = 3\n"
+            "__all__ = ['f']\n"
+            "def _recurse(n):\n"
+            "    return _recurse(n - 1) if n else _LIMIT\n"
+            "def _shared():\n"
+            "    return 1\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "def f():\n"
+            "    return _LIMIT\n"
+        ),
+        "b": "from .a import _shared\n_used_here = _shared()\nprint(_used_here)\n",
+    }
+    assert unused_private_names(sources) == ["a._Unused", "a._recurse", "a._spare"]
+
+
+def test_no_private_name_is_left_unused():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unused_private_names(sources) == []

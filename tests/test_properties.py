@@ -23,7 +23,8 @@ form for coefficients of any sign, zero and extreme.
 
 The integrator properties run on random ``custom`` systems too: the
 steppers see only Python floats, agree with the numpy-array RK4 oracle,
-and integrate the lab and mode frames equivalently through a frequency
+velocity Verlet has the bits of a plain loop over the force (on a separation
+preset too), and integrate the lab and mode frames equivalently through a frequency
 crossing; their symplectic defect falls 32-fold per halving of the step in
 both frames.  The float lab-to-mode map has the bits of mode_state and agrees
 with the decomposition's numpy matrices on custom, rotation and separation
@@ -100,7 +101,7 @@ from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
     ION_PAIR_VIEWS, bisect, chain_frame, grad4, ion_pair_views, per_view_ion_pair,
-    quintic_bracket_max, rk4_states,
+    quintic_bracket_max, rk4_states, verlet_states,
 )
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -676,6 +677,24 @@ def test_float_map_matches_the_decomposition(kind, data):
 
 def hexes(values) -> list:
     return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("kind", ["custom", "separation"])
+@PROPERTY
+@given(data=st.data())
+def test_verlet_has_the_bits_of_the_oracle_loop(kind, data):
+    # Each step starts from the force the step before computed: one force
+    # per grid time, so the oracle's twin build sees the same calls in the
+    # same order (a second warm root solve at a time may move q0 by an ulp).
+    sys, twin = twin_systems(kind, data)
+    s = data.draw(phase, label="state")
+    spec = IntegratorSpec(dt=1.0 / 64.0, t0=0.0, t1=1.0, method="velocity-verlet")
+    calls, force = [], sys.force
+    sys.force = lambda t, q1, q2: calls.append(t) or force(t, q1, q2)
+    lab = integrate_lab(sys, PhasePoint(0.0, s[:2], s[2:]), spec)
+    assert calls == lab.times.tolist() == spec.grid().tolist()
+    expected = verlet_states(twin, spec.grid().tolist(), spec.dt, s)
+    assert [hexes(row) for row in lab.states] == [hexes(row) for row in expected]
 
 
 @st.composite
