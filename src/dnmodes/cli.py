@@ -21,8 +21,6 @@ import os
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from .dynamics import (
     MAX_SAMPLES,
     IntegratorSpec,
@@ -50,7 +48,9 @@ _TOP_KEYS = {
 }
 _REQUIRED_KEYS = {"schema", "preset", "window"}
 # numpy overflow, division by zero and NaN raise FloatingPointError (an
-# ArithmeticError, exit 3) instead of warning and computing on.
+# ArithmeticError, exit 3) instead of warning and computing on.  `main` imports
+# numpy to set this state, and the sweep sets it again in each thread; loading a
+# config and building a system do not import numpy, which only array calls need.
 _NUMPY_ERRORS = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
@@ -122,6 +122,7 @@ def validate_config(cfg: dict) -> None:
 
 
 def cmd_analyze(cfg: dict, out_base: str) -> int:
+    import numpy as np
     sys_ = build_preset(cfg["preset"])
     t0, t1 = cfg["window"]
     times = np.linspace(t0, t1, cfg.get("samples", 200))
@@ -237,6 +238,7 @@ def _sweep_cell(value) -> str:
 def cmd_sweep(cfg: dict, out_base: str) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
+    import numpy as np
     axes = cfg["sweep"]["axes"]
     grid = [(i,) for i in range(len(axes[0]["values"]))]
     if len(axes) == 2:
@@ -304,6 +306,7 @@ def main(argv=None) -> int:
             cfg["integrator"] = {**cfg.get("integrator", {}), "dt": args.dt}
         validate_config(cfg)
         out_base = args.out or cfg.get("output", {}).get("path", "dnm_out")
+        import numpy as np
         with np.errstate(**_NUMPY_ERRORS):
             if args.command == "analyze":
                 return cmd_analyze(cfg, out_base)

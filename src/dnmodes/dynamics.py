@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DivergenceError
 from .modes import (
@@ -45,6 +44,9 @@ from .modes import (
     theta_dot_at,
 )
 from .quadratic import PhasePoint, QuadraticSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegratorSpec",
@@ -92,6 +94,7 @@ class IntegratorSpec:
 
     def grid(self) -> np.ndarray:
         """The step times t0 + i dt, the last of them exactly t1."""
+        import numpy as np
         times = self.t0 + self.dt * np.arange(self.n_steps + 1)
         times[-1] = self.t1
         return times
@@ -134,6 +137,7 @@ def _run(frame: str, step, y0: tuple, spec: IntegratorSpec) -> Trajectory:
     """The rows of ``step(t, t_next, y) -> y`` on the spec's grid from the float
     state y0.  A state outside the guard stops the run: a non-finite one is an
     overflow inside the step, a finite one a divergence with the run so far."""
+    import numpy as np
     times = spec.grid()
     grid = times.tolist()
     rows = [y0]
@@ -278,6 +282,7 @@ def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:
     """Express a lab trajectory in mode coordinates, threading the theta branch."""
     if traj.frame != "lab":
         raise ConfigError("map_to_mode_frame expects a lab trajectory")
+    import numpy as np
     frame = _mode_frames(sys)
     rows = []
     for t, (q1, q2, p1, p2) in zip(traj.times.tolist(), traj.states.tolist()):
@@ -293,6 +298,7 @@ def frame_equivalence_check(
 ) -> FrameEquivalenceReport:
     """Integrate in the lab, map to mode coordinates, and compare against a
     direct mode-frame integration from the mapped initial condition."""
+    import numpy as np
     lab = integrate_lab(sys, x0_lab, spec)
     mapped = map_to_mode_frame(sys, lab)
     modes = integrate_modes(sys, mapped.point(0), spec)
@@ -311,6 +317,7 @@ def frame_equivalence_check(
 
 def energy_audit(traj: Trajectory, sys: QuadraticSystem) -> EnergyAudit:
     """Per-sample Hamiltonian values along a trajectory (H or Htil by frame)."""
+    import numpy as np
     energies = np.empty(len(traj))
     branch = None
     for i in range(len(traj)):
@@ -335,6 +342,7 @@ def mode_energy_series(
     """
     if traj.frame != "mode":
         raise ConfigError("mode_energy_series expects a mode trajectory")
+    import numpy as np
     out = np.empty((len(traj), 2))
     frame = _mode_frames(sys)
     for i, t in enumerate(traj.times.tolist()):

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigError, ZeroFrequencyError
 from .quadratic import MassPair, PhasePoint, QuadraticSystem, StiffnessTriple
 from .schedules import fd_step
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModeDecomposition",
@@ -94,6 +95,7 @@ class MomentumShift:
 
 def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
     """Ktil = M^(-1/2) K M^(-1/2)."""
+    import numpy as np
     k, k1, k2 = K.k, K.k1, K.k2
     off = -k / masses.sqrt12
     return np.array(
@@ -175,6 +177,7 @@ def _mode_frames(sys: QuadraticSystem):
 
 def modal_matrix(theta: float, masses: MassPair) -> tuple:
     """(A, A_inv) with A = O^T M^(1/2); det A = sqrt(m1 m2) always."""
+    import numpy as np
     c = math.cos(theta)
     s = math.sin(theta)
     r1 = masses.sqrt1
@@ -276,13 +279,17 @@ def mode_state(sys: QuadraticSystem, t: float, c: float, s: float, q1, q2, p1, p
 
 
 def from_mode_frame(dec: ModeDecomposition, x: PhasePoint, sys: QuadraticSystem) -> PhasePoint:
-    """Exact inverse of :func:`to_mode_frame`."""
+    """Exact inverse of :func:`to_mode_frame`, in floats: q = A^-1 Q + q0 and
+    p = A^T P, with A as in :func:`modal_matrix`."""
     if x.frame != "mode":
         raise ConfigError("from_mode_frame expects a mode-frame point")
-    q0 = sys.equilibrium(x.t)
-    q = dec.A_inv @ np.array(x.q) + np.array(q0)
-    p = dec.A.T @ np.array(x.p)
-    return PhasePoint(t=x.t, q=tuple(q), p=tuple(p), frame="lab")
+    c, s = math.cos(dec.theta), math.sin(dec.theta)
+    r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
+    e1, e2 = sys.equilibrium(x.t)
+    (Q1, Q2), (P1, P2) = x.q, x.p
+    q = ((c * Q1 - s * Q2) / r1 + e1, (s * Q1 + c * Q2) / r2 + e2)
+    p = (r1 * (c * P1 - s * P2), r2 * (s * P1 + c * P2))
+    return PhasePoint(t=x.t, q=q, p=p, frame="lab")
 
 
 def effective_hamiltonian_value(
@@ -377,6 +384,7 @@ def classify_separability(
     # perfbench/tests pins (test_pinned_layer_counts[survey-phase-gate]).
     # The loop's numpy triple in theta_dot would make custom k1 = 1e300
     # overflow (test_stiffness_near_the_float_limit_analyzes_and_classifies).
+    import numpy as np
     times = np.linspace(t0, t1, n_samples)
     theta_samples = []
     triples = []

@@ -23,7 +23,7 @@ from .errors import (
     PresetDomainError,
     SingularConfigurationError,
 )
-from .modes import _angle_terms, modal_matrix, theta_at
+from .modes import _angle_terms, theta_at
 from .quadratic import MassPair, QuadraticSystem, StiffnessTriple
 from .rootfind import solve_positive_root
 from .schedules import ControlSchedule, as_schedule, check_fields, config_from_dict
@@ -510,16 +510,16 @@ def build_phase_gate_zeroth_order(cfg: PhaseGateConfig) -> QuadraticSystem:
     half = (Cc / (4.0 * k0)) ** (1.0 / 3.0)
     triple = StiffnessTriple(k0, k0, k0)
     theta = theta_at(triple, cfg.masses)
-    _, A_inv = modal_matrix(theta, cfg.masses)
+    c, s = math.cos(theta), math.sin(theta)
+    r1, r2 = cfg.masses.sqrt1, cfg.masses.sqrt2
+    # The entries of A^-1, as modes.modal_matrix forms them.
+    inv11, inv12, inv21, inv22 = c / r1, -s / r1, s / r2, c / r2
 
     def mode_force(t: float) -> tuple:
         # Coefficients of (Q1, Q2) in F1*q1 + F2*q2 after q = q0 + A^-1 Q.
         F1 = cfg.F1.value(t)
         F2 = cfg.F2.value(t)
-        return (
-            F1 * A_inv[0, 0] + F2 * A_inv[1, 0],
-            F1 * A_inv[0, 1] + F2 * A_inv[1, 1],
-        )
+        return (F1 * inv11 + F2 * inv21, F1 * inv12 + F2 * inv22)
 
     def full_potential(q1: float, q2: float, t: float) -> float:
         return 0.5 * k0 * (q1**2 + q2**2) + Cc / (q1 - q2)

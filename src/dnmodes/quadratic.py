@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConfigError, PresetDomainError
 from .schedules import check_fields
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["MassPair", "StiffnessTriple", "PhasePoint", "QuadraticSystem"]
 
@@ -38,9 +39,11 @@ class MassPair:
         object.__setattr__(self, "sqrt12", math.sqrt(self.m1 * self.m2))
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
         return np.diag([self.m1, self.m2])
 
     def inverse_matrix(self) -> np.ndarray:
+        import numpy as np
         return np.diag([1.0 / self.m1, 1.0 / self.m2])
 
 
@@ -64,6 +67,7 @@ class StiffnessTriple:
             raise PresetDomainError(f"stiffness {name} must be finite, got {d[name]}")
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
         return np.array(
             [[self.k + self.k1, -self.k], [-self.k, self.k + self.k2]], dtype=float
         )
@@ -87,6 +91,7 @@ class PhasePoint:
             raise ConfigError("phase-point components must be finite")
 
     def state(self) -> np.ndarray:
+        import numpy as np
         return np.array([*self.q, *self.p], dtype=float)
 
 
@@ -136,6 +141,7 @@ class QuadraticSystem:
         """H = p^T M^-1 p / 2 + (q - q0)^T K (q - q0) / 2 at x.t."""
         if x.frame != "lab":
             raise ConfigError("hamiltonian_value expects a lab-frame point")
+        import numpy as np
         q0 = self.equilibrium(x.t)
         dq = np.array([x.q[0] - q0[0], x.q[1] - q0[1]])
         K = self.stiffness_matrix_at(x.t)

@@ -15,8 +15,6 @@ import typing
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-import numpy as np
-
 from .errors import ConfigError, ScheduleDomainError
 
 __all__ = [
@@ -250,7 +248,10 @@ def _checked(tp: type, value, name: str):
         if is_finite_number(value):
             return float(value)
     elif tp is tuple:
-        if isinstance(value, (list, tuple, np.ndarray)) and all(map(is_finite_number, value)):
+        # An ndarray exists only once numpy is loaded, so this test never loads it.
+        np = sys.modules.get("numpy")
+        arrays = (np.ndarray,) if np is not None else ()
+        if isinstance(value, (list, tuple, *arrays)) and all(map(is_finite_number, value)):
             return tuple(map(float, value))
     elif isinstance(value, tp):
         return value

@@ -10,16 +10,26 @@ and not at the first ``from dnmodes.<module> import *``.  The private-name
 check parses the whole package: a module-level ``def``, ``class`` or
 assignment whose name starts with ``_`` must be read in its own module
 outside its own definition, or imported from it by another module.
+
+numpy stays off the import path: no module imports it at module level
+(``if TYPE_CHECKING:`` aside), and in a fresh interpreter, importing the
+package and its command line, loading a config and building every preset
+leave it unloaded.
 """
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
 import dnmodes
+from test_config_fuzz import PRESETS, base_config
 
 MODULES = sorted(pathlib.Path(dnmodes.__file__).parent.glob("*.py"))
 
@@ -132,3 +142,84 @@ def test_the_check_finds_an_unused_private_name():
 def test_no_private_name_is_left_unused():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unused_private_names(sources) == []
+
+
+def module_level_numpy_imports(source: str) -> list:
+    """Line numbers of the imports of numpy that run when the module is
+    imported: any outside a function, except under ``if TYPE_CHECKING:``."""
+    lines = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                    "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                visit(node.orelse)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            elif isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "numpy" for alias in node.names):
+                lines.append(node.lineno)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                lines.append(node.lineno)
+            else:
+                visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return lines
+
+
+def test_the_check_finds_a_module_level_numpy_import():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import math, numpy as np\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "else:\n"
+        "    from numpy.linalg import norm\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    return np.zeros(2)\n"
+        "class C:\n"
+        "    from numpy import ndarray\n"
+        "    def g(self):\n"
+        "        from numpy import ones\n"
+        "        return ones(2)\n"
+    )
+    assert module_level_numpy_imports(source) == [2, 6, 11]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_numpy_at_module_level(path):
+    assert module_level_numpy_imports(path.read_text()) == []
+
+
+def test_set_up_does_not_import_numpy(tmp_path):
+    # Every preset, with lists for its tuple fields: the rotation phi is a
+    # cubic table and the phase-gate F2 a polynomial.  The command line still
+    # needs numpy, which main imports.
+    zeroth = base_config("phase-gate")
+    zeroth["preset"]["zeroth_order"] = True
+    paths = []
+    for i, cfg in enumerate([*map(base_config, PRESETS), zeroth]):
+        paths.append(str(tmp_path / f"cfg{i}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(cfg, fh)
+    code = (
+        "import json, sys\n"
+        "import dnmodes, dnmodes.cli\n"
+        "labels = [dnmodes.build_preset(dnmodes.cli.load_config(path)['preset']).label\n"
+        "          for path in sys.argv[2:]]\n"
+        "after_set_up = 'numpy' in sys.modules\n"
+        "code = dnmodes.cli.main(['analyze', '--config', sys.argv[2], '--out', sys.argv[1]])\n"
+        "print(json.dumps([labels, after_set_up, code, 'numpy' in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(dnmodes.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *paths],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    labels, after_set_up, exit_code, after_main = json.loads(proc.stdout.splitlines()[-1])
+    assert labels == [*PRESETS, "phase-gate-zeroth-order"]
+    assert after_set_up is False
+    assert (exit_code, after_main) == (0, True)

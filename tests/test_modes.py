@@ -242,6 +242,18 @@ def test_mode_frame_round_trip():
         assert np.abs(back.state() - x.state()).max() < 1e-12
 
 
+def test_from_mode_frame_is_float_and_inverts_the_modal_matrix():
+    # q = A^-1 Q + q0 and p = A^T P, formed in floats like to_mode_frame.
+    sys = build_transport(TransportConfig(k=2.0, Q0=0.5, masses=(3.0, 0.7)))
+    dec = decompose_at(sys, 0.4)
+    X = PhasePoint(0.4, (0.3, -1.1), (0.8, 0.25), frame="mode")
+    x = from_mode_frame(dec, X, sys)
+    assert [type(v) for v in (*x.q, *x.p)] == [float] * 4
+    expect_q = dec.A_inv @ np.array(X.q) + np.array(sys.equilibrium(0.4))
+    assert x.q == pytest.approx(tuple(expect_q), rel=1e-15, abs=1e-15)
+    assert x.p == pytest.approx(tuple(dec.A.T @ np.array(X.p)), rel=1e-15, abs=1e-15)
+
+
 def test_to_mode_frame_quarter_turn():
     sys = static_system(1.0, 1.0, 1.0)
     dec = decompose_at(sys, 0.0)

@@ -159,6 +159,30 @@ def test_table_schedule_does_not_import_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# A tuple field takes an ndarray only when numpy is loaded, as it is here;
+# tests/test_imports.py builds list-valued schedules without loading it.
+@pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+def test_tuple_fields_store_floats_from_a_list_a_tuple_or_an_ndarray(container):
+    poly = Polynomial(container([1, 0.5, -2.0]))
+    table = SampledTable(container([0, 0.5, 1.0]), container([0.0, 0.1, 0.3]))
+    assert (poly.coeffs, table.times, table.values) == (
+        (1.0, 0.5, -2.0), (0.0, 0.5, 1.0), (0.0, 0.1, 0.3))
+    assert {type(v) for v in (*poly.coeffs, *table.times, *table.values)} == {float}
+
+
+@pytest.mark.parametrize("value", ["0, 1", {"0": 1.0}], ids=["string", "dict"])
+def test_tuple_fields_reject_a_string_or_a_dict(value):
+    with pytest.raises(ConfigError) as exc:
+        Polynomial(value)
+    assert str(exc.value) == f"coeffs must be a list of finite numbers, got {value!r}"
+    with pytest.raises(ConfigError) as exc:
+        SampledTable(value, [0.0, 1.0])
+    assert str(exc.value) == f"times must be a list of finite numbers, got {value!r}"
+    with pytest.raises(ConfigError) as exc:
+        SampledTable([0.0, 1.0], value)
+    assert str(exc.value) == f"values must be a list of finite numbers, got {value!r}"
+
+
 def test_table_requires_increasing_times():
     with pytest.raises(ConfigError):
         SampledTable([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
