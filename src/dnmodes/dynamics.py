@@ -5,8 +5,10 @@ frame integrates the effective Hamiltonian including the momentum drive
 -(P1,P2) A qdot0 and the rotation coupling -theta_dot * L_z, which Larmor
 compensation at omega_L = theta_dot cancels: each mode is then an oscillator
 at Omega_i^2 + theta_dot^2.  RK4 is the default; velocity Verlet is offered
-for the lab frame only.  All coefficients are evaluated fresh at every RK
-stage time so 4th-order accuracy survives time-dependent schedules.
+for the lab frame only.  Every coefficient is evaluated at its RK stage's
+own time, so 4th-order accuracy survives time-dependent schedules; RK4 asks
+each stage time twice, and rotation keeps its stiffness and theta_dot at the
+last time asked, so it computes each distinct time once.
 
 RK4 and velocity Verlet are step maps y_{n+1} = step(t_n, t_{n+1}, y_n); one
 run loop owns the grid, the guard and the partial run.  The steps and the
@@ -17,9 +19,10 @@ time, so no stage leaves the window.  The mode angle is threaded call by call:
 the first stage at t0 takes the default branch, each later stage (or map
 sample) the branch of the one before.  A mode-frame stage evaluates the
 stiffness once; one frame call gives theta, both squared frequencies and the
-cos/sin pair that turns the drive, which a map sample reuses with only the
-stiffness and the equilibrium, no theta_dot.  Callables are bound per run, not
-at import (a tracer may replace them).  A stage calls them directly and forms
+cos/sin pair that turns the drive (built once per distinct stiffness triple),
+which a map sample reuses with only the stiffness and the equilibrium, no
+theta_dot.  Callables are bound per run, not at import (a tracer may replace
+them).  A stage calls them directly and forms
 the force, the drive and the modal products inline, with the bits of
 ``QuadraticSystem.force`` and ``modes._modal_product``; a map sample is
 ``modes.mode_state``.  A state that turns non-finite inside a step raises

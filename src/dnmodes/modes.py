@@ -161,15 +161,19 @@ def eigenfrequencies(K: StiffnessTriple, masses: MassPair, theta: float) -> tupl
 
 def _mode_frames(sys: QuadraticSystem):
     """``frame(t) -> (theta, cos theta, sin theta, Omega1^2, Omega2^2)`` along
-    one walk forward in time, one :func:`_frame` per call: the first call's theta
-    is on the default branch, each later one on the branch of the call before."""
+    one walk forward in time: the first call's theta is on the default branch,
+    each later one on the branch of the call before.  A call whose stiffness is
+    the triple object of the call before (a view that keeps its value per time)
+    returns that call's frame, which is what :func:`_frame` gives the same triple
+    on its own branch; any other triple gets one :func:`_frame`."""
     stiffness, masses = sys.stiffness, sys.masses
-    theta = None
+    theta = triple = values = None
 
     def frame(t: float) -> tuple:
-        nonlocal theta
-        values = _frame(stiffness(t), masses, theta, t)
-        theta = values[0]
+        nonlocal theta, triple, values
+        if (K := stiffness(t)) is not triple:
+            values = _frame(K, masses, theta, t)
+            theta, triple = values[0], K
         return values
 
     return frame

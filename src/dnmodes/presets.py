@@ -8,6 +8,8 @@ caller-supplied number (natural units), default 1.
 
 Transport, separation and the phase gate are one ion pair, q1 > q2 (Coulomb
 repulsion keeps the ions apart), whose views read each control once per time.
+Rotation's stiffness and theta_dot keep their value at the last float time
+asked, so a time that two RK stages share reads the phi schedule once.
 """
 
 from __future__ import annotations
@@ -57,6 +59,25 @@ __all__ = [
 
 SEPARATION_CONDITION_TOL = 1e-9  # relative spread of beta^3/alpha^5 that counts as constant
 FORMULA_AUDIT_REL_TOL = 1e-8  # phase-gate closed forms against the root solve, relative to q0
+
+
+def _per_time(view):
+    """``view`` keeping its value at the last float time asked, so a time that two RK stages
+    share is computed once.  One tuple (t, value), replaced whole, holds it: no thread or call
+    order changes a value.  A numpy time (classify's grid) and t = 0 (where -0.0 == 0.0) are
+    computed fresh and never kept."""
+    last = (None, None)
+
+    def cached(t):
+        nonlocal last
+        if t == (entry := last)[0] and type(t) is float:
+            return entry[1]
+        value = view(t)
+        if type(t) is float and t:
+            last = (t, value)
+        return value
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +595,7 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
     k_amp = -0.5 * m * (w1sq - w2sq)
     dk_amp, dk1_amp, dk2_amp = -m * (w1sq - w2sq), m * (w2sq - w1sq), m * (w1sq - w2sq)
 
+    @_per_time
     def triple_at(t: float) -> StiffnessTriple:
         phi = phi_at(t)
         c = math.cos(phi)
@@ -606,7 +628,7 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
         stiffness_rate=stiffness_rate,
         equilibrium=lambda t: (0.0, 0.0),
         equilibrium_velocity=lambda t: (0.0, 0.0),
-        theta_dot_override=(lambda t: 0.0) if isotropic else phi_dot,
+        theta_dot_override=(lambda t: 0.0) if isotropic else _per_time(phi_dot),
         full_potential=full_potential,
         label="rotation",
         extras={"trivially_decoupled": True} if isotropic else {},

@@ -105,7 +105,10 @@ class QuadraticSystem:
     rate, which is also the Larmor compensation rate.  ``full_potential(q1,
     q2, t)`` is the untruncated potential when the builder knows it (used by
     verification oracles).  Instances are treated as immutable after
-    construction; all evaluation methods are pure.
+    construction; all evaluation methods are pure.  A view may keep its value
+    at the last time asked (rotation's do); it then returns the same object
+    again, with the bits of a fresh evaluation, whatever the order or the
+    thread of the calls.
     """
 
     masses: MassPair

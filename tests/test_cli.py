@@ -687,15 +687,18 @@ def test_separation_simulate_work_counts(tmp_path, capsys):
 
 # Ceilings for a 64-step rotation simulate --larmor with a table phi, at the
 # counts measured when the test was written.  Per step: 17.02 stiffness calls
-# (four stages in each of the four runs, plus the map), 9.02 equilibrium
-# calls (the two lab runs and the map), 8 equilibrium-velocity and theta_dot
-# calls (the two mode runs), 17.02 table values and 8 table derivatives (the
-# theta_dot calls).  The Larmor run takes omega_L from its stage's
-# theta_dot, so it reads phidot once per stage.
+# (four stages in each of the four runs, plus the map's 65 samples), 9.02
+# equilibrium calls (the two lab runs and the map), 8 equilibrium-velocity and
+# theta_dot calls (the two mode runs).  The views keep their value per time, so
+# a run reads the table once at each of its 2 x 64 + 1 distinct times: 9.08
+# values per step (4 x 129 in the runs plus 65 in the map, 581) and 4.03
+# derivatives (theta_dot in the two mode runs, 258; the Larmor run takes omega_L
+# from its stage's theta_dot).  A mode frame is built once per distinct triple:
+# 5.05 per step (2 x 129 in the mode runs plus 65 in the map, 323).
 ROTATION_CEILINGS = {
     "solve_positive_root": 0, "integrations": 4,
     "stiffness": 1089, "equilibrium": 577, "equilibrium_velocity": 512, "stiffness_rate": 0,
-    "theta_dot_override": 512, "table.value": 1089, "table.derivative": 512,
+    "theta_dot_override": 512, "table.value": 581, "table.derivative": 258, "frames": 323,
 }
 
 
@@ -737,6 +740,7 @@ def test_rotation_simulate_work_counts(tmp_path, capsys):
                           counted("solve_positive_root", presets.solve_positive_root)),
         mock.patch.object(table, "value", counted("table.value", table.value)),
         mock.patch.object(table, "derivative", counted("table.derivative", table.derivative)),
+        mock.patch.object(modes, "_frame", counted("frames", modes._frame)),
     ] + [
         mock.patch.object(module, name, counted("integrations", getattr(module, name)))
         for module in (cli, dynamics) for name in ("integrate_lab", "integrate_modes")

@@ -43,17 +43,27 @@ whose times repeat, interleave and come as numpy then float; and the
 one-call mode frame against the chain theta -> rotated frequencies, for
 random and isotropic stiffness, ion-pair stiffness and random branch
 references, and along a threaded walk.
+
+Rotation (table phi) keeps its stiffness and theta_dot at the last float
+time asked.  Over shuffled calls whose times repeat, come as numpy times or
+as -0.0, and from two threads at once, every view value has the bits of a
+fresh system evaluated once at that time, and a float time gets Python
+floats back.  Over repeated times the mode-frame walk has the bits of _frame
+chained call by call; it builds one frame per distinct triple on rotation
+and one per call on the ion pair.
 """
 
 import math
 import random
+import sys as _sys
+import threading
 from contextlib import contextmanager
 from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from dnmodes.dynamics import (
     IntegratorSpec,
@@ -698,15 +708,14 @@ def test_verlet_has_the_bits_of_the_oracle_loop(kind, data):
 
 
 @st.composite
-def table_rotations(draw):
+def table_rotation_configs(draw):
     """Rotation with a cubic-table phi on nine knots over [0, 1]."""
     knots = tuple(i / 8.0 for i in range(9))
     values = draw(st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))
-    cfg = RotationConfig(
+    return RotationConfig(
         m=draw(st.floats(0.2, 5.0)), omega1=draw(st.floats(0.5, 3.0)),
         omega2=draw(st.floats(0.5, 3.0)), phi=SampledTable(knots, tuple(values)),
     )
-    return build_preset(cfg)
 
 
 def mode_rhs_from_helpers(sys, apply_larmor):
@@ -741,7 +750,7 @@ def test_mode_run_gives_the_bits_of_the_helper_oracle(kind, larmor, data, s):
     if kind == "custom":
         sys = data.draw(systems(), label="system")
     else:
-        sys = data.draw(table_rotations(), label="system")
+        sys = data.draw(table_rotation_configs().map(build_preset), label="system")
     spec = IntegratorSpec(dt=1.0 / 64.0, t0=0.0, t1=1.0)
     X0 = PhasePoint(0.0, s[:2], s[2:], frame="mode")
     apply_larmor = larmor != "off"
@@ -807,6 +816,101 @@ def test_ion_pair_record_gives_the_bits_of_the_per_view_form(kind, data):
     assert hexes(roots) == hexes(oracle.roots)
 
 
+VIEWS = (
+    "stiffness", "stiffness_rate", "equilibrium", "equilibrium_velocity", "theta_dot_override")
+
+
+def view_values(sys, view, t) -> tuple:
+    """The values of one system view at t as a tuple; () for a view the system lacks."""
+    fn = getattr(sys, view)
+    if fn is None:
+        return ()
+    got = fn(t)
+    return astuple(got) if view == "stiffness" else got if isinstance(got, tuple) else (got,)
+
+
+def time_pool(data) -> list:
+    """A few times in [0, 1], perhaps -0.0 next to 0.0."""
+    return data.draw(st.lists(st.just(-0.0) | times, min_size=1, max_size=4), label="times")
+
+
+def fresh_values(cfg):
+    """``values(view, t)``: the view of a fresh system evaluated once at t."""
+    return lambda view, t: view_values(build_preset(cfg), view, t)
+
+
+def check_calls(sys, calls, expected) -> None:
+    """Each (view, t, numpy first) call's values have the bits of ``expected(view,
+    t)``, and a float time gets Python floats back; a numpy-first call asks the
+    numpy time, then the same float."""
+    for view, t, numpy_first in calls:
+        for s in (np.float64(t), t) if numpy_first else (t,):
+            got = view_values(sys, view, s)
+            assert hexes(got) == hexes(expected(view, s)), (view, s)
+            if type(s) is float:
+                assert all(type(x) is float for x in got), (view, s, got)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_rotation_views_do_not_depend_on_evaluation_order(data):
+    # The stiffness and theta_dot keep their value at the last float time asked
+    # (presets._per_time).  Over a shuffled call list whose times repeat, with
+    # numpy times and -0.0, no earlier call may change a value: not its bits,
+    # not its type.
+    cfg = data.draw(table_rotation_configs(), label="config")
+    call = st.tuples(st.sampled_from(VIEWS), st.sampled_from(time_pool(data)),
+                     st.booleans())
+    calls = data.draw(st.lists(call, min_size=24, max_size=24), label="calls")
+    check_calls(build_preset(cfg), calls, fresh_values(cfg))
+
+
+def test_a_view_kept_per_time_tells_minus_zero_from_zero():
+    # -0.0 == 0.0, yet phi = -0.0 + t has the sign of t there and so has
+    # k = 1.5 sin(2 phi), so neither time is kept.
+    cfg = RotationConfig(m=1.0, omega1=1.0, omega2=2.0, phi=Polynomial((-0.0, 1.0)))
+    sys = build_preset(cfg)
+    check_calls(sys, [("stiffness", t, False) for t in (0.0, -0.0, 0.0)], fresh_values(cfg))
+    assert math.copysign(1.0, sys.stiffness(-0.0).k) == -1.0
+
+
+@settings(PROPERTY, max_examples=5, phases=(Phase.generate,))
+@given(data=st.data())
+def test_rotation_views_do_not_depend_on_the_thread(data):
+    # Two threads share one system and evaluate its views over their own call
+    # lists from one pool of times at once, switching as often as the
+    # interpreter allows; the fresh values are computed beforehand.  A race
+    # does not replay, so the first failing example is reported as drawn.
+    cfg = data.draw(table_rotation_configs(), label="config")
+    pool = time_pool(data)
+    fresh = fresh_values(cfg)
+    table = {(view, cast, float(t).hex()): fresh(view, cast(t))
+             for view in VIEWS for t in pool for cast in (float, np.float64)}
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lists = [[(rng.choice(VIEWS), rng.choice(pool), rng.random() < 0.5)
+              for _ in range(4000)] for _ in range(2)]
+    sys, start, failures = build_preset(cfg), threading.Barrier(2), []
+
+    def run(calls):
+        start.wait()
+        try:
+            check_calls(sys, calls, lambda view, s: table[view, type(s), float(s).hex()])
+        except AssertionError as exc:
+            failures.append(exc)
+
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(calls,)) for calls in lists]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        _sys.setswitchinterval(interval)
+    assert failures == []
+
+
 @st.composite
 def stiffness_cases(draw, isotropic):
     """(K, masses) with unequal masses; an isotropic K (k = 0, k1/m1 = k2/m2)
@@ -861,3 +965,37 @@ def test_mode_frame_walk_threads_the_chain(kind, data):
         expected = chain_frame(seen[-1], sys.masses, branch)
         branch = expected[0]
         assert hexes(got) == hexes(expected)
+
+
+@pytest.mark.parametrize("kind", ["rotation", "transport", "separation", "phase-gate"])
+@PROPERTY
+@given(data=st.data())
+def test_mode_frame_walk_over_repeated_times_has_the_bits_of_the_chain(kind, data):
+    # RK4 asks each stage time twice.  Rotation keeps its triple per time and
+    # hands back the same triple object there, and the walk reuses that
+    # triple's frame: one _frame per distinct float time in a row (t = 0 is
+    # never kept).  The ion pair builds a fresh triple on each call, so it gets
+    # one _frame per call.  Either way each frame has the bits of _frame
+    # chained call by call on a twin build.
+    configs = table_rotation_configs() if kind == "rotation" else preset_configs(kind)
+    cfg = data.draw(configs, label="config")
+    sys, twin = build_preset(cfg), build_preset(cfg)
+    pool = data.draw(st.lists(times, min_size=1, max_size=4), label="times")
+    walk = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12), label="walk")
+    built = []
+
+    def counted_frame(*args):
+        built.append(args)
+        return _frame(*args)
+
+    frame, branch = _mode_frames(sys), None
+    with mock.patch("dnmodes.modes._frame", counted_frame):
+        for t in walk:
+            got = frame(t)
+            expected = _frame(twin.stiffness(t), twin.masses, branch, t)
+            branch = expected[0]
+            assert hexes(got) == hexes(expected)
+    if kind == "rotation":
+        assert len(built) == sum(i == 0 or not t or t != walk[i - 1] for i, t in enumerate(walk))
+    else:
+        assert len(built) == len(walk)
