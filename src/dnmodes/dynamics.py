@@ -34,7 +34,6 @@ with the partial run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DivergenceError
@@ -47,6 +46,7 @@ from .modes import (
     theta_dot_at,
 )
 from .quadratic import PhasePoint, QuadraticSystem
+from .schedules import value_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,7 +69,7 @@ DIVERGENCE_GUARD = 1e12
 MAX_SAMPLES = 20_000_000
 
 
-@dataclass(frozen=True)
+@value_class
 class IntegratorSpec:
     dt: float
     t0: float
@@ -103,7 +103,7 @@ class IntegratorSpec:
         return times
 
 
-@dataclass
+@value_class
 class Trajectory:
     frame: str
     times: np.ndarray
@@ -119,7 +119,7 @@ class Trajectory:
         return len(self.times)
 
 
-@dataclass(frozen=True)
+@value_class
 class FrameEquivalenceReport:
     max_deviation: float  # normalized by trajectory scale
     scale: float
@@ -129,7 +129,7 @@ class FrameEquivalenceReport:
     deviations: np.ndarray
 
 
-@dataclass(frozen=True)
+@value_class
 class EnergyAudit:
     times: np.ndarray
     energies: np.ndarray

@@ -20,12 +20,11 @@ call gives a sample's frame: theta, cos theta, sin theta, Omega1^2, Omega2^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigError, ZeroFrequencyError
 from .quadratic import MassPair, PhasePoint, QuadraticSystem, StiffnessTriple
-from .schedules import fd_step
+from .schedules import fd_step, value_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,7 +56,7 @@ __all__ = [
 EPS_DEGENERATE = 1e-12
 
 
-@dataclass(frozen=True)
+@value_class
 class ModeDecomposition:
     t: float
     theta: float
@@ -67,8 +66,13 @@ class ModeDecomposition:
     A: np.ndarray
     A_inv: np.ndarray
 
+    # Written out: one per sample, never read in an RK stage (so the dict is fine).
+    def __init__(self, t, theta, theta_dot, omega1_sq, omega2_sq, A, A_inv):
+        self.__dict__.update(t=t, theta=theta, theta_dot=theta_dot, omega1_sq=omega1_sq,
+                             omega2_sq=omega2_sq, A=A, A_inv=A_inv)
 
-@dataclass(frozen=True)
+
+@value_class
 class SeparabilityReport:
     window: tuple
     max_abs_theta_dot: float
@@ -78,14 +82,17 @@ class SeparabilityReport:
     analytic_case: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@value_class
 class EllipseGeometry:
     center: tuple
     orientation: float
     radii: tuple  # entries are None where Omega_i^2 <= 0
 
+    def __init__(self, center, orientation, radii):  # written out: one per sample
+        self.__dict__.update(center=center, orientation=orientation, radii=radii)
 
-@dataclass(frozen=True)
+
+@value_class
 class MomentumShift:
     point: PhasePoint
     P0: tuple

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
 from .modes import _angle_terms, theta_at
 from .quadratic import MassPair, QuadraticSystem, StiffnessTriple
 from .rootfind import solve_positive_root
-from .schedules import ControlSchedule, as_schedule, check_fields, config_from_dict
+from .schedules import ControlSchedule, as_schedule, check_fields, config_from_dict, value_class
 
 __all__ = [
     "TransportConfig",
@@ -171,12 +170,12 @@ def _ion_pair(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class TransportConfig:
     k: ControlSchedule
     Q0: ControlSchedule
     Cc: float = 1.0
-    masses: MassPair = field(default_factory=lambda: MassPair(1.0, 1.0))
+    masses: MassPair = MassPair(1.0, 1.0)
 
     def __post_init__(self):
         check_fields(self, positive=("Cc",))
@@ -217,12 +216,12 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class SeparationConfig:
     alpha: ControlSchedule
     beta: ControlSchedule
     Cc: float = 1.0
-    masses: MassPair = field(default_factory=lambda: MassPair(1.0, 1.0))
+    masses: MassPair = MassPair(1.0, 1.0)
 
     def __post_init__(self):
         check_fields(self, positive=("Cc",))
@@ -304,7 +303,7 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class SeparationRampCheck:
     holds: bool
     max_rel_deviation: float
@@ -362,13 +361,13 @@ def separability_condition_separation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class PhaseGateConfig:
     k0: float
     F1: ControlSchedule
     F2: ControlSchedule
     Cc: float = 1.0
-    masses: MassPair = field(default_factory=lambda: MassPair(1.0, 1.0))
+    masses: MassPair = MassPair(1.0, 1.0)
     zeroth_order: bool = False
 
     def __post_init__(self):
@@ -424,7 +423,7 @@ def phase_gate_q0_published(F1: float, F2: float, k0: float, Cc: float) -> float
     return (2.0 * B - 2.0 * k0**2 * delta * (F1 + F2)) / (6.0 * k0**3 * delta)
 
 
-@dataclass(frozen=True)
+@value_class
 class PhaseGateAudit:
     q0_root: float
     q0_from_individual: float
@@ -563,7 +562,7 @@ def build_phase_gate_zeroth_order(cfg: PhaseGateConfig) -> QuadraticSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class RotationConfig:
     m: float
     omega1: float
@@ -640,13 +639,13 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class SpringsConfig:
     k: ControlSchedule
     k1: ControlSchedule
     k2: ControlSchedule
     d: float
-    masses: MassPair = field(default_factory=lambda: MassPair(1.0, 1.0))
+    masses: MassPair = MassPair(1.0, 1.0)
 
     def __post_init__(self):
         check_fields(self, positive=("d",))
@@ -719,12 +718,12 @@ def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class CustomConfig:
     k: ControlSchedule
     k1: ControlSchedule
     k2: ControlSchedule
-    masses: MassPair = field(default_factory=lambda: MassPair(1.0, 1.0))
+    masses: MassPair = MassPair(1.0, 1.0)
     q1_eq: ControlSchedule = 0.0
     q2_eq: ControlSchedule = 0.0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConfigError, PresetDomainError
-from .schedules import check_fields
+from .schedules import check_fields, value_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 __all__ = ["MassPair", "StiffnessTriple", "PhasePoint", "QuadraticSystem"]
 
 
-@dataclass(frozen=True)
+@value_class
 class MassPair:
     m1: float
     m2: float
@@ -73,7 +73,7 @@ class StiffnessTriple:
         )
 
 
-@dataclass(frozen=True)
+@value_class
 class PhasePoint:
     """Phase-space point: lab frame holds (q, p), mode frame holds (Q, P)."""
 
@@ -82,13 +82,13 @@ class PhasePoint:
     p: tuple
     frame: str = "lab"
 
-    def __post_init__(self):
-        if self.frame not in ("lab", "mode"):
-            raise ConfigError(f"frame must be 'lab' or 'mode', got {self.frame!r}")
-        object.__setattr__(self, "q", (float(self.q[0]), float(self.q[1])))
-        object.__setattr__(self, "p", (float(self.p[0]), float(self.p[1])))
-        if not all(math.isfinite(v) for v in (*self.q, *self.p)):
+    def __init__(self, t: float, q: tuple, p: tuple, frame: str = "lab"):
+        if frame not in ("lab", "mode"):
+            raise ConfigError(f"frame must be 'lab' or 'mode', got {frame!r}")
+        q, p = (float(q[0]), float(q[1])), (float(p[0]), float(p[1]))
+        if not all(math.isfinite(v) for v in (*q, *p)):
             raise ConfigError("phase-point components must be finite")
+        self.__dict__.update(t=t, q=q, p=p, frame=frame)
 
     def state(self) -> np.ndarray:
         import numpy as np

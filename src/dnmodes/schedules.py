@@ -3,7 +3,8 @@
 Every time-varying coefficient in the package (spring constants, trap
 positions, ramp amplitudes, rotation angles) is a ``ControlSchedule``.
 Schedules are immutable after construction and safe to share across threads.
-Units are caller-defined natural units.
+Units are caller-defined natural units.  ``value_class`` makes the package's
+frozen config and result types; ``config_from_dict`` builds them from JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numbers
 import sys
 import typing
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError, ScheduleDomainError
 
@@ -28,6 +28,7 @@ __all__ = [
     "schedule_from_dict",
     "fd_step",
     "is_finite_number",
+    "value_class",
     "check_fields",
     "json_fields",
     "config_from_dict",
@@ -58,9 +59,59 @@ def is_finite_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
 
 
-@dataclass(frozen=True)
+_REQUIRED = object()  # the default of a field that has none
+
+
+def _values(self) -> tuple:
+    return tuple(getattr(self, name) for name, _, _ in self._field_table)
+
+
+def _init(self, *args, **kwargs):
+    cls = type(self)
+    for i, (name, _, default) in enumerate(cls._field_table):
+        value = args[i] if i < len(args) else kwargs.pop(name, default)
+        if value is _REQUIRED:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        object.__setattr__(self, name, value)  # self.__dict__ would lose the inline values
+    if kwargs or len(args) > len(cls._field_table):
+        raise TypeError(f"{cls.__name__}() got {len(args)} positional arguments and {kwargs}")
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+
+_VALUE_METHODS = {
+    "__init__": _init, "__setattr__": _frozen, "__delattr__": _frozen,
+    "__eq__": lambda self, other: (_values(self) == _values(other)
+                                   if other.__class__ is self.__class__ else NotImplemented),
+    "__hash__": lambda self: hash(_values(self)),
+    "__repr__": lambda self: type(self).__qualname__ + "(" + ", ".join(
+        f"{name}={getattr(self, name)!r}" for name, _, _ in self._field_table) + ")",
+}
+
+
+def value_class(cls=None, *, json_keys=None):
+    """``cls`` as a frozen value type of its annotated fields, like a frozen
+    dataclass but far cheaper to create; an ``__init__`` of its own stays.
+    ``cls._field_table`` holds (name, JSON key, default) per field: the default
+    is the class-level value, if any, and ``json_keys`` renames a JSON key."""
+    if cls is None:
+        return lambda cls: value_class(cls, json_keys=json_keys)
+    cls._field_table = tuple(
+        (name, (json_keys or {}).get(name, name), cls.__dict__.get(name, _REQUIRED))
+        for name in cls.__dict__.get("__annotations__", {}))
+    for name, method in _VALUE_METHODS.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+@value_class(json_keys={"c": "value"})
 class Constant(ControlSchedule):
-    c: float = field(metadata={"json": "value"})
+    c: float
 
     def __post_init__(self):
         check_fields(self)
@@ -72,7 +123,7 @@ class Constant(ControlSchedule):
         return 0.0
 
 
-@dataclass(frozen=True)
+@value_class
 class LinearRamp(ControlSchedule):
     """Straight line through (t0, v0) and (t1, v1), unclamped outside [t0, t1]."""
 
@@ -94,7 +145,7 @@ class LinearRamp(ControlSchedule):
         return self.slope
 
 
-@dataclass(frozen=True)
+@value_class
 class Polynomial(ControlSchedule):
     """sum_i coeffs[i] * t**i."""
 
@@ -118,7 +169,7 @@ class Polynomial(ControlSchedule):
         return acc
 
 
-@dataclass(frozen=True)
+@value_class
 class Smoothstep(ControlSchedule):
     """Minimal-jerk quintic from v0 to v1 over [t0, t1], held constant outside."""
 
@@ -177,7 +228,7 @@ def _table_segments(t: tuple, y: tuple, cubic: bool) -> list:
     ]
 
 
-@dataclass(frozen=True)
+@value_class
 class SampledTable(ControlSchedule):
     """Tabulated schedule over strictly increasing timestamps.
 
@@ -255,19 +306,20 @@ def _checked(tp: type, value, name: str):
             return tuple(map(float, value))
     elif isinstance(value, tp):
         return value
-    elif is_dataclass(tp) and isinstance(value, (list, tuple)) and len(value) == len(fields(tp)):
+    elif hasattr(tp, "_field_table") and isinstance(value, (list, tuple)) \
+            and len(value) == len(tp._field_table):
         return tp(*value)
-    expected = _EXPECTED.get(tp) or f"a list of {len(fields(tp))} numbers"
+    expected = _EXPECTED.get(tp) or f"a list of {len(tp._field_table)} numbers"
     raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 def check_fields(obj, positive: tuple = ()) -> None:
-    """Check every field of the frozen config dataclass ``obj`` against its
-    declared type and store the checked value: ``float`` takes a finite real
-    number (not a bool or a string), ``tuple`` a list of them, ``bool`` and
-    ``str`` their own type, ``ControlSchedule`` whatever :func:`as_schedule`
-    takes, and a dataclass type (MassPair) its instance or a list of its
-    fields.  The fields named in ``positive`` must then be > 0."""
+    """Check every field of the frozen config ``obj`` against its declared
+    type and store the checked value: ``float`` takes a finite real number
+    (not a bool or a string), ``tuple`` a list of them, ``bool`` and ``str``
+    their own type, ``ControlSchedule`` whatever :func:`as_schedule` takes,
+    and a :func:`value_class` (MassPair) its instance or a list of its fields.
+    The fields named in ``positive`` must then be > 0."""
     for name, tp in _field_types(type(obj)).items():
         object.__setattr__(obj, name, _checked(tp, getattr(obj, name), name))
     for name in positive:
@@ -276,15 +328,15 @@ def check_fields(obj, positive: tuple = ()) -> None:
 
 
 def json_fields(cls) -> dict:
-    """JSON key -> field of the config dataclass ``cls``; a field's
-    ``metadata["json"]`` renames it."""
-    return {f.metadata.get("json", f.name): f for f in fields(cls)}
+    """JSON key -> (field name, default) of the value class ``cls``; the
+    default of a field that has none is ``_REQUIRED``."""
+    return {key: (name, default) for name, key, default in cls._field_table}
 
 
 def config_from_dict(obj, tag: str, classes: dict, what: str):
     """Build ``classes[obj[tag]]`` from a tagged JSON object whose other keys
-    are the class's dataclass fields (a field's ``metadata["json"]`` renames
-    it); unknown and missing fields are rejected."""
+    are the JSON keys of the value class's fields (see :func:`json_fields`);
+    unknown and missing fields are rejected."""
     if not isinstance(obj, dict) or not isinstance(obj.get(tag), str):
         raise ConfigError(f"{what} must be an object with a string {tag!r}, got {obj!r}")
     kind = obj[tag]
@@ -294,13 +346,11 @@ def config_from_dict(obj, tag: str, classes: dict, what: str):
     extra = set(obj) - set(declared) - {tag}
     if extra:
         raise ConfigError(f"unknown fields {sorted(extra)} for {what} {kind!r}")
-    missing = [
-        key for key, f in declared.items()
-        if key not in obj and f.default is MISSING and f.default_factory is MISSING
-    ]
+    missing = [key for key, (_, default) in declared.items()
+               if key not in obj and default is _REQUIRED]
     if missing:
         raise ConfigError(f"{what} {kind!r} missing fields {missing}")
-    return classes[kind](**{f.name: obj[key] for key, f in declared.items() if key in obj})
+    return classes[kind](**{name: obj[key] for key, (name, _) in declared.items() if key in obj})
 
 
 SCHEDULE_KINDS = {

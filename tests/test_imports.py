@@ -15,6 +15,10 @@ numpy stays off the import path: no module imports it at module level
 (``if TYPE_CHECKING:`` aside), and in a fresh interpreter, importing the
 package and its command line, loading a config and building every preset
 leave it unloaded.
+
+Only ``StiffnessTriple`` and ``QuadraticSystem`` are dataclasses, whose
+creation costs about 1 ms each at import; every other config and result type
+is a ``schedules.value_class``.
 """
 
 import ast
@@ -223,3 +227,42 @@ def test_set_up_does_not_import_numpy(tmp_path):
     assert labels == [*PRESETS, "phase-gate-zeroth-order"]
     assert after_set_up is False
     assert (exit_code, after_main) == (0, True)
+
+
+def dataclass_names(source: str) -> list:
+    """Names of the classes that ``@dataclass`` decorates in the module, bare,
+    called or as ``dataclasses.dataclass``."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+        if ast.unparse(getattr(decorator, "func", decorator)).split(".")[-1] == "dataclass"
+    )
+
+
+def test_the_check_finds_a_dataclass():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A: x: float\n"
+        "@dataclass(frozen=True)\n"
+        "class B: x: float\n"
+        "@dataclasses.dataclass(init=False)\n"
+        "class C: x: float\n"
+        "@value_class\n"
+        "class D: x: float\n"
+        "def f():\n"
+        "    @dataclass\n"
+        "    class E: x: float\n"
+        "    return E\n"
+    )
+    assert dataclass_names(source) == ["A", "B", "C", "E"]
+
+
+def test_only_the_two_dataclass_api_types_are_dataclasses():
+    # Creating a dataclass costs about 1 ms, so every other config and result
+    # type is a schedules.value_class.  StiffnessTriple keeps the dataclass API
+    # that test_quadratic checks; QuadraticSystem stays mutable for
+    # dataclasses.replace in the tests and for perfbench/tracer.py's setattr.
+    names = [name for path in MODULES for name in dataclass_names(path.read_text())]
+    assert sorted(names) == ["QuadraticSystem", "StiffnessTriple"]
