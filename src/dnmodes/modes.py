@@ -66,8 +66,7 @@ class ModeDecomposition:
     A: np.ndarray
     A_inv: np.ndarray
 
-    # Written out: one per sample, never read in an RK stage (so the dict is fine).
-    def __init__(self, t, theta, theta_dot, omega1_sq, omega2_sq, A, A_inv):
+    def __init__(self, t, theta, theta_dot, omega1_sq, omega2_sq, A, A_inv):  # one per sample
         self.__dict__.update(t=t, theta=theta, theta_dot=theta_dot, omega1_sq=omega1_sq,
                              omega2_sq=omega2_sq, A=A, A_inv=A_inv)
 
@@ -87,9 +86,6 @@ class EllipseGeometry:
     center: tuple
     orientation: float
     radii: tuple  # entries are None where Omega_i^2 <= 0
-
-    def __init__(self, center, orientation, radii):  # written out: one per sample
-        self.__dict__.update(center=center, orientation=orientation, radii=radii)
 
 
 @value_class

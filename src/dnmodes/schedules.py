@@ -93,25 +93,25 @@ _VALUE_METHODS = {
 }
 
 
-def value_class(cls=None, *, json_keys=None):
+def value_class(cls):
     """``cls`` as a frozen value type of its annotated fields, like a frozen
     dataclass but far cheaper to create; an ``__init__`` of its own stays.
     ``cls._field_table`` holds (name, JSON key, default) per field: the default
-    is the class-level value, if any, and ``json_keys`` renames a JSON key."""
-    if cls is None:
-        return lambda cls: value_class(cls, json_keys=json_keys)
-    cls._field_table = tuple(
-        (name, (json_keys or {}).get(name, name), cls.__dict__.get(name, _REQUIRED))
-        for name in cls.__dict__.get("__annotations__", {}))
+    is the class-level value, if any, and a class's ``_json_keys`` dict renames
+    a JSON key."""
+    keys = cls.__dict__.get("_json_keys", {})
+    cls._field_table = tuple((name, keys.get(name, name), cls.__dict__.get(name, _REQUIRED))
+                             for name in cls.__dict__.get("__annotations__", {}))
     for name, method in _VALUE_METHODS.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)
     return cls
 
 
-@value_class(json_keys={"c": "value"})
+@value_class
 class Constant(ControlSchedule):
     c: float
+    _json_keys = {"c": "value"}
 
     def __post_init__(self):
         check_fields(self)
