@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .errors import ConfigError, ZeroFrequencyError
+from .errors import ConfigError, ScheduleDomainError, ZeroFrequencyError
 from .quadratic import MassPair, PhasePoint, QuadraticSystem, StiffnessTriple
 from .schedules import fd_step, value_class
 
@@ -208,10 +208,11 @@ def theta_dot_at(
     The preset's closed form when it supplies one, else the chain rule on
     the atan2 expression from the stiffness and its rate, divided by r =
     hypot(num, den) twice instead of by r^2, which can overflow.  At a
-    degenerate instant (:func:`_angle_terms`), a central difference of the
-    unwrapped angle, on the branch of theta(t - h).  A caller that already
-    holds the stiffness triple at t passes it as ``triple``, so the chain
-    rule does not evaluate the stiffness again (on the ion pair, a root solve).
+    degenerate instant (:func:`_angle_terms`), a difference quotient of the
+    unwrapped angle from t - h on (:func:`_difference`).  A caller that
+    already holds the stiffness triple at t passes it as ``triple``, so the
+    chain rule does not evaluate the stiffness again (on the ion pair, a root
+    solve).
     """
     if sys.theta_dot_override is not None:
         return sys.theta_dot_override(t)
@@ -225,12 +226,30 @@ def theta_dot_at(
         num_dot = 2.0 * dk * m.sqrt12
         den_dot = m.m1 * (dk + dk2) - m.m2 * (dk + dk1)
         return 0.5 * (num_dot * (den / r) - den_dot * (num / r)) / r
-    # Anchored at t - h: theta(t) is the degenerate value 0, from which the
-    # two neighbours may sit on a rounding tie at +-pi/4.
-    h = fd_step(t)
-    thm = theta_at(sys.stiffness(t - h), sys.masses)
-    thp = theta_at(sys.stiffness(t + h), sys.masses, branch_ref=thm)
-    return (thp - thm) / (2.0 * h)
+    # Each theta on the branch of the one before: theta(t) is the degenerate
+    # value 0, from which the two neighbours may sit on a rounding tie at +-pi/4.
+    lo, hi, d = _difference(
+        lambda s, ref: theta_at(sys.stiffness(s), sys.masses, branch_ref=ref), t, -1)
+    return (hi - lo) / d
+
+
+def _difference(g, t: float, first: int) -> tuple:
+    """(g(a), g(b), b - a) at two times a < b for a difference quotient at t
+    that never evaluates g(t), which is degenerate for theta: t -+ h with
+    h = fd_step(t), from s = first * h on; where g raises ``ScheduleDomainError``
+    (a table ends within h of t), t + s and t + 2s on the side s where g is
+    defined.  ``g(time, ref)`` gets as ref the value it gave before, or None."""
+    s = first * fd_step(t)
+    try:
+        near = g(t + s, None)
+        try:
+            far, d = g(t - s, near), -2.0 * s
+        except ScheduleDomainError:
+            far, d = g(t + 2.0 * s, near), s
+    except ScheduleDomainError:
+        near = g(t - s, None)
+        far, d = g(t - 2.0 * s, near), -s
+    return (far, near, -d) if d < 0 else (near, far, d)
 
 
 def drive_at(sys: QuadraticSystem, t: float, theta: float) -> tuple:
@@ -242,11 +261,11 @@ def drive_at(sys: QuadraticSystem, t: float, theta: float) -> tuple:
 
 
 def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> tuple:
-    """Central-difference dP0/dt, following theta on the branch nearest branch_ref."""
-    h = fd_step(t)
-    (a1, a2), (b1, b2) = (drive_at(sys, s, theta_at(sys.stiffness(s), sys.masses, branch_ref))
-                          for s in (t + h, t - h))
-    return ((a1 - b1) / (2.0 * h), (a2 - b2) / (2.0 * h))
+    """Difference quotient dP0/dt (:func:`_difference`, evaluated from t + h on),
+    following theta on the branch nearest branch_ref."""
+    (b1, b2), (a1, a2), d = _difference(
+        lambda s, _: drive_at(sys, s, theta_at(sys.stiffness(s), sys.masses, branch_ref)), t, 1)
+    return ((a1 - b1) / d, (a2 - b2) / d)
 
 
 def decompose_at(

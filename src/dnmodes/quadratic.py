@@ -13,8 +13,8 @@ the overall energy offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from .errors import ConfigError, PresetDomainError
 from .schedules import check_fields, value_class
@@ -47,7 +47,7 @@ class MassPair:
         return np.diag([1.0 / self.m1, 1.0 / self.m2])
 
 
-@dataclass(frozen=True, init=False)
+@value_class
 class StiffnessTriple:
     """Time-slice values (k, k1, k2); any entry may be negative.  Built at
     every RK stage, so ``__init__`` stores them in the instance dict and checks them;
@@ -95,7 +95,7 @@ class PhasePoint:
         return np.array([*self.q, *self.p], dtype=float)
 
 
-@dataclass
+@value_class
 class QuadraticSystem:
     """Masses plus callables giving stiffness and equilibrium along time.
 
@@ -119,9 +119,10 @@ class QuadraticSystem:
     theta_dot_override: Optional[Callable[[float], float]] = None
     full_potential: Optional[Callable[[float, float, float], float]] = None
     label: str = "custom"
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = MappingProxyType({})  # read-only, so no instance shares a mutable default
     # Not a field and never set: perfbench/tracer.py reads it on every system.
     larmor_rate = None
+    __setattr__ = object.__setattr__  # assignable: perfbench/tracer.py wraps each view
 
     # -- time-sliced data ---------------------------------------------------
 

@@ -3,8 +3,8 @@
 Every time-varying coefficient in the package (spring constants, trap
 positions, ramp amplitudes, rotation angles) is a ``ControlSchedule``.
 Schedules are immutable after construction and safe to share across threads.
-Units are caller-defined natural units.  ``value_class`` makes the package's
-frozen config and result types; ``config_from_dict`` builds them from JSON.
+Units are caller-defined natural units.  ``value_class`` makes every record
+type of the package; ``config_from_dict`` builds the configs from JSON.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ _VALUE_METHODS = {
 
 def value_class(cls):
     """``cls`` as a frozen value type of its annotated fields, like a frozen
-    dataclass but far cheaper to create; an ``__init__`` of its own stays.
+    dataclass but far cheaper to create; an ``__init__`` or ``__setattr__`` of
+    its own stays (``QuadraticSystem`` keeps ``object.__setattr__``).
     ``cls._field_table`` holds (name, JSON key, default) per field: the default
     is the class-level value, if any, and a class's ``_json_keys`` dict renames
     a JSON key."""

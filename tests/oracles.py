@@ -13,6 +13,8 @@ views in their per-view form, each call reading the controls afresh and
 solving its root from the root before; and the mode frame as a chain: the
 tan(2 theta) numerator and denominator, then theta, then cos, sin and the
 rotated frequencies.
+
+``replace`` rebuilds a ``value_class`` instance with some fields changed.
 """
 
 import math
@@ -22,6 +24,10 @@ import numpy as np
 from dnmodes.modes import EPS_DEGENERATE, theta_at
 from dnmodes.rootfind import solve_positive_root
 from dnmodes.schedules import fd_step
+
+
+def replace(obj, **changes):
+    return type(obj)(**{name: getattr(obj, name) for name, _, _ in obj._field_table} | changes)
 
 
 def bisect(f, a, b, iters=200):

@@ -4,7 +4,6 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line;
 all numeric tolerances are pinned here and must not be loosened.
 """
 
-import dataclasses
 import json
 import math
 import warnings
@@ -49,7 +48,7 @@ from dnmodes.presets import (
 from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
 from dnmodes.schedules import ControlSchedule, LinearRamp, Smoothstep
 
-from oracles import bisect, eig2_characteristic, grad4, hessian4, theta_dot_fd
+from oracles import bisect, eig2_characteristic, grad4, hessian4, replace, theta_dot_fd
 
 
 _CAPSYS = None
@@ -411,7 +410,7 @@ def test_criterion_07_frame_equivalence():
     # mutation test: dropping the angular-momentum coupling (theta_dot = 0 in
     # the mode frame only; the lab run never reads it) must break rotation
     broken = frame_equivalence_check(
-        dataclasses.replace(rot, theta_dot_override=lambda t: 0.0),
+        replace(rot, theta_dot_override=lambda t: 0.0),
         x0_rot, IntegratorSpec(dt=1e-3, t0=0.0, t1=10.0),
     )
     mutation_ok = broken.max_deviation > 1e-6

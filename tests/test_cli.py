@@ -521,6 +521,29 @@ def test_an_overflowing_stiffness_or_mode_angle_exits_3(tmp_path, capsys, case, 
         assert err == [f"preset domain error: {message}"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify", "simulate"])
+def test_a_degenerate_instant_where_a_table_starts_runs_its_window(tmp_path, capsys, command):
+    # k = 0 at t = 0 makes the stiffness degenerate (m1 k2 = m2 k1), where
+    # theta_dot is a difference quotient of theta; the table starts there, so
+    # the quotient is one-sided.  theta is constant on (0, 2], but with k near
+    # 1e-6 against k1, k2 near 1 it carries a rounding noise of about 1e-10 at
+    # t = 1e-6 and 2e-6, and the chain rule there gives 2e-5: hence 1e-4.
+    table = {"kind": "table", "times": [0, 1, 2], "values": [0, 0.5, 1],
+             "interpolation": "linear"}
+    cfg = {
+        "schema": 1,
+        "preset": {"type": "custom", "k": table, "k1": 1, "k2": 2, "masses": [1, 2]},
+        "window": [0.0, 2.0], "samples": 5, "integrator": {"dt": 0.25},
+        "output": {"path": str(tmp_path / "deg")},
+    }
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "analyze":
+        with open(tmp_path / "deg_analyze.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert float(first["t"]) == 0.0 and abs(float(first["theta_dot"])) <= 1e-4
+
+
 def test_analyze_finds_a_root_below_the_scan_grid(tmp_path, capsys):
     # With k0 = 1e300 the cubic's root is about 1.3e-100, below the first
     # point of the root scan's grid (1e-11).

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +27,9 @@ from dnmodes.presets import (
     build_transport,
 )
 from dnmodes.quadratic import PhasePoint
-from dnmodes.schedules import LinearRamp, Smoothstep
+from dnmodes.schedules import LinearRamp, SampledTable, Smoothstep
+
+from oracles import replace
 
 
 def static_sys(k=0.0, k1=1.0, k2=1.0, masses=(1.0, 1.0)):
@@ -187,6 +188,29 @@ def test_momentum_shift_consistent_with_direct_mode_integration():
         assert dP == pytest.approx(tuple(P0), abs=1e-9)
 
 
+def test_shifted_frame_calls_reach_the_ends_of_a_table_q0():
+    # Q0 is a table over exactly the window, so the drive rate at t0 and t1
+    # is a one-sided difference quotient inside the table.  The shifted run,
+    # started from the shifted point, stays the direct run shifted by P0.
+    from dnmodes.modes import decompose_at, momentum_shift
+
+    ramp = Smoothstep(0.0, 1.0, 0.0, 6.0)
+    times = tuple(0.25 * i for i in range(25))
+    sys = build_transport(
+        TransportConfig(k=2.0, Q0=SampledTable(times, tuple(map(ramp.value, times))), Cc=1.0)
+    )
+    spec = IntegratorSpec(dt=1e-3, t0=0.0, t1=6.0)
+    X0 = PhasePoint(0.0, (0.01, -0.02), (0.0, 0.03), frame="mode")
+    direct = integrate_modes(sys, X0, spec)
+    shifted = integrate_modes_shifted(sys, momentum_shift(decompose_at(sys, 0.0), sys, X0).point,
+                                      spec)
+    for i in [0, 3000, 6000]:
+        t = float(direct.times[i])
+        x = PhasePoint(t, direct.states[i, :2], direct.states[i, 2:], frame="mode")
+        expected = momentum_shift(decompose_at(sys, t), sys, x).point.state()
+        assert np.abs(shifted.states[i] - expected).max() < 1e-9
+
+
 def test_divergence_guard_carries_partial():
     # inverted potential blows up; every integrator's guard should trip with
     # the partial result as a trajectory in its own frame: the grid up to the
@@ -297,7 +321,7 @@ def test_lz_coupling_flag_changes_rotation_dynamics():
     spec = IntegratorSpec(dt=1e-3, t0=0.0, t1=5.0)
     full = integrate_modes(sys, X0, spec)
     # theta_dot = 0 drops the -theta_dot L_z coupling from the mode frame.
-    no_lz = dataclasses.replace(sys, theta_dot_override=lambda t: 0.0)
+    no_lz = replace(sys, theta_dot_override=lambda t: 0.0)
     crippled = integrate_modes(no_lz, X0, spec)
     assert np.abs(full.states - crippled.states).max() > 1e-3
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +33,7 @@ from dnmodes.presets import (
 from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
 from dnmodes.schedules import ControlSchedule, LinearRamp, Smoothstep
 
-from oracles import eig2_characteristic, theta_dot_fd
+from oracles import eig2_characteristic, replace, theta_dot_fd
 
 
 def test_mass_weighted_stiffness():
@@ -155,7 +154,7 @@ def test_theta_dot_transport_constant():
     sys = build_transport(
         TransportConfig(k=Smoothstep(1.0, 3.0, 0.0, 5.0), Q0=0.0, masses=(2.0, 1.0))
     )
-    chain_rule = dataclasses.replace(sys, theta_dot_override=None)
+    chain_rule = replace(sys, theta_dot_override=None)
     for t in np.linspace(0.2, 4.8, 7):
         assert theta_dot_at(sys, t) == 0.0
         assert abs(theta_dot_at(chain_rule, t)) < 1e-12
@@ -164,7 +163,7 @@ def test_theta_dot_transport_constant():
 def test_theta_dot_rotation_matches_phi_rate():
     phi = Smoothstep(0.0, math.pi / 2, 0.0, 4.0)
     sys = build_rotation(RotationConfig(m=1.0, omega1=2.0, omega2=1.0, phi=phi))
-    chain_rule = dataclasses.replace(sys, theta_dot_override=None)
+    chain_rule = replace(sys, theta_dot_override=None)
     for t in np.linspace(0.3, 3.7, 9):
         assert theta_dot_at(sys, t) == pytest.approx(phi.derivative(t), abs=1e-14)
         assert theta_dot_at(chain_rule, t) == pytest.approx(phi.derivative(t), rel=1e-9)
@@ -191,7 +190,7 @@ def test_theta_dot_constrained_separation_ramp():
 def test_theta_dot_analytic_vs_fd():
     phi = Smoothstep(0.0, 1.0, 0.0, 4.0)
     sys = build_rotation(RotationConfig(m=1.5, omega1=2.0, omega2=1.0, phi=phi))
-    chain_rule = dataclasses.replace(sys, theta_dot_override=None)
+    chain_rule = replace(sys, theta_dot_override=None)
     for t in np.linspace(0.5, 3.5, 7):
         assert theta_dot_at(chain_rule, t) == pytest.approx(theta_dot_fd(sys, t), abs=1e-6)
 

@@ -60,7 +60,6 @@ import random
 import sys as _sys
 import threading
 from contextlib import contextmanager
-from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -113,7 +112,7 @@ from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
     ION_PAIR_VIEWS, bisect, chain_frame, grad4, ion_pair_views, per_view_ion_pair,
-    quintic_bracket_max, rk4_states, verlet_states,
+    quintic_bracket_max, replace, rk4_states, verlet_states,
 )
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -381,14 +380,20 @@ def test_rotating_trap_runs_converge_to_the_exact_flow_at_fourth_order(
     sys = build_preset(RotationConfig(m=m, omega1=omega1, omega2=omega2,
                                       phi=Polynomial((phi0, rate))))
     fine_states = rotating_trap_flow(m, omega1, omega2, rate, phi0, state, t0, span / 512, 512)
+    assert_runs_converge_at_fourth_order(sys, t0, span, fine_states)
 
+
+def assert_runs_converge_at_fourth_order(sys, t0, span, fine_states):
+    """Both frames' RK4 runs over [t0, t0 + span] from fine_states[0] match
+    the exact lab states fine_states, given at the step span / 512, and their
+    largest relative error over the grid falls 16-fold per halving of the step."""
     def relative_error(run, truth):
         return np.abs(run - truth).max() / np.abs(truth).max()
 
     errors = []
     for n in (256, 512):
         spec = IntegratorSpec(dt=span / n, t0=t0, t1=t0 + span)
-        lab = integrate_lab(sys, PhasePoint(t0, state[:2], state[2:]), spec)
+        lab = integrate_lab(sys, PhasePoint(t0, fine_states[0, :2], fine_states[0, 2:]), spec)
         exact = Trajectory("lab", lab.times, fine_states[::512 // n], spec.dt)
         exact_modes = map_to_mode_frame(sys, exact)
         modes = integrate_modes(sys, exact_modes.point(0), spec)
@@ -397,6 +402,42 @@ def test_rotating_trap_runs_converge_to_the_exact_flow_at_fourth_order(
     for coarse, fine in zip(*errors):
         assert fine < 1e-5
         assert 15.0 <= coarse / fine <= 17.0
+
+
+def transport_flow(masses, k, Cc, ramp, displacement, t0, dt, n) -> np.ndarray:
+    """Exact lab states (q, p) at t0 + i dt, i = 0..n, of ion-pair transport
+    with a constant k and the centre Q0 on the straight line ``ramp``.  The
+    equilibrium q0 = (Q0 + d/2, Q0 - d/2), d = (2 Cc/k)^(1/3), moves at the
+    constant velocity (v, v), v the line's slope, so the displacement
+    (q - q0, p - M qdot0), given at t0, steps exactly by
+    exp(dt [[0, M^-1], [-K, 0]]) with K = k [[2, -1], [-1, 2]]."""
+    from scipy.linalg import expm
+    K = k * np.array([[2.0, -1.0], [-1.0, 2.0]])
+    step = expm(dt * np.block([[np.zeros((2, 2)), np.diag([1.0 / m for m in masses])],
+                               [-K, np.zeros((2, 2))]]))
+    x = [np.asarray(displacement)]
+    for _ in range(n):
+        x.append(step @ x[-1])
+    Q0 = ramp.v0 + ramp.slope * (t0 + dt * np.arange(n + 1) - ramp.t0)
+    d = (2.0 * Cc / k) ** (1.0 / 3.0)
+    equilibrium = np.column_stack([Q0 + d / 2, Q0 - d / 2, np.full(n + 1, masses[0] * ramp.slope),
+                                   np.full(n + 1, masses[1] * ramp.slope)])
+    return np.array(x) + equilibrium
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(masses=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)), k=st.floats(0.5, 2.0),
+       Cc=st.floats(0.5, 2.0), line=st.tuples(unit, unit),
+       displacement=st.tuples(unit, unit, unit, unit).filter(lambda y: max(map(abs, y)) >= 0.1),
+       t0=st.floats(-2.0, 2.0), span=st.floats(2.0, 8.0))
+def test_ion_pair_transport_runs_converge_to_the_exact_flow_at_fourth_order(
+        masses, k, Cc, line, displacement, t0, span):
+    # The second closed-form flow: with k constant and Q0 a straight line,
+    # q0 has no acceleration and K is constant.
+    ramp = LinearRamp(0.0, line[0], 1.0, line[1])
+    sys = build_preset(TransportConfig(k=k, Q0=ramp, Cc=Cc, masses=MassPair(*masses)))
+    fine_states = transport_flow(masses, k, Cc, ramp, displacement, t0, span / 512, 512)
+    assert_runs_converge_at_fourth_order(sys, t0, span, fine_states)
 
 
 PRESET_KINDS = [*sorted(presets._PRESETS), "phase-gate-zeroth-order"]
@@ -470,7 +511,7 @@ def preset_systems(kind):
 def test_preset_rates_match_finite_differences(kind, data):
     sys = data.draw(preset_systems(kind), label="system")
     t = data.draw(st.floats(0.1, 0.9), label="t")
-    check_rate(sys.stiffness_rate, lambda s: astuple(sys.stiffness(s)), t)
+    check_rate(sys.stiffness_rate, lambda s: entries(sys.stiffness(s)), t)
     check_rate(sys.equilibrium_velocity, sys.equilibrium, t)
 
 
@@ -848,7 +889,7 @@ def test_ion_pair_views_give_the_bits_of_the_per_piece_formulas(kind, data):
             got = getattr(sys, ION_PAIR_VIEWS[view])(t)
         assert len(roots) == (kind != "transport")  # one root solve per view
         expected = ion_pair_views(cfg, t, roots[0] if roots else None)[view]
-        assert hexes(astuple(got) if view == 0 else got) == hexes(expected)
+        assert hexes(entries(got) if view == 0 else got) == hexes(expected)
 
 
 @pytest.mark.parametrize("kind", ["transport", "separation", "phase-gate"])
@@ -869,9 +910,13 @@ def test_ion_pair_record_gives_the_bits_of_the_per_view_form(kind, data):
                                               label="calls"):
             for s in (np.float64(t), t) if numpy_first else (t,):
                 got = getattr(sys, view)(s)
-                assert hexes(astuple(got) if view == "stiffness" else got) == \
+                assert hexes(entries(got) if view == "stiffness" else got) == \
                     hexes(oracle(view, s))
     assert hexes(roots) == hexes(oracle.roots)
+
+
+def entries(triple) -> tuple:
+    return (triple.k, triple.k1, triple.k2)
 
 
 VIEWS = (
@@ -884,7 +929,7 @@ def view_values(sys, view, t) -> tuple:
     if fn is None:
         return ()
     got = fn(t)
-    return astuple(got) if view == "stiffness" else got if isinstance(got, tuple) else (got,)
+    return entries(got) if view == "stiffness" else got if isinstance(got, tuple) else (got,)
 
 
 def time_pool(data) -> list:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -30,20 +28,6 @@ def test_stiffness_triple_names_the_non_finite_entry(name, bad):
     # Configs are checked finite first, so this is an overflow in a preset.
     with pytest.raises(PresetDomainError, match=f"^stiffness {name} must be finite, got {bad}$"):
         StiffnessTriple(**entries)
-
-
-def test_stiffness_triple_stays_a_frozen_value_dataclass():
-    # Its __init__ is written out for speed; the dataclass behaviour stays.
-    tr = StiffnessTriple(1.0, 2.0, 3.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        tr.k = 5.0
-    assert dataclasses.astuple(tr) == (1.0, 2.0, 3.0)
-    assert repr(tr) == "StiffnessTriple(k=1.0, k1=2.0, k2=3.0)"
-    assert tr == StiffnessTriple(k=1.0, k1=2.0, k2=3.0) != StiffnessTriple(1.0, 2.0, 4.0)
-    assert hash(tr) == hash(StiffnessTriple(1.0, 2.0, 3.0))
-    assert dataclasses.replace(tr, k1=-2.0) == StiffnessTriple(1.0, -2.0, 3.0)
-    with pytest.raises(PresetDomainError, match="^stiffness k2 must be finite, got nan$"):
-        dataclasses.replace(tr, k2=float("nan"))
 
 
 def test_stiffness_matrix_assembly():

@@ -1,13 +1,15 @@
-"""The config and result types made by ``schedules.value_class`` keep the
-contract they had as frozen dataclasses.
+"""Every record type of the package is made by ``schedules.value_class`` and
+keeps the contract it had as a dataclass.
 
-Each type is built from fixed field values positionally, by keyword and with
-its defaults left out; its ``repr`` is the dataclass form ``Name(f=v, ...)``,
-given here as fixed strings.  Setting or deleting an attribute raises
-``AttributeError``; equal values compare equal and hash equal, and an
-instance of another class with the same values is unequal.  For every preset
-``type`` and schedule ``kind``, ``config_from_dict`` names the unknown and the
-missing JSON fields as before.
+Each frozen type is built from fixed field values positionally, by keyword and
+with its defaults left out; its ``repr`` is the dataclass form
+``Name(f=v, ...)``, given here as fixed strings.  Setting or deleting an
+attribute raises ``AttributeError``; equal values compare equal and hash
+equal, and an instance of another class with the same values is unequal.
+``StiffnessTriple`` keeps its written-out ``__init__`` and its finiteness
+check.  ``QuadraticSystem`` is the one assignable type, and its default
+``extras`` is read-only.  For every preset ``type`` and schedule ``kind``,
+``config_from_dict`` names the unknown and the missing JSON fields as before.
 """
 
 import inspect
@@ -16,7 +18,7 @@ import pytest
 
 from dnmodes import dynamics, modes, presets, quadratic, schedules
 from dnmodes.dynamics import EnergyAudit, FrameEquivalenceReport, IntegratorSpec, Trajectory
-from dnmodes.errors import ConfigError
+from dnmodes.errors import ConfigError, PresetDomainError
 from dnmodes.modes import EllipseGeometry, ModeDecomposition, MomentumShift, SeparabilityReport
 from dnmodes.presets import (
     PRESET_CONFIGS,
@@ -29,7 +31,7 @@ from dnmodes.presets import (
     SpringsConfig,
     TransportConfig,
 )
-from dnmodes.quadratic import MassPair, PhasePoint
+from dnmodes.quadratic import MassPair, PhasePoint, QuadraticSystem, StiffnessTriple
 from dnmodes.schedules import (
     SCHEDULE_KINDS,
     Constant,
@@ -39,6 +41,8 @@ from dnmodes.schedules import (
     Smoothstep,
     config_from_dict,
 )
+
+from oracles import replace
 
 POINT = PhasePoint(0.5, (1, 2), (3, 4), "mode")
 TRAJECTORY = Trajectory("lab", (0.0, 0.5), ((1.0, 2.0, 3.0, 4.0), (1.5, 2.5, 3.5, 4.5)), 0.5)
@@ -57,6 +61,7 @@ CASES = [
      "SampledTable(times=(0.0, 1.0, 2.0), values=(2.0, 3.0, 5.0), interpolation='linear')", 2,
      "SampledTable(times=(0.0, 1.0, 2.0), values=(2.0, 3.0, 5.0), interpolation='cubic')"),
     (MassPair, (1, 2.0), "MassPair(m1=1.0, m2=2.0)", 2, None),
+    (StiffnessTriple, (1.0, -2.0, 3.0), "StiffnessTriple(k=1.0, k1=-2.0, k2=3.0)", 3, None),
     (PhasePoint, (0.5, (1, 2), (3, 4), "mode"),
      "PhasePoint(t=0.5, q=(1.0, 2.0), p=(3.0, 4.0), frame='mode')", 3,
      "PhasePoint(t=0.5, q=(1.0, 2.0), p=(3.0, 4.0), frame='lab')"),
@@ -126,7 +131,7 @@ def test_the_cases_cover_every_value_class():
     found = {obj for module in (dynamics, modes, presets, quadratic, schedules)
              for obj in vars(module).values()
              if inspect.isclass(obj) and "_field_table" in vars(obj)}
-    assert found == {case[0] for case in CASES}
+    assert found == {case[0] for case in CASES} | {QuadraticSystem}
 
 
 @pytest.mark.parametrize("cls, values, text, n_required, default_text", CASES, ids=ids)
@@ -170,6 +175,37 @@ def test_equality_and_hash_follow_the_values(cls, values, text, n_required, defa
     assert repr(twin) == text
     assert a != twin and twin != a
     assert a != tuple(getattr(a, name) for name in cls.__annotations__)
+
+
+def test_stiffness_triple_checks_the_entries_it_is_rebuilt_with():
+    tr = StiffnessTriple(1.0, 2.0, 3.0)
+    assert replace(tr, k1=-2.0) == StiffnessTriple(1.0, -2.0, 3.0)
+    with pytest.raises(PresetDomainError, match="^stiffness k2 must be finite, got nan$"):
+        replace(tr, k2=float("nan"))
+
+
+VIEWS = dict(stiffness=lambda t: StiffnessTriple(1.0, 0.0, 0.0), equilibrium=lambda t: (0.0, t),
+             equilibrium_velocity=lambda t: (0.0, 1.0), stiffness_rate=lambda t: (0.0, 0.0, 0.0))
+
+
+def test_quadratic_system_is_an_assignable_value_class():
+    # perfbench/tracer.py wraps each view of a built system with setattr.
+    masses = MassPair(1, 2)
+    system = QuadraticSystem(masses, *VIEWS.values())
+    assert repr(system) == (
+        "QuadraticSystem(masses=MassPair(m1=1.0, m2=2.0), "
+        + "".join(f"{name}={view!r}, " for name, view in VIEWS.items())
+        + "theta_dot_override=None, full_potential=None, label='custom', extras=mappingproxy({}))")
+    assert system == QuadraticSystem(masses=masses, **VIEWS)
+    assert system != QuadraticSystem(masses, *VIEWS.values(), label="springs")
+    with pytest.raises(TypeError):
+        QuadraticSystem(masses, *list(VIEWS.values())[:3])
+    with pytest.raises(TypeError):
+        system.extras["mode_force"] = None
+    assert system.extras == {}
+    system.stiffness = abs
+    assert system.stiffness is abs
+    assert system != QuadraticSystem(masses, *VIEWS.values())
 
 
 UNKNOWN = "unknown fields ['bogus', 'zz'] for {what} {kind!r}"
