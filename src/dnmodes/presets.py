@@ -395,11 +395,12 @@ def solve_phase_gate_distance(F1: float, F2: float, k0: float, Cc: float,
 
 def _phase_gate_B_delta(F1: float, F2: float, k0: float, Cc: float) -> tuple:
     d = F1 - F2
-    radicand = 3.0 * Cc * k0**14 * (-2.0 * d**3 + 27.0 * Cc * k0**2)
-    if radicand < 0.0:
+    inner = -2.0 * d**3 + 27.0 * Cc * k0**2  # the radicand's sign: 3 Cc k0**14 can underflow
+    if inner < 0.0:
         raise PresetDomainError(
             "published closed-form equilibria undefined (negative radicand)"
         )
+    radicand = 3.0 * Cc * k0**14 * inner
     delta = (-(d**3) * k0**6 + 27.0 * Cc * k0**8 + 3.0 * math.sqrt(radicand)) ** (1.0 / 3.0)
     B = d**2 * k0**4 + delta**2
     return B, delta
@@ -462,35 +463,13 @@ def audit_phase_gate_formulas(F1: float, F2: float, k0: float, Cc: float) -> Pha
 def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
     """U = k0 (q1^2 + q2^2)/2 + Cc/(q1 - q2) + F1 q1 + F2 q2.
 
-    The equilibrium root solve is authoritative; the published closed forms
-    are evaluated alongside and a :class:`FormulaDiscrepancyWarning` fires
-    if the per-ion forms drift beyond ``FORMULA_AUDIT_REL_TOL``.  That audit
-    runs once per time: the views at one sample time each solve for q0, and
-    calls repeating the time just audited skip it.  The pair's centre is
-    -(F1 + F2) / (2 k0).
+    The equilibrium distance is the cubic's root solve alone; the published
+    closed forms are checked by :func:`audit_phase_gate_formulas`, not per
+    time.  The pair's centre is -(F1 + F2) / (2 k0).
     """
     if cfg.zeroth_order:
         return build_phase_gate_zeroth_order(cfg)
     k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1.value, cfg.F2.value
-    cubic_root = _phase_gate_distance(k0, Cc)
-    audited = [None]  # the time of the last audit
-
-    def distance(t: float, u: tuple, guess) -> float:
-        q0 = cubic_root(t, u, guess)
-        if t != audited[0]:
-            try:
-                q1c, q2c = phase_gate_equilibria_closed_form(u[0], u[1], k0, Cc)
-                if abs((q1c - q2c) - q0) > FORMULA_AUDIT_REL_TOL * abs(q0):
-                    warnings.warn(
-                        f"per-ion closed-form equilibria disagree with root solve at t={t}: "
-                        f"closed form q0={q1c - q2c}, root q0={q0}",
-                        FormulaDiscrepancyWarning,
-                        stacklevel=2,
-                    )
-            except (PresetDomainError, ArithmeticError):
-                pass  # closed form undefined or overflowing here; root solve stands alone
-            audited[0] = t
-        return q0
 
     def distance_rate(t: float, u: tuple, du: tuple, q0: float) -> float:
         d = u[0] - u[1]
@@ -508,7 +487,7 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         cfg,
         "phase-gate",
         controls=(cfg.F1, cfg.F2),
-        distance=distance,
+        distance=_phase_gate_distance(k0, Cc),
         distance_rate=distance_rate,
         curvature=lambda u, q0: k0,
         curvature_rate=lambda u, du, q0, q0dot: 0.0,

@@ -6,9 +6,9 @@ a branch by passing the previous root as ``guess`` (continuity), otherwise
 the largest positive root is returned.
 
 Newton refinement stops once a step moves x by at most 4 ulp
-(``|x_new - x| <= 4 * 2**-52 * |x|``).  That test comes before the bracket
-check, so a converged step that lands on a bracket end is accepted rather
-than replaced by the bracket midpoint.
+(``|x_new - x| <= 4 * 2**-52 * |x|``), tested before the bracket check.  After
+``MAX_NEWTON`` steps it bisects (geometrically while b > 2a > 0) until no float
+lies strictly inside the bracket, so a root far below the midpoint converges.
 
 Warm exit: a guess in (0, q_max] first takes that step alone, returning the
 guess if f(guess) == 0 and the step if it converged, as the refine in a
@@ -26,18 +26,18 @@ from .errors import PresetDomainError
 __all__ = ["newton_refine", "positive_roots", "solve_positive_root"]
 
 _STEP_TOL = 4.0 * 2.0**-52
-MAX_NEWTON = 50  # Newton steps before newton_refine returns its last iterate
+MAX_NEWTON = 50  # Newton steps before newton_refine bisects to the end
 N_SCAN = 512  # intervals of positive_roots' sign-change grid
 
 
-def newton_refine(f, fprime, x: float, a: float, b: float, fa=None, fx=None, dx=None) -> float:
-    """Newton iterations from x, falling back to bisection on [a, b] when a
-    step leaves the bracket or the derivative vanishes.
+def _split(a: float, b: float) -> float:  # geometric while b > 2a > 0, else the midpoint
+    return math.sqrt(a) * math.sqrt(b) if b > 2.0 * a > 0.0 else 0.5 * (a + b)
 
-    Returns once a Newton step is at most 4 ulp of x, tested before the
-    bracket check.  ``fa``, ``fx`` and ``dx`` are f(a), f(x) and f'(x) when
-    the caller has already evaluated them.
-    """
+
+def newton_refine(f, fprime, x: float, a: float, b: float, fa=None, fx=None, dx=None) -> float:
+    """Newton from x, bisecting [a, b] where a step leaves it or f' vanishes, and
+    bisecting to the end after ``MAX_NEWTON`` steps (see the module docstring).
+    ``fa``, ``fx`` and ``dx`` are f(a), f(x) and f'(x) if already evaluated."""
     if fa is None:
         fa = f(a)
     for _ in range(MAX_NEWTON):
@@ -54,24 +54,24 @@ def newton_refine(f, fprime, x: float, a: float, b: float, fa=None, fx=None, dx=
         if abs(x_new - x) <= _STEP_TOL * abs(x):
             return x_new
         if not (a < x_new < b):
-            x_new = 0.5 * (a + b)
+            x_new = _split(a, b)
         x, fx, dx = x_new, None, None
+    while a < x < b:
+        if (fx := f(x)) == 0.0:
+            return x
+        a, b = (x, b) if (fx < 0.0) == (fa < 0.0) else (a, x)
+        x = _split(a, b)
     return x
 
 
 def positive_roots(f, fprime, q_max: float) -> list:
-    """All roots of f on (0, q_max], found by grid sign-change scanning."""
+    """All roots of f on (0, q_max], from sign changes on a grid whose first
+    interval, (2**-1022, eps], reaches below the evenly spaced points."""
     eps = 1e-12 * max(1.0, q_max)
     roots = []
-    xs = [eps + (q_max - eps) * i / N_SCAN for i in range(N_SCAN + 1)]
+    xs = [2.0**-1022] + [eps + (q_max - eps) * i / N_SCAN for i in range(N_SCAN + 1)]
     fs = [f(x) for x in xs]
-    a, b = 2.0**-1022, xs[0]  # a sign change below the grid: halve its exponent range
-    if f(a) * fs[0] < 0.0:
-        while b > 2.0 * a:
-            m = math.sqrt(a) * math.sqrt(b)
-            a, b = (a, m) if (f(m) < 0.0) == (fs[0] < 0.0) else (m, b)
-        roots.append(newton_refine(f, fprime, 0.5 * (a + b), a, b))
-    for i in range(N_SCAN):
+    for i in range(N_SCAN + 1):
         if fs[i] == 0.0:
             roots.append(xs[i])
         elif fs[i] * fs[i + 1] < 0.0:

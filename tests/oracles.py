@@ -1,7 +1,8 @@
 """Independent numerical oracles used by the tests.
 
 Kept deliberately separate from the library paths they check: plain
-bisection (no Newton), the quintic's bracket end with max() calls,
+bisection (no Newton), bisection over the floats with the polynomial
+evaluated exactly in rationals, the quintic's bracket end with max() calls,
 high-order finite differences for gradients and Hessians, a central
 difference of the mode angle, a brute-force 2x2 eigendecomposition via the
 characteristic polynomial, and fixed-step RK4 on numpy arrays.
@@ -18,6 +19,8 @@ rotated frequencies.
 """
 
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +50,25 @@ def bisect(f, a, b, iters=200):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def last_float_below_root(coeffs):
+    """The largest float x > 0 where the polynomial with these float
+    coefficients (highest power first) is negative, evaluated exactly in
+    rationals: its root lies in [x, the next float].  Assumes it is negative
+    just above 0 and has one positive root.  Positive floats are ordered as
+    their bit patterns, so bisecting those takes 63 steps at any scale."""
+    def negative(bits):
+        q, value = Fraction(struct.unpack("<d", struct.pack("<q", bits))[0]), Fraction(0)
+        for c in coeffs:
+            value = value * q + Fraction(c)
+        return value < 0
+
+    lo, hi = 0, 0x7FF0000000000000  # the bits of 0.0 and inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if negative(mid) else (lo, mid)
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
 
 
 def quintic_bracket_max(alpha, beta, Cc):

@@ -565,10 +565,10 @@ def test_analyze_finds_a_root_below_the_scan_grid(tmp_path, capsys):
 
 
 # With k0 = 1e300 and Cc = 1e-300 the cubic's root is about 1.26e-200, but
-# q**3 underflows inside the cubic, so the search below positive_roots' scan
-# grid finds a sign change that is no root: the solver returns 1.3156e-108 at
-# t = 0 and at t = 0.5.  Both cubes underflow to 0, so the Coulomb spring
-# 2 Cc/q0**3 divides by zero.  classify's root scan runs on numpy times and
+# q**3 underflows inside the cubic, so the bracket below positive_roots' scan
+# grid holds a sign change that is no root: the solver returns 1.3518e-108 at
+# t = 0.  Its cube underflows to 0, so the Coulomb spring 2 Cc/q0**3
+# divides by zero.  classify's root scan runs on numpy times and
 # overflows first, on q0.
 VANISHING_CUBE_MESSAGES = {
     "analyze": "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0",
@@ -781,13 +781,13 @@ def test_phase_gate_survey_work_counts(tmp_path, capsys):
     # Ceilings on the survey path.  analyze solves for q0 once per view at a
     # sample (stiffness, its rate and the equilibrium), because theta_dot
     # reuses decompose_at's triple; classify_separability reuses its loop's
-    # triples for the analytic case; and the phase gate audits its closed
-    # form once per sample time, not once per root solve.  The views read F1
-    # and F2 once per time, and their rates once, so a sample reads 2 values
-    # and 2 derivatives (once per view, the parent read 6 values).  classify's
-    # numpy sample time and the same float time share one read.  The
-    # command-line classify is not used, because it still fails on the phase
-    # gate.
+    # triples for the analytic case; and the phase gate never evaluates the
+    # published closed form, which audit_phase_gate_formulas and criterion 06
+    # check on their own.  The views read F1 and F2 once per time, and their
+    # rates once, so a sample reads 2 values and 2 derivatives (once per view,
+    # the parent read 6 values).  classify's numpy sample time and the same
+    # float time share one read.  The command-line classify is not used,
+    # because it still fails on the phase gate.
     n = 40
     cfg = {
         "schema": 1,
@@ -816,14 +816,14 @@ def test_phase_gate_survey_work_counts(tmp_path, capsys):
         with counted_schedule_reads() as reads:
             assert main(["analyze", "--config", write_cfg(tmp_path, cfg)]) == 0
         assert len(solves) <= 3 * n
-        assert len(audits) == n  # every sample time, once
+        assert audits == []
         assert reads["value"] <= 2 * n and reads["derivative"] <= 2 * n
         del solves[:], audits[:]
         with counted_schedule_reads() as reads:
             sys_ = presets.build_preset(cfg["preset"])
             rep = modes.classify_separability(sys_, (0.0, 8.0), n_samples=n)
         assert len(solves) <= 3 * n + 1
-        assert len(audits) == n
+        assert audits == []
         assert reads["value"] <= 2 * n and reads["derivative"] <= 2 * n
     capsys.readouterr()
     assert rep.analytic_case is None and len(rep.theta_samples) == n

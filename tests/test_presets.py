@@ -26,6 +26,7 @@ from dnmodes.presets import (
     build_springs,
     build_transport,
     phase_gate_equilibria_closed_form,
+    phase_gate_q0_published,
     preset_config_from_dict,
     separability_condition_separation,
     solve_phase_gate_distance,
@@ -291,6 +292,15 @@ def test_phase_gate_published_q0_discrepancy_warning():
         audit = audit_phase_gate_formulas(0.3, -0.1, 1.0, 1.0)
     assert not audit.published_consistent
     assert audit.individual_consistent
+
+
+def test_the_closed_forms_refuse_a_negative_radicand_whose_factor_underflows():
+    # 27 Cc k0**2 - 2 d**3 < 0 here, and the radicand's other factor,
+    # 3 Cc k0**14, underflows to 0: the sign must come from the first factor.
+    for form in (phase_gate_equilibria_closed_form, phase_gate_q0_published,
+                 audit_phase_gate_formulas):
+        with pytest.raises(PresetDomainError, match="negative radicand"):
+            form(1e-10, 0.0, 1e-25, 1.0)
 
 
 def test_phase_gate_zeroth_order():

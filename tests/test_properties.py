@@ -18,8 +18,10 @@ known defect today).
 The root properties draw separation quintics and phase-gate cubics; both
 have one simple positive root over the drawn ranges.  A solve warm-started
 from its own root exits after one Newton step, and any other guess takes
-the bracketed refine.  The quintic's bracket end is the bits of its max()
-form for coefficients of any sign, zero and extreme.
+the bracketed refine.  A cold solve, with coefficients drawn over 1e-30 to
+1e30, is within 4 ulp of the root that bisection over the floats brackets
+with the polynomial evaluated exactly.  The quintic's bracket end is the
+bits of its max() form for coefficients of any sign, zero and extreme.
 
 The integrator properties run on random ``custom`` systems too: the
 steppers see only Python floats, agree with the numpy-array RK4 oracle,
@@ -64,7 +66,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from dnmodes.dynamics import (
     IntegratorSpec,
@@ -111,11 +113,14 @@ from dnmodes.rootfind import newton_refine, solve_positive_root
 from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
-    ION_PAIR_VIEWS, bisect, chain_frame, grad4, ion_pair_views, per_view_ion_pair,
-    quintic_bracket_max, replace, rk4_states, verlet_states,
+    ION_PAIR_VIEWS, bisect, chain_frame, grad4, ion_pair_views, last_float_below_root,
+    per_view_ion_pair, quintic_bracket_max, replace, rk4_states, verlet_states,
 )
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+# An exact-flow example is four RK4 runs of up to 512 steps and an exact flow, so a
+# failure reports the example it found unshrunk: shrinking takes minutes.
+EXACT_FLOW = settings(PROPERTY, max_examples=10, phases=(Phase.explicit, Phase.generate))
 
 unit = st.floats(-1.0, 1.0)
 times = st.floats(0.0, 1.0)
@@ -362,7 +367,7 @@ def rotating_trap_flow(m, omega1, omega2, rate, phi0, state, t0, dt, n) -> np.nd
                      c * x[:, 2] - s * x[:, 3], s * x[:, 2] + c * x[:, 3]], axis=1)
 
 
-@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@EXACT_FLOW
 @given(m=st.floats(0.5, 2.0), omegas=st.tuples(st.floats(0.5, 2.5), st.floats(0.5, 2.5)),
        rate=unit, phi0=st.floats(-3.0, 3.0),
        state=st.tuples(unit, unit, unit, unit).filter(lambda y: max(map(abs, y)) >= 0.1),
@@ -425,7 +430,7 @@ def transport_flow(masses, k, Cc, ramp, displacement, t0, dt, n) -> np.ndarray:
     return np.array(x) + equilibrium
 
 
-@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@EXACT_FLOW
 @given(masses=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)), k=st.floats(0.5, 2.0),
        Cc=st.floats(0.5, 2.0), line=st.tuples(unit, unit),
        displacement=st.tuples(unit, unit, unit, unit).filter(lambda y: max(map(abs, y)) >= 0.1),
@@ -723,6 +728,43 @@ def test_separation_root_exits_warm_after_one_step(params):
 @given(phase_gate_params)
 def test_phase_gate_root_exits_warm_after_one_step(params):
     check_warm_exit(lambda k0, d, Cc: solve_phase_gate_distance(d, 0.0, k0, Cc), params)
+
+
+log_uniform = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+log_signed = st.builds(lambda x, s: s * x, log_uniform, st.sampled_from([-1.0, 1.0]))
+
+
+def assert_near_the_exact_root(got, coeffs):
+    below = last_float_below_root(coeffs)
+    assert abs(got - below) <= 4 * math.ulp(below)
+
+
+# A cold solve scans its whole bracket.  The examples' roots lie so far below
+# the midpoint of the grid's first cell that Newton from there needs more
+# than MAX_NEWTON steps.
+@settings(PROPERTY, max_examples=200)
+@given(alpha=log_signed, beta=log_uniform, Cc=log_uniform)
+@example(alpha=1.0, beta=1e40, Cc=1.0)
+@example(alpha=-1e4, beta=1e18, Cc=1e-26)
+def test_cold_separation_root_is_within_4_ulp_at_any_scale(alpha, beta, Cc):
+    got = solve_separation_distance(alpha, beta, Cc)
+    assert_near_the_exact_root(got, [beta, 0.0, 2.0 * alpha, 0.0, 0.0, -2.0 * Cc])
+
+
+@settings(PROPERTY, max_examples=200)
+@given(k0=log_uniform, Cc=log_uniform, d=log_signed)
+@example(k0=1.0, Cc=1e-33, d=0.0)
+@example(k0=1e20, Cc=1e-12, d=1e-21)
+def test_cold_phase_gate_root_is_within_4_ulp_at_any_scale(k0, Cc, d):
+    got = solve_phase_gate_distance(d, 0.0, k0, Cc)
+    assert_near_the_exact_root(got, [k0, d, 0.0, -2.0 * Cc])
+
+
+def test_a_fresh_separation_system_gives_its_first_equilibrium_again():
+    # The first call solves cold, the second warm from the first.
+    sys = build_preset(SeparationConfig(alpha=1.0, beta=1e40, Cc=1.0))
+    first, again = sys.equilibrium(0.0)[0], sys.equilibrium(0.0)[0]
+    assert abs(first - again) <= 4 * math.ulp(again)
 
 
 any_float = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
