@@ -56,6 +56,7 @@ __all__ = [
     "PhaseGateAudit",
 ]
 
+_MIN_NORMAL = 2.2250738585072014e-308  # below it a float cube keeps fewer bits
 SEPARATION_CONDITION_TOL = 1e-9  # relative spread of beta^3/alpha^5 that counts as constant
 FORMULA_AUDIT_REL_TOL = 1e-8  # phase-gate closed forms against the root solve, relative to q0
 
@@ -95,7 +96,7 @@ def _ion_pair(
     q0, None at first, so a series goes in time order), ``distance_rate(t, u, du, q0)``,
     ``curvature(u, q0)``, ``curvature_rate(u, du, q0, q0dot)``, the centre c(u) (None:
     0), linear, so c(du) is its rate, and the trap potential without Coulomb."""
-    Cc = cfg.Cc
+    Cc, two_cc = cfg.Cc, 2.0 * cfg.Cc
     (v1, d1), (v2, d2) = ((s.value, s.derivative) for s in controls)
     previous = [None]
     record = (None, None, None)  # (t, u, du) at the last time read; du None until asked
@@ -114,12 +115,17 @@ def _ion_pair(
         # an ulp, and perfbench/tests pins it (test_pinned_layer_counts[sim-separation]).
         try:
             previous[0] = distance(t, u, previous[0])
-        except (OverflowError, FloatingPointError):  # float ** or numpy under errstate
+        except (OverflowError, FloatingPointError):  # a root kernel's value leaves the floats
             raise PresetDomainError(f"{label}: q0 overflows at t={t}") from None
         return previous[0]
 
-    def spring_overflow(t: float) -> PresetDomainError:  # q0**3 underflowed to 0
-        return PresetDomainError(f"{label}: Coulomb spring 2 Cc/q0**3 overflows at t={t}")
+    def spring(t: float, q0: float) -> float:
+        # 2 Cc/q0**3, dividing by q0 thrice where the cube is subnormal; none where it is 0
+        if (q3 := q0 * q0 * q0) >= _MIN_NORMAL:
+            return two_cc / q3
+        if q3:
+            return two_cc / q0 / q0 / q0
+        raise PresetDomainError(f"{label}: Coulomb spring 2 Cc/q0**3 overflows at t={t}")
 
     def equilibrium(t: float) -> tuple:
         u = read(t)[1]
@@ -137,21 +143,14 @@ def _ion_pair(
         u = read(t)[1]
         q0 = q0_at(t, u)
         kappa = curvature(u, q0)
-        try:
-            return StiffnessTriple(2.0 * Cc / q0**3, kappa, kappa)
-        except (ZeroDivisionError, FloatingPointError):  # numpy under errstate
-            raise spring_overflow(t) from None
+        return StiffnessTriple(spring(t, q0), kappa, kappa)
 
     def stiffness_rate(t: float) -> tuple:
         _, u, du = read(t, True)
         q0 = q0_at(t, u)
         q0dot = distance_rate(t, u, du, q0)
         kappa_dot = curvature_rate(u, du, q0, q0dot)
-        try:
-            k_dot = -6.0 * Cc * q0dot / q4 if (q4 := q0**4) else -6.0 * Cc / q0**3 * (q0dot / q0)
-        except (ZeroDivisionError, FloatingPointError):
-            raise spring_overflow(t) from None
-        return (k_dot, kappa_dot, kappa_dot)
+        return (-3.0 * spring(t, q0) * q0dot / q0, kappa_dot, kappa_dot)
 
     return QuadraticSystem(
         masses=cfg.masses,
@@ -257,11 +256,17 @@ def _polynomial_root(polynomial):
 
 def _separation_distance(Cc: float):
     """The separation pair's ``distance(t, u, guess)``: the quintic's root at u."""
+    c = 2.0 * Cc
 
     def quintic(alpha: float, beta: float) -> tuple:
-        return (lambda q: beta * q**5 + 2.0 * alpha * q**3 - 2.0 * Cc,
-                lambda q: 5.0 * beta * q**4 + 6.0 * alpha * q**2,
-                _quintic_bracket(alpha, beta, Cc))
+        a, b5, a6 = 2.0 * alpha, 5.0 * beta, 6.0 * alpha
+
+        def f(q: float) -> float:
+            if (v := (beta * (s := q * q) + a) * s * q - c) - v:  # inf or NaN
+                raise OverflowError
+            return v
+
+        return f, lambda q: (b5 * (s := q * q) + a6) * s, _quintic_bracket(alpha, beta, Cc)
 
     return _polynomial_root(quintic)
 
@@ -280,12 +285,12 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
     2 alpha + 3 beta q0^2.
     """
     def distance_rate(t: float, u: tuple, du: tuple, q0: float) -> float:
-        denom = 5.0 * u[1] * q0**4 + 6.0 * u[0] * q0**2
+        denom = (5.0 * u[1] * (s := q0 * q0) + 6.0 * u[0]) * s
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: implicit-derivative denominator vanishes at t={t}"
             )
-        return -(q0**5 * du[1] + 2.0 * q0**3 * du[0]) / denom
+        return -((du[1] * s + 2.0 * du[0]) * s * q0) / denom
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         return cfg.alpha.value(t) * (q1**2 + q2**2) + cfg.beta.value(t) * (q1**4 + q2**4)
@@ -296,9 +301,9 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
         controls=(cfg.alpha, cfg.beta),
         distance=_separation_distance(cfg.Cc),
         distance_rate=distance_rate,
-        curvature=lambda u, q0: 2.0 * u[0] + 3.0 * u[1] * q0**2,
+        curvature=lambda u, q0: 2.0 * u[0] + 3.0 * u[1] * (q0 * q0),
         curvature_rate=lambda u, du, q0, q0dot: 2.0 * du[0]
-        + 3.0 * du[1] * q0**2 + 6.0 * u[1] * q0 * q0dot,
+        + 3.0 * du[1] * (q0 * q0) + 6.0 * u[1] * q0 * q0dot,
         trap_potential=trap_potential,
     )
 
@@ -376,13 +381,17 @@ class PhaseGateConfig:
 
 def _phase_gate_distance(k0: float, Cc: float):
     """The phase gate's ``distance(t, u, guess)``: the cubic's root at u = (F1, F2)."""
-    cube = (2.0 * Cc / k0) ** (1.0 / 3.0)
+    c, k3, cube = 2.0 * Cc, 3.0 * k0, (2.0 * Cc / k0) ** (1.0 / 3.0)
 
     def cubic(F1: float, F2: float) -> tuple:
-        d = F1 - F2
-        return (lambda q: k0 * q**3 + d * q**2 - 2.0 * Cc,
-                lambda q: 3.0 * k0 * q**2 + 2.0 * d * q,
-                10.0 * (1.0 + cube + abs(d) / k0))
+        d, d2 = F1 - F2, 2.0 * (F1 - F2)
+
+        def f(q: float) -> float:
+            if (v := (k0 * q + d) * q * q - c) - v:  # inf or NaN
+                raise OverflowError
+            return v
+
+        return f, lambda q: (k3 * q + d2) * q, 10.0 * (1.0 + cube + abs(d) / k0)
 
     return _polynomial_root(cubic)
 
@@ -403,6 +412,8 @@ def _phase_gate_B_delta(F1: float, F2: float, k0: float, Cc: float) -> tuple:
     radicand = 3.0 * Cc * k0**14 * inner
     delta = (-(d**3) * k0**6 + 27.0 * Cc * k0**8 + 3.0 * math.sqrt(radicand)) ** (1.0 / 3.0)
     B = d**2 * k0**4 + delta**2
+    if not math.isfinite(B):  # also where delta is not: B holds delta**2
+        raise PresetDomainError("published closed-form equilibria undefined (B or delta overflows)")
     return B, delta
 
 
@@ -472,13 +483,12 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
     k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1.value, cfg.F2.value
 
     def distance_rate(t: float, u: tuple, du: tuple, q0: float) -> float:
-        d = u[0] - u[1]
-        denom = 3.0 * k0 * q0**2 + 2.0 * d * q0
+        denom = (3.0 * k0 * q0 + 2.0 * (u[0] - u[1])) * q0
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: cubic derivative vanishes at t={t}"
             )
-        return -(q0**2) * (du[0] - du[1]) / denom
+        return -(q0 * q0) * (du[0] - du[1]) / denom
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         return 0.5 * k0 * (q1**2 + q2**2) + F1(t) * q1 + F2(t) * q2

@@ -20,6 +20,7 @@ rotated frequencies.
 
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -253,23 +254,27 @@ def ion_pair_views(cfg, t, q0):
     elif hasattr(cfg, "alpha"):  # separation
         alpha, beta = cfg.alpha.value, cfg.beta.value
         alpha_dot, beta_dot = cfg.alpha.derivative, cfg.beta.derivative
-        denom = 5.0 * beta(t) * q0**4 + 6.0 * alpha(t) * q0**2
-        q0dot = -(q0**5 * beta_dot(t) + 2.0 * q0**3 * alpha_dot(t)) / denom
-        kappa = 2.0 * alpha(t) + 3.0 * beta(t) * q0**2
-        kappa_dot = 2.0 * alpha_dot(t) + 3.0 * beta_dot(t) * q0**2 + 6.0 * beta(t) * q0 * q0dot
+        q0sq = q0 * q0
+        denom = (5.0 * beta(t) * q0sq + 6.0 * alpha(t)) * q0sq
+        q0dot = -((beta_dot(t) * q0sq + 2.0 * alpha_dot(t)) * q0sq * q0) / denom
+        kappa = 2.0 * alpha(t) + 3.0 * beta(t) * q0sq
+        kappa_dot = 2.0 * alpha_dot(t) + 3.0 * beta_dot(t) * q0sq + 6.0 * beta(t) * q0 * q0dot
         c = cdot = 0.0
     else:  # phase gate
         F1, F2, k0 = cfg.F1, cfg.F2, cfg.k0
         d = F1.value(t) - F2.value(t)
-        denom = 3.0 * k0 * q0**2 + 2.0 * d * q0
-        q0dot = -(q0**2) * (F1.derivative(t) - F2.derivative(t)) / denom
+        denom = (3.0 * k0 * q0 + 2.0 * d) * q0
+        q0dot = -(q0 * q0) * (F1.derivative(t) - F2.derivative(t)) / denom
         kappa, kappa_dot = k0, 0.0
         c = -0.5 * (F1.value(t) + F2.value(t)) / k0
         cdot = -0.5 * (F1.derivative(t) + F2.derivative(t)) / k0
     half, half_dot = 0.5 * q0, 0.5 * q0dot
+    cube = q0 * q0 * q0
+    # 2 Cc/q0^3, divided by q0 three times where the cube is subnormal
+    k = 2.0 * Cc / cube if cube >= sys.float_info.min else 2.0 * Cc / q0 / q0 / q0
     return (
-        (2.0 * Cc / q0**3, kappa, kappa),
-        (-6.0 * Cc * q0dot / q0**4, kappa_dot, kappa_dot),
+        (k, kappa, kappa),
+        (-3.0 * k * q0dot / q0, kappa_dot, kappa_dot),
         (c + half, c - half),
         (cdot + half_dot, cdot - half_dot),
     )
@@ -293,14 +298,14 @@ def per_view_ion_pair(cfg):
             alpha, beta = cfg.alpha.value(t), cfg.beta.value(t)
             q_max = quintic_bracket_max(alpha, beta, Cc)
             roots.append(solve_positive_root(
-                lambda q: beta * q**5 + 2.0 * alpha * q**3 - 2.0 * Cc,
-                lambda q: 5.0 * beta * q**4 + 6.0 * alpha * q**2, q_max, guess))
+                lambda q: (beta * (q * q) + 2.0 * alpha) * (q * q) * q - 2.0 * Cc,
+                lambda q: (5.0 * beta * (q * q) + 6.0 * alpha) * (q * q), q_max, guess))
         else:  # phase gate
             k0, d = cfg.k0, cfg.F1.value(t) - cfg.F2.value(t)
             q_max = 10.0 * (1.0 + (2.0 * Cc / k0) ** (1.0 / 3.0) + abs(d) / k0)
             roots.append(solve_positive_root(
-                lambda q: k0 * q**3 + d * q**2 - 2.0 * Cc,
-                lambda q: 3.0 * k0 * q**2 + 2.0 * d * q, q_max, guess))
+                lambda q: (k0 * q + d) * q * q - 2.0 * Cc,
+                lambda q: (3.0 * k0 * q + 2.0 * d) * q, q_max, guess))
         return roots[-1]
 
     def view(name, t):

@@ -441,8 +441,9 @@ def test_sweep_writes_non_number_values_as_json(tmp_path, capsys):
     capsys.readouterr()
 
 
-# A Python float ** that overflows raises OverflowError; the message names
-# what overflowed, and for the equilibrium distance q0 the time.
+# A float ** that overflows, or a root kernel whose value is not finite,
+# raises OverflowError; the message names what overflowed, and for the
+# equilibrium distance q0 the time.
 OVERFLOWING_PRESETS = {
     "separation": ({"type": "separation", "alpha": {"kind": "smoothstep", "v0": 1.0, "v1": 0.5,
                                                      "t0": 0.0, "t1": 1.0},
@@ -564,12 +565,10 @@ def test_analyze_finds_a_root_below_the_scan_grid(tmp_path, capsys):
     assert len(rows) == 5 and all(0.0 < d < 1e-99 for d in distances)
 
 
-# With k0 = 1e300 and Cc = 1e-300 the cubic's root is about 1.26e-200, but
-# q**3 underflows inside the cubic, so the bracket below positive_roots' scan
-# grid holds a sign change that is no root: the solver returns 1.3518e-108 at
-# t = 0.  Its cube underflows to 0, so the Coulomb spring 2 Cc/q0**3
-# divides by zero.  classify's root scan runs on numpy times and
-# overflows first, on q0.
+# With k0 = 1e300 and Cc = 1e-300 the cubic's root is 1.2599e-200, which the
+# solver finds.  Its cube, 2e-600, underflows to 0, so the Coulomb spring
+# 2 Cc/q0**3 has no float value.  classify's root scan runs on numpy times
+# and overflows first, on q0.
 VANISHING_CUBE_MESSAGES = {
     "analyze": "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0",
     "classify": "phase-gate: q0 overflows at t=0.0",
@@ -596,7 +595,7 @@ def test_a_vanishing_q0_cube_names_the_coulomb_spring(tmp_path, command):
 
 
 def test_the_coulomb_spring_rate_names_a_vanishing_q0_cube():
-    # The rate's fallback for q0**4 == 0 divides by q0**3 too.
+    # The rate is -3 k q0dot/q0, so it forms the spring too.
     sys_ = presets.build_preset(vanishing_cube_preset())
     with pytest.raises(PresetDomainError, match=r"Coulomb spring 2 Cc/q0\*\*3 overflows at t=0.5"):
         sys_.stiffness_rate(0.5)

@@ -268,6 +268,14 @@ def test_a_root_below_the_scan_grid_converges():
     assert abs(q0 - expected) <= 4 * math.ulp(expected)
 
 
+@pytest.mark.parametrize("Cc", [1e-22, 1e-23])
+def test_the_coulomb_spring_of_a_subnormal_cube_keeps_its_digits(Cc):
+    # q0 is about 6e-108, so q0**3 = 2 Cc/k0 is subnormal and holds only a few
+    # digits; dividing 2 Cc by q0 three times gives k0 back.
+    sys = build_phase_gate(PhaseGateConfig(k0=1e300, F1=0.0, F2=0.0, Cc=Cc))
+    assert abs(sys.stiffness(0.5).k - 1e300) <= 1e-14 * 1e300
+
+
 def test_phase_gate_individual_closed_forms_agree():
     rng = np.random.default_rng(29)
     for _ in range(100):
@@ -301,6 +309,18 @@ def test_the_closed_forms_refuse_a_negative_radicand_whose_factor_underflows():
                  audit_phase_gate_formulas):
         with pytest.raises(PresetDomainError, match="negative radicand"):
             form(1e-10, 0.0, 1e-25, 1.0)
+
+
+def test_the_closed_forms_refuse_a_delta_that_overflows():
+    # The radicand 3 Cc k0**14 (27 Cc k0**2 - 2 d**3) overflows, so delta and B
+    # are inf and the per-ion forms would be NaN; the audit raises before it
+    # compares the published line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for form in (phase_gate_equilibria_closed_form, phase_gate_q0_published,
+                     audit_phase_gate_formulas):
+            with pytest.raises(PresetDomainError, match="B or delta overflows"):
+                form(0.0, 2.55e24, 7.0e20, 2.6e19)
 
 
 def test_phase_gate_zeroth_order():

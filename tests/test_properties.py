@@ -20,8 +20,11 @@ have one simple positive root over the drawn ranges.  A solve warm-started
 from its own root exits after one Newton step, and any other guess takes
 the bracketed refine.  A cold solve, with coefficients drawn over 1e-30 to
 1e30, is within 4 ulp of the root that bisection over the floats brackets
-with the polynomial evaluated exactly.  The quintic's bracket end is the
-bits of its max() form for coefficients of any sign, zero and extreme.
+with the polynomial evaluated exactly; so is a warm solve from a guess within
+20 % of that root.  Both root kernels, over coefficients and q drawn from
+1e-100 to 1e100, are within Horner's error bound of the exact value, and
+raise OverflowError rather than return inf or NaN.  The quintic's bracket end
+is the bits of its max() form for coefficients of any sign, zero and extreme.
 
 The integrator properties run on random ``custom`` systems too: the
 steppers see only Python floats, agree with the numpy-array RK4 oracle,
@@ -62,6 +65,7 @@ import random
 import sys as _sys
 import threading
 from contextlib import contextmanager
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -755,9 +759,68 @@ def test_cold_separation_root_is_within_4_ulp_at_any_scale(alpha, beta, Cc):
 @given(k0=log_uniform, Cc=log_uniform, d=log_signed)
 @example(k0=1.0, Cc=1e-33, d=0.0)
 @example(k0=1e20, Cc=1e-12, d=1e-21)
+@example(k0=1e300, Cc=1e-300, d=0.0)  # the root's cube, 2e-600, is no float
 def test_cold_phase_gate_root_is_within_4_ulp_at_any_scale(k0, Cc, d):
     got = solve_phase_gate_distance(d, 0.0, k0, Cc)
     assert_near_the_exact_root(got, [k0, d, 0.0, -2.0 * Cc])
+
+
+wide = st.floats(-100.0, 100.0).map(lambda e: 10.0**e)
+wide_signed = st.builds(lambda x, s: s * x, wide, st.sampled_from([-1.0, 1.0]))
+
+
+def kernels(distance, u) -> tuple:
+    """The (f, f', q_max) a preset's ``distance`` hands the root solver at u."""
+    with mock.patch.object(presets, "solve_positive_root", lambda *solve: solve[:3]):
+        return distance(None, u, None)
+
+
+def check_kernel(f, q, coeffs):
+    # Horner's rule in n steps is within gamma_2n sum |a_i q^i| of the exact
+    # value (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # section 5.1); 2 n eps is twice that, since eps is twice the unit
+    # roundoff.  Beyond the float range the kernel raises where q**5 did, and
+    # it raises only where some term is that large.
+    x, n = Fraction(q), len(coeffs) - 1
+    terms = [Fraction(c) * x ** (n - i) for i, c in enumerate(coeffs)]
+    scale = sum(abs(t) for t in terms)
+    try:
+        got = f(q)
+    except OverflowError:
+        assert scale > _sys.float_info.max / 2
+        return
+    assert math.isfinite(got)
+    assert abs(Fraction(got) - sum(terms)) <= 2 * n * Fraction(_sys.float_info.epsilon) * scale
+
+
+@settings(PROPERTY, max_examples=300)
+@given(alpha=wide_signed, beta=wide, Cc=wide, q=wide)
+def test_the_quintic_kernel_is_within_horners_bound(alpha, beta, Cc, q):
+    f, _, _ = kernels(presets._separation_distance(Cc), (alpha, beta))
+    check_kernel(f, q, [beta, 0.0, 2.0 * alpha, 0.0, 0.0, -2.0 * Cc])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(k0=wide, Cc=wide, d=wide_signed, q=wide)
+def test_the_cubic_kernel_is_within_horners_bound(k0, Cc, d, q):
+    f, _, _ = kernels(presets._phase_gate_distance(k0, Cc), (d, 0.0))
+    check_kernel(f, q, [k0, d, 0.0, -2.0 * Cc])
+
+
+@settings(PROPERTY, max_examples=200)
+@given(alpha=log_signed, beta=log_uniform, Cc=log_uniform, r=st.floats(-0.2, 0.2))
+def test_warm_separation_root_is_within_4_ulp_from_20_percent_off(alpha, beta, Cc, r):
+    coeffs = [beta, 0.0, 2.0 * alpha, 0.0, 0.0, -2.0 * Cc]
+    guess = last_float_below_root(coeffs) * (1.0 + r)
+    assert_near_the_exact_root(solve_separation_distance(alpha, beta, Cc, guess=guess), coeffs)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(k0=log_uniform, Cc=log_uniform, d=log_signed, r=st.floats(-0.2, 0.2))
+def test_warm_phase_gate_root_is_within_4_ulp_from_20_percent_off(k0, Cc, d, r):
+    coeffs = [k0, d, 0.0, -2.0 * Cc]
+    guess = last_float_below_root(coeffs) * (1.0 + r)
+    assert_near_the_exact_root(solve_phase_gate_distance(d, 0.0, k0, Cc, guess=guess), coeffs)
 
 
 def test_a_fresh_separation_system_gives_its_first_equilibrium_again():

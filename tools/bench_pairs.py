@@ -1,0 +1,81 @@
+"""Alternating before/after runs of the benchmark in two checkouts.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S [--seconds 4]
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, from
+its root, the parent first in even pairs and the change first in odd ones.
+For every end-to-end metric the last line of a run reports, one row gives
+the parent's and the change's medians, the parent's quartiles, and in how
+many of the N pairs the change read lower (ties count for neither): the
+numbers a gain is judged by (better in at least 9 of 10 pairs, and medians
+further apart than the parent's quartiles).  The script only reads the
+checkouts' ``perfbench/``; run.py keeps its reports under each checkout's
+``.perfbench_runs/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """The metric values of one untraced run in checkout ``root``."""
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True)
+    last = json.loads(done.stdout.splitlines()[-1])
+    if not last["correct"]:
+        print(f"warning: a run in {root} reported wrong outputs", file=sys.stderr)
+    return {name: m["value"] for name, m in last["metrics"].items()}
+
+
+def quartiles(values: list) -> tuple:
+    return tuple(statistics.quantiles(values, n=4)[::2]) if len(values) > 1 else (values[0],) * 2
+
+
+def summary(parent: list, change: list) -> list:
+    """One row per metric: name, both medians, the parent's quartiles and the
+    number of pairs where the change is lower."""
+    rows = []
+    for name in parent[0]:
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        rows.append((name, statistics.median(p), statistics.median(c), *quartiles(p),
+                     sum(y < x for x, y in zip(p, c))))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=4.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    roots = [os.path.abspath(args.parent), os.path.abspath(args.change)]
+    runs = ([], [])
+    for i in range(args.pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            runs[side].append(run_once(roots[side], args.workload, args.seed, args.seconds))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    n = args.pairs
+    print(f"{args.workload}, seed {args.seed}, {n} pairs of {args.seconds:g} s")
+    print(f"{'metric':<18} {'parent':>12} {'change':>12} {'parent q1':>12} {'parent q3':>12}"
+          f"  lower in")
+    for name, mp, mc, q1, q3, lower in summary(*runs):
+        print(f"{name:<18} {mp:12.6g} {mc:12.6g} {q1:12.6g} {q3:12.6g}  {lower} of {n}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
