@@ -120,10 +120,11 @@ def _ion_pair(
         return previous[0]
 
     def spring(t: float, q0: float) -> float:
-        # 2 Cc/q0**3, dividing by q0 thrice where the cube is subnormal; none where it is 0
-        if (q3 := q0 * q0 * q0) >= _MIN_NORMAL:
+        # 2 Cc/q0**3, dividing by q0 thrice where the cube is subnormal; none where it is
+        # 0 or, as q0**3 raised there, inf
+        if _MIN_NORMAL <= (q3 := q0 * q0 * q0) < math.inf:
             return two_cc / q3
-        if q3:
+        if 0.0 < q3 < _MIN_NORMAL:
             return two_cc / q0 / q0 / q0
         raise PresetDomainError(f"{label}: Coulomb spring 2 Cc/q0**3 overflows at t={t}")
 
@@ -483,12 +484,14 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
     k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1.value, cfg.F2.value
 
     def distance_rate(t: float, u: tuple, du: tuple, q0: float) -> float:
+        if (s := q0 * q0) == math.inf:  # as q0**2 raised; the cubic can be finite there
+            raise PresetDomainError(f"phase-gate: q0**2 overflows at t={t}")
         denom = (3.0 * k0 * q0 + 2.0 * (u[0] - u[1])) * q0
         if denom == 0.0:
             raise SingularConfigurationError(
                 f"singular point: cubic derivative vanishes at t={t}"
             )
-        return -(q0 * q0) * (du[0] - du[1]) / denom
+        return -s * (du[0] - du[1]) / denom
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         return 0.5 * k0 * (q1**2 + q2**2) + F1(t) * q1 + F2(t) * q2

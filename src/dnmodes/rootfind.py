@@ -10,11 +10,11 @@ Newton refinement stops once a step moves x by at most 4 ulp
 ``MAX_NEWTON`` steps it bisects (geometrically while b > 2a > 0) until no float
 lies strictly inside the bracket, so a root far below the midpoint converges.
 
-Warm exit: from a guess in (0, q_max], Newton steps run, up to ``MAX_NEWTON``,
-while each stays strictly inside the first local bracket (guess +- 5 %): the
-refine's iterates unless it clips one, with no probe of the bracket ends.  A
-step that leaves it falls back to the probes and the refine, reusing f and f'
-at the guess.  The presets solve at every RK stage.
+Warm exit: a guess in (0, q_max] first takes that step alone, returning the
+guess if f(guess) == 0 and the step if it converged, as the refine in a
+local bracket would first; the result is bit-identical whenever such a
+bracket holds a sign change.  Else the refine reuses f and f' at the guess.
+Both take the step inline: the presets solve at every RK stage.
 """
 
 from __future__ import annotations
@@ -88,31 +88,21 @@ def solve_positive_root(f, fprime, q_max: float, guess: float | None = None) -> 
     A guess in (0, q_max] gets the warm exit, then a local bracket around it
     and the refine, before any full scan."""
     if guess is not None and 0.0 < guess <= q_max:
-        if (fg := f(guess)) == 0.0:
+        fx = f(guess)
+        if fx == 0.0:
             return guess
-        dg = fprime(guess)
-        x_new = guess - fg / dg if dg != 0.0 else math.nan
+        d = fprime(guess)
+        x_new = guess - fx / d if d != 0.0 else math.nan
         if abs(x_new - guess) <= _STEP_TOL * guess:
             return x_new
-        floor, radius = 1e-12 * max(1.0, q_max), 0.05 * max(guess, 1e-6)
-        lo, hi = max(floor, guess - radius), min(q_max, guess + radius)
-        for _ in range(MAX_NEWTON - 1):  # the first step is the one above
-            if not lo < x_new < hi:
-                break
-            x = x_new
-            if (fx := f(x)) == 0.0:
-                return x
-            d = fprime(x)
-            x_new = x - fx / d if d != 0.0 else math.nan
-            if abs(x_new - x) <= _STEP_TOL * x:
-                return x_new
         for half_width in (0.05, 0.2):
             radius = half_width * max(guess, 1e-6)
-            a, b = max(floor, guess - radius), min(q_max, guess + radius)
+            a = max(1e-12 * max(1.0, q_max), guess - radius)
+            b = min(q_max, guess + radius)
             if a < b:
                 fa = f(a)
                 if fa * f(b) < 0.0:
-                    return newton_refine(f, fprime, guess, a, b, fa=fa, fx=fg, dx=dg)
+                    return newton_refine(f, fprime, guess, a, b, fa=fa, fx=fx, dx=d)
     roots = positive_roots(f, fprime, q_max)
     if not roots:
         raise PresetDomainError("no positive root in the scanned bracket")

@@ -441,14 +441,17 @@ def test_sweep_writes_non_number_values_as_json(tmp_path, capsys):
     capsys.readouterr()
 
 
-# A float ** that overflows, or a root kernel whose value is not finite,
-# raises OverflowError; the message names what overflowed, and for the
-# equilibrium distance q0 the time.
+# A float ** that overflows, a root kernel whose value is not finite, or a
+# power of q0 that is not, exits 3; the message names what overflowed, and
+# for the ion pairs the time.
 OVERFLOWING_PRESETS = {
     "separation": ({"type": "separation", "alpha": {"kind": "smoothstep", "v0": 1.0, "v1": 0.5,
                                                      "t0": 0.0, "t1": 1.0},
                     "beta": 0.6, "Cc": 1e300, "masses": [1.0, 2.0]},
                    "separation: q0 overflows at t=0.0"),
+    # The cubic is finite over the whole scan; its root, 6.3e102, has no float cube.
+    "phase-gate": ({"type": "phase-gate", "k0": 1e-10, "Cc": 7.5e297, "F1": -2.5e92, "F2": 0.0},
+                   "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0"),
     "rotation": ({"type": "rotation", "m": 1.0, "omega1": 1e300, "omega2": 1.0, "phi": 0.3},
                  "rotation: omega1**2 or omega2**2 overflows"),
 }

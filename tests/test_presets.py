@@ -276,6 +276,18 @@ def test_the_coulomb_spring_of_a_subnormal_cube_keeps_its_digits(Cc):
     assert abs(sys.stiffness(0.5).k - 1e300) <= 1e-14 * 1e300
 
 
+def test_a_q0_whose_square_overflows_is_named():
+    # k0 q0 is about -(F1 - F2), so the root is 1e160; the cubic stays finite
+    # over the whole scan, but q0**2 and q0**3 are no floats.
+    F1 = {"kind": "linear-ramp", "t0": 0.0, "v0": -1e-140, "t1": 1.0, "v1": -2e-140}
+    sys = build_phase_gate(PhaseGateConfig(k0=1e-300, Cc=1.0, F1=F1, F2=0.0))
+    assert sys.equilibrium(0.0)[0] == 1e160
+    with pytest.raises(PresetDomainError, match=r"phase-gate: q0\*\*2 overflows at t=0.0"):
+        sys.equilibrium_velocity(0.0)
+    with pytest.raises(PresetDomainError, match=r"Coulomb spring 2 Cc/q0\*\*3 overflows at t=0.0"):
+        sys.stiffness(0.0)
+
+
 def test_phase_gate_individual_closed_forms_agree():
     rng = np.random.default_rng(29)
     for _ in range(100):

@@ -779,8 +779,10 @@ def check_kernel(f, q, coeffs):
     # Horner's rule in n steps is within gamma_2n sum |a_i q^i| of the exact
     # value (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     # section 5.1); 2 n eps is twice that, since eps is twice the unit
-    # roundoff.  Beyond the float range the kernel raises where q**5 did, and
-    # it raises only where some term is that large.
+    # roundoff.  Where a Horner partial value leaves the float range the
+    # kernel raises OverflowError instead of returning inf or NaN, which needs
+    # some term that large; unlike q**5 it computes on where only a power of q
+    # overflows, so the views guard their own powers of q0.
     x, n = Fraction(q), len(coeffs) - 1
     terms = [Fraction(c) * x ** (n - i) for i, c in enumerate(coeffs)]
     scale = sum(abs(t) for t in terms)
