@@ -7,7 +7,9 @@ equals its Hessian there.  The Coulomb constant Cc is a dimensionless
 caller-supplied number (natural units), default 1.
 
 Transport, separation and the phase gate are one ion pair, q1 > q2 (Coulomb
-repulsion keeps the ions apart), whose views read each control once per time.
+repulsion keeps the ions apart).  Its distance q0 is the root of one equation
+f(q; u) = 0 in the controls u, built once per time; that equation's f' serves
+both the root solve and q0dot = -(df/dt) / f'(q0).
 Rotation's stiffness and theta_dot keep their value at the last float time
 asked, so a time that two RK stages share reads the phi schedule once.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional
 
 from .errors import (
     ConfigError,
@@ -86,38 +87,47 @@ def _per_time(view):
 
 
 def _ion_pair(
-    cfg, label, controls, distance, distance_rate, curvature, curvature_rate, trap_potential,
+    cfg, label, controls, equation, drift, curvature, curvature_rate, trap_potential,
     center=None, theta_dot_override=None,
 ) -> QuadraticSystem:
     """Two ions at c +- q0/2 in a trap of curvature kappa, coupled by the spring 2 Cc/q0^3
     of the Coulomb term, all pure functions of u = (s1(t), s2(t)), the ``controls`` (s1,
-    s2), and their rates du, read once per time: u when t changes, du when a rate view
-    first asks at that t.  The builder supplies ``distance(t, u, guess)`` (guess: the last
-    q0, None at first, so a series goes in time order), ``distance_rate(t, u, du, q0)``,
-    ``curvature(u, q0)``, ``curvature_rate(u, du, q0, q0dot)``, the centre c(u) (None:
-    0), linear, so c(du) is its rate, and the trap potential without Coulomb."""
+    s2), their rates du, and the root q0 of one distance equation f(q; u) = 0, which
+    ``equation(t, u)`` builds as ``(solve, fprime)``: solve(guess) from the last q0 (None at
+    first, so a series goes in time order), and f'.  With ``drift(t, u, du, q0)``, df/dt at
+    fixed q, q0dot = -drift / f'(q0).  The record (t, u, equation(t, u), du) of the last
+    time read is built when t changes, du when a rate view first asks at that t.  Also
+    ``curvature(u, q0)``, ``curvature_rate(u, du, q0, q0dot)``, the centre c(u) (None: 0),
+    linear, so c(du) is its rate, and the trap potential without Coulomb."""
     Cc, two_cc = cfg.Cc, 2.0 * cfg.Cc
     (v1, d1), (v2, d2) = ((s.value, s.derivative) for s in controls)
-    previous = [None]
-    record = (None, None, None)  # (t, u, du) at the last time read; du None until asked
+    previous = None  # the last root, the next solve's guess
+    record = (None, None, None, None)
 
-    def read(t: float, rates: bool = False) -> tuple:
-        nonlocal record
-        if t != (rec := record)[0]:
-            rec = (t, (v1(t), v2(t)), None)
-        if rates and rec[2] is None:
-            rec = (t, rec[1], (d1(t), d2(t)))
-        record = rec
-        return rec
-
-    def q0_at(t: float, u: tuple) -> float:
+    def solved(t: float, rates: bool = False) -> tuple:
         # Every view solves, at a repeated time too: that warm re-solve can move q0 by
         # an ulp, and perfbench/tests pins it (test_pinned_layer_counts[sim-separation]).
+        nonlocal record, previous
+        if t != (rec := record)[0]:
+            u = (v1(t), v2(t))
+            try:
+                rec = (t, u, equation(t, u), None)
+            except (OverflowError, FloatingPointError):  # a folded constant leaves the floats
+                raise PresetDomainError(f"{label}: q0 overflows at t={t}") from None
+        if rates and rec[3] is None:
+            rec = (t, rec[1], rec[2], (d1(t), d2(t)))
+        record = rec
         try:
-            previous[0] = distance(t, u, previous[0])
+            previous = q0 = rec[2][0](previous)
         except (OverflowError, FloatingPointError):  # a root kernel's value leaves the floats
             raise PresetDomainError(f"{label}: q0 overflows at t={t}") from None
-        return previous[0]
+        return rec, q0  # not previous, which another thread may have set since
+
+    def q0_rate(t: float, rec: tuple, q0: float) -> float:
+        rate = drift(t, rec[1], rec[3], q0)
+        if (slope := rec[2][1](q0)) == 0.0:  # a double root
+            raise SingularConfigurationError(f"singular point: f'(q0) vanishes at t={t}")
+        return -rate / slope
 
     def spring(t: float, q0: float) -> float:
         # 2 Cc/q0**3, dividing by q0 thrice where the cube is subnormal; none where it is
@@ -129,28 +139,26 @@ def _ion_pair(
         raise PresetDomainError(f"{label}: Coulomb spring 2 Cc/q0**3 overflows at t={t}")
 
     def equilibrium(t: float) -> tuple:
-        u = read(t)[1]
-        c = center(u) if center else 0.0
-        half = 0.5 * q0_at(t, u)
+        rec, q0 = solved(t)
+        c = center(rec[1]) if center else 0.0
+        half = 0.5 * q0
         return (c + half, c - half)
 
     def equilibrium_velocity(t: float) -> tuple:
-        _, u, du = read(t, True)
-        cdot = center(du) if center else 0.0
-        half = 0.5 * distance_rate(t, u, du, q0_at(t, u))
+        rec, q0 = solved(t, True)
+        cdot = center(rec[3]) if center else 0.0
+        half = 0.5 * q0_rate(t, rec, q0)
         return (cdot + half, cdot - half)
 
     def stiffness(t: float) -> StiffnessTriple:
-        u = read(t)[1]
-        q0 = q0_at(t, u)
-        kappa = curvature(u, q0)
+        rec, q0 = solved(t)
+        kappa = curvature(rec[1], q0)
         return StiffnessTriple(spring(t, q0), kappa, kappa)
 
     def stiffness_rate(t: float) -> tuple:
-        _, u, du = read(t, True)
-        q0 = q0_at(t, u)
-        q0dot = distance_rate(t, u, du, q0)
-        kappa_dot = curvature_rate(u, du, q0, q0dot)
+        rec, q0 = solved(t, True)
+        q0dot = q0_rate(t, rec, q0)
+        kappa_dot = curvature_rate(rec[1], rec[3], q0, q0dot)
         return (-3.0 * spring(t, q0) * q0dot / q0, kappa_dot, kappa_dot)
 
     return QuadraticSystem(
@@ -184,14 +192,19 @@ class TransportConfig:
 def build_transport(cfg: TransportConfig) -> QuadraticSystem:
     """U = k(t)/2 * sum_i (q_i - Q0)^2 + Cc/(q1 - q2).
 
-    Equilibrium distance q0 = (2 Cc / k)^(1/3); the stiffness triple is
-    (k, k, k), so theta is constant for any masses and any k(t).
+    Equilibrium distance q0 = (2 Cc / k)^(1/3), the root of f = 3k q - 3 (2 Cc)^(1/3) k^(2/3),
+    so f' = 3k and df/dt = kdot q0 there; the stiffness triple is (k, k, k), so theta
+    is constant for any masses and any k(t).
     """
+    two_cc = 2.0 * cfg.Cc
 
-    def distance(t: float, u: tuple, guess) -> float:
-        if u[0] <= 0.0:  # every view solves for q0, so every view checks k
-            raise PresetDomainError(f"transport requires k(t) > 0, got k({t}) = {u[0]}")
-        return (2.0 * cfg.Cc / u[0]) ** (1.0 / 3.0)
+    def equation(t: float, u: tuple) -> tuple:
+        def solve(guess) -> float:
+            if u[0] <= 0.0:  # every view solves for q0, so every view checks k
+                raise PresetDomainError(f"transport requires k(t) > 0, got k({t}) = {u[0]}")
+            return (two_cc / u[0]) ** (1.0 / 3.0)
+
+        return solve, lambda q: 3.0 * u[0]
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         Q0 = cfg.Q0.value(t)
@@ -201,8 +214,8 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
         cfg,
         "transport",
         controls=(cfg.k, cfg.Q0),
-        distance=distance,
-        distance_rate=lambda t, u, du, q0: -q0 * du[0] / (3.0 * u[0]),
+        equation=equation,
+        drift=lambda t, u, du, q0: du[0] * q0,
         curvature=lambda u, q0: u[0],
         curvature_rate=lambda u, du, q0, q0dot: du[0],
         trap_potential=trap_potential,
@@ -241,25 +254,14 @@ def _quintic_bracket(alpha: float, beta: float, Cc: float) -> float:
     return q_max
 
 
-def _polynomial_root(polynomial):
-    """``distance(t, u, guess)``: the root of ``polynomial(*u) = (f, f', q_max)``, built
-    once per u (by identity: the record holds u); f, f' capture floats the tracer hashes."""
-    built = (None,)
-
-    def distance(t, u: tuple, guess: Optional[float] = None) -> float:
-        nonlocal built
-        if u is not (b := built)[0]:
-            b = built = (u, *polynomial(*u))
-        return solve_positive_root(b[1], b[2], b[3], guess)
-
-    return distance
-
-
 def _separation_distance(Cc: float):
-    """The separation pair's ``distance(t, u, guess)``: the quintic's root at u."""
+    """The separation's ``equation(t, u)``: f = (beta q^2 + 2 alpha) q^2 q - 2 Cc at u = (alpha,
+    beta).  f captures floats the tracer hashes; solve reads ``solve_positive_root`` at call
+    time, so a solver patched after the build sees every solve."""
     c = 2.0 * Cc
 
-    def quintic(alpha: float, beta: float) -> tuple:
+    def equation(t, u: tuple) -> tuple:
+        (alpha, beta), q_max = u, _quintic_bracket(*u, Cc)
         a, b5, a6 = 2.0 * alpha, 5.0 * beta, 6.0 * alpha
 
         def f(q: float) -> float:
@@ -267,15 +269,18 @@ def _separation_distance(Cc: float):
                 raise OverflowError
             return v
 
-        return f, lambda q: (b5 * (s := q * q) + a6) * s, _quintic_bracket(alpha, beta, Cc)
+        def fprime(q: float) -> float:
+            return (b5 * (s := q * q) + a6) * s
 
-    return _polynomial_root(quintic)
+        return lambda guess: solve_positive_root(f, fprime, q_max, guess), fprime
+
+    return equation
 
 
 def solve_separation_distance(alpha: float, beta: float, Cc: float,
-                              guess: Optional[float] = None) -> float:
+                              guess: float | None = None) -> float:
     """Positive root of the equilibrium quintic beta q^5 + 2 alpha q^3 - 2 Cc."""
-    return _separation_distance(Cc)(None, (alpha, beta), guess)
+    return _separation_distance(Cc)(None, (alpha, beta))[0](guess)
 
 
 def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
@@ -285,13 +290,8 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
     from implicit differentiation, and the trap curvature at +-q0/2 is
     2 alpha + 3 beta q0^2.
     """
-    def distance_rate(t: float, u: tuple, du: tuple, q0: float) -> float:
-        denom = (5.0 * u[1] * (s := q0 * q0) + 6.0 * u[0]) * s
-        if denom == 0.0:
-            raise SingularConfigurationError(
-                f"singular point: implicit-derivative denominator vanishes at t={t}"
-            )
-        return -((du[1] * s + 2.0 * du[0]) * s * q0) / denom
+    def drift(t: float, u: tuple, du: tuple, q0: float) -> float:
+        return (du[1] * (s := q0 * q0) + 2.0 * du[0]) * s * q0
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         return cfg.alpha.value(t) * (q1**2 + q2**2) + cfg.beta.value(t) * (q1**4 + q2**4)
@@ -300,8 +300,8 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
         cfg,
         "separation",
         controls=(cfg.alpha, cfg.beta),
-        distance=_separation_distance(cfg.Cc),
-        distance_rate=distance_rate,
+        equation=_separation_distance(cfg.Cc),
+        drift=drift,
         curvature=lambda u, q0: 2.0 * u[0] + 3.0 * u[1] * (q0 * q0),
         curvature_rate=lambda u, du, q0, q0dot: 2.0 * du[0]
         + 3.0 * du[1] * (q0 * q0) + 6.0 * u[1] * q0 * q0dot,
@@ -381,26 +381,30 @@ class PhaseGateConfig:
 
 
 def _phase_gate_distance(k0: float, Cc: float):
-    """The phase gate's ``distance(t, u, guess)``: the cubic's root at u = (F1, F2)."""
+    """The phase gate's ``equation(t, u)``: f = (k0 q + d) q q - 2 Cc, d = F1 - F2 at u."""
     c, k3, cube = 2.0 * Cc, 3.0 * k0, (2.0 * Cc / k0) ** (1.0 / 3.0)
 
-    def cubic(F1: float, F2: float) -> tuple:
-        d, d2 = F1 - F2, 2.0 * (F1 - F2)
+    def equation(t, u: tuple) -> tuple:
+        d, d2 = u[0] - u[1], 2.0 * (u[0] - u[1])
+        q_max = 10.0 * (1.0 + cube + abs(d) / k0)
 
         def f(q: float) -> float:
             if (v := (k0 * q + d) * q * q - c) - v:  # inf or NaN
                 raise OverflowError
             return v
 
-        return f, lambda q: (k3 * q + d2) * q, 10.0 * (1.0 + cube + abs(d) / k0)
+        def fprime(q: float) -> float:
+            return (k3 * q + d2) * q
 
-    return _polynomial_root(cubic)
+        return lambda guess: solve_positive_root(f, fprime, q_max, guess), fprime
+
+    return equation
 
 
 def solve_phase_gate_distance(F1: float, F2: float, k0: float, Cc: float,
-                              guess: Optional[float] = None) -> float:
+                              guess: float | None = None) -> float:
     """Positive root of the equilibrium cubic k0 q^3 + (F1 - F2) q^2 - 2 Cc."""
-    return _phase_gate_distance(k0, Cc)(None, (F1, F2), guess)
+    return _phase_gate_distance(k0, Cc)(None, (F1, F2))[0](guess)
 
 
 def _phase_gate_B_delta(F1: float, F2: float, k0: float, Cc: float) -> tuple:
@@ -483,15 +487,10 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         return build_phase_gate_zeroth_order(cfg)
     k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1.value, cfg.F2.value
 
-    def distance_rate(t: float, u: tuple, du: tuple, q0: float) -> float:
+    def drift(t: float, u: tuple, du: tuple, q0: float) -> float:
         if (s := q0 * q0) == math.inf:  # as q0**2 raised; the cubic can be finite there
             raise PresetDomainError(f"phase-gate: q0**2 overflows at t={t}")
-        denom = (3.0 * k0 * q0 + 2.0 * (u[0] - u[1])) * q0
-        if denom == 0.0:
-            raise SingularConfigurationError(
-                f"singular point: cubic derivative vanishes at t={t}"
-            )
-        return -s * (du[0] - du[1]) / denom
+        return s * (du[0] - du[1])
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         return 0.5 * k0 * (q1**2 + q2**2) + F1(t) * q1 + F2(t) * q2
@@ -500,8 +499,8 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         cfg,
         "phase-gate",
         controls=(cfg.F1, cfg.F2),
-        distance=_phase_gate_distance(k0, Cc),
-        distance_rate=distance_rate,
+        equation=_phase_gate_distance(k0, Cc),
+        drift=drift,
         curvature=lambda u, q0: k0,
         curvature_rate=lambda u, du, q0, q0dot: 0.0,
         trap_potential=trap_potential,

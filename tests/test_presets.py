@@ -18,6 +18,7 @@ from dnmodes.presets import (
     SeparationConfig,
     SpringsConfig,
     TransportConfig,
+    _ion_pair,
     audit_phase_gate_formulas,
     build_phase_gate,
     build_phase_gate_zeroth_order,
@@ -32,6 +33,7 @@ from dnmodes.presets import (
     solve_phase_gate_distance,
     solve_separation_distance,
 )
+from dnmodes.rootfind import N_SCAN, positive_roots
 from dnmodes.schedules import ControlSchedule, LinearRamp, Smoothstep
 
 from oracles import bisect, eig2_characteristic, grad4, hessian4
@@ -268,6 +270,35 @@ def test_a_root_below_the_scan_grid_converges():
     assert abs(q0 - expected) <= 4 * math.ulp(expected)
 
 
+def scan_point(i, q_max):
+    """Point i of ``positive_roots``' evenly spaced grid over [eps, q_max]."""
+    eps = 1e-12 * max(1.0, q_max)
+    return eps + (q_max - eps) * i / N_SCAN
+
+
+@pytest.mark.parametrize("root", [scan_point(100, 3.0), 3.0])  # an inner point; q_max
+def test_a_root_exactly_on_a_scan_point_is_found_once(root):
+    # f is exactly 0 there, so neither neighbouring cell has a sign change.
+    assert scan_point(N_SCAN, 3.0) == 3.0
+    assert positive_roots(lambda q: q - root, lambda q: 1.0, 3.0) == [root]
+
+
+def test_a_vanishing_distance_slope_is_a_named_singular_point():
+    # f = (q - 1)^2 has a double root, where f' = 2 (q - 1) vanishes, so
+    # q0dot = -(df/dt) / f'(q0) has no value.
+    cfg = SeparationConfig(alpha=1.0, beta=1.0)
+    sys = _ion_pair(
+        cfg, "double-root", (cfg.alpha, cfg.beta),
+        equation=lambda t, u: (lambda guess: 1.0, lambda q: 2.0 * (q - 1.0)),
+        drift=lambda t, u, du, q0: 1.0, curvature=lambda u, q0: 1.0,
+        curvature_rate=lambda u, du, q0, q0dot: 0.0, trap_potential=lambda q1, q2, t: 0.0,
+    )
+    assert sys.equilibrium(0.25) == (0.5, -0.5)
+    for view in (sys.equilibrium_velocity, sys.stiffness_rate):
+        with pytest.raises(SingularConfigurationError, match=r"vanishes at t=0\.25"):
+            view(0.25)
+
+
 @pytest.mark.parametrize("Cc", [1e-22, 1e-23])
 def test_the_coulomb_spring_of_a_subnormal_cube_keeps_its_digits(Cc):
     # q0 is about 6e-108, so q0**3 = 2 Cc/k0 is subnormal and holds only a few
@@ -499,15 +530,16 @@ def _random_systems(rng, n=12):
                 masses=tuple(rng.uniform(0.5, 5.0, 2)),
             )
         ), 0.0
-        yield build_phase_gate(
-            PhaseGateConfig(
-                k0=rng.uniform(0.5, 3.0),
-                F1=rng.uniform(-0.3, 0.3),
-                F2=rng.uniform(-0.3, 0.3),
-                Cc=rng.uniform(0.5, 2.0),
-                masses=tuple(rng.uniform(0.5, 5.0, 2)),
-            )
-        ), 0.0
+        phase_gate = PhaseGateConfig(
+            k0=rng.uniform(0.5, 3.0),
+            F1=rng.uniform(-0.3, 0.3),
+            F2=rng.uniform(-0.3, 0.3),
+            Cc=rng.uniform(0.5, 2.0),
+            masses=tuple(rng.uniform(0.5, 5.0, 2)),
+        )
+        yield build_phase_gate(phase_gate), 0.0
+        # Its force-free potential, from the same draws, so the other systems keep theirs.
+        yield build_phase_gate_zeroth_order(phase_gate), 0.0
         yield build_rotation(
             RotationConfig(
                 m=rng.uniform(0.5, 3.0),

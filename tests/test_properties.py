@@ -769,10 +769,11 @@ wide = st.floats(-100.0, 100.0).map(lambda e: 10.0**e)
 wide_signed = st.builds(lambda x, s: s * x, wide, st.sampled_from([-1.0, 1.0]))
 
 
-def kernels(distance, u) -> tuple:
-    """The (f, f', q_max) a preset's ``distance`` hands the root solver at u."""
+def kernels(equation, u) -> tuple:
+    """The (f, f', q_max) a preset's ``equation`` hands the root solver at u."""
+    solve, _ = equation(None, u)
     with mock.patch.object(presets, "solve_positive_root", lambda *solve: solve[:3]):
-        return distance(None, u, None)
+        return solve(None)
 
 
 def check_kernel(f, q, coeffs):
@@ -1020,6 +1021,84 @@ def test_ion_pair_record_gives_the_bits_of_the_per_view_form(kind, data):
                 assert hexes(entries(got) if view == "stiffness" else got) == \
                     hexes(oracle(view, s))
     assert hexes(roots) == hexes(oracle.roots)
+
+
+def distance_coefficients(cfg, t) -> list:
+    """The float coefficients of a separation or phase-gate distance polynomial at t."""
+    if hasattr(cfg, "alpha"):
+        return [cfg.beta.value(t), 0.0, 2.0 * cfg.alpha.value(t), 0.0, 0.0, -2.0 * cfg.Cc]
+    return [cfg.k0, cfg.F1.value(t) - cfg.F2.value(t), 0.0, -2.0 * cfg.Cc]
+
+
+def check_roots_near_the_exact_root(cfg, call_lists) -> None:
+    """Call each list's (view, t) in order, each list on its own thread and all on one
+    system; every root the views solve is within 4 ulp of its own time's exact root, and
+    every equilibrium is that root apart."""
+    below = {t: last_float_below_root(distance_coefficients(cfg, t))
+             for t in {t for calls in call_lists for _, t in calls}}
+    sys, start, asking, roots, distances, failures = (
+        build_preset(cfg), threading.Barrier(len(call_lists)), threading.local(), [], [], [])
+    solve = presets.solve_positive_root
+
+    def recording_solve(f, fprime, q_max, guess=None):
+        roots.append((asking.t, solve(f, fprime, q_max, guess=guess)))
+        return roots[-1][1]
+
+    def run(calls):
+        try:
+            start.wait(timeout=60)
+            for view, asking.t in calls:
+                got = getattr(sys, view)(asking.t)
+                if view == "equilibrium":
+                    distances.append((asking.t, got[0] - got[1]))
+        except Exception as exc:  # reported below, from the test's own thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run, args=(calls,)) for calls in call_lists]
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(presets, "solve_positive_root", recording_solve):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        _sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(roots) == sum(map(len, call_lists))  # one solve per view call
+    assert [(t, q) for t, q in roots if abs(q - below[t]) > 4 * math.ulp(below[t])] == []
+    assert [(t, d) for t, d in distances if not math.isclose(d, below[t], rel_tol=1e-12)] == []
+
+
+@pytest.mark.parametrize("kind", ["separation", "phase-gate"])
+@PROPERTY
+@given(data=st.data())
+def test_ion_pair_roots_stay_near_the_exact_root_in_any_call_order(kind, data):
+    # The views share one record and one warm guess, the root of whichever call
+    # came before.  Separation draws alpha of either sign with beta > 0, so its
+    # quintic, like the cubic, has one positive root.
+    cfg = data.draw(preset_configs(kind), label="config")
+    pool = data.draw(st.lists(times, min_size=1, max_size=4), label="times")
+    call = st.tuples(st.sampled_from(ION_PAIR_VIEWS), st.sampled_from(pool))
+    check_roots_near_the_exact_root(
+        cfg, [data.draw(st.lists(call, min_size=1, max_size=40), label="calls")])
+
+
+@pytest.mark.parametrize("kind", ["separation", "phase-gate"])
+@settings(PROPERTY, max_examples=5, phases=(Phase.generate,))
+@given(data=st.data())
+def test_ion_pair_roots_stay_near_the_exact_root_on_any_thread(kind, data):
+    # Two threads share one system, so each may solve from the other's root and
+    # read the other's record.  A race does not replay, so the first failing
+    # example is reported as drawn.
+    cfg = data.draw(preset_configs(kind), label="config")
+    pool = data.draw(st.lists(times, min_size=1, max_size=4), label="times")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    check_roots_near_the_exact_root(
+        cfg, [[(rng.choice(ION_PAIR_VIEWS), rng.choice(pool)) for _ in range(4000)]
+              for _ in range(2)])
 
 
 def entries(triple) -> tuple:

@@ -1,0 +1,44 @@
+"""The output comparison of ``tools/compare_outputs.py`` on synthetic outputs."""
+
+import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from compare_outputs import compare  # noqa: E402
+
+# A mode CSV whose Q1 column reaches 1 and crosses zero near 5.75e-05.
+CSV = "t,Q1,frame\n0,1,mode\n0.5,5.751980111954138e-05,mode\n1,-0.25,mode\n"
+
+
+def test_equal_text_passes():
+    assert compare(CSV, CSV) == (0.0, "identical")
+
+
+def test_a_value_moved_by_1e_10_relative_fails():
+    ratio, where = compare(CSV, CSV.replace("-0.25", repr(-0.25 * (1.0 + 1e-10))))
+    assert ratio > 1.0
+    assert where.startswith("Q1 at (3, 1)")
+
+
+def test_a_small_move_near_a_zero_crossing_passes():
+    # 6.2e-17 absolute is 1.09e-12 relative, but the column reaches 1, so
+    # 1e-15 of its scale bounds the move.
+    moved = CSV.replace("5.751980111954138e-05", "5.751980111960383e-05")
+    ratio, where = compare(CSV, moved)
+    assert 0.0 < ratio <= 1.0
+    assert where.startswith("Q1 at (2, 1)")
+
+
+def test_text_and_shape_must_match_exactly():
+    assert compare(CSV, CSV.replace("mode", "lab"))[0] == math.inf
+    assert compare(CSV, CSV + "2,0.5,mode\n")[0] == math.inf
+    assert compare(CSV, CSV.replace("t,Q1", "t,Q2"))[0] == math.inf
+
+
+def test_a_json_report_compares_per_key_path():
+    old = '{"dt": 0.0078125, "deviation": [1.0, 2.5e-09], "larmor": false}'
+    assert compare(old, old.replace("2.5e-09", "2.5000000000001e-09"))[0] <= 1.0
+    assert compare(old, old.replace("0.0078125", "0.0078126"))[0] > 1.0
+    assert compare(old, old.replace("false", "true"))[0] == math.inf

@@ -1,0 +1,116 @@
+"""Compare every number of the benchmark's outputs in two checkouts.
+
+    python3 tools/compare_outputs.py PARENT CHANGE [--seeds 7 11]
+
+Every command of every workload runs in both checkouts, as in
+``tools/output_digests.py``.  Each number of each CSV and JSON report (a file,
+or a command's standard output) must satisfy
+
+    |new - old| <= 1e-12 |old| + 1e-15 M,
+
+with M the largest |old value| in its column: a CSV column, or one key path of
+a JSON report.  Relative error alone means nothing at a zero crossing.  Text
+that is not a number (headers, labels, exit codes, error lines) must match
+exactly.  One line per output gives the worst entry as its ratio to the bound;
+the exit code is 1 when any entry is outside it.  Nothing is written under
+either checkout's ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+
+from output_digests import run_commands
+
+REL, ABS = 1e-12, 1e-15
+
+
+def _number(cell):
+    """The cell's float, or None when it is text (booleans, null and labels are text)."""
+    if isinstance(cell, bool) or cell is None:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _csv_cells(text: str) -> list:
+    """(column name, (row, column), cell); the header row's cells have no column name."""
+    rows = [line.split(",") for line in text.splitlines()]
+    names = rows[0] if rows else []
+    return [(names[i] if r and i < len(names) else None, (r, i), cell)
+            for r, row in enumerate(rows) for i, cell in enumerate(row)]
+
+
+def _json_cells(value, path="", index=()) -> list:
+    """(key path without list indices, indices, leaf) for every leaf of a JSON value."""
+    if isinstance(value, dict):
+        return [c for k, v in value.items() for c in _json_cells(v, f"{path}.{k}", index)]
+    if isinstance(value, list):
+        return [c for i, v in enumerate(value) for c in _json_cells(v, path + "[]", index + (i,))]
+    return [(path, index, value)]
+
+
+def _cells(text: str) -> list:
+    """``(column, position, cell)`` for every entry of CSV or JSON text."""
+    try:
+        return _json_cells(json.loads(text))
+    except ValueError:
+        return _csv_cells(text)
+
+
+def compare(old: str, new: str) -> tuple:
+    """``(ratio, where)`` of the worst entry of ``new`` against ``old``: |new - old| over
+    the bound of the module docstring (0 where equal, inf where text or shape differs)."""
+    if old == new:
+        return 0.0, "identical"
+    before, after = _cells(old), _cells(new)
+    if [c[:2] for c in before] != [c[:2] for c in after]:
+        return math.inf, "the shape differs"
+    scale = {}
+    for column, _, cell in before:
+        if (x := _number(cell)) is not None and math.isfinite(x):
+            scale[column] = max(scale.get(column, 0.0), abs(x))
+    worst = (0.0, "identical")
+    for (column, position, a), (_, _, b) in zip(before, after):
+        x, y = _number(a), _number(b)
+        if a == b or (x is not None and x == y):
+            continue
+        finite = x is not None and y is not None and math.isfinite(x) and math.isfinite(y)
+        bound = REL * abs(x) + ABS * scale.get(column, 0.0) if finite else 0.0
+        ratio = abs(y - x) / bound if bound > 0.0 else math.inf
+        if ratio > worst[0]:
+            worst = (ratio, f"{column} at {position}: {a} -> {b}")
+    return worst
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="root of the parent checkout")
+    parser.add_argument("change", help="root of the changed checkout")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    args = parser.parse_args(argv)
+    runs = [list(run_commands(root, args.seeds)) for root in (args.parent, args.change)]
+    if [run[:3] for run in runs[0]] != [run[:3] for run in runs[1]]:
+        print("the checkouts run different commands")
+        return 1
+    failed = False
+    for (workload, seed, label, old), (*_, new) in zip(*runs):
+        for output, a in old.items():
+            b = new.get(output)
+            if a is None or b is None:  # a missing file
+                ratio, where = (0.0, "missing") if a is b else (math.inf, f"{a!r} -> {b!r}")
+            else:
+                ratio, where = compare(str(a), str(b))
+            failed |= ratio > 1.0
+            print(f"{workload} seed={seed} {label} {output}: worst {ratio:.3g} of the bound"
+                  f" ({where})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
