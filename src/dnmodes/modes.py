@@ -3,7 +3,7 @@
 The mass-weighted stiffness Ktil = M^(-1/2) K M^(-1/2) is diagonalized by a
 rotation through the mode angle theta,
 
-    tan(2 theta) = 2 k sqrt(m1 m2) / (m1 (k + k2) - m2 (k + k1)),
+    tan(2 theta) = 2 k sqrt(m1 m2) / ((m1 - m2) k + (m1 k2 - m2 k1)),
 
 yielding squared mode frequencies (Omega1^2, Omega2^2) and the modal matrix
 A = O^T M^(1/2) that maps lab displacements to mode coordinates
@@ -110,11 +110,12 @@ def _angle_terms(K: StiffnessTriple, masses: MassPair, t=None) -> Optional[tuple
     """(num, den, r) of tan(2 theta) = num / den with r = hypot(num, den), or None
     where the mass-weighted stiffness is degenerate (any angle diagonalizes it):
     r <= EPS_DEGENERATE (m1 + m2)(|k| + |k1| + |k2|), a test that squares nothing.
+    den groups m1 k2 - m2 k1 apart from k, so theta is constant at any k where m1 k2 = m2 k1.
     Raises ``FloatingPointError`` where num or den overflows (r is inf or NaN),
     naming the time t of the triple K when the caller gives it."""
     k, k1, k2 = K.k, K.k1, K.k2
     m1, m2 = masses.m1, masses.m2
-    num, den = 2.0 * k * masses.sqrt12, m1 * (k + k2) - m2 * (k + k1)
+    num, den = 2.0 * k * masses.sqrt12, (m1 - m2) * k + (m1 * k2 - m2 * k1)
     r = math.hypot(num, den)
     if r > EPS_DEGENERATE * ((m1 + m2) * (abs(k) + abs(k1) + abs(k2))):
         return num, den, r
@@ -123,7 +124,7 @@ def _angle_terms(K: StiffnessTriple, masses: MassPair, t=None) -> Optional[tuple
     if not r < math.inf:
         at = "" if t is None else f" at t={t}"
         raise FloatingPointError(f"mode angle overflows: 2k sqrt(m1 m2) = {num}, "
-                                 f"m1(k + k2) - m2(k + k1) = {den}{at}")
+                                 f"(m1 - m2)k + (m1 k2 - m2 k1) = {den}{at}")
     return None
 
 
@@ -224,7 +225,7 @@ def theta_dot_at(
         num, den, r = terms
         dk, dk1, dk2 = sys.stiffness_rate(t)
         num_dot = 2.0 * dk * m.sqrt12
-        den_dot = m.m1 * (dk + dk2) - m.m2 * (dk + dk1)
+        den_dot = (m.m1 - m.m2) * dk + (m.m1 * dk2 - m.m2 * dk1)
         return 0.5 * (num_dot * (den / r) - den_dot * (num / r)) / r
     # Each theta on the branch of the one before: theta(t) is the degenerate
     # value 0, from which the two neighbours may sit on a rounding tie at +-pi/4.

@@ -407,37 +407,42 @@ def solve_phase_gate_distance(F1: float, F2: float, k0: float, Cc: float,
     return _phase_gate_distance(k0, Cc)(None, (F1, F2))[0](guess)
 
 
-def _phase_gate_B_delta(F1: float, F2: float, k0: float, Cc: float) -> tuple:
-    d = F1 - F2
-    inner = -2.0 * d**3 + 27.0 * Cc * k0**2  # the radicand's sign: 3 Cc k0**14 can underflow
-    if inner < 0.0:
-        raise PresetDomainError(
-            "published closed-form equilibria undefined (negative radicand)"
-        )
-    radicand = 3.0 * Cc * k0**14 * inner
-    delta = (-(d**3) * k0**6 + 27.0 * Cc * k0**8 + 3.0 * math.sqrt(radicand)) ** (1.0 / 3.0)
-    B = d**2 * k0**4 + delta**2
-    if not math.isfinite(B):  # also where delta is not: B holds delta**2
-        raise PresetDomainError("published closed-form equilibria undefined (B or delta overflows)")
-    return B, delta
+def _phase_gate_forms(F1: float, F2: float, k0: float, Cc: float) -> tuple:
+    """(q1, q2, q1 - q2, combined q0) of the published closed forms, evaluated in
+    ``decimal`` on the exact values of the floats with exponents to +-10**6, at 80 digits,
+    then twice as many until two precisions agree to a float (cancellation can need 320;
+    the doubling stops past 10**4), so that the audit judges the formulas, not rounding."""
+    import decimal  # about 2 ms: the audit's alone, off the set-up path
+
+    prec, last = 80, None
+    while True:
+        with decimal.localcontext(decimal.Context(prec=prec, Emax=10**6, Emin=-10**6)):
+            f1, f2, k, c = map(decimal.Decimal, (F1, F2, k0, Cc))
+            d = f1 - f2
+            radicand = 3 * c * k**14 * (27 * c * k**2 - 2 * d**3)
+            if radicand < 0:
+                raise PresetDomainError(
+                    "published closed-form equilibria undefined (negative radicand)")
+            delta = (-(d**3) * k**6 + 27 * c * k**8 + 3 * radicand.sqrt()) ** (
+                decimal.Decimal(1) / 3)
+            B, scale, kd = d**2 * k**4 + delta**2, 6 * k**3 * delta, 2 * k**2 * delta
+            forms = tuple(float(x / scale) for x in (
+                B - kd * (f2 + 2 * f1), -B - kd * (f1 + 2 * f2), 2 * B - kd * d,
+                2 * B - kd * (f1 + f2)))
+        if forms == last or prec > 10**4:
+            return forms
+        prec, last = 2 * prec, forms
 
 
 def phase_gate_equilibria_closed_form(F1: float, F2: float, k0: float, Cc: float) -> tuple:
     """(q1, q2) from the published per-ion closed forms."""
-    B, delta = _phase_gate_B_delta(F1, F2, k0, Cc)
-    q1 = (B - 2.0 * k0**2 * delta * (F2 + 2.0 * F1)) / (6.0 * k0**3 * delta)
-    q2 = (-B - 2.0 * k0**2 * delta * (F1 + 2.0 * F2)) / (6.0 * k0**3 * delta)
-    return q1, q2
+    return _phase_gate_forms(F1, F2, k0, Cc)[:2]
 
 
 def phase_gate_q0_published(F1: float, F2: float, k0: float, Cc: float) -> float:
-    """The combined q0 line as printed in the source formulas.
-
-    Inconsistent with the per-ion forms whenever F1 + F2 != F2 - F1; kept
-    verbatim so the audit can flag it.
-    """
-    B, delta = _phase_gate_B_delta(F1, F2, k0, Cc)
-    return (2.0 * B - 2.0 * k0**2 * delta * (F1 + F2)) / (6.0 * k0**3 * delta)
+    """The combined q0 line as printed in the source formulas: inconsistent with the
+    per-ion forms unless F2 = 0, kept verbatim so the audit can flag it."""
+    return _phase_gate_forms(F1, F2, k0, Cc)[3]
 
 
 @value_class
@@ -456,24 +461,17 @@ def audit_phase_gate_formulas(F1: float, F2: float, k0: float, Cc: float) -> Pha
     line disagrees with the authoritative root solve.
     """
     q0 = solve_phase_gate_distance(F1, F2, k0, Cc)
-    q1c, q2c = phase_gate_equilibria_closed_form(F1, F2, k0, Cc)
-    q0_pub = phase_gate_q0_published(F1, F2, k0, Cc)
-    ind_ok = abs((q1c - q2c) - q0) <= FORMULA_AUDIT_REL_TOL * abs(q0)
-    pub_ok = abs(q0_pub - q0) <= FORMULA_AUDIT_REL_TOL * abs(q0)
+    *_, individual, published = _phase_gate_forms(F1, F2, k0, Cc)
+    ind_ok = abs(individual - q0) <= FORMULA_AUDIT_REL_TOL * abs(q0)
+    pub_ok = abs(published - q0) <= FORMULA_AUDIT_REL_TOL * abs(q0)
     if not pub_ok:
         warnings.warn(
-            f"combined q0 closed form ({q0_pub}) disagrees with root solve ({q0}) "
+            f"combined q0 closed form ({published}) disagrees with root solve ({q0}) "
             f"for F1={F1}, F2={F2}, k0={k0}, Cc={Cc}",
             FormulaDiscrepancyWarning,
             stacklevel=2,
         )
-    return PhaseGateAudit(
-        q0_root=q0,
-        q0_from_individual=q1c - q2c,
-        q0_published=q0_pub,
-        individual_consistent=ind_ok,
-        published_consistent=pub_ok,
-    )
+    return PhaseGateAudit(q0, individual, published, ind_ok, pub_ok)
 
 
 def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:

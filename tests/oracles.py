@@ -1,33 +1,34 @@
-"""Independent numerical oracles used by the tests.
+"""Numerical oracles used by the tests, each of one of two kinds.
 
-Kept deliberately separate from the library paths they check: plain
-bisection (no Newton), bisection over the floats with the polynomial
-evaluated exactly in rationals, the quintic's bracket end with max() calls,
-high-order finite differences for gradients and Hessians, a central
-difference of the mode angle, a brute-force 2x2 eigendecomposition via the
-characteristic polynomial, and fixed-step RK4 on numpy arrays.
+References, each used with a stated bound.  Exact ones evaluate a formula in
+rationals from the float inputs: the mode frame, the ion pair's views at the
+root a view solved for, and the last float below a polynomial's positive
+root; their bounds are the library's rounding error (``gamma``).  The others
+are independent approximations: bisection, high-order finite differences, a
+central difference of the mode angle, a 2x2 eigensolve in floats.
 
-Four more write library code a second way, and the library must give their
-bits: velocity Verlet as a plain loop over the system's force; the ion pair's
-views piece by piece, each schedule read where a piece needs it; the same
-views in their per-view form, each call reading the controls afresh and
-solving its root from the root before; and the mode frame as a chain: the
-tan(2 theta) numerator and denominator, then theta, then cos, sin and the
-rotated frequencies.
+Twins compose the library's own pieces another way, and the library must give
+their bits: RK4 on numpy arrays and velocity Verlet as a plain loop, over the
+system's own right-hand side, and the ion pair with a fresh build per view.
 
 ``replace`` rebuilds a ``value_class`` instance with some fields changed.
 """
 
 import math
 import struct
-import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
+from dnmodes import presets
 from dnmodes.modes import EPS_DEGENERATE, theta_at
-from dnmodes.rootfind import solve_positive_root
+from dnmodes.presets import SeparationConfig, TransportConfig
 from dnmodes.schedules import fd_step
+
+U = Fraction(1, 2**53)  # the unit roundoff of a float
+TINY = math.ulp(0.0)  # a product or quotient that underflows is off by at most TINY / 2
 
 
 def replace(obj, **changes):
@@ -70,19 +71,6 @@ def last_float_below_root(coeffs):
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if negative(mid) else (lo, mid)
     return struct.unpack("<d", struct.pack("<q", lo))[0]
-
-
-def quintic_bracket_max(alpha, beta, Cc):
-    """The separation quintic's bracket end q_max, picked with max() calls."""
-    estimate = 1.0
-    if alpha > 0.0:
-        estimate = max(estimate, (Cc / alpha) ** (1.0 / 3.0))
-    if beta > 0.0:
-        estimate = max(estimate, (2.0 * Cc / beta) ** (1.0 / 5.0))
-    q_max = 10.0 * estimate
-    if alpha < 0.0 and beta > 0.0:
-        q_max = max(q_max, 10.0 * math.sqrt(2.0 * abs(alpha) / beta))
-    return q_max
 
 
 def grad4(f, x, h=1e-4):
@@ -195,122 +183,172 @@ def verlet_states(sys, times, dt, y0):
     return np.array(rows)
 
 
-def _theta_num_den(K, masses):
-    k, k1, k2 = K.k, K.k1, K.k2
-    num = 2.0 * k * masses.sqrt12
-    den = masses.m1 * (k + k2) - masses.m2 * (k + k1)
-    scale = (masses.m1 + masses.m2) * (abs(k) + abs(k1) + abs(k2))
-    return num, den, scale
+def gamma(n: int) -> Fraction:
+    """gamma_n = n u / (1 - n u).  A float sum of products with at most n roundings on
+    each term's path, in any order and grouping, is within gamma_n of the sum of the
+    terms' absolute values (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., lemma 3.1 and section 3.1)."""
+    return n * U / (1 - n * U)
 
 
-def chain_theta(K, masses, branch_ref=None):
-    """The mode angle from the numerator and denominator of tan(2 theta), on
-    the branch nearest branch_ref, else on (-pi/4, pi/4]."""
-    num, den, scale = _theta_num_den(K, masses)
-    if math.hypot(num, den) <= EPS_DEGENERATE * scale:
-        return 0.0 if branch_ref is None else branch_ref
-    theta = 0.5 * math.atan2(num, den)
-    half = 0.5 * math.pi
-    if branch_ref is not None:
-        return theta + half * round((branch_ref - theta) / half)
-    if theta > 0.25 * math.pi:
-        theta -= half
-    elif theta < -0.25 * math.pi:
-        theta += half
-    return theta
+def check_frame(frame, K, masses, branch_ref=None) -> None:
+    """Assert that ``frame`` = (theta, cos, sin, Omega1^2, Omega2^2) is the mode frame
+    of the stiffness K within rounding, from k, k1, k2, m1, m2 taken exactly.
 
+    theta: tan(2 theta) = 2k sqrt(m1 m2) / ((m1 - m2) k + m1 k2 - m2 k1), on the branch
+    nearest branch_ref, else on (-pi/4, pi/4]; held where the library's degeneracy
+    test holds, either verdict passing where rounding could flip it.  In floats
+    (num, den) moves by e <= 2 gamma_3 S, S = (m1 + m2)(|k| + |k1| + |k2|), plus
+    2 TINY, so 2 theta turns by asin(e / r), r = hypot(num, den); each atan2 adds an
+    ulp of pi, the reference's inputs u, and the branch shift 4u (|theta| + pi).
 
-def chain_rotated_frequencies(K, masses, theta):
-    """(cos theta, sin theta, Omega1^2, Omega2^2) for the given theta."""
-    k, k1, k2 = K.k, K.k1, K.k2
-    a = (k + k1) / masses.m1
-    b = (k + k2) / masses.m2
-    cross = k / masses.sqrt12
-    c = math.cos(theta)
-    s = math.sin(theta)
-    s2 = math.sin(2.0 * theta)
-    return c, s, a * c * c + b * s * s - cross * s2, a * s * s + b * c * c + cross * s2
-
-
-def chain_frame(K, masses, branch_ref=None):
-    """(theta, cos theta, sin theta, Omega1^2, Omega2^2), the angle first."""
-    theta = chain_theta(K, masses, branch_ref)
-    return (theta, *chain_rotated_frequencies(K, masses, theta))
-
-
-def ion_pair_views(cfg, t, q0):
-    """(stiffness triple, stiffness rate, equilibrium, equilibrium velocity)
-    of a transport, separation or (full) phase-gate config at t, from the
-    per-piece formulas with each schedule read where a piece uses it.  The
-    root-solving presets take their root q0 from the caller; transport's is
-    its closed form."""
-    Cc = cfg.Cc
-    if hasattr(cfg, "Q0"):  # transport
-        k = cfg.k.value(t)
-        q0 = (2.0 * cfg.Cc / k) ** (1.0 / 3.0)
-        q0dot = -q0 * cfg.k.derivative(t) / (3.0 * k)
-        kappa, kappa_dot = cfg.k.value(t), cfg.k.derivative(t)
-        c, cdot = cfg.Q0.value(t), cfg.Q0.derivative(t)
-    elif hasattr(cfg, "alpha"):  # separation
-        alpha, beta = cfg.alpha.value, cfg.beta.value
-        alpha_dot, beta_dot = cfg.alpha.derivative, cfg.beta.derivative
-        q0sq = q0 * q0
-        denom = (5.0 * beta(t) * q0sq + 6.0 * alpha(t)) * q0sq
-        q0dot = -((beta_dot(t) * q0sq + 2.0 * alpha_dot(t)) * q0sq * q0) / denom
-        kappa = 2.0 * alpha(t) + 3.0 * beta(t) * q0sq
-        kappa_dot = 2.0 * alpha_dot(t) + 3.0 * beta_dot(t) * q0sq + 6.0 * beta(t) * q0 * q0dot
-        c = cdot = 0.0
-    else:  # phase gate
-        F1, F2, k0 = cfg.F1, cfg.F2, cfg.k0
-        d = F1.value(t) - F2.value(t)
-        denom = (3.0 * k0 * q0 + 2.0 * d) * q0
-        q0dot = -(q0 * q0) * (F1.derivative(t) - F2.derivative(t)) / denom
-        kappa, kappa_dot = k0, 0.0
-        c = -0.5 * (F1.value(t) + F2.value(t)) / k0
-        cdot = -0.5 * (F1.derivative(t) + F2.derivative(t)) / k0
-    half, half_dot = 0.5 * q0, 0.5 * q0dot
-    cube = q0 * q0 * q0
-    # 2 Cc/q0^3, divided by q0 three times where the cube is subnormal
-    k = 2.0 * Cc / cube if cube >= sys.float_info.min else 2.0 * Cc / q0 / q0 / q0
-    return (
-        (k, kappa, kappa),
-        (-3.0 * k * q0dot / q0, kappa_dot, kappa_dot),
-        (c + half, c - half),
-        (cdot + half_dot, cdot - half_dot),
-    )
+    Omega^2: the roots lo <= hi of the mass-weighted stiffness's characteristic
+    polynomial.  Each float Omega^2 is the Rayleigh quotient at theta within
+    gamma_10 T + 4 TINY, T = |a| + |b| + |k|(1/m1 + 1/m2) with a = (k + k1)/m1 and
+    b = (k + k2)/m2: both lie in [lo, hi] and add up to a + b, and Omega1^2 is lo for
+    an even branch shift of the angle of (den, num) halved, hi for an odd one, within
+    (hi - lo) sin^2 of theta's bound.  cos and sin are within 4u of theta's."""
+    theta, cos, sin, o1, o2 = frame
+    k, k1, k2, m1, m2 = map(Fraction, (K.k, K.k1, K.k2, masses.m1, masses.m2))
+    num2, den = 4 * k * k * m1 * m2, (m1 - m2) * k + m1 * k2 - m2 * k1
+    scale = (m1 + m2) * (abs(k) + abs(k1) + abs(k2))
+    e, r, u = float(2 * gamma(3) * scale) + 2 * TINY, math.sqrt(float(num2 + den * den)), float(U)
+    held = 0.0 if branch_ref is None else branch_ref
+    threshold = EPS_DEGENERATE * float(scale)
+    slack = e + 4 * u * r + float(gamma(4)) * threshold  # the library's r and threshold
+    assert r + slack >= threshold or theta == held, (theta, held, r, threshold)
+    bound = None
+    if r - slack > threshold or theta != held:
+        phi = math.atan2(math.copysign(math.sqrt(float(num2)), K.k), float(den))
+        turn = math.asin(min(1.0, e / (r * (1 - 4 * u)))) + 2 * math.ulp(math.pi) + u
+        bound = 0.5 * turn + 4 * u * (abs(theta) + math.pi)
+        n = round((theta - 0.5 * phi) / (0.5 * math.pi))
+        off = Fraction(theta) - Fraction(phi) / 2 - n * Fraction(math.pi) / 2
+        assert abs(off) <= bound, (theta, float(off), bound)
+        assert abs(theta - held) <= 0.25 * math.pi + 4 * u * (abs(held) + math.pi)  # the branch
+    assert abs(cos - math.cos(theta)) <= 4 * u and abs(sin - math.sin(theta)) <= 4 * u
+    a, b = (k + k1) / m1, (k + k2) / m2
+    gap = Fraction(math.sqrt(float((a - b) ** 2 + 4 * k * k / (m1 * m2))))  # hi - lo, within u
+    lo, hi = (a + b - gap) / 2, (a + b + gap) / 2
+    size = abs(a) + abs(b) + abs(k) * (1 / m1 + 1 / m2)
+    err = (gamma(10) + U) * size + 4 * Fraction(TINY)
+    o1, o2 = Fraction(o1), Fraction(o2)
+    assert abs(o1 + o2 - a - b) <= 2 * gamma(10) * size + 8 * Fraction(TINY), (o1, o2, a + b)
+    assert lo - err <= min(o1, o2) and max(o1, o2) <= hi + err, (o1, o2, lo, hi)
+    if bound is not None:
+        first, second = (lo, hi) if n % 2 == 0 else (hi, lo)
+        spread = err + gap * Fraction(min(1.0, bound * bound))
+        assert abs(o1 - first) <= spread and abs(o2 - second) <= spread, (o1, o2, first, second)
 
 
 ION_PAIR_VIEWS = ("stiffness", "stiffness_rate", "equilibrium", "equilibrium_velocity")
 
 
+def ion_pair_reference(cfg, t, q0) -> dict:
+    """``{view: [(value, bound), ...]}`` of the ion pair's four views of a transport,
+    separation or (full) phase-gate config at t: the per-piece formulas, exact at the
+    float distance q0 and the schedules' float values at t.
+
+    f(q) = 3k q - 3 (2 Cc k^2)^(1/3), beta q^5 + 2 alpha q^3 - 2 Cc or k0 q^3 +
+    (F1 - F2) q^2 - 2 Cc, and q0dot = -(df/dt) / f'(q0); the spring is 2 Cc/q0^3, its
+    rate -3 spring q0dot/q0; the curvature k, 2 alpha + 3 beta q0^2 or k0; the centre
+    Q0, 0 or -(F1 + F2)/(2 k0).  A bound is gamma_n times the formula over its terms'
+    absolute values, n the roundings on its longest path: 3 for the spring and the
+    equilibrium, 4 for kappa, 5 for its rate, 6 for df/dt and f'.  q0dot's quotient
+    carries both of those, and its error goes on into the views that use it."""
+    q, g6 = Fraction(q0), gamma(6)
+
+    def read(schedule) -> tuple:
+        return Fraction(schedule.value(t)), Fraction(schedule.derivative(t))
+
+    if isinstance(cfg, TransportConfig):
+        (k, dk), (c, dc) = read(cfg.k), read(cfg.Q0)
+        slope, drift = (3 * k, 3 * abs(k)), (dk * q, abs(dk) * q)
+        kappa, kappa_rate, coupling = (k, abs(k)), (dk, abs(dk)), 0
+        centre, centre_rate = (c, abs(c)), (dc, abs(dc))
+    elif isinstance(cfg, SeparationConfig):
+        (a, da), (b, db) = read(cfg.alpha), read(cfg.beta)
+        slope = (5 * b * q**4 + 6 * a * q**2, 5 * abs(b) * q**4 + 6 * abs(a) * q**2)
+        drift = (db * q**5 + 2 * da * q**3, abs(db) * q**5 + 2 * abs(da) * q**3)
+        kappa = (2 * a + 3 * b * q**2, 2 * abs(a) + 3 * abs(b) * q**2)
+        kappa_rate = (2 * da + 3 * db * q**2, 2 * abs(da) + 3 * abs(db) * q**2)
+        coupling, centre, centre_rate = 6 * b * q, (0, 0), (0, 0)
+    else:  # phase gate
+        (F1, dF1), (F2, dF2), k0 = read(cfg.F1), read(cfg.F2), Fraction(cfg.k0)
+        slope = (3 * k0 * q**2 + 2 * (F1 - F2) * q, 3 * k0 * q**2 + 2 * (abs(F1) + abs(F2)) * q)
+        drift = (q**2 * (dF1 - dF2), q**2 * (abs(dF1) + abs(dF2)))
+        kappa, kappa_rate, coupling = (k0, k0), (0, 0), 0
+        centre = (-(F1 + F2) / (2 * k0), (abs(F1) + abs(F2)) / (2 * k0))
+        centre_rate = (-(dF1 + dF2) / (2 * k0), (abs(dF1) + abs(dF2)) / (2 * k0))
+    assert abs(slope[0]) > g6 * slope[1], "f'(q0) vanishes within rounding: no bound"
+    rate = -drift[0] / slope[0]
+    rate_err = g6 * (drift[1] + abs(rate) * slope[1]) / (abs(slope[0]) - g6 * slope[1]) \
+        + U * abs(rate)
+    spring = 2 * Fraction(cfg.Cc) / q**3
+    kappa_dot = kappa_rate[0] + coupling * rate
+    kappa_bound, kappa_dot_bound = gamma(4) * kappa[1], gamma(5) * (
+        kappa_rate[1] + abs(coupling * rate)) + abs(coupling) * (1 + gamma(5)) * rate_err
+    at_rest = gamma(3) * (centre[1] + q / 2)
+    moving = gamma(3) * (centre_rate[1] + abs(rate) / 2) + (1 + gamma(3)) * rate_err / 2
+    return {
+        "stiffness": [(spring, gamma(3) * spring), (kappa[0], kappa_bound),
+                      (kappa[0], kappa_bound)],
+        "stiffness_rate": [
+            (-3 * spring * rate / q, 3 * spring / q * (g6 * abs(rate) + (1 + g6) * rate_err)),
+            (kappa_dot, kappa_dot_bound), (kappa_dot, kappa_dot_bound)],
+        "equilibrium": [(centre[0] + q / 2, at_rest), (centre[0] - q / 2, at_rest)],
+        "equilibrium_velocity": [(centre_rate[0] + rate / 2, moving),
+                                 (centre_rate[0] - rate / 2, moving)],
+    }
+
+
+def check_ion_pair_view(cfg, view, t, q0, got) -> None:
+    """Assert that the values ``got`` of an ion-pair view at t, on the distance q0 it
+    solved for, are within the bounds of :func:`ion_pair_reference`."""
+    for value, (exact, bound) in zip(got, ion_pair_reference(cfg, t, q0)[view], strict=True):
+        assert abs(Fraction(value) - exact) <= bound, (view, t, value, float(exact), float(bound))
+
+
+@contextmanager
+def ion_pair_solves(hook):
+    """Ion pairs built inside the block solve each distance through ``hook(solve,
+    guess)`` -> root, ``solve`` the builder's own, for as long as they live."""
+    ion_pair = presets._ion_pair
+
+    def hooked(*args, equation, **kwargs):
+        def hooked_equation(t, u):
+            solve, fprime = equation(t, u)
+            return (lambda guess: hook(solve, guess)), fprime
+
+        return ion_pair(*args, equation=hooked_equation, **kwargs)
+
+    with mock.patch.object(presets, "_ion_pair", hooked):
+        yield
+
+
+def recorded_build(cfg) -> tuple:
+    """(system, roots): the system built from cfg, and the list to which each of its
+    distance solves appends the root it returns."""
+    roots = []
+    with ion_pair_solves(lambda solve, guess: roots.append(solve(guess)) or roots[-1]):
+        return presets.build_preset(cfg), roots
+
+
 def per_view_ion_pair(cfg):
-    """``view(name, t)`` of a transport, separation or (full) phase-gate config
-    in the per-view form: every call reads the controls afresh at its own t,
-    builds the root polynomial, its derivative and the bracket for that call,
-    and solves from the root of the call before (None at first), then gives
-    :func:`ion_pair_views` on that root.  ``view.roots`` lists the roots."""
-    Cc = cfg.Cc
+    """``view(name, t)`` of a transport, separation or (full) phase-gate config in the
+    per-view form: every call builds the system afresh, so it reads the controls and
+    builds its distance equation for that call alone, and solves from the root of the
+    call before (None at first).  ``view.roots`` lists the roots."""
     roots = []
 
-    def root(t):
-        guess = roots[-1] if roots else None
-        if hasattr(cfg, "alpha"):  # separation
-            alpha, beta = cfg.alpha.value(t), cfg.beta.value(t)
-            q_max = quintic_bracket_max(alpha, beta, Cc)
-            roots.append(solve_positive_root(
-                lambda q: (beta * (q * q) + 2.0 * alpha) * (q * q) * q - 2.0 * Cc,
-                lambda q: (5.0 * beta * (q * q) + 6.0 * alpha) * (q * q), q_max, guess))
-        else:  # phase gate
-            k0, d = cfg.k0, cfg.F1.value(t) - cfg.F2.value(t)
-            q_max = 10.0 * (1.0 + (2.0 * Cc / k0) ** (1.0 / 3.0) + abs(d) / k0)
-            roots.append(solve_positive_root(
-                lambda q: (k0 * q + d) * q * q - 2.0 * Cc,
-                lambda q: (3.0 * k0 * q + 2.0 * d) * q, q_max, guess))
+    def warm(solve, _):
+        roots.append(solve(roots[-1] if roots else None))
         return roots[-1]
 
     def view(name, t):
-        q0 = None if hasattr(cfg, "Q0") else root(t)  # transport's root is closed form
-        return ion_pair_views(cfg, t, q0)[ION_PAIR_VIEWS.index(name)]
+        with ion_pair_solves(warm):
+            sys = presets.build_preset(cfg)
+        return getattr(sys, name)(t)
 
     view.roots = roots
     return view

@@ -485,28 +485,28 @@ OVERFLOWING_STIFFNESS = {
     "polynomial_k": ({"type": "custom", "k": {"kind": "polynomial", "coeffs": [1.0, 1e308]},
                       "k1": 1.0, "k2": 1.0},
                      [0.0, 2.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                                 "m1(k + k2) - m2(k + k1) = 0.0 at t=1.0"),
-    # The isotropy test on the phi = 0 triple: m1 (k + k2) = 1e400.  Taken as
+                                 "(m1 - m2)k + (m1 k2 - m2 k1) = 0.0 at t=1.0"),
+    # The isotropy test on the phi = 0 triple: m2 k1 = 1e400.  Taken as
     # isotropic, it would hold theta = theta_dot = 0 while phi turns.
     "rotation_isotropy_test": ({"type": "rotation", "m": 1e100, "omega1": 1e100, "omega2": 1.0,
                                 "phi": {"kind": "linear-ramp", "t0": 0.0, "v0": 0.0, "t1": 1.0,
                                         "v1": 0.4}},
                                [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = 0.0, "
-                                           "m1(k + k2) - m2(k + k1) = -inf"),
+                                           "(m1 - m2)k + (m1 k2 - m2 k1) = -inf"),
     # 2 k sqrt(m1 m2) overflows, k stays finite.
     "num_ramp": ({"type": "custom", "k": {"kind": "linear-ramp", "t0": 0.0, "v0": 1e308,
                                           "t1": 1.0, "v1": 1.5e308}, "k1": 1e308, "k2": 1.0},
                  [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                             "m1(k + k2) - m2(k + k1) = -inf at t=0.0"),
+                             "(m1 - m2)k + (m1 k2 - m2 k1) = -1e+308 at t=0.0"),
     "num_huge_masses": ({"type": "custom", "k": 1e160, "k1": 0.0, "k2": 0.0,
                          "masses": [1e150, 1e150]},
                         [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                                    "m1(k + k2) - m2(k + k1) = nan at t=0.0"),
-    # m1 (k + k2) - m2 (k + k1) is inf - inf.
+                                    "(m1 - m2)k + (m1 k2 - m2 k1) = 0.0 at t=0.0"),
+    # m1 k2 - m2 k1 is inf - inf.
     "den_nan": ({"type": "custom", "k": 1.0, "k1": 1e300, "k2": 1e300,
                  "masses": [1e200, 1e100]},
                 [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = 2e+150, "
-                            "m1(k + k2) - m2(k + k1) = nan at t=0.0"),
+                            "(m1 - m2)k + (m1 k2 - m2 k1) = nan at t=0.0"),
 }
 
 
@@ -546,6 +546,27 @@ def test_a_degenerate_instant_where_a_table_starts_runs_its_window(tmp_path, cap
         with open(tmp_path / "deg_analyze.csv", newline="") as fh:
             first = next(csv.DictReader(fh))
         assert float(first["t"]) == 0.0 and abs(float(first["theta_dot"])) <= 1e-4
+
+
+def ramp(v0, v1) -> dict:
+    return {"kind": "linear-ramp", "t0": 0.0, "v0": v0, "t1": 1.0, "v1": v1}
+
+
+@pytest.mark.parametrize("preset, window", [
+    ({"type": "custom", "k": ramp(1e-8, 2e-8), "k1": 0.7, "k2": 1.4, "masses": [1, 2]}, [0, 1]),
+    ({"type": "custom", "k": ramp(1e-9, 2e-9), "k1": 0.7, "k2": 1.4, "masses": [1, 2]}, [0, 1]),
+    ({"type": "custom", "k": {"kind": "table", "times": [0, 1, 2], "values": [0, 0.5, 1],
+                              "interpolation": "linear"}, "k1": 1, "k2": 2, "masses": [1, 2]},
+     [0, 2]),
+], ids=["k_1e-8", "k_1e-9", "degenerate_start"])
+def test_a_constant_mode_angle_classifies_as_separable(tmp_path, capsys, preset, window):
+    # m1 k2 = m2 k1, so tan(2 theta) = -2 sqrt(2) at every t where k != 0.  The
+    # parent's den = m1 (k + k2) - m2 (k + k1) rounded k + k2 and k + k1 before
+    # cancelling, and classify said 2.5e-9, 2.3e-8 and 7.0e-5.
+    cfg = {"schema": 1, "preset": preset, "window": window, "samples": 200,
+           "output": {"path": str(tmp_path / "sep")}}
+    assert main(["classify", "--config", write_cfg(tmp_path, cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["separable"] is True
 
 
 def test_analyze_finds_a_root_below_the_scan_grid(tmp_path, capsys):
@@ -803,7 +824,7 @@ def test_phase_gate_survey_work_counts(tmp_path, capsys):
         "output": {"path": str(tmp_path / "pg")},
     }
     solves, audits = [], []
-    solve, closed_form = presets.solve_positive_root, presets.phase_gate_equilibria_closed_form
+    solve, closed_form = presets.solve_positive_root, presets._phase_gate_forms
 
     def counting_solve(f, fprime, q_max, guess=None):
         solves.append(guess)
@@ -814,7 +835,7 @@ def test_phase_gate_survey_work_counts(tmp_path, capsys):
         return closed_form(*args)
 
     with mock.patch.object(presets, "solve_positive_root", counting_solve), \
-            mock.patch.object(presets, "phase_gate_equilibria_closed_form", counting_closed_form):
+            mock.patch.object(presets, "_phase_gate_forms", counting_closed_form):
         with counted_schedule_reads() as reads:
             assert main(["analyze", "--config", write_cfg(tmp_path, cfg)]) == 0
         assert len(solves) <= 3 * n

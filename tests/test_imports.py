@@ -14,7 +14,8 @@ outside its own definition, or imported from it by another module.
 numpy stays off the import path: no module imports it at module level
 (``if TYPE_CHECKING:`` aside), and in a fresh interpreter, importing the
 package and its command line, loading a config and building every preset
-leave it unloaded, and ``dataclasses`` and ``inspect`` with it.
+leave it unloaded, and ``dataclasses``, ``inspect`` and ``decimal`` (which
+only the phase-gate formula audit loads) with it.
 
 No class is a dataclass, whose creation costs about 1 ms at import: every
 record type is a ``schedules.value_class``.
@@ -212,7 +213,8 @@ def test_set_up_does_not_import_numpy(tmp_path):
         "import dnmodes, dnmodes.cli\n"
         "labels = [dnmodes.build_preset(dnmodes.cli.load_config(path)['preset']).label\n"
         "          for path in sys.argv[2:]]\n"
-        "after_set_up = sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "unloaded = {'numpy', 'dataclasses', 'inspect', 'decimal'}\n"
+        "after_set_up = sorted(unloaded & set(sys.modules))\n"
         "code = dnmodes.cli.main(['analyze', '--config', sys.argv[2], '--out', sys.argv[1]])\n"
         "print(json.dumps([labels, after_set_up, code, 'numpy' in sys.modules]))\n"
     )

@@ -354,16 +354,21 @@ def test_the_closed_forms_refuse_a_negative_radicand_whose_factor_underflows():
             form(1e-10, 0.0, 1e-25, 1.0)
 
 
-def test_the_closed_forms_refuse_a_delta_that_overflows():
-    # The radicand 3 Cc k0**14 (27 Cc k0**2 - 2 d**3) overflows, so delta and B
-    # are inf and the per-ion forms would be NaN; the audit raises before it
-    # compares the published line.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for form in (phase_gate_equilibria_closed_form, phase_gate_q0_published,
-                     audit_phase_gate_formulas):
-            with pytest.raises(PresetDomainError, match="B or delta overflows"):
-                form(0.0, 2.55e24, 7.0e20, 2.6e19)
+def test_the_closed_forms_are_right_where_floats_overflow_or_cancel():
+    # In floats the first case's radicand 3 Cc k0**14 (27 Cc k0**2 - 2 d**3)
+    # overflowed, and the forms were refused; the second case's cancelled to
+    # q1 - q2 = 4.174e6.  In decimal the per-ion forms give the root (the solve is
+    # within 4 ulp of it), and the published line is flagged only where F2 != 0.
+    for args, root, flagged in [((0.0, 2.55e24, 7.0e20, 2.6e19), 3642.8571428627406, True),
+                                ((-3.35e-22, 0.0, 6.33e-28, 4.02e-8), 5209457.485941269, False)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            audit = audit_phase_gate_formulas(*args)
+        assert abs(audit.q0_from_individual - root) <= 4 * math.ulp(root)
+        assert audit.individual_consistent and audit.published_consistent != flagged
+        assert len(caught) == flagged
+        q1, q2 = phase_gate_equilibria_closed_form(*args)
+        assert abs(q1 - q2 - root) <= 4 * math.ulp(root)
 
 
 def test_phase_gate_zeroth_order():

@@ -1,63 +1,33 @@
 """Property tests over random ``custom`` systems, every preset's analytic
-rates and equilibrium roots.
+rates, equilibrium roots and mode frames, and the integrators.
 
-Each system has polynomial stiffness and equilibrium schedules on [0, 1].
-The coupling k stays away from zero, so the mode angle is never degenerate
-and theta_dot stays bounded; k1 and k2 are free, so the angle still sweeps
-through the default branch edges at +-pi/4.
+Each ``custom`` system has polynomial schedules on [0, 1], with k away from
+zero (theta_dot stays bounded) and k1, k2 free (theta sweeps through the
+branch edges at +-pi/4).  Preset systems draw quadratic schedules inside each
+preset's valid domain.  On them, theta_dot from the decomposition's triple is
+theta_dot_at's, the chain rule agrees with each closed form, classify names
+the analytic case of a fresh evaluation, and it calls a custom system whose
+angle is constant in floats separable.  A separation system evaluated in
+shuffled time order should give the same bits (a known defect, xfailed), and a
+root solve warm-started from its own root exits after one Newton step.
 
-The preset systems draw quadratic schedules inside each preset's valid
-domain: a positive trap spring, one positive equilibrium root, and springs
-whose determinant stays positive.  On them, the decomposition's theta_dot
-(from the triple it already holds) is theta_dot_at's, the chain rule
-through the stiffness rates agrees with each closed-form theta_dot, and
-classify names the analytic case of a fresh evaluation.  A separation
-system evaluated in shuffled time order should return the same bits (a
-known defect today).
+Two kinds of check (see ``oracles``).  Against exact references, within the
+library's rounding bound: the mode frame (random, isotropic and ion-pair
+stiffness, random branch references, along a walk), the ion pair's views at
+the root each view solved for, every root (within 4 ulp of the exact root, from
+cold and warm starts and call orders and threads, at scales from 1e-30 to
+1e30), both root kernels (within Horner's bound) and the quintic's bracket
+(above the positive root).  Bit for bit, paths that must agree: the ion pair's
+shared record against a fresh build per view, a walk against _frame call by
+call, frame reuse against a fresh frame, the steppers against the array RK4
+and the Verlet loop over the system's own pieces, and the float lab-to-mode map
+against mode_state.  Rotation's views kept per time give, over shuffled and
+threaded calls, the bits of a fresh system.
 
-The root properties draw separation quintics and phase-gate cubics; both
-have one simple positive root over the drawn ranges.  A solve warm-started
-from its own root exits after one Newton step, and any other guess takes
-the bracketed refine.  A cold solve, with coefficients drawn over 1e-30 to
-1e30, is within 4 ulp of the root that bisection over the floats brackets
-with the polynomial evaluated exactly; so is a warm solve from a guess within
-20 % of that root.  Both root kernels, over coefficients and q drawn from
-1e-100 to 1e100, are within Horner's error bound of the exact value, and
-raise OverflowError rather than return inf or NaN.  The quintic's bracket end
-is the bits of its max() form for coefficients of any sign, zero and extreme.
-
-The integrator properties run on random ``custom`` systems too: the
-steppers see only Python floats, agree with the numpy-array RK4 oracle,
-velocity Verlet has the bits of a plain loop over the force (on a separation
-preset too), and integrate the lab and mode frames equivalently through a frequency
-crossing; their symplectic defect falls 32-fold per halving of the step in
-both frames.  On a uniformly rotating trap, the one preset with a closed-form
-flow, both frames' runs match it, and their error falls 16-fold per halving
-of the step.  The float lab-to-mode map has the bits of mode_state and agrees
-with the decomposition's numpy matrices on custom, rotation and separation
-systems, and a mode-frame RK stage's frequencies and drive are bit-identical
-to eigenfrequencies and drive_at on crossing and rotation systems.  A mode
-run, with or without Larmor compensation, has the bits of the array RK4
-oracle over a right-hand side built from the helpers its stages inline, on
-custom systems and on rotation with a table phi.
-
-Three properties check bits (``float.hex``) against references in
-``oracles``: the ion pair's views against per-piece formulas that read a
-schedule wherever a piece uses it, on the root each view solved for; the
-views, which share one record of the controls at the last time read, against
-the per-view form that reads them afresh on each call, over call sequences
-whose times repeat, interleave and come as numpy then float; and the
-one-call mode frame against the chain theta -> rotated frequencies, for
-random and isotropic stiffness, ion-pair stiffness and random branch
-references, and along a threaded walk.
-
-Rotation (table phi) keeps its stiffness and theta_dot at the last float
-time asked.  Over shuffled calls whose times repeat, come as numpy times or
-as -0.0, and from two threads at once, every view value has the bits of a
-fresh system evaluated once at that time, and a float time gets Python
-floats back.  Over repeated times the mode-frame walk has the bits of _frame
-chained call by call; it builds one frame per distinct triple on rotation
-and one per call on the ion pair.
+The integrators also see only Python floats, agree between frames through a
+frequency crossing, and lose symplecticity 32-fold less per halving of the
+step; on a rotating trap and on ion-pair transport, both with closed-form flows,
+their error falls 16-fold per halving.
 """
 
 import math
@@ -113,12 +83,12 @@ from dnmodes.presets import (
     solve_separation_distance,
 )
 from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
-from dnmodes.rootfind import newton_refine, solve_positive_root
+from dnmodes.rootfind import solve_positive_root
 from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
-    ION_PAIR_VIEWS, bisect, chain_frame, grad4, ion_pair_views, last_float_below_root,
-    per_view_ion_pair, quintic_bracket_max, replace, rk4_states, verlet_states,
+    ION_PAIR_VIEWS, check_frame, check_ion_pair_view, grad4, last_float_below_root,
+    per_view_ion_pair, recorded_build, replace, rk4_states, verlet_states,
 )
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -584,6 +554,21 @@ def test_analytic_case_from_the_sampled_triples(kind, cases, data):
         assert rep.analytic_case in cases
 
 
+@PROPERTY
+@given(m1=st.floats(0.2, 5.0), power=st.integers(-3, 3), k1=st.floats(-3.0, 3.0),
+       k0=st.builds(lambda e, s: s * 10.0**e, st.floats(-9.0, 0.0), st.sampled_from([-1.0, 1.0])),
+       ratio=st.floats(0.25, 4.0))
+def test_a_constant_mode_angle_classifies_as_separable(m1, power, k1, k0, ratio):
+    # m2 = 2^power m1 and k2 = 2^power k1 make m1 k2 = m2 k1 exact in floats, so
+    # tan(2 theta) = 2 sqrt(m1 m2)/(m1 - m2) whatever k is.  k ramps by a factor
+    # within 4 from |k0| down to 1e-9: theta_dot's chain rule rounds to about
+    # u |kdot/k|, which a ramp over many decades takes above tol_sep
+    # (test_modes.py::test_a_constant_angle_over_nine_decades_of_k_is_separable).
+    cfg = CustomConfig(k=LinearRamp(0.0, k0, 1.0, k0 * ratio), k1=k1,
+                       k2=math.ldexp(k1, power), masses=(m1, math.ldexp(m1, power)))
+    assert classify_separability(build_custom(cfg), (0.0, 1.0)).separable
+
+
 # The sim-separation benchmark's schedules (masses [1, 2]) on its 513-point
 # time grid: the ramp takes alpha through the double-well split.
 SEPARATION_RAMP = SeparationConfig(
@@ -647,66 +632,40 @@ def recorded_solves():
         yield solves
 
 
-def bracketed_refine(f, fprime, guess, q_max):
-    """The refine from ``guess`` in the first local bracket (5 %, then 20 %
-    half-width) that holds a sign change; None when neither does."""
-    for half_width in (0.05, 0.2):
-        a = max(1e-12 * max(1.0, q_max), guess - half_width * guess)
-        b = min(q_max, guess + half_width * guess)
-        if f(a) * f(b) < 0.0:
-            return newton_refine(f, fprime, guess, a, b)
-    return None
-
-
-def check_warm_refine(solve, polynomial, params, nudged):
+def check_warm_refine(solve, coefficients, params, nudged):
     # A time step moves the parameters a little; the refine warm-started from
     # the previous root must converge in a few Newton steps, not run to
-    # maxiter, and agree with a cold solve and with bisection to 4 ulp.  A
-    # guess that is not the root takes the bracketed refine, bit for bit and
-    # with as many derivative evaluations.
+    # maxiter, and land within 4 ulp of the exact root.
     previous = solve(*params)
     with counted_derivative_calls() as calls:
         warm = solve(*nudged, guess=previous)
     assert len(calls) <= 6
-    with recorded_solves() as solves:
-        solve(*nudged)
-    (f, fprime, q_max), = solves
-    refine_calls = []
-    expected = bracketed_refine(f, lambda q: refine_calls.append(q) or fprime(q), previous, q_max)
-    assert (warm, len(calls)) == (expected, len(refine_calls))
-    cold = solve(*nudged)
-    assert abs(warm - cold) <= 4 * math.ulp(cold)
-    oracle = bisect(lambda q: polynomial(q, *nudged), 0.5 * cold, 2.0 * cold)
-    assert abs(warm - oracle) <= 4 * math.ulp(oracle)
+    assert_near_the_exact_root(warm, coefficients(*nudged))
 
 
 @PROPERTY
 @given(separation_params, st.tuples(nudge, nudge, nudge))
 def test_warm_separation_refine_converges_in_a_few_steps(params, rel):
-    def quintic(q, alpha, beta, Cc):
-        return beta * q**5 + 2.0 * alpha * q**3 - 2.0 * Cc
-
     nudged = tuple(p * (1.0 + r) for p, r in zip(params, rel))
-    check_warm_refine(solve_separation_distance, quintic, params, nudged)
+    check_warm_refine(solve_separation_distance,
+                      lambda alpha, beta, Cc: [beta, 0.0, 2.0 * alpha, 0.0, 0.0, -2.0 * Cc],
+                      params, nudged)
 
 
 @PROPERTY
 @given(phase_gate_params, st.tuples(nudge, nudge, nudge))
 def test_warm_phase_gate_refine_converges_in_a_few_steps(params, rel):
-    def cubic(q, k0, d, Cc):
-        return k0 * q**3 + d * q**2 - 2.0 * Cc
-
     def solve(k0, d, Cc, guess=None):
         return solve_phase_gate_distance(d, 0.0, k0, Cc, guess=guess)
 
     nudged = tuple(p * (1.0 + r) for p, r in zip(params, rel))
-    check_warm_refine(solve, cubic, params, nudged)
+    check_warm_refine(solve, lambda k0, d, Cc: [k0, d, 0.0, -2.0 * Cc], params, nudged)
 
 
 def check_warm_exit(solve, params):
     # Solving again from the returned root evaluates f once, and f' once
-    # unless f(root) == 0, and returns what the bracketed refine returns.  A
-    # guess above q_max takes the full scan, which finds no root below the
+    # unless f(root) == 0, and moves it by at most the exit's step, 4 * 2^-52 root.
+    # A guess above q_max takes the full scan, which finds no root below the
     # root itself.
     with recorded_solves() as solves:
         root = solve(*params)
@@ -717,7 +676,7 @@ def check_warm_exit(solve, params):
         q_max, guess=root,
     )
     assert (len(f_calls), len(d_calls)) == (1, int(f(root) != 0.0))
-    assert again == bracketed_refine(f, fprime, root, q_max)
+    assert abs(again - root) <= 4 * 2.0**-52 * root
     with pytest.raises(PresetDomainError):
         solve_positive_root(f, fprime, root * (1.0 - 1e-9), guess=root)
 
@@ -838,11 +797,16 @@ any_float = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=Fa
 
 @settings(PROPERTY, max_examples=300)
 @given(any_float, any_float, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-def test_quintic_bracket_picks_the_bits_of_max(alpha, beta, Cc):
-    # The bracket picks its bound with comparisons; they must return what the
-    # max() calls return, for coefficients of either sign, zero and extreme.
-    got = presets._quintic_bracket(alpha, beta, Cc)
-    assert got.hex() == quintic_bracket_max(alpha, beta, Cc).hex()
+def test_quintic_bracket_lies_above_the_positive_root(alpha, beta, Cc):
+    # The root solve scans (0, q_max].  Where beta q^5 + 2 alpha q^3 - 2 Cc grows
+    # without bound (beta > 0, or beta = 0 < alpha) it has one positive root
+    # (Descartes), so q_max lies above it iff the quintic, exact, is positive there.
+    # Coefficients of either sign, zero and extreme give a q_max > 0, perhaps inf.
+    q_max = presets._quintic_bracket(alpha, beta, Cc)
+    assert q_max > 0.0
+    if q_max < math.inf and (beta > 0.0 or beta == 0.0 < alpha):
+        x = Fraction(q_max)
+        assert Fraction(beta) * x**5 + 2 * Fraction(alpha) * x**3 > 2 * Fraction(Cc)
 
 
 def test_a_guess_at_or_below_zero_takes_the_full_scan():
@@ -968,36 +932,27 @@ def test_mode_run_gives_the_bits_of_the_helper_oracle(kind, larmor, data, s):
     assert hexes(modes.states.ravel()) == hexes(oracle.ravel())
 
 
-@contextmanager
-def recorded_roots():
-    """The root every root solve inside the block returns."""
-    roots = []
-    solve = presets.solve_positive_root
-
-    def recording_solve(f, fprime, q_max, guess=None):
-        roots.append(solve(f, fprime, q_max, guess=guess))
-        return roots[-1]
-
-    with mock.patch.object(presets, "solve_positive_root", recording_solve):
-        yield roots
-
-
 @pytest.mark.parametrize("kind", ["transport", "separation", "phase-gate"])
 @PROPERTY
 @given(data=st.data())
-def test_ion_pair_views_give_the_bits_of_the_per_piece_formulas(kind, data):
+def test_ion_pair_views_are_near_the_exact_per_piece_formulas(kind, data):
     # Unequal masses, alpha of either sign.  The views are called in a drawn
-    # order at drawn times, so their roots come from cold and warm solves;
-    # on the root it solved for, each view returns the per-piece bits.
+    # order at drawn times, so their roots come from cold and warm solves.  Each
+    # root is within 4 ulp of the exact root (transport's closed form
+    # (2 Cc/k)^(1/3) is off by u/3 from the quotient, u |ln(2 Cc/k)|/6 from
+    # fl(1/3) and pow's rounding: under 2 ulp on the drawn range), and each view
+    # on the root it solved for is within the rounding bound of its exact
+    # per-piece formulas.
     cfg = data.draw(preset_configs(kind), label="config")
-    sys = build_preset(cfg)
-    calls = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0))
+    sys, roots = recorded_build(cfg)
+    calls = st.tuples(st.sampled_from(ION_PAIR_VIEWS), st.floats(0.0, 1.0))
     for view, t in data.draw(st.lists(calls, min_size=1, max_size=8), label="calls"):
-        with recorded_roots() as roots:
-            got = getattr(sys, ION_PAIR_VIEWS[view])(t)
-        assert len(roots) == (kind != "transport")  # one root solve per view
-        expected = ion_pair_views(cfg, t, roots[0] if roots else None)[view]
-        assert hexes(entries(got) if view == 0 else got) == hexes(expected)
+        got = view_values(sys, view, t)
+        q0, = roots  # one root solve per view
+        del roots[:]
+        below = last_float_below_root(distance_coefficients(cfg, t))
+        assert abs(q0 - below) <= 4 * math.ulp(below)
+        check_ion_pair_view(cfg, view, t, q0, got)
 
 
 @pytest.mark.parametrize("kind", ["transport", "separation", "phase-gate"])
@@ -1010,21 +965,23 @@ def test_ion_pair_record_gives_the_bits_of_the_per_view_form(kind, data):
     # Every view must give the bits, and every solve the root, of the per-view
     # form, which reads the controls afresh on each call.
     cfg = data.draw(preset_configs(kind), label="config")
-    sys, oracle = build_preset(cfg), per_view_ion_pair(cfg)
+    (sys, roots), oracle = recorded_build(cfg), per_view_ion_pair(cfg)
     pool = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), label="times")
     call = st.tuples(st.sampled_from(ION_PAIR_VIEWS), st.sampled_from(pool), st.booleans())
-    with recorded_roots() as roots:
-        for view, t, numpy_first in data.draw(st.lists(call, min_size=1, max_size=12),
-                                              label="calls"):
-            for s in (np.float64(t), t) if numpy_first else (t,):
-                got = getattr(sys, view)(s)
-                assert hexes(entries(got) if view == "stiffness" else got) == \
-                    hexes(oracle(view, s))
+    for view, t, numpy_first in data.draw(st.lists(call, min_size=1, max_size=12),
+                                          label="calls"):
+        for s in (np.float64(t), t) if numpy_first else (t,):
+            got, expected = getattr(sys, view)(s), oracle(view, s)
+            if view == "stiffness":
+                got, expected = entries(got), entries(expected)
+            assert hexes(got) == hexes(expected)
     assert hexes(roots) == hexes(oracle.roots)
 
 
 def distance_coefficients(cfg, t) -> list:
-    """The float coefficients of a separation or phase-gate distance polynomial at t."""
+    """The float coefficients of the ion pair's distance polynomial at t."""
+    if hasattr(cfg, "Q0"):
+        return [cfg.k.value(t), 0.0, 0.0, -2.0 * cfg.Cc]
     if hasattr(cfg, "alpha"):
         return [cfg.beta.value(t), 0.0, 2.0 * cfg.alpha.value(t), 0.0, 0.0, -2.0 * cfg.Cc]
     return [cfg.k0, cfg.F1.value(t) - cfg.F2.value(t), 0.0, -2.0 * cfg.Cc]
@@ -1224,11 +1181,11 @@ def test_mode_frame_gives_the_bits_of_theta_at_then_rotated_frequencies(source, 
         sys = data.draw(preset_systems(source), label="system")
         K, masses = sys.stiffness(data.draw(times, label="t")), sys.masses
     branch = data.draw(st.none() | st.floats(-7.0, 7.0), label="branch")
-    expected = chain_frame(K, masses, branch)
-    assert hexes(_frame(K, masses, branch)) == hexes(expected)
-    assert hexes([theta_at(K, masses, branch)]) == hexes(expected[:1])
-    assert hexes(_frame(K, masses, theta=expected[0])[1:]) == hexes(expected[1:])
-    assert hexes(eigenfrequencies(K, masses, expected[0])) == hexes(expected[3:])
+    got = _frame(K, masses, branch)
+    check_frame(got, K, masses, branch)
+    assert hexes([theta_at(K, masses, branch)]) == hexes(got[:1])
+    assert hexes(_frame(K, masses, theta=got[0])[1:]) == hexes(got[1:])
+    assert hexes(eigenfrequencies(K, masses, got[0])) == hexes(got[3:])
 
 
 @pytest.mark.parametrize("kind", ["crossing", "separation", "phase-gate"])
@@ -1236,7 +1193,7 @@ def test_mode_frame_gives_the_bits_of_theta_at_then_rotated_frequencies(source, 
 @given(data=st.data())
 def test_mode_frame_walk_threads_the_chain(kind, data):
     # _mode_frames makes one frame call per sample; each sample's frame is
-    # the chain's on the branch of the sample before.
+    # _frame's on the branch of the sample before, and the exact frame there.
     if kind == "crossing":
         sys = data.draw(crossing_systems(), label="system")[0]
     else:
@@ -1251,9 +1208,9 @@ def test_mode_frame_walk_threads_the_chain(kind, data):
     branch = None
     for t in np.linspace(0.0, 1.0, 33).tolist():
         got = frame(t)
-        expected = chain_frame(seen[-1], sys.masses, branch)
-        branch = expected[0]
-        assert hexes(got) == hexes(expected)
+        assert hexes(got) == hexes(_frame(seen[-1], sys.masses, branch, t))
+        check_frame(got, seen[-1], sys.masses, branch)
+        branch = got[0]
 
 
 @pytest.mark.parametrize("kind", ["rotation", "transport", "separation", "phase-gate"])

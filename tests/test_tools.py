@@ -42,3 +42,12 @@ def test_a_json_report_compares_per_key_path():
     assert compare(old, old.replace("2.5e-09", "2.5000000000001e-09"))[0] <= 1.0
     assert compare(old, old.replace("0.0078125", "0.0078126"))[0] > 1.0
     assert compare(old, old.replace("false", "true"))[0] == math.inf
+
+
+def test_the_frame_deviation_compares_with_a_scale_of_1():
+    # The key is already relative to the run's scale: 7e-17 on 7.7e-9 is 9e-9
+    # relative, yet 0.07 of 1e-15; a 1e-12 move is 1000 times that.
+    old = '{"frame_equivalence_max_deviation": 7.71834494970026e-09, "larmor": false}'
+    ratio, where = compare(old, old.replace("7.71834494970026e-09", "7.71834501923854e-09"))
+    assert 0.0 < ratio <= 0.1 and where.startswith(".frame_equivalence_max_deviation")
+    assert compare(old, old.replace("7.71834494970026e-09", "7.71934494970026e-09"))[0] > 1.0

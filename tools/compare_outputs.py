@@ -9,7 +9,10 @@ or a command's standard output) must satisfy
     |new - old| <= 1e-12 |old| + 1e-15 M,
 
 with M the largest |old value| in its column: a CSV column, or one key path of
-a JSON report.  Relative error alone means nothing at a zero crossing.  Text
+a JSON report.  Relative error alone means nothing at a zero crossing.  A key
+whose value is already divided by its run's scale (``RELATIVE_KEYS``: the
+frame deviation, a difference of two runs over the trajectory scale) has
+M = 1, since its rounding is that of a unit-scale value.  Text
 that is not a number (headers, labels, exit codes, error lines) must match
 exactly.  One line per output gives the worst entry as its ratio to the bound;
 the exit code is 1 when any entry is outside it.  Nothing is written under
@@ -26,6 +29,7 @@ import sys
 from output_digests import run_commands
 
 REL, ABS = 1e-12, 1e-15
+RELATIVE_KEYS = {".frame_equivalence_max_deviation"}  # JSON key paths whose M is 1
 
 
 def _number(cell):
@@ -75,6 +79,7 @@ def compare(old: str, new: str) -> tuple:
     for column, _, cell in before:
         if (x := _number(cell)) is not None and math.isfinite(x):
             scale[column] = max(scale.get(column, 0.0), abs(x))
+    scale.update(dict.fromkeys(RELATIVE_KEYS, 1.0))
     worst = (0.0, "identical")
     for (column, position, a), (_, _, b) in zip(before, after):
         x, y = _number(a), _number(b)
