@@ -1,9 +1,9 @@
 """Dynamical normal-mode decomposition of a 2x2 quadratic system.
 
-The mass-weighted stiffness Ktil = M^(-1/2) K M^(-1/2) is diagonalized by a
-rotation through the mode angle theta,
+The mass-weighted stiffness Ktil = M^(-1/2) K M^(-1/2) = [[a, -c], [-c, b]] is
+diagonalized by a rotation through the mode angle theta,
 
-    tan(2 theta) = 2 k sqrt(m1 m2) / ((m1 - m2) k + (m1 k2 - m2 k1)),
+    tan(2 theta) = 2c / (b - a) = (2k/sqrt(m1 m2)) / (k (1/m2 - 1/m1) + k2/m2 - k1/m1),
 
 yielding squared mode frequencies (Omega1^2, Omega2^2) and the modal matrix
 A = O^T M^(1/2) that maps lab displacements to mode coordinates
@@ -107,24 +107,24 @@ def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
 
 
 def _angle_terms(K: StiffnessTriple, masses: MassPair, t=None) -> Optional[tuple]:
-    """(num, den, r) of tan(2 theta) = num / den with r = hypot(num, den), or None
-    where the mass-weighted stiffness is degenerate (any angle diagonalizes it):
-    r <= EPS_DEGENERATE (m1 + m2)(|k| + |k1| + |k2|), a test that squares nothing.
-    den groups m1 k2 - m2 k1 apart from k, so theta is constant at any k where m1 k2 = m2 k1.
+    """(num, den, e, r) of tan(2 theta) = num / den = 2c / (b - a) from the entries of
+    Ktil, b - a grouped as k (1/m2 - 1/m1) + e with e = k2/m2 - k1/m1 (theta is constant
+    at any k where e = 0) and r = hypot(num, den); None where Ktil is degenerate (any
+    angle diagonalizes it): r <= EPS_DEGENERATE (1/m1 + 1/m2)(|k| + |k1| + |k2|).
     Raises ``FloatingPointError`` where num or den overflows (r is inf or NaN),
     naming the time t of the triple K when the caller gives it."""
     k, k1, k2 = K.k, K.k1, K.k2
-    m1, m2 = masses.m1, masses.m2
-    num, den = 2.0 * k * masses.sqrt12, (m1 - m2) * k + (m1 * k2 - m2 * k1)
+    e = k2 / masses.m2 - k1 / masses.m1
+    num, den = 2.0 * k / masses.sqrt12, k * masses.inv_diff + e
     r = math.hypot(num, den)
-    if r > EPS_DEGENERATE * ((m1 + m2) * (abs(k) + abs(k1) + abs(k2))):
-        return num, den, r
-    # r <= (m1 + m2)(|k| + |k1| + |k2|), so an infinite r meets an infinite
+    if r > EPS_DEGENERATE * (masses.inv_sum * (abs(k) + abs(k1) + abs(k2))):
+        return num, den, e, r
+    # r <= (1/m1 + 1/m2)(|k| + |k1| + |k2|), so an infinite r meets an infinite
     # threshold, and a NaN r fails every test: both land here, off the common path.
     if not r < math.inf:
         at = "" if t is None else f" at t={t}"
-        raise FloatingPointError(f"mode angle overflows: 2k sqrt(m1 m2) = {num}, "
-                                 f"(m1 - m2)k + (m1 k2 - m2 k1) = {den}{at}")
+        raise FloatingPointError(f"mode angle overflows: 2k/sqrt(m1 m2) = {num}, "
+                                 f"k (1/m2 - 1/m1) + (k2/m2 - k1/m1) = {den}{at}")
     return None
 
 
@@ -207,8 +207,9 @@ def theta_dot_at(
     """Rate of the mode angle.
 
     The preset's closed form when it supplies one, else the chain rule on
-    the atan2 expression from the stiffness and its rate, divided by r =
-    hypot(num, den) twice instead of by r^2, which can overflow.  At a
+    :func:`_angle_terms`' atan2, in which the k (1/m2 - 1/m1) terms cancel:
+    theta_dot = (kdot e - k edot) / (sqrt(m1 m2) r^2), exactly 0 where e and
+    edot are, divided by r twice instead of by r^2, which can overflow.  At a
     degenerate instant (:func:`_angle_terms`), a difference quotient of the
     unwrapped angle from t - h on (:func:`_difference`).  A caller that
     already holds the stiffness triple at t passes it as ``triple``, so the
@@ -220,13 +221,9 @@ def theta_dot_at(
     if triple is None:
         triple = sys.stiffness(t)
     m = sys.masses
-    terms = _angle_terms(triple, m, t)
-    if terms is not None:
-        num, den, r = terms
-        dk, dk1, dk2 = sys.stiffness_rate(t)
-        num_dot = 2.0 * dk * m.sqrt12
-        den_dot = (m.m1 - m.m2) * dk + (m.m1 * dk2 - m.m2 * dk1)
-        return 0.5 * (num_dot * (den / r) - den_dot * (num / r)) / r
+    if (terms := _angle_terms(triple, m, t)) is not None:
+        (_, _, e, r), (dk, dk1, dk2) = terms, sys.stiffness_rate(t)
+        return (dk * (e / r) - (triple.k / r) * (dk2 / m.m2 - dk1 / m.m1)) / m.sqrt12 / r
     # Each theta on the branch of the one before: theta(t) is the degenerate
     # value 0, from which the two neighbours may sit on a rounding tie at +-pi/4.
     lo, hi, d = _difference(

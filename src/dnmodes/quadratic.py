@@ -32,11 +32,14 @@ class MassPair:
 
     def __post_init__(self):
         check_fields(self, positive=("m1", "m2"))
-        if not math.isfinite(self.m1 * self.m2):  # the mode frame takes sqrt(m1 m2)
-            raise ConfigError(f"m1 * m2 overflows, got {self.m1} and {self.m2}")
-        object.__setattr__(self, "sqrt1", math.sqrt(self.m1))
-        object.__setattr__(self, "sqrt2", math.sqrt(self.m2))
-        object.__setattr__(self, "sqrt12", math.sqrt(self.m1 * self.m2))
+        m1, m2 = self.m1, self.m2
+        for name, value in (("m1 * m2", m1 * m2), ("1/m1 + 1/m2", 1.0 / m1 + 1.0 / m2)):
+            if not 0.0 < value < math.inf:  # Ktil takes sqrt(m1 m2), 1/m1 and 1/m2
+                raise ConfigError(f"{name} {'over' if value else 'under'}flows, got {m1} and {m2}")
+        for name, value in (("sqrt1", math.sqrt(m1)), ("sqrt2", math.sqrt(m2)),
+                            ("sqrt12", math.sqrt(m1 * m2)), ("inv_diff", 1.0 / m2 - 1.0 / m1),
+                            ("inv_sum", 1.0 / m1 + 1.0 / m2)):
+            object.__setattr__(self, name, value)  # keeps the instance's compact attributes
 
     def matrix(self) -> np.ndarray:
         import numpy as np

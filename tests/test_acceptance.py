@@ -337,21 +337,28 @@ def test_criterion_06_phase_gate_formula_audit():
         worst_eq = max(worst_eq, abs(q0 - (2.0 * Cc / k0) ** (1.0 / 3.0)))
     equal_force_ok = worst_eq <= 1e-12
 
-    warned = 0
-    draws = 0
-    for _ in range(20):
-        F1 = rng.uniform(0.05, 0.3) * rng.choice([-1.0, 1.0])
-        F2 = rng.uniform(0.05, 0.3) * rng.choice([-1.0, 1.0])
-        if F1 + F2 == F2 - F1:
-            continue
-        draws += 1
+    def warns(F1, F2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             audit = audit_phase_gate_formulas(F1, F2, 1.0, 1.0)
         if any(issubclass(w.category, FormulaDiscrepancyWarning) for w in caught):
             assert not audit.published_consistent
-            warned += 1
-    warning_ok = draws > 0 and warned == draws
+            return True
+        return False
+
+    # The published q0 line agrees with the per-ion forms only where F2 = 0, so
+    # every draw with F2 != 0 must warn, F1 = 0 among them, and F2 = 0 must not.
+    warned = 0
+    draws = 0
+    for F1, F2 in [(0.0, 0.2)] + [
+        (rng.uniform(0.05, 0.3) * rng.choice([-1.0, 1.0]),
+         rng.uniform(0.05, 0.3) * rng.choice([-1.0, 1.0])) for _ in range(20)
+    ]:
+        if F2 == 0.0:
+            continue
+        draws += 1
+        warned += warns(F1, F2)
+    warning_ok = draws > 0 and warned == draws and not warns(0.2, 0.0)
 
     ok = individual_ok and equal_force_ok and warning_ok
     _report(

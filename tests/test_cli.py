@@ -360,7 +360,7 @@ def test_console_entry_point(tmp_path):
 
 
 def test_numpy_overflow_exits_3_with_one_line(tmp_path):
-    # The tan(2 theta) numerator 2 k sqrt(m1 m2) overflows, here in numpy
+    # The tan(2 theta) numerator 2k/sqrt(m1 m2) overflows, here in numpy
     # scalars on classify's sample times; numpy's warnings go to stderr, so
     # this needs a separate interpreter.
     ramp = {"kind": "linear-ramp", "t0": 0.0, "v0": 1e308, "t1": 1.0, "v1": 1.5e308}
@@ -474,39 +474,32 @@ def test_a_float_overflow_names_the_quantity(tmp_path, capsys, preset, command):
 # A config's values are checked finite, so a stiffness entry or a tan(2 theta)
 # term that overflows is computed: exit 3.  The message is analyze's, which
 # runs on floats; classify samples on numpy times, whose overflow numpy names.
-# A mode-angle overflow names the sample time, except in the rotation
-# builder's isotropy test, which runs before any time.
+# The terms are the mass-weighted stiffness's, 2k/sqrt(m1 m2) and
+# k (1/m2 - 1/m1) + (k2/m2 - k1/m1), so they overflow only where its entries do.
 OVERFLOWING_STIFFNESS = {
     # k1 = m omega1^2 = 1e309 when the system is built.
     "rotation_k1": ({"type": "rotation", "m": 10.0, "omega1": 1e154, "omega2": 1.0,
                      "phi": {"kind": "linear-ramp", "t0": 0.0, "v0": 0.0, "t1": 1.0, "v1": 0.4}},
                     [0.0, 1.0], "stiffness k1 must be finite, got inf"),
-    # k = 1 + 1e308 t: 2 k sqrt(m1 m2) overflows first, then k itself.
+    # k = 1 + 1e308 t: 2k/sqrt(m1 m2) overflows first, then k itself.
     "polynomial_k": ({"type": "custom", "k": {"kind": "polynomial", "coeffs": [1.0, 1e308]},
                       "k1": 1.0, "k2": 1.0},
-                     [0.0, 2.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                                 "(m1 - m2)k + (m1 k2 - m2 k1) = 0.0 at t=1.0"),
-    # The isotropy test on the phi = 0 triple: m2 k1 = 1e400.  Taken as
-    # isotropic, it would hold theta = theta_dot = 0 while phi turns.
-    "rotation_isotropy_test": ({"type": "rotation", "m": 1e100, "omega1": 1e100, "omega2": 1.0,
-                                "phi": {"kind": "linear-ramp", "t0": 0.0, "v0": 0.0, "t1": 1.0,
-                                        "v1": 0.4}},
-                               [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = 0.0, "
-                                           "(m1 - m2)k + (m1 k2 - m2 k1) = -inf"),
-    # 2 k sqrt(m1 m2) overflows, k stays finite.
+                     [0.0, 2.0], "mode angle overflows: 2k/sqrt(m1 m2) = inf, "
+                                 "k (1/m2 - 1/m1) + (k2/m2 - k1/m1) = 0.0 at t=1.0"),
+    # 2k/sqrt(m1 m2) overflows, k stays finite.
     "num_ramp": ({"type": "custom", "k": {"kind": "linear-ramp", "t0": 0.0, "v0": 1e308,
                                           "t1": 1.0, "v1": 1.5e308}, "k1": 1e308, "k2": 1.0},
-                 [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                             "(m1 - m2)k + (m1 k2 - m2 k1) = -1e+308 at t=0.0"),
-    "num_huge_masses": ({"type": "custom", "k": 1e160, "k1": 0.0, "k2": 0.0,
-                         "masses": [1e150, 1e150]},
-                        [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = inf, "
-                                    "(m1 - m2)k + (m1 k2 - m2 k1) = 0.0 at t=0.0"),
-    # m1 k2 - m2 k1 is inf - inf.
+                 [0.0, 1.0], "mode angle overflows: 2k/sqrt(m1 m2) = inf, "
+                             "k (1/m2 - 1/m1) + (k2/m2 - k1/m1) = -1e+308 at t=0.0"),
+    # k2/m2 - k1/m1 is 2e308 - (-2e308).
+    "den_inf": ({"type": "custom", "k": 1.0, "k1": -1e308, "k2": 1e308, "masses": [0.5, 0.5]},
+                [0.0, 1.0], "mode angle overflows: 2k/sqrt(m1 m2) = 4.0, "
+                            "k (1/m2 - 1/m1) + (k2/m2 - k1/m1) = inf at t=0.0"),
+    # k2/m2 - k1/m1 is inf - inf.
     "den_nan": ({"type": "custom", "k": 1.0, "k1": 1e300, "k2": 1e300,
-                 "masses": [1e200, 1e100]},
-                [0.0, 1.0], "mode angle overflows: 2k sqrt(m1 m2) = 2e+150, "
-                            "(m1 - m2)k + (m1 k2 - m2 k1) = nan at t=0.0"),
+                 "masses": [1e-10, 1e-10]},
+                [0.0, 1.0], "mode angle overflows: 2k/sqrt(m1 m2) = 20000000000.0, "
+                            "k (1/m2 - 1/m1) + (k2/m2 - k1/m1) = nan at t=0.0"),
 }
 
 
@@ -523,6 +516,51 @@ def test_an_overflowing_stiffness_or_mode_angle_exits_3(tmp_path, capsys, case, 
     assert len(err) == 1 and err[0].startswith("preset domain error: ")
     if command == "analyze":
         assert err == [f"preset domain error: {message}"]
+
+
+# Mass-weighted stiffnesses with finite entries whose raw-mass tan(2 theta) terms,
+# 2k sqrt(m1 m2) and (m1 - m2)k + (m1 k2 - m2 k1), overflow.  Per case, analyze's
+# (theta, theta_dot, Omega1^2, Omega2^2) at t; None leaves a value unchecked.
+FINITE_MASS_WEIGHTED_FRAMES = {
+    # 2k sqrt(m1 m2) = 2e310; Ktil = [[1e10, -1e10], [-1e10, 1e10]].
+    "huge_masses": ({"type": "custom", "k": 1e160, "k1": 0.0, "k2": 0.0,
+                     "masses": [1e150, 1e150]},
+                    lambda t: (math.pi / 4, 0.0, 0.0, 2e10)),
+    # m1 k2 - m2 k1 is inf - inf; Ktil is diag(1e100, 1e200) up to c = 1e-150.
+    "huge_unequal_masses": ({"type": "custom", "k": 1.0, "k1": 1e300, "k2": 1e300,
+                             "masses": [1e200, 1e100]},
+                            lambda t: (0.0, 0.0, 1e100, 1e200)),
+    # The builder's isotropy test on the phi = 0 triple, where m2 k1 = 1e400.  The
+    # smaller Omega^2 carries the triple's rounding of about u 1e200: unchecked.
+    "rotation_isotropy_test": ({"type": "rotation", "m": 1e100, "omega1": 1e100,
+                                "omega2": 1.0, "phi": {"kind": "linear-ramp", "t0": 0.0,
+                                                       "v0": 0.0, "t1": 1.0, "v1": 0.4}},
+                               lambda t: (0.4 * t, 0.4, 1e200, None)),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "simulate"])
+@pytest.mark.parametrize("case", sorted(FINITE_MASS_WEIGHTED_FRAMES))
+def test_a_finite_mass_weighted_frame_runs(tmp_path, capsys, case, command):
+    obj, expected = FINITE_MASS_WEIGHTED_FRAMES[case]
+    cfg = {
+        "schema": 1, "preset": obj, "window": [0.0, 1.0], "samples": 5,
+        "integrator": {"dt": 0.25}, "output": {"path": str(tmp_path / "fin")},
+    }
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    if command != "analyze":
+        return
+    with open(tmp_path / "fin_analyze.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    for row in rows:
+        theta, theta_dot, o1, o2 = expected(float(row["t"]))
+        scale = max(abs(o1), abs(o2 or 0.0))
+        assert abs(float(row["theta"]) - theta) <= 1e-15, row
+        assert abs(float(row["theta_dot"]) - theta_dot) <= 1e-15, row
+        for got, want in ((row["omega1_sq"], o1), (row["omega2_sq"], o2)):
+            assert want is None or abs(float(got) - want) <= 1e-14 * scale, row
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify", "simulate"])

@@ -141,19 +141,28 @@ def test_one_bad_flag_keeps_the_exit_code_contract(tmp_path, capsys, preset, com
     assert err.count("\n") <= 1
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("preset", PRESETS)
-def test_an_extreme_value_prints_one_stderr_line_in_a_process(tmp_path, preset, command):
+# A 1e300 cell's id names only the preset and the command.
+EXTREME_CASES = [
+    pytest.param(preset, command, value,
+                 id=f"{preset}-{command}" + ("" if value == 1e300 else f"-{value:g}"))
+    for value in (1e300, 1e-300)
+    for preset in PRESETS
+    for command in COMMANDS
+]
+
+
+@pytest.mark.parametrize("preset, command, value", EXTREME_CASES)
+def test_an_extreme_value_prints_one_stderr_line_in_a_process(tmp_path, preset, command, value):
     # pytest captures warnings, so only a real process shows whether numpy's
-    # overflow warnings add lines to the message.  1e300 goes on the preset's
-    # sweep-axis leaf, or for sweep into the axis values.  Separation and
-    # phase-gate classify exit 3 on it before their report, so no cell
-    # reaches the failure behind NUMPY_BOOL_REPORT.
+    # overflow or underflow warnings add lines to the message.  The value goes on
+    # the preset's sweep-axis leaf, or for sweep into the axis values.  With 1e300,
+    # separation and phase-gate classify exit 3 before their report, so no cell
+    # reaches the failure behind NUMPY_BOOL_REPORT; 1e-300 reaches none either.
     cfg = base_config(preset)
     if command == "sweep":
-        replace(cfg, SWEEP_VALUES, [1e300])
+        replace(cfg, SWEEP_VALUES, [value])
     else:
-        replace(cfg, tuple(PRESETS[preset][1].split(".")), 1e300)
+        replace(cfg, tuple(PRESETS[preset][1].split(".")), value)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     proc = run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "run"))

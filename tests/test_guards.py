@@ -92,6 +92,14 @@ GUARDS = {
     "mass_product_overflow": (
         lambda: MassPair(1e200, 1e200),
         ConfigError, "m1 * m2 overflows, got 1e+200 and 1e+200"),
+    # sqrt(m1 m2) would be 0, and the mode frame divides by it.
+    "mass_product_underflow": (
+        lambda: MassPair(1e-200, 1e-200),
+        ConfigError, "m1 * m2 underflows, got 1e-200 and 1e-200"),
+    # 1/m1 is inf, and the mass-weighted stiffness scales by it.
+    "mass_reciprocal_overflow": (
+        lambda: MassPair(1e-310, 1.0),
+        ConfigError, "1/m1 + 1/m2 overflows, got 1e-310 and 1.0"),
     "separation_condition_alpha_zero": (
         lambda: separability_condition_separation(0.0, 1.0, (0.0, 1.0)),
         PresetDomainError, "separability condition needs alpha != 0 on the window"),

@@ -374,12 +374,13 @@ def test_classify_through_an_isotropic_instant():
         assert rep.analytic_case == "k1=k2, m1=m2"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "theta is constant (m1 k2 = m2 k1 exactly), but theta_dot's chain rule rounds to about "
-    "u |kdot/k| = 1.1e-7 where k = 1e-9: max_abs_theta_dot 7.6e-8 > tol_sep"))
 def test_a_constant_angle_over_nine_decades_of_k_is_separable():
+    # m2 = 8 m1 and k2 = 8 k1, so e = k2/m2 - k1/m1 and its rate are exactly 0, and
+    # theta_dot's chain rule (kdot e - k edot) / (sqrt(m1 m2) r^2) is 0 at every k.
+    # The raw-mass chain rule rounded to about u |kdot/k| and said 7.6e-8 here.
     cfg = CustomConfig(k=LinearRamp(0.0, 1.0, 1.0, 1e-9), k1=1.4, k2=11.2, masses=(1.3, 10.4))
-    assert classify_separability(build_custom(cfg), (0.0, 1.0)).separable
+    rep = classify_separability(build_custom(cfg), (0.0, 1.0))
+    assert rep.max_abs_theta_dot == 0.0 and rep.separable
 
 
 def test_theta_branch_continuity_over_rotation_ramp():

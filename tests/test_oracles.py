@@ -4,8 +4,10 @@ Each checker gets the library's values with one formula changed on purpose: the
 mode frame with tan(2 theta)'s denominator formed with m1 and m2 swapped, and
 the ion pair with its trap curvature scaled by 1.001 or its Coulomb spring by
 1 + 1e-9.  Each must be rejected, while the unchanged library passes, and so
-do both groupings of the denominator, m1 (k + k2) - m2 (k + k1) and
-(m1 - m2) k + (m1 k2 - m2 k1), which differ only in rounding.
+do three groupings of tan(2 theta) = num / den that differ only in rounding:
+the raw-mass num = 2k sqrt(m1 m2) over m1 (k + k2) - m2 (k + k1) or over
+(m1 - m2) k + (m1 k2 - m2 k1), and the mass-weighted num = 2k/sqrt(m1 m2) over
+k (1/m2 - 1/m1) + (k2/m2 - k1/m1).
 """
 
 import math
@@ -21,10 +23,16 @@ from dnmodes.schedules import Polynomial
 
 from oracles import check_frame, check_ion_pair_view, recorded_build, replace
 
+# (num, den) of tan(2 theta) from (k, k1, k2, m1, m2).
 DENOMINATORS = {
-    "raw": lambda k, k1, k2, m1, m2: m1 * (k + k2) - m2 * (k + k1),
-    "regrouped": lambda k, k1, k2, m1, m2: (m1 - m2) * k + (m1 * k2 - m2 * k1),
-    "swapped": lambda k, k1, k2, m1, m2: m2 * (k + k2) - m1 * (k + k1),
+    "raw": lambda k, k1, k2, m1, m2: (2.0 * k * math.sqrt(m1 * m2),
+                                      m1 * (k + k2) - m2 * (k + k1)),
+    "regrouped": lambda k, k1, k2, m1, m2: (2.0 * k * math.sqrt(m1 * m2),
+                                            (m1 - m2) * k + (m1 * k2 - m2 * k1)),
+    "mass_weighted": lambda k, k1, k2, m1, m2: (2.0 * k / math.sqrt(m1 * m2),
+                                                k * (1.0 / m2 - 1.0 / m1) + (k2 / m2 - k1 / m1)),
+    "swapped": lambda k, k1, k2, m1, m2: (2.0 * k * math.sqrt(m1 * m2),
+                                          m2 * (k + k2) - m1 * (k + k1)),
 }
 
 FRAMES = [
@@ -43,21 +51,22 @@ def rejects(check, *args) -> bool:
     return False
 
 
-def angle_terms_with(den):
-    """modes._angle_terms with den(k, k1, k2, m1, m2) in place of the library's."""
+def angle_terms_with(pair):
+    """modes._angle_terms with (num, den) = pair(k, k1, k2, m1, m2) in place of the
+    library's; e = k2/m2 - k1/m1 as the library forms it."""
     def terms(K, masses, t=None):
-        num, d = 2.0 * K.k * masses.sqrt12, den(K.k, K.k1, K.k2, masses.m1, masses.m2)
-        return num, d, math.hypot(num, d)
+        num, den = pair(K.k, K.k1, K.k2, masses.m1, masses.m2)
+        return num, den, K.k2 / masses.m2 - K.k1 / masses.m1, math.hypot(num, den)
 
     return terms
 
 
-@pytest.mark.parametrize("den", sorted(DENOMINATORS))
-def test_the_frame_check_rejects_only_the_swapped_denominator(den):
+@pytest.mark.parametrize("pair", sorted(DENOMINATORS))
+def test_the_frame_check_rejects_only_the_swapped_denominator(pair):
     for K, masses, branch in FRAMES:
-        with mock.patch("dnmodes.modes._angle_terms", angle_terms_with(DENOMINATORS[den])):
+        with mock.patch("dnmodes.modes._angle_terms", angle_terms_with(DENOMINATORS[pair])):
             frame = _frame(K, masses, branch)
-        assert rejects(check_frame, frame, K, masses, branch) == (den == "swapped")
+        assert rejects(check_frame, frame, K, masses, branch) == (pair == "swapped")
 
 
 CONFIGS = {

@@ -557,14 +557,14 @@ def test_analytic_case_from_the_sampled_triples(kind, cases, data):
 @PROPERTY
 @given(m1=st.floats(0.2, 5.0), power=st.integers(-3, 3), k1=st.floats(-3.0, 3.0),
        k0=st.builds(lambda e, s: s * 10.0**e, st.floats(-9.0, 0.0), st.sampled_from([-1.0, 1.0])),
-       ratio=st.floats(0.25, 4.0))
-def test_a_constant_mode_angle_classifies_as_separable(m1, power, k1, k0, ratio):
-    # m2 = 2^power m1 and k2 = 2^power k1 make m1 k2 = m2 k1 exact in floats, so
-    # tan(2 theta) = 2 sqrt(m1 m2)/(m1 - m2) whatever k is.  k ramps by a factor
-    # within 4 from |k0| down to 1e-9: theta_dot's chain rule rounds to about
-    # u |kdot/k|, which a ramp over many decades takes above tol_sep
-    # (test_modes.py::test_a_constant_angle_over_nine_decades_of_k_is_separable).
-    cfg = CustomConfig(k=LinearRamp(0.0, k0, 1.0, k0 * ratio), k1=k1,
+       decades=st.floats(-12.0, 12.0))
+def test_a_constant_mode_angle_classifies_as_separable(m1, power, k1, k0, decades):
+    # m2 = 2^power m1 and k2 = 2^power k1 make e = k2/m2 - k1/m1 exactly 0, so
+    # tan(2 theta) = 2 sqrt(m1 m2)/(m1 - m2) whatever k is, and theta_dot's chain
+    # rule (kdot e - k edot) / (sqrt(m1 m2) r^2) is 0.  k ramps over up to 12 decades
+    # up or down from |k0|; where |k| is below about 1e-12 |k1| the stiffness is
+    # degenerate and theta_dot is a difference quotient of theta, far below tol_sep.
+    cfg = CustomConfig(k=LinearRamp(0.0, k0, 1.0, k0 * 10.0**decades), k1=k1,
                        k2=math.ldexp(k1, power), masses=(m1, math.ldexp(m1, power)))
     assert classify_separability(build_custom(cfg), (0.0, 1.0)).separable
 
