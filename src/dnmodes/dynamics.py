@@ -348,13 +348,12 @@ def mode_energy_series(
     import numpy as np
     out = np.empty((len(traj), 2))
     frame = _mode_frames(sys)
-    for i, t in enumerate(traj.times.tolist()):
+    for i, (t, (Q1, Q2, P1, P2)) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
         _, _, _, o1, o2 = frame(t)
         if compensated:
             wL = theta_dot_at(sys, t)
             o1 += wL * wL
             o2 += wL * wL
-        Q1, Q2, P1, P2 = traj.states[i]
         out[i, 0] = 0.5 * (P1 * P1 + o1 * Q1 * Q1)
         out[i, 1] = 0.5 * (P2 * P2 + o2 * Q2 * Q2)
     return out

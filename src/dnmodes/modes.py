@@ -7,7 +7,9 @@ diagonalized by a rotation through the mode angle theta,
 
 yielding squared mode frequencies (Omega1^2, Omega2^2) and the modal matrix
 A = O^T M^(1/2) that maps lab displacements to mode coordinates
-Q = A (q - q0) with momenta P = A^(-T) p.  The modes decouple exactly when
+Q = A (q - q0) with momenta P = A^(-T) p.  A is fixed by theta and the masses:
+the maps apply it in floats, and ``modal_matrix(dec.theta, masses)`` is the one
+place it becomes an array.  The modes decouple exactly when
 theta is constant in time; a nonzero theta_dot couples them through an
 angular-momentum-like term -theta_dot * (Q1 P2 - Q2 P1).
 
@@ -63,12 +65,10 @@ class ModeDecomposition:
     theta_dot: float
     omega1_sq: float
     omega2_sq: float
-    A: np.ndarray
-    A_inv: np.ndarray
 
-    def __init__(self, t, theta, theta_dot, omega1_sq, omega2_sq, A, A_inv):  # one per sample
+    def __init__(self, t, theta, theta_dot, omega1_sq, omega2_sq):  # one per sample
         self.__dict__.update(t=t, theta=theta, theta_dot=theta_dot, omega1_sq=omega1_sq,
-                             omega2_sq=omega2_sq, A=A, A_inv=A_inv)
+                             omega2_sq=omega2_sq)
 
 
 @value_class
@@ -269,20 +269,12 @@ def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> tuple:
 def decompose_at(
     sys: QuadraticSystem, t: float, branch_ref: Optional[float] = None
 ) -> ModeDecomposition:
-    """theta, theta_dot, the squared mode frequencies and A at t, from one
-    stiffness evaluation: theta_dot reuses the triple."""
+    """theta, theta_dot and the squared mode frequencies at t, from one
+    stiffness evaluation: theta_dot reuses the triple.  The modal matrix A
+    and its inverse are ``modal_matrix(dec.theta, sys.masses)``."""
     triple = sys.stiffness(t)
     theta, _, _, o1, o2 = _frame(triple, sys.masses, branch_ref, t)
-    A, A_inv = modal_matrix(theta, sys.masses)
-    return ModeDecomposition(
-        t=t,
-        theta=theta,
-        theta_dot=theta_dot_at(sys, t, triple=triple),
-        omega1_sq=o1,
-        omega2_sq=o2,
-        A=A,
-        A_inv=A_inv,
-    )
+    return ModeDecomposition(t, theta, theta_dot_at(sys, t, triple=triple), o1, o2)
 
 
 def to_mode_frame(dec: ModeDecomposition, x: PhasePoint, sys: QuadraticSystem) -> PhasePoint:

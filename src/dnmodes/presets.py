@@ -25,7 +25,7 @@ from .errors import (
     PresetDomainError,
     SingularConfigurationError,
 )
-from .modes import _angle_terms, theta_at
+from .modes import _angle_terms, _modal_product, theta_at
 from .quadratic import MassPair, QuadraticSystem, StiffnessTriple
 from .rootfind import solve_positive_root
 from .schedules import ControlSchedule, as_schedule, check_fields, config_from_dict, value_class
@@ -330,35 +330,39 @@ def separability_condition_separation(
     """
     if n_samples < 2:
         raise ConfigError("separability_condition_separation needs n_samples >= 2")
-    alpha = as_schedule(alpha)
-    beta = as_schedule(beta)
-    t0, t1 = window
-    ratios = []
-    products = []
-    guess = None
+    alpha, beta, (t0, t1) = as_schedule(alpha), as_schedule(beta), window
+    rows, guess = [], None
     for i in range(n_samples):
         t = t0 + (t1 - t0) * i / (n_samples - 1)
-        a = alpha.value(t)
-        b = beta.value(t)
+        a, b = alpha.value(t), beta.value(t)
         if a == 0.0:
             raise PresetDomainError("separability condition needs alpha != 0 on the window")
-        ratios.append(b**3 / a**5)
-        q0 = solve_separation_distance(a, b, Cc, guess=guess)
-        guess = q0
-        products.append((b * q0**5, a * q0**3))
+        try:
+            q0 = guess = solve_separation_distance(a, b, Cc, guess=guess)
+        except (OverflowError, FloatingPointError):  # a root kernel's value leaves the floats
+            raise PresetDomainError(
+                f"separability condition: q0 leaves the floats at t={t}") from None
+        rows.append([])
+        for name, power in (("beta^3/alpha^5", lambda: b**3 / a**5),
+                            ("beta q0^5", lambda: b * q0**5), ("alpha q0^3", lambda: a * q0**3)):
+            try:
+                value = power()
+            except (OverflowError, ZeroDivisionError):  # a**5 may underflow to 0
+                value = math.inf
+            if not math.isfinite(value):
+                raise PresetDomainError(
+                    f"separability condition: {name} leaves the floats at t={t}")
+            rows[-1].append(value)
+    ratios, fifths, cubes = zip(*rows)
 
     def rel_span(vals) -> float:
         lo, hi = min(vals), max(vals)
         scale = max(abs(lo), abs(hi), 1e-300)
         return (hi - lo) / scale
 
-    dev = max(
-        rel_span(ratios),
-        rel_span([p[0] for p in products]) if any(p[0] != 0.0 for p in products) else 0.0,
-        rel_span([p[1] for p in products]),
-    )
+    dev = max(rel_span(ratios), rel_span(fifths) if any(fifths) else 0.0, rel_span(cubes))
     return SeparationRampCheck(
-        holds=dev <= SEPARATION_CONDITION_TOL, max_rel_deviation=dev, ratio_samples=tuple(ratios)
+        holds=dev <= SEPARATION_CONDITION_TOL, max_rel_deviation=dev, ratio_samples=ratios
     )
 
 
@@ -519,16 +523,11 @@ def build_phase_gate_zeroth_order(cfg: PhaseGateConfig) -> QuadraticSystem:
     half = (Cc / (4.0 * k0)) ** (1.0 / 3.0)
     triple = StiffnessTriple(k0, k0, k0)
     theta = theta_at(triple, cfg.masses)
-    c, s = math.cos(theta), math.sin(theta)
-    r1, r2 = cfg.masses.sqrt1, cfg.masses.sqrt2
-    # The entries of A^-1, as modes.modal_matrix forms them.
-    inv11, inv12, inv21, inv22 = c / r1, -s / r1, s / r2, c / r2
+    c, s, w1, w2 = math.cos(theta), math.sin(theta), 1.0 / cfg.masses.sqrt1, 1.0 / cfg.masses.sqrt2
 
     def mode_force(t: float) -> tuple:
-        # Coefficients of (Q1, Q2) in F1*q1 + F2*q2 after q = q0 + A^-1 Q.
-        F1 = cfg.F1.value(t)
-        F2 = cfg.F2.value(t)
-        return (F1 * inv11 + F2 * inv21, F1 * inv12 + F2 * inv22)
+        # Coefficients of (Q1, Q2) in F1*q1 + F2*q2 after q = q0 + A^-1 Q: A^-T F.
+        return _modal_product(c, s, w1, w2, cfg.F1.value(t), cfg.F2.value(t))
 
     def full_potential(q1: float, q2: float, t: float) -> float:
         return 0.5 * k0 * (q1**2 + q2**2) + Cc / (q1 - q2)

@@ -129,9 +129,6 @@ class QuadraticSystem:
 
     # -- time-sliced data ---------------------------------------------------
 
-    def stiffness_matrix_at(self, t: float) -> np.ndarray:
-        return self.stiffness(t).matrix()
-
     # The two *_at methods only call their fields; perfbench/tracer.py
     # patches them by name.
 
@@ -145,15 +142,14 @@ class QuadraticSystem:
     # -- lab-frame evaluation -----------------------------------------------
 
     def hamiltonian_value(self, x: PhasePoint) -> float:
-        """H = p^T M^-1 p / 2 + (q - q0)^T K (q - q0) / 2 at x.t."""
+        """H = p^T M^-1 p / 2 + (q - q0)^T K (q - q0) / 2 at x.t, in floats:
+        d^T K d = k1 d1^2 + k2 d2^2 + k (d1 - d2)^2 with d = q - q0."""
         if x.frame != "lab":
             raise ConfigError("hamiltonian_value expects a lab-frame point")
-        import numpy as np
-        q0 = self.equilibrium(x.t)
-        dq = np.array([x.q[0] - q0[0], x.q[1] - q0[1]])
-        K = self.stiffness_matrix_at(x.t)
-        kinetic = 0.5 * (x.p[0] ** 2 / self.masses.m1 + x.p[1] ** 2 / self.masses.m2)
-        return float(kinetic + 0.5 * dq @ K @ dq)
+        (e1, e2), tr = self.equilibrium(x.t), self.stiffness(x.t)
+        (p1, p2), d1, d2 = x.p, x.q[0] - e1, x.q[1] - e2
+        kinetic = p1 * p1 / self.masses.m1 + p2 * p2 / self.masses.m2
+        return 0.5 * (kinetic + tr.k1 * d1 * d1 + tr.k2 * d2 * d2 + tr.k * (d1 - d2) * (d1 - d2))
 
     def force(self, t: float, q1: float, q2: float) -> tuple:
         """-K(t) (q - q0(t)) for the lab coordinates (q1, q2)."""

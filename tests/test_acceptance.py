@@ -260,7 +260,7 @@ def test_criterion_04_equilibrium_oracle():
         def U(q):
             return sys.full_potential(q[0], q[1], t)
 
-        K = sys.stiffness_matrix_at(t)
+        K = sys.stiffness(t).matrix()
         scale_g = max(1.0, np.abs(K).max() * max(1.0, np.abs(q_eq).max()))
         g = np.abs(grad4(U, q_eq, h=1e-5)).max() / scale_g
         scale_h = max(1.0, np.abs(K).max())

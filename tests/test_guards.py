@@ -103,6 +103,17 @@ GUARDS = {
     "separation_condition_alpha_zero": (
         lambda: separability_condition_separation(0.0, 1.0, (0.0, 1.0)),
         PresetDomainError, "separability condition needs alpha != 0 on the window"),
+    # alpha**5 underflows to 0 at alpha = +-1e-70 and overflows at alpha = 1e70.
+    "separation_condition_alpha_power_underflow": (
+        lambda: separability_condition_separation(-1e-70, 1.0, (0.0, 1.0)),
+        PresetDomainError, "separability condition: beta^3/alpha^5 leaves the floats at t=0.0"),
+    "separation_condition_alpha_power_overflow": (
+        lambda: separability_condition_separation(1e70, 1.0, (0.0, 1.0)),
+        PresetDomainError, "separability condition: beta^3/alpha^5 leaves the floats at t=0.0"),
+    # q0 is about sqrt(2 |alpha|), whose quintic overflows in the root scan.
+    "separation_condition_root_overflow": (
+        lambda: separability_condition_separation(-1e300, 1.0, (0.0, 1.0)),
+        PresetDomainError, "separability condition: q0 leaves the floats at t=0.0"),
     "build_preset_object": (
         lambda: build_preset(NOT_A_CONFIG),
         ConfigError, f"cannot build a preset from {NOT_A_CONFIG!r}"),

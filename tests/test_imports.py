@@ -15,7 +15,8 @@ numpy stays off the import path: no module imports it at module level
 (``if TYPE_CHECKING:`` aside), and in a fresh interpreter, importing the
 package and its command line, loading a config and building every preset
 leave it unloaded, and ``dataclasses``, ``inspect`` and ``decimal`` (which
-only the phase-gate formula audit loads) with it.
+only the phase-gate formula audit loads) with it.  Each system's per-sample
+calls (decomposition, frame maps, Hamiltonians) leave numpy unloaded too.
 
 No class is a dataclass, whose creation costs about 1 ms at import: every
 record type is a ``schedules.value_class``.
@@ -208,15 +209,32 @@ def test_set_up_does_not_import_numpy(tmp_path):
         paths.append(str(tmp_path / f"cfg{i}.json"))
         with open(paths[-1], "w") as fh:
             json.dump(cfg, fh)
+    # Then each system's per-sample calls at t0, which run on floats: the
+    # decomposition, the ellipse, both frame maps, both Hamiltonians and the
+    # zeroth-order phase gate's mode force.
     code = (
         "import json, sys\n"
         "import dnmodes, dnmodes.cli\n"
-        "labels = [dnmodes.build_preset(dnmodes.cli.load_config(path)['preset']).label\n"
-        "          for path in sys.argv[2:]]\n"
+        "configs = [dnmodes.cli.load_config(path) for path in sys.argv[2:]]\n"
+        "systems = [dnmodes.build_preset(cfg['preset']) for cfg in configs]\n"
+        "labels = [system.label for system in systems]\n"
         "unloaded = {'numpy', 'dataclasses', 'inspect', 'decimal'}\n"
         "after_set_up = sorted(unloaded & set(sys.modules))\n"
+        "for cfg, system in zip(configs, systems):\n"
+        "    t = cfg['window'][0]\n"
+        "    dec = dnmodes.decompose_at(system, t)\n"
+        "    dnmodes.ellipse_at(dec, system, t)\n"
+        "    x = dnmodes.PhasePoint(t, (0.1, -0.1), (0.0, 0.05))\n"
+        "    X = dnmodes.to_mode_frame(dec, x, system)\n"
+        "    dnmodes.from_mode_frame(dec, X, system)\n"
+        "    dnmodes.effective_hamiltonian_value(dec, system, X)\n"
+        "    system.hamiltonian_value(x)\n"
+        "    if system.label == 'phase-gate-zeroth-order':\n"
+        "        system.extras['mode_force'](t)\n"
+        "after_evaluation = 'numpy' in sys.modules\n"
         "code = dnmodes.cli.main(['analyze', '--config', sys.argv[2], '--out', sys.argv[1]])\n"
-        "print(json.dumps([labels, after_set_up, code, 'numpy' in sys.modules]))\n"
+        "after_main = 'numpy' in sys.modules\n"
+        "print(json.dumps([labels, after_set_up, after_evaluation, code, after_main]))\n"
     )
     src = os.path.dirname(os.path.dirname(dnmodes.__file__))
     path = [src, os.environ.get("PYTHONPATH", "")]
@@ -224,9 +242,11 @@ def test_set_up_does_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *paths],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    labels, after_set_up, exit_code, after_main = json.loads(proc.stdout.splitlines()[-1])
+    labels, after_set_up, after_evaluation, exit_code, after_main = json.loads(
+        proc.stdout.splitlines()[-1])
     assert labels == [*PRESETS, "phase-gate-zeroth-order"]
     assert after_set_up == []
+    assert after_evaluation is False
     assert (exit_code, after_main) == (0, True)
 
 

@@ -428,14 +428,14 @@ def test_rotation_stiffness_values():
     assert tr.k == pytest.approx(-1.5)
     assert tr.k1 == pytest.approx(4.0)
     assert tr.k2 == pytest.approx(4.0)
-    assert np.allclose(sys.stiffness_matrix_at(0.0), [[2.5, 1.5], [1.5, 2.5]])
+    assert np.allclose(sys.stiffness(0.0).matrix(), [[2.5, 1.5], [1.5, 2.5]])
 
 
 def test_rotation_phi_zero_diagonal():
     sys = build_rotation(RotationConfig(m=2.0, omega1=3.0, omega2=1.0, phi=0.0))
     tr = sys.stiffness(0.0)
     assert tr.k == 0.0
-    assert np.allclose(sys.stiffness_matrix_at(0.0), np.diag([18.0, 2.0]))
+    assert np.allclose(sys.stiffness(0.0).matrix(), np.diag([18.0, 2.0]))
 
 
 def test_rotation_isospectral():
@@ -484,7 +484,7 @@ def test_springs_k_zero_uncoupled():
     )
     assert sys.equilibrium(1.0) == pytest.approx((0.0, 2.0))
     assert np.allclose(
-        sys.stiffness_matrix_at(0.0), np.diag([1.0, 3.0])
+        sys.stiffness(0.0).matrix(), np.diag([1.0, 3.0])
     )
     for t in np.linspace(0.1, 3.9, 9):
         assert theta_dot_at(sys, float(t)) == 0.0
@@ -573,7 +573,7 @@ def test_equilibria_zero_full_potential_gradient():
             return sys.full_potential(q[0], q[1], t)
 
         g = grad4(U, q_eq, h=1e-5)
-        scale = max(1.0, np.abs(sys.stiffness_matrix_at(t)).max() * max(1.0, np.abs(q_eq).max()))
+        scale = max(1.0, np.abs(sys.stiffness(t).matrix()).max() * max(1.0, np.abs(q_eq).max()))
         assert np.abs(g).max() <= 1e-9 * scale, sys.label
 
 
@@ -586,7 +586,7 @@ def test_stiffness_triples_match_full_potential_hessian():
             return sys.full_potential(q[0], q[1], t)
 
         H = hessian4(U, q_eq, h=1e-3)
-        K = sys.stiffness_matrix_at(t)
+        K = sys.stiffness(t).matrix()
         scale = max(1.0, np.abs(K).max())
         assert np.abs(H - K).max() <= 1e-7 * scale, sys.label
 

@@ -56,6 +56,12 @@ def test_hamiltonian_values():
     assert kinetic.hamiltonian_value(PhasePoint(0.0, (0.0, 0.0), (1.0, 2.0))) == 1.0
 
 
+def test_hamiltonian_overflows_to_inf_in_either_term():
+    sys = make_static(1.0, 1.0, 1.0)
+    assert sys.hamiltonian_value(PhasePoint(0.0, (1e200, 0.0), (0.0, 0.0))) == float("inf")
+    assert sys.hamiltonian_value(PhasePoint(0.0, (0.0, 0.0), (1e200, 0.0))) == float("inf")
+
+
 def test_force_values():
     sys = make_static(1.0, 1.0, 1.0)
     assert sys.force_at(PhasePoint(0.0, (0.0, 0.0), (0.0, 0.0))) == (0.0, 0.0)
