@@ -6,9 +6,10 @@
 Configs are JSON with a top-level ``"schema": 1``; unknown fields are
 rejected (fail-closed).  Exit codes: 0 success, 2 config error, bad flag or
 unwritable output, 3 preset domain error or arithmetic overflow, 4
-divergence (partial output kept with a ``.partial`` suffix).
-A sweep classifies its grid points on min(8, CPU count) threads.  Output is
-byte-identical across repeated runs of the same config.
+divergence (partial output kept with a ``.partial`` suffix).  ``analyze`` samples
+floats; ``classify`` raises an overflow on its array grid itself, also on the
+min(8, CPU count) threads of a sweep.  Output is byte-identical across repeated
+runs of the same config.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +34,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .errors import ConfigError, DivergenceError, DnmError, PresetDomainError, ScheduleDomainError
-from .modes import classify_separability, decompose_at, ellipse_at
+from .modes import _sample_times, classify_separability, decompose_at, ellipse_at
 from .presets import PRESET_CONFIGS, build_preset
 from .quadratic import PhasePoint
 from .schedules import SCHEDULE_KINDS, is_finite_number, json_fields
@@ -47,11 +49,6 @@ _TOP_KEYS = {
     "tolerances", "sweep",
 }
 _REQUIRED_KEYS = {"schema", "preset", "window"}
-# numpy overflow, division by zero and NaN raise FloatingPointError (an
-# ArithmeticError, exit 3) instead of warning and computing on.  `main` imports
-# numpy to set this state, and the sweep sets it again in each thread; loading a
-# config and building a system do not import numpy, which only array calls need.
-_NUMPY_ERRORS = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def load_config(path: str) -> dict:
@@ -86,7 +83,9 @@ def validate_config(cfg: dict) -> None:
     window = cfg["window"]
     if not _is_pair(window) or not window[0] < window[1]:
         raise ConfigError("window must be [t0, t1] with t0 < t1")
-    cfg["window"] = [float(window[0]), float(window[1])]  # numpy rejects big JSON ints
+    t0, t1 = cfg["window"] = [float(window[0]), float(window[1])]  # no big ints on classify's grid
+    if not math.isfinite(t1 - t0):
+        raise ConfigError(f"window span t1 - t0 overflows, got [{t0}, {t1}]")
     samples = cfg.get("samples", 2)
     if type(samples) is not int or not 2 <= samples <= MAX_SAMPLES:
         raise ConfigError(f"samples must be an integer in [2, {MAX_SAMPLES}], got {samples!r}")
@@ -122,16 +121,13 @@ def validate_config(cfg: dict) -> None:
 
 
 def cmd_analyze(cfg: dict, out_base: str) -> int:
-    import numpy as np
     sys_ = build_preset(cfg["preset"])
-    t0, t1 = cfg["window"]
-    times = np.linspace(t0, t1, cfg.get("samples", 200))
     rows = []
     branch = None
-    for t in times:
-        dec = decompose_at(sys_, float(t), branch_ref=branch)
+    for t in _sample_times(*cfg["window"], cfg.get("samples", 200)):
+        dec = decompose_at(sys_, t, branch_ref=branch)
         branch = dec.theta
-        ell = ellipse_at(dec, sys_, float(t))
+        ell = ellipse_at(dec, sys_, t)
         radii = [float("nan") if r is None else r for r in ell.radii]
         rows.append(
             (t, dec.theta, dec.theta_dot, dec.omega1_sq, dec.omega2_sq, *radii, *ell.center)
@@ -238,7 +234,6 @@ def _sweep_cell(value) -> str:
 def cmd_sweep(cfg: dict, out_base: str) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
-    import numpy as np
     axes = cfg["sweep"]["axes"]
     grid = [(i,) for i in range(len(axes[0]["values"]))]
     if len(axes) == 2:
@@ -249,8 +244,7 @@ def cmd_sweep(cfg: dict, out_base: str) -> int:
         for ax, i in zip(axes, idx):
             _set_path(point_cfg, ax["path"], ax["values"][i])
         validate_config(point_cfg)
-        with np.errstate(**_NUMPY_ERRORS):  # numpy's error state is per thread
-            rep = _classify(point_cfg)
+        rep = _classify(point_cfg)
         return (
             [ax["values"][i] for ax, i in zip(axes, idx)],
             rep.theta_samples[0][1],
@@ -306,20 +300,18 @@ def main(argv=None) -> int:
             cfg["integrator"] = {**cfg.get("integrator", {}), "dt": args.dt}
         validate_config(cfg)
         out_base = args.out or cfg.get("output", {}).get("path", "dnm_out")
-        import numpy as np
-        with np.errstate(**_NUMPY_ERRORS):
-            if args.command == "analyze":
-                return cmd_analyze(cfg, out_base)
-            if args.command == "classify":
-                return cmd_classify(cfg)
-            if args.command == "simulate":
-                return cmd_simulate(cfg, out_base, args.larmor)
-            return cmd_sweep(cfg, out_base)
+        if args.command == "analyze":
+            return cmd_analyze(cfg, out_base)
+        if args.command == "classify":
+            return cmd_classify(cfg)
+        if args.command == "simulate":
+            return cmd_simulate(cfg, out_base, args.larmor)
+        return cmd_sweep(cfg, out_base)
     except (ConfigError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except (PresetDomainError, ScheduleDomainError, ArithmeticError) as exc:
-        # ArithmeticError: parameters so large that a closed form or numpy overflows.
+        # ArithmeticError: parameters so large that a closed form or classify's grid overflows.
         print(f"preset domain error: {exc}", file=_sys.stderr)
         return EXIT_PRESET
     except DivergenceError as exc:

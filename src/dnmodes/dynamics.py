@@ -26,7 +26,7 @@ them).  A stage calls them directly and forms
 the force, the drive and the modal products inline, with the bits of
 ``QuadraticSystem.force`` and ``modes._modal_product``; a map sample is
 ``modes.mode_state``.  A state that turns non-finite inside a step raises
-``FloatingPointError``, as numpy's overflow does under the command line's error
+``FloatingPointError``, as numpy's overflow does in ``classify``'s error
 state; a finite state beyond ``DIVERGENCE_GUARD`` raises ``DivergenceError``
 with the partial run.
 """

@@ -384,6 +384,14 @@ def _detect_analytic_case(masses: MassPair, triples) -> Optional[str]:
     return None
 
 
+def _sample_times(t0: float, t1: float, n: int) -> list:
+    """i step + t0 with step = (t1 - t0)/(n - 1), and t1 last: the bits of ``np.linspace(t0,
+    t1, n)``, whose (i/(n - 1))(t1 - t0) + t0 this takes where the step underflows to 0."""
+    span = t1 - t0
+    step = span / (n - 1)
+    return [(i * step if step else i / (n - 1) * span) + t0 for i in range(n - 1)] + [t1]
+
+
 def classify_separability(
     sys: QuadraticSystem,
     window: tuple,
@@ -401,20 +409,21 @@ def classify_separability(
     # The loop's numpy triple in theta_dot would make custom k1 = 1e300
     # overflow (test_stiffness_near_the_float_limit_analyzes_and_classifies).
     import numpy as np
-    times = np.linspace(t0, t1, n_samples)
     theta_samples = []
     triples = []
     branch = None
     max_rate = 0.0
     stable = True
-    for t in times:
-        triple = sys.stiffness(t)
-        triples.append(triple)
-        branch, _, _, o1, o2 = _frame(triple, sys.masses, branch, t)
-        theta_samples.append((float(t), branch))
-        if o1 <= 0.0 or o2 <= 0.0:
-            stable = False
-        max_rate = max(max_rate, abs(theta_dot_at(sys, float(t))))
+    # Raise where numpy would warn, on this thread (the state is per thread).
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for t in np.linspace(t0, t1, n_samples):
+            triple = sys.stiffness(t)
+            triples.append(triple)
+            branch, _, _, o1, o2 = _frame(triple, sys.masses, branch, t)
+            theta_samples.append((float(t), branch))
+            if o1 <= 0.0 or o2 <= 0.0:
+                stable = False
+            max_rate = max(max_rate, abs(theta_dot_at(sys, float(t))))
     return SeparabilityReport(
         window=(t0, t1),
         max_abs_theta_dot=max_rate,

@@ -25,7 +25,7 @@ from .errors import (
     PresetDomainError,
     SingularConfigurationError,
 )
-from .modes import _angle_terms, _modal_product, theta_at
+from .modes import _angle_terms, _modal_product, _sample_times, theta_at
 from .quadratic import MassPair, QuadraticSystem, StiffnessTriple
 from .rootfind import solve_positive_root
 from .schedules import ControlSchedule, as_schedule, check_fields, config_from_dict, value_class
@@ -277,10 +277,19 @@ def _separation_distance(Cc: float):
     return equation
 
 
+def _solved_q0(solve, guess, message: str) -> float:
+    """solve(guess); a root kernel value that leaves the floats raises the message."""
+    try:
+        return solve(guess)
+    except (OverflowError, FloatingPointError):
+        raise PresetDomainError(message) from None
+
+
 def solve_separation_distance(alpha: float, beta: float, Cc: float,
                               guess: float | None = None) -> float:
     """Positive root of the equilibrium quintic beta q^5 + 2 alpha q^3 - 2 Cc."""
-    return _separation_distance(Cc)(None, (alpha, beta))[0](guess)
+    return _solved_q0(_separation_distance(Cc)(None, (alpha, beta))[0], guess,
+                      f"separation: q0 overflows for alpha={alpha}, beta={beta}, Cc={Cc}")
 
 
 def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
@@ -332,16 +341,12 @@ def separability_condition_separation(
         raise ConfigError("separability_condition_separation needs n_samples >= 2")
     alpha, beta, (t0, t1) = as_schedule(alpha), as_schedule(beta), window
     rows, guess = [], None
-    for i in range(n_samples):
-        t = t0 + (t1 - t0) * i / (n_samples - 1)
+    for t in _sample_times(t0, t1, n_samples):
         a, b = alpha.value(t), beta.value(t)
         if a == 0.0:
             raise PresetDomainError("separability condition needs alpha != 0 on the window")
-        try:
-            q0 = guess = solve_separation_distance(a, b, Cc, guess=guess)
-        except (OverflowError, FloatingPointError):  # a root kernel's value leaves the floats
-            raise PresetDomainError(
-                f"separability condition: q0 leaves the floats at t={t}") from None
+        q0 = guess = _solved_q0(_separation_distance(Cc)(t, (a, b))[0], guess,
+                                f"separability condition: q0 leaves the floats at t={t}")
         rows.append([])
         for name, power in (("beta^3/alpha^5", lambda: b**3 / a**5),
                             ("beta q0^5", lambda: b * q0**5), ("alpha q0^3", lambda: a * q0**3)):
@@ -408,7 +413,8 @@ def _phase_gate_distance(k0: float, Cc: float):
 def solve_phase_gate_distance(F1: float, F2: float, k0: float, Cc: float,
                               guess: float | None = None) -> float:
     """Positive root of the equilibrium cubic k0 q^3 + (F1 - F2) q^2 - 2 Cc."""
-    return _phase_gate_distance(k0, Cc)(None, (F1, F2))[0](guess)
+    return _solved_q0(_phase_gate_distance(k0, Cc)(None, (F1, F2))[0], guess,
+                      f"phase-gate: q0 overflows for F1={F1}, F2={F2}, k0={k0}, Cc={Cc}")
 
 
 def _phase_gate_forms(F1: float, F2: float, k0: float, Cc: float) -> tuple:

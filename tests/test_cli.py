@@ -250,6 +250,7 @@ def sweep_over(path, values):
 MALFORMED = {
     "dt": (["simulate"], lambda c: c["integrator"].update(dt="abc")),
     "window": (["analyze"], lambda c: c.update(window=["a", "b"])),
+    "window_span_overflows": (["analyze"], lambda c: c.update(window=[-1e308, 1e308])),
     "masses": (["analyze"], lambda c: c["preset"].update(masses=[1, "x"])),
     "initial_state": (
         ["simulate"],

@@ -28,9 +28,12 @@ from dnmodes.modes import (
 )
 from dnmodes.presets import (
     CustomConfig,
+    audit_phase_gate_formulas,
     build_custom,
     build_preset,
     separability_condition_separation,
+    solve_phase_gate_distance,
+    solve_separation_distance,
 )
 from dnmodes.quadratic import MassPair, PhasePoint
 from dnmodes.schedules import Polynomial, SampledTable
@@ -114,6 +117,16 @@ GUARDS = {
     "separation_condition_root_overflow": (
         lambda: separability_condition_separation(-1e300, 1.0, (0.0, 1.0)),
         PresetDomainError, "separability condition: q0 leaves the floats at t=0.0"),
+    # The public root solves and the audit name q0 where a root kernel overflows.
+    "separation_distance_overflow": (
+        lambda: solve_separation_distance(-1e300, 1.0, 1.0),
+        PresetDomainError, "separation: q0 overflows for alpha=-1e+300, beta=1.0, Cc=1.0"),
+    "phase_gate_distance_overflow": (
+        lambda: solve_phase_gate_distance(0.0, 1e300, 1.0, 1.0),
+        PresetDomainError, "phase-gate: q0 overflows for F1=0.0, F2=1e+300, k0=1.0, Cc=1.0"),
+    "phase_gate_audit_overflow": (
+        lambda: audit_phase_gate_formulas(0.0, 1e300, 1.0, 1.0),
+        PresetDomainError, "phase-gate: q0 overflows for F1=0.0, F2=1e+300, k0=1.0, Cc=1.0"),
     "build_preset_object": (
         lambda: build_preset(NOT_A_CONFIG),
         ConfigError, f"cannot build a preset from {NOT_A_CONFIG!r}"),

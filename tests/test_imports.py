@@ -16,7 +16,8 @@ numpy stays off the import path: no module imports it at module level
 package and its command line, loading a config and building every preset
 leave it unloaded, and ``dataclasses``, ``inspect`` and ``decimal`` (which
 only the phase-gate formula audit loads) with it.  Each system's per-sample
-calls (decomposition, frame maps, Hamiltonians) leave numpy unloaded too.
+calls (decomposition, frame maps, Hamiltonians) and a whole ``dnm analyze``
+run leave numpy unloaded too.
 
 No class is a dataclass, whose creation costs about 1 ms at import: every
 record type is a ``schedules.value_class``.
@@ -200,8 +201,8 @@ def test_no_module_imports_numpy_at_module_level(path):
 
 def test_set_up_does_not_import_numpy(tmp_path):
     # Every preset, with lists for its tuple fields: the rotation phi is a
-    # cubic table and the phase-gate F2 a polynomial.  The command line still
-    # needs numpy, which main imports.
+    # cubic table and the phase-gate F2 a polynomial.  `dnm analyze` samples a
+    # float grid, so the command line loads no numpy either.
     zeroth = base_config("phase-gate")
     zeroth["preset"]["zeroth_order"] = True
     paths = []
@@ -247,7 +248,7 @@ def test_set_up_does_not_import_numpy(tmp_path):
     assert labels == [*PRESETS, "phase-gate-zeroth-order"]
     assert after_set_up == []
     assert after_evaluation is False
-    assert (exit_code, after_main) == (0, True)
+    assert (exit_code, after_main) == (0, False)
 
 
 def dataclass_names(source: str) -> list:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -382,6 +384,22 @@ def test_a_constant_angle_over_nine_decades_of_k_is_separable():
     cfg = CustomConfig(k=LinearRamp(0.0, 1.0, 1.0, 1e-9), k1=1.4, k2=11.2, masses=(1.3, 10.4))
     rep = classify_separability(build_custom(cfg), (0.0, 1.0))
     assert rep.max_abs_theta_dot == 0.0 and rep.separable
+
+
+def test_classify_raises_a_numpy_overflow_on_any_thread():
+    # 2k/sqrt(m1 m2) overflows in the schedule's arithmetic on classify's numpy
+    # times.  numpy's error state is per thread, so classify sets it itself:
+    # a sweep worker raises like the calling thread, and neither warns.
+    ramp = LinearRamp(0.0, 1e308, 1.0, 1.5e308)
+    sys = build_custom(CustomConfig(k=ramp, k1=1e308, k2=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatingPointError):
+            classify_separability(sys, (0.0, 1.0), n_samples=5)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            worker = pool.submit(classify_separability, sys, (0.0, 1.0), n_samples=5)
+            with pytest.raises(FloatingPointError):
+                worker.result()
 
 
 def test_theta_branch_continuity_over_rotation_ramp():

@@ -56,6 +56,7 @@ from dnmodes.modes import (
     _frame,
     _modal_product,
     _mode_frames,
+    _sample_times,
     classify_separability,
     decompose_at,
     drive_at,
@@ -807,6 +808,23 @@ def test_quintic_bracket_lies_above_the_positive_root(alpha, beta, Cc):
     if q_max < math.inf and (beta > 0.0 or beta == 0.0 < alpha):
         x = Fraction(q_max)
         assert Fraction(beta) * x**5 + 2 * Fraction(alpha) * x**3 > 2 * Fraction(Cc)
+
+
+# Near zero, where a span t1 - t0 can be subnormal and its step underflow to 0.
+window_end = st.one_of(any_float, st.floats(-1e-305, 1e-305))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(window_end, window_end, st.integers(2, 2000))
+@example(0.0, 1.5e-323, 10)  # step = 3 ulp / 9 rounds to 0
+@example(-5e-324, 5e-324, 2000)
+@example(-1e308, 0.7e308, 3)
+@example(-8.988465674311579e307, 8.988465674311579e307, 7)  # numpy's 6 step overflows
+def test_sample_times_have_the_bits_of_numpys_grid(t0, t1, n):
+    assume(math.isfinite(t1 - t0))
+    with np.errstate(over="ignore"):  # (n - 1) step may pass the largest float; t1 replaces it
+        want = np.linspace(t0, t1, n).tolist()
+    assert list(map(float.hex, _sample_times(t0, t1, n))) == list(map(float.hex, want))
 
 
 def test_a_guess_at_or_below_zero_takes_the_full_scan():
