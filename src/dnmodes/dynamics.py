@@ -11,19 +11,19 @@ each stage time twice, and rotation keeps its stiffness and theta_dot at the
 last time asked, so it computes each distinct time once.
 
 RK4 and velocity Verlet are step maps y_{n+1} = step(t_n, t_{n+1}, y_n); one
-run loop owns the grid, the guard and the partial run.  The steps and the
-lab-to-mode map work on Python floats, so schedules and root solves never see
-numpy scalars: step times come with ``tolist()`` from the spec's grid t0 + i
-dt, whose last entry is exactly t1; RK4's last stage lies on the next grid
-time, so no stage leaves the window.  The mode angle is threaded call by call:
-the first stage at t0 takes the default branch, each later stage (or map
-sample) the branch of the one before.  A mode-frame stage evaluates the
-stiffness once; one frame call gives theta, both squared frequencies and the
-cos/sin pair that turns the drive (built once per distinct stiffness triple),
-which a map sample reuses with only the stiffness and the equilibrium, no
-theta_dot.  Callables are bound per run, not at import (a tracer may replace
-them).  A stage calls them directly and forms
-the force, the drive and the modal products inline, with the bits of
+run loop owns the grid, the guard and the partial run.  A run is Python floats
+end to end, so schedules and root solves never see numpy scalars: its times
+are the spec's grid t0 + i dt, whose last entry is exactly t1, and its rows
+are 4-tuples, which the map, the frame check and the CSV writer read as they
+are.  RK4's last stage lies on the next grid time, so no stage leaves the
+window.  The mode angle is threaded call by call: the first stage at t0 takes
+the default branch, each later stage (or map sample) the branch of the one
+before.  A mode-frame stage evaluates the stiffness once; one frame call gives
+theta, both squared frequencies and the cos/sin pair that turns the drive
+(built once per distinct stiffness triple), which a map sample reuses with
+only the stiffness and the equilibrium, no theta_dot.  Callables are bound per
+run, not at import (a tracer may replace them).  A stage calls them directly
+and forms the force, the drive and the modal products inline, with the bits of
 ``QuadraticSystem.force`` and ``modes._modal_product``; a map sample is
 ``modes.mode_state``.  A state that turns non-finite inside a step raises
 ``FloatingPointError``, as numpy's overflow does in ``classify``'s error
@@ -46,7 +46,7 @@ from .modes import (
     theta_dot_at,
 )
 from .quadratic import PhasePoint, QuadraticSystem
-from .schedules import value_class
+from .schedules import check_fields, value_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,6 +77,7 @@ class IntegratorSpec:
     method: str = "rk4"
 
     def __post_init__(self):
+        check_fields(self)
         if self.method not in ("rk4", "velocity-verlet"):
             raise ConfigError(f"unknown integrator {self.method!r}")
         if not (self.dt > 0):
@@ -95,25 +96,27 @@ class IntegratorSpec:
     def n_steps(self) -> int:
         return round((self.t1 - self.t0) / self.dt)
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> list:
         """The step times t0 + i dt, the last of them exactly t1."""
-        import numpy as np
-        times = self.t0 + self.dt * np.arange(self.n_steps + 1)
-        times[-1] = self.t1
-        return times
+        return [self.t0 + self.dt * i for i in range(self.n_steps)] + [self.t1]
 
 
 @value_class
 class Trajectory:
     frame: str
-    times: np.ndarray
-    states: np.ndarray  # shape (N, 4): (q1, q2, p1, p2) or (Q1, Q2, P1, P2)
+    times: tuple
+    rows: tuple  # 4-tuples: (q1, q2, p1, p2) or (Q1, Q2, P1, P2)
     step: float
 
+    @property
+    def states(self) -> np.ndarray:
+        """The rows as a new (N, 4) array."""
+        import numpy as np
+        return np.array(self.rows)
+
     def point(self, i: int) -> PhasePoint:
-        t = float(self.times[i])
-        s = self.states[i]
-        return PhasePoint(t=t, q=(s[0], s[1]), p=(s[2], s[3]), frame=self.frame)
+        q1, q2, p1, p2 = self.rows[i]
+        return PhasePoint(t=self.times[i], q=(q1, q2), p=(p1, p2), frame=self.frame)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -126,12 +129,11 @@ class FrameEquivalenceReport:
     lab: Trajectory
     mapped: Trajectory  # lab trajectory expressed in mode coordinates
     modes: Trajectory
-    deviations: np.ndarray
 
 
 @value_class
 class EnergyAudit:
-    times: np.ndarray
+    times: tuple
     energies: np.ndarray
     max_drift: float  # max |H(t) - H(t0)| / max(1, |H(t0)|)
 
@@ -140,9 +142,7 @@ def _run(frame: str, step, y0: tuple, spec: IntegratorSpec) -> Trajectory:
     """The rows of ``step(t, t_next, y) -> y`` on the spec's grid from the float
     state y0.  A state outside the guard stops the run: a non-finite one is an
     overflow inside the step, a finite one a divergence with the run so far."""
-    import numpy as np
-    times = spec.grid()
-    grid = times.tolist()
+    grid = spec.grid()
     rows = [y0]
     for i in range(len(grid) - 1):
         q1, q2, p1, p2 = y = step(grid[i], grid[i + 1], rows[-1])
@@ -150,11 +150,11 @@ def _run(frame: str, step, y0: tuple, spec: IntegratorSpec) -> Trajectory:
                 and abs(p1) < DIVERGENCE_GUARD and abs(p2) < DIVERGENCE_GUARD):
             if not all(map(math.isfinite, y)):
                 raise FloatingPointError(f"state overflowed at t={grid[i + 1]}")
-            partial = Trajectory(frame, times[: i + 1], np.array(rows), spec.dt)
+            partial = Trajectory(frame, tuple(grid[: i + 1]), tuple(rows), spec.dt)
             raise DivergenceError(f"state exceeded {DIVERGENCE_GUARD:g} at t={grid[i + 1]}",
                                   partial=partial)
         rows.append(y)
-    return Trajectory(frame, times, np.array(rows), spec.dt)
+    return Trajectory(frame, tuple(grid), tuple(rows), spec.dt)
 
 
 def _rk4(rhs, dt: float):
@@ -285,13 +285,12 @@ def map_to_mode_frame(sys: QuadraticSystem, traj: Trajectory) -> Trajectory:
     """Express a lab trajectory in mode coordinates, threading the theta branch."""
     if traj.frame != "lab":
         raise ConfigError("map_to_mode_frame expects a lab trajectory")
-    import numpy as np
     frame = _mode_frames(sys)
     rows = []
-    for t, (q1, q2, p1, p2) in zip(traj.times.tolist(), traj.states.tolist()):
+    for t, (q1, q2, p1, p2) in zip(traj.times, traj.rows):
         _, c, s, _, _ = frame(t)
         rows.append(mode_state(sys, t, c, s, q1, q2, p1, p2))
-    return Trajectory("mode", traj.times.copy(), np.array(rows), traj.step)
+    return Trajectory("mode", traj.times, tuple(rows), traj.step)
 
 
 def frame_equivalence_check(
@@ -301,20 +300,17 @@ def frame_equivalence_check(
 ) -> FrameEquivalenceReport:
     """Integrate in the lab, map to mode coordinates, and compare against a
     direct mode-frame integration from the mapped initial condition."""
-    import numpy as np
     lab = integrate_lab(sys, x0_lab, spec)
     mapped = map_to_mode_frame(sys, lab)
     modes = integrate_modes(sys, mapped.point(0), spec)
-    diffs = np.linalg.norm(mapped.states - modes.states, axis=1)
-    scale = float(np.linalg.norm(mapped.states, axis=1).max())
-    max_dev = float(diffs.max() / max(scale, 1e-300))
+    diff = max(map(math.dist, mapped.rows, modes.rows))
+    scale = max(math.hypot(*x) for x in mapped.rows)
     return FrameEquivalenceReport(
-        max_deviation=max_dev,
+        max_deviation=diff / max(scale, 1e-300),
         scale=scale,
         lab=lab,
         mapped=mapped,
         modes=modes,
-        deviations=diffs,
     )
 
 
@@ -332,7 +328,7 @@ def energy_audit(traj: Trajectory, sys: QuadraticSystem) -> EnergyAudit:
             branch = dec.theta
             energies[i] = effective_hamiltonian_value(dec, sys, x)
     drift = float(np.abs(energies - energies[0]).max() / max(1.0, abs(energies[0])))
-    return EnergyAudit(times=traj.times.copy(), energies=energies, max_drift=drift)
+    return EnergyAudit(times=traj.times, energies=energies, max_drift=drift)
 
 
 def mode_energy_series(
@@ -348,7 +344,7 @@ def mode_energy_series(
     import numpy as np
     out = np.empty((len(traj), 2))
     frame = _mode_frames(sys)
-    for i, (t, (Q1, Q2, P1, P2)) in enumerate(zip(traj.times.tolist(), traj.states.tolist())):
+    for i, (t, (Q1, Q2, P1, P2)) in enumerate(zip(traj.times, traj.rows)):
         _, _, _, o1, o2 = frame(t)
         if compensated:
             wL = theta_dot_at(sys, t)
@@ -373,6 +369,6 @@ def _csv_rows(rows, width: int, tail: str = "") -> str:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export with 17-significant-digit floats for bit-faithful round-trips."""
     names = "t,q1,q2,p1,p2" if traj.frame == "lab" else "t,Q1,Q2,P1,P2"
-    rows = zip(traj.times.tolist(), *traj.states.T.tolist())
+    rows = ((t, *y) for t, y in zip(traj.times, traj.rows))
     with open(path, "w", newline="") as fh:
         fh.write(f"{names},frame\n" + _csv_rows(rows, 5, "," + traj.frame))

@@ -83,6 +83,13 @@ GUARDS = {
     "momentum_shift_lab_point": (
         lambda: momentum_shift(DEC, SYS, LAB),
         ConfigError, "momentum_shift expects a mode-frame point"),
+    # A NaN window end is a field error, not round()'s bare ValueError.
+    "integrator_spec_nan_t0": (
+        lambda: IntegratorSpec(0.1, float("nan"), 1.0),
+        ConfigError, "t0 must be a finite number, got nan"),
+    "integrator_spec_nan_t1": (
+        lambda: IntegratorSpec(0.1, 0.0, float("nan")),
+        ConfigError, "t1 must be a finite number, got nan"),
     "classify_one_sample": (
         lambda: classify_separability(SYS, (0.0, 1.0), n_samples=1),
         ConfigError, "classify_separability needs n_samples >= 2"),

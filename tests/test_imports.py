@@ -16,8 +16,9 @@ numpy stays off the import path: no module imports it at module level
 package and its command line, loading a config and building every preset
 leave it unloaded, and ``dataclasses``, ``inspect`` and ``decimal`` (which
 only the phase-gate formula audit loads) with it.  Each system's per-sample
-calls (decomposition, frame maps, Hamiltonians) and a whole ``dnm analyze``
-run leave numpy unloaded too.
+calls (decomposition, frame maps, Hamiltonians), a whole ``dnm analyze``
+run and ``dnm simulate`` runs of every preset, with and without ``--larmor``,
+leave numpy unloaded too.
 
 No class is a dataclass, whose creation costs about 1 ms at import: every
 record type is a ``schedules.value_class``.
@@ -202,7 +203,8 @@ def test_no_module_imports_numpy_at_module_level(path):
 def test_set_up_does_not_import_numpy(tmp_path):
     # Every preset, with lists for its tuple fields: the rotation phi is a
     # cubic table and the phase-gate F2 a polynomial.  `dnm analyze` samples a
-    # float grid, so the command line loads no numpy either.
+    # float grid and `dnm simulate` keeps its runs as float rows, so the
+    # command line loads no numpy either.
     zeroth = base_config("phase-gate")
     zeroth["preset"]["zeroth_order"] = True
     paths = []
@@ -233,9 +235,12 @@ def test_set_up_does_not_import_numpy(tmp_path):
         "    if system.label == 'phase-gate-zeroth-order':\n"
         "        system.extras['mode_force'](t)\n"
         "after_evaluation = 'numpy' in sys.modules\n"
-        "code = dnmodes.cli.main(['analyze', '--config', sys.argv[2], '--out', sys.argv[1]])\n"
+        "codes = [dnmodes.cli.main(['analyze', '--config', sys.argv[2], '--out', sys.argv[1]])]\n"
+        "for larmor in ([], ['--larmor']):\n"
+        "    codes += [dnmodes.cli.main(['simulate', '--config', path, '--out', sys.argv[1],\n"
+        "                                *larmor]) for path in sys.argv[2:]]\n"
         "after_main = 'numpy' in sys.modules\n"
-        "print(json.dumps([labels, after_set_up, after_evaluation, code, after_main]))\n"
+        "print(json.dumps([labels, after_set_up, after_evaluation, codes, after_main]))\n"
     )
     src = os.path.dirname(os.path.dirname(dnmodes.__file__))
     path = [src, os.environ.get("PYTHONPATH", "")]
@@ -243,12 +248,12 @@ def test_set_up_does_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *paths],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    labels, after_set_up, after_evaluation, exit_code, after_main = json.loads(
+    labels, after_set_up, after_evaluation, exit_codes, after_main = json.loads(
         proc.stdout.splitlines()[-1])
     assert labels == [*PRESETS, "phase-gate-zeroth-order"]
     assert after_set_up == []
     assert after_evaluation is False
-    assert (exit_code, after_main) == (0, False)
+    assert (exit_codes, after_main) == ([0] * (1 + 2 * len(paths)), False)
 
 
 def dataclass_names(source: str) -> list:

@@ -827,6 +827,21 @@ def test_sample_times_have_the_bits_of_numpys_grid(t0, t1, n):
     assert list(map(float.hex, _sample_times(t0, t1, n))) == list(map(float.hex, want))
 
 
+@settings(PROPERTY, max_examples=300)
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 4096))
+@example(0.1, 2.9, 9)  # t0 + 9 dt is 2.9999999999999996: the last entry is t1 = 3.0
+def test_integrator_grid_has_the_bits_of_numpys(t0, span, n):
+    # At these scales t1 - t0 is within rounding of span, far inside the
+    # divisibility check.
+    spec = IntegratorSpec(span / n, t0, t0 + span)
+    assert spec.n_steps == n
+    want = t0 + spec.dt * np.arange(n + 1)
+    want[-1] = spec.t1
+    got = spec.grid()
+    assert {type(t) for t in got} == {float}
+    assert list(map(float.hex, got)) == list(map(float.hex, want.tolist()))
+
+
 def test_a_guess_at_or_below_zero_takes_the_full_scan():
     # -2 is a root of q^2 - 4, but not a positive one.
     assert solve_positive_root(lambda q: q * q - 4.0, lambda q: 2.0 * q, 3.0, guess=-2.0) == 2.0
@@ -892,8 +907,8 @@ def test_verlet_has_the_bits_of_the_oracle_loop(kind, data):
     calls, force = [], sys.force
     sys.force = lambda t, q1, q2: calls.append(t) or force(t, q1, q2)
     lab = integrate_lab(sys, PhasePoint(0.0, s[:2], s[2:]), spec)
-    assert calls == lab.times.tolist() == spec.grid().tolist()
-    expected = verlet_states(twin, spec.grid().tolist(), spec.dt, s)
+    assert calls == list(lab.times) == spec.grid()
+    expected = verlet_states(twin, spec.grid(), spec.dt, s)
     assert [hexes(row) for row in lab.states] == [hexes(row) for row in expected]
 
 
