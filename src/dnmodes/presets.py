@@ -9,7 +9,14 @@ caller-supplied number (natural units), default 1.
 Transport, separation and the phase gate are one ion pair, q1 > q2 (Coulomb
 repulsion keeps the ions apart).  Its distance q0 is the root of one equation
 f(q; u) = 0 in the controls u, built once per time; that equation's f' serves
-both the root solve and q0dot = -(df/dt) / f'(q0).
+both the root solve and q0dot = -(df/dt) / f'(q0).  Separation's quintic and the
+phase gate's cubic, (a q^j + b) q^j q - 2 Cc, are solved in x = q/2^e, 2^e within a
+factor 2 of the dominant balance's length, with exact coefficients in x: Horner and
+Newton round as in q.  With l = (|b|/|a|)^(1/j), la = (2 Cc/a)^(1/(2j+1)) and lb =
+(2 Cc/b)^(1/(j+1)), the root is in (m/2, m] for a, b >= 0, m the smaller la, lb of a
+positive term; in (M, 2M] for a > 0 > b, M = max(l, la); below l for a < 0 < b (none or
+two, the largest taken cold, the nearest warm).  Each root in x is thus in (1/4, 4],
+inside the bracket (0, 8]; transport's is a cube root of [1/2, 8), times 2^j.
 Rotation's stiffness and theta_dot keep their value at the last float time
 asked, so a time that two RK stages share reads the phi schedule once.
 """
@@ -57,7 +64,6 @@ __all__ = [
     "PhaseGateAudit",
 ]
 
-_MIN_NORMAL = 2.2250738585072014e-308  # below it a float cube keeps fewer bits
 SEPARATION_CONDITION_TOL = 1e-9  # relative spread of beta^3/alpha^5 that counts as constant
 FORMULA_AUDIT_REL_TOL = 1e-8  # phase-gate closed forms against the root solve, relative to q0
 
@@ -87,18 +93,18 @@ def _per_time(view):
 
 
 def _ion_pair(
-    cfg, label, controls, equation, drift, curvature, curvature_rate, trap_potential,
+    cfg, label, controls, equation, curvature, curvature_rate, trap_potential,
     center=None, theta_dot_override=None,
 ) -> QuadraticSystem:
     """Two ions at c +- q0/2 in a trap of curvature kappa, coupled by the spring 2 Cc/q0^3
     of the Coulomb term, all pure functions of u = (s1(t), s2(t)), the ``controls`` (s1,
     s2), their rates du, and the root q0 of one distance equation f(q; u) = 0, which
-    ``equation(t, u)`` builds as ``(solve, fprime)``: solve(guess) from the last q0 (None at
-    first, so a series goes in time order), and f'.  With ``drift(t, u, du, q0)``, df/dt at
-    fixed q, q0dot = -drift / f'(q0).  The record (t, u, equation(t, u), du) of the last
-    time read is built when t changes, du when a rate view first asks at that t.  Also
-    ``curvature(u, q0)``, ``curvature_rate(u, du, q0, q0dot)``, the centre c(u) (None: 0),
-    linear, so c(du) is its rate, and the trap potential without Coulomb."""
+    ``equation(t, u)`` builds as ``(solve, rate)``: solve(guess) from the last q0 (None at
+    first, so a series goes in time order), in its own scale (module docstring), and
+    rate(du, q0) = (df/dt, f'(q0)), both over the same power of q0: q0dot = -(df/dt)/f'(q0).
+    The record (t, u, equation(t, u), du) of the last time read is built when t changes, du
+    when a rate view first asks.  Also ``curvature(u, q0)``, ``curvature_rate(u, du, q0,
+    q0dot)``, the linear centre c(u) (None: 0), rate c(du), and the trap potential less Coulomb."""
     Cc, two_cc = cfg.Cc, 2.0 * cfg.Cc
     (v1, d1), (v2, d2) = ((s.value, s.derivative) for s in controls)
     previous = None  # the last root, the next solve's guess
@@ -119,24 +125,26 @@ def _ion_pair(
         record = rec
         try:
             previous = q0 = rec[2][0](previous)
-        except (OverflowError, FloatingPointError):  # a root kernel's value leaves the floats
+        except OverflowError:  # 2^e x, the root, is no float
             raise PresetDomainError(f"{label}: q0 overflows at t={t}") from None
         return rec, q0  # not previous, which another thread may have set since
 
     def q0_rate(t: float, rec: tuple, q0: float) -> float:
-        rate = drift(t, rec[1], rec[3], q0)
-        if (slope := rec[2][1](q0)) == 0.0:  # a double root
+        try:
+            drift, slope = rec[2][1](rec[3], q0)
+        except OverflowError:  # a power of q0 in them is no float
+            raise PresetDomainError(f"{label}: q0dot overflows at t={t}") from None
+        if slope == 0.0:  # a double root
             raise SingularConfigurationError(f"singular point: f'(q0) vanishes at t={t}")
-        return -rate / slope
+        return -drift / slope
 
     def spring(t: float, q0: float) -> float:
-        # 2 Cc/q0**3, dividing by q0 thrice where the cube is subnormal; none where it is
-        # 0 or, as q0**3 raised there, inf
-        if _MIN_NORMAL <= (q3 := q0 * q0 * q0) < math.inf:
-            return two_cc / q3
-        if 0.0 < q3 < _MIN_NORMAL:
-            return two_cc / q0 / q0 / q0
-        raise PresetDomainError(f"{label}: Coulomb spring 2 Cc/q0**3 overflows at t={t}")
+        m, e = math.frexp(q0)  # 2 Cc/m^3 2^-3e: the bits of 2 Cc/q0**3 where q0**3 is normal
+        try:
+            return math.ldexp(two_cc / (m * m * m), -3 * e)
+        except OverflowError:
+            raise PresetDomainError(
+                f"{label}: Coulomb spring 2 Cc/q0**3 overflows at t={t}") from None
 
     def equilibrium(t: float) -> tuple:
         rec, q0 = solved(t)
@@ -173,6 +181,15 @@ def _ion_pair(
     )
 
 
+def _cube_root(num: float, den: float, shift: int) -> float:
+    """(num/den 2^shift)^(1/3), num, den > 0: the cube root of y in [1/2, 8), times 2^j.
+    math.cbrt (glibc 2.36) can be 3 ulp off; one Newton step gave at most 0.94 in 3e6 y."""
+    (mn, en), (md, ed) = math.frexp(num), math.frexp(den)
+    j, r = divmod(en - ed + shift, 3)
+    root = math.cbrt(y := math.ldexp(mn / md, r))
+    return math.ldexp(root - (root - y / (root * root)) / 3.0, j)
+
+
 # ---------------------------------------------------------------------------
 # Transport / expansion: common trap spring k(t), moving trap center Q0(t).
 # ---------------------------------------------------------------------------
@@ -196,15 +213,13 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
     so f' = 3k and df/dt = kdot q0 there; the stiffness triple is (k, k, k), so theta
     is constant for any masses and any k(t).
     """
-    two_cc = 2.0 * cfg.Cc
-
     def equation(t: float, u: tuple) -> tuple:
         def solve(guess) -> float:
             if u[0] <= 0.0:  # every view solves for q0, so every view checks k
                 raise PresetDomainError(f"transport requires k(t) > 0, got k({t}) = {u[0]}")
-            return (two_cc / u[0]) ** (1.0 / 3.0)
+            return _cube_root(cfg.Cc, u[0], 1)
 
-        return solve, lambda q: 3.0 * u[0]
+        return solve, lambda du, q0: (du[0] * q0, 3.0 * u[0])
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
         Q0 = cfg.Q0.value(t)
@@ -215,7 +230,6 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
         "transport",
         controls=(cfg.k, cfg.Q0),
         equation=equation,
-        drift=lambda t, u, du, q0: du[0] * q0,
         curvature=lambda u, q0: u[0],
         curvature_rate=lambda u, du, q0, q0dot: du[0],
         trap_potential=trap_potential,
@@ -240,48 +254,59 @@ class SeparationConfig:
         check_fields(self, positive=("Cc",))
 
 
-def _quintic_bracket(alpha: float, beta: float, Cc: float) -> float:
-    estimate = 1.0
-    if alpha > 0.0:
-        estimate = max(estimate, (Cc / alpha) ** (1.0 / 3.0))
-    if beta > 0.0:
-        estimate = max(estimate, (2.0 * Cc / beta) ** (1.0 / 5.0))
-    q_max = 10.0 * estimate
-    if alpha < 0.0 and beta > 0.0:
-        # Double-well regime: the outer root sits near sqrt(2|alpha|/beta),
-        # which can exceed the Coulomb-balance estimates above.
-        q_max = max(q_max, 10.0 * math.sqrt(2.0 * abs(alpha) / beta))
-    return q_max
+def _in_own_scale(a: float, b: float, c: float, j: int) -> tuple:
+    """(e, (A, B, C)) with f(2^e x) = 2^s ((A x^j + B) x^j x - C) for f = (a q^j + b) q^j q - c,
+    c > 0: a, b, c times powers of two, exact unless they underflow, one in [1/2, 1), all < 16;
+    C underflows to 2^-1074 at least, so that x = 0 is no root."""
+    n, m = 2 * j + 1, j + 1
+    ea, eb, ec = math.frexp(a)[1], math.frexp(b)[1], math.frexp(c)[1]
+    if a > 0.0 > b:  # A leads
+        s = ea + n * (e := max((eb - ea) // j, (ec - ea) // n))
+    elif a < 0.0 < b:  # B leads, or C where there is no root
+        s = max(eb + m * (e := (eb - ea) // j), ec)
+    elif a > 0.0 or b > 0.0:  # C leads
+        la = (ec - ea) // n if a > 0.0 else 1 << 20
+        e, s = min(la, (ec - eb) // m if b > 0.0 else la), ec
+    else:  # no positive root
+        e, s = 0, max(ea if a else ec, eb if b else ec, ec)
+    return e, (math.ldexp(a, n * e - s), math.ldexp(b, m * e - s), math.ldexp(c, -s) or 5e-324)
+
+
+def _scaled_equation(a: float, b: float, c: float, j: int, rates):
+    """``(solve, rate)`` of f = (a q^j + b) q^j q - c in its own scale; rates(du) = (da, db)/dt.
+    solve reads ``solve_positive_root`` per call, for patched solvers; f holds floats and j."""
+    e, (A, B, C) = _in_own_scale(a, b, c, j)
+    An, Bm, ldexp = (2 * j + 1) * A, (j + 1) * B, math.ldexp
+
+    def f(x: float) -> float:
+        return (A * (p := x * x if j == 2 else x) + B) * p * x - C
+
+    def fprime(x: float) -> float:
+        return (An * (p := x * x if j == 2 else x) + Bm) * p
+
+    def solve(guess) -> float:
+        x = solve_positive_root(f, fprime, 8.0, ldexp(guess, -e) if e and guess else guess)
+        return ldexp(x, e) if e else x
+
+    def rate(du: tuple, q0: float) -> tuple:  # df/dt and f' over q0^j, q0^j = 2^je x^j
+        (da, db), x = rates(du), ldexp(q0, -e)
+        p = x * x if j == 2 else x
+        drift = ldexp((ldexp(da, j * e) * p + db) * x, e)  # raises where it is no float
+        return drift, (2 * j + 1) * ldexp(a, j * e) * p + (j + 1) * b
+
+    return solve, rate
 
 
 def _separation_distance(Cc: float):
-    """The separation's ``equation(t, u)``: f = (beta q^2 + 2 alpha) q^2 q - 2 Cc at u = (alpha,
-    beta).  f captures floats the tracer hashes; solve reads ``solve_positive_root`` at call
-    time, so a solver patched after the build sees every solve."""
-    c = 2.0 * Cc
-
-    def equation(t, u: tuple) -> tuple:
-        (alpha, beta), q_max = u, _quintic_bracket(*u, Cc)
-        a, b5, a6 = 2.0 * alpha, 5.0 * beta, 6.0 * alpha
-
-        def f(q: float) -> float:
-            if (v := (beta * (s := q * q) + a) * s * q - c) - v:  # inf or NaN
-                raise OverflowError
-            return v
-
-        def fprime(q: float) -> float:
-            return (b5 * (s := q * q) + a6) * s
-
-        return lambda guess: solve_positive_root(f, fprime, q_max, guess), fprime
-
-    return equation
+    """The separation's ``equation(t, u)``: (beta q^2 + 2 alpha) q^2 q - 2 Cc at (alpha, beta)."""
+    return lambda t, u: _scaled_equation(u[1], 2.0 * u[0], 2.0 * Cc, 2, lambda d: (d[1], 2 * d[0]))
 
 
 def _solved_q0(solve, guess, message: str) -> float:
-    """solve(guess); a root kernel value that leaves the floats raises the message."""
+    """solve(guess); a q0 = 2^e x that is no float raises the message."""
     try:
         return solve(guess)
-    except (OverflowError, FloatingPointError):
+    except OverflowError:
         raise PresetDomainError(message) from None
 
 
@@ -299,9 +324,6 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
     from implicit differentiation, and the trap curvature at +-q0/2 is
     2 alpha + 3 beta q0^2.
     """
-    def drift(t: float, u: tuple, du: tuple, q0: float) -> float:
-        return (du[1] * (s := q0 * q0) + 2.0 * du[0]) * s * q0
-
     def trap_potential(q1: float, q2: float, t: float) -> float:
         return cfg.alpha.value(t) * (q1**2 + q2**2) + cfg.beta.value(t) * (q1**4 + q2**4)
 
@@ -310,7 +332,6 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
         "separation",
         controls=(cfg.alpha, cfg.beta),
         equation=_separation_distance(cfg.Cc),
-        drift=drift,
         curvature=lambda u, q0: 2.0 * u[0] + 3.0 * u[1] * (q0 * q0),
         curvature_rate=lambda u, du, q0, q0dot: 2.0 * du[0]
         + 3.0 * du[1] * (q0 * q0) + 6.0 * u[1] * q0 * q0dot,
@@ -390,24 +411,8 @@ class PhaseGateConfig:
 
 
 def _phase_gate_distance(k0: float, Cc: float):
-    """The phase gate's ``equation(t, u)``: f = (k0 q + d) q q - 2 Cc, d = F1 - F2 at u."""
-    c, k3, cube = 2.0 * Cc, 3.0 * k0, (2.0 * Cc / k0) ** (1.0 / 3.0)
-
-    def equation(t, u: tuple) -> tuple:
-        d, d2 = u[0] - u[1], 2.0 * (u[0] - u[1])
-        q_max = 10.0 * (1.0 + cube + abs(d) / k0)
-
-        def f(q: float) -> float:
-            if (v := (k0 * q + d) * q * q - c) - v:  # inf or NaN
-                raise OverflowError
-            return v
-
-        def fprime(q: float) -> float:
-            return (k3 * q + d2) * q
-
-        return lambda guess: solve_positive_root(f, fprime, q_max, guess), fprime
-
-    return equation
+    """The phase gate's ``equation(t, u)``: (k0 q + d) q q - 2 Cc, d = F1 - F2 at u."""
+    return lambda t, u: _scaled_equation(k0, u[0] - u[1], 2.0 * Cc, 1, lambda d: (0, d[0] - d[1]))
 
 
 def solve_phase_gate_distance(F1: float, F2: float, k0: float, Cc: float,
@@ -495,11 +500,6 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         return build_phase_gate_zeroth_order(cfg)
     k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1.value, cfg.F2.value
 
-    def drift(t: float, u: tuple, du: tuple, q0: float) -> float:
-        if (s := q0 * q0) == math.inf:  # as q0**2 raised; the cubic can be finite there
-            raise PresetDomainError(f"phase-gate: q0**2 overflows at t={t}")
-        return s * (du[0] - du[1])
-
     def trap_potential(q1: float, q2: float, t: float) -> float:
         return 0.5 * k0 * (q1**2 + q2**2) + F1(t) * q1 + F2(t) * q2
 
@@ -508,7 +508,6 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         "phase-gate",
         controls=(cfg.F1, cfg.F2),
         equation=_phase_gate_distance(k0, Cc),
-        drift=drift,
         curvature=lambda u, q0: k0,
         curvature_rate=lambda u, du, q0, q0dot: 0.0,
         trap_potential=trap_potential,
@@ -526,7 +525,7 @@ def build_phase_gate_zeroth_order(cfg: PhaseGateConfig) -> QuadraticSystem:
     """
     k0 = cfg.k0
     Cc = cfg.Cc
-    half = (Cc / (4.0 * k0)) ** (1.0 / 3.0)
+    half = _cube_root(Cc, k0, -2)
     triple = StiffnessTriple(k0, k0, k0)
     theta = theta_at(triple, cfg.masses)
     c, s, w1, w2 = math.cos(theta), math.sin(theta), 1.0 / cfg.masses.sqrt1, 1.0 / cfg.masses.sqrt2

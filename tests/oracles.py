@@ -290,11 +290,17 @@ def ion_pair_reference(cfg, t, q0) -> dict:
         kappa_rate[1] + abs(coupling * rate)) + abs(coupling) * (1 + gamma(5)) * rate_err
     at_rest = gamma(3) * (centre[1] + q / 2)
     moving = gamma(3) * (centre_rate[1] + abs(rate) / 2) + (1 + gamma(3)) * rate_err / 2
+    # A spring below the normal range is off by TINY/2 more (its one ldexp rounding),
+    # and -3 spring q0dot/q0 by that times 3 |q0dot|/q0, plus TINY/2 for each of its
+    # three steps that underflows, times what the later steps multiply it by.
+    half_tiny = Fraction(TINY) / 2
+    rate_tiny = half_tiny * ((4 * (abs(rate) + rate_err) * (1 + gamma(3)) + 1) / q + 1)
     return {
-        "stiffness": [(spring, gamma(3) * spring), (kappa[0], kappa_bound),
+        "stiffness": [(spring, gamma(3) * spring + half_tiny), (kappa[0], kappa_bound),
                       (kappa[0], kappa_bound)],
         "stiffness_rate": [
-            (-3 * spring * rate / q, 3 * spring / q * (g6 * abs(rate) + (1 + g6) * rate_err)),
+            (-3 * spring * rate / q,
+             3 * spring / q * (g6 * abs(rate) + (1 + g6) * rate_err) + rate_tiny),
             (kappa_dot, kappa_dot_bound), (kappa_dot, kappa_dot_bound)],
         "equilibrium": [(centre[0] + q / 2, at_rest), (centre[0] - q / 2, at_rest)],
         "equilibrium_velocity": [(centre_rate[0] + rate / 2, moving),

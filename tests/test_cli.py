@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -13,6 +14,8 @@ import dnmodes
 from dnmodes import cli, dynamics, modes, presets, schedules
 from dnmodes.cli import main
 from dnmodes.errors import PresetDomainError
+
+from oracles import ION_PAIR_VIEWS, check_ion_pair_view, recorded_build
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -442,16 +445,17 @@ def test_sweep_writes_non_number_values_as_json(tmp_path, capsys):
     capsys.readouterr()
 
 
-# A float ** that overflows, a root kernel whose value is not finite, or a
-# power of q0 that is not, exits 3; the message names what overflowed, and
-# for the ion pairs the time.
+# A float ** that overflows, or an ion-pair distance or Coulomb spring that is
+# no float, exits 3; the message names what overflowed, and for the ion pairs
+# the time.
 OVERFLOWING_PRESETS = {
-    "separation": ({"type": "separation", "alpha": {"kind": "smoothstep", "v0": 1.0, "v1": 0.5,
-                                                     "t0": 0.0, "t1": 1.0},
-                    "beta": 0.6, "Cc": 1e300, "masses": [1.0, 2.0]},
+    # The root, about sqrt(2 |alpha|/beta) = 2e315, is no float.
+    "separation": ({"type": "separation", "alpha": {"kind": "smoothstep", "v0": -1e307,
+                                                     "v1": -0.5e307, "t0": 0.0, "t1": 1.0},
+                    "beta": 5e-324, "Cc": 1.0, "masses": [1.0, 2.0]},
                    "separation: q0 overflows at t=0.0"),
-    # The cubic is finite over the whole scan; its root, 6.3e102, has no float cube.
-    "phase-gate": ({"type": "phase-gate", "k0": 1e-10, "Cc": 7.5e297, "F1": -2.5e92, "F2": 0.0},
+    # The root is about sqrt(2 Cc/(F1 - F2)) = 1.4e-300, so the spring is 7e599.
+    "phase-gate": ({"type": "phase-gate", "k0": 1.0, "Cc": 1e-300, "F1": 1e300, "F2": 0.0},
                    "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0"),
     "rotation": ({"type": "rotation", "m": 1.0, "omega1": 1e300, "omega2": 1.0, "phi": 0.3},
                  "rotation: omega1**2 or omega2**2 overflows"),
@@ -609,8 +613,8 @@ def test_a_constant_mode_angle_classifies_as_separable(tmp_path, capsys, preset,
 
 
 def test_analyze_finds_a_root_below_the_scan_grid(tmp_path, capsys):
-    # With k0 = 1e300 the cubic's root is about 1.3e-100, below the first
-    # point of the root scan's grid (1e-11).
+    # With k0 = 1e300 the cubic's root is about 1.3e-100, which a scan in q
+    # would find only below its grid's first point (1e-11); in x it is near 1.
     cfg = {
         "schema": 1,
         "preset": {"type": "phase-gate", "k0": 1e300, "Cc": 1.0, "masses": [1.0, 1.5],
@@ -628,21 +632,29 @@ def test_analyze_finds_a_root_below_the_scan_grid(tmp_path, capsys):
     assert len(rows) == 5 and all(0.0 < d < 1e-99 for d in distances)
 
 
-# With k0 = 1e300 and Cc = 1e-300 the cubic's root is 1.2599e-200, which the
-# solver finds.  Its cube, 2e-600, underflows to 0, so the Coulomb spring
-# 2 Cc/q0**3 has no float value.  classify's root scan runs on numpy times
-# and overflows first, on q0.
+# With k0 = 1, Cc = 1e-300 and F1 - F2 = 1e300 the cubic's root is about
+# sqrt(2 Cc/(F1 - F2)) = 1.4e-300, which the solver finds.  Its cube, 2.8e-900,
+# is no float, and the Coulomb spring 2 Cc/q0**3, 7e599, is none either.
 VANISHING_CUBE_MESSAGES = {
     "analyze": "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0",
-    "classify": "phase-gate: q0 overflows at t=0.0",
+    "classify": "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0",
     "simulate": "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0",
 }
 
 
 def vanishing_cube_preset() -> dict:
-    return {"type": "phase-gate", "k0": 1e300, "Cc": 1e-300, "masses": [1.0, 1.5],
-            "F1": {"kind": "smoothstep", "v0": 0.0, "v1": 0.1, "t0": 0.0, "t1": 1.0},
+    return {"type": "phase-gate", "k0": 1.0, "Cc": 1e-300, "masses": [1.0, 1.5],
+            "F1": {"kind": "smoothstep", "v0": 1e300, "v1": 1.1e300, "t0": 0.0, "t1": 1.0},
             "F2": {"kind": "polynomial", "coeffs": [0.0, -0.1]}}
+
+
+def test_the_vanishing_cube_spring_is_no_float():
+    # k0 = 1, Cc = 1e-300 and F1 - F2 = 1e300 at t = 0, here and in
+    # OVERFLOWING_PRESETS: in rationals the cubic is positive at q = 1.5e-300,
+    # so its one positive root lies below, where 2 Cc/q**3 passes the largest float.
+    q, cc = Fraction(1.5e-300), Fraction(1e-300)
+    assert (q + Fraction(1e300)) * q * q > 2 * cc
+    assert 2 * cc / q**3 > Fraction(sys.float_info.max)
 
 
 @pytest.mark.parametrize("command", sorted(VANISHING_CUBE_MESSAGES))
@@ -658,10 +670,77 @@ def test_a_vanishing_q0_cube_names_the_coulomb_spring(tmp_path, command):
 
 
 def test_the_coulomb_spring_rate_names_a_vanishing_q0_cube():
-    # The rate is -3 k q0dot/q0, so it forms the spring too.
+    # The rate is -3 k q0dot/q0, so it forms the spring too; q0dot is a float.
     sys_ = presets.build_preset(vanishing_cube_preset())
     with pytest.raises(PresetDomainError, match=r"Coulomb spring 2 Cc/q0\*\*3 overflows at t=0.5"):
         sys_.stiffness_rate(0.5)
+
+
+SMOOTH_DOWN = {"kind": "smoothstep", "v0": 1.0, "v1": 0.5, "t0": 0.0, "t1": 1.0}
+SMOOTH_UP = {"kind": "smoothstep", "v0": 0.0, "v1": 0.1, "t0": 0.0, "t1": 1.0}
+FALLING = {"kind": "polynomial", "coeffs": [0.0, -0.1]}
+
+# Ion pairs whose distance, its rate and the Coulomb spring are floats although
+# a distance equation solved in q left the float range on the way (each exited
+# 3): its scan's sign product underflowed, its bracket overflowed f, or q0**2,
+# q0**3 or 2 Cc/k was no float.
+FINITE_AT_THE_FLOAT_EDGES = {
+    "separation-Cc-1e-300": {"type": "separation", "alpha": SMOOTH_DOWN, "Cc": 1e-300,
+                             "beta": {"kind": "linear-ramp", "t0": 0.0, "v0": 0.5, "t1": 1.0,
+                                      "v1": 0.6}, "masses": [1.0, 2.0]},
+    "separation-Cc-1e300": {"type": "separation", "alpha": SMOOTH_DOWN, "beta": 0.6,
+                            "Cc": 1e300, "masses": [1.0, 2.0]},
+    "phase-gate-k0-1e-300": {"type": "phase-gate", "k0": 1e-300, "Cc": 1.0, "F1": SMOOTH_UP,
+                             "F2": FALLING, "masses": [1.0, 1.5]},
+    "phase-gate-k0-1e300": {"type": "phase-gate", "k0": 1e300, "Cc": 1e-300, "F1": SMOOTH_UP,
+                            "F2": FALLING, "masses": [1.0, 1.5]},
+    "phase-gate-q0-cube-1e308": {"type": "phase-gate", "k0": 1e-10, "Cc": 7.5e297,
+                                 "F1": -2.5e92, "F2": 0.0},
+    # q0 = 1e160: q0**2 is no float, q0dot is, and the spring underflows to 0.
+    "phase-gate-q0-square-1e320": {"type": "phase-gate", "k0": 1e-300, "Cc": 1.0, "F2": 0.0,
+                                   "F1": {"kind": "linear-ramp", "t0": 0.0, "v0": -1e-140,
+                                          "t1": 1.0, "v1": -2e-140}},
+    "transport-k-1e300": {"type": "transport", "k": 1e300, "Q0": 0.0, "Cc": 1e-100},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_AT_THE_FLOAT_EDGES))
+def test_an_ion_pair_at_the_float_edges_analyzes_within_its_oracle(tmp_path, capsys, name):
+    # analyze exits 0, and every view at its sample times is within the exact
+    # per-piece formulas' bounds at the root it solved for.  simulate runs where
+    # the state stays below the divergence guard; elsewhere (|q0| > 1e12, or a
+    # spring near 1e300) the run's state guard stops it, exit 3 or 4.
+    obj = FINITE_AT_THE_FLOAT_EDGES[name]
+    cfg = {"schema": 1, "preset": obj, "window": [0.0, 1.0], "samples": 5,
+           "integrator": {"dt": 0.25}, "initial_state": {"q": [0.1, -0.1], "p": [0.0, 0.0]},
+           "output": {"path": str(tmp_path / "edge")}}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["analyze", "--config", path]) == 0
+    config = presets.preset_config_from_dict(obj)
+    sys_, roots = recorded_build(config)
+    for t in modes._sample_times(0.0, 1.0, 5):
+        for view in ION_PAIR_VIEWS:
+            got = getattr(sys_, view)(t)
+            q0, = roots
+            del roots[:]
+            got = (got.k, got.k1, got.k2) if view == "stiffness" else got
+            check_ion_pair_view(config, view, t, q0, got)
+    capsys.readouterr()
+    rc = main(["simulate", "--config", path])
+    err = capsys.readouterr().err
+    if name == "separation-Cc-1e-300":
+        assert rc == 0
+    else:
+        assert (rc, err.split(" at t=")[0]) in (
+            (3, "preset domain error: state overflowed"), (4, "divergence: state exceeded 1e+12"))
+
+
+@NUMPY_BOOL_REPORT
+def test_a_phase_gate_with_a_vanishing_q0_cube_classifies(tmp_path, capsys):
+    # q0 is 1.26e-200, and its cube no float; the spring, 2 Cc/q0**3 = 1e300, is.
+    cfg = {"schema": 1, "preset": FINITE_AT_THE_FLOAT_EDGES["phase-gate-k0-1e300"],
+           "window": [0.0, 1.0], "samples": 5}
+    assert main(["classify", "--config", write_cfg(tmp_path, cfg)]) == 0
 
 
 def test_stiffness_near_the_float_limit_analyzes_and_classifies(tmp_path, capsys):

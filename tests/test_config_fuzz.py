@@ -141,23 +141,23 @@ def test_one_bad_flag_keeps_the_exit_code_contract(tmp_path, capsys, preset, com
     assert err.count("\n") <= 1
 
 
-# A 1e300 cell's id names only the preset and the command.
+# A 1e300 cell's id names only the preset and the command.  Separation and
+# phase-gate classify solve at both values and reach the report behind
+# NUMPY_BOOL_REPORT, so their cells are the next test's.
+NUMPY_BOOL_CELLS = {("separation", "classify"), ("phase-gate", "classify")}
 EXTREME_CASES = [
     pytest.param(preset, command, value,
                  id=f"{preset}-{command}" + ("" if value == 1e300 else f"-{value:g}"))
     for value in (1e300, 1e-300)
     for preset in PRESETS
     for command in COMMANDS
+    if (preset, command) not in NUMPY_BOOL_CELLS
 ]
 
 
-@pytest.mark.parametrize("preset, command, value", EXTREME_CASES)
-def test_an_extreme_value_prints_one_stderr_line_in_a_process(tmp_path, preset, command, value):
-    # pytest captures warnings, so only a real process shows whether numpy's
-    # overflow or underflow warnings add lines to the message.  The value goes on
-    # the preset's sweep-axis leaf, or for sweep into the axis values.  With 1e300,
-    # separation and phase-gate classify exit 3 before their report, so no cell
-    # reaches the failure behind NUMPY_BOOL_REPORT; 1e-300 reaches none either.
+def run_with_extreme_value(tmp_path, preset, command, value):
+    """The CLI process of ``command`` on the preset's base config, with ``value`` on its
+    sweep-axis leaf, or for sweep in the axis values."""
     cfg = base_config(preset)
     if command == "sweep":
         replace(cfg, SWEEP_VALUES, [value])
@@ -165,6 +165,29 @@ def test_an_extreme_value_prints_one_stderr_line_in_a_process(tmp_path, preset, 
         replace(cfg, tuple(PRESETS[preset][1].split(".")), value)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    proc = run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "run"))
+    return run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize("preset, command, value", EXTREME_CASES)
+def test_an_extreme_value_prints_one_stderr_line_in_a_process(tmp_path, preset, command, value):
+    # pytest captures warnings, so only a real process shows whether numpy's
+    # overflow or underflow warnings add lines to the message.
+    proc = run_with_extreme_value(tmp_path, preset, command, value)
     assert proc.returncode in (0, 2, 3, 4)
     assert proc.stderr.count("\n") <= 1
+
+
+@pytest.mark.parametrize("preset, value", [
+    pytest.param(preset, value, id=preset + ("" if value == 1e300 else f"-{value:g}"))
+    for value in (1e300, 1e-300) for preset, _ in sorted(NUMPY_BOOL_CELLS, reverse=True)])
+def test_an_extreme_ion_pair_classify_reaches_the_report(tmp_path, preset, value):
+    # The distance, its rate and the spring are floats at both values, so classify
+    # reaches its report, and the failure behind NUMPY_BOOL_REPORT: json's TypeError
+    # in a traceback, exit 1.  A cell xfails on exactly that and fails on any other
+    # outcome, exit 0 included; once the report holds Python bools, these cells go
+    # back to the test above.
+    proc = run_with_extreme_value(tmp_path, preset, "classify", value)
+    last = proc.stderr.splitlines()[-1:]
+    assert proc.returncode == 1 and last and last[0].startswith("TypeError: ") \
+        and last[0].endswith(" is not JSON serializable"), (proc.returncode, proc.stderr)
+    pytest.xfail(NUMPY_BOOL_REPORT.kwargs["reason"])

@@ -5,6 +5,9 @@ directly: the frame checks of the integrators, the map and the mode-frame
 helpers, and the value checks of the small types.
 """
 
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -120,20 +123,20 @@ GUARDS = {
     "separation_condition_alpha_power_overflow": (
         lambda: separability_condition_separation(1e70, 1.0, (0.0, 1.0)),
         PresetDomainError, "separability condition: beta^3/alpha^5 leaves the floats at t=0.0"),
-    # q0 is about sqrt(2 |alpha|), whose quintic overflows in the root scan.
+    # q0 is about sqrt(2 |alpha|/beta) = 2e315 (see NO_FLOAT_ROOTS).
     "separation_condition_root_overflow": (
-        lambda: separability_condition_separation(-1e300, 1.0, (0.0, 1.0)),
+        lambda: separability_condition_separation(-1e307, 5e-324, (0.0, 1.0)),
         PresetDomainError, "separability condition: q0 leaves the floats at t=0.0"),
-    # The public root solves and the audit name q0 where a root kernel overflows.
+    # The public root solves and the audit name q0 where it is no float.
     "separation_distance_overflow": (
-        lambda: solve_separation_distance(-1e300, 1.0, 1.0),
-        PresetDomainError, "separation: q0 overflows for alpha=-1e+300, beta=1.0, Cc=1.0"),
+        lambda: solve_separation_distance(-1e307, 5e-324, 1.0),
+        PresetDomainError, "separation: q0 overflows for alpha=-1e+307, beta=5e-324, Cc=1.0"),
     "phase_gate_distance_overflow": (
-        lambda: solve_phase_gate_distance(0.0, 1e300, 1.0, 1.0),
-        PresetDomainError, "phase-gate: q0 overflows for F1=0.0, F2=1e+300, k0=1.0, Cc=1.0"),
+        lambda: solve_phase_gate_distance(0.0, 1e300, 1e-10, 1.0),
+        PresetDomainError, "phase-gate: q0 overflows for F1=0.0, F2=1e+300, k0=1e-10, Cc=1.0"),
     "phase_gate_audit_overflow": (
-        lambda: audit_phase_gate_formulas(0.0, 1e300, 1.0, 1.0),
-        PresetDomainError, "phase-gate: q0 overflows for F1=0.0, F2=1e+300, k0=1.0, Cc=1.0"),
+        lambda: audit_phase_gate_formulas(0.0, 1e300, 1e-10, 1.0),
+        PresetDomainError, "phase-gate: q0 overflows for F1=0.0, F2=1e+300, k0=1e-10, Cc=1.0"),
     "build_preset_object": (
         lambda: build_preset(NOT_A_CONFIG),
         ConfigError, f"cannot build a preset from {NOT_A_CONFIG!r}"),
@@ -155,3 +158,20 @@ def test_a_guard_raises_its_named_error(case):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+# The distance polynomials of the overflow guards above (highest power first):
+# each has one sign change, so its one positive root lies beyond every float iff
+# it is negative, in rationals, at the largest float.
+NO_FLOAT_ROOTS = {
+    "separation_distance_overflow": [5e-324, 0.0, -2e307, 0.0, 0.0, -2.0],
+    "phase_gate_distance_overflow": [1e-10, -1e300, 0.0, -2.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_FLOAT_ROOTS))
+def test_an_overflow_guard_has_no_float_root(case):
+    x, value = Fraction(sys.float_info.max), Fraction(0)
+    for c in NO_FLOAT_ROOTS[case]:
+        value = value * x + Fraction(c)
+    assert value < 0

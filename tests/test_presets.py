@@ -257,11 +257,10 @@ def test_phase_gate_cubic_vs_bisection():
 
 
 def test_a_root_below_the_scan_grid_converges():
-    # k0 = 1e300 puts the cubic's root near 1.26e-100, far below the first
-    # point of the scan grid (1e-11): the sign change between the smallest
-    # normal float and that point is narrowed, then refined to 4 ulp of the
-    # cube root taken in decimal (the float ** (1.0 / 3.0) is 63 ulp off,
-    # because its exponent is rounded).
+    # k0 = 1e300 puts the cubic's root near 1.26e-100, far below a q scan's
+    # grid (1e-11); solved in its own scale it is within 4 ulp of the cube
+    # root taken in decimal (the float ** (1.0 / 3.0) is 63 ulp off, because
+    # its exponent is rounded).
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         exact = (decimal.Decimal(2) / decimal.Decimal(1e300)) ** (decimal.Decimal(1) / 3)
@@ -289,8 +288,8 @@ def test_a_vanishing_distance_slope_is_a_named_singular_point():
     cfg = SeparationConfig(alpha=1.0, beta=1.0)
     sys = _ion_pair(
         cfg, "double-root", (cfg.alpha, cfg.beta),
-        equation=lambda t, u: (lambda guess: 1.0, lambda q: 2.0 * (q - 1.0)),
-        drift=lambda t, u, du, q0: 1.0, curvature=lambda u, q0: 1.0,
+        equation=lambda t, u: (lambda guess: 1.0, lambda du, q: (1.0, 2.0 * (q - 1.0))),
+        curvature=lambda u, q0: 1.0,
         curvature_rate=lambda u, du, q0, q0dot: 0.0, trap_potential=lambda q1, q2, t: 0.0,
     )
     assert sys.equilibrium(0.25) == (0.5, -0.5)
@@ -308,15 +307,15 @@ def test_the_coulomb_spring_of_a_subnormal_cube_keeps_its_digits(Cc):
 
 
 def test_a_q0_whose_square_overflows_is_named():
-    # k0 q0 is about -(F1 - F2), so the root is 1e160; the cubic stays finite
-    # over the whole scan, but q0**2 and q0**3 are no floats.
-    F1 = {"kind": "linear-ramp", "t0": 0.0, "v0": -1e-140, "t1": 1.0, "v1": -2e-140}
+    # k0 q0 is about -(F1 - F2), so the root is 1e307 and q0**2 is no float;
+    # q0dot, about -(dF1/dt)/k0 = 1e309, is none either.  The spring 2 Cc/q0**3
+    # underflows to 0.
+    F1 = {"kind": "linear-ramp", "t0": 0.0, "v0": -1e7, "t1": 1.0, "v1": -1.001e9}
     sys = build_phase_gate(PhaseGateConfig(k0=1e-300, Cc=1.0, F1=F1, F2=0.0))
-    assert sys.equilibrium(0.0)[0] == 1e160
-    with pytest.raises(PresetDomainError, match=r"phase-gate: q0\*\*2 overflows at t=0.0"):
+    assert sys.equilibrium(0.0)[0] == 1e307
+    with pytest.raises(PresetDomainError, match=r"phase-gate: q0dot overflows at t=0.0"):
         sys.equilibrium_velocity(0.0)
-    with pytest.raises(PresetDomainError, match=r"Coulomb spring 2 Cc/q0\*\*3 overflows at t=0.0"):
-        sys.stiffness(0.0)
+    assert sys.stiffness(0.0).k == 0.0
 
 
 def test_phase_gate_individual_closed_forms_agree():

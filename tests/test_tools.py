@@ -1,11 +1,18 @@
-"""The output comparison of ``tools/compare_outputs.py`` on synthetic outputs."""
+"""The output comparison of ``tools/compare_outputs.py`` on synthetic outputs, and
+the machine line of ``tools/bench_pairs.py``."""
 
+import importlib.metadata
 import math
+import os
+import platform
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+from bench_pairs import machine_line  # noqa: E402
 from compare_outputs import compare  # noqa: E402
 
 # A mode CSV whose Q1 column reaches 1 and crosses zero near 5.75e-05.
@@ -51,3 +58,16 @@ def test_the_frame_deviation_compares_with_a_scale_of_1():
     ratio, where = compare(old, old.replace("7.71834494970026e-09", "7.71834501923854e-09"))
     assert 0.0 < ratio <= 0.1 and where.startswith(".frame_equivalence_max_deviation")
     assert compare(old, old.replace("7.71834494970026e-09", "7.71934494970026e-09"))[0] > 1.0
+
+
+@pytest.mark.parametrize("bytecode, shown", [("1", "set"), ("", "unset"), (None, "unset")])
+def test_bench_pairs_names_the_machine(monkeypatch, bytecode, shown):
+    # A perfbench set-up compiles src/ when PYTHONDONTWRITEBYTECODE is set, so
+    # setup_s pairs compare only under one setting; the line says which.
+    if bytecode is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", bytecode)
+    assert machine_line() == (
+        f"python {platform.python_version()}, numpy {importlib.metadata.version('numpy')}, "
+        f"{os.cpu_count()} CPUs, PYTHONDONTWRITEBYTECODE {shown}")

@@ -8,16 +8,20 @@ For every end-to-end metric the last line of a run reports, one row gives
 the parent's and the change's medians, the parent's quartiles, and in how
 many of the N pairs the change read lower (ties count for neither): the
 numbers a gain is judged by (better in at least 9 of 10 pairs, and medians
-further apart than the parent's quartiles).  The script only reads the
-checkouts' ``perfbench/``; run.py keeps its reports under each checkout's
-``.perfbench_runs/``.
+further apart than the parent's quartiles).  A header line names the machine:
+Python, numpy, the CPU count, and whether PYTHONDONTWRITEBYTECODE is set (with
+it, every perfbench set-up compiles ``src/``, so ``setup_s`` pairs compare only
+under one setting).  The script only reads the checkouts' ``perfbench/``;
+run.py keeps its reports under each checkout's ``.perfbench_runs/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,17 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     if not last["correct"]:
         print(f"warning: a run in {root} reported wrong outputs", file=sys.stderr)
     return {name: m["value"] for name, m in last["metrics"].items()}
+
+
+def machine_line() -> str:
+    """Python, numpy, the CPU count and the bytecode setting the runs share."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = "absent"
+    bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    return (f"python {platform.python_version()}, numpy {numpy}, {os.cpu_count()} CPUs, "
+            f"PYTHONDONTWRITEBYTECODE {bytecode}")
 
 
 def quartiles(values: list) -> tuple:
@@ -69,6 +84,7 @@ def main(argv=None) -> int:
             runs[side].append(run_once(roots[side], args.workload, args.seed, args.seconds))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     n = args.pairs
+    print(machine_line())
     print(f"{args.workload}, seed {args.seed}, {n} pairs of {args.seconds:g} s")
     print(f"{'metric':<18} {'parent':>12} {'change':>12} {'parent q1':>12} {'parent q3':>12}"
           f"  lower in")
