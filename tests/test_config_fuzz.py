@@ -183,11 +183,11 @@ def test_an_extreme_value_prints_one_stderr_line_in_a_process(tmp_path, preset, 
 def test_an_extreme_ion_pair_classify_reaches_the_report(tmp_path, preset, value):
     # The distance, its rate and the spring are floats at both values, so classify
     # reaches its report, and the failure behind NUMPY_BOOL_REPORT: json's TypeError
-    # in a traceback, exit 1.  A cell xfails on exactly that and fails on any other
-    # outcome, exit 0 included; once the report holds Python bools, these cells go
-    # back to the test above.
+    # in a traceback, exit 1.  A cell passes on exactly that, as the benchmark's own
+    # test records the same failure, and fails on any other outcome: a domain error
+    # before the report, or exit 0 once the report holds Python bools.  Then these
+    # cells go back to the test above.
     proc = run_with_extreme_value(tmp_path, preset, "classify", value)
     last = proc.stderr.splitlines()[-1:]
     assert proc.returncode == 1 and last and last[0].startswith("TypeError: ") \
         and last[0].endswith(" is not JSON serializable"), (proc.returncode, proc.stderr)
-    pytest.xfail(NUMPY_BOOL_REPORT.kwargs["reason"])
