@@ -8,7 +8,8 @@ at Omega_i^2 + theta_dot^2.  RK4 is the default; velocity Verlet is offered
 for the lab frame only.  Every coefficient is evaluated at its RK stage's
 own time, so 4th-order accuracy survives time-dependent schedules; RK4 asks
 each stage time twice, and rotation keeps its stiffness and theta_dot at the
-last time asked, so it computes each distinct time once.
+last time asked, so it computes each distinct time once; the ion pair keeps
+its triple and q0dot while a time's warm re-solve returns the same root.
 
 RK4 and velocity Verlet are step maps y_{n+1} = step(t_n, t_{n+1}, y_n); one
 run loop owns the grid, the guard and the partial run.  A run is Python floats

@@ -18,7 +18,8 @@ positive term; in (M, 2M] for a > 0 > b, M = max(l, la); below l for a < 0 < b (
 two, the largest taken cold, the nearest warm).  Each root in x is thus in (1/4, 4],
 inside the bracket (0, 8]; transport's is a cube root of [1/2, 8), times 2^j.
 Rotation's stiffness and theta_dot keep their value at the last float time
-asked, so a time that two RK stages share reads the phi schedule once.
+asked, so a time that two RK stages share reads the phi schedule once; the ion
+pair keeps its triple and q0dot per time and root, so it builds them once there.
 """
 
 from __future__ import annotations
@@ -103,12 +104,16 @@ def _ion_pair(
     first, so a series goes in time order), in its own scale (module docstring), and
     rate(du, q0) = (df/dt, f'(q0)), both over the same power of q0: q0dot = -(df/dt)/f'(q0).
     The record (t, u, equation(t, u), du) of the last time read is built when t changes, du
-    when a rate view first asks.  Also ``curvature(u, q0)``, ``curvature_rate(u, du, q0,
-    q0dot)``, the linear centre c(u) (None: 0), rate c(du), and the trap potential less Coulomb."""
+    when a rate view first asks.  The last triple and the last q0dot are kept, each in one
+    tuple (equation, q0, value) replaced whole, and handed back where a view's own solve
+    returns that q0 on that equation: pure functions of (t, u, du, q0), so no thread or call
+    order changes a value.  Also ``curvature(u, q0)``, ``curvature_rate(u, du, q0, q0dot)``,
+    the linear centre c(u) (None: 0), rate c(du), and the trap potential less Coulomb."""
     Cc, two_cc = cfg.Cc, 2.0 * cfg.Cc
     (v1, d1), (v2, d2) = ((s.value, s.derivative) for s in controls)
     previous = None  # the last root, the next solve's guess
     record = (None, None, None, None)
+    kept_triple = kept_rate = (None, None, None)  # (equation, q0, triple or q0dot)
 
     def solved(t: float, rates: bool = False) -> tuple:
         # Every view solves, at a repeated time too: that warm re-solve can move q0 by
@@ -130,13 +135,17 @@ def _ion_pair(
         return rec, q0  # not previous, which another thread may have set since
 
     def q0_rate(t: float, rec: tuple, q0: float) -> float:
+        nonlocal kept_rate
+        if (kept := kept_rate)[0] is rec[2] and kept[1] == q0:
+            return kept[2]
         try:
             drift, slope = rec[2][1](rec[3], q0)
         except OverflowError:  # a power of q0 in them is no float
             raise PresetDomainError(f"{label}: q0dot overflows at t={t}") from None
         if slope == 0.0:  # a double root
             raise SingularConfigurationError(f"singular point: f'(q0) vanishes at t={t}")
-        return -drift / slope
+        kept_rate = (rec[2], q0, q0dot := -drift / slope)
+        return q0dot
 
     def spring(t: float, q0: float) -> float:
         m, e = math.frexp(q0)  # 2 Cc/m^3 2^-3e: the bits of 2 Cc/q0**3 where q0**3 is normal
@@ -159,15 +168,20 @@ def _ion_pair(
         return (cdot + half, cdot - half)
 
     def stiffness(t: float) -> StiffnessTriple:
+        nonlocal kept_triple
         rec, q0 = solved(t)
-        kappa = curvature(rec[1], q0)
-        return StiffnessTriple(spring(t, q0), kappa, kappa)
+        if (kept := kept_triple)[0] is not rec[2] or kept[1] != q0:
+            kappa = curvature(rec[1], q0)
+            kept_triple = kept = (rec[2], q0, StiffnessTriple(spring(t, q0), kappa, kappa))
+        return kept[2]
 
     def stiffness_rate(t: float) -> tuple:
         rec, q0 = solved(t, True)
         q0dot = q0_rate(t, rec, q0)
         kappa_dot = curvature_rate(rec[1], rec[3], q0, q0dot)
-        return (-3.0 * spring(t, q0) * q0dot / q0, kappa_dot, kappa_dot)
+        kept = kept_triple  # its spring, where the triple is kept for this root
+        k = kept[2].k if kept[0] is rec[2] and kept[1] == q0 else spring(t, q0)
+        return (-3.0 * k * q0dot / q0, kappa_dot, kappa_dot)
 
     return QuadraticSystem(
         masses=cfg.masses,

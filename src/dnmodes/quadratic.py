@@ -109,7 +109,8 @@ class QuadraticSystem:
     q2, t)`` is the untruncated potential when the builder knows it (used by
     verification oracles).  Instances are treated as immutable after
     construction; all evaluation methods are pure.  A view may keep its value
-    at the last time asked (rotation's do); it then returns the same object
+    at the last time asked (rotation's and the ion pair's stiffness do, the ion
+    pair's per root as well); it then returns the same object
     again, with the bits of a fresh evaluation, whatever the order or the
     thread of the calls.
     """

@@ -316,20 +316,27 @@ def check_ion_pair_view(cfg, view, t, q0, got) -> None:
 
 
 @contextmanager
-def ion_pair_solves(hook):
-    """Ion pairs built inside the block solve each distance through ``hook(solve,
-    guess)`` -> root, ``solve`` the builder's own, for as long as they live."""
+def ion_pair_equations(hook):
+    """Ion pairs built inside the block build each time's distance equation as
+    ``hook(t, u, equation)`` -> (solve, rate), ``equation`` the builder's own, for as
+    long as they live."""
     ion_pair = presets._ion_pair
 
     def hooked(*args, equation, **kwargs):
-        def hooked_equation(t, u):
-            solve, fprime = equation(t, u)
-            return (lambda guess: hook(solve, guess)), fprime
-
-        return ion_pair(*args, equation=hooked_equation, **kwargs)
+        return ion_pair(*args, equation=lambda t, u: hook(t, u, equation), **kwargs)
 
     with mock.patch.object(presets, "_ion_pair", hooked):
         yield
+
+
+def ion_pair_solves(hook):
+    """Ion pairs built inside the block solve each distance through ``hook(solve,
+    guess)`` -> root, ``solve`` the builder's own, for as long as they live."""
+    def hooked(t, u, equation):
+        solve, rate = equation(t, u)
+        return (lambda guess: hook(solve, guess)), rate
+
+    return ion_pair_equations(hooked)
 
 
 def recorded_build(cfg) -> tuple:

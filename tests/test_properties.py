@@ -23,7 +23,8 @@ shared record against a fresh build per view, a walk against _frame call by
 call, frame reuse against a fresh frame, the steppers against the array RK4
 and the Verlet loop over the system's own pieces, and the float lab-to-mode map
 against mode_state.  Rotation's views kept per time give, over shuffled and
-threaded calls, the bits of a fresh system.
+threaded calls, the bits of a fresh system; the ion pair's kept triple and q0dot
+come back only to calls of their own equation and root, on one thread or two.
 
 The integrators also see only Python floats, agree between frames through a
 frequency crossing, and lose symplecticity 32-fold less per halving of the
@@ -31,6 +32,7 @@ step; on a rotating trap and on ion-pair transport, both with closed-form flows,
 their error falls 16-fold per halving.
 """
 
+import itertools
 import math
 import random
 import sys as _sys
@@ -89,7 +91,7 @@ from dnmodes.rootfind import solve_positive_root
 from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
-    ION_PAIR_VIEWS, check_frame, check_ion_pair_view, grad4, ion_pair_solves,
+    ION_PAIR_VIEWS, check_frame, check_ion_pair_view, grad4, ion_pair_equations, ion_pair_solves,
     last_float_below_root, per_view_ion_pair, recorded_build, replace, rk4_states,
     verlet_states,
 )
@@ -1081,33 +1083,19 @@ def distance_coefficients(cfg, t) -> list:
     return [cfg.k0, cfg.F1.value(t) - cfg.F2.value(t), 0.0, -2.0 * cfg.Cc]
 
 
-def check_roots_near_the_exact_root(cfg, call_lists) -> None:
-    """Call each list's (view, t) in order, each list on its own thread and all on one
-    system; every root the views solve is within 4 ulp of its own time's exact root, and
-    every equilibrium is that root apart."""
-    below = {t: last_float_below_root(distance_coefficients(cfg, t))
-             for t in {t for calls in call_lists for _, t in calls}}
-    start, asking, roots, distances, failures = (
-        threading.Barrier(len(call_lists)), threading.local(), [], [], [])
+def run_on_threads(run, call_lists) -> None:
+    """run(calls) for each list on a thread of its own, all started at once and switching
+    as often as the interpreter allows; any exception fails the test, from its own thread."""
+    start, failures = threading.Barrier(len(call_lists)), []
 
-    def recording_solve(solve, guess):
-        roots.append((asking.t, solve(guess)))
-        return roots[-1][1]
-
-    with ion_pair_solves(recording_solve):
-        sys = build_preset(cfg)
-
-    def run(calls):
+    def target(calls):
         try:
             start.wait(timeout=60)
-            for view, asking.t in calls:
-                got = getattr(sys, view)(asking.t)
-                if view == "equilibrium":
-                    distances.append((asking.t, got[0] - got[1]))
-        except Exception as exc:  # reported below, from the test's own thread
+            run(calls)
+        except Exception as exc:
             failures.append(exc)
 
-    threads = [threading.Thread(target=run, args=(calls,)) for calls in call_lists]
+    threads = [threading.Thread(target=target, args=(calls,)) for calls in call_lists]
     interval = _sys.getswitchinterval()
     _sys.setswitchinterval(1e-6)
     try:
@@ -1119,6 +1107,30 @@ def check_roots_near_the_exact_root(cfg, call_lists) -> None:
         _sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+def check_roots_near_the_exact_root(cfg, call_lists) -> None:
+    """Call each list's (view, t) in order, each list on its own thread and all on one
+    system; every root the views solve is within 4 ulp of its own time's exact root, and
+    every equilibrium is that root apart."""
+    below = {t: last_float_below_root(distance_coefficients(cfg, t))
+             for t in {t for calls in call_lists for _, t in calls}}
+    asking, roots, distances = threading.local(), [], []
+
+    def recording_solve(solve, guess):
+        roots.append((asking.t, solve(guess)))
+        return roots[-1][1]
+
+    with ion_pair_solves(recording_solve):
+        sys = build_preset(cfg)
+
+    def run(calls):
+        for view, asking.t in calls:
+            got = getattr(sys, view)(asking.t)
+            if view == "equilibrium":
+                distances.append((asking.t, got[0] - got[1]))
+
+    run_on_threads(run, call_lists)
     assert len(roots) == sum(map(len, call_lists))  # one solve per view call
     assert [(t, q) for t, q in roots if abs(q - below[t]) > 4 * math.ulp(below[t])] == []
     assert [(t, d) for t, d in distances if not math.isclose(d, below[t], rel_tol=1e-12)] == []
@@ -1151,6 +1163,121 @@ def test_ion_pair_roots_stay_near_the_exact_root_on_any_thread(kind, data):
     check_roots_near_the_exact_root(
         cfg, [[(rng.choice(ION_PAIR_VIEWS), rng.choice(pool)) for _ in range(4000)]
               for _ in range(2)])
+
+
+def logged_build(cfg) -> tuple:
+    """(system, log): the system built from cfg, and a dict from each thread's ident to
+    what its calls did, in order: (n, q0) for each distance solve and (n, q0, "rate") for
+    each q0dot formed, n the serial number of the time's distance equation."""
+    log, serials = {}, itertools.count()
+
+    def note(*event):
+        log.setdefault(threading.get_ident(), []).append(event)
+
+    def logged(t, u, equation):
+        n, (solve, rate) = next(serials), equation(t, u)
+
+        def logged_solve(guess):
+            note(n, q0 := solve(guess))
+            return q0
+
+        def logged_rate(du, q0):
+            note(n, q0, "rate")
+            return rate(du, q0)
+
+        return logged_solve, logged_rate
+
+    with ion_pair_equations(logged):
+        return build_preset(cfg), log
+
+
+def logged_call(sys, log, view, t) -> tuple:
+    """(values, key, rates) of one view call on this thread: the key (n, bits of q0) of
+    the one distance it solved, and the number of q0dot it formed."""
+    events = log.setdefault(threading.get_ident(), [])
+    start = len(events)
+    got = getattr(sys, view)(t)
+    (n, q0), *rates = events[start:]
+    return got, (n, q0.hex()), len(rates)
+
+
+def check_kept_triples(calls) -> None:
+    """Every (view, t, values, key) call that returned one triple object had one key
+    and one time (0.0 and -0.0 share a record)."""
+    seen = {}  # id -> (triple, key, t); holding the triple keeps its id from being reused
+    for view, t, got, key in calls:
+        if view == "stiffness":
+            _, first_key, first_t = seen.setdefault(id(got), (got, key, t))
+            assert (first_key, first_t) == (key, t), (got, key, t)
+
+
+def check_bounded(cfg, calls) -> None:
+    """Every distinct (view, t, values, key) call is within the exact per-piece formulas'
+    bounds at its own time and root."""
+    for view, t, got, q0 in {(v, t, entries(g) if v == "stiffness" else g, k[1])
+                             for v, t, g, k in calls}:
+        check_ion_pair_view(cfg, view, t, float.fromhex(q0), got)
+
+
+signed_zero_pool = st.lists(st.sampled_from((0.0, -0.0)) | times, min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("kind", ["transport", "separation", "phase-gate"])
+@PROPERTY
+@given(data=st.data())
+def test_the_ion_pair_keeps_a_value_only_for_its_own_time_and_root(kind, data):
+    # The ion pair keeps its last triple and its last q0dot with the distance
+    # equation (one per record time) and the root they were built on.  Over a
+    # walk of the four views, times repeating and 0.0 next to -0.0 (one record),
+    # a call gets the kept triple back exactly when its own solve's equation
+    # and root bits are the triple's, forms q0dot exactly when they are not
+    # the kept q0dot's, and every value is within the exact formulas' bounds at
+    # the call's own root.
+    cfg = data.draw(preset_configs(kind), label="config")
+    (sys, log), pool = logged_build(cfg), data.draw(signed_zero_pool, label="times")
+    walk = data.draw(st.lists(st.tuples(st.sampled_from(ION_PAIR_VIEWS), st.sampled_from(pool)),
+                              min_size=1, max_size=16), label="walk")
+    calls, triple, triple_key, rate_key = [], None, None, None
+    for view, t in walk:
+        got, key, rates = logged_call(sys, log, view, t)
+        calls.append((view, t, got, key))
+        if view == "stiffness":
+            assert (got is triple) == (key == triple_key)
+            triple, triple_key = got, key
+        elif view in ("stiffness_rate", "equilibrium_velocity"):
+            assert rates == (key != rate_key)
+            rate_key = key
+        else:
+            assert rates == 0
+    check_kept_triples(calls)
+    check_bounded(cfg, calls)
+
+
+@pytest.mark.parametrize("kind", ["transport", "separation", "phase-gate"])
+@settings(PROPERTY, max_examples=5, phases=(Phase.generate,))
+@given(data=st.data())
+def test_the_ion_pair_keeps_a_value_only_for_its_own_time_and_root_on_any_thread(kind, data):
+    # Two threads walk the views of one system, each solving from whichever root
+    # came last and reading whichever triple and q0dot were kept last; each
+    # thread logs its own roots.  A triple object still goes back only to calls
+    # of one equation and root, and every value is within the exact formulas'
+    # bounds at its own call's root.  A race does not replay, so the first
+    # failing example is reported as drawn.
+    cfg = data.draw(preset_configs(kind), label="config")
+    (sys, log), pool = logged_build(cfg), data.draw(signed_zero_pool, label="times")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lists = [[(rng.choice(ION_PAIR_VIEWS), rng.choice(pool)) for _ in range(4000)]
+             for _ in range(2)]
+    calls = []
+
+    def run(walk):
+        for view, t in walk:
+            calls.append((view, t, *logged_call(sys, log, view, t)[:2]))
+
+    run_on_threads(run, lists)
+    assert len(calls) == 8000
+    check_kept_triples(calls)
+    check_bounded(cfg, calls)
 
 
 def entries(triple) -> tuple:
@@ -1230,26 +1357,10 @@ def test_rotation_views_do_not_depend_on_the_thread(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     lists = [[(rng.choice(VIEWS), rng.choice(pool), rng.random() < 0.5)
               for _ in range(4000)] for _ in range(2)]
-    sys, start, failures = build_preset(cfg), threading.Barrier(2), []
-
-    def run(calls):
-        start.wait()
-        try:
-            check_calls(sys, calls, lambda view, s: table[view, type(s), float(s).hex()])
-        except AssertionError as exc:
-            failures.append(exc)
-
-    interval = _sys.getswitchinterval()
-    _sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(calls,)) for calls in lists]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        _sys.setswitchinterval(interval)
-    assert failures == []
+    sys = build_preset(cfg)
+    run_on_threads(
+        lambda calls: check_calls(sys, calls, lambda view, s: table[view, type(s), float(s).hex()]),
+        lists)
 
 
 @st.composite
@@ -1312,18 +1423,18 @@ def test_mode_frame_walk_threads_the_chain(kind, data):
 @PROPERTY
 @given(data=st.data())
 def test_mode_frame_walk_over_repeated_times_has_the_bits_of_the_chain(kind, data):
-    # RK4 asks each stage time twice.  Rotation keeps its triple per time and
-    # hands back the same triple object there, and the walk reuses that
-    # triple's frame: one _frame per distinct float time in a row (t = 0 is
-    # never kept).  The ion pair builds a fresh triple on each call, so it gets
-    # one _frame per call.  Either way each frame has the bits of _frame
-    # chained call by call on a twin build.
+    # RK4 asks each stage time twice.  Rotation keeps its triple per float time
+    # (never t = 0), the ion pair per time and root, and both hand back the same
+    # triple object there; the walk reuses that triple's frame.  So a call makes
+    # one _frame exactly when its twin's triple is not the object of the call
+    # before, and each frame has the bits of _frame chained call by call on a
+    # twin build.
     configs = table_rotation_configs() if kind == "rotation" else preset_configs(kind)
     cfg = data.draw(configs, label="config")
     sys, twin = build_preset(cfg), build_preset(cfg)
     pool = data.draw(st.lists(times, min_size=1, max_size=4), label="times")
     walk = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12), label="walk")
-    built = []
+    built, fresh, last = [], 0, None
 
     def counted_frame(*args):
         built.append(args)
@@ -1333,10 +1444,8 @@ def test_mode_frame_walk_over_repeated_times_has_the_bits_of_the_chain(kind, dat
     with mock.patch("dnmodes.modes._frame", counted_frame):
         for t in walk:
             got = frame(t)
-            expected = _frame(twin.stiffness(t), twin.masses, branch, t)
+            fresh += (K := twin.stiffness(t)) is not last
+            expected, last = _frame(K, twin.masses, branch, t), K
             branch = expected[0]
             assert hexes(got) == hexes(expected)
-    if kind == "rotation":
-        assert len(built) == sum(i == 0 or not t or t != walk[i - 1] for i, t in enumerate(walk))
-    else:
-        assert len(built) == len(walk)
+    assert len(built) == fresh

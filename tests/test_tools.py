@@ -1,18 +1,22 @@
-"""The output comparison of ``tools/compare_outputs.py`` on synthetic outputs, and
-the machine line of ``tools/bench_pairs.py``."""
+"""The output comparison of ``tools/compare_outputs.py`` on synthetic outputs, the
+machine line, bytecode check and pair count of ``tools/bench_pairs.py``, and the
+keys of a smoke ``tools/bench_record.py`` file."""
 
 import importlib.metadata
+import json
 import math
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import machine_line  # noqa: E402
+from bench_pairs import better_of, has_bytecode, machine_line, summary  # noqa: E402
 from compare_outputs import compare  # noqa: E402
 
 # A mode CSV whose Q1 column reaches 1 and crosses zero near 5.75e-05.
@@ -71,3 +75,48 @@ def test_bench_pairs_names_the_machine(monkeypatch, bytecode, shown):
     assert machine_line() == (
         f"python {platform.python_version()}, numpy {importlib.metadata.version('numpy')}, "
         f"{os.cpu_count()} CPUs, PYTHONDONTWRITEBYTECODE {shown}")
+
+
+def test_bench_pairs_counts_the_pairs_where_the_change_is_better():
+    # workload_s is better lower and time_points_per_s higher (BENCHMARK.json);
+    # a tie counts for neither side.
+    better = better_of(str(ROOT))
+    assert (better["workload_s"], better["time_points_per_s"]) == ("lower", "higher")
+    parent = [{"workload_s": 1.0, "time_points_per_s": 10.0} for _ in range(3)]
+    change = [{"workload_s": w, "time_points_per_s": p}
+              for w, p in ((0.9, 11.0), (1.0, 9.0), (1.1, 12.0))]
+    rows = {row[0]: row[-1] for row in summary(parent, change, better)}
+    assert rows == {"workload_s": 1, "time_points_per_s": 2}
+
+
+def test_bench_pairs_tells_whether_a_checkout_holds_bytecode(tmp_path):
+    # Only bytecode for the running Python counts: another interpreter's cache
+    # does not spare this one the compile.
+    cache = tmp_path / "src" / "dnmodes" / "__pycache__"
+    assert not has_bytecode(str(tmp_path))
+    cache.mkdir(parents=True)
+    (cache / "cli.cpython-0.pyc").write_bytes(b"")
+    assert not has_bytecode(str(tmp_path))
+    (cache / f"cli.{sys.implementation.cache_tag}.pyc").write_bytes(b"")
+    assert has_bytecode(str(tmp_path))
+
+
+def test_bench_record_smoke_file_has_every_key(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_record.py"), "0", "--smoke",
+         "--out", str(out)], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())
+    assert set(record) == {"pr", "commit", "machine", "settings", "workloads"}
+    assert set(record["commit"]) == {"sha", "dirty"}
+    assert set(record["machine"]) == {"python", "numpy", "cpus", "PYTHONDONTWRITEBYTECODE",
+                                      "bytecode"}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(record["workloads"]) == {w["name"] for w in bench["workloads"]}
+    for workload in record["workloads"].values():
+        assert set(workload) == {"end_to_end", "traced"}
+        assert set(workload["end_to_end"]) == {m["name"] for m in bench["end_to_end"]}
+        assert all(set(m) == {"median", "q1", "q3", "n", "unit"}
+                   for m in workload["end_to_end"].values())
+        assert set(workload["traced"]) == {m["name"] for m in bench["per_layer"]}

@@ -6,13 +6,17 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, from
 its root, the parent first in even pairs and the change first in odd ones.
 For every end-to-end metric the last line of a run reports, one row gives
 the parent's and the change's medians, the parent's quartiles, and in how
-many of the N pairs the change read lower (ties count for neither): the
-numbers a gain is judged by (better in at least 9 of 10 pairs, and medians
-further apart than the parent's quartiles).  A header line names the machine:
-Python, numpy, the CPU count, and whether PYTHONDONTWRITEBYTECODE is set (with
-it, every perfbench set-up compiles ``src/``, so ``setup_s`` pairs compare only
-under one setting).  The script only reads the checkouts' ``perfbench/``;
-run.py keeps its reports under each checkout's ``.perfbench_runs/``.
+many of the N pairs the change read better, lower or higher as the parent's
+``BENCHMARK.json`` declares (ties count for neither): the numbers a gain is
+judged by (better in at least 9 of 10 pairs, and medians further apart than
+the parent's quartiles).  A header line names the machine: Python, numpy, the
+CPU count, and whether PYTHONDONTWRITEBYTECODE is set (with it, every
+perfbench set-up compiles ``src/`` unless ``src/dnmodes/__pycache__`` holds
+bytecode for this Python, which it then reads).  One line per checkout says
+whether it holds that bytecode, and a warning follows when only one does:
+``setup_s`` pairs then compare compiling with reading.  The script only reads
+the checkouts' ``perfbench/`` and ``BENCHMARK.json``; run.py keeps its reports
+under each checkout's ``.perfbench_runs/``.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ import subprocess
 import sys
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The metric values of one untraced run in checkout ``root``."""
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: int = 0,
+             smoke: bool = False) -> dict:
+    """The metric values of one run in checkout ``root``."""
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+         *(["--smoke"] if smoke else [])],
         cwd=root, capture_output=True, text=True, check=True)
     last = json.loads(done.stdout.splitlines()[-1])
     if not last["correct"]:
@@ -39,30 +45,51 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in last["metrics"].items()}
 
 
-def machine_line() -> str:
+def machine() -> dict:
     """Python, numpy, the CPU count and the bytecode setting the runs share."""
     try:
         numpy = importlib.metadata.version("numpy")
     except importlib.metadata.PackageNotFoundError:
         numpy = "absent"
-    bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
-    return (f"python {platform.python_version()}, numpy {numpy}, {os.cpu_count()} CPUs, "
-            f"PYTHONDONTWRITEBYTECODE {bytecode}")
+    return {"python": platform.python_version(), "numpy": numpy, "cpus": os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+
+
+def machine_line() -> str:
+    m = machine()
+    return (f"python {m['python']}, numpy {m['numpy']}, {m['cpus']} CPUs, "
+            f"PYTHONDONTWRITEBYTECODE {'set' if m['PYTHONDONTWRITEBYTECODE'] else 'unset'}")
+
+
+def has_bytecode(root: str) -> bool:
+    """Whether ``src/dnmodes/__pycache__`` in checkout ``root`` holds bytecode for
+    the running Python."""
+    cache = os.path.join(root, "src", "dnmodes", "__pycache__")
+    suffix = f".{sys.implementation.cache_tag}.pyc"
+    return os.path.isdir(cache) and any(name.endswith(suffix) for name in os.listdir(cache))
+
+
+def better_of(root: str) -> dict:
+    """Each end-to-end metric's direction, "lower" or "higher", from the
+    ``BENCHMARK.json`` of checkout ``root``."""
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
 
 def quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4)[::2]) if len(values) > 1 else (values[0],) * 2
 
 
-def summary(parent: list, change: list) -> list:
+def summary(parent: list, change: list, better: dict) -> list:
     """One row per metric: name, both medians, the parent's quartiles and the
-    number of pairs where the change is lower."""
+    number of pairs where the change is better, as ``better`` names it."""
     rows = []
     for name in parent[0]:
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
+        sign = 1 if better[name] == "lower" else -1
         rows.append((name, statistics.median(p), statistics.median(c), *quartiles(p),
-                     sum(y < x for x, y in zip(p, c))))
+                     sum(sign * (x - y) > 0 for x, y in zip(p, c))))
     return rows
 
 
@@ -78,6 +105,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     roots = [os.path.abspath(args.parent), os.path.abspath(args.change)]
+    better, bytecode = better_of(roots[0]), [has_bytecode(root) for root in roots]
     runs = ([], [])
     for i in range(args.pairs):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
@@ -85,11 +113,17 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     n = args.pairs
     print(machine_line())
+    for side, root, present in zip(("parent", "change"), roots, bytecode):
+        print(f"{side} {root}: bytecode for {sys.implementation.cache_tag} in "
+              f"src/dnmodes/__pycache__ {'present' if present else 'absent'}")
+    if bytecode[0] != bytecode[1]:
+        print("warning: only one checkout holds bytecode, so its setup_s reads it while "
+              "the other's compiles", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {n} pairs of {args.seconds:g} s")
     print(f"{'metric':<18} {'parent':>12} {'change':>12} {'parent q1':>12} {'parent q3':>12}"
-          f"  lower in")
-    for name, mp, mc, q1, q3, lower in summary(*runs):
-        print(f"{name:<18} {mp:12.6g} {mc:12.6g} {q1:12.6g} {q3:12.6g}  {lower} of {n}")
+          f"  better in")
+    for name, mp, mc, q1, q3, wins in summary(*runs, better):
+        print(f"{name:<18} {mp:12.6g} {mc:12.6g} {q1:12.6g} {q3:12.6g}  {wins} of {n}")
     return 0
 
 
