@@ -658,65 +658,51 @@ class SpringsConfig:
         check_fields(self, positive=("d",))
 
 
+def _schedule_triple(cfg) -> dict:
+    """``stiffness`` and ``stiffness_rate`` read straight off the k, k1 and k2 schedules."""
+    k, k1, k2 = cfg.k, cfg.k1, cfg.k2
+    return {"stiffness": lambda t: StiffnessTriple(k.value(t), k1.value(t), k2.value(t)),
+            "stiffness_rate": lambda t: (k.derivative(t), k1.derivative(t), k2.derivative(t))}
+
+
 def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
     """U = k1 q1^2/2 + k2 (d - q2)^2/2 + k (q2 - q1)^2/2.
 
-    Equilibria q1 = q0 k/k1, q2 = q1 + q0 with
-    q0 = d k1 k2 / (k1 k2 + k (k1 + k2)); derivatives by the chain rule.
+    The equilibrium solves K q = (0, k2 d): q = X d/D with X = (k, k + k1) k2 and
+    D = det K = k1 k2 + k (k1 + k2), and its rate is qdot = d (Xdot D - X Ddot)/D^2.
+    Only these two views are singular, where D = 0; the triple is the schedules' own.
     """
-    d = cfg.d
+    d, views = cfg.d, _schedule_triple(cfg)
 
-    def parts(t: float) -> tuple:
-        k = cfg.k.value(t)
-        k1 = cfg.k1.value(t)
-        k2 = cfg.k2.value(t)
-        D = k1 * k2 + k * (k1 + k2)
-        if D == 0.0:
+    def solved(t: float) -> tuple:  # (k, k1, k2), X and D at t, where D != 0
+        k, k1, k2 = cfg.k.value(t), cfg.k1.value(t), cfg.k2.value(t)
+        if (D := k1 * k2 + k * (k1 + k2)) == 0.0:
             raise SingularConfigurationError(
-                f"singular spring configuration at t={t}: k1 k2 + k (k1 + k2) = 0"
-            )
-        if k1 == 0.0:
-            raise SingularConfigurationError(
-                f"singular spring configuration at t={t}: k1 = 0"
-            )
-        return k, k1, k2, D
+                f"singular spring configuration at t={t}: k1 k2 + k (k1 + k2) = 0")
+        return (k, k1, k2), (k * k2, (k + k1) * k2), D
 
     def equilibrium(t: float) -> tuple:
-        k, k1, k2, D = parts(t)
-        q0 = d * k1 * k2 / D
-        q1 = q0 * k / k1
-        return (q1, q1 + q0)
+        _, X, D = solved(t)
+        return (X[0] / D * d, X[1] / D * d)
 
     def equilibrium_velocity(t: float) -> tuple:
-        k, k1, k2, D = parts(t)
-        kd = cfg.k.derivative(t)
-        k1d = cfg.k1.derivative(t)
-        k2d = cfg.k2.derivative(t)
-        q0 = d * k1 * k2 / D
+        (k, k1, k2), X, D = solved(t)
+        kd, k1d, k2d = views["stiffness_rate"](t)
         Dd = k1d * k2 + k1 * k2d + kd * (k1 + k2) + k * (k1d + k2d)
-        q0d = d * ((k1d * k2 + k1 * k2d) * D - k1 * k2 * Dd) / (D * D)
-        q1d = q0d * k / k1 + q0 * (kd * k1 - k * k1d) / (k1 * k1)
-        return (q1d, q1d + q0d)
-
-    def stiffness(t: float) -> StiffnessTriple:
-        k, k1, k2, _ = parts(t)
-        return StiffnessTriple(k, k1, k2)
-
-    def stiffness_rate(t: float) -> tuple:
-        return (cfg.k.derivative(t), cfg.k1.derivative(t), cfg.k2.derivative(t))
+        Xd = (kd * k2 + k * k2d, (kd + k1d) * k2 + (k + k1) * k2d)
+        return tuple(d * (xd * D - x * Dd) / (D * D) for x, xd in zip(X, Xd))
 
     def full_potential(q1: float, q2: float, t: float) -> float:
-        k, k1, k2, _ = parts(t)
-        return 0.5 * k1 * q1**2 + 0.5 * k2 * (d - q2) ** 2 + 0.5 * k * (q2 - q1) ** 2
+        tr = views["stiffness"](t)
+        return 0.5 * tr.k1 * q1**2 + 0.5 * tr.k2 * (d - q2) ** 2 + 0.5 * tr.k * (q2 - q1) ** 2
 
     return QuadraticSystem(
         masses=cfg.masses,
-        stiffness=stiffness,
-        stiffness_rate=stiffness_rate,
         equilibrium=equilibrium,
         equilibrium_velocity=equilibrium_velocity,
         full_potential=full_potential,
         label="springs",
+        **views,
     )
 
 
@@ -741,20 +727,13 @@ class CustomConfig:
 def build_custom(cfg: CustomConfig) -> QuadraticSystem:
     return QuadraticSystem(
         masses=cfg.masses,
-        stiffness=lambda t: StiffnessTriple(
-            cfg.k.value(t), cfg.k1.value(t), cfg.k2.value(t)
-        ),
-        stiffness_rate=lambda t: (
-            cfg.k.derivative(t),
-            cfg.k1.derivative(t),
-            cfg.k2.derivative(t),
-        ),
         equilibrium=lambda t: (cfg.q1_eq.value(t), cfg.q2_eq.value(t)),
         equilibrium_velocity=lambda t: (
             cfg.q1_eq.derivative(t),
             cfg.q2_eq.derivative(t),
         ),
         label="custom",
+        **_schedule_triple(cfg),
     )
 
 

@@ -34,12 +34,10 @@ def _split(a: float, b: float) -> float:  # geometric while b > 2a > 0, else the
     return math.sqrt(a) * math.sqrt(b) if b > 2.0 * a > 0.0 else 0.5 * (a + b)
 
 
-def newton_refine(f, fprime, x: float, a: float, b: float, fa=None, fx=None, dx=None) -> float:
+def newton_refine(f, fprime, x: float, a: float, b: float, fa: float, fx=None, dx=None) -> float:
     """Newton from x, bisecting [a, b] where a step leaves it or f' vanishes, and
     bisecting to the end after ``MAX_NEWTON`` steps (see the module docstring).
-    ``fa``, ``fx`` and ``dx`` are f(a), f(x) and f'(x) if already evaluated."""
-    if fa is None:
-        fa = f(a)
+    ``fa`` is f(a); ``fx`` and ``dx`` are f(x) and f'(x) if already evaluated."""
     for _ in range(MAX_NEWTON):
         if fx is None:
             fx = f(x)

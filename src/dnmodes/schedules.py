@@ -300,10 +300,10 @@ def _checked(tp: type, value, name: str):
         if is_finite_number(value):
             return float(value)
     elif tp is tuple:
-        # An ndarray exists only once numpy is loaded, so this test never loads it.
-        np = sys.modules.get("numpy")
-        arrays = (np.ndarray,) if np is not None else ()
-        if isinstance(value, (list, tuple, *arrays)) and all(map(is_finite_number, value)):
+        # An ndarray exists only once numpy is loaded, so this test never loads it; while
+        # another thread (a sweep point's classify) imports numpy it has no ndarray yet.
+        array = getattr(sys.modules.get("numpy"), "ndarray", list)
+        if isinstance(value, (list, tuple, array)) and all(map(is_finite_number, value)):
             return tuple(map(float, value))
     elif isinstance(value, tp):
         return value

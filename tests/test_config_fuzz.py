@@ -1,7 +1,8 @@
 """Config fuzzer: a config with one wrong-typed or out-of-range value, or
 one bad ``--dt`` or ``--samples`` flag value, keeps the exit-code contract
 (0, 2, 3 or 4, and at most one line on stderr).  In a separate ``dnm``
-process, where warnings reach stderr, an extreme value keeps it too.
+process, where warnings reach stderr, an extreme value, 1e300 or 1e-300 on
+either of two leaves per preset, keeps it too.
 
 Each preset has a tiny valid config that fills every section.  A draw
 replaces one leaf of it, or the values of its sweep axis, with a string,
@@ -141,53 +142,71 @@ def test_one_bad_flag_keeps_the_exit_code_contract(tmp_path, capsys, preset, com
     assert err.count("\n") <= 1
 
 
-# A 1e300 cell's id names only the preset and the command.  Separation and
-# phase-gate classify solve at both values and reach the report behind
-# NUMPY_BOOL_REPORT, so their cells are the next test's.
+# Each preset's extreme values go on its sweep-axis leaf and on a second leaf, which
+# a sweep then holds in the file.  A 1e300 cell's id names only the preset and the
+# command, and a second-leaf cell's the leaf too.  Separation and phase-gate classify
+# solve at both values on both leaves and reach the report behind NUMPY_BOOL_REPORT,
+# so their cells are the next test's.
+SECOND_LEAVES = {"transport": "preset.Cc", "separation": "preset.beta", "phase-gate": "preset.Cc",
+                 "rotation": "preset.m", "springs": "preset.k1", "custom": "preset.k"}
 NUMPY_BOOL_CELLS = {("separation", "classify"), ("phase-gate", "classify")}
+
+
+def leaves(preset: str) -> tuple:
+    return PRESETS[preset][1], SECOND_LEAVES[preset]
+
+
+def extreme_id(name: str, preset: str, leaf: str, value: float) -> str:
+    second = "" if leaf == PRESETS[preset][1] else "-" + leaf.split(".")[-1]
+    return name + second + ("" if value == 1e300 else f"-{value:g}")
+
+
 EXTREME_CASES = [
-    pytest.param(preset, command, value,
-                 id=f"{preset}-{command}" + ("" if value == 1e300 else f"-{value:g}"))
+    pytest.param(preset, command, value, leaf,
+                 id=extreme_id(f"{preset}-{command}", preset, leaf, value))
     for value in (1e300, 1e-300)
     for preset in PRESETS
+    for leaf in leaves(preset)
     for command in COMMANDS
     if (preset, command) not in NUMPY_BOOL_CELLS
 ]
 
 
-def run_with_extreme_value(tmp_path, preset, command, value):
-    """The CLI process of ``command`` on the preset's base config, with ``value`` on its
-    sweep-axis leaf, or for sweep in the axis values."""
+def run_with_extreme_value(tmp_path, preset, command, value, leaf):
+    """The CLI process of ``command`` on the preset's base config with ``value`` on
+    ``leaf``, or for sweep on its axis leaf in the axis values."""
     cfg = base_config(preset)
-    if command == "sweep":
+    if command == "sweep" and leaf == PRESETS[preset][1]:
         replace(cfg, SWEEP_VALUES, [value])
     else:
-        replace(cfg, tuple(PRESETS[preset][1].split(".")), value)
+        replace(cfg, tuple(leaf.split(".")), value)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     return run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "run"))
 
 
-@pytest.mark.parametrize("preset, command, value", EXTREME_CASES)
-def test_an_extreme_value_prints_one_stderr_line_in_a_process(tmp_path, preset, command, value):
+@pytest.mark.parametrize("preset, command, value, leaf", EXTREME_CASES)
+def test_an_extreme_value_prints_one_stderr_line_in_a_process(
+        tmp_path, preset, command, value, leaf):
     # pytest captures warnings, so only a real process shows whether numpy's
     # overflow or underflow warnings add lines to the message.
-    proc = run_with_extreme_value(tmp_path, preset, command, value)
+    proc = run_with_extreme_value(tmp_path, preset, command, value, leaf)
     assert proc.returncode in (0, 2, 3, 4)
     assert proc.stderr.count("\n") <= 1
 
 
-@pytest.mark.parametrize("preset, value", [
-    pytest.param(preset, value, id=preset + ("" if value == 1e300 else f"-{value:g}"))
-    for value in (1e300, 1e-300) for preset, _ in sorted(NUMPY_BOOL_CELLS, reverse=True)])
-def test_an_extreme_ion_pair_classify_reaches_the_report(tmp_path, preset, value):
+@pytest.mark.parametrize("preset, value, leaf", [
+    pytest.param(preset, value, leaf, id=extreme_id(preset, preset, leaf, value))
+    for value in (1e300, 1e-300) for preset, _ in sorted(NUMPY_BOOL_CELLS, reverse=True)
+    for leaf in leaves(preset)])
+def test_an_extreme_ion_pair_classify_reaches_the_report(tmp_path, preset, value, leaf):
     # The distance, its rate and the spring are floats at both values, so classify
     # reaches its report, and the failure behind NUMPY_BOOL_REPORT: json's TypeError
     # in a traceback, exit 1.  A cell passes on exactly that, as the benchmark's own
     # test records the same failure, and fails on any other outcome: a domain error
     # before the report, or exit 0 once the report holds Python bools.  Then these
     # cells go back to the test above.
-    proc = run_with_extreme_value(tmp_path, preset, "classify", value)
+    proc = run_with_extreme_value(tmp_path, preset, "classify", value, leaf)
     last = proc.stderr.splitlines()[-1:]
     assert proc.returncode == 1 and last and last[0].startswith("TypeError: ") \
         and last[0].endswith(" is not JSON serializable"), (proc.returncode, proc.stderr)

@@ -1,6 +1,7 @@
 import decimal
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from dnmodes.presets import (
     solve_phase_gate_distance,
     solve_separation_distance,
 )
-from dnmodes.rootfind import N_SCAN, positive_roots
+from dnmodes.rootfind import MAX_NEWTON, N_SCAN, newton_refine, positive_roots
 from dnmodes.schedules import ControlSchedule, LinearRamp, Smoothstep
 
 from oracles import bisect, eig2_characteristic, grad4, hessian4
@@ -280,6 +281,32 @@ def test_a_root_exactly_on_a_scan_point_is_found_once(root):
     # f is exactly 0 there, so neither neighbouring cell has a sign change.
     assert scan_point(N_SCAN, 3.0) == 3.0
     assert positive_roots(lambda q: q - root, lambda q: 1.0, 3.0) == [root]
+
+
+def counted(f):
+    """f and a list whose length counts its calls."""
+    calls = []
+    return (lambda x: calls.append(x) or f(x)), calls
+
+
+def test_newton_on_a_triple_root_bisects_onto_it():
+    # Newton gains only a factor 2/3 a step on (x - 1)^3, so after MAX_NEWTON
+    # steps from 2.0 it is still 1.6e-9 off and bisects the bracket to the end;
+    # f is exactly 0 at 1.0 and nowhere else near it.
+    f, calls = counted(lambda x: (x - 1.0) ** 3)
+    assert newton_refine(f, lambda x: 3.0 * (x - 1.0) ** 2, 2.0, 0.5, 2.5, f(0.5)) == 1.0
+    assert len(calls) > MAX_NEWTON + 1  # f(a), one f per Newton step, then the bisection
+
+
+def test_bisection_without_a_zero_ends_between_the_floats_around_the_root():
+    # (x^2 - 2)^3 is 0 at no float, so the bisection ends where no float lies
+    # strictly inside the bracket and returns its end.
+    f, calls = counted(lambda x: (x * x - 2.0) ** 3)
+    x = newton_refine(f, lambda x: 6.0 * x * (x * x - 2.0) ** 2, 2.0, 1.0, 2.0, f(1.0))
+    below, above = math.nextafter(math.sqrt(2.0), 0.0), math.sqrt(2.0)
+    assert Fraction(below) ** 2 < 2 < Fraction(above) ** 2  # sqrt(2) lies between them
+    assert x in (below, above) and f(x) != 0.0
+    assert len(calls) > MAX_NEWTON + 1
 
 
 def test_a_vanishing_distance_slope_is_a_named_singular_point():

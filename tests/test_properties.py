@@ -14,7 +14,8 @@ root solve warm-started from its own root exits after one Newton step.
 Two kinds of check (see ``oracles``).  Against exact references, within the
 library's rounding bound: the mode frame (random, isotropic and ion-pair
 stiffness, random branch references, along a walk), the ion pair's views at
-the root each view solved for, every root (within 4 ulp of the exact root, from
+the root each view solved for, the springs' equilibrium and its rate (K q = F,
+refused only where det K = 0), every root (within 4 ulp of the exact root, from
 cold and warm starts and call orders and threads, at scales from 1e-300 to
 1e300; the closed-form cube roots within 1 ulp), both root kernels in their own
 scale (within Horner's bound, their coefficients exact) and the scaled bracket
@@ -73,7 +74,7 @@ from dnmodes.modes import (
     to_mode_frame,
 )
 from dnmodes import presets
-from dnmodes.errors import PresetDomainError
+from dnmodes.errors import PresetDomainError, SingularConfigurationError
 from dnmodes.presets import (
     CustomConfig,
     PhaseGateConfig,
@@ -91,9 +92,9 @@ from dnmodes.rootfind import solve_positive_root
 from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
-    ION_PAIR_VIEWS, check_frame, check_ion_pair_view, grad4, ion_pair_equations, ion_pair_solves,
-    last_float_below_root, per_view_ion_pair, recorded_build, replace, rk4_states,
-    verlet_states,
+    ION_PAIR_VIEWS, check_frame, check_ion_pair_view, gamma, grad4, ion_pair_equations,
+    ion_pair_solves, last_float_below_root, per_view_ion_pair, recorded_build, replace,
+    rk4_states, verlet_states,
 )
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -497,6 +498,103 @@ def test_preset_rates_match_finite_differences(kind, data):
     t = data.draw(st.floats(0.1, 0.9), label="t")
     check_rate(sys.stiffness_rate, lambda s: entries(sys.stiffness(s)), t)
     check_rate(sys.equilibrium_velocity, sys.equilibrium, t)
+
+
+def springs_reference(cfg, t) -> tuple:
+    """((q, qdot), (q's bound, qdot's bound)): the springs' equilibrium, K q = (0, k2 d),
+    and its rate, exact at the schedules' float values at t.  q = X d/D with X = (k, k +
+    k1) k2 and D = det K = k1 k2 + k (k1 + k2); qdot = d (Xdot D - X Ddot)/D^2.
+
+    Bounds in the library's order of operations, |.| each formula over its terms'
+    absolute values (``oracles.gamma``): D is within r |D|, r = gamma_3 |D|/|D exact|, X
+    within gamma_2, Xdot gamma_3 and Ddot gamma_4; so q = X/D d is within (gamma_4 +
+    r)/(1 - r) of itself, and N = Xdot D - X Ddot within gamma_8 |N|, whence d N/(D D) is
+    within d (gamma_8 |N| (1 + s) + |N exact| s)/D^2, s = (1 + gamma_3)/(1 - r)^2 - 1.  On
+    the natural scale d max|Kdot| max|K|/|D|, with |N| <= 24 max|K|^3 max|Kdot|, that is
+    about 24 (8 + 18 max|K|^2/|D|) u max|K|^2/|D|.  None where D = 0; a draw with r >= 1,
+    D within rounding of 0, has no bound and is rejected."""
+    def read(schedule) -> tuple:
+        return Fraction(schedule.value(t)), Fraction(schedule.derivative(t))
+
+    (k, kd), (k1, k1d), (k2, k2d), d = read(cfg.k), read(cfg.k1), read(cfg.k2), Fraction(cfg.d)
+    D, D_abs = k1 * k2 + k * (k1 + k2), abs(k1 * k2) + abs(k) * (abs(k1) + abs(k2))
+    if D == 0:
+        return None
+    assume((r := gamma(3) * D_abs / abs(D)) < 1)
+    Dd = k1d * k2 + k1 * k2d + kd * (k1 + k2) + k * (k1d + k2d)
+    Dd_abs = abs(k1d * k2) + abs(k1 * k2d) + abs(kd) * (abs(k1) + abs(k2)) \
+        + abs(k) * (abs(k1d) + abs(k2d))
+    X, X_abs = (k * k2, (k + k1) * k2), (abs(k * k2), (abs(k) + abs(k1)) * abs(k2))
+    Xd = (kd * k2 + k * k2d, (kd + k1d) * k2 + (k + k1) * k2d)
+    Xd_abs = (abs(kd * k2) + abs(k * k2d), (abs(kd) + abs(k1d)) * abs(k2)
+              + (abs(k) + abs(k1)) * abs(k2d))
+    s = (1 + gamma(3)) / (1 - r) ** 2 - 1
+    values, bounds = [], []
+    for x, x_abs, xd, xd_abs in zip(X, X_abs, Xd, Xd_abs):
+        N, N_abs = xd * D - x * Dd, xd_abs * D_abs + x_abs * Dd_abs
+        values.append((x * d / D, d * N / D**2))
+        bounds.append((abs(x * d / D) * (gamma(4) + r) / (1 - r),
+                       d * (gamma(8) * N_abs * (1 + s) + abs(N) * s) / D**2))
+    return tuple(zip(*values)), tuple(zip(*bounds))
+
+
+def stiffness_ramps():
+    """Linear ramps on [0, 1] from values that are 0 or of size 1e-3 to 2: at t = 0 or t
+    >= 1e-3, a product of three such values stays normal, and exact zeros make D = 0 or
+    k1 = 0."""
+    value = st.just(0.0) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)
+    return st.builds(lambda v0, v1: LinearRamp(0.0, v0, 1.0, v1), value, value)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(k=stiffness_ramps(), k1=stiffness_ramps(), k2=stiffness_ramps(),
+       d=st.floats(0.5, 3.0), t=st.just(0.0) | st.floats(1e-3, 1.0))
+def test_springs_equilibrium_is_near_the_exact_solution_of_K_q_F(k, k1, k2, d, t):
+    # Where the exact D is 0 so is the float one (each of its terms has a factor 0,
+    # or the draws are exact), and only the two equilibrium views refuse it.
+    cfg = SpringsConfig(k=k, k1=k1, k2=k2, d=d)
+    sys, ref = build_preset(cfg), springs_reference(cfg, t)
+    assert entries(sys.stiffness(t)) == (k.value(t), k1.value(t), k2.value(t))
+    assert sys.stiffness_rate(t) == (k.slope, k1.slope, k2.slope)
+    if ref is None:
+        for view in (sys.equilibrium, sys.equilibrium_velocity):
+            with pytest.raises(SingularConfigurationError, match=r"k1 k2 \+ k \(k1 \+ k2\) = 0"):
+                view(t)
+        return
+    for view, exact, bound in zip((sys.equilibrium, sys.equilibrium_velocity), *ref):
+        got = view(t)
+        for value, x, b in zip(got, exact, bound):
+            assert abs(Fraction(value) - x) <= b, (view.__name__, t, got, float(x), float(b))
+
+
+def test_a_slack_wall_spring_holds_both_masses_at_the_far_wall():
+    # k1 = 0: nothing pulls toward q = 0, so both masses sit at d, at rest.
+    sys = build_preset(SpringsConfig(k=0.5, k1=0.0, k2=1.2, d=3.0))
+    for t in (0.0, 0.5, 1.0):
+        assert sys.equilibrium(t) == (3.0, 3.0)
+        assert sys.equilibrium_velocity(t) == (0.0, 0.0)
+
+
+def test_springs_with_det_K_zero_refuse_only_the_equilibrium():
+    # k = 1, k1 = k2 = 0: two masses joined by one spring and free of the walls.
+    # K = [[1, -1], [-1, 1]] is singular, with the zero mode Omega1^2 = 0.
+    sys = build_preset(SpringsConfig(k=1.0, k1=0.0, k2=0.0, d=2.0))
+    assert entries(sys.stiffness(0.5)) == (1.0, 0.0, 0.0)
+    assert sys.stiffness_rate(0.5) == (0.0, 0.0, 0.0)
+    assert sys.full_potential(1.0, 0.5, 0.5) == 0.125
+    dec = decompose_at(sys, 0.5)
+    assert dec.omega1_sq == 0.0 and dec.omega2_sq == 2.0
+    for view in (sys.equilibrium, sys.equilibrium_velocity):
+        with pytest.raises(SingularConfigurationError, match="at t=0.5"):
+            view(0.5)
+
+
+def test_uncoupled_springs_have_an_exactly_resting_first_mass():
+    # k = 0: X = (0, k1 k2) and D = k1 k2, so Xdot D - X Ddot is exactly 0 in floats.
+    sys = build_preset(SpringsConfig(k=0.0, k1=LinearRamp(0.0, 1.0, 1.0, 0.7),
+                                     k2=LinearRamp(0.0, 1.3, 1.0, 2.1), d=2.0))
+    for t in (0.0, 0.3, 0.7, 1.0):
+        assert sys.equilibrium_velocity(t) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("kind", PRESET_KINDS)

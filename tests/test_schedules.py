@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -168,6 +169,13 @@ def test_tuple_fields_store_floats_from_a_list_a_tuple_or_an_ndarray(container):
     assert (poly.coeffs, table.times, table.values) == (
         (1.0, 0.5, -2.0), (0.0, 0.5, 1.0), (0.0, 0.1, 0.3))
     assert {type(v) for v in (*poly.coeffs, *table.times, *table.values)} == {float}
+
+
+def test_tuple_fields_read_a_numpy_that_another_thread_is_importing(monkeypatch):
+    # A sweep point's classify imports numpy in one thread while another builds its
+    # config: sys.modules then holds a numpy that has no ndarray yet.
+    monkeypatch.setitem(sys.modules, "numpy", types.ModuleType("numpy"))
+    assert Polynomial([1, 0.5]).coeffs == (1.0, 0.5)
 
 
 @pytest.mark.parametrize("value", ["0, 1", {"0": 1.0}], ids=["string", "dict"])

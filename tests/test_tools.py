@@ -1,6 +1,6 @@
 """The output comparison of ``tools/compare_outputs.py`` on synthetic outputs, the
 machine line, bytecode check and pair count of ``tools/bench_pairs.py``, and the
-keys of a smoke ``tools/bench_record.py`` file."""
+keys of a smoke ``tools/bench_record.py`` file, whose runs leave no directory behind."""
 
 import importlib.metadata
 import json
@@ -101,12 +101,19 @@ def test_bench_pairs_tells_whether_a_checkout_holds_bytecode(tmp_path):
     assert has_bytecode(str(tmp_path))
 
 
+def run_dirs() -> set:
+    runs = ROOT / ".perfbench_runs"
+    return set(os.listdir(runs)) if runs.is_dir() else set()
+
+
 def test_bench_record_smoke_file_has_every_key(tmp_path):
-    out = tmp_path / "BENCH_0.json"
+    # It also removes the run directories it made, and only those.
+    out, before = tmp_path / "BENCH_0.json", run_dirs()
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_record.py"), "0", "--smoke",
          "--out", str(out)], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert run_dirs() == before
     record = json.loads(out.read_text())
     assert set(record) == {"pr", "commit", "machine", "settings", "workloads"}
     assert set(record["commit"]) == {"sha", "dirty"}

@@ -15,8 +15,9 @@ perfbench set-up compiles ``src/`` unless ``src/dnmodes/__pycache__`` holds
 bytecode for this Python, which it then reads).  One line per checkout says
 whether it holds that bytecode, and a warning follows when only one does:
 ``setup_s`` pairs then compare compiling with reading.  The script only reads
-the checkouts' ``perfbench/`` and ``BENCHMARK.json``; run.py keeps its reports
-under each checkout's ``.perfbench_runs/``.
+the checkouts' ``perfbench/`` and ``BENCHMARK.json``.  Each run of run.py keeps
+its configs and reports in ``.perfbench_runs/<workload>-seed<S>-trace<T>-<pid>``
+of its checkout; the script removes that directory once the run has ended.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,13 +35,22 @@ import sys
 
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int = 0,
              smoke: bool = False) -> dict:
-    """The metric values of one run in checkout ``root``."""
-    done = subprocess.run(
+    """The metric values of one run in checkout ``root``.  The run's directory, which
+    run.py names by its own pid, is removed when it has ended."""
+    proc = subprocess.Popen(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
          *(["--smoke"] if smoke else [])],
-        cwd=root, capture_output=True, text=True, check=True)
-    last = json.loads(done.stdout.splitlines()[-1])
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate()
+    finally:
+        shutil.rmtree(os.path.join(root, ".perfbench_runs",
+                                   f"{workload}-seed{seed}-trace{trace}-{proc.pid}"),
+                      ignore_errors=True)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
+    last = json.loads(out.splitlines()[-1])
     if not last["correct"]:
         print(f"warning: a run in {root} reported wrong outputs", file=sys.stderr)
     return {name: m["value"] for name, m in last["metrics"].items()}

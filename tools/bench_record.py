@@ -13,7 +13,8 @@ the commit (HEAD, and whether tracked files differ from it).  A speed claim
 compares the parent's file with the change's, and takes its verdict from
 ``tools/bench_pairs.py``.  ``--smoke`` shrinks every workload and makes one run
 of 0.2 s per trace setting, to check the file's shape.  The script only reads ``perfbench/``
-and ``BENCHMARK.json``; run.py keeps its reports under ``.perfbench_runs/``.
+and ``BENCHMARK.json``, and removes each run's directory under ``.perfbench_runs/`` when
+the run has ended (``bench_pairs.run_once``).
 """
 
 from __future__ import annotations
