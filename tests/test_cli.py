@@ -459,6 +459,10 @@ OVERFLOWING_PRESETS = {
                    "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0"),
     "rotation": ({"type": "rotation", "m": 1.0, "omega1": 1e300, "omega2": 1.0, "phi": 0.3},
                  "rotation: omega1**2 or omega2**2 overflows"),
+    # F1 - F2 = 2e308 is no float, but the root, about sqrt(2 Cc/(F1 - F2)) = 1e-154, is;
+    # the spring, 2e462, is not.
+    "phase-gate-forces-1e308": ({"type": "phase-gate", "k0": 1.0, "F1": 1e308, "F2": -1e308},
+                                "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0"),
 }
 
 
@@ -683,17 +687,21 @@ FALLING = {"kind": "polynomial", "coeffs": [0.0, -0.1]}
 # Ion pairs whose distance, its rate and the Coulomb spring are floats although
 # a distance equation solved in q left the float range on the way (each exited
 # 3): its scan's sign product underflowed, its bracket overflowed f, or q0**2,
-# q0**3 or 2 Cc/k was no float.
+# q0**3, 2 Cc/k or 2 Cc was no float.
 FINITE_AT_THE_FLOAT_EDGES = {
     "separation-Cc-1e-300": {"type": "separation", "alpha": SMOOTH_DOWN, "Cc": 1e-300,
                              "beta": {"kind": "linear-ramp", "t0": 0.0, "v0": 0.5, "t1": 1.0,
                                       "v1": 0.6}, "masses": [1.0, 2.0]},
     "separation-Cc-1e300": {"type": "separation", "alpha": SMOOTH_DOWN, "beta": 0.6,
                             "Cc": 1e300, "masses": [1.0, 2.0]},
+    # q0 = 4.6e61 and the spring 2 Cc/q0**3 = 2.1e123, though 2 Cc is no float.
+    "separation-Cc-1e308": {"type": "separation", "alpha": 1.0, "beta": 1.0, "Cc": 1e308},
     "phase-gate-k0-1e-300": {"type": "phase-gate", "k0": 1e-300, "Cc": 1.0, "F1": SMOOTH_UP,
                              "F2": FALLING, "masses": [1.0, 1.5]},
     "phase-gate-k0-1e300": {"type": "phase-gate", "k0": 1e300, "Cc": 1e-300, "F1": SMOOTH_UP,
                             "F2": FALLING, "masses": [1.0, 1.5]},
+    # q0 = 5.8e102, the spring k0 = 1 and Omega^2 = 1 and 3, though 2 Cc is no float.
+    "phase-gate-Cc-1e308": {"type": "phase-gate", "k0": 1.0, "Cc": 1e308, "F1": 0.0, "F2": 0.0},
     "phase-gate-q0-cube-1e308": {"type": "phase-gate", "k0": 1e-10, "Cc": 7.5e297,
                                  "F1": -2.5e92, "F2": 0.0},
     # q0 = 1e160: q0**2 is no float, q0dot is, and the spring underflows to 0.

@@ -806,6 +806,16 @@ def assert_near_the_exact_root(got, coeffs):
     assert abs(got - below) <= 4 * math.ulp(below)
 
 
+def quintic(alpha, beta, Cc) -> list:
+    """beta q^5 + 2 alpha q^3 - 2 Cc, exact: 2 alpha and 2 Cc may be no floats."""
+    return [beta, 0, 2 * Fraction(alpha), 0, 0, -2 * Fraction(Cc)]
+
+
+def cubic(k0, F1, F2, Cc) -> list:
+    """k0 q^3 + (F1 - F2) q^2 - 2 Cc, exact: F1 - F2 and 2 Cc may be no floats."""
+    return [k0, Fraction(F1) - Fraction(F2), 0, -2 * Fraction(Cc)]
+
+
 def check_root_at_any_scale(solve, coeffs, r=None) -> None:
     """solve(guess) is within 4 ulp of the exact root from a cold start (r None) or from
     a guess r off the root; where the root is no float, a cold solve names the overflow."""
@@ -826,22 +836,27 @@ def check_root_at_any_scale(solve, coeffs, r=None) -> None:
 @example(alpha=-1e4, beta=1e18, Cc=1e-26)
 @example(alpha=-1e300, beta=1.0, Cc=1.0)  # the root, 1.4e150, has a quintic of 5e751
 @example(alpha=1.0, beta=1.0, Cc=1e-300)  # the root, 1e-100, is below the q scan's grid
+@example(alpha=1e308, beta=1.0, Cc=1.0)  # 2 alpha is no float; the root is 2.2e-103
+@example(alpha=-1e308, beta=1.0, Cc=1.0)  # the root, 1.4e154, with 2 alpha no float
+@example(alpha=1.0, beta=1.0, Cc=1e308)  # 2 Cc is no float; the root is 4.6e61
 def test_cold_separation_root_is_within_4_ulp_at_any_scale(alpha, beta, Cc):
     check_root_at_any_scale(lambda guess: solve_separation_distance(alpha, beta, Cc, guess),
-                            [beta, 0.0, 2.0 * alpha, 0.0, 0.0, -2.0 * Cc])
+                            quintic(alpha, beta, Cc))
 
 
 @settings(PROPERTY, max_examples=200)
-@given(k0=log_uniform, Cc=log_uniform, d=log_signed)
-@example(k0=1.0, Cc=1e-33, d=0.0)
-@example(k0=1e20, Cc=1e-12, d=1e-21)
-@example(k0=1e300, Cc=1e-300, d=0.0)  # the root's cube, 2e-600, is no float
-@example(k0=1e-300, Cc=1.0, d=0.035)  # the root is 7.6; a q bracket 1e299 overflowed f
-@example(k0=1.0, Cc=1.0, d=-1e300)  # the root, 1e300, has a cubic of 1e900
-@example(k0=1e-300, Cc=1.0, d=-1e100)  # the root, 1e400, is no float
-def test_cold_phase_gate_root_is_within_4_ulp_at_any_scale(k0, Cc, d):
-    check_root_at_any_scale(lambda guess: solve_phase_gate_distance(d, 0.0, k0, Cc, guess),
-                            [k0, d, 0.0, -2.0 * Cc])
+@given(k0=log_uniform, Cc=log_uniform, F1=log_signed, F2=st.just(0.0))
+@example(k0=1.0, Cc=1e-33, F1=0.0, F2=0.0)
+@example(k0=1e20, Cc=1e-12, F1=1e-21, F2=0.0)
+@example(k0=1e300, Cc=1e-300, F1=0.0, F2=0.0)  # the root's cube, 2e-600, is no float
+@example(k0=1e-300, Cc=1.0, F1=0.035, F2=0.0)  # the root is 7.6; a q bracket 1e299 overflowed f
+@example(k0=1.0, Cc=1.0, F1=-1e300, F2=0.0)  # the root, 1e300, has a cubic of 1e900
+@example(k0=1e-300, Cc=1.0, F1=-1e100, F2=0.0)  # the root, 1e400, is no float
+@example(k0=1.0, Cc=1.0, F1=1e308, F2=-1e308)  # F1 - F2 is no float; the root is 1e-154
+@example(k0=1.0, Cc=1e308, F1=0.0, F2=0.0)  # 2 Cc is no float; the root is 5.8e102
+def test_cold_phase_gate_root_is_within_4_ulp_at_any_scale(k0, Cc, F1, F2):
+    check_root_at_any_scale(lambda guess: solve_phase_gate_distance(F1, F2, k0, Cc, guess),
+                            cubic(k0, F1, F2, Cc))
 
 
 @settings(PROPERTY, max_examples=200)
@@ -878,13 +893,13 @@ def kernels(equation, u) -> tuple:
 
 
 def check_scaled(a, b, c, j) -> list:
-    """The coefficients in x of f = (a q^j + b) q^j q - c from ``presets._in_own_scale``,
+    """The coefficients in x of f = (a/2 q^j + b) q^j q - c from ``presets._in_own_scale``,
     highest power first, after checking in rationals that they are those of f(2^e x)
-    2^-s: each its float coefficient times a power of two, one in [1/2, 1), all below 16,
+    2^-s: each of a/2, b and c times a power of two, one in [1/2, 1), all below 16,
     and exact unless it is more than 2^-1021 below the largest (an underflow)."""
     e, scaled = presets._in_own_scale(a, b, c, j)
     powers = (2 * j + 1, j + 1, 0)
-    exact = [Fraction(v) * Fraction(2) ** (k * e) for v, k in zip((a, b, c), powers)]
+    exact = [Fraction(v) * Fraction(2) ** (k * e) for v, k in zip((Fraction(a) / 2, b, c), powers)]
     largest = max(range(3), key=lambda i: abs(scaled[i]))
     assert any(0.5 <= abs(v) < 1.0 for v in scaled) and abs(scaled[largest]) < 16.0
     ratio = Fraction(scaled[largest]) / exact[largest]  # 2^-s
@@ -917,7 +932,7 @@ def check_kernel(f, x, coeffs):
 def test_the_quintic_kernel_is_within_horners_bound(alpha, beta, Cc, x):
     f, _, q_max = kernels(presets._separation_distance(Cc), (alpha, beta))
     assert q_max == 8.0
-    check_kernel(f, x, check_scaled(beta, 2.0 * alpha, 2.0 * Cc, 2))
+    check_kernel(f, x, check_scaled(beta, alpha, Cc, 2))
 
 
 @settings(PROPERTY, max_examples=300)
@@ -925,21 +940,25 @@ def test_the_quintic_kernel_is_within_horners_bound(alpha, beta, Cc, x):
 def test_the_cubic_kernel_is_within_horners_bound(k0, Cc, d, x):
     f, _, q_max = kernels(presets._phase_gate_distance(k0, Cc), (d, 0.0))
     assert q_max == 8.0
-    check_kernel(f, x, check_scaled(k0, d, 2.0 * Cc, 1))
+    check_kernel(f, x, check_scaled(k0, 0.5 * d, Cc, 1))
 
 
 @settings(PROPERTY, max_examples=200)
 @given(alpha=log_signed, beta=log_uniform, Cc=log_uniform, r=st.floats(-0.2, 0.2))
+@example(alpha=1e308, beta=1.0, Cc=1.0, r=0.1)  # 2 alpha is no float
+@example(alpha=-1e308, beta=1.0, Cc=1.0, r=-0.1)
+@example(alpha=1.0, beta=1.0, Cc=1e308, r=0.1)  # 2 Cc is no float
 def test_warm_separation_root_is_within_4_ulp_from_20_percent_off(alpha, beta, Cc, r):
     check_root_at_any_scale(lambda guess: solve_separation_distance(alpha, beta, Cc, guess),
-                            [beta, 0.0, 2.0 * alpha, 0.0, 0.0, -2.0 * Cc], r)
+                            quintic(alpha, beta, Cc), r)
 
 
 @settings(PROPERTY, max_examples=200)
 @given(k0=log_uniform, Cc=log_uniform, d=log_signed, r=st.floats(-0.2, 0.2))
+@example(k0=1.0, Cc=1e308, d=1e-300, r=-0.1)  # 2 Cc is no float
 def test_warm_phase_gate_root_is_within_4_ulp_from_20_percent_off(k0, Cc, d, r):
     check_root_at_any_scale(lambda guess: solve_phase_gate_distance(d, 0.0, k0, Cc, guess),
-                            [k0, d, 0.0, -2.0 * Cc], r)
+                            cubic(k0, d, 0.0, Cc), r)
 
 
 def test_a_fresh_separation_system_gives_its_first_equilibrium_again():
@@ -955,8 +974,8 @@ any_float = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=Fa
 @settings(PROPERTY, max_examples=300)
 @given(any_float, any_float, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
        st.sampled_from([1, 2]))
-@example(-1e300, 1.0, 1.0, 2)  # a separation whose root, 1.4e150, had a quintic beyond floats
-@example(1e-300, 0.07, 2.0, 1)  # a phase gate whose q bracket, 1e299, overflowed its cubic
+@example(1.0, -1e300, 1.0, 2)  # a separation whose root, 1.4e150, had a quintic beyond floats
+@example(1e-300, 0.035, 1.0, 1)  # a phase gate whose q bracket, 1e299, overflowed its cubic
 def test_the_scaled_bracket_holds_every_positive_root(a, b, c, j):
     # The root solve scans (0, 8] in x = q/2^e.  In rationals, f(2^e x) = (A x^j + B)
     # x^j x - C has no root beyond 8: where A < 0, A x^j + B is negative from 8 on;
@@ -964,7 +983,7 @@ def test_the_scaled_bracket_holds_every_positive_root(a, b, c, j):
     # f(8) >= 0 (else A = 0 >= B and f has no positive root).  Coefficients of
     # either sign, zero and extreme.
     scale = Fraction(2) ** presets._in_own_scale(a, b, c, j)[0]
-    A, B, C = Fraction(a) * scale ** (2 * j + 1), Fraction(b) * scale ** (j + 1), Fraction(c)
+    A, B, C = Fraction(a) / 2 * scale ** (2 * j + 1), Fraction(b) * scale ** (j + 1), Fraction(c)
     head = A * 8**j + B
     if A < 0:
         assert head <= 0
@@ -1216,8 +1235,8 @@ def check_roots_near_the_exact_root(cfg, call_lists) -> None:
     asking, roots, distances = threading.local(), [], []
 
     def recording_solve(solve, guess):
-        roots.append((asking.t, solve(guess)))
-        return roots[-1][1]
+        roots.append((asking.t, q0 := solve(guess)))
+        return q0  # not roots[-1], which the other thread may have appended since
 
     with ion_pair_solves(recording_solve):
         sys = build_preset(cfg)
