@@ -10,14 +10,14 @@ Transport, separation and the phase gate are one ion pair, q1 > q2 (Coulomb
 repulsion keeps the ions apart).  Its distance q0 is the root of one equation
 f(q; u) = 0 in the controls u, built once per time; that equation's f' serves
 both the root solve and q0dot = -(df/dt) / f'(q0).  Separation's quintic and the phase
-gate's cubic, one ion's force balance (a/2 q^j + b) q^j q = Cc of (a, b) = (beta, alpha)
-or (k0, F1/2 - F2/2), are solved in x = q/2^e, 2^e within a factor 2 of the dominant
-balance's length, with exact coefficients in x: Horner and Newton round as in q.  With
-l = (2|b|/|a|)^(1/j), la = (2 Cc/a)^(1/(2j+1)) and lb = (Cc/b)^(1/(j+1)), the root is in
-(m/2, m] for a, b >= 0, m the smaller la, lb of a positive term; in (M, 2M] for a > 0 >
-b, M = max(l, la); below l for a < 0 < b (none or two, the largest taken cold, the
-nearest warm).  So each root in x is in (1/4, 4], in the bracket (0, 8]; transport's is
-a cube root of [1/2, 8), times 2^j.
+gate's cubic, twice one ion's force balance, (a q^j + b) q^j q - 2 Cc with (a, b) = (beta,
+2 alpha) or (k0, F1 - F2), take their controls as read, each 2 in an exponent, and are solved
+in x = q/2^e, 2^e within a factor 2 of the dominant balance's length, with exact
+coefficients in x: Horner and Newton round as in q.  With l = (|b|/|a|)^(1/j), la =
+(2 Cc/a)^(1/(2j+1)) and lb = (2 Cc/b)^(1/(j+1)), the root is in (m/2, m] for a, b >= 0, m
+the smaller la, lb of a positive term; in (M, 2M] for a > 0 > b, M = max(l, la); below l
+for a < 0 < b (none or two, the largest taken cold, the nearest warm).  So each root in x
+is in (1/4, 4], in the bracket (0, 8]; transport's is a cube root of [1/2, 8), times 2^j.
 Rotation's stiffness and theta_dot keep their value at the last float time
 asked, so a time that two RK stages share reads the phi schedule once; the ion
 pair keeps its triple and q0dot per time and root, so it builds them once there.
@@ -265,12 +265,12 @@ class SeparationConfig:
         check_fields(self, positive=("Cc",))
 
 
-def _in_own_scale(a: float, b: float, c: float, j: int) -> tuple:
-    """(e, (A, B, C)) with f(2^e x) = 2^s ((A x^j + B) x^j x - C) for f = (a/2 q^j + b) q^j q - c,
-    c > 0: a/2 (a's exponent less 1), b, c times powers of two, exact unless they underflow, one
-    in [1/2, 1), all < 16; C underflows to 2^-1074 at least, so that x = 0 is no root."""
-    n, m = 2 * j + 1, j + 1
-    ea, eb, ec = math.frexp(a)[1] - 1, math.frexp(b)[1], math.frexp(c)[1]
+def _in_own_scale(a: float, b: float, h: int, c: float, j: int) -> tuple:
+    """(e, (A, B, C)) with f(2^e x) = 2^s ((A x^j + B) x^j x - C) for f = (a q^j + b 2^h) q^j q
+    - 2c, c > 0: each one ldexp of a, b or c, exact unless it underflows; one in [1/2, 1),
+    all < 16; C underflows to 2^-1074 at least, so that x = 0 is no root."""
+    n, m, ldexp = 2 * j + 1, j + 1, math.ldexp
+    ea, eb, ec = math.frexp(a)[1], math.frexp(b)[1] + h, math.frexp(c)[1] + 1
     if a > 0.0 > b:  # A leads
         s = ea + n * (e := max((eb - ea) // j, (ec - ea) // n))
     elif a < 0.0 < b:  # B leads, or C where there is no root
@@ -280,13 +280,14 @@ def _in_own_scale(a: float, b: float, c: float, j: int) -> tuple:
         e, s = min(la, (ec - eb) // m if b > 0.0 else la), ec
     else:  # no positive root
         e, s = 0, max(ea if a else ec, eb if b else ec, ec)
-    return e, (math.ldexp(a, n * e - s - 1), math.ldexp(b, m * e - s), math.ldexp(c, -s) or 5e-324)
+    return e, (ldexp(a, n * e - s), ldexp(b, m * e - s + h), ldexp(c, 1 - s) or 5e-324)
 
 
-def _scaled_equation(a: float, b: float, c: float, j: int, rates):
-    """``(solve, rate)`` of f = (a/2 q^j + b) q^j q - c in its own scale; rates(du) = (da, db)/dt.
-    solve reads ``solve_positive_root`` per call, for patched solvers; a/2, da/2 are ldexps."""
-    e, (A, B, C) = _in_own_scale(a, b, c, j)
+def _scaled_equation(a: float, b: float, h: int, c: float, j: int, rates):
+    """``(solve, rate)`` of f = (a q^j + b 2^h) q^j q - 2c in its own scale; rates(du) =
+    d(a, b 2^h)/dt; f' takes b 2^h in one rounding.  solve reads ``solve_positive_root`` per
+    call, for patched solvers."""
+    e, (A, B, C) = _in_own_scale(a, b, h, c, j)
     An, Bm, ldexp = (2 * j + 1) * A, (j + 1) * B, math.ldexp
 
     def f(x: float) -> float:
@@ -302,15 +303,15 @@ def _scaled_equation(a: float, b: float, c: float, j: int, rates):
     def rate(du: tuple, q0: float) -> tuple:  # df/dt and f' over q0^j, q0^j = 2^je x^j
         (da, db), x = rates(du), ldexp(q0, -e)
         p = x * x if j == 2 else x
-        drift = ldexp((ldexp(da, j * e - 1) * p + db) * x, e)  # raises where it is no float
-        return drift, (2 * j + 1) * ldexp(a, j * e - 1) * p + (j + 1) * b
+        drift = ldexp((ldexp(da, j * e) * p + db) * x, e)  # raises where it is no float
+        return drift, (2 * j + 1) * ldexp(a, j * e) * p + ((j + 1) << h) * b
 
     return solve, rate
 
 
 def _separation_distance(Cc: float):
-    """The separation's ``equation(t, u)``, (beta/2 q^2 + alpha) q^2 q - Cc at (alpha, beta)."""
-    return lambda t, u: _scaled_equation(u[1], u[0], Cc, 2, lambda d: (d[1], d[0]))
+    """The separation's ``equation(t, u)``: (beta q^2 + 2 alpha) q^2 q - 2 Cc at (alpha, beta)."""
+    return lambda t, u: _scaled_equation(u[1], u[0], 1, Cc, 2, lambda d: (d[1], 2 * d[0]))
 
 
 def _solved_q0(solve, guess, message: str) -> float:
@@ -422,9 +423,11 @@ class PhaseGateConfig:
 
 
 def _phase_gate_distance(k0: float, Cc: float):
-    """The phase gate's ``equation(t, u)``, (k0/2 q + d) q q - Cc, d = F1/2 - F2/2 at (F1, F2)."""
+    """The phase gate's ``equation(t, u)``: (k0 q + d 2^h) q q - 2 Cc, d 2^h = F1 - F2 at u in
+    one rounding: h = 1, each half exact or far below d's ulp, only where F1 - F2 may be inf."""
     return lambda t, u: _scaled_equation(
-        k0, 0.5 * u[0] - 0.5 * u[1], Cc, 1, lambda d: (0, 0.5 * d[0] - 0.5 * d[1]))
+        k0, *((u[0] - u[1], 0) if abs(u[0]) < 2.0**1023 > abs(u[1])
+              else (0.5 * u[0] - 0.5 * u[1], 1)), Cc, 1, lambda d: (0, d[0] - d[1]))
 
 
 def solve_phase_gate_distance(F1: float, F2: float, k0: float, Cc: float,
@@ -595,14 +598,15 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
     # The test on the triple at phi = 0; it sees m^2 |w1^2 - w2^2| at every phi.
     isotropic = _angle_terms(StiffnessTriple(0.0, m * w1sq, m * w2sq), masses) is None
     phi_at, phi_dot = cfg.phi.value, cfg.phi.derivative
-    amp = m * (w1sq - w2sq)  # the products' leading factor, hoisted; -amp and amp/2 are exact
+    # The products' leading factors, hoisted in left-to-right order; -amp is exact.
+    k_amp, amp = -0.5 * m * (w1sq - w2sq), m * (w1sq - w2sq)
 
     @_per_time
     def triple_at(t: float) -> StiffnessTriple:
         phi = phi_at(t)
         c = math.cos(phi)
         s = math.sin(phi)
-        k = -0.5 * amp * math.sin(2.0 * phi)
+        k = k_amp * math.sin(2.0 * phi)
         k1 = m * (w1sq * c * c + w2sq * s * s) - k
         k2 = m * (w1sq * s * s + w2sq * c * c) - k
         return StiffnessTriple(k, k1, k2)

@@ -480,6 +480,17 @@ def test_a_float_overflow_names_the_quantity(tmp_path, capsys, preset, command):
     assert err == [f"preset domain error: {message}"]
 
 
+def test_a_control_schedule_overflowing_on_classify_times_exits_3(tmp_path, capsys):
+    # F1 = -1e308 (1 + t) leaves the floats at t = 1 only, where classify's numpy
+    # time makes the schedule itself raise; numpy names that overflow.
+    force = {"kind": "polynomial", "coeffs": [-1e308, -1e308]}
+    cfg = {"schema": 1, "preset": {"type": "phase-gate", "k0": 1.0, "F1": force, "F2": 0.0},
+           "window": [0.0, 1.0], "samples": 5}
+    assert main(["classify", "--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("preset domain error: overflow encountered")
+
+
 # A config's values are checked finite, so a stiffness entry or a tan(2 theta)
 # term that overflows is computed: exit 3.  The message is analyze's, which
 # runs on floats; classify samples on numpy times, whose overflow numpy names.

@@ -854,6 +854,7 @@ def test_cold_separation_root_is_within_4_ulp_at_any_scale(alpha, beta, Cc):
 @example(k0=1e-300, Cc=1.0, F1=-1e100, F2=0.0)  # the root, 1e400, is no float
 @example(k0=1.0, Cc=1.0, F1=1e308, F2=-1e308)  # F1 - F2 is no float; the root is 1e-154
 @example(k0=1.0, Cc=1e308, F1=0.0, F2=0.0)  # 2 Cc is no float; the root is 5.8e102
+@example(k0=5e-324, Cc=5e-324, F1=5e-324, F2=0.0)  # F1/2 is no float; the root is 1
 def test_cold_phase_gate_root_is_within_4_ulp_at_any_scale(k0, Cc, F1, F2):
     check_root_at_any_scale(lambda guess: solve_phase_gate_distance(F1, F2, k0, Cc, guess),
                             cubic(k0, F1, F2, Cc))
@@ -892,14 +893,14 @@ def kernels(equation, u) -> tuple:
     return handed[0][:3]
 
 
-def check_scaled(a, b, c, j) -> list:
-    """The coefficients in x of f = (a/2 q^j + b) q^j q - c from ``presets._in_own_scale``,
-    highest power first, after checking in rationals that they are those of f(2^e x)
-    2^-s: each of a/2, b and c times a power of two, one in [1/2, 1), all below 16,
-    and exact unless it is more than 2^-1021 below the largest (an underflow)."""
-    e, scaled = presets._in_own_scale(a, b, c, j)
-    powers = (2 * j + 1, j + 1, 0)
-    exact = [Fraction(v) * Fraction(2) ** (k * e) for v, k in zip((Fraction(a) / 2, b, c), powers)]
+def check_scaled(a, b, h, c, j) -> list:
+    """The coefficients in x of f = (a q^j + b 2^h) q^j q - 2c from ``presets._in_own_scale``,
+    highest power first, after checking in rationals that they are those of f(2^e x) 2^-s:
+    each of a, b 2^h and 2c times a power of two, one in [1/2, 1), all below 16, and exact
+    unless it is more than 2^-1021 below the largest (an underflow)."""
+    e, scaled = presets._in_own_scale(a, b, h, c, j)
+    powers, coeffs = (2 * j + 1, j + 1, 0), (a, Fraction(b) * 2**h, 2 * Fraction(c))
+    exact = [Fraction(v) * Fraction(2) ** (k * e) for v, k in zip(coeffs, powers)]
     largest = max(range(3), key=lambda i: abs(scaled[i]))
     assert any(0.5 <= abs(v) < 1.0 for v in scaled) and abs(scaled[largest]) < 16.0
     ratio = Fraction(scaled[largest]) / exact[largest]  # 2^-s
@@ -932,7 +933,7 @@ def check_kernel(f, x, coeffs):
 def test_the_quintic_kernel_is_within_horners_bound(alpha, beta, Cc, x):
     f, _, q_max = kernels(presets._separation_distance(Cc), (alpha, beta))
     assert q_max == 8.0
-    check_kernel(f, x, check_scaled(beta, alpha, Cc, 2))
+    check_kernel(f, x, check_scaled(beta, alpha, 1, Cc, 2))
 
 
 @settings(PROPERTY, max_examples=300)
@@ -940,7 +941,7 @@ def test_the_quintic_kernel_is_within_horners_bound(alpha, beta, Cc, x):
 def test_the_cubic_kernel_is_within_horners_bound(k0, Cc, d, x):
     f, _, q_max = kernels(presets._phase_gate_distance(k0, Cc), (d, 0.0))
     assert q_max == 8.0
-    check_kernel(f, x, check_scaled(k0, 0.5 * d, Cc, 1))
+    check_kernel(f, x, check_scaled(k0, *((d, 0) if abs(d) < 2.0**1023 else (0.5 * d, 1)), Cc, 1))
 
 
 @settings(PROPERTY, max_examples=200)
@@ -968,22 +969,34 @@ def test_a_fresh_separation_system_gives_its_first_equilibrium_again():
     assert abs(first - again) <= 4 * math.ulp(again)
 
 
+@pytest.mark.parametrize("obj", [
+    {"type": "phase-gate", "k0": 5e-324, "Cc": 5e-324, "F1": 0.0, "F2": 0.0},
+    {"type": "separation", "alpha": 0.0, "beta": 5e-324, "Cc": 5e-324},
+])
+def test_a_subnormal_ion_pair_has_a_distance_rate(obj):
+    # f' at the root is a few units of 2^-1074, not 0: the root is simple.  A
+    # coefficient halved in floats would round such a unit to 0.
+    sys = build_preset(obj)
+    assert sys.equilibrium_velocity(0.5) == (0.0, 0.0)
+
+
 any_float = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(PROPERTY, max_examples=300)
 @given(any_float, any_float, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-       st.sampled_from([1, 2]))
-@example(1.0, -1e300, 1.0, 2)  # a separation whose root, 1.4e150, had a quintic beyond floats
-@example(1e-300, 0.035, 1.0, 1)  # a phase gate whose q bracket, 1e299, overflowed its cubic
-def test_the_scaled_bracket_holds_every_positive_root(a, b, c, j):
+       st.sampled_from([1, 2]), st.sampled_from([0, 1]))
+@example(1.0, -1e300, 1.0, 2, 1)  # a separation whose root, 1.4e150, had a quintic beyond floats
+@example(1e-300, 0.07, 1.0, 1, 0)  # a phase gate whose q bracket, 1e299, overflowed its cubic
+def test_the_scaled_bracket_holds_every_positive_root(a, b, c, j, h):
     # The root solve scans (0, 8] in x = q/2^e.  In rationals, f(2^e x) = (A x^j + B)
     # x^j x - C has no root beyond 8: where A < 0, A x^j + B is negative from 8 on;
     # where A > 0 or B > 0, A x^j + B is positive at 8, so f grows from 8 on, from
     # f(8) >= 0 (else A = 0 >= B and f has no positive root).  Coefficients of
-    # either sign, zero and extreme.
-    scale = Fraction(2) ** presets._in_own_scale(a, b, c, j)[0]
-    A, B, C = Fraction(a) / 2 * scale ** (2 * j + 1), Fraction(b) * scale ** (j + 1), Fraction(c)
+    # either sign, zero and extreme, b 2^h and 2c beyond the floats too.
+    scale = Fraction(2) ** presets._in_own_scale(a, b, h, c, j)[0]
+    A, B = Fraction(a) * scale ** (2 * j + 1), Fraction(b) * 2**h * scale ** (j + 1)
+    C = 2 * Fraction(c)
     head = A * 8**j + B
     if A < 0:
         assert head <= 0
