@@ -18,9 +18,10 @@ coefficients in x: Horner and Newton round as in q.  With l = (|b|/|a|)^(1/j), l
 the smaller la, lb of a positive term; in (M, 2M] for a > 0 > b, M = max(l, la); below l
 for a < 0 < b (none or two, the largest taken cold, the nearest warm).  So each root in x
 is in (1/4, 4], in the bracket (0, 8]; transport's is a cube root of [1/2, 8), times 2^j.
-Rotation's stiffness and theta_dot keep their value at the last float time
-asked, so a time that two RK stages share reads the phi schedule once; the ion
-pair keeps its triple and q0dot per time and root, so it builds them once there.
+Rotation's stiffness and theta_dot, and the springs' and custom triples, keep
+their value at every float time asked, so the runs of one command read each
+time's schedules once; the ion pair keeps its triple and q0dot per time and
+root, so it builds them once there.
 """
 
 from __future__ import annotations
@@ -71,19 +72,17 @@ FORMULA_AUDIT_REL_TOL = 1e-8  # phase-gate closed forms against the root solve, 
 
 
 def _per_time(view):
-    """``view`` keeping its value at the last float time asked, so a time that two RK stages
-    share is computed once.  One tuple (t, value), replaced whole, holds it: no thread or call
-    order changes a value.  A numpy time (classify's grid) and t = 0 (where -0.0 == 0.0) are
-    computed fresh and never kept."""
-    last = (None, None)
+    """``view`` keeping its value at every float time asked, so the RK stages, walks and runs
+    of one system that share a time compute it once.  A dict keyed by time holds them, each
+    entry set whole: no thread or call order changes a value.  A numpy time (classify's grid)
+    and t = 0 (where -0.0 == 0.0) are computed fresh and never kept."""
+    kept = {}
 
     def cached(t):
-        nonlocal last
-        if t == (entry := last)[0] and type(t) is float:
-            return entry[1]
-        value = view(t)
-        if type(t) is float and t:
-            last = (t, value)
+        if type(t) is not float or not t:
+            return view(t)
+        if (value := kept.get(t, kept)) is kept:
+            value = kept[t] = view(t)
         return value
 
     return cached
@@ -138,7 +137,9 @@ def _ion_pair(
         try:
             drift, slope = rec[2][1](rec[3], q0)
         except OverflowError:  # a power of q0 in them is no float
-            raise PresetDomainError(f"{label}: q0dot overflows at t={t}") from None
+            drift = slope = math.inf
+        if not (math.isfinite(drift) and math.isfinite(slope)):  # else q0dot is 0.0 or NaN
+            raise PresetDomainError(f"{label}: q0dot overflows at t={t}")
         if slope == 0.0:  # a double root
             raise SingularConfigurationError(f"singular point: f'(q0) vanishes at t={t}")
         kept_rate = (rec[2], q0, q0dot := -drift / slope)
@@ -178,7 +179,9 @@ def _ion_pair(
         kappa_dot = curvature_rate(rec[1], rec[3], q0, q0dot)
         kept = kept_triple  # its spring, where the triple is kept for this root
         k = kept[2].k if kept[0] is rec[2] and kept[1] == q0 else spring(t, q0)
-        return (-3.0 * k * q0dot / q0, kappa_dot, kappa_dot)
+        k3 = -3.0 * k  # -inf past k = 6e307: k q0dot/q0 first there
+        return (k3 * q0dot / q0 if k3 > -math.inf else -3.0 * (k * q0dot / q0),
+                kappa_dot, kappa_dot)
 
     return QuadraticSystem(
         masses=cfg.masses,
@@ -658,9 +661,9 @@ class SpringsConfig:
 
 
 def _schedule_triple(cfg) -> dict:
-    """``stiffness`` and ``stiffness_rate`` read straight off the k, k1 and k2 schedules."""
+    """``stiffness`` (kept per time) and ``stiffness_rate`` off the k, k1 and k2 schedules."""
     k, k1, k2 = cfg.k, cfg.k1, cfg.k2
-    return {"stiffness": lambda t: StiffnessTriple(k.value(t), k1.value(t), k2.value(t)),
+    return {"stiffness": _per_time(lambda t: StiffnessTriple(k.value(t), k1.value(t), k2.value(t))),
             "stiffness_rate": lambda t: (k.derivative(t), k1.derivative(t), k2.derivative(t))}
 
 
@@ -674,7 +677,7 @@ def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
     d, views = cfg.d, _schedule_triple(cfg)
 
     def solved(t: float) -> tuple:  # (k, k1, k2), X and D at t, where D != 0
-        k, k1, k2 = cfg.k.value(t), cfg.k1.value(t), cfg.k2.value(t)
+        k, k1, k2 = (tr := views["stiffness"](t)).k, tr.k1, tr.k2
         if (D := k1 * k2 + k * (k1 + k2)) == 0.0:
             raise SingularConfigurationError(
                 f"singular spring configuration at t={t}: k1 k2 + k (k1 + k2) = 0")

@@ -1,11 +1,18 @@
 import decimal
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dnmodes.dynamics import (
+    IntegratorSpec,
+    frame_equivalence_check,
+    integrate_lab,
+    integrate_modes,
+)
 from dnmodes.errors import (
     ConfigError,
     FormulaDiscrepancyWarning,
@@ -34,6 +41,7 @@ from dnmodes.presets import (
     solve_phase_gate_distance,
     solve_separation_distance,
 )
+from dnmodes.quadratic import PhasePoint
 from dnmodes.rootfind import MAX_NEWTON, N_SCAN, newton_refine, positive_roots
 from dnmodes.schedules import ControlSchedule, LinearRamp, Smoothstep
 
@@ -345,6 +353,26 @@ def test_a_q0_whose_square_overflows_is_named():
     assert sys.stiffness(0.0).k == 0.0
 
 
+def test_a_spring_whose_triple_is_near_the_float_limit_has_a_finite_rate():
+    # k0 = 1e308 makes the Coulomb spring 2 Cc/q0**3 = 1e308 too, so -3 k is no
+    # float, though -3 k q0dot/q0 is: q0dot is -0.0 here, which made it NaN.
+    F1 = {"kind": "linear-ramp", "t0": 0.0, "v0": 0.0, "t1": 1.0, "v1": 1e-200}
+    sys = build_phase_gate(PhaseGateConfig(k0=1e308, Cc=1.0, F1=F1, F2=0.0))
+    assert sys.stiffness(0.5).k > 6e307
+    assert all(map(math.isfinite, sys.stiffness_rate(0.5)))
+
+
+@pytest.mark.parametrize("alpha0, t", [(5e307, 0.0), (1e308, 0.5)])
+def test_a_q0dot_whose_equation_rate_overflows_is_named(alpha0, t):
+    # 6 alpha = 3e308 in f'(q0)/q0^2 is no float, though q0dot = -q0 alphadot/(3 alpha)
+    # is; formed in floats it came out 0.0 at t = 0 and NaN at t = 0.5.
+    alpha = {"kind": "linear-ramp", "t0": 0.0, "v0": alpha0, "t1": 1.0, "v1": 0.0}
+    sys = build_separation(SeparationConfig(alpha=alpha, beta=1.0, Cc=1.0))
+    assert sys.equilibrium(t)[0] > 0.0
+    with pytest.raises(PresetDomainError, match=rf"separation: q0dot overflows at t={t}"):
+        sys.equilibrium_velocity(t)
+
+
 def test_phase_gate_individual_closed_forms_agree():
     rng = np.random.default_rng(29)
     for _ in range(100):
@@ -481,6 +509,26 @@ def test_rotation_isospectral():
 def test_rotation_isotropic_flag():
     sys = build_rotation(RotationConfig(m=1.0, omega1=2.0, omega2=2.0, phi=0.3))
     assert sys.extras.get("trivially_decoupled") is True
+
+
+def test_rotation_reads_phi_once_per_time_over_a_larmor_simulate():
+    # The runs of `dnm simulate --larmor`: the lab run, the frame check (lab,
+    # map, modes) and the Larmor run.  The triple and theta_dot are kept at
+    # every float time asked, so phi and phidot are read once per distinct
+    # nonzero time; t = 0 is computed fresh each time it is asked.
+    reads = {"value": Counter(), "derivative": Counter()}
+    phi = Counted(lambda t: reads["value"].update([t]) or 0.3 + t * t,
+                  lambda t: reads["derivative"].update([t]) or 2.0 * t)
+    sys = build_rotation(RotationConfig(m=1.0, omega1=2.0, omega2=1.0, phi=phi))
+    spec = IntegratorSpec(dt=0.0625, t0=0.0, t1=1.0)
+    x0 = PhasePoint(t=0.0, q=(0.1, -0.2), p=(0.0, 0.3))
+    integrate_lab(sys, x0, spec)
+    report = frame_equivalence_check(sys, x0, spec)
+    integrate_modes(sys, report.mapped.point(0), spec, apply_larmor=True)
+    times = {t + h for t in spec.grid() for h in (0.0, 0.03125)} - {0.0, 1.03125}
+    assert len(times) == 2 * spec.n_steps
+    for counts in reads.values():
+        assert {t: n for t, n in counts.items() if t} == dict.fromkeys(times, 1)
 
 
 # -- springs -------------------------------------------------------------------
