@@ -517,8 +517,14 @@ def test_rotation_reads_phi_once_per_time_over_a_larmor_simulate():
     # every float time asked, so phi and phidot are read once per distinct
     # nonzero time; t = 0 is computed fresh each time it is asked.
     reads = {"value": Counter(), "derivative": Counter()}
-    phi = Counted(lambda t: reads["value"].update([t]) or 0.3 + t * t,
-                  lambda t: reads["derivative"].update([t]) or 2.0 * t)
+
+    def logged(name, fn):
+        def read(t):
+            reads[name][t] += 1
+            return fn(t)
+        return read
+
+    phi = Counted(logged("value", lambda t: 0.3 + t * t), logged("derivative", lambda t: 2.0 * t))
     sys = build_rotation(RotationConfig(m=1.0, omega1=2.0, omega2=1.0, phi=phi))
     spec = IntegratorSpec(dt=0.0625, t0=0.0, t1=1.0)
     x0 = PhasePoint(t=0.0, q=(0.1, -0.2), p=(0.0, 0.3))
