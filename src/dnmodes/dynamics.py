@@ -7,9 +7,9 @@ compensation at omega_L = theta_dot cancels: each mode is then an oscillator
 at Omega_i^2 + theta_dot^2.  RK4 is the default; velocity Verlet is offered
 for the lab frame only.  Every coefficient is evaluated at its RK stage's
 own time, so 4th-order accuracy survives time-dependent schedules; RK4 asks
-each stage time twice; rotation's views and the springs' and custom triples
-are kept at every time asked, so one system's runs compute a time once; the
-ion pair keeps its triple and q0dot while a warm re-solve returns its root.
+each stage time twice; rotation keeps its stiffness and theta_dot at every
+time asked, so one system's runs compute a time once; the ion pair keeps its
+triple and q0dot while a warm re-solve returns its root.
 
 RK4 and velocity Verlet are step maps y_{n+1} = step(t_n, t_{n+1}, y_n); one
 run loop owns the grid, the guard and the partial run.  A run is Python floats

@@ -167,10 +167,10 @@ def _mode_frames(sys: QuadraticSystem):
     """``frame(t) -> (theta, cos theta, sin theta, Omega1^2, Omega2^2)`` along
     one walk forward in time: the first call's theta is on the default branch,
     each later one on the branch of the call before.  A call whose stiffness is
-    the triple object of the call before (kept at every time by rotation, the
-    springs and custom, at the last time and root by the ion pair) returns that
-    call's frame, which is what :func:`_frame` gives the same triple on its own
-    branch; any other triple gets one :func:`_frame`."""
+    the triple object of the call before (kept at every time by rotation, at
+    the last time and root by the ion pair) returns that call's frame, which
+    is what :func:`_frame` gives the same triple on its own branch; any other
+    triple gets one :func:`_frame`."""
     stiffness, masses = sys.stiffness, sys.masses
     theta = triple = values = None
 

@@ -18,10 +18,9 @@ coefficients in x: Horner and Newton round as in q.  With l = (|b|/|a|)^(1/j), l
 the smaller la, lb of a positive term; in (M, 2M] for a > 0 > b, M = max(l, la); below l
 for a < 0 < b (none or two, the largest taken cold, the nearest warm).  So each root in x
 is in (1/4, 4], in the bracket (0, 8]; transport's is a cube root of [1/2, 8), times 2^j.
-Rotation's stiffness and theta_dot, and the springs' and custom triples, keep
-their value at every float time asked, so the runs of one command read each
-time's schedules once; the ion pair keeps its triple and q0dot per time and
-root, so it builds them once there.
+Rotation's stiffness and theta_dot keep their value at every float time asked,
+so the runs of one command read the phi schedule once per time; the ion pair
+keeps its triple and q0dot per time and root, so it builds them once there.
 """
 
 from __future__ import annotations
@@ -74,8 +73,10 @@ FORMULA_AUDIT_REL_TOL = 1e-8  # phase-gate closed forms against the root solve, 
 def _per_time(view):
     """``view`` keeping its value at every float time asked, so the RK stages, walks and runs
     of one system that share a time compute it once.  A dict keyed by time holds them, each
-    entry set whole: no thread or call order changes a value.  A numpy time (classify's grid)
-    and t = 0 (where -0.0 == 0.0) are computed fresh and never kept."""
+    entry set whole: no thread or call order changes a value.  It lives as long as the system
+    and grows by about 200 B per new time (2N + 1 times for a simulate of N steps), so a
+    caller that keeps one system and asks it at ever new times grows it without bound.  A
+    numpy time (classify's grid) and t = 0 (where -0.0 == 0.0) are computed fresh, never kept."""
     kept = {}
 
     def cached(t):
@@ -138,7 +139,8 @@ def _ion_pair(
             drift, slope = rec[2][1](rec[3], q0)
         except OverflowError:  # a power of q0 in them is no float
             drift = slope = math.inf
-        if not (math.isfinite(drift) and math.isfinite(slope)):  # else q0dot is 0.0 or NaN
+        # -drift/slope is exact where both are finite, or where drift is 0 and slope infinite
+        if not (math.isfinite(drift) and (math.isfinite(slope) or math.isinf(slope) and not drift)):
             raise PresetDomainError(f"{label}: q0dot overflows at t={t}")
         if slope == 0.0:  # a double root
             raise SingularConfigurationError(f"singular point: f'(q0) vanishes at t={t}")
@@ -661,9 +663,9 @@ class SpringsConfig:
 
 
 def _schedule_triple(cfg) -> dict:
-    """``stiffness`` (kept per time) and ``stiffness_rate`` off the k, k1 and k2 schedules."""
+    """``stiffness`` and ``stiffness_rate`` read straight off the k, k1 and k2 schedules."""
     k, k1, k2 = cfg.k, cfg.k1, cfg.k2
-    return {"stiffness": _per_time(lambda t: StiffnessTriple(k.value(t), k1.value(t), k2.value(t))),
+    return {"stiffness": lambda t: StiffnessTriple(k.value(t), k1.value(t), k2.value(t)),
             "stiffness_rate": lambda t: (k.derivative(t), k1.derivative(t), k2.derivative(t))}
 
 
@@ -677,7 +679,7 @@ def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
     d, views = cfg.d, _schedule_triple(cfg)
 
     def solved(t: float) -> tuple:  # (k, k1, k2), X and D at t, where D != 0
-        k, k1, k2 = (tr := views["stiffness"](t)).k, tr.k1, tr.k2
+        k, k1, k2 = cfg.k.value(t), cfg.k1.value(t), cfg.k2.value(t)
         if (D := k1 * k2 + k * (k1 + k2)) == 0.0:
             raise SingularConfigurationError(
                 f"singular spring configuration at t={t}: k1 k2 + k (k1 + k2) = 0")

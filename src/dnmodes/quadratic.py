@@ -109,10 +109,10 @@ class QuadraticSystem:
     q2, t)`` is the untruncated potential when the builder knows it (used by
     verification oracles).  Instances are treated as immutable after
     construction; all evaluation methods are pure.  A view may keep its value
-    per time (the stiffness of rotation, the springs and custom at every time
-    asked, the ion pair's at the last time and root); it then returns the same
-    object again, with the bits of a fresh evaluation, whatever the order or
-    the thread of the calls.
+    per time (rotation's stiffness at every time asked, for the life of the
+    system, about 200 B a time; the ion pair's at the last time and root); it
+    then returns the same object again, with the bits of a fresh evaluation,
+    whatever the order or the thread of the calls.
     """
 
     masses: MassPair

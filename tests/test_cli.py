@@ -491,20 +491,22 @@ def test_a_control_schedule_overflowing_on_classify_times_exits_3(tmp_path, caps
     assert len(err) == 1 and err[0].startswith("preset domain error: overflow encountered")
 
 
-@pytest.mark.parametrize("alpha0, window, dt, message", [
-    # The lab run leaves the floats first: k + k1 = 2e308 is no float.
-    (5e307, [0.0, 1.0], 0.25, "state overflowed at t=0.25"),
+RAMP_FROM_3E307 = {"kind": "linear-ramp", "t0": 0.0, "v0": 3e307, "t1": 1.0, "v1": 0.0}
+
+
+@pytest.mark.parametrize("alpha, code, err", [
     # k + k1 = 1.2e308 is a float and 1e154 dt is small, so the runs reach the map,
     # whose drive needs q0dot; 6 alpha = 1.8e308 in f'(q0)/q0^2 is no float.
-    (3e307, [0.0, 1e-160], 2.5e-161, "separation: q0dot overflows at t=0.0"),
-], ids=["lab-run", "map-drive"])
-def test_an_overflowing_q0dot_in_simulate_exits_3(tmp_path, capsys, alpha0, window, dt, message):
-    alpha = {"kind": "linear-ramp", "t0": 0.0, "v0": alpha0, "t1": 1.0, "v1": 0.0}
-    cfg = {"schema": 1, "window": window, "integrator": {"dt": dt},
+    (RAMP_FROM_3E307, 3, ["preset domain error: separation: q0dot overflows at t=0.0"]),
+    # A constant alpha has df/dt = 0, so q0dot = -0/f'(q0) is 0 all the same.
+    (3e307, 0, []),
+], ids=["ramp", "constant"])
+def test_simulate_exits_3_where_q0dot_overflows(tmp_path, capsys, alpha, code, err):
+    cfg = {"schema": 1, "window": [0.0, 1e-160], "integrator": {"dt": 2.5e-161},
            "preset": {"type": "separation", "alpha": alpha, "beta": 1.0, "Cc": 1.0},
            "output": {"path": str(tmp_path / "ovf")}}
-    assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 3
-    assert capsys.readouterr().err.splitlines() == [f"preset domain error: {message}"]
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == code
+    assert capsys.readouterr().err.splitlines() == err
 
 
 # A config's values are checked finite, so a stiffness entry or a tan(2 theta)

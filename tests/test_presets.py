@@ -373,6 +373,14 @@ def test_a_q0dot_whose_equation_rate_overflows_is_named(alpha0, t):
         sys.equilibrium_velocity(t)
 
 
+@pytest.mark.parametrize("alpha", [5e307, 3e307])
+def test_a_q0dot_with_no_drift_is_zero_where_its_slope_overflows(alpha):
+    # A constant alpha has df/dt = 0, so q0dot = -0/f'(q0) is exactly 0 even
+    # where f'(q0)/q0^2, with 6 alpha in it, is no float.
+    sys = build_separation(SeparationConfig(alpha=alpha, beta=1.0, Cc=1.0))
+    assert sys.equilibrium_velocity(0.0) == sys.equilibrium_velocity(0.5) == (0.0, 0.0)
+
+
 def test_phase_gate_individual_closed_forms_agree():
     rng = np.random.default_rng(29)
     for _ in range(100):

@@ -1449,20 +1449,14 @@ def check_calls(sys, calls, expected) -> None:
                 assert all(type(x) is float for x in got), (view, s, got)
 
 
-def kept_view_configs(kind):
-    """Configs of a preset whose views are kept per time (presets._per_time)."""
-    return table_rotation_configs() if kind == "rotation" else preset_configs(kind)
-
-
-@pytest.mark.parametrize("kind", ["rotation", "springs", "custom"])
 @PROPERTY
 @given(data=st.data())
-def test_kept_views_do_not_depend_on_evaluation_order(kind, data):
-    # Rotation's stiffness and theta_dot, and the springs' and custom triples,
-    # keep their value at every float time asked (presets._per_time).  Over a
-    # shuffled call list whose times repeat, with numpy times and -0.0, no
-    # earlier call may change a value: not its bits, not its type.
-    cfg = data.draw(kept_view_configs(kind), label="config")
+def test_rotation_views_do_not_depend_on_evaluation_order(data):
+    # The stiffness and theta_dot keep their value at every float time asked
+    # (presets._per_time).  Over a shuffled call list whose times repeat, with
+    # numpy times and -0.0, no earlier call may change a value: not its bits,
+    # not its type.
+    cfg = data.draw(table_rotation_configs(), label="config")
     call = st.tuples(st.sampled_from(VIEWS), st.sampled_from(time_pool(data)),
                      st.booleans())
     calls = data.draw(st.lists(call, min_size=24, max_size=24), label="calls")
@@ -1478,15 +1472,14 @@ def test_a_view_kept_per_time_tells_minus_zero_from_zero():
     assert math.copysign(1.0, sys.stiffness(-0.0).k) == -1.0
 
 
-@pytest.mark.parametrize("kind", ["rotation", "springs", "custom"])
 @settings(PROPERTY, max_examples=5, phases=(Phase.generate,))
 @given(data=st.data())
-def test_kept_views_do_not_depend_on_the_thread(kind, data):
+def test_rotation_views_do_not_depend_on_the_thread(data):
     # Two threads share one system and evaluate its views over their own call
     # lists from one pool of times at once, switching as often as the
     # interpreter allows; the fresh values are computed beforehand.  A race
     # does not replay, so the first failing example is reported as drawn.
-    cfg = data.draw(kept_view_configs(kind), label="config")
+    cfg = data.draw(table_rotation_configs(), label="config")
     pool = time_pool(data)
     fresh = fresh_values(cfg)
     table = {(view, cast, float(t).hex()): fresh(view, cast(t))
