@@ -35,7 +35,6 @@ with the partial run.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DivergenceError
 from .modes import (
@@ -48,9 +47,6 @@ from .modes import (
 )
 from .quadratic import PhasePoint, QuadraticSystem
 from .schedules import check_fields, value_class
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "IntegratorSpec",
@@ -109,12 +105,6 @@ class Trajectory:
     rows: tuple  # 4-tuples: (q1, q2, p1, p2) or (Q1, Q2, P1, P2)
     step: float
 
-    @property
-    def states(self) -> np.ndarray:
-        """The rows as a new (N, 4) array."""
-        import numpy as np
-        return np.array(self.rows)
-
     def point(self, i: int) -> PhasePoint:
         q1, q2, p1, p2 = self.rows[i]
         return PhasePoint(t=self.times[i], q=(q1, q2), p=(p1, p2), frame=self.frame)
@@ -135,7 +125,7 @@ class FrameEquivalenceReport:
 @value_class
 class EnergyAudit:
     times: tuple
-    energies: np.ndarray
+    energies: tuple
     max_drift: float  # max |H(t) - H(t0)| / max(1, |H(t0)|)
 
 
@@ -317,43 +307,43 @@ def frame_equivalence_check(
 
 def energy_audit(traj: Trajectory, sys: QuadraticSystem) -> EnergyAudit:
     """Per-sample Hamiltonian values along a trajectory (H or Htil by frame)."""
-    import numpy as np
-    energies = np.empty(len(traj))
+    energies = []
     branch = None
     for i in range(len(traj)):
         x = traj.point(i)
         if traj.frame == "lab":
-            energies[i] = sys.hamiltonian_value(x)
+            energies.append(sys.hamiltonian_value(x))
         else:
             dec = decompose_at(sys, x.t, branch_ref=branch)
             branch = dec.theta
-            energies[i] = effective_hamiltonian_value(dec, sys, x)
-    drift = float(np.abs(energies - energies[0]).max() / max(1.0, abs(energies[0])))
-    return EnergyAudit(times=traj.times, energies=energies, max_drift=drift)
+            energies.append(effective_hamiltonian_value(dec, sys, x))
+    drifts = [abs(e - energies[0]) for e in energies]
+    # NaN where any drift is NaN; max() would drop one that is not first.
+    worst = math.nan if any(map(math.isnan, drifts)) else max(drifts)
+    drift = worst / max(1.0, abs(energies[0]))
+    return EnergyAudit(times=traj.times, energies=tuple(energies), max_drift=drift)
 
 
 def mode_energy_series(
     traj: Trajectory, sys: QuadraticSystem, compensated: bool = False
-) -> np.ndarray:
-    """Per-mode energies (P_i^2 + W_i Q_i^2)/2 along a mode trajectory.
+) -> tuple:
+    """Per-mode energy pairs (E1, E2), E_i = (P_i^2 + W_i Q_i^2)/2, along a mode trajectory.
 
     With ``compensated`` the squared frequencies include the Larmor term,
     W_i = Omega_i^2 + omega_L^2 with omega_L = theta_dot.
     """
     if traj.frame != "mode":
         raise ConfigError("mode_energy_series expects a mode trajectory")
-    import numpy as np
-    out = np.empty((len(traj), 2))
+    out = []
     frame = _mode_frames(sys)
-    for i, (t, (Q1, Q2, P1, P2)) in enumerate(zip(traj.times, traj.rows)):
+    for t, (Q1, Q2, P1, P2) in zip(traj.times, traj.rows):
         _, _, _, o1, o2 = frame(t)
         if compensated:
             wL = theta_dot_at(sys, t)
             o1 += wL * wL
             o2 += wL * wL
-        out[i, 0] = 0.5 * (P1 * P1 + o1 * Q1 * Q1)
-        out[i, 1] = 0.5 * (P2 * P2 + o2 * Q2 * Q2)
-    return out
+        out.append((0.5 * (P1 * P1 + o1 * Q1 * Q1), 0.5 * (P2 * P2 + o2 * Q2 * Q2)))
+    return tuple(out)
 
 
 def _fmt(x: float) -> str:

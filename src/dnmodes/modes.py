@@ -8,8 +8,8 @@ diagonalized by a rotation through the mode angle theta,
 yielding squared mode frequencies (Omega1^2, Omega2^2) and the modal matrix
 A = O^T M^(1/2) that maps lab displacements to mode coordinates
 Q = A (q - q0) with momenta P = A^(-T) p.  A is fixed by theta and the masses:
-the maps apply it in floats, and ``modal_matrix(dec.theta, masses)`` is the one
-place it becomes an array.  The modes decouple exactly when
+the maps apply it in floats, and ``modal_matrix(dec.theta, masses)`` gives it
+and its inverse as rows.  The modes decouple exactly when
 theta is constant in time; a nonzero theta_dot couples them through an
 angular-momentum-like term -theta_dot * (Q1 P2 - Q2 P1).
 
@@ -22,14 +22,11 @@ call gives a sample's frame: theta, cos theta, sin theta, Omega1^2, Omega2^2.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import ConfigError, ScheduleDomainError, ZeroFrequencyError
 from .quadratic import MassPair, PhasePoint, QuadraticSystem, StiffnessTriple
 from .schedules import fd_step, value_class
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ModeDecomposition",
@@ -96,14 +93,11 @@ class MomentumShift:
     centers: Optional[tuple]
 
 
-def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> np.ndarray:
-    """Ktil = M^(-1/2) K M^(-1/2)."""
-    import numpy as np
+def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> tuple:
+    """Ktil = M^(-1/2) K M^(-1/2), as rows."""
     k, k1, k2 = K.k, K.k1, K.k2
     off = -k / masses.sqrt12
-    return np.array(
-        [[(k + k1) / masses.m1, off], [off, (k + k2) / masses.m2]], dtype=float
-    )
+    return ((k + k1) / masses.m1, off), (off, (k + k2) / masses.m2)
 
 
 def _angle_terms(K: StiffnessTriple, masses: MassPair, t=None) -> Optional[tuple]:
@@ -185,14 +179,13 @@ def _mode_frames(sys: QuadraticSystem):
 
 
 def modal_matrix(theta: float, masses: MassPair) -> tuple:
-    """(A, A_inv) with A = O^T M^(1/2); det A = sqrt(m1 m2) always."""
-    import numpy as np
+    """(A, A_inv) as rows, with A = O^T M^(1/2); det A = sqrt(m1 m2) always."""
     c = math.cos(theta)
     s = math.sin(theta)
     r1 = masses.sqrt1
     r2 = masses.sqrt2
-    A = np.array([[r1 * c, r2 * s], [-r1 * s, r2 * c]])
-    A_inv = np.array([[c / r1, -s / r1], [s / r2, c / r2]])
+    A = ((r1 * c, r2 * s), (-r1 * s, r2 * c))
+    A_inv = ((c / r1, -s / r1), (s / r2, c / r2))
     return A, A_inv
 
 

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import ConfigError, PresetDomainError
 from .schedules import check_fields, value_class
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["MassPair", "StiffnessTriple", "PhasePoint", "QuadraticSystem"]
 
@@ -41,39 +38,35 @@ class MassPair:
                             ("inv_sum", 1.0 / m1 + 1.0 / m2)):
             object.__setattr__(self, name, value)  # keeps the instance's compact attributes
 
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-        return np.diag([self.m1, self.m2])
 
-    def inverse_matrix(self) -> np.ndarray:
-        import numpy as np
-        return np.diag([1.0 / self.m1, 1.0 / self.m2])
+class _TripleSlots:
+    """The fields of ``StiffnessTriple`` as slots, on a base class: ``value_class`` reads a
+    class's own attributes as field defaults, and a slot is one."""
+
+    __slots__ = ("k", "k1", "k2")
 
 
 @value_class
-class StiffnessTriple:
-    """Time-slice values (k, k1, k2); any entry may be negative.  Built at
-    every RK stage, so ``__init__`` stores them in the instance dict and checks them;
-    configs are checked finite, so a non-finite entry is an overflow (``PresetDomainError``)."""
+class StiffnessTriple(_TripleSlots):
+    """Time-slice values (k, k1, k2); any entry may be negative.  Built at every RK stage and
+    kept per time by rotation, so ``__init__`` sets them in slots (88 B) and checks them; a
+    non-finite entry is an overflow, as configs are checked finite (``PresetDomainError``)."""
 
+    __slots__ = ()
     k: float
     k1: float
     k2: float
 
     def __init__(self, k: float, k1: float, k2: float):
-        d = self.__dict__
-        d["k"] = k
-        d["k1"] = k1
-        d["k2"] = k2
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
         if not (math.isfinite(k) and math.isfinite(k1) and math.isfinite(k2)):
-            name = next(n for n in ("k", "k1", "k2") if not math.isfinite(d[n]))
-            raise PresetDomainError(f"stiffness {name} must be finite, got {d[name]}")
+            name = next(n for n in ("k", "k1", "k2") if not math.isfinite(getattr(self, n)))
+            raise PresetDomainError(f"stiffness {name} must be finite, got {getattr(self, name)}")
 
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-        return np.array(
-            [[self.k + self.k1, -self.k], [-self.k, self.k + self.k2]], dtype=float
-        )
+    def matrix(self) -> tuple:
+        return ((self.k + self.k1, -self.k), (-self.k, self.k + self.k2))
 
 
 @value_class
@@ -93,10 +86,6 @@ class PhasePoint:
             raise ConfigError("phase-point components must be finite")
         self.__dict__.update(t=t, q=q, p=p, frame=frame)
 
-    def state(self) -> np.ndarray:
-        import numpy as np
-        return np.array([*self.q, *self.p], dtype=float)
-
 
 @value_class
 class QuadraticSystem:
@@ -110,7 +99,7 @@ class QuadraticSystem:
     verification oracles).  Instances are treated as immutable after
     construction; all evaluation methods are pure.  A view may keep its value
     per time (rotation's stiffness at every time asked, for the life of the
-    system, about 200 B a time; the ion pair's at the last time and root); it
+    system, about 160 B a time; the ion pair's at the last time and root); it
     then returns the same object again, with the bits of a fresh evaluation,
     whatever the order or the thread of the calls.
     """

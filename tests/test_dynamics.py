@@ -69,12 +69,12 @@ def test_harmonic_oscillator_cosine():
     # uncoupled unit oscillators: q1(t) = cos t
     sys = static_sys()
     spec = IntegratorSpec(dt=1e-3, t0=0.0, t1=10.0)
-    traj = integrate_lab(sys, PhasePoint(0.0, (1.0, 0.0), (0.0, 0.0)), spec)
-    q1_end = traj.states[-1, 0]
-    p1_end = traj.states[-1, 2]
+    states = np.array(integrate_lab(sys, PhasePoint(0.0, (1.0, 0.0), (0.0, 0.0)), spec).rows)
+    q1_end = states[-1, 0]
+    p1_end = states[-1, 2]
     assert q1_end == pytest.approx(math.cos(10.0), abs=1e-6)
     assert p1_end == pytest.approx(-math.sin(10.0), abs=1e-6)
-    assert np.abs(traj.states[:, [1, 3]]).max() == 0.0
+    assert np.abs(states[:, [1, 3]]).max() == 0.0
 
 
 def test_verlet_matches_rk4_closely():
@@ -84,7 +84,7 @@ def test_verlet_matches_rk4_closely():
     b = integrate_lab(
         sys, x0, IntegratorSpec(dt=1e-3, t0=0.0, t1=5.0, method="velocity-verlet")
     )
-    assert np.abs(a.states - b.states).max() < 1e-4
+    assert np.abs(np.array(a.rows) - np.array(b.rows)).max() < 1e-4
 
 
 def test_equilibrium_is_fixed_point():
@@ -93,7 +93,8 @@ def test_equilibrium_is_fixed_point():
     traj = integrate_lab(
         sys, PhasePoint(0.0, q_eq, (0.0, 0.0)), IntegratorSpec(dt=1e-2, t0=0.0, t1=5.0)
     )
-    drift = np.abs(traj.states - traj.states[0]).max()
+    states = np.array(traj.rows)
+    drift = np.abs(states - states[0]).max()
     assert drift < 1e-12
 
 
@@ -103,7 +104,7 @@ def test_flow_linearity_about_equilibrium():
     spec = IntegratorSpec(dt=1e-3, t0=0.0, t1=3.0)
 
     def run(q, p):
-        return integrate_lab(sys, PhasePoint(0.0, q, p), spec).states
+        return np.array(integrate_lab(sys, PhasePoint(0.0, q, p), spec).rows)
 
     a = run((1.0, 0.0), (0.0, 0.5))
     b = run((0.0, -1.0), (0.3, 0.0))
@@ -130,8 +131,37 @@ def test_mode_frame_energy_audit_matches_the_lab_audit_static():
     lab_audit = energy_audit(lab, sys)
     mode_audit = energy_audit(map_to_mode_frame(sys, lab), sys)
     assert np.array_equal(mode_audit.times, lab_audit.times)
-    assert np.abs(mode_audit.energies - lab_audit.energies).max() <= 1e-15
+    drift = np.array(mode_audit.energies) - np.array(lab_audit.energies)
+    assert np.abs(drift).max() <= 1e-15
     assert mode_audit.max_drift <= 1e-11
+
+
+def array_drift(energies) -> float:
+    """max |H - H0| / max(1, |H0|) as numpy evaluates it on the energies."""
+    e = np.array(energies)
+    return float(np.abs(e - e[0]).max() / max(1.0, abs(e[0])))
+
+
+def test_energy_audit_drift_has_the_bits_of_the_array_expression():
+    sys = build_transport(TransportConfig(k=2.0, Q0=Smoothstep(0.0, 1.0, 0.0, 2.0), Cc=1.0))
+    spec = IntegratorSpec(dt=1.0 / 64.0, t0=0.0, t1=2.0)
+    lab = integrate_lab(sys, PhasePoint(0.0, (0.6, -0.4), (0.1, 0.0)), spec)
+    for traj in (lab, map_to_mode_frame(sys, lab)):
+        audit = energy_audit(traj, sys)
+        assert type(audit.energies) is tuple and len(audit.energies) == len(traj)
+        assert audit.max_drift > 0.0
+        assert audit.max_drift.hex() == array_drift(audit.energies).hex()
+
+
+def test_energy_audit_drift_is_nan_where_a_later_energy_is():
+    # On the middle row p1^2/m1 overflows to inf and k1 d1^2 to -inf, so H is
+    # NaN there.  numpy's max() is NaN where any entry is; Python's max() would
+    # return the 0.0 of the first row.
+    sys = static_sys(k1=-1e300, masses=(1e-300, 1e-8))
+    rows = ((0.0, 0.0, 0.0, 0.0), (1e5, 0.0, 1e5, 0.0), (0.0, 0.0, 0.0, 0.0))
+    audit = energy_audit(Trajectory("lab", (0.0, 0.5, 1.0), rows, 0.5), sys)
+    assert audit.energies[0] == audit.energies[2] == 0.0 and math.isnan(audit.energies[1])
+    assert math.isnan(audit.max_drift) and math.isnan(array_drift(audit.energies))
 
 
 def test_angular_momentum_conserved_isotropic_rotation():
@@ -141,7 +171,7 @@ def test_angular_momentum_conserved_isotropic_rotation():
     traj = integrate_lab(
         sys, PhasePoint(0.0, (1.0, 0.0), (0.0, 0.7)), IntegratorSpec(dt=1e-3, t0=0.0, t1=10.0)
     )
-    q1, q2, p1, p2 = traj.states.T
+    q1, q2, p1, p2 = np.array(traj.rows).T
     lz = q1 * p2 - q2 * p1
     assert np.abs(lz - lz[0]).max() <= 1e-8
 
@@ -178,12 +208,13 @@ def test_momentum_shift_consistent_with_direct_mode_integration():
     spec = IntegratorSpec(dt=1e-3, t0=0.0, t1=6.0)
     direct = integrate_modes(sys, X0, spec)
     shifted = integrate_modes_shifted(sys, X0, spec)
+    direct_states, shifted_states = np.array(direct.rows), np.array(shifted.rows)
     for i in [0, 1000, 3000, 6000]:
         t = float(direct.times[i])
         probe = PhasePoint(t, (0.0, 0.0), (0.0, 0.0), frame="mode")
         P0 = momentum_shift(decompose_at(sys, t), sys, probe, with_centers=False).P0
-        dQ = direct.states[i, :2] - shifted.states[i, :2]
-        dP = direct.states[i, 2:] - shifted.states[i, 2:]
+        dQ = direct_states[i, :2] - shifted_states[i, :2]
+        dP = direct_states[i, 2:] - shifted_states[i, 2:]
         assert np.abs(dQ).max() < 1e-9
         assert dP == pytest.approx(tuple(P0), abs=1e-9)
 
@@ -206,9 +237,11 @@ def test_shifted_frame_calls_reach_the_ends_of_a_table_q0():
                                       spec)
     for i in [0, 3000, 6000]:
         t = float(direct.times[i])
-        x = PhasePoint(t, direct.states[i, :2], direct.states[i, 2:], frame="mode")
-        expected = momentum_shift(decompose_at(sys, t), sys, x).point.state()
-        assert np.abs(shifted.states[i] - expected).max() < 1e-9
+        Q1, Q2, P1, P2 = direct.rows[i]
+        x = PhasePoint(t, (Q1, Q2), (P1, P2), frame="mode")
+        shift = momentum_shift(decompose_at(sys, t), sys, x).point
+        expected = np.array((*shift.q, *shift.p))
+        assert np.abs(np.array(shifted.rows[i]) - expected).max() < 1e-9
 
 
 def test_divergence_guard_carries_partial():
@@ -235,9 +268,10 @@ def test_divergence_guard_carries_partial():
         assert partial.frame == ("lab" if name in ("lab", "verlet") else "mode")
         assert n >= 2
         assert np.array_equal(partial.times, spec.grid()[:n]), name
-        assert len(partial.states) == n, name
-        assert partial.states[0].tolist() == [1.0, 0.0, 0.0, 0.0], name
-        assert np.isfinite(partial.states).all()
+        states = np.array(partial.rows)
+        assert len(states) == n, name
+        assert states[0].tolist() == [1.0, 0.0, 0.0, 0.0], name
+        assert np.isfinite(states).all()
         assert str(exc.value).endswith(f" at t={spec.grid()[n]}"), name
 
 
@@ -266,7 +300,7 @@ def test_rk4_order_under_dt_halving():
     def err(dt):
         traj = integrate_lab(sys, x0, IntegratorSpec(dt=dt, t0=0.0, t1=5.0))
         exact = np.array([math.cos(5.0), 0.0, -math.sin(5.0), 0.0])
-        return np.abs(traj.states[-1] - exact).max()
+        return np.abs(np.array(traj.rows)[-1] - exact).max()
 
     ratio = err(0.02) / err(0.01)
     assert 11.2 <= ratio <= 20.8
@@ -278,7 +312,10 @@ def test_mode_energy_series_constant_for_static():
         sys, PhasePoint(0.0, (0.3, -0.3), (0.1, 0.2)), IntegratorSpec(dt=1e-3, t0=0.0, t1=5.0)
     )
     modes = map_to_mode_frame(sys, lab)
-    E = mode_energy_series(modes, sys)
+    series = mode_energy_series(modes, sys)
+    assert type(series) is tuple and {type(pair) for pair in series} == {tuple}
+    E = np.array(series)
+    assert E.shape == (len(modes), 2)
     assert np.abs(E - E[0]).max() < 1e-7
 
 
@@ -291,12 +328,12 @@ def test_larmor_compensation_decouples_rotation():
     spec = IntegratorSpec(dt=1e-3, t0=0.0, t1=10.0)
 
     comp = integrate_modes(sys, X0, spec, apply_larmor=True)
-    E = mode_energy_series(comp, sys, compensated=True)
+    E = np.array(mode_energy_series(comp, sys, compensated=True))
     assert np.abs(E[:, 1]).max() < 1e-10  # mode 2 stays empty
     assert np.abs(E[:, 0] - E[0, 0]).max() < 1e-8
 
     raw = integrate_modes(sys, X0, spec, apply_larmor=False)
-    E_raw = mode_energy_series(raw, sys)
+    E_raw = np.array(mode_energy_series(raw, sys))
     assert np.abs(E_raw[:, 1]).max() > 0.01 * E_raw[0, 0]
 
 
@@ -311,7 +348,7 @@ def test_larmor_compensated_matches_independent_1d():
         w = math.sqrt(w2)
         t = np.asarray(comp.times)
         Q = X0.q[i] * np.cos(w * t) + (X0.p[i] / w) * np.sin(w * t)
-        assert np.abs(comp.states[:, i] - Q).max() < 1e-6
+        assert np.abs(np.array(comp.rows)[:, i] - Q).max() < 1e-6
 
 
 def test_lz_coupling_flag_changes_rotation_dynamics():
@@ -323,7 +360,7 @@ def test_lz_coupling_flag_changes_rotation_dynamics():
     # theta_dot = 0 drops the -theta_dot L_z coupling from the mode frame.
     no_lz = replace(sys, theta_dot_override=lambda t: 0.0)
     crippled = integrate_modes(no_lz, X0, spec)
-    assert np.abs(full.states - crippled.states).max() > 1e-3
+    assert np.abs(np.array(full.rows) - np.array(crippled.rows)).max() > 1e-3
 
 
 def test_csv_round_trip(tmp_path):
@@ -338,7 +375,7 @@ def test_csv_round_trip(tmp_path):
     assert len(lines) == len(traj) + 1
     got = np.array([[float(x) for x in ln.split(",")[:5]] for ln in lines[1:]])
     assert np.array_equal(got[:, 0], traj.times)
-    assert np.array_equal(got[:, 1:], traj.states)
+    assert np.array_equal(got[:, 1:], np.array(traj.rows))
 
 
 def test_csv_rows_write_numbers_as_fmt_does():

@@ -18,7 +18,10 @@ leave it unloaded, and ``dataclasses``, ``inspect`` and ``decimal`` (which
 only the phase-gate formula audit loads) with it.  Each system's per-sample
 calls (decomposition, frame maps, Hamiltonians), a whole ``dnm analyze``
 run and ``dnm simulate`` runs of every preset, with and without ``--larmor``,
-leave numpy unloaded too.
+leave numpy unloaded too, and so do the conveniences that return rows of
+floats: the stiffness matrix, the mass-weighted stiffness, the modal matrix,
+the energy audit in both frames and the mode energies.  The one ``import
+numpy`` of the package is ``classify_separability``'s sample grid.
 
 No class is a dataclass, whose creation costs about 1 ms at import: every
 record type is a ``schedules.value_class``.
@@ -200,6 +203,53 @@ def test_no_module_imports_numpy_at_module_level(path):
     assert module_level_numpy_imports(path.read_text()) == []
 
 
+def numpy_import_sites(source: str) -> list:
+    """The dotted name of the function or class that holds each import of
+    numpy in the module, in source order; ``None`` for one outside them all."""
+    sites = []
+
+    def visit(nodes, where):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(node.body, f"{where}.{node.name}" if where else node.name)
+            elif isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "numpy" for alias in node.names):
+                sites.append(where)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                sites.append(where)
+            else:
+                visit(ast.iter_child_nodes(node), where)
+
+    visit(ast.parse(source).body, None)
+    return sites
+
+
+def test_the_check_names_where_numpy_is_imported():
+    source = (
+        "import math, numpy\n"
+        "def f():\n"
+        "    from numpy import linspace\n"
+        "    def g():\n"
+        "        import numpy.linalg as la\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        if True:\n"
+        "            import numpy as np\n"
+        "from . import numbers\n"
+    )
+    assert numpy_import_sites(source) == [None, "f", "f.g", "C.h"]
+
+
+def test_only_the_classify_grid_imports_numpy():
+    # classify_separability samples np.linspace; every other value of the
+    # package is a float or a tuple of floats, and nothing imports numpy
+    # for type checking either.
+    sites = [f"{path.stem}.{site}" for path in MODULES
+             for site in numpy_import_sites(path.read_text())]
+    assert sites == ["modes.classify_separability"]
+    assert [path.name for path in MODULES if "TYPE_CHECKING" in path.read_text()] == []
+
+
 def test_set_up_does_not_import_numpy(tmp_path):
     # Every preset, with lists for its tuple fields: the rotation phi is a
     # cubic table and the phase-gate F2 a polynomial.  `dnm analyze` samples a
@@ -213,8 +263,9 @@ def test_set_up_does_not_import_numpy(tmp_path):
         with open(paths[-1], "w") as fh:
             json.dump(cfg, fh)
     # Then each system's per-sample calls at t0, which run on floats: the
-    # decomposition, the ellipse, both frame maps, both Hamiltonians and the
-    # zeroth-order phase gate's mode force.
+    # decomposition, the ellipse, both frame maps, both Hamiltonians, the
+    # zeroth-order phase gate's mode force, and the matrices as rows; and a
+    # four-step run from rest at equilibrium, audited in both frames.
     code = (
         "import json, sys\n"
         "import dnmodes, dnmodes.cli\n"
@@ -234,6 +285,16 @@ def test_set_up_does_not_import_numpy(tmp_path):
         "    system.hamiltonian_value(x)\n"
         "    if system.label == 'phase-gate-zeroth-order':\n"
         "        system.extras['mode_force'](t)\n"
+        "    system.stiffness(t).matrix()\n"
+        "    dnmodes.mass_weighted_stiffness(system.stiffness(t), system.masses)\n"
+        "    dnmodes.modal_matrix(dec.theta, system.masses)\n"
+        "    spec = dnmodes.IntegratorSpec(dt=(cfg['window'][1] - t) / 4, t0=t,\n"
+        "                                  t1=cfg['window'][1])\n"
+        "    rest = dnmodes.PhasePoint(t, system.equilibrium(t), (0.0, 0.0))\n"
+        "    lab = dnmodes.integrate_lab(system, rest, spec)\n"
+        "    mapped = dnmodes.map_to_mode_frame(system, lab)\n"
+        "    dnmodes.energy_audit(lab, system), dnmodes.energy_audit(mapped, system)\n"
+        "    dnmodes.mode_energy_series(mapped, system, compensated=True)\n"
         "after_evaluation = 'numpy' in sys.modules\n"
         "codes = [dnmodes.cli.main(['analyze', '--config', sys.argv[2], '--out', sys.argv[1]])]\n"
         "for larmor in ([], ['--larmor']):\n"

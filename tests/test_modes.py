@@ -116,9 +116,10 @@ def test_modal_matrix_identities():
     for _ in range(200):
         M = MassPair(*rng.uniform(0.1, 10, 2))
         th = rng.uniform(-4, 4)
-        A, A_inv = modal_matrix(th, M)
+        A, A_inv = map(np.array, modal_matrix(th, M))
         assert np.abs(A @ A_inv - np.eye(2)).max() < 1e-12
-        assert np.abs(A @ M.inverse_matrix() @ A.T - np.eye(2)).max() < 1e-12
+        M_inv = np.diag((1.0 / M.m1, 1.0 / M.m2))
+        assert np.abs(A @ M_inv @ A.T - np.eye(2)).max() < 1e-12
         assert np.linalg.det(A) == pytest.approx(math.sqrt(M.m1 * M.m2), rel=1e-12)
 
 
@@ -128,8 +129,8 @@ def test_simultaneous_diagonalization():
         K = StiffnessTriple(*rng.uniform(-5, 5, 3))
         M = MassPair(*rng.uniform(0.1, 10, 2))
         dec_theta = theta_at(K, M)
-        A, A_inv = modal_matrix(dec_theta, M)
-        D = A_inv.T @ K.matrix() @ A_inv
+        A_inv = np.array(modal_matrix(dec_theta, M)[1])
+        D = A_inv.T @ np.array(K.matrix()) @ A_inv
         o1, o2 = eigenfrequencies(K, M, dec_theta)
         norm = max(np.abs(K.matrix()).max(), 1e-300)
         assert abs(D[0, 1]) < 1e-10 * norm
@@ -218,9 +219,9 @@ def test_a_dot_a_inv_structure():
 
     t = 0.7
     h = 1e-6
-    Ap, _ = modal_matrix(theta_of(t + h), M)
-    Am, _ = modal_matrix(theta_of(t - h), M)
-    _, A_inv = modal_matrix(theta_of(t), M)
+    Ap = np.array(modal_matrix(theta_of(t + h), M)[0])
+    Am = np.array(modal_matrix(theta_of(t - h), M)[0])
+    A_inv = np.array(modal_matrix(theta_of(t), M)[1])
     G = (Ap - Am) / (2 * h) @ A_inv
     td = 0.3 * math.cos(t)
     assert np.allclose(G, td * np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-8)
@@ -240,7 +241,7 @@ def test_mode_frame_round_trip():
         dec = decompose_at(sys, 0.0)
         x = PhasePoint(0.0, tuple(rng.uniform(-2, 2, 2)), tuple(rng.uniform(-2, 2, 2)))
         back = from_mode_frame(dec, to_mode_frame(dec, x, sys), sys)
-        assert np.abs(back.state() - x.state()).max() < 1e-12
+        assert np.abs(np.array((*back.q, *back.p)) - np.array((*x.q, *x.p))).max() < 1e-12
 
 
 def test_from_mode_frame_is_float_and_inverts_the_modal_matrix():
@@ -250,7 +251,7 @@ def test_from_mode_frame_is_float_and_inverts_the_modal_matrix():
     X = PhasePoint(0.4, (0.3, -1.1), (0.8, 0.25), frame="mode")
     x = from_mode_frame(dec, X, sys)
     assert [type(v) for v in (*x.q, *x.p)] == [float] * 4
-    A, A_inv = modal_matrix(dec.theta, sys.masses)
+    A, A_inv = map(np.array, modal_matrix(dec.theta, sys.masses))
     expect_q = A_inv @ np.array(X.q) + np.array(sys.equilibrium(0.4))
     assert x.q == pytest.approx(tuple(expect_q), rel=1e-15, abs=1e-15)
     assert x.p == pytest.approx(tuple(A.T @ np.array(X.p)), rel=1e-15, abs=1e-15)
@@ -262,7 +263,7 @@ def test_to_mode_frame_quarter_turn():
     assert dec.theta == pytest.approx(math.pi / 4)
     X = to_mode_frame(dec, PhasePoint(0.0, (1.0, -1.0), (0.0, 0.0)), sys)
     # A (1,-1)^T with A = [[c, s], [-s, c]] / sqrt(2) scaling: (0, -sqrt(2))
-    expect = modal_matrix(dec.theta, sys.masses)[0] @ np.array([1.0, -1.0])
+    expect = np.array(modal_matrix(dec.theta, sys.masses)[0]) @ np.array([1.0, -1.0])
     assert X.q == pytest.approx(tuple(expect), abs=1e-15)
     assert X.q == pytest.approx((0.0, -math.sqrt(2.0)), abs=1e-15)
 
@@ -313,7 +314,7 @@ def test_momentum_shift_constant_velocity_transport():
     dec = decompose_at(sys, 1.0)
     X = PhasePoint(1.0, (0.0, 0.0), (0.0, 0.0), frame="mode")
     shift = momentum_shift(dec, sys, X)
-    expect = modal_matrix(dec.theta, sys.masses)[0] @ np.array([v, v])
+    expect = np.array(modal_matrix(dec.theta, sys.masses)[0]) @ np.array([v, v])
     assert shift.P0 == pytest.approx(tuple(expect), abs=1e-12)
     assert shift.P0_dot == pytest.approx((0.0, 0.0), abs=1e-9)
     assert shift.centers == pytest.approx((0.0, 0.0), abs=1e-9)

@@ -42,7 +42,7 @@ def test_stiffness_matrix_assembly():
 def test_stiffness_matrix_exactly_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        K = StiffnessTriple(*rng.uniform(-5, 5, size=3)).matrix()
+        K = np.array(StiffnessTriple(*rng.uniform(-5, 5, size=3)).matrix())
         assert K[0, 1] == K[1, 0]
 
 
