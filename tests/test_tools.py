@@ -1,12 +1,15 @@
-"""The output comparison of ``tools/compare_outputs.py`` on synthetic outputs, the
-machine line, bytecode check and pair count of ``tools/bench_pairs.py``, and the
-keys of a smoke ``tools/bench_record.py`` file, whose runs leave no directory behind."""
+"""The output comparison of ``tools/compare_outputs.py``: its number check and its
+report on synthetic outputs, and its runner on a one-command checkout, which it leaves
+without bytecode.  The machine line, bytecode check and pair count of
+``tools/bench_pairs.py``, and the keys of a smoke ``tools/bench_record.py`` file, whose
+runs leave no directory behind."""
 
 import importlib.metadata
 import json
 import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 from bench_pairs import better_of, has_bytecode, machine_line, summary  # noqa: E402
-from compare_outputs import compare  # noqa: E402
+import compare_outputs  # noqa: E402
+from compare_outputs import compare, run_commands  # noqa: E402
 
 # A mode CSV whose Q1 column reaches 1 and crosses zero near 5.75e-05.
 CSV = "t,Q1,frame\n0,1,mode\n0.5,5.751980111954138e-05,mode\n1,-0.25,mode\n"
@@ -62,6 +66,71 @@ def test_the_frame_deviation_compares_with_a_scale_of_1():
     ratio, where = compare(old, old.replace("7.71834494970026e-09", "7.71834501923854e-09"))
     assert 0.0 < ratio <= 0.1 and where.startswith(".frame_equivalence_max_deviation")
     assert compare(old, old.replace("7.71834494970026e-09", "7.71934494970026e-09"))[0] > 1.0
+
+
+def test_equal_numbers_in_other_bytes_are_not_identical():
+    assert compare(CSV, CSV.replace("\n0,", "\n-0.0,")) == (0.0, "equal numbers in other bytes")
+
+
+# One simulate's outputs; it wrote no report file.
+OUT = {"exit": 0, "stdout": "", "stderr": "", "_mode.csv": CSV, "_report.json": None}
+MOVED = repr(-0.25 * (1.0 + 1e-10))
+
+
+@pytest.mark.parametrize("new, code, line, verdict", [
+    (OUT, 0, "_report.json: worst 0 of the bound (missing)", "5 identical, 0 within the bound"
+     ", 0 outside it"),
+    ({**OUT, "_mode.csv": CSV.replace("\n0,", "\n-0.0,")}, 0,
+     "_mode.csv: worst 0 of the bound (equal numbers in other bytes)",
+     "4 identical, 1 within the bound, 0 outside it"),
+    ({**OUT, "_mode.csv": CSV.replace("-0.25", MOVED)}, 1,
+     f"_mode.csv: worst 99.6 of the bound (Q1 at (3, 1): -0.25 -> {MOVED})",
+     "4 identical, 0 within the bound, 1 outside it"),
+    ({**OUT, "_report.json": "{}"}, 1, "_report.json: worst inf of the bound (None -> '{}')",
+     "4 identical, 0 within the bound, 1 outside it"),
+], ids=["all equal", "within the bound", "outside the bound", "missing on one side"])
+def test_the_report_ends_in_one_verdict_line(monkeypatch, capsys, new, code, line, verdict):
+    runs = {"parent": [("w", 7, "simulate", OUT)], "change": [("w", 7, "simulate", new)]}
+    monkeypatch.setattr(compare_outputs, "run_commands", lambda root, seeds: iter(runs[root]))
+    assert compare_outputs.main(["parent", "change"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert f"w seed=7 simulate {line}" in lines
+    assert lines[-1] == f"5 outputs: {verdict}"
+
+
+@pytest.mark.parametrize("change", [("w", 7, "analyze", OUT),
+                                    ("w", 7, "simulate", {**OUT, "_lab.csv": CSV})],
+                         ids=["another label", "another file"])
+def test_checkouts_that_run_different_commands_fail(monkeypatch, capsys, change):
+    runs = {"parent": [("w", 7, "simulate", OUT)], "change": [change]}
+    monkeypatch.setattr(compare_outputs, "run_commands", lambda root, seeds: iter(runs[root]))
+    assert compare_outputs.main(["parent", "change"]) == 1
+    assert capsys.readouterr().out == "the checkouts run different commands\n"
+
+
+TINY_WORKLOADS = """
+WHY = {"tiny": "one classify of a custom system"}
+OUTPUTS = {"classify": ()}
+CFG = {"schema": 1, "preset": {"type": "custom", "k": 1.0, "k1": 1.0, "k2": 2.0},
+       "window": [0.0, 1.0], "samples": 5}
+
+
+def generate(workload, seed):
+    return {"cfg": CFG}, [("classify", ["classify", "--config", "{cfg}"], "cfg")], []
+"""
+
+
+def test_the_runner_leaves_no_bytecode_in_the_checkout(tmp_path, monkeypatch):
+    # Bytecode left in one checkout's src/ makes a later bench_pairs run time
+    # setup_s as a read there and as a compile in the other checkout.
+    root = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src", root / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(TINY_WORKLOADS)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    runs = list(run_commands(str(root), [7]))
+    assert [(*run[:3], run[3]["exit"]) for run in runs] == [("tiny", 7, "classify", 0)]
+    assert not list(root.rglob("__pycache__"))
 
 
 @pytest.mark.parametrize("bytecode, shown", [("1", "set"), ("", "unset"), (None, "unset")])
