@@ -8,8 +8,8 @@ at Omega_i^2 + theta_dot^2.  RK4 is the default; velocity Verlet is offered
 for the lab frame only.  Every coefficient is evaluated at its RK stage's
 own time, so 4th-order accuracy survives time-dependent schedules; RK4 asks
 each stage time twice; rotation keeps its stiffness and theta_dot at every
-time asked, so one system's runs compute a time once; the ion pair keeps its
-triple and q0dot while a warm re-solve returns its root.
+time asked, so one system's runs compute a time once, each a dict lookup; the
+ion pair keeps its triple and q0dot while a warm re-solve returns its root.
 
 RK4 and velocity Verlet are step maps y_{n+1} = step(t_n, t_{n+1}, y_n); one
 run loop owns the grid, the guard and the partial run.  A run is Python floats
@@ -23,7 +23,8 @@ before.  A mode-frame stage evaluates the stiffness once; one frame call gives
 theta, both squared frequencies and the cos/sin pair that turns the drive
 (built once per distinct stiffness triple), which a map sample reuses with
 only the stiffness and the equilibrium, no theta_dot.  Callables are bound per
-run, not at import (a tracer may replace them).  A stage calls them directly
+run, not at import (a tracer may replace them), theta_dot too: the system's
+override, else ``theta_dot_at``.  A stage calls them directly
 and forms the force, the drive and the modal products inline, with the bits of
 ``QuadraticSystem.force`` and ``modes._modal_product``; a map sample is
 ``modes.mode_state``.  A state that turns non-finite inside a step raises
@@ -34,6 +35,7 @@ with the partial run.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import ConfigError, DivergenceError
@@ -233,6 +235,10 @@ def integrate_modes(
     frame = _mode_frames(sys)
     r1, r2 = sys.masses.sqrt1, sys.masses.sqrt2
     equilibrium_velocity = sys.equilibrium_velocity
+    # theta_dot_at evaluates its own triple: handing it the stage's would
+    # take sim-separation below the 50 root solves per step that
+    # perfbench/tests pins (test_pinned_layer_counts[sim-separation]).
+    theta_dot = sys.theta_dot_override or functools.partial(theta_dot_at, sys)
 
     def rhs(t, Q1, Q2, P1, P2):
         _, c, s, o1, o2 = frame(t)
@@ -241,10 +247,7 @@ def integrate_modes(
         v1, v2 = equilibrium_velocity(t)
         D1 = r1 * c * v1 + r2 * s * v2
         D2 = -r1 * s * v1 + r2 * c * v2
-        # theta_dot evaluates its own triple: handing it the stage's would
-        # take sim-separation below the 50 root solves per step that
-        # perfbench/tests pins (test_pinned_layer_counts[sim-separation]).
-        td = theta_dot_at(sys, t)
+        td = theta_dot(t)
         if apply_larmor:
             return (P1 - D1, P2 - D2, -o1 * Q1 - td * td * Q1, -o2 * Q2 - td * td * Q2)
         return (P1 - D1 + td * Q2, P2 - D2 - td * Q1, -o1 * Q1 + td * P2, -o2 * Q2 - td * P1)

@@ -70,23 +70,27 @@ SEPARATION_CONDITION_TOL = 1e-9  # relative spread of beta^3/alpha^5 that counts
 FORMULA_AUDIT_REL_TOL = 1e-8  # phase-gate closed forms against the root solve, relative to q0
 
 
-def _per_time(view):
+class _per_time(dict):
     """``view`` keeping its value at every float time asked, so the RK stages, walks and runs
-    of one system that share a time compute it once.  A dict keyed by time holds them, each
-    entry set whole: no thread or call order changes a value.  It lives as long as the system,
-    about 160 B per new time for a triple and 50 B for a float (2N + 1 times for a simulate of
-    N steps), so a caller that keeps one system and asks it at ever new times grows it without
-    bound.  A numpy time (classify's grid) and t = 0 (where -0.0 == 0.0) are never kept."""
-    kept = {}
+    of one system that share a time compute it once.  The system holds the bound
+    ``__getitem__``: a kept time is a dict hit, with no Python frame, and ``__missing__``
+    evaluates the view and sets the entry whole, so no thread or call order changes a value.
+    It lives as long as the system, about 160 B per new time for a triple and 50 B for a float
+    (2N + 1 times for a simulate of N steps), so a caller that keeps one system and asks it at
+    ever new times grows it without bound.  A numpy time (classify's grid) and t = 0 (where
+    -0.0 == 0.0) are never stored; a numpy time equal to a kept one reads its value (the bits
+    of a fresh evaluation)."""
 
-    def cached(t):
-        if type(t) is not float or not t:
-            return view(t)
-        if (value := kept.get(t, kept)) is kept:
-            value = kept[t] = view(t)
+    __slots__ = ("view",)
+
+    def __init__(self, view):
+        self.view = view
+
+    def __missing__(self, t):
+        value = self.view(t)
+        if type(t) is float and t:
+            self[t] = value
         return value
-
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +588,8 @@ class RotationConfig:
 
     def __post_init__(self):
         check_fields(self, positive=("m",))
+        if not 0.0 < (mm := self.m * self.m) < math.inf:  # MassPair's test, named for m
+            raise ConfigError(f"rotation: m * m {'over' if mm else 'under'}flows, got {self.m}")
 
 
 def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
@@ -634,11 +640,11 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
 
     return QuadraticSystem(
         masses=masses,
-        stiffness=triple_at,
+        stiffness=triple_at.__getitem__,
         stiffness_rate=stiffness_rate,
         equilibrium=lambda t: (0.0, 0.0),
         equilibrium_velocity=lambda t: (0.0, 0.0),
-        theta_dot_override=(lambda t: 0.0) if isotropic else _per_time(phi_dot),
+        theta_dot_override=(lambda t: 0.0) if isotropic else _per_time(phi_dot).__getitem__,
         full_potential=full_potential,
         label="rotation",
         extras={"trivially_decoupled": True} if isotropic else {},
@@ -673,7 +679,8 @@ def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
     """U = k1 q1^2/2 + k2 (d - q2)^2/2 + k (q2 - q1)^2/2.
 
     The equilibrium solves K q = (0, k2 d): q = X d/D with X = (k, k + k1) k2 and
-    D = det K = k1 k2 + k (k1 + k2), and its rate is qdot = d (Xdot D - X Ddot)/D^2.
+    D = det K = k1 k2 + k (k1 + k2), and its rate is qdot = (d Xdot - q Ddot)/D, from
+    that q: no D^2 or X Ddot to underflow where the triple is small but not singular.
     Only these two views are singular, where D = 0; the triple is the schedules' own.
     """
     d, views = cfg.d, _schedule_triple(cfg)
@@ -694,7 +701,7 @@ def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
         kd, k1d, k2d = views["stiffness_rate"](t)
         Dd = k1d * k2 + k1 * k2d + kd * (k1 + k2) + k * (k1d + k2d)
         Xd = (kd * k2 + k * k2d, (kd + k1d) * k2 + (k + k1) * k2d)
-        return tuple(d * (xd * D - x * Dd) / (D * D) for x, xd in zip(X, Xd))
+        return tuple((d * xd - x / D * d * Dd) / D for x, xd in zip(X, Xd))
 
     def full_potential(q1: float, q2: float, t: float) -> float:
         tr = views["stiffness"](t)

@@ -46,6 +46,10 @@ class _TripleSlots:
     __slots__ = ("k", "k1", "k2")
 
 
+# The slots' own setters, bound once, set a frozen ``StiffnessTriple``'s fields.
+_set_k, _set_k1, _set_k2 = (getattr(_TripleSlots, name).__set__ for name in _TripleSlots.__slots__)
+
+
 @value_class
 class StiffnessTriple(_TripleSlots):
     """Time-slice values (k, k1, k2); any entry may be negative.  Built at every RK stage and
@@ -58,9 +62,9 @@ class StiffnessTriple(_TripleSlots):
     k2: float
 
     def __init__(self, k: float, k1: float, k2: float):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
+        _set_k(self, k)
+        _set_k1(self, k1)
+        _set_k2(self, k2)
         if not (math.isfinite(k) and math.isfinite(k1) and math.isfinite(k2)):
             name = next(n for n in ("k", "k1", "k2") if not math.isfinite(getattr(self, n)))
             raise PresetDomainError(f"stiffness {name} must be finite, got {getattr(self, name)}")
@@ -98,8 +102,10 @@ class QuadraticSystem:
     q2, t)`` is the untruncated potential when the builder knows it (used by
     verification oracles).  Instances are treated as immutable after
     construction; all evaluation methods are pure.  A view may keep its value
-    per time (rotation's stiffness at every time asked, for the life of the
-    system, about 160 B a time; the ion pair's at the last time and root); it
+    per time (rotation's stiffness and theta_dot at every nonzero float time
+    asked, for the life of the system, about 160 B a time, each view the bound
+    ``__getitem__`` of a dict, so a kept time runs no Python frame and a numpy
+    time equal to it reads it; the ion pair's at the last time and root); it
     then returns the same object again, with the bits of a fresh evaluation,
     whatever the order or the thread of the calls.
     """

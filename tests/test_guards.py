@@ -31,6 +31,7 @@ from dnmodes.modes import (
 )
 from dnmodes.presets import (
     CustomConfig,
+    RotationConfig,
     audit_phase_gate_formulas,
     build_custom,
     build_preset,
@@ -109,6 +110,13 @@ GUARDS = {
     "mass_product_underflow": (
         lambda: MassPair(1e-200, 1e-200),
         ConfigError, "m1 * m2 underflows, got 1e-200 and 1e-200"),
+    # Rotation's two masses are one field, m, and its message names that field.
+    "rotation_mass_product_underflow": (
+        lambda: RotationConfig(m=1e-300, omega1=1.0, omega2=2.0, phi=0.0),
+        ConfigError, "rotation: m * m underflows, got 1e-300"),
+    "rotation_mass_product_overflow": (
+        lambda: RotationConfig(m=1e200, omega1=1.0, omega2=2.0, phi=0.0),
+        ConfigError, "rotation: m * m overflows, got 1e+200"),
     # 1/m1 is inf, and the mass-weighted stiffness scales by it.
     "mass_reciprocal_overflow": (
         lambda: MassPair(1e-310, 1.0),

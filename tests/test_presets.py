@@ -545,6 +545,28 @@ def test_rotation_reads_phi_once_per_time_over_a_larmor_simulate():
         assert {t: n for t, n in counts.items() if t} == dict.fromkeys(times, 1)
 
 
+def test_rotation_keeps_only_nonzero_float_times_and_numpy_times_read_them():
+    # A kept float time is read back by an equal numpy time, the same object with
+    # no phi read.  A numpy time asked first is computed on every call and stored
+    # under no key, so a later float call there reads phi once; 0.0 and -0.0
+    # (equal, with phi of either sign) are never kept.
+    phi = Counted(lambda t: 0.3 + t * t, lambda t: 2.0 * t)
+    sys = build_rotation(RotationConfig(m=1.0, omega1=2.0, omega2=1.0, phi=phi))
+    views = (sys.stiffness, sys.theta_dot_override)
+
+    def reads_of(times) -> tuple:
+        before = dict(phi.reads)
+        values = [view(t) for t in times for view in views]
+        return values, {name: n - before[name] for name, n in phi.reads.items()}
+
+    kept, _ = reads_of([0.25])
+    assert reads_of([np.float64(0.25)]) == (kept, {"value": 0, "derivative": 0})
+    assert all(a is b for a, b in zip(kept, reads_of([np.float64(0.25)])[0]))
+    assert reads_of([np.float64(0.5)] * 3)[1] == {"value": 3, "derivative": 3}
+    assert reads_of([0.5] * 3)[1] == {"value": 1, "derivative": 1}
+    assert reads_of([0.0, -0.0, 0.0])[1] == {"value": 3, "derivative": 3}
+
+
 # -- springs -------------------------------------------------------------------
 
 

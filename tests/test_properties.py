@@ -84,6 +84,7 @@ from dnmodes.presets import (
     TransportConfig,
     build_custom,
     build_preset,
+    preset_config_from_dict,
     solve_phase_gate_distance,
     solve_separation_distance,
 )
@@ -92,10 +93,11 @@ from dnmodes.rootfind import solve_positive_root
 from dnmodes.schedules import LinearRamp, Polynomial, SampledTable, Smoothstep
 
 from oracles import (
-    ION_PAIR_VIEWS, check_frame, check_ion_pair_view, gamma, grad4, ion_pair_equations,
+    ION_PAIR_VIEWS, U, check_frame, check_ion_pair_view, gamma, grad4, ion_pair_equations,
     ion_pair_solves, last_float_below_root, per_view_ion_pair, recorded_build, replace,
     rk4_states, verlet_states,
 )
+from test_cli import run_cli, write_cfg
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 # An exact-flow example is four RK4 runs of up to 512 steps and an exact flow, so a
@@ -504,16 +506,18 @@ def test_preset_rates_match_finite_differences(kind, data):
 def springs_reference(cfg, t) -> tuple:
     """((q, qdot), (q's bound, qdot's bound)): the springs' equilibrium, K q = (0, k2 d),
     and its rate, exact at the schedules' float values at t.  q = X d/D with X = (k, k +
-    k1) k2 and D = det K = k1 k2 + k (k1 + k2); qdot = d (Xdot D - X Ddot)/D^2.
+    k1) k2 and D = det K = k1 k2 + k (k1 + k2); qdot = N/D with N = d Xdot - q Ddot.
 
     Bounds in the library's order of operations, |.| each formula over its terms'
-    absolute values (``oracles.gamma``): D is within r |D|, r = gamma_3 |D|/|D exact|, X
-    within gamma_2, Xdot gamma_3 and Ddot gamma_4; so q = X/D d is within (gamma_4 +
-    r)/(1 - r) of itself, and N = Xdot D - X Ddot within gamma_8 |N|, whence d N/(D D) is
-    within d (gamma_8 |N| (1 + s) + |N exact| s)/D^2, s = (1 + gamma_3)/(1 - r)^2 - 1.  On
-    the natural scale d max|Kdot| max|K|/|D|, with |N| <= 24 max|K|^3 max|Kdot|, that is
-    about 24 (8 + 18 max|K|^2/|D|) u max|K|^2/|D|.  None where D = 0; a draw with r >= 1,
-    D within rounding of 0, has no bound and is rejected."""
+    absolute values (``oracles.gamma``, u = ``oracles.U``): D is within r |D|, r = gamma_3
+    |D|/|D exact|, X within gamma_2, Xdot gamma_3 and Ddot gamma_4; so q = X/D d is within
+    e = |q| (gamma_4 + r)/(1 - r).  The float d Xdot is within a = gamma_4 d |Xdot|, the
+    float q Ddot (from the float q) within b = ((|q exact| + e) gamma_5 + e) |Ddot|, their
+    difference within c = (1 + u)(a + b) + u |N exact|, and its quotient by the float D
+    within ((1 + u) c + (u + r) |N exact|)/(|D exact| (1 - r)) of qdot.  On the natural
+    scale d max|Kdot| max|K|/|D|, with |Xdot| <= 4 max|K| max|Kdot|, |Ddot| <= 6 max|K|
+    max|Kdot| and rho = max|K|^2/|D|, that is about (24 + 168 rho + 216 rho^2) u.  None
+    where D = 0, and (None, None) where r >= 1: D within rounding of 0 has no bound."""
     def read(schedule) -> tuple:
         return Fraction(schedule.value(t)), Fraction(schedule.derivative(t))
 
@@ -521,21 +525,24 @@ def springs_reference(cfg, t) -> tuple:
     D, D_abs = k1 * k2 + k * (k1 + k2), abs(k1 * k2) + abs(k) * (abs(k1) + abs(k2))
     if D == 0:
         return None
-    assume((r := gamma(3) * D_abs / abs(D)) < 1)
+    if (r := gamma(3) * D_abs / abs(D)) >= 1:
+        return None, None
     Dd = k1d * k2 + k1 * k2d + kd * (k1 + k2) + k * (k1d + k2d)
     Dd_abs = abs(k1d * k2) + abs(k1 * k2d) + abs(kd) * (abs(k1) + abs(k2)) \
         + abs(k) * (abs(k1d) + abs(k2d))
-    X, X_abs = (k * k2, (k + k1) * k2), (abs(k * k2), (abs(k) + abs(k1)) * abs(k2))
+    X = (k * k2, (k + k1) * k2)
     Xd = (kd * k2 + k * k2d, (kd + k1d) * k2 + (k + k1) * k2d)
     Xd_abs = (abs(kd * k2) + abs(k * k2d), (abs(kd) + abs(k1d)) * abs(k2)
               + (abs(k) + abs(k1)) * abs(k2d))
-    s = (1 + gamma(3)) / (1 - r) ** 2 - 1
     values, bounds = [], []
-    for x, x_abs, xd, xd_abs in zip(X, X_abs, Xd, Xd_abs):
-        N, N_abs = xd * D - x * Dd, xd_abs * D_abs + x_abs * Dd_abs
-        values.append((x * d / D, d * N / D**2))
-        bounds.append((abs(x * d / D) * (gamma(4) + r) / (1 - r),
-                       d * (gamma(8) * N_abs * (1 + s) + abs(N) * s) / D**2))
+    for x, xd, xd_abs in zip(X, Xd, Xd_abs):
+        q = x * d / D
+        e = abs(q) * (gamma(4) + r) / (1 - r)
+        N = d * xd - q * Dd
+        a, b = gamma(4) * d * xd_abs, ((abs(q) + e) * gamma(5) + e) * Dd_abs
+        c = (1 + U) * (a + b) + U * abs(N)
+        values.append((q, N / D))
+        bounds.append((e, ((1 + U) * c + (U + r) * abs(N)) / (abs(D) * (1 - r))))
     return tuple(zip(*values)), tuple(zip(*bounds))
 
 
@@ -562,10 +569,34 @@ def test_springs_equilibrium_is_near_the_exact_solution_of_K_q_F(k, k1, k2, d, t
             with pytest.raises(SingularConfigurationError, match=r"k1 k2 \+ k \(k1 \+ k2\) = 0"):
                 view(t)
         return
+    assume(ref[1] is not None)
     for view, exact, bound in zip((sys.equilibrium, sys.equilibrium_velocity), *ref):
         got = view(t)
         for value, x, b in zip(got, exact, bound):
             assert abs(Fraction(value) - x) <= b, (view.__name__, t, got, float(x), float(b))
+
+
+SMALL_SPRINGS = {
+    "uniform": {"type": "springs", "k": 1e-100, "k1": 1e-100, "k2": 1e-100, "d": 3.0},
+    "k-ramp": {"type": "springs", "k1": 1e-100, "k2": 1e-100, "d": 3.0,
+               "k": {"kind": "linear-ramp", "t0": 0.0, "v0": 1e-100, "t1": 1.0, "v1": 2e-100}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SPRINGS))
+def test_springs_with_a_small_triple_simulate(tmp_path, name):
+    # D = 3e-200 is far from singular, though D^2 underflows: qdot forms no D^2.
+    obj = SMALL_SPRINGS[name]
+    cfg = {"schema": 1, "preset": obj, "window": [0.0, 1.0], "integrator": {"dt": 0.25},
+           "output": {"path": str(tmp_path / "small")}}
+    proc = run_cli("simulate", "--config", write_cfg(tmp_path, cfg))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    config = preset_config_from_dict(obj)
+    sys = build_preset(config)
+    for t in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0):
+        (_, rates), (_, bounds) = springs_reference(config, t)
+        for value, x, b in zip(sys.equilibrium_velocity(t), rates, bounds):
+            assert abs(Fraction(value) - x) <= b, (t, value, float(x), float(b))
 
 
 def test_a_slack_wall_spring_holds_both_masses_at_the_far_wall():

@@ -1,6 +1,6 @@
 """The output comparison of ``tools/compare_outputs.py``: its number check and its
 report on synthetic outputs, and its runner on a one-command checkout, which it leaves
-without bytecode.  The machine line, bytecode check and pair count of
+without bytecode.  The machine line, bytecode check, pair count and verdict of
 ``tools/bench_pairs.py``, and the keys of a smoke ``tools/bench_record.py`` file, whose
 runs leave no directory behind."""
 
@@ -154,8 +154,28 @@ def test_bench_pairs_counts_the_pairs_where_the_change_is_better():
     parent = [{"workload_s": 1.0, "time_points_per_s": 10.0} for _ in range(3)]
     change = [{"workload_s": w, "time_points_per_s": p}
               for w, p in ((0.9, 11.0), (1.0, 9.0), (1.1, 12.0))]
-    rows = {row[0]: row[-1] for row in summary(parent, change, better)}
+    rows = {row[0]: row[5] for row in summary(parent, change, better)}
     assert rows == {"workload_s": 1, "time_points_per_s": 2}
+
+
+@pytest.mark.parametrize("better, change, verdict", [
+    # Better in 9 pairs and tied in the last; the median beyond the parent's quartile.
+    ("lower", [0.9] * 9 + [1.0], "gain"),
+    ("higher", [1.2] * 10, "gain"),
+    ("lower", [1.2] * 10, "worse"),
+    ("higher", [0.9] * 10, "worse"),
+    # Better in 8 of 10 pairs only.
+    ("lower", [0.9] * 8 + [1.2] * 2, "-"),
+    # Better, or worse, in every pair, with the median between the parent's quartiles.
+    ("lower", [1.05, 0.99] * 5, "-"),
+    ("lower", [1.12, 1.02] * 5, "-"),
+])
+def test_bench_pairs_gives_a_verdict_per_metric(better, change, verdict):
+    # The parent alternates 1.1 and 1.0: its quartiles are q1 = 1.0 and q3 = 1.1.
+    parent = [{"m": 1.0 if i % 2 else 1.1} for i in range(10)]
+    rows = summary(parent, [{"m": x} for x in change], {"m": better})
+    assert rows[0][3:5] == (1.0, 1.1)
+    assert rows[0][-1] == verdict
 
 
 def test_bench_pairs_tells_whether_a_checkout_holds_bytecode(tmp_path):

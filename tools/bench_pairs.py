@@ -7,9 +7,11 @@ its root, the parent first in even pairs and the change first in odd ones.
 For every end-to-end metric the last line of a run reports, one row gives
 the parent's and the change's medians, the parent's quartiles, and in how
 many of the N pairs the change read better, lower or higher as the parent's
-``BENCHMARK.json`` declares (ties count for neither): the numbers a gain is
-judged by (better in at least 9 of 10 pairs, and medians further apart than
-the parent's quartiles).  A header line names the machine: Python, numpy, the
+``BENCHMARK.json`` declares (ties count for neither), and a verdict.  The
+verdict is ``gain`` when the change is better in at least 9 of 10 pairs and its
+median lies beyond the parent's quartile on the better side (below q1 for a
+metric better lower, above q3 for one better higher), ``worse`` for the mirror
+case, and ``-`` otherwise.  A header line names the machine: Python, numpy, the
 CPU count, and whether PYTHONDONTWRITEBYTECODE is set (with it, every
 perfbench set-up compiles ``src/`` unless ``src/dnmodes/__pycache__`` holds
 bytecode for this Python, which it then reads).  One line per checkout says
@@ -92,15 +94,23 @@ def quartiles(values: list) -> tuple:
 
 
 def summary(parent: list, change: list, better: dict) -> list:
-    """One row per metric: name, both medians, the parent's quartiles and the
-    number of pairs where the change is better, as ``better`` names it."""
+    """One row per metric: name, both medians, the parent's quartiles, the number of
+    pairs where the change is better, as ``better`` names it, and a verdict: "gain"
+    when it is better in at least 9 of 10 pairs and its median lies beyond the parent's
+    quartile on the better side, "worse" for the mirror case, else "-"."""
     rows = []
     for name in parent[0]:
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
         sign = 1 if better[name] == "lower" else -1
-        rows.append((name, statistics.median(p), statistics.median(c), *quartiles(p),
-                     sum(sign * (x - y) > 0 for x, y in zip(p, c))))
+        mp, mc, (q1, q3) = statistics.median(p), statistics.median(c), quartiles(p)
+        wins = sum(sign * (x - y) > 0 for x, y in zip(p, c))
+        losses = sum(sign * (x - y) < 0 for x, y in zip(p, c))
+        # The quartile on the better side, and on the worse side, of the parent's runs.
+        good, bad = (q1, q3) if sign == 1 else (q3, q1)
+        verdict = ("gain" if 10 * wins >= 9 * len(p) and sign * (good - mc) > 0 else
+                   "worse" if 10 * losses >= 9 * len(p) and sign * (mc - bad) > 0 else "-")
+        rows.append((name, mp, mc, q1, q3, wins, verdict))
     return rows
 
 
@@ -132,9 +142,10 @@ def main(argv=None) -> int:
               "the other's compiles", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {n} pairs of {args.seconds:g} s")
     print(f"{'metric':<18} {'parent':>12} {'change':>12} {'parent q1':>12} {'parent q3':>12}"
-          f"  better in")
-    for name, mp, mc, q1, q3, wins in summary(*runs, better):
-        print(f"{name:<18} {mp:12.6g} {mc:12.6g} {q1:12.6g} {q3:12.6g}  {wins} of {n}")
+          f"  better in  verdict")
+    for name, mp, mc, q1, q3, wins, verdict in summary(*runs, better):
+        print(f"{name:<18} {mp:12.6g} {mc:12.6g} {q1:12.6g} {q3:12.6g}  "
+              f"{f'{wins} of {n}':<9}  {verdict}")
     return 0
 
 
