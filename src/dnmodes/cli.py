@@ -173,19 +173,16 @@ def cmd_simulate(cfg: dict, out_base: str, larmor: bool) -> int:
     mode_spec = IntegratorSpec(dt=step, t0=t0, t1=t1)
     try:
         lab = integrate_lab(sys_, x0, spec)
-        # The check's three trajectories go before the last run and the CSV writes.
         report = frame_equivalence_check(sys_, x0, mode_spec)
-        X0, deviation, scale = report.mapped.point(0), report.max_deviation, report.scale
-        del report
-        mode = integrate_modes(sys_, X0, mode_spec, apply_larmor=larmor)
+        mode = integrate_modes(sys_, report.start, mode_spec, apply_larmor=larmor)
     except DivergenceError as exc:
         write_trajectory_csv(exc.partial, f"{out_base}_{exc.partial.frame}.csv.partial")
         raise
     write_trajectory_csv(lab, out_base + "_lab.csv")
     write_trajectory_csv(mode, out_base + "_mode.csv")
     sidecar = {
-        "frame_equivalence_max_deviation": deviation,
-        "trajectory_scale": scale,
+        "frame_equivalence_max_deviation": report.max_deviation,
+        "trajectory_scale": report.scale,
         "dt": step,
         "larmor": larmor,
     }

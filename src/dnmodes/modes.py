@@ -90,7 +90,7 @@ class MomentumShift:
     point: PhasePoint
     P0: tuple
     P0_dot: tuple
-    centers: Optional[tuple]
+    centers: tuple
 
 
 def mass_weighted_stiffness(K: StiffnessTriple, masses: MassPair) -> tuple:
@@ -322,34 +322,21 @@ def effective_hamiltonian_value(
     )
 
 
-def momentum_shift(
-    dec: ModeDecomposition,
-    sys: QuadraticSystem,
-    x: PhasePoint,
-    with_centers: bool = True,
-) -> MomentumShift:
+def momentum_shift(dec: ModeDecomposition, sys: QuadraticSystem, x: PhasePoint) -> MomentumShift:
     """Shift P by P0 = A qdot0, turning the momentum drive into displaced centers.
 
-    Centers are -P0dot_i / Omega_i^2; requesting them with a zero squared
-    frequency raises :class:`ZeroFrequencyError`.
+    Centers are -P0dot_i / Omega_i^2, so a zero squared frequency raises
+    :class:`ZeroFrequencyError`; the drive alone is :func:`drive_at`.
     """
     if x.frame != "mode":
         raise ConfigError("momentum_shift expects a mode-frame point")
     P0 = drive_at(sys, x.t, dec.theta)
     P0_dot = drive_rate_at(sys, x.t, dec.theta)
-    shifted = PhasePoint(
-        t=x.t, q=x.q, p=(x.p[0] - P0[0], x.p[1] - P0[1]), frame="mode"
-    )
-    centers = None
-    if with_centers:
-        if dec.omega1_sq == 0.0 or dec.omega2_sq == 0.0:
-            raise ZeroFrequencyError(
-                "displaced-oscillator centers undefined at zero squared frequency"
-            )
-        centers = (-P0_dot[0] / dec.omega1_sq, -P0_dot[1] / dec.omega2_sq)
-    return MomentumShift(
-        point=shifted, P0=P0, P0_dot=P0_dot, centers=centers
-    )
+    shifted = PhasePoint(t=x.t, q=x.q, p=(x.p[0] - P0[0], x.p[1] - P0[1]), frame="mode")
+    if dec.omega1_sq == 0.0 or dec.omega2_sq == 0.0:
+        raise ZeroFrequencyError("displaced-oscillator centers undefined at zero squared frequency")
+    centers = (-P0_dot[0] / dec.omega1_sq, -P0_dot[1] / dec.omega2_sq)
+    return MomentumShift(point=shifted, P0=P0, P0_dot=P0_dot, centers=centers)
 
 
 def _detect_analytic_case(masses: MassPair, triples) -> Optional[str]:

@@ -681,24 +681,32 @@ def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
     The equilibrium solves K q = (0, k2 d): q = X d/D with X = (k, k + k1) k2 and
     D = det K = k1 k2 + k (k1 + k2), and its rate is qdot = (d Xdot - q Ddot)/D, from
     that q: no D^2 or X Ddot to underflow where the triple is small but not singular.
+    Both are of degree 0 in the triple and its rates, so where D is no normal float both
+    are scaled by 2^-c, c the centre of the triple's exponents (k = k1 = k2 = 1e-170 runs);
+    elsewhere they keep their own scale, whose bits a centred one moves on wide triples.
     Only these two views are singular, where D = 0; the triple is the schedules' own.
     """
     d, views = cfg.d, _schedule_triple(cfg)
 
-    def solved(t: float) -> tuple:  # (k, k1, k2), X and D at t, where D != 0
-        k, k1, k2 = cfg.k.value(t), cfg.k1.value(t), cfg.k2.value(t)
-        if (D := k1 * k2 + k * (k1 + k2)) == 0.0:
+    def solved(t: float) -> tuple:  # c, then (k, k1, k2), X and D in the scale 2^-c at t
+        triple = cfg.k.value(t), cfg.k1.value(t), cfg.k2.value(t)
+        exponents = [math.frexp(x)[1] for x in triple if x] or [0]
+        for c in (0, (min(exponents) + max(exponents)) // 2):
+            k, k1, k2 = (math.ldexp(x, -c) for x in triple)
+            if 2.0 ** -1022 <= abs(D := k1 * k2 + k * (k1 + k2)) < math.inf:
+                break
+        if D == 0.0:
             raise SingularConfigurationError(
                 f"singular spring configuration at t={t}: k1 k2 + k (k1 + k2) = 0")
-        return (k, k1, k2), (k * k2, (k + k1) * k2), D
+        return c, (k, k1, k2), (k * k2, (k + k1) * k2), D
 
     def equilibrium(t: float) -> tuple:
-        _, X, D = solved(t)
+        _, _, X, D = solved(t)
         return (X[0] / D * d, X[1] / D * d)
 
     def equilibrium_velocity(t: float) -> tuple:
-        (k, k1, k2), X, D = solved(t)
-        kd, k1d, k2d = views["stiffness_rate"](t)
+        c, (k, k1, k2), X, D = solved(t)
+        kd, k1d, k2d = (math.ldexp(r, -c) for r in views["stiffness_rate"](t))
         Dd = k1d * k2 + k1 * k2d + kd * (k1 + k2) + k * (k1d + k2d)
         Xd = (kd * k2 + k * k2d, (kd + k1d) * k2 + (k + k1) * k2d)
         return tuple((d * xd - x / D * d * Dd) / D for x, xd in zip(X, Xd))

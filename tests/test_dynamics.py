@@ -159,7 +159,7 @@ def test_energy_audit_drift_is_nan_where_a_later_energy_is():
     # return the 0.0 of the first row.
     sys = static_sys(k1=-1e300, masses=(1e-300, 1e-8))
     rows = ((0.0, 0.0, 0.0, 0.0), (1e5, 0.0, 1e5, 0.0), (0.0, 0.0, 0.0, 0.0))
-    audit = energy_audit(Trajectory("lab", (0.0, 0.5, 1.0), rows, 0.5), sys)
+    audit = energy_audit(Trajectory("lab", (0.0, 0.5, 1.0), rows), sys)
     assert audit.energies[0] == audit.energies[2] == 0.0 and math.isnan(audit.energies[1])
     assert math.isnan(audit.max_drift) and math.isnan(array_drift(audit.energies))
 
@@ -196,7 +196,7 @@ def test_mode_frame_matches_lab_transport():
 def test_momentum_shift_consistent_with_direct_mode_integration():
     # separable transport: shifted coordinates differ from the direct mode
     # solution by exactly the momentum offset
-    from dnmodes.modes import decompose_at, momentum_shift
+    from dnmodes.modes import decompose_at, drive_at
 
     sys = build_transport(
         TransportConfig(k=2.0, Q0=Smoothstep(0.0, 1.0, 0.0, 6.0), Cc=1.0)
@@ -211,8 +211,7 @@ def test_momentum_shift_consistent_with_direct_mode_integration():
     direct_states, shifted_states = np.array(direct.rows), np.array(shifted.rows)
     for i in [0, 1000, 3000, 6000]:
         t = float(direct.times[i])
-        probe = PhasePoint(t, (0.0, 0.0), (0.0, 0.0), frame="mode")
-        P0 = momentum_shift(decompose_at(sys, t), sys, probe, with_centers=False).P0
+        P0 = drive_at(sys, t, decompose_at(sys, t).theta)
         dQ = direct_states[i, :2] - shifted_states[i, :2]
         dP = direct_states[i, 2:] - shifted_states[i, 2:]
         assert np.abs(dQ).max() < 1e-9

@@ -52,7 +52,7 @@ NOT_A_CONFIG = object()
 
 def trajectory(frame):
     times = np.linspace(0.0, 1.0, 3)
-    return Trajectory(frame, times, np.zeros((3, 4)), 0.5)
+    return Trajectory(frame, times, np.zeros((3, 4)))
 
 
 # case: (call, error type, the error's whole message).

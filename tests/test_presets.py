@@ -538,7 +538,7 @@ def test_rotation_reads_phi_once_per_time_over_a_larmor_simulate():
     x0 = PhasePoint(t=0.0, q=(0.1, -0.2), p=(0.0, 0.3))
     integrate_lab(sys, x0, spec)
     report = frame_equivalence_check(sys, x0, spec)
-    integrate_modes(sys, report.mapped.point(0), spec, apply_larmor=True)
+    integrate_modes(sys, report.start, spec, apply_larmor=True)
     times = {t + h for t in spec.grid() for h in (0.0, 0.03125)} - {0.0, 1.03125}
     assert len(times) == 2 * spec.n_steps
     for counts in reads.values():

@@ -23,7 +23,8 @@ scale (within Horner's bound, their coefficients exact) and the scaled bracket
 shared record against a fresh build per view, a walk against _frame call by
 call, frame reuse against a fresh frame, the steppers against the array RK4
 and the Verlet loop over the system's own pieces, and the float lab-to-mode map
-against mode_state.  Rotation's views kept per time give, over shuffled and
+against mode_state, and the springs' views against their formula in the schedules'
+own scale wherever its X and D are normal floats.  Rotation's views kept per time give, over shuffled and
 threaded calls, the bits of a fresh system; the ion pair's kept triple and q0dot
 come back only to calls of their own equation and root, on one thread or two.
 
@@ -382,7 +383,7 @@ def assert_runs_converge_at_fourth_order(sys, t0, span, fine_states):
     for n in (256, 512):
         spec = IntegratorSpec(dt=span / n, t0=t0, t1=t0 + span)
         lab = integrate_lab(sys, PhasePoint(t0, fine_states[0, :2], fine_states[0, 2:]), spec)
-        exact = Trajectory("lab", lab.times, fine_states[::512 // n], spec.dt)
+        exact = Trajectory("lab", lab.times, fine_states[::512 // n])
         exact_modes = map_to_mode_frame(sys, exact)
         modes = integrate_modes(sys, exact_modes.point(0), spec)
         errors.append((relative_error(np.array(lab.rows), np.array(exact.rows)),
@@ -580,12 +581,17 @@ SMALL_SPRINGS = {
     "uniform": {"type": "springs", "k": 1e-100, "k1": 1e-100, "k2": 1e-100, "d": 3.0},
     "k-ramp": {"type": "springs", "k1": 1e-100, "k2": 1e-100, "d": 3.0,
                "k": {"kind": "linear-ramp", "t0": 0.0, "v0": 1e-100, "t1": 1.0, "v1": 2e-100}},
+    "uniform-1e-170": {"type": "springs", "k": 1e-170, "k1": 1e-170, "k2": 1e-170, "d": 3.0},
+    "k-ramp-1e-170": {"type": "springs", "k1": 1e-170, "k2": 1e-170, "d": 3.0,
+                      "k": {"kind": "linear-ramp", "t0": 0.0, "v0": 1e-170, "t1": 1.0,
+                            "v1": 2e-170}},
 }
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SPRINGS))
 def test_springs_with_a_small_triple_simulate(tmp_path, name):
     # D = 3e-200 is far from singular, though D^2 underflows: qdot forms no D^2.
+    # D = 3e-340 is no float, yet far from singular: it is formed in the centred scale.
     obj = SMALL_SPRINGS[name]
     cfg = {"schema": 1, "preset": obj, "window": [0.0, 1.0], "integrator": {"dt": 0.25},
            "output": {"path": str(tmp_path / "small")}}
@@ -597,6 +603,42 @@ def test_springs_with_a_small_triple_simulate(tmp_path, name):
         (_, rates), (_, bounds) = springs_reference(config, t)
         for value, x, b in zip(sys.equilibrium_velocity(t), rates, bounds):
             assert abs(Fraction(value) - x) <= b, (t, value, float(x), float(b))
+
+
+def springs_in_the_schedules_scale(cfg, t):
+    """(q, qdot) of the springs formed from the schedules' values at t as read, with no
+    rescaling, or None where X or D is no normal float (X may be 0).  A twin of the
+    formula as it stood before the centred scale: where this is not None, the library
+    must give its bits."""
+    k, k1, k2 = cfg.k.value(t), cfg.k1.value(t), cfg.k2.value(t)
+    kd, k1d, k2d = cfg.k.derivative(t), cfg.k1.derivative(t), cfg.k2.derivative(t)
+    D, X = k1 * k2 + k * (k1 + k2), (k * k2, (k + k1) * k2)
+    if not all(x == 0.0 or 2.0 ** -1022 <= abs(x) < math.inf for x in X) \
+            or not 2.0 ** -1022 <= abs(D) < math.inf:
+        return None
+    Dd = k1d * k2 + k1 * k2d + kd * (k1 + k2) + k * (k1d + k2d)
+    Xd = (kd * k2 + k * k2d, (kd + k1d) * k2 + (k + k1) * k2d)
+    d = cfg.d
+    return (tuple(x / D * d for x in X),
+            tuple((d * xd - x / D * d * Dd) / D for x, xd in zip(X, Xd)))
+
+
+def any_float_and_rate():
+    """A schedule c0 + c1 t, each coefficient any finite float."""
+    coefficient = st.floats(allow_nan=False, allow_infinity=False)
+    return st.builds(lambda c0, c1: Polynomial((c0, c1)), coefficient, coefficient)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(k=any_float_and_rate(), k1=any_float_and_rate(), k2=any_float_and_rate(),
+       d=st.floats(0.5, 3.0), t=st.just(0.0) | st.floats(0.0, 1.0))
+def test_springs_keep_their_bits_where_X_and_D_are_normal(k, k1, k2, d, t):
+    cfg = SpringsConfig(k=k, k1=k1, k2=k2, d=d)
+    twin = springs_in_the_schedules_scale(cfg, t)
+    assume(twin is not None)
+    sys = build_preset(cfg)
+    for view, expected in zip((sys.equilibrium, sys.equilibrium_velocity), twin):
+        assert list(map(float.hex, view(t))) == list(map(float.hex, expected)), view.__name__
 
 
 def test_a_slack_wall_spring_holds_both_masses_at_the_far_wall():
@@ -1099,7 +1141,7 @@ def test_float_map_matches_the_decomposition(kind, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     times = np.linspace(0.0, 1.0, 65)
     states = rng.uniform(-2.0, 2.0, (len(times), 4))
-    mapped = np.array(map_to_mode_frame(sys, Trajectory("lab", times, states, times[1])).rows)
+    mapped = np.array(map_to_mode_frame(sys, Trajectory("lab", times, states)).rows)
     tol = 1e-14 * np.abs(mapped).max()
     frame = _mode_frames(twin)
     branch = None

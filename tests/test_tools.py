@@ -205,7 +205,9 @@ def test_bench_record_smoke_file_has_every_key(tmp_path):
     assert run_dirs() == before
     record = json.loads(out.read_text())
     assert set(record) == {"pr", "commit", "machine", "settings", "workloads"}
-    assert set(record["commit"]) == {"sha", "dirty"}
+    assert set(record["commit"]) == {"sha", "dirty", "src_lines"}
+    assert record["commit"]["src_lines"] == sum(
+        path.read_bytes().count(b"\n") for path in (ROOT / "src" / "dnmodes").glob("*.py"))
     assert set(record["machine"]) == {"python", "numpy", "cpus", "PYTHONDONTWRITEBYTECODE",
                                       "bytecode"}
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())

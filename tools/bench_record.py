@@ -9,7 +9,8 @@ each end-to-end metric's median, quartiles, run count and unit, and every
 traced per-layer value; the machine (Python, numpy, the CPU count, whether
 PYTHONDONTWRITEBYTECODE is set, and whether ``src/dnmodes/__pycache__`` held
 bytecode for this Python before the runs); the run count, seed and seconds; and
-the commit (HEAD, and whether tracked files differ from it).  A speed claim
+the commit (HEAD, whether tracked files differ from it, and the line count of
+``src/dnmodes/*.py``).  A speed claim
 compares the parent's file with the change's, and takes its verdict from
 ``tools/bench_pairs.py``.  ``--smoke`` shrinks every workload and makes one run
 of 0.2 s per trace setting, to check the file's shape.  The script only reads ``perfbench/``
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import statistics
 import subprocess
 import sys
@@ -33,15 +35,18 @@ SEED = 7
 
 
 def commit(root: str) -> dict:
-    """HEAD of the checkout and whether its tracked files differ from it; a tree
-    that is no git checkout has neither."""
+    """HEAD of the checkout, whether its tracked files differ from it (a tree that
+    is no git checkout has neither) and the lines of ``src/dnmodes/*.py``, as ``wc -l``
+    counts them."""
     def git(*args) -> str | None:
         done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
         return done.stdout.strip() if done.returncode == 0 else None
 
     sha = git("rev-parse", "HEAD")
+    src = pathlib.Path(root, "src", "dnmodes").glob("*.py")
     return {"sha": sha,
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")) if sha else None}
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")) if sha else None,
+            "src_lines": sum(path.read_bytes().count(b"\n") for path in src)}
 
 
 def record(pr: int, smoke: bool) -> dict:
