@@ -682,7 +682,7 @@ def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
     D = det K = k1 k2 + k (k1 + k2), and its rate is qdot = (d Xdot - q Ddot)/D, from
     that q: no D^2 or X Ddot to underflow where the triple is small but not singular.
     Both are of degree 0 in the triple and its rates, so where D is no normal float both
-    are scaled by 2^-c, c the centre of the triple's exponents (k = k1 = k2 = 1e-170 runs);
+    are scaled by 2^-c, c the centre of the triple's exponents (k = k1 = k2 = 1e-170, 1e170 run);
     elsewhere they keep their own scale, whose bits a centred one moves on wide triples.
     Only these two views are singular, where D = 0; the triple is the schedules' own.
     """

@@ -605,6 +605,20 @@ def test_springs_with_a_small_triple_simulate(tmp_path, name):
             assert abs(Fraction(value) - x) <= b, (t, value, float(x), float(b))
 
 
+def test_springs_whose_det_K_overflows_have_their_equilibrium(tmp_path):
+    # k = k1 = k2 = 1e200: D = 3e400 is no float, and X/D was inf/inf, NaN equilibria in
+    # analyze's CSV and a refused start point in simulate.
+    obj = {"type": "springs", "k": 1e200, "k1": 1e200, "k2": 1e200, "d": 3.0}
+    cfg = {"schema": 1, "preset": obj, "window": [0.0, 1.0], "integrator": {"dt": 0.25},
+           "output": {"path": str(tmp_path / "large")}}
+    path = write_cfg(tmp_path, cfg)
+    for command in ("analyze", "simulate"):
+        proc = run_cli(command, "--config", path)
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+    rows = (tmp_path / "large_analyze.csv").read_text().splitlines()[1:]
+    assert {tuple(row.split(",")[-2:]) for row in rows} == {("1", "2")}
+
+
 def springs_in_the_schedules_scale(cfg, t):
     """(q, qdot) of the springs formed from the schedules' values at t as read, with no
     rescaling, or None where X or D is no normal float (X may be 0).  A twin of the
