@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .dynamics import (
     MAX_SAMPLES,
+    _METHODS,
     IntegratorSpec,
     _csv_rows,
     _fmt,
@@ -78,7 +79,7 @@ def _is_pair(x) -> bool:
 
 def validate_config(cfg: dict) -> None:
     _require_keys(cfg, _TOP_KEYS, _REQUIRED_KEYS, "config")
-    if cfg["schema"] != 1:
+    if type(cfg["schema"]) is not int or cfg["schema"] != 1:
         raise ConfigError(f"unsupported schema {cfg['schema']!r}; expected 1")
     window = cfg["window"]
     if not _is_pair(window) or not window[0] < window[1]:
@@ -93,6 +94,8 @@ def validate_config(cfg: dict) -> None:
         _require_keys(cfg["integrator"], {"method", "dt"}, {"dt"}, "integrator")
         if not is_finite_number(cfg["integrator"]["dt"]):
             raise ConfigError("integrator dt must be a finite number")
+        if (method := cfg["integrator"].get("method", "rk4")) not in _METHODS:
+            raise ConfigError(f"unknown integrator {method!r}")
     if "output" in cfg:
         _require_keys(cfg["output"], {"path"}, set(), "output")
         if not isinstance(cfg["output"].get("path", ""), str):

@@ -66,6 +66,7 @@ __all__ = [
 
 DIVERGENCE_GUARD = 1e12
 MAX_SAMPLES = 20_000_000
+_METHODS = ("rk4", "velocity-verlet")  # IntegratorSpec's; the CLI checks every command's config
 
 
 @value_class
@@ -77,7 +78,7 @@ class IntegratorSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.method not in ("rk4", "velocity-verlet"):
+        if self.method not in _METHODS:
             raise ConfigError(f"unknown integrator {self.method!r}")
         if not (self.dt > 0):
             raise ConfigError("dt must be positive")
@@ -123,7 +124,6 @@ class FrameEquivalenceReport:
 
 @value_class
 class EnergyAudit:
-    times: tuple
     energies: tuple
     max_drift: float  # max |H(t) - H(t0)| / max(1, |H(t0)|)
 
@@ -301,7 +301,7 @@ def frame_equivalence_check(
 
 
 def energy_audit(traj: Trajectory, sys: QuadraticSystem) -> EnergyAudit:
-    """Per-sample Hamiltonian values along a trajectory (H or Htil by frame)."""
+    """Per-sample Hamiltonian values (H or Htil by frame) at ``traj.times``, and max_drift."""
     energies = []
     branch = None
     for i in range(len(traj)):
@@ -316,7 +316,7 @@ def energy_audit(traj: Trajectory, sys: QuadraticSystem) -> EnergyAudit:
     # NaN where any drift is NaN; max() would drop one that is not first.
     worst = math.nan if any(map(math.isnan, drifts)) else max(drifts)
     drift = worst / max(1.0, abs(energies[0]))
-    return EnergyAudit(times=traj.times, energies=tuple(energies), max_drift=drift)
+    return EnergyAudit(energies=tuple(energies), max_drift=drift)
 
 
 def mode_energy_series(

@@ -57,20 +57,18 @@ EPS_DEGENERATE = 1e-12
 
 @value_class
 class ModeDecomposition:
-    t: float
     theta: float
     theta_dot: float
     omega1_sq: float
     omega2_sq: float
 
-    def __init__(self, t, theta, theta_dot, omega1_sq, omega2_sq):  # one per sample
-        self.__dict__.update(t=t, theta=theta, theta_dot=theta_dot, omega1_sq=omega1_sq,
+    def __init__(self, theta, theta_dot, omega1_sq, omega2_sq):  # one per sample
+        self.__dict__.update(theta=theta, theta_dot=theta_dot, omega1_sq=omega1_sq,
                              omega2_sq=omega2_sq)
 
 
 @value_class
 class SeparabilityReport:
-    window: tuple
     max_abs_theta_dot: float
     separable: bool
     theta_samples: tuple
@@ -263,12 +261,12 @@ def drive_rate_at(sys: QuadraticSystem, t: float, branch_ref: float) -> tuple:
 def decompose_at(
     sys: QuadraticSystem, t: float, branch_ref: Optional[float] = None
 ) -> ModeDecomposition:
-    """theta, theta_dot and the squared mode frequencies at t, from one
-    stiffness evaluation: theta_dot reuses the triple.  The modal matrix A
+    """The mode frame at t, ``ModeDecomposition(theta, theta_dot, omega1_sq, omega2_sq)``,
+    from one stiffness evaluation: theta_dot reuses the triple.  The modal matrix A
     and its inverse are ``modal_matrix(dec.theta, sys.masses)``."""
     triple = sys.stiffness(t)
     theta, _, _, o1, o2 = _frame(triple, sys.masses, branch_ref, t)
-    return ModeDecomposition(t, theta, theta_dot_at(sys, t, triple=triple), o1, o2)
+    return ModeDecomposition(theta, theta_dot_at(sys, t, triple=triple), o1, o2)
 
 
 def to_mode_frame(dec: ModeDecomposition, x: PhasePoint, sys: QuadraticSystem) -> PhasePoint:
@@ -379,7 +377,8 @@ def classify_separability(
     n_samples: int = 200,
     tol_sep: float = 1e-9,
 ) -> SeparabilityReport:
-    """Sample theta over the window and decide separability from max |theta_dot|."""
+    """Sample theta over the window and decide separability from max |theta_dot|; the
+    report's theta_samples are the (t, theta) pairs, and the caller keeps the window."""
     if n_samples < 2:
         raise ConfigError("classify_separability needs n_samples >= 2")
     t0, t1 = window
@@ -406,7 +405,6 @@ def classify_separability(
                 stable = False
             max_rate = max(max_rate, abs(theta_dot_at(sys, float(t))))
     return SeparabilityReport(
-        window=(t0, t1),
         max_abs_theta_dot=max_rate,
         separable=max_rate <= tol_sep,
         theta_samples=tuple(theta_samples),

@@ -364,7 +364,6 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
 class SeparationRampCheck:
     holds: bool
     max_rel_deviation: float
-    ratio_samples: tuple
 
 
 def separability_condition_separation(
@@ -374,11 +373,10 @@ def separability_condition_separation(
     n_samples: int = 200,
     Cc: float = 1.0,
 ) -> SeparationRampCheck:
-    """Check the decoupling constraint beta^3/alpha^5 = const over the window.
-
-    Also cross-checks that beta*q0^5 and alpha*q0^3 stay constant, which is
-    the equivalent statement through the equilibrium distance.
-    """
+    """Whether the decoupling constraint beta^3/alpha^5 = const ``holds`` over the window,
+    from the largest relative spread, ``max_rel_deviation``, of its samples and of the
+    cross-checks beta*q0^5 and alpha*q0^3, the equivalent statement through the
+    equilibrium distance."""
     if n_samples < 2:
         raise ConfigError("separability_condition_separation needs n_samples >= 2")
     alpha, beta, (t0, t1) = as_schedule(alpha), as_schedule(beta), window
@@ -408,9 +406,7 @@ def separability_condition_separation(
         return (hi - lo) / scale
 
     dev = max(rel_span(ratios), rel_span(fifths) if any(fifths) else 0.0, rel_span(cubes))
-    return SeparationRampCheck(
-        holds=dev <= SEPARATION_CONDITION_TOL, max_rel_deviation=dev, ratio_samples=ratios
-    )
+    return SeparationRampCheck(holds=dev <= SEPARATION_CONDITION_TOL, max_rel_deviation=dev)
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,3 @@ class QuadraticSystem:
         d1 = q1 - q0[0]
         d2 = q2 - q0[1]
         return (-((tr.k + tr.k1) * d1 - tr.k * d2), -(-tr.k * d1 + (tr.k + tr.k2) * d2))
-
-    def force_at(self, x: PhasePoint) -> tuple:
-        """-K(t) (q - q0(t))."""
-        if x.frame != "lab":
-            raise ConfigError("force_at expects a lab-frame point")
-        return self.force(x.t, *x.q)

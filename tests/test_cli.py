@@ -288,6 +288,11 @@ MALFORMED = {
     ),
     "sweep_without_a_sweep_section": (["sweep"], lambda c: None),
     "integrator_without_dt": (["simulate"], lambda c: c.update(integrator={"method": "rk4"})),
+    # JSON true == 1 and an unknown method that only simulate read both exited 0.
+    "schema_true": (["classify"], lambda c: c.update(schema=True)),
+    "integrator_method_number": (["analyze"], lambda c: c["integrator"].update(method=5)),
+    # output is an object with no preset type or schedule kind, so it declares no field.
+    "sweep_path_untagged": (["sweep"], sweep_over("output.nokey", [1.0])),
 }
 
 
@@ -442,6 +447,12 @@ def test_sweep_writes_non_number_values_as_json(tmp_path, capsys):
         rows = list(csv.reader(fh))[1:]
     assert [row[0] for row in rows] == ['{"kind":"constant","value":2.0}', "3"]
     assert all(len(row) == 5 for row in rows)
+    # A string is written as it is, quoted where it holds a comma.
+    sweep_over("output.path", ["a,b", "c"])(cfg)
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg)]) == 0
+    lines = (tmp_path / "sw_sweep.csv").read_text().splitlines()[1:]
+    assert lines[0].startswith('"a,b",') and lines[1].startswith("c,")
+    assert [row[0] for row in csv.reader(lines)] == ["a,b", "c"]
     capsys.readouterr()
 
 

@@ -33,7 +33,7 @@ from dnmodes.presets import (
     build_transport,
 )
 from dnmodes.quadratic import MassPair, PhasePoint, StiffnessTriple
-from dnmodes.schedules import ControlSchedule, LinearRamp, Smoothstep
+from dnmodes.schedules import ControlSchedule, LinearRamp, Polynomial, Smoothstep
 
 from oracles import eig2_characteristic, replace, theta_dot_fd
 
@@ -400,6 +400,38 @@ def test_classify_raises_a_numpy_overflow_on_any_thread():
             worker = pool.submit(classify_separability, sys, (0.0, 1.0), n_samples=5)
             with pytest.raises(FloatingPointError):
                 worker.result()
+
+
+# The same system in a time unit T = 2^c is the original with every time scaled
+# by T, exactly in floats, so theta_dot scales by 1/T and classify's verdict
+# stays.  Two absolute constants break that: the difference step
+# schedules.fd_step's floor of 1e-6, and classify's tol_sep of 1e-9 compared
+# with max |theta_dot| as a rate, not with the angle the frame turns.
+UNITS_DEPENDENT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="an absolute constant of time: fd_step's 1e-6 or classify's rate tol_sep",
+)
+
+
+@pytest.mark.parametrize("T", [1.0, pytest.param(2.0**-27, marks=UNITS_DEPENDENT)])
+def test_theta_dot_at_a_degenerate_instant_scales_with_the_time_unit(T):
+    # k = (t - T)/T, k1 = 1 and k2 = 1 + ((t - T)/T)^2 with equal masses: at
+    # t = T the stiffness is isotropic and theta_dot = -1/(4T) exactly.  The
+    # difference step floors at 1e-6 = 134 T at T = 2^-27: +7450, not -3.4e7.
+    cfg = CustomConfig(k=Polynomial((-1.0, 1.0 / T)), k1=1.0,
+                       k2=Polynomial((2.0, -2.0 / T, 1.0 / T**2)), masses=(1.0, 1.0))
+    assert theta_dot_at(build_custom(cfg), T) == pytest.approx(-0.25 / T, rel=1e-3)
+
+
+@pytest.mark.parametrize("span", [1.0, pytest.param(2.0**-7, marks=UNITS_DEPENDENT)])
+def test_the_verdict_does_not_depend_on_the_time_unit(span):
+    # The frame turns the same 1e-10 rad over [0, span] in both units, but
+    # max |theta_dot| = 1e-10/span is 1.28e-8 > tol_sep at span = 2^-7.
+    phi = LinearRamp(0.0, 0.0, span, 1e-10)
+    sys = build_rotation(RotationConfig(m=1.0, omega1=2.0, omega2=3.0, phi=phi))
+    rep = classify_separability(sys, (0.0, span))
+    assert rep.theta_samples[-1] == (span, 1e-10)
+    assert rep.separable
 
 
 def test_theta_branch_continuity_over_rotation_ramp():

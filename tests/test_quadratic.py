@@ -64,10 +64,10 @@ def test_hamiltonian_overflows_to_inf_in_either_term():
 
 def test_force_values():
     sys = make_static(1.0, 1.0, 1.0)
-    assert sys.force_at(PhasePoint(0.0, (0.0, 0.0), (0.0, 0.0))) == (0.0, 0.0)
-    assert sys.force_at(PhasePoint(0.0, (1.0, 0.0), (0.0, 0.0))) == (-2.0, 1.0)
+    assert sys.force(0.0, 0.0, 0.0) == (0.0, 0.0)
+    assert sys.force(0.0, 1.0, 0.0) == (-2.0, 1.0)
     diag = make_static(0.0, 3.0, 5.0)
-    assert diag.force_at(PhasePoint(0.0, (2.0, -1.0), (0.0, 0.0))) == (-6.0, 5.0)
+    assert diag.force(0.0, 2.0, -1.0) == (-6.0, 5.0)
 
 
 def test_force_is_minus_potential_gradient():
@@ -79,7 +79,7 @@ def test_force_is_minus_potential_gradient():
         def pot(x):
             return sys.hamiltonian_value(PhasePoint(0.0, tuple(x), (0.0, 0.0)))
 
-        f = np.array(sys.force_at(PhasePoint(0.0, tuple(q), (0.0, 0.0))))
+        f = np.array(sys.force(0.0, *q))
         g = grad4(pot, q)
         scale = max(1.0, np.abs(f).max())
         assert np.abs(f + g).max() <= 1e-8 * scale
@@ -115,5 +115,3 @@ def test_frame_guards():
     mode_point = PhasePoint(0.0, (0.0, 0.0), (0.0, 0.0), frame="mode")
     with pytest.raises(ConfigError):
         sys.hamiltonian_value(mode_point)
-    with pytest.raises(ConfigError):
-        sys.force_at(mode_point)
