@@ -46,7 +46,6 @@ from .presets import (
     TransportConfig,
     build_custom,
     build_phase_gate,
-    build_phase_gate_zeroth_order,
     build_preset,
     build_rotation,
     build_separation,

@@ -34,7 +34,7 @@ from .errors import (
     PresetDomainError,
     SingularConfigurationError,
 )
-from .modes import _angle_terms, _modal_product, _sample_times, theta_at
+from .modes import _angle_terms, _sample_times
 from .quadratic import MassPair, QuadraticSystem, StiffnessTriple
 from .rootfind import solve_positive_root
 from .schedules import ControlSchedule, as_schedule, check_fields, config_from_dict, value_class
@@ -49,7 +49,6 @@ __all__ = [
     "build_transport",
     "build_separation",
     "build_phase_gate",
-    "build_phase_gate_zeroth_order",
     "build_rotation",
     "build_springs",
     "build_custom",
@@ -515,58 +514,47 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
     The equilibrium distance is the cubic's root solve alone; the published
     closed forms are checked by :func:`audit_phase_gate_formulas`, not per
     time.  The pair's centre is -(F1 + F2) / (2 k0).
+
+    The zeroth order (``cfg.zeroth_order``) keeps the force-free springs (k0, k0, k0), so
+    theta is static, and moves their equilibrium +-(Cc/4k0)^(1/3) by -K^-1 F, K^-1 =
+    [[2, 1], [1, 2]]/(3 k0): the full model's equilibrium to first order in F.
     """
-    if cfg.zeroth_order:
-        return build_phase_gate_zeroth_order(cfg)
-    k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1.value, cfg.F2.value
+    k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1, cfg.F2
 
     def trap_potential(q1: float, q2: float, t: float) -> float:
-        return 0.5 * k0 * (q1**2 + q2**2) + F1(t) * q1 + F2(t) * q2
+        return 0.5 * k0 * (q1**2 + q2**2) + F1.value(t) * q1 + F2.value(t) * q2
 
-    return _ion_pair(
-        cfg,
-        "phase-gate",
-        controls=(cfg.F1, cfg.F2),
-        equation=_phase_gate_distance(k0, Cc),
-        curvature=lambda u, q0: k0,
-        curvature_rate=lambda u, du, q0, q0dot: 0.0,
-        trap_potential=trap_potential,
-        center=lambda u: -0.5 * (u[0] + u[1]) / k0,
-    )
-
-
-def build_phase_gate_zeroth_order(cfg: PhaseGateConfig) -> QuadraticSystem:
-    """Static modes of the force-free two-ion system.
-
-    Forces are dropped from the quadratic model (all stiffness coefficients
-    become equal to k0 and the equilibria freeze at +-(Cc/4k0)^(1/3)); the
-    time-dependent forces re-enter only as a linear term, exposed in mode
-    coordinates through ``extras["mode_force"]``.
-    """
-    k0 = cfg.k0
-    Cc = cfg.Cc
-    half = _cube_root(Cc, k0, -2)
+    if not cfg.zeroth_order:
+        return _ion_pair(
+            cfg,
+            "phase-gate",
+            controls=(F1, F2),
+            equation=_phase_gate_distance(k0, Cc),
+            curvature=lambda u, q0: k0,
+            curvature_rate=lambda u, du, q0, q0dot: 0.0,
+            trap_potential=trap_potential,
+            center=lambda u: -0.5 * (u[0] + u[1]) / k0,
+        )
+    label, half = "phase-gate-zeroth-order", _cube_root(Cc, k0, -2)
     triple = StiffnessTriple(k0, k0, k0)
-    theta = theta_at(triple, cfg.masses)
-    c, s, w1, w2 = math.cos(theta), math.sin(theta), 1.0 / cfg.masses.sqrt1, 1.0 / cfg.masses.sqrt2
 
-    def mode_force(t: float) -> tuple:
-        # Coefficients of (Q1, Q2) in F1*q1 + F2*q2 after q = q0 + A^-1 Q: A^-T F.
-        return _modal_product(c, s, w1, w2, cfg.F1.value(t), cfg.F2.value(t))
-
-    def full_potential(q1: float, q2: float, t: float) -> float:
-        return 0.5 * k0 * (q1**2 + q2**2) + Cc / (q1 - q2)
+    def moved(t: float, e1: float, e2: float, f1: float, f2: float, name: str) -> tuple:
+        # e - K^-1 f, over k0 before 3: 3 k0 may overflow where f/k0 does not
+        q = (e1 - (2.0 * f1 + f2) / k0 / 3.0, e2 - (f1 + 2.0 * f2) / k0 / 3.0)
+        if not (math.isfinite(q[0]) and math.isfinite(q[1])):
+            raise PresetDomainError(f"{label}: {name} overflows at t={t}")
+        return q
 
     return QuadraticSystem(
         masses=cfg.masses,
         stiffness=lambda t: triple,
         stiffness_rate=lambda t: (0.0, 0.0, 0.0),
-        equilibrium=lambda t: (half, -half),
-        equilibrium_velocity=lambda t: (0.0, 0.0),
+        equilibrium=lambda t: moved(t, half, -half, F1.value(t), F2.value(t), "K^-1 F"),
+        equilibrium_velocity=lambda t: moved(
+            t, 0.0, 0.0, F1.derivative(t), F2.derivative(t), "K^-1 dF/dt"),
         theta_dot_override=lambda t: 0.0,
-        full_potential=full_potential,
-        label="phase-gate-zeroth-order",
-        extras={"mode_force": mode_force, "theta": theta},
+        full_potential=lambda q1, q2, t: trap_potential(q1, q2, t) + Cc / (q1 - q2),
+        label=label,
     )
 
 
@@ -643,7 +631,6 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
         theta_dot_override=(lambda t: 0.0) if isotropic else _per_time(phi_dot).__getitem__,
         full_potential=full_potential,
         label="rotation",
-        extras={"trivially_decoupled": True} if isotropic else {},
     )
 
 

@@ -13,8 +13,7 @@ the overall energy offset.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from .errors import ConfigError, PresetDomainError
 from .schedules import check_fields, value_class
@@ -118,7 +117,6 @@ class QuadraticSystem:
     theta_dot_override: Optional[Callable[[float], float]] = None
     full_potential: Optional[Callable[[float, float, float], float]] = None
     label: str = "custom"
-    extras: Mapping = MappingProxyType({})  # read-only, so no instance shares a mutable default
     # Not a field and never set: perfbench/tracer.py reads it on every system.
     larmor_rate = None
     __setattr__ = object.__setattr__  # assignable: perfbench/tracer.py wraps each view

@@ -474,11 +474,18 @@ OVERFLOWING_PRESETS = {
     # the spring, 2e462, is not.
     "phase-gate-forces-1e308": ({"type": "phase-gate", "k0": 1.0, "F1": 1e308, "F2": -1e308},
                                 "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0"),
+    # The zeroth order's shift K^-1 F, with 2 F1 = 3.4e308, is no float.
+    "phase-gate-zeroth-order": ({"type": "phase-gate", "k0": 1.0, "F1": 1.7e308, "F2": 0.0,
+                                 "zeroth_order": True},
+                                "phase-gate-zeroth-order: K^-1 F overflows at t=0.0"),
 }
 
 
-@pytest.mark.parametrize("command", ["analyze", "classify", "simulate"])
-@pytest.mark.parametrize("preset", sorted(OVERFLOWING_PRESETS))
+# classify reads no equilibrium, so the zeroth order's shift is never formed there.
+@pytest.mark.parametrize("preset, command", [
+    (preset, command) for preset in sorted(OVERFLOWING_PRESETS)
+    for command in ("analyze", "classify", "simulate")
+    if (preset, command) != ("phase-gate-zeroth-order", "classify")])
 def test_a_float_overflow_names_the_quantity(tmp_path, capsys, preset, command):
     obj, message = OVERFLOWING_PRESETS[preset]
     cfg = {
@@ -518,6 +525,20 @@ def test_simulate_exits_3_where_q0dot_overflows(tmp_path, capsys, alpha, code, e
            "output": {"path": str(tmp_path / "ovf")}}
     assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == code
     assert capsys.readouterr().err.splitlines() == err
+
+
+def test_simulate_exits_3_where_the_zeroth_order_shift_rate_overflows(tmp_path, capsys):
+    # F1 = 1.7e308 t keeps the shift K^-1 F a float on [0, 1e-300], and the lab run
+    # near rest; the map's drive needs the rate K^-1 dF/dt, and 2 dF1/dt is no float.
+    force = {"kind": "polynomial", "coeffs": [0.0, 1.7e308]}
+    cfg = {"schema": 1, "window": [0.0, 1e-300], "integrator": {"dt": 2.5e-301},
+           "preset": {"type": "phase-gate", "k0": 1.0, "F1": force, "F2": 0.0,
+                      "zeroth_order": True},
+           "initial_state": {"q": [0.1, -0.1], "p": [0.0, 0.0]},
+           "output": {"path": str(tmp_path / "ovf")}}
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "preset domain error: phase-gate-zeroth-order: K^-1 dF/dt overflows at t=0.0"]
 
 
 # A config's values are checked finite, so a stiffness entry or a tan(2 theta)

@@ -39,6 +39,9 @@ PRESETS = {
     "phase-gate": ({"type": "phase-gate", "k0": 1.0, "F1": STEP,
                     "F2": {"kind": "polynomial", "coeffs": [0.0, -0.1]}, "Cc": 1.0,
                     "masses": [1.0, 1.5], "zeroth_order": False}, "preset.k0"),
+    "phase-gate-zeroth-order": ({"type": "phase-gate", "k0": 1.0, "F1": STEP,
+                                 "F2": {"kind": "polynomial", "coeffs": [0.0, -0.1]}, "Cc": 1.0,
+                                 "masses": [1.0, 1.5], "zeroth_order": True}, "preset.k0"),
     "rotation": ({"type": "rotation", "m": 1.0, "omega1": 2.0, "omega2": 1.0,
                   "phi": {"kind": "table", "times": [0.0, 0.5, 1.0], "values": [0.0, 0.1, 0.3],
                           "interpolation": "cubic"}}, "preset.omega1"),
@@ -148,7 +151,8 @@ def test_one_bad_flag_keeps_the_exit_code_contract(tmp_path, capsys, preset, com
 # solve at both values on both leaves and reach the report behind NUMPY_BOOL_REPORT,
 # so their cells are the next test's.
 SECOND_LEAVES = {"transport": "preset.Cc", "separation": "preset.beta", "phase-gate": "preset.Cc",
-                 "rotation": "preset.m", "springs": "preset.k1", "custom": "preset.k"}
+                 "phase-gate-zeroth-order": "preset.F1", "rotation": "preset.m",
+                 "springs": "preset.k1", "custom": "preset.k"}
 NUMPY_BOOL_CELLS = {("separation", "classify"), ("phase-gate", "classify")}
 
 

@@ -255,16 +255,14 @@ def test_set_up_does_not_import_numpy(tmp_path):
     # cubic table and the phase-gate F2 a polynomial.  `dnm analyze` samples a
     # float grid and `dnm simulate` keeps its runs as float rows, so the
     # command line loads no numpy either.
-    zeroth = base_config("phase-gate")
-    zeroth["preset"]["zeroth_order"] = True
     paths = []
-    for i, cfg in enumerate([*map(base_config, PRESETS), zeroth]):
+    for i, cfg in enumerate(map(base_config, PRESETS)):
         paths.append(str(tmp_path / f"cfg{i}.json"))
         with open(paths[-1], "w") as fh:
             json.dump(cfg, fh)
     # Then each system's per-sample calls at t0, which run on floats: the
-    # decomposition, the ellipse, both frame maps, both Hamiltonians, the
-    # zeroth-order phase gate's mode force, and the matrices as rows; and a
+    # decomposition, the ellipse, both frame maps, both Hamiltonians and the
+    # matrices as rows; and a
     # four-step run from rest at equilibrium, audited in both frames.
     code = (
         "import json, sys\n"
@@ -283,8 +281,6 @@ def test_set_up_does_not_import_numpy(tmp_path):
         "    dnmodes.from_mode_frame(dec, X, system)\n"
         "    dnmodes.effective_hamiltonian_value(dec, system, X)\n"
         "    system.hamiltonian_value(x)\n"
-        "    if system.label == 'phase-gate-zeroth-order':\n"
-        "        system.extras['mode_force'](t)\n"
         "    system.stiffness(t).matrix()\n"
         "    dnmodes.mass_weighted_stiffness(system.stiffness(t), system.masses)\n"
         "    dnmodes.modal_matrix(dec.theta, system.masses)\n"
@@ -311,7 +307,7 @@ def test_set_up_does_not_import_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     labels, after_set_up, after_evaluation, exit_codes, after_main = json.loads(
         proc.stdout.splitlines()[-1])
-    assert labels == [*PRESETS, "phase-gate-zeroth-order"]
+    assert labels == [*PRESETS]
     assert after_set_up == []
     assert after_evaluation is False
     assert (exit_codes, after_main) == ([0] * (1 + 2 * len(paths)), False)

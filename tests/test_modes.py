@@ -320,6 +320,19 @@ def test_momentum_shift_constant_velocity_transport():
     assert shift.centers == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
+def test_momentum_shift_centers_under_a_constant_acceleration():
+    # Q0 = 0.1 t + 0.2 t^2 gives q0's acceleration (0.4, 0.4) at any t, and theta is
+    # static, so P0dot = A (0.4, 0.4) and the centers are -P0dot_i / Omega_i^2.
+    sys = build_transport(TransportConfig(k=2.0, Q0=Polynomial((0.0, 0.1, 0.2)),
+                                          masses=(1.0, 3.0)))
+    dec = decompose_at(sys, 0.5)
+    shift = momentum_shift(dec, sys, PhasePoint(0.5, (0.0, 0.0), (0.0, 0.0), frame="mode"))
+    expect = tuple(np.array(modal_matrix(dec.theta, sys.masses)[0]) @ np.array([0.4, 0.4]))
+    assert shift.P0_dot == pytest.approx(expect, rel=1e-8)
+    assert shift.centers == pytest.approx(
+        (-expect[0] / dec.omega1_sq, -expect[1] / dec.omega2_sq), rel=1e-8)
+
+
 def test_momentum_shift_zero_frequency_guard():
     sys = static_system(0.0, 0.0, 1.0)  # one free direction
     dec = decompose_at(sys, 0.0)
@@ -375,6 +388,15 @@ def test_classify_through_an_isotropic_instant():
         rep = classify_separability(sys, (0.0, 10.0), n_samples=n)
         assert rep.max_abs_theta_dot == 0.0 and rep.separable
         assert rep.analytic_case == "k1=k2, m1=m2"
+
+
+@pytest.mark.parametrize("ramped", ["k1", "k2"])
+def test_a_ratio_spread_within_its_relative_tolerance_is_proportional(ramped):
+    # k = 1 with one of k1, k2 ramping 100 -> 100 + 5e-9: its ratio to k spreads by
+    # 5e-9, within 1e-9 times the largest ratio (100) but not 1e-9 over it.
+    fields = {"k1": 3.0, "k2": 3.0, ramped: LinearRamp(0.0, 100.0, 1.0, 100.0 + 5e-9)}
+    sys = build_custom(CustomConfig(k=1.0, masses=(1.0, 2.0), **fields))
+    assert classify_separability(sys, (0.0, 1.0)).analytic_case == "k1=c1*k, k2=c2*k"
 
 
 def test_a_constant_angle_over_nine_decades_of_k_is_separable():

@@ -7,8 +7,8 @@ with its defaults left out; its ``repr`` is the dataclass form
 attribute raises ``AttributeError``; equal values compare equal and hash
 equal, and an instance of another class with the same values is unequal.
 ``StiffnessTriple`` keeps its written-out ``__init__`` and its finiteness
-check.  ``QuadraticSystem`` is the one assignable type, and its default
-``extras`` is read-only.  For every preset ``type`` and schedule ``kind``,
+check.  ``QuadraticSystem`` is the one assignable type.  For every preset
+``type`` and schedule ``kind``,
 ``config_from_dict`` names the unknown and the missing JSON fields as before.
 """
 
@@ -190,14 +190,11 @@ def test_quadratic_system_is_an_assignable_value_class():
     assert repr(system) == (
         "QuadraticSystem(masses=MassPair(m1=1.0, m2=2.0), "
         + "".join(f"{name}={view!r}, " for name, view in VIEWS.items())
-        + "theta_dot_override=None, full_potential=None, label='custom', extras=mappingproxy({}))")
+        + "theta_dot_override=None, full_potential=None, label='custom')")
     assert system == QuadraticSystem(masses=masses, **VIEWS)
     assert system != QuadraticSystem(masses, *VIEWS.values(), label="springs")
     with pytest.raises(TypeError):
         QuadraticSystem(masses, *list(VIEWS.values())[:3])
-    with pytest.raises(TypeError):
-        system.extras["mode_force"] = None
-    assert system.extras == {}
     system.stiffness = abs
     assert system.stiffness is abs
     assert system != QuadraticSystem(masses, *VIEWS.values())
