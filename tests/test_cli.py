@@ -474,7 +474,7 @@ OVERFLOWING_PRESETS = {
     # the spring, 2e462, is not.
     "phase-gate-forces-1e308": ({"type": "phase-gate", "k0": 1.0, "F1": 1e308, "F2": -1e308},
                                 "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0"),
-    # The zeroth order's shift K^-1 F, with 2 F1 = 3.4e308, is no float.
+    # The zeroth order forms K^-1 F from 2 F1 + F2 = 3.4e308, which is no float.
     "phase-gate-zeroth-order": ({"type": "phase-gate", "k0": 1.0, "F1": 1.7e308, "F2": 0.0,
                                  "zeroth_order": True},
                                 "phase-gate-zeroth-order: K^-1 F overflows at t=0.0"),
