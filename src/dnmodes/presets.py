@@ -2,7 +2,8 @@
 
 Five trapped-ion control scenarios and a two-mass spring system, each
 returning a :class:`QuadraticSystem` whose closed-form equilibrium zeroes
-the gradient of the full (untruncated) potential and whose stiffness triple
+the gradient of the full (untruncated) potential, its config's
+``potential(q1, q2, t)`` (``custom`` has none), and whose stiffness triple
 equals its Hessian there.  The Coulomb constant Cc is a dimensionless
 caller-supplied number (natural units), default 1.
 
@@ -98,8 +99,8 @@ class _per_time(dict):
 
 
 def _ion_pair(
-    cfg, label, controls, equation, curvature, curvature_rate, trap_potential,
-    center=None, theta_dot_override=None,
+    cfg, label, controls, equation, curvature, curvature_rate, center=None,
+    theta_dot_override=None,
 ) -> QuadraticSystem:
     """Two ions at c +- q0/2 in a trap of curvature kappa, coupled by the spring 2 Cc/q0^3
     of the Coulomb term, all pure functions of u = (s1(t), s2(t)), the ``controls`` (s1,
@@ -107,37 +108,35 @@ def _ion_pair(
     ``equation(t, u)`` builds as ``(solve, rate)``: solve(guess) from the last q0 (None at
     first, so a series goes in time order), in its own scale (module docstring), and
     rate(du, q0) = (df/dt, f'(q0)), both over the same power of q0: q0dot = -(df/dt)/f'(q0).
-    The record (t, u, equation(t, u), du) of the last time read is built when t changes, du
-    when a rate view first asks.  The last triple and the last q0dot are kept, each in one
-    tuple (equation, q0, value) replaced whole, and handed back where a view's own solve
-    returns that q0 on that equation: pure functions of (t, u, du, q0), so no thread or call
-    order changes a value.  Also ``curvature(u, q0)``, ``curvature_rate(u, du, q0, q0dot)``,
-    the linear centre c(u) (None: 0), rate c(du), and the trap potential less Coulomb."""
-    Cc, (mc, ec) = cfg.Cc, math.frexp(cfg.Cc)
+    One record of the last time read, [t, u, equation(t, u), du, (q0, triple), (q0,
+    q0dot)], is built whole when t changes; du is set when a rate view first asks, and the
+    triple and q0dot each whole when a view forms them.  Each is handed back where a view's
+    own solve returns that q0 on that record: pure functions of (t, u, du, q0), so no thread
+    or call order changes a value.  Also ``curvature(u, q0)``, ``curvature_rate(u, du, q0,
+    q0dot)``, and the linear centre c(u) (None: 0), rate c(du); ``label`` names the preset
+    in errors."""
+    mc, ec = math.frexp(cfg.Cc)
     (v1, d1), (v2, d2) = ((s.value, s.derivative) for s in controls)
     previous = None  # the last root, the next solve's guess
-    record = (None, None, None, None)
-    kept_triple = kept_rate = (None, None, None)  # (equation, q0, triple or q0dot)
+    record = [None] * 6
 
     def solved(t: float, rates: bool = False) -> tuple:
         # Every view solves, at a repeated time too: that warm re-solve can move q0 by
         # an ulp, and perfbench/tests pins it (test_pinned_layer_counts[sim-separation]).
         nonlocal record, previous
         if t != (rec := record)[0]:
-            rec = (t, u := (v1(t), v2(t)), equation(t, u), None)
+            record = rec = [t, u := (v1(t), v2(t)), equation(t, u), None, None, None]
         if rates and rec[3] is None:
-            rec = (t, rec[1], rec[2], (d1(t), d2(t)))
-        record = rec
+            rec[3] = (d1(t), d2(t))
         try:
             previous = q0 = rec[2][0](previous)
         except OverflowError:  # 2^e x, the root, is no float
             raise PresetDomainError(f"{label}: q0 overflows at t={t}") from None
         return rec, q0  # not previous, which another thread may have set since
 
-    def q0_rate(t: float, rec: tuple, q0: float) -> float:
-        nonlocal kept_rate
-        if (kept := kept_rate)[0] is rec[2] and kept[1] == q0:
-            return kept[2]
+    def q0_rate(t: float, rec: list, q0: float) -> float:
+        if (kept := rec[5]) and kept[0] == q0:
+            return kept[1]
         try:
             drift, slope = rec[2][1](rec[3], q0)
         except OverflowError:  # a power of q0 in them is no float
@@ -147,7 +146,7 @@ def _ion_pair(
             raise PresetDomainError(f"{label}: q0dot overflows at t={t}")
         if slope == 0.0:  # a double root
             raise SingularConfigurationError(f"singular point: f'(q0) vanishes at t={t}")
-        kept_rate = (rec[2], q0, q0dot := -drift / slope)
+        rec[5] = (q0, q0dot := -drift / slope)
         return q0dot
 
     def spring(t: float, q0: float) -> float:
@@ -171,19 +170,18 @@ def _ion_pair(
         return (cdot + half, cdot - half)
 
     def stiffness(t: float) -> StiffnessTriple:
-        nonlocal kept_triple
         rec, q0 = solved(t)
-        if (kept := kept_triple)[0] is not rec[2] or kept[1] != q0:
+        if not (kept := rec[4]) or kept[0] != q0:
             kappa = curvature(rec[1], q0)
-            kept_triple = kept = (rec[2], q0, StiffnessTriple(spring(t, q0), kappa, kappa))
-        return kept[2]
+            rec[4] = kept = (q0, StiffnessTriple(spring(t, q0), kappa, kappa))
+        return kept[1]
 
     def stiffness_rate(t: float) -> tuple:
         rec, q0 = solved(t, True)
         q0dot = q0_rate(t, rec, q0)
         kappa_dot = curvature_rate(rec[1], rec[3], q0, q0dot)
-        kept = kept_triple  # its spring, where the triple is kept for this root
-        k = kept[2].k if kept[0] is rec[2] and kept[1] == q0 else spring(t, q0)
+        # its spring, where the triple is kept for this root
+        k = kept[1].k if (kept := rec[4]) and kept[0] == q0 else spring(t, q0)
         k3 = -3.0 * k  # -inf past k = 6e307: k q0dot/q0 first there
         return (k3 * q0dot / q0 if k3 > -math.inf else -3.0 * (k * q0dot / q0),
                 kappa_dot, kappa_dot)
@@ -194,9 +192,7 @@ def _ion_pair(
         stiffness_rate=stiffness_rate,
         equilibrium=equilibrium,
         equilibrium_velocity=equilibrium_velocity,
-        full_potential=lambda q1, q2, t: trap_potential(q1, q2, t) + Cc / (q1 - q2),
         theta_dot_override=theta_dot_override,
-        label=label,
     )
 
 
@@ -224,11 +220,14 @@ class TransportConfig:
     def __post_init__(self):
         check_fields(self, positive=("Cc",))
 
+    def potential(self, q1: float, q2: float, t: float) -> float:
+        """U = k(t)/2 * sum_i (q_i - Q0)^2 + Cc/(q1 - q2)."""
+        Q0 = self.Q0.value(t)
+        return 0.5 * self.k.value(t) * ((q1 - Q0) ** 2 + (q2 - Q0) ** 2) + self.Cc / (q1 - q2)
+
 
 def build_transport(cfg: TransportConfig) -> QuadraticSystem:
-    """U = k(t)/2 * sum_i (q_i - Q0)^2 + Cc/(q1 - q2).
-
-    Equilibrium distance q0 = (2 Cc / k)^(1/3), the root of f = 3k q - 3 (2 Cc)^(1/3) k^(2/3),
+    """Equilibrium distance q0 = (2 Cc / k)^(1/3), the root of f = 3k q - 3 (2 Cc)^(1/3) k^(2/3),
     so f' = 3k and df/dt = kdot q0 there; the stiffness triple is (k, k, k), so theta
     is constant for any masses and any k(t).
     """
@@ -240,10 +239,6 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
 
         return solve, lambda du, q0: (du[0] * q0, 3.0 * u[0])
 
-    def trap_potential(q1: float, q2: float, t: float) -> float:
-        Q0 = cfg.Q0.value(t)
-        return 0.5 * cfg.k.value(t) * ((q1 - Q0) ** 2 + (q2 - Q0) ** 2)
-
     return _ion_pair(
         cfg,
         "transport",
@@ -251,7 +246,6 @@ def build_transport(cfg: TransportConfig) -> QuadraticSystem:
         equation=equation,
         curvature=lambda u, q0: u[0],
         curvature_rate=lambda u, du, q0, q0dot: du[0],
-        trap_potential=trap_potential,
         center=lambda u: u[1],
         theta_dot_override=lambda t: 0.0,
     )
@@ -271,6 +265,11 @@ class SeparationConfig:
 
     def __post_init__(self):
         check_fields(self, positive=("Cc",))
+
+    def potential(self, q1: float, q2: float, t: float) -> float:
+        """U = alpha (q1^2 + q2^2) + beta (q1^4 + q2^4) + Cc/(q1 - q2)."""
+        return (self.alpha.value(t) * (q1**2 + q2**2) + self.beta.value(t) * (q1**4 + q2**4)
+                + self.Cc / (q1 - q2))
 
 
 def _in_own_scale(a: float, b: float, h: int, c: float, j: int) -> tuple:
@@ -338,15 +337,10 @@ def solve_separation_distance(alpha: float, beta: float, Cc: float,
 
 
 def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
-    """U = alpha (q1^2 + q2^2) + beta (q1^4 + q2^4) + Cc/(q1 - q2).
-
-    Equilibria are +-q0/2 with q0 the positive quintic root; q0dot comes
+    """Equilibria are +-q0/2 with q0 the positive quintic root; q0dot comes
     from implicit differentiation, and the trap curvature at +-q0/2 is
     2 alpha + 3 beta q0^2.
     """
-    def trap_potential(q1: float, q2: float, t: float) -> float:
-        return cfg.alpha.value(t) * (q1**2 + q2**2) + cfg.beta.value(t) * (q1**4 + q2**4)
-
     return _ion_pair(
         cfg,
         "separation",
@@ -355,7 +349,6 @@ def build_separation(cfg: SeparationConfig) -> QuadraticSystem:
         curvature=lambda u, q0: 2.0 * u[0] + 3.0 * u[1] * (q0 * q0),
         curvature_rate=lambda u, du, q0, q0dot: 2.0 * du[0]
         + 3.0 * du[1] * (q0 * q0) + 6.0 * u[1] * q0 * q0dot,
-        trap_potential=trap_potential,
     )
 
 
@@ -424,6 +417,11 @@ class PhaseGateConfig:
 
     def __post_init__(self):
         check_fields(self, positive=("k0", "Cc"))
+
+    def potential(self, q1: float, q2: float, t: float) -> float:
+        """U = k0 (q1^2 + q2^2)/2 + F1 q1 + F2 q2 + Cc/(q1 - q2), the zeroth order's too."""
+        return (0.5 * self.k0 * (q1**2 + q2**2) + self.F1.value(t) * q1 + self.F2.value(t) * q2
+                + self.Cc / (q1 - q2))
 
 
 def _phase_gate_distance(k0: float, Cc: float):
@@ -509,9 +507,7 @@ def audit_phase_gate_formulas(F1: float, F2: float, k0: float, Cc: float) -> Pha
 
 
 def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
-    """U = k0 (q1^2 + q2^2)/2 + Cc/(q1 - q2) + F1 q1 + F2 q2.
-
-    The equilibrium distance is the cubic's root solve alone; the published
+    """The equilibrium distance is the cubic's root solve alone; the published
     closed forms are checked by :func:`audit_phase_gate_formulas`, not per
     time.  The pair's centre is -(F1 + F2) / (2 k0).
 
@@ -520,10 +516,6 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
     [[2, 1], [1, 2]]/(3 k0): the full model's equilibrium to first order in F.
     """
     k0, Cc, F1, F2 = cfg.k0, cfg.Cc, cfg.F1, cfg.F2
-
-    def trap_potential(q1: float, q2: float, t: float) -> float:
-        return 0.5 * k0 * (q1**2 + q2**2) + F1.value(t) * q1 + F2.value(t) * q2
-
     if not cfg.zeroth_order:
         return _ion_pair(
             cfg,
@@ -532,15 +524,17 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
             equation=_phase_gate_distance(k0, Cc),
             curvature=lambda u, q0: k0,
             curvature_rate=lambda u, du, q0, q0dot: 0.0,
-            trap_potential=trap_potential,
             center=lambda u: -0.5 * (u[0] + u[1]) / k0,
         )
     label, half = "phase-gate-zeroth-order", _cube_root(Cc, k0, -2)
     triple = StiffnessTriple(k0, k0, k0)
 
     def moved(t: float, e1: float, e2: float, f1: float, f2: float, name: str) -> tuple:
-        # e - K^-1 f, over k0 before 3: 3 k0 may overflow where f/k0 does not
-        q = (e1 - (2.0 * f1 + f2) / k0 / 3.0, e2 - (f1 + 2.0 * f2) / k0 / 3.0)
+        # e - K^-1 f, over k0 before 3: 3 k0 may overflow where f/k0 does not, and 2 f where
+        # the row does not, so past 2^1022 each row is formed at a quarter, then times 4
+        s = 1.0 if abs(f1) < 2.0**1022 > abs(f2) else 4.0
+        q = (e1 - (2.0 / s * f1 + f2 / s) / k0 / 3.0 * s,
+             e2 - (f1 / s + 2.0 / s * f2) / k0 / 3.0 * s)
         if not (math.isfinite(q[0]) and math.isfinite(q[1])):
             raise PresetDomainError(f"{label}: {name} overflows at t={t}")
         return q
@@ -553,8 +547,6 @@ def build_phase_gate(cfg: PhaseGateConfig) -> QuadraticSystem:
         equilibrium_velocity=lambda t: moved(
             t, 0.0, 0.0, F1.derivative(t), F2.derivative(t), "K^-1 dF/dt"),
         theta_dot_override=lambda t: 0.0,
-        full_potential=lambda q1, q2, t: trap_potential(q1, q2, t) + Cc / (q1 - q2),
-        label=label,
     )
 
 
@@ -574,6 +566,15 @@ class RotationConfig:
         check_fields(self, positive=("m",))
         if not 0.0 < (mm := self.m * self.m) < math.inf:  # MassPair's test, named for m
             raise ConfigError(f"rotation: m * m {'over' if mm else 'under'}flows, got {self.m}")
+
+    def potential(self, q1: float, q2: float, t: float) -> float:
+        """U = m (omega1^2 u1^2 + omega2^2 u2^2)/2, u = (q1, q2) in the axes turned by phi(t)."""
+        phi = self.phi.value(t)
+        c = math.cos(phi)
+        s = math.sin(phi)
+        u1 = q1 * c + q2 * s
+        u2 = -q1 * s + q2 * c
+        return 0.5 * self.m * (self.omega1**2 * u1 * u1 + self.omega2**2 * u2 * u2)
 
 
 def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
@@ -614,14 +615,6 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
         s2 = amp * math.sin(2.0 * phi) * phidot
         return (dk, -s2 - dk, s2 - dk)
 
-    def full_potential(q1: float, q2: float, t: float) -> float:
-        phi = phi_at(t)
-        c = math.cos(phi)
-        s = math.sin(phi)
-        u1 = q1 * c + q2 * s
-        u2 = -q1 * s + q2 * c
-        return 0.5 * m * (w1sq * u1 * u1 + w2sq * u2 * u2)
-
     return QuadraticSystem(
         masses=masses,
         stiffness=triple_at.__getitem__,
@@ -629,8 +622,6 @@ def build_rotation(cfg: RotationConfig) -> QuadraticSystem:
         equilibrium=lambda t: (0.0, 0.0),
         equilibrium_velocity=lambda t: (0.0, 0.0),
         theta_dot_override=(lambda t: 0.0) if isotropic else _per_time(phi_dot).__getitem__,
-        full_potential=full_potential,
-        label="rotation",
     )
 
 
@@ -650,6 +641,11 @@ class SpringsConfig:
     def __post_init__(self):
         check_fields(self, positive=("d",))
 
+    def potential(self, q1: float, q2: float, t: float) -> float:
+        """U = k1 q1^2/2 + k2 (d - q2)^2/2 + k (q2 - q1)^2/2."""
+        k, k1, k2 = self.k.value(t), self.k1.value(t), self.k2.value(t)
+        return 0.5 * k1 * q1**2 + 0.5 * k2 * (self.d - q2) ** 2 + 0.5 * k * (q2 - q1) ** 2
+
 
 def _schedule_triple(cfg) -> dict:
     """``stiffness`` and ``stiffness_rate`` read straight off the k, k1 and k2 schedules."""
@@ -659,9 +655,7 @@ def _schedule_triple(cfg) -> dict:
 
 
 def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
-    """U = k1 q1^2/2 + k2 (d - q2)^2/2 + k (q2 - q1)^2/2.
-
-    The equilibrium solves K q = (0, k2 d): q = X d/D with X = (k, k + k1) k2 and
+    """The equilibrium solves K q = (0, k2 d): q = X d/D with X = (k, k + k1) k2 and
     D = det K = k1 k2 + k (k1 + k2), and its rate is qdot = (d Xdot - q Ddot)/D, from
     that q: no D^2 or X Ddot to underflow where the triple is small but not singular.
     Both are of degree 0 in the triple and its rates, so where D is no normal float both
@@ -694,16 +688,10 @@ def build_springs(cfg: SpringsConfig) -> QuadraticSystem:
         Xd = (kd * k2 + k * k2d, (kd + k1d) * k2 + (k + k1) * k2d)
         return tuple((d * xd - x / D * d * Dd) / D for x, xd in zip(X, Xd))
 
-    def full_potential(q1: float, q2: float, t: float) -> float:
-        tr = views["stiffness"](t)
-        return 0.5 * tr.k1 * q1**2 + 0.5 * tr.k2 * (d - q2) ** 2 + 0.5 * tr.k * (q2 - q1) ** 2
-
     return QuadraticSystem(
         masses=cfg.masses,
         equilibrium=equilibrium,
         equilibrium_velocity=equilibrium_velocity,
-        full_potential=full_potential,
-        label="springs",
         **views,
     )
 
@@ -734,7 +722,6 @@ def build_custom(cfg: CustomConfig) -> QuadraticSystem:
             cfg.q1_eq.derivative(t),
             cfg.q2_eq.derivative(t),
         ),
-        label="custom",
         **_schedule_triple(cfg),
     )
 

@@ -97,16 +97,11 @@ class QuadraticSystem:
     ``stiffness_rate`` and ``equilibrium_velocity`` are the closed-form
     rates of ``stiffness`` and ``equilibrium``; every builder supplies both.
     ``theta_dot_override`` is an optional closed form of the mode-angle
-    rate, which is also the Larmor compensation rate.  ``full_potential(q1,
-    q2, t)`` is the untruncated potential when the builder knows it (used by
-    verification oracles).  Instances are treated as immutable after
-    construction; all evaluation methods are pure.  A view may keep its value
-    per time (rotation's stiffness and theta_dot at every nonzero float time
-    asked, for the life of the system, about 160 B a time, each view the bound
-    ``__getitem__`` of a dict, so a kept time runs no Python frame and a numpy
-    time equal to it reads it; the ion pair's at the last time and root); it
-    then returns the same object again, with the bits of a fresh evaluation,
-    whatever the order or the thread of the calls.
+    rate, which is also the Larmor compensation rate.  Instances are treated
+    as immutable after construction; all evaluation methods are pure.  A view
+    may keep its value per time and then return the same object again, with
+    the bits of a fresh evaluation, whatever the order or the thread of the
+    calls.
     """
 
     masses: MassPair
@@ -115,16 +110,14 @@ class QuadraticSystem:
     equilibrium_velocity: Callable[[float], tuple]
     stiffness_rate: Callable[[float], tuple]
     theta_dot_override: Optional[Callable[[float], float]] = None
-    full_potential: Optional[Callable[[float, float, float], float]] = None
-    label: str = "custom"
     # Not a field and never set: perfbench/tracer.py reads it on every system.
     larmor_rate = None
     __setattr__ = object.__setattr__  # assignable: perfbench/tracer.py wraps each view
 
     # -- time-sliced data ---------------------------------------------------
 
-    # The two *_at methods only call their fields; perfbench/tracer.py
-    # patches them by name.
+    # The two *_at methods only call their fields, and nothing in dnmodes
+    # calls them; perfbench/tracer.py patches them by name.
 
     def stiffness_rate_at(self, t: float) -> tuple:
         """(dk/dt, dk1/dt, dk2/dt)."""

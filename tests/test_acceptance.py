@@ -200,65 +200,57 @@ def test_criterion_03_rotation_identity():
 
 
 def _random_preset_systems(rng, n):
+    """(name, config, system) draws; the config holds the full potential."""
     builders = {
-        "transport": lambda: build_transport(
-            TransportConfig(
-                k=rng.uniform(0.5, 4.0),
-                Q0=rng.uniform(-1.0, 1.0),
-                Cc=rng.uniform(0.5, 2.0),
-                masses=tuple(rng.uniform(0.5, 5.0, 2)),
-            )
-        ),
-        "separation": lambda: build_separation(
-            SeparationConfig(
-                alpha=rng.uniform(0.2, 2.0),
-                beta=rng.uniform(0.0, 2.0),
-                Cc=rng.uniform(0.5, 2.0),
-                masses=tuple(rng.uniform(0.5, 5.0, 2)),
-            )
-        ),
-        "phase-gate": lambda: build_phase_gate(
-            PhaseGateConfig(
-                k0=rng.uniform(0.5, 3.0),
-                F1=rng.uniform(-0.3, 0.3),
-                F2=rng.uniform(-0.3, 0.3),
-                Cc=rng.uniform(0.5, 2.0),
-                masses=tuple(rng.uniform(0.5, 5.0, 2)),
-            )
-        ),
-        "rotation": lambda: build_rotation(
-            RotationConfig(
-                m=rng.uniform(0.5, 3.0),
-                omega1=rng.uniform(0.5, 3.0),
-                omega2=rng.uniform(0.5, 3.0),
-                phi=rng.uniform(0.0, math.pi),
-            )
-        ),
-        "springs": lambda: build_springs(
-            SpringsConfig(
-                k=rng.uniform(0.3, 3.0),
-                k1=rng.uniform(0.3, 3.0),
-                k2=rng.uniform(0.3, 3.0),
-                d=rng.uniform(1.0, 5.0),
-                masses=tuple(rng.uniform(0.5, 5.0, 2)),
-            )
-        ),
+        "transport": lambda: (build_transport, TransportConfig(
+            k=rng.uniform(0.5, 4.0),
+            Q0=rng.uniform(-1.0, 1.0),
+            Cc=rng.uniform(0.5, 2.0),
+            masses=tuple(rng.uniform(0.5, 5.0, 2)),
+        )),
+        "separation": lambda: (build_separation, SeparationConfig(
+            alpha=rng.uniform(0.2, 2.0),
+            beta=rng.uniform(0.0, 2.0),
+            Cc=rng.uniform(0.5, 2.0),
+            masses=tuple(rng.uniform(0.5, 5.0, 2)),
+        )),
+        "phase-gate": lambda: (build_phase_gate, PhaseGateConfig(
+            k0=rng.uniform(0.5, 3.0),
+            F1=rng.uniform(-0.3, 0.3),
+            F2=rng.uniform(-0.3, 0.3),
+            Cc=rng.uniform(0.5, 2.0),
+            masses=tuple(rng.uniform(0.5, 5.0, 2)),
+        )),
+        "rotation": lambda: (build_rotation, RotationConfig(
+            m=rng.uniform(0.5, 3.0),
+            omega1=rng.uniform(0.5, 3.0),
+            omega2=rng.uniform(0.5, 3.0),
+            phi=rng.uniform(0.0, math.pi),
+        )),
+        "springs": lambda: (build_springs, SpringsConfig(
+            k=rng.uniform(0.3, 3.0),
+            k1=rng.uniform(0.3, 3.0),
+            k2=rng.uniform(0.3, 3.0),
+            d=rng.uniform(1.0, 5.0),
+            masses=tuple(rng.uniform(0.5, 5.0, 2)),
+        )),
     }
     for name, make in builders.items():
         for _ in range(n):
-            yield name, make()
+            build, cfg = make()
+            yield name, cfg, build(cfg)
 
 
 def test_criterion_04_equilibrium_oracle():
     rng = np.random.default_rng(104)
     worst_grad = {}
     worst_hess = {}
-    for name, sys in _random_preset_systems(rng, 100):
+    for name, cfg, sys in _random_preset_systems(rng, 100):
         t = 0.0
         q_eq = np.array(sys.equilibrium(t))
 
         def U(q):
-            return sys.full_potential(q[0], q[1], t)
+            return cfg.potential(q[0], q[1], t)
 
         K = sys.stiffness(t).matrix()
         scale_g = max(1.0, np.abs(K).max() * max(1.0, np.abs(q_eq).max()))

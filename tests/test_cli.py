@@ -474,8 +474,8 @@ OVERFLOWING_PRESETS = {
     # the spring, 2e462, is not.
     "phase-gate-forces-1e308": ({"type": "phase-gate", "k0": 1.0, "F1": 1e308, "F2": -1e308},
                                 "phase-gate: Coulomb spring 2 Cc/q0**3 overflows at t=0.0"),
-    # The zeroth order forms K^-1 F from 2 F1 + F2 = 3.4e308, which is no float.
-    "phase-gate-zeroth-order": ({"type": "phase-gate", "k0": 1.0, "F1": 1.7e308, "F2": 0.0,
+    # The zeroth order's shift K^-1 F, (2 F1 + F2)/(3 k0) = 2.27e308, is no float.
+    "phase-gate-zeroth-order": ({"type": "phase-gate", "k0": 0.5, "F1": 1.7e308, "F2": 0.0,
                                  "zeroth_order": True},
                                 "phase-gate-zeroth-order: K^-1 F overflows at t=0.0"),
 }
@@ -529,16 +529,32 @@ def test_simulate_exits_3_where_q0dot_overflows(tmp_path, capsys, alpha, code, e
 
 def test_simulate_exits_3_where_the_zeroth_order_shift_rate_overflows(tmp_path, capsys):
     # F1 = 1.7e308 t keeps the shift K^-1 F a float on [0, 1e-300], and the lab run
-    # near rest; the map's drive needs the rate K^-1 dF/dt, and 2 dF1/dt is no float.
+    # near rest; the map's drive needs the rate K^-1 dF/dt, and 2 dF1/dt/(3 k0) =
+    # 2.27e308 is no float.
     force = {"kind": "polynomial", "coeffs": [0.0, 1.7e308]}
     cfg = {"schema": 1, "window": [0.0, 1e-300], "integrator": {"dt": 2.5e-301},
-           "preset": {"type": "phase-gate", "k0": 1.0, "F1": force, "F2": 0.0,
+           "preset": {"type": "phase-gate", "k0": 0.5, "F1": force, "F2": 0.0,
                       "zeroth_order": True},
            "initial_state": {"q": [0.1, -0.1], "p": [0.0, 0.0]},
            "output": {"path": str(tmp_path / "ovf")}}
     assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "preset domain error: phase-gate-zeroth-order: K^-1 dF/dt overflows at t=0.0"]
+
+
+def test_analyze_moves_the_zeroth_order_by_a_shift_that_is_a_float(tmp_path, capsys):
+    # With k0 = 1 and F1 = 1.7e308, 2 F1 is no float, but the shift (2 F1 + F2)/(3 k0)
+    # = 1.13e308 is: it is formed at a quarter, then times 4, in one rounding of /3.
+    cfg = {"schema": 1, "window": [0.0, 1.0], "samples": 5,
+           "preset": {"type": "phase-gate", "k0": 1.0, "F1": 1.7e308, "F2": 0.0,
+                      "zeroth_order": True},
+           "output": {"path": str(tmp_path / "far")}}
+    assert main(["analyze", "--config", write_cfg(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "far_analyze.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(float(r["q1_eq"]), float(r["q2_eq"])) for r in rows} == {
+        (-float(Fraction(1.7e308) * 2 / 3), -float(Fraction(1.7e308) / 3))}
 
 
 # A config's values are checked finite, so a stiffness entry or a tan(2 theta)

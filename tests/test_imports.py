@@ -269,7 +269,8 @@ def test_set_up_does_not_import_numpy(tmp_path):
         "import dnmodes, dnmodes.cli\n"
         "configs = [dnmodes.cli.load_config(path) for path in sys.argv[2:]]\n"
         "systems = [dnmodes.build_preset(cfg['preset']) for cfg in configs]\n"
-        "labels = [system.label for system in systems]\n"
+        "labels = [cfg['preset']['type'] + '-zeroth-order' * cfg['preset'].get('zeroth_order', 0)\n"
+        "          for cfg in configs]\n"
         "unloaded = {'numpy', 'dataclasses', 'inspect', 'decimal'}\n"
         "after_set_up = sorted(unloaded & set(sys.modules))\n"
         "for cfg, system in zip(configs, systems):\n"

@@ -324,7 +324,7 @@ def test_a_vanishing_distance_slope_is_a_named_singular_point():
         cfg, "double-root", (cfg.alpha, cfg.beta),
         equation=lambda t, u: (lambda guess: 1.0, lambda du, q: (1.0, 2.0 * (q - 1.0))),
         curvature=lambda u, q0: 1.0,
-        curvature_rate=lambda u, du, q0, q0dot: 0.0, trap_potential=lambda q1, q2, t: 0.0,
+        curvature_rate=lambda u, du, q0, q0dot: 0.0,
     )
     assert sys.equilibrium(0.25) == (0.5, -0.5)
     for view in (sys.equilibrium_velocity, sys.stiffness_rate):
@@ -656,23 +656,22 @@ def test_springs_velocity_matches_fd():
 
 
 def _random_systems(rng, n=12):
+    """(config, system, t) of each model, its config holding the full potential."""
     for _ in range(n):
-        yield build_transport(
-            TransportConfig(
-                k=rng.uniform(0.5, 4.0),
-                Q0=rng.uniform(-1.0, 1.0),
-                Cc=rng.uniform(0.5, 2.0),
-                masses=tuple(rng.uniform(0.5, 5.0, 2)),
-            )
-        ), 0.0
-        yield build_separation(
-            SeparationConfig(
-                alpha=rng.uniform(0.2, 2.0),
-                beta=rng.uniform(0.0, 2.0),
-                Cc=rng.uniform(0.5, 2.0),
-                masses=tuple(rng.uniform(0.5, 5.0, 2)),
-            )
-        ), 0.0
+        transport = TransportConfig(
+            k=rng.uniform(0.5, 4.0),
+            Q0=rng.uniform(-1.0, 1.0),
+            Cc=rng.uniform(0.5, 2.0),
+            masses=tuple(rng.uniform(0.5, 5.0, 2)),
+        )
+        yield transport, build_transport(transport), 0.0
+        separation = SeparationConfig(
+            alpha=rng.uniform(0.2, 2.0),
+            beta=rng.uniform(0.0, 2.0),
+            Cc=rng.uniform(0.5, 2.0),
+            masses=tuple(rng.uniform(0.5, 5.0, 2)),
+        )
+        yield separation, build_separation(separation), 0.0
         phase_gate = PhaseGateConfig(
             k0=rng.uniform(0.5, 3.0),
             F1=rng.uniform(-0.3, 0.3),
@@ -680,54 +679,53 @@ def _random_systems(rng, n=12):
             Cc=rng.uniform(0.5, 2.0),
             masses=tuple(rng.uniform(0.5, 5.0, 2)),
         )
-        yield build_phase_gate(phase_gate), 0.0
+        yield phase_gate, build_phase_gate(phase_gate), 0.0
         # The zeroth order is an exact extremum of the full potential only at F = 0; the
         # same draws, so the other systems keep theirs.
-        yield build_phase_gate(replace(phase_gate, F1=0.0, F2=0.0, zeroth_order=True)), 0.0
-        yield build_rotation(
-            RotationConfig(
-                m=rng.uniform(0.5, 3.0),
-                omega1=rng.uniform(0.5, 3.0),
-                omega2=rng.uniform(0.5, 3.0),
-                phi=rng.uniform(0.0, math.pi),
-            )
-        ), 0.0
-        yield build_springs(
-            SpringsConfig(
-                k=rng.uniform(0.3, 3.0),
-                k1=rng.uniform(0.3, 3.0),
-                k2=rng.uniform(0.3, 3.0),
-                d=rng.uniform(1.0, 5.0),
-                masses=tuple(rng.uniform(0.5, 5.0, 2)),
-            )
-        ), 0.0
+        zeroth_order = replace(phase_gate, F1=0.0, F2=0.0, zeroth_order=True)
+        yield zeroth_order, build_phase_gate(zeroth_order), 0.0
+        rotation = RotationConfig(
+            m=rng.uniform(0.5, 3.0),
+            omega1=rng.uniform(0.5, 3.0),
+            omega2=rng.uniform(0.5, 3.0),
+            phi=rng.uniform(0.0, math.pi),
+        )
+        yield rotation, build_rotation(rotation), 0.0
+        springs = SpringsConfig(
+            k=rng.uniform(0.3, 3.0),
+            k1=rng.uniform(0.3, 3.0),
+            k2=rng.uniform(0.3, 3.0),
+            d=rng.uniform(1.0, 5.0),
+            masses=tuple(rng.uniform(0.5, 5.0, 2)),
+        )
+        yield springs, build_springs(springs), 0.0
 
 
 def test_equilibria_zero_full_potential_gradient():
     rng = np.random.default_rng(47)
-    for sys, t in _random_systems(rng):
+    for cfg, sys, t in _random_systems(rng):
         q_eq = np.array(sys.equilibrium(t))
 
         def U(q):
-            return sys.full_potential(q[0], q[1], t)
+            return cfg.potential(q[0], q[1], t)
 
         g = grad4(U, q_eq, h=1e-5)
         scale = max(1.0, np.abs(sys.stiffness(t).matrix()).max() * max(1.0, np.abs(q_eq).max()))
-        assert np.abs(g).max() <= 1e-9 * scale, sys.label
+        assert np.abs(g).max() <= 1e-9 * scale, cfg
 
 
 def test_stiffness_triples_match_full_potential_hessian():
     rng = np.random.default_rng(53)
-    for sys, t in _random_systems(rng):
+    for cfg, sys, t in _random_systems(rng):
         q_eq = np.array(sys.equilibrium(t))
 
         def U(q):
-            return sys.full_potential(q[0], q[1], t)
+            return cfg.potential(q[0], q[1], t)
 
         H = hessian4(U, q_eq, h=1e-3)
         K = sys.stiffness(t).matrix()
         scale = max(1.0, np.abs(K).max())
-        assert np.abs(H - K).max() <= 1e-7 * scale, sys.label
+        assert np.abs(H - K).max() <= 1e-7 * scale, cfg
 
 
 # -- config fields are checked by their declared types -----------------------

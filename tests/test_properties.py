@@ -665,10 +665,11 @@ def test_a_slack_wall_spring_holds_both_masses_at_the_far_wall():
 def test_springs_with_det_K_zero_refuse_only_the_equilibrium():
     # k = 1, k1 = k2 = 0: two masses joined by one spring and free of the walls.
     # K = [[1, -1], [-1, 1]] is singular, with the zero mode Omega1^2 = 0.
-    sys = build_preset(SpringsConfig(k=1.0, k1=0.0, k2=0.0, d=2.0))
+    cfg = SpringsConfig(k=1.0, k1=0.0, k2=0.0, d=2.0)
+    sys = build_preset(cfg)
     assert entries(sys.stiffness(0.5)) == (1.0, 0.0, 0.0)
     assert sys.stiffness_rate(0.5) == (0.0, 0.0, 0.0)
-    assert sys.full_potential(1.0, 0.5, 0.5) == 0.125
+    assert cfg.potential(1.0, 0.5, 0.5) == 0.125
     dec = decompose_at(sys, 0.5)
     assert dec.omega1_sq == 0.0 and dec.omega2_sq == 2.0
     for view in (sys.equilibrium, sys.equilibrium_velocity):

@@ -190,9 +190,9 @@ def test_quadratic_system_is_an_assignable_value_class():
     assert repr(system) == (
         "QuadraticSystem(masses=MassPair(m1=1.0, m2=2.0), "
         + "".join(f"{name}={view!r}, " for name, view in VIEWS.items())
-        + "theta_dot_override=None, full_potential=None, label='custom')")
+        + "theta_dot_override=None)")
     assert system == QuadraticSystem(masses=masses, **VIEWS)
-    assert system != QuadraticSystem(masses, *VIEWS.values(), label="springs")
+    assert system != QuadraticSystem(masses, *VIEWS.values(), theta_dot_override=abs)
     with pytest.raises(TypeError):
         QuadraticSystem(masses, *list(VIEWS.values())[:3])
     system.stiffness = abs
